@@ -72,17 +72,17 @@ Result<PageGuard> BTree::NewInternal() {
   return guard;
 }
 
-Result<PageGuard> BTree::FindLeaf(uint64_t key, AccessType type) {
+Result<PageGuard> BTree::FindLeaf(uint64_t key) {
   if (root_ == kInvalidPageId) {
     return Status::NotFound("tree is empty");
   }
-  auto guard = PageGuard::Fetch(*pool_, root_, type);
+  auto guard = PageGuard::Fetch(*pool_, root_);
   if (!guard.ok()) return guard.status();
   PageGuard current = std::move(*guard);
   while (current.As<BTreeNodeHeader>()->type == BTreeNodeType::kInternal) {
     const auto* node = current.As<BTreeInternalPage>();
     PageId child = node->children[ChildIndexFor(node, key)];
-    auto next = PageGuard::Fetch(*pool_, child, type);
+    auto next = PageGuard::Fetch(*pool_, child);
     if (!next.ok()) return next.status();
     current = std::move(*next);  // Parent unpins here.
   }
@@ -229,7 +229,7 @@ Status BTree::InsertRec(PageId node_id, uint64_t key, uint64_t value,
 }
 
 Result<uint64_t> BTree::Get(uint64_t key) {
-  auto leaf_guard = FindLeaf(key, AccessType::kRead);
+  auto leaf_guard = FindLeaf(key);
   if (!leaf_guard.ok()) {
     if (leaf_guard.status().code() == StatusCode::kNotFound) {
       return Status::NotFound("key " + std::to_string(key));
@@ -246,7 +246,7 @@ Result<uint64_t> BTree::Get(uint64_t key) {
 
 Status BTree::Update(uint64_t key, uint64_t value) {
   // Traverse read-only; AsMut dirties just the leaf.
-  auto leaf_guard = FindLeaf(key, AccessType::kRead);
+  auto leaf_guard = FindLeaf(key);
   if (!leaf_guard.ok()) {
     if (leaf_guard.status().code() == StatusCode::kNotFound) {
       return Status::NotFound("key " + std::to_string(key));
@@ -267,7 +267,7 @@ Status BTree::Scan(
     const std::function<bool(uint64_t key, uint64_t value)>& visit) {
   if (lo > hi) return Status::InvalidArgument("scan range is inverted");
   if (root_ == kInvalidPageId) return Status::Ok();
-  auto leaf_guard = FindLeaf(lo, AccessType::kRead);
+  auto leaf_guard = FindLeaf(lo);
   if (!leaf_guard.ok()) return leaf_guard.status();
   PageGuard current = std::move(*leaf_guard);
   size_t pos = LeafLowerBound(current.As<BTreeLeafPage>(), lo);

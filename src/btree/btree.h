@@ -100,7 +100,7 @@ class BTree {
   Result<PageGuard> NewInternal();
 
   // Descends for lookup; returns the leaf guard containing key's position.
-  Result<PageGuard> FindLeaf(uint64_t key, AccessType type);
+  Result<PageGuard> FindLeaf(uint64_t key);
 
   // Recursive insert. On split, fills `*split` with the new right sibling.
   Status InsertRec(PageId node, uint64_t key, uint64_t value,

@@ -24,11 +24,6 @@ struct NodeSlot {
   uint16_t key_len;
 };
 
-// PageGuard's non-const Data() marks the guard dirty; these make the
-// intent explicit so read-only traversals stay clean.
-const char* ReadData(const PageGuard& guard) { return guard.Data(); }
-char* MutData(PageGuard& guard) { return guard.Data(); }
-
 NodeHeader* Header(char* data) { return reinterpret_cast<NodeHeader*>(data); }
 const NodeHeader* Header(const char* data) {
   return reinterpret_cast<const NodeHeader*>(data);
@@ -151,21 +146,21 @@ StringBTree::StringBTree(PoolInterface* pool, PageId root)
   while (true) {
     auto guard = PageGuard::Fetch(*pool_, current);
     LRUK_ASSERT(guard.ok(), "tree page unreadable");
-    if (Header(ReadData(*guard))->type == kLeafType) break;
-    current = Header(ReadData(*guard))->link;
+    if (Header(guard->Data())->type == kLeafType) break;
+    current = Header(guard->Data())->link;
   }
   while (current != kInvalidPageId) {
     auto guard = PageGuard::Fetch(*pool_, current);
     LRUK_ASSERT(guard.ok(), "leaf chain page unreadable");
-    size_ += Header(ReadData(*guard))->count;
-    current = Header(ReadData(*guard))->link;
+    size_ += Header(guard->Data())->count;
+    current = Header(guard->Data())->link;
   }
 }
 
 Result<PageGuard> StringBTree::NewNode(bool leaf) {
   auto guard = PageGuard::New(*pool_);
   if (!guard.ok()) return guard.status();
-  NodeHeader* header = Header(MutData(*guard));
+  NodeHeader* header = Header(guard->MutableData());
   header->type = leaf ? kLeafType : kInternalType;
   header->count = 0;
   header->free_start = kPageSize;
@@ -173,15 +168,14 @@ Result<PageGuard> StringBTree::NewNode(bool leaf) {
   return guard;
 }
 
-Result<PageGuard> StringBTree::FindLeaf(std::string_view key,
-                                        AccessType type) {
+Result<PageGuard> StringBTree::FindLeaf(std::string_view key) {
   if (root_ == kInvalidPageId) return Status::NotFound("tree is empty");
-  auto guard = PageGuard::Fetch(*pool_, root_, type);
+  auto guard = PageGuard::Fetch(*pool_, root_);
   if (!guard.ok()) return guard.status();
   PageGuard current = std::move(*guard);
-  while (Header(ReadData(current))->type == kInternalType) {
-    PageId child = ChildFor(ReadData(current), key);
-    auto next = PageGuard::Fetch(*pool_, child, type);
+  while (Header(current.Data())->type == kInternalType) {
+    PageId child = ChildFor(current.Data(), key);
+    auto next = PageGuard::Fetch(*pool_, child);
     if (!next.ok()) return next.status();
     current = std::move(*next);
   }
@@ -196,7 +190,7 @@ Status StringBTree::Insert(std::string_view key, uint64_t value) {
   if (root_ == kInvalidPageId) {
     auto guard = NewNode(/*leaf=*/true);
     if (!guard.ok()) return guard.status();
-    InsertEntry(MutData(*guard), 0, key, value);
+    InsertEntry(guard->MutableData(), 0, key, value);
     root_ = guard->id();
     size_ = 1;
     return Status::Ok();
@@ -207,8 +201,8 @@ Status StringBTree::Insert(std::string_view key, uint64_t value) {
   if (split.has_value()) {
     auto guard = NewNode(/*leaf=*/false);
     if (!guard.ok()) return guard.status();
-    Header(MutData(*guard))->link = root_;
-    InsertEntry(MutData(*guard), 0, split->separator, split->right);
+    Header(guard->MutableData())->link = root_;
+    InsertEntry(guard->MutableData(), 0, split->separator, split->right);
     root_ = guard->id();
   }
   return Status::Ok();
@@ -220,13 +214,13 @@ Status StringBTree::InsertRec(PageId node_id, std::string_view key,
   auto guard = PageGuard::Fetch(*pool_, node_id);
   if (!guard.ok()) return guard.status();
 
-  if (Header(ReadData(*guard))->type == kInternalType) {
-    PageId child = ChildFor(ReadData(*guard), key);
+  if (Header(guard->Data())->type == kInternalType) {
+    PageId child = ChildFor(guard->Data(), key);
     std::optional<SplitResult> child_split;
     LRUK_RETURN_IF_ERROR(InsertRec(child, key, value, &child_split));
     if (!child_split.has_value()) return Status::Ok();
     // Absorb the child's split: insert (separator -> right child).
-    char* data = MutData(*guard);
+    char* data = guard->MutableData();
     uint32_t pos = LowerBound(data, child_split->separator);
     if (!Fits(data, child_split->separator.size())) CompactNode(data);
     if (Fits(data, child_split->separator.size())) {
@@ -237,7 +231,7 @@ Status StringBTree::InsertRec(PageId node_id, std::string_view key,
     // promoting the middle separator (it becomes the new node's link).
     auto right_guard = NewNode(/*leaf=*/false);
     if (!right_guard.ok()) return right_guard.status();
-    char* right = MutData(*right_guard);
+    char* right = right_guard->MutableData();
     NodeHeader* header = Header(data);
     uint32_t mid = header->count / 2;
     std::string promoted(KeyAt(data, mid));
@@ -262,13 +256,13 @@ Status StringBTree::InsertRec(PageId node_id, std::string_view key,
 
   // Leaf.
   {
-    const char* rdata = ReadData(*guard);
+    const char* rdata = guard->Data();
     uint32_t pos = LowerBound(rdata, key);
     if (pos < Header(rdata)->count && KeyAt(rdata, pos) == key) {
       return Status::AlreadyExists("duplicate key");
     }
   }
-  char* data = MutData(*guard);
+  char* data = guard->MutableData();
   if (!Fits(data, key.size())) CompactNode(data);
   if (Fits(data, key.size())) {
     InsertEntry(data, LowerBound(data, key), key, value);
@@ -278,7 +272,7 @@ Status StringBTree::InsertRec(PageId node_id, std::string_view key,
   // it afterwards.
   auto right_guard = NewNode(/*leaf=*/true);
   if (!right_guard.ok()) return right_guard.status();
-  char* right = MutData(*right_guard);
+  char* right = right_guard->MutableData();
   NodeHeader* header = Header(data);
   uint32_t mid = header->count / 2;
   for (uint32_t i = mid; i < header->count; ++i) {
@@ -301,9 +295,9 @@ Status StringBTree::InsertRec(PageId node_id, std::string_view key,
 }
 
 Result<uint64_t> StringBTree::Get(std::string_view key) {
-  auto leaf = FindLeaf(key, AccessType::kRead);
+  auto leaf = FindLeaf(key);
   if (!leaf.ok()) return Status::NotFound("key not found");
-  const char* data = ReadData(*leaf);
+  const char* data = leaf->Data();
   uint32_t pos = LowerBound(data, key);
   if (pos < Header(data)->count && KeyAt(data, pos) == key) {
     return PayloadAt(data, pos);
@@ -313,26 +307,26 @@ Result<uint64_t> StringBTree::Get(std::string_view key) {
 
 Status StringBTree::Update(std::string_view key, uint64_t value) {
   // Traverse read-only; only the leaf is dirtied.
-  auto leaf = FindLeaf(key, AccessType::kRead);
+  auto leaf = FindLeaf(key);
   if (!leaf.ok()) return Status::NotFound("key not found");
-  uint32_t pos = LowerBound(ReadData(*leaf), key);
-  const char* rdata = ReadData(*leaf);
+  const char* rdata = leaf->Data();
+  uint32_t pos = LowerBound(rdata, key);
   if (pos < Header(rdata)->count && KeyAt(rdata, pos) == key) {
-    SetPayloadAt(MutData(*leaf), pos, value);
+    SetPayloadAt(leaf->MutableData(), pos, value);
     return Status::Ok();
   }
   return Status::NotFound("key not found");
 }
 
 Status StringBTree::Delete(std::string_view key) {
-  auto leaf = FindLeaf(key, AccessType::kRead);
+  auto leaf = FindLeaf(key);
   if (!leaf.ok()) return Status::NotFound("key not found");
-  const char* rdata = ReadData(*leaf);
+  const char* rdata = leaf->Data();
   uint32_t pos = LowerBound(rdata, key);
   if (pos >= Header(rdata)->count || KeyAt(rdata, pos) != key) {
     return Status::NotFound("key not found");
   }
-  RemoveEntry(MutData(*leaf), pos);
+  RemoveEntry(leaf->MutableData(), pos);
   --size_;
   return Status::Ok();
 }
@@ -342,12 +336,12 @@ Status StringBTree::Scan(
     const std::function<bool(std::string_view, uint64_t)>& visit) {
   if (lo > hi) return Status::InvalidArgument("scan range is inverted");
   if (root_ == kInvalidPageId) return Status::Ok();
-  auto leaf = FindLeaf(lo, AccessType::kRead);
+  auto leaf = FindLeaf(lo);
   if (!leaf.ok()) return leaf.status();
   PageGuard current = std::move(*leaf);
-  uint32_t pos = LowerBound(ReadData(current), lo);
+  uint32_t pos = LowerBound(current.Data(), lo);
   while (true) {
-    const char* data = ReadData(current);
+    const char* data = current.Data();
     const NodeHeader* header = Header(data);
     for (; pos < header->count; ++pos) {
       std::string_view key = KeyAt(data, pos);
@@ -368,7 +362,7 @@ Status StringBTree::CheckRec(PageId node_id, std::string_view lo,
                              std::string* prev_key) {
   auto guard = PageGuard::Fetch(*pool_, node_id);
   if (!guard.ok()) return guard.status();
-  const char* data = ReadData(*guard);
+  const char* data = guard->Data();
   const NodeHeader* header = Header(data);
 
   // In-node key order + bounds (shared by both node kinds).
@@ -401,7 +395,7 @@ Status StringBTree::CheckRec(PageId node_id, std::string_view lo,
     if (*prev_leaf != kInvalidPageId) {
       auto prev_guard = PageGuard::Fetch(*pool_, *prev_leaf);
       if (!prev_guard.ok()) return prev_guard.status();
-      if (Header(ReadData(*prev_guard))->link != node_id) {
+      if (Header(prev_guard->Data())->link != node_id) {
         return Status::Internal("broken leaf sibling chain");
       }
     }
@@ -447,7 +441,7 @@ Status StringBTree::CheckInvariants() {
   if (prev_leaf != kInvalidPageId) {
     auto guard = PageGuard::Fetch(*pool_, prev_leaf);
     if (!guard.ok()) return guard.status();
-    if (Header(ReadData(*guard))->link != kInvalidPageId) {
+    if (Header(guard->Data())->link != kInvalidPageId) {
       return Status::Internal("leaf chain extends past the last leaf");
     }
   }

@@ -77,7 +77,7 @@ class StringBTree {
   Status InsertRec(PageId node, std::string_view key, uint64_t value,
                    std::optional<SplitResult>* split);
   // Returns the leaf that would contain `key`.
-  Result<PageGuard> FindLeaf(std::string_view key, AccessType type);
+  Result<PageGuard> FindLeaf(std::string_view key);
 
   Status CheckRec(PageId node, std::string_view lo,
                   std::optional<std::string> hi, int depth, int* leaf_depth,

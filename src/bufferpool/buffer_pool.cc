@@ -1075,6 +1075,8 @@ Status BufferPool::FlushPage(PageId p) {
     return Status::NotFound("flush of non-resident page " + std::to_string(p));
   }
   Page& page = frames_[f];
+  // A clean page already matches its disk image, as in FlushAll.
+  if (!page.is_dirty()) return Status::Ok();
   // On failure the dirty flag is untouched, so the write is retried by
   // the next flush or eviction rather than silently dropped.
   // (Like the latched pool, an explicit flush may run while the caller —

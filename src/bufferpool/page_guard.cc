@@ -28,7 +28,7 @@ Result<PageGuard> PageGuard::Fetch(PoolInterface& pool, PageId p,
                                    AccessType type) {
   auto page = pool.FetchPage(p, type);
   if (!page.ok()) return page.status();
-  return PageGuard(&pool, *page, type == AccessType::kWrite);
+  return PageGuard(&pool, *page, /*dirty=*/false);
 }
 
 Result<PageGuard> PageGuard::New(PoolInterface& pool) {

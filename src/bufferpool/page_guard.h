@@ -1,6 +1,10 @@
-// RAII pin management: a PageGuard unpins its page on destruction, marking
-// it dirty if it was acquired (or later upgraded) for writing. Works over
-// any PoolInterface (single-latch or sharded).
+// RAII pin management: a PageGuard unpins its page on destruction. Works
+// over any PoolInterface (single-latch or sharded).
+//
+// Dirty-bit contract: reading a page never dirties it. The read accessors
+// (Data(), As<T>()) return const views; the guard reports the page dirty
+// at unpin only if it came from New() or handed out a mutable view
+// (MutableData(), AsMut<T>()). A kWrite fetch is marked dirty by the pool.
 
 #ifndef LRUK_BUFFERPOOL_PAGE_GUARD_H_
 #define LRUK_BUFFERPOOL_PAGE_GUARD_H_
@@ -22,7 +26,7 @@ class PageGuard {
   PageGuard(PageGuard&& other) noexcept;
   PageGuard& operator=(PageGuard&& other) noexcept;
 
-  // Fetches `p` from `pool` and wraps it. `type` kWrite pre-marks dirty.
+  // Fetches `p` from `pool` and wraps it; `type` is passed to the pool.
   static Result<PageGuard> Fetch(PoolInterface& pool, PageId p,
                                  AccessType type = AccessType::kRead);
 
@@ -32,24 +36,22 @@ class PageGuard {
   bool valid() const { return page_ != nullptr; }
   PageId id() const { return page_ != nullptr ? page_->id() : kInvalidPageId; }
 
-  char* Data() {
-    MarkDirty();
-    return page_->Data();
-  }
   const char* Data() const { return page_->Data(); }
-
-  template <typename T>
-  T* AsMut() {
-    MarkDirty();
-    return page_->As<T>();
-  }
   template <typename T>
   const T* As() const {
     return page_->As<T>();
   }
 
-  // Records that the holder modified the page.
-  void MarkDirty() { dirty_ = true; }
+  // Mutable views: each marks the page dirty.
+  char* MutableData() {
+    dirty_ = true;
+    return page_->Data();
+  }
+  template <typename T>
+  T* AsMut() {
+    dirty_ = true;
+    return page_->As<T>();
+  }
 
   // Unpins now (destruction becomes a no-op).
   void Release();

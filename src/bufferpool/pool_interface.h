@@ -163,8 +163,10 @@ class PoolInterface {
   // page becomes evictable when its pin count reaches zero.
   virtual Status UnpinPage(PageId p, bool dirty) = 0;
 
-  // Writes the page image to disk now (page stays resident and keeps its
-  // pins). Clears the dirty flag.
+  // Writes the page image to disk now if it is dirty (page stays resident
+  // and keeps its pins) and clears the dirty flag; a clean page costs no
+  // write. A holder's modifications count once they are reported dirty:
+  // by a kWrite fetch, NewPage, or an UnpinPage(p, true).
   virtual Status FlushPage(PageId p) = 0;
 
   // Flushes every dirty resident page. On write failure, attempts every

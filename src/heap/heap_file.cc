@@ -39,6 +39,11 @@ bool Fits(const HeapPageHeader* header, size_t length, size_t new_slots) {
   return directory_end + length <= header->free_start;
 }
 
+// Whether `slot` holds a live (allocated, not tombstoned) record.
+bool IsLive(const char* data, uint16_t slot) {
+  return slot < Header(data)->slot_count && SlotArray(data)[slot].length > 0;
+}
+
 // Rewrites the page's live records flush against the page end, closing
 // holes left by deletes and updates.
 void CompactPage(char* data) {
@@ -89,7 +94,7 @@ size_t HeapFile::MaxRecordSize() {
 Result<PageGuard> HeapFile::AppendPage() {
   auto guard = PageGuard::New(*pool_);
   if (!guard.ok()) return guard.status();
-  HeapPageHeader* header = Header(guard->Data());
+  HeapPageHeader* header = Header(guard->MutableData());
   header->slot_count = 0;
   header->free_start = kPageSize;
   header->next_page = kInvalidPageId;
@@ -97,10 +102,9 @@ Result<PageGuard> HeapFile::AppendPage() {
   if (head_ == kInvalidPageId) {
     head_ = guard->id();
   } else {
-    auto tail_guard = PageGuard::Fetch(*pool_, tail_, AccessType::kWrite);
+    auto tail_guard = PageGuard::Fetch(*pool_, tail_);
     if (!tail_guard.ok()) return tail_guard.status();
-    Header(tail_guard->Data())->next_page = guard->id();
-    tail_guard->MarkDirty();
+    Header(tail_guard->MutableData())->next_page = guard->id();
   }
   tail_ = guard->id();
   return guard;
@@ -120,12 +124,12 @@ Result<RecordId> HeapFile::Insert(std::string_view record) {
     if (!fresh.ok()) return fresh.status();
     guard = std::move(*fresh);
   } else {
-    auto tail_guard = PageGuard::Fetch(*pool_, tail_, AccessType::kWrite);
+    auto tail_guard = PageGuard::Fetch(*pool_, tail_);
     if (!tail_guard.ok()) return tail_guard.status();
     guard = std::move(*tail_guard);
   }
 
-  char* data = guard.Data();
+  char* data = guard.MutableData();
   HeapPageHeader* header = Header(data);
   Slot* slots = SlotArray(data);
 
@@ -148,7 +152,7 @@ Result<RecordId> HeapFile::Insert(std::string_view record) {
       auto fresh = AppendPage();
       if (!fresh.ok()) return fresh.status();
       guard = std::move(*fresh);
-      data = guard.Data();
+      data = guard.MutableData();
       header = Header(data);
       slots = SlotArray(data);
       slot_index = 0;
@@ -161,7 +165,6 @@ Result<RecordId> HeapFile::Insert(std::string_view record) {
   if (new_slots == 1) ++header->slot_count;
   slots[slot_index].offset = static_cast<uint16_t>(header->free_start);
   slots[slot_index].length = static_cast<uint16_t>(record.size());
-  guard.MarkDirty();
   ++size_;
   return RecordId{guard.id(), static_cast<uint16_t>(slot_index)};
 }
@@ -170,31 +173,29 @@ Result<std::string> HeapFile::Get(const RecordId& rid) {
   auto guard = PageGuard::Fetch(*pool_, rid.page);
   if (!guard.ok()) return guard.status();
   const char* data = guard->Data();
-  const HeapPageHeader* header = Header(data);
-  const Slot* slots = SlotArray(data);
-  if (rid.slot >= header->slot_count || slots[rid.slot].length == 0) {
+  if (!IsLive(data, rid.slot)) {
     return Status::NotFound("no record at the given id");
   }
-  return std::string(data + slots[rid.slot].offset, slots[rid.slot].length);
+  const Slot& slot = SlotArray(data)[rid.slot];
+  return std::string(data + slot.offset, slot.length);
 }
 
 Status HeapFile::Update(const RecordId& rid, std::string_view record) {
   if (record.empty() || record.size() > MaxRecordSize()) {
     return Status::InvalidArgument("bad record size");
   }
-  auto guard = PageGuard::Fetch(*pool_, rid.page, AccessType::kWrite);
+  auto guard = PageGuard::Fetch(*pool_, rid.page);
   if (!guard.ok()) return guard.status();
-  char* data = guard->Data();
-  HeapPageHeader* header = Header(data);
-  Slot* slots = SlotArray(data);
-  if (rid.slot >= header->slot_count || slots[rid.slot].length == 0) {
+  if (!IsLive(guard->Data(), rid.slot)) {
     return Status::NotFound("no record at the given id");
   }
+  char* data = guard->MutableData();
+  HeapPageHeader* header = Header(data);
+  Slot* slots = SlotArray(data);
   if (record.size() <= slots[rid.slot].length) {
     // Shrinking or same-size: overwrite in place.
     std::memcpy(data + slots[rid.slot].offset, record.data(), record.size());
     slots[rid.slot].length = static_cast<uint16_t>(record.size());
-    guard->MarkDirty();
     return Status::Ok();
   }
   // Growing: tombstone the old copy, then allocate fresh space (compacting
@@ -215,7 +216,6 @@ Status HeapFile::Update(const RecordId& rid, std::string_view record) {
   std::memcpy(data + header->free_start, payload.data(), payload.size());
   slots[rid.slot].offset = static_cast<uint16_t>(header->free_start);
   slots[rid.slot].length = static_cast<uint16_t>(payload.size());
-  guard->MarkDirty();
   if (!fits) {
     return Status::ResourceExhausted(
         "record does not fit in its page; delete and reinsert");
@@ -224,16 +224,12 @@ Status HeapFile::Update(const RecordId& rid, std::string_view record) {
 }
 
 Status HeapFile::Delete(const RecordId& rid) {
-  auto guard = PageGuard::Fetch(*pool_, rid.page, AccessType::kWrite);
+  auto guard = PageGuard::Fetch(*pool_, rid.page);
   if (!guard.ok()) return guard.status();
-  char* data = guard->Data();
-  HeapPageHeader* header = Header(data);
-  Slot* slots = SlotArray(data);
-  if (rid.slot >= header->slot_count || slots[rid.slot].length == 0) {
+  if (!IsLive(guard->Data(), rid.slot)) {
     return Status::NotFound("no record at the given id");
   }
-  slots[rid.slot].length = 0;
-  guard->MarkDirty();
+  SlotArray(guard->MutableData())[rid.slot].length = 0;
   --size_;
   return Status::Ok();
 }

@@ -1,6 +1,7 @@
 #include "bufferpool/buffer_pool.h"
 
 #include <cstring>
+#include <functional>
 #include <memory>
 
 #include "bufferpool/page_guard.h"
@@ -155,6 +156,9 @@ TEST(BufferPoolTest, FlushClearsDirtyAndWritesThrough) {
   char buf[kPageSize];
   ASSERT_TRUE(disk.ReadPage(p, buf).ok());
   EXPECT_STREQ(buf, "flushed");
+  EXPECT_EQ(disk.stats().writes, 1u);
+  ASSERT_TRUE(pool.FlushPage(p).ok());  // Clean now: nothing to write.
+  EXPECT_EQ(disk.stats().writes, 1u);
   ASSERT_TRUE(pool.UnpinPage(p, false).ok());
 }
 
@@ -240,7 +244,7 @@ TEST(PageGuardTest, UnpinsOnDestruction) {
     auto guard = PageGuard::New(pool);
     ASSERT_TRUE(guard.ok());
     p = guard->id();
-    std::strcpy(guard->Data(), "guarded");
+    std::strcpy(guard->MutableData(), "guarded");
   }
   // Guard released: page unpinned and dirty.
   auto page = pool.FetchPage(p);
@@ -266,7 +270,12 @@ TEST(PageGuardTest, MoveTransfersOwnership) {
   ASSERT_TRUE(pool.UnpinPage(p, false).ok());
 }
 
-TEST(PageGuardTest, ConstAccessStaysClean) {
+// Flushes a new page p of a 2-frame LRU pool, runs `touch` on a fresh read
+// guard of p, then evicts p with two new pages and stores in `*writes` the
+// device writes that followed the flush. The first new page takes the free
+// frame and the second evicts p, so every write counted is a write of p.
+void CountWritesOfPAfterTouch(const std::function<void(PageGuard&)>& touch,
+                              uint64_t* writes) {
   SimDiskManager disk;
   BufferPool pool(2, &disk, MakeLru());
   PageId p;
@@ -280,20 +289,39 @@ TEST(PageGuardTest, ConstAccessStaysClean) {
   {
     auto guard = PageGuard::Fetch(pool, p);
     ASSERT_TRUE(guard.ok());
-    const PageGuard& const_ref = *guard;
-    (void)const_ref.Data();          // Const read: no dirty bit.
-    (void)const_ref.As<uint64_t>();  // Const view: no dirty bit.
+    touch(*guard);
   }
-  // Evict p; since it stayed clean there must be no extra write-back.
   for (int i = 0; i < 2; ++i) {
     auto filler = pool.NewPage();
     ASSERT_TRUE(filler.ok());
     ASSERT_TRUE(pool.UnpinPage((*filler)->id(), false).ok());
   }
-  EXPECT_FALSE(pool.IsResident(p));
-  // The fillers were dirty, p was not: exactly 0 writes for p. Fillers may
-  // or may not have been written yet; check p specifically via read-back.
-  EXPECT_GE(disk.stats().writes, writes_before);
+  ASSERT_FALSE(pool.IsResident(p));
+  ASSERT_EQ(pool.stats().evictions, 1u);
+  *writes = disk.stats().writes - writes_before;
+  EXPECT_EQ(pool.stats().dirty_writebacks, *writes);
+}
+
+TEST(PageGuardTest, ConstAccessStaysClean) {
+  uint64_t writes = 0;
+  // Reads through a const or a non-const guard never dirty the page.
+  ASSERT_NO_FATAL_FAILURE(CountWritesOfPAfterTouch(
+      [](PageGuard& guard) {
+        const PageGuard& const_ref = guard;
+        (void)const_ref.Data();
+        (void)const_ref.As<uint64_t>();
+        (void)guard.Data();
+        (void)guard.As<uint64_t>();
+      },
+      &writes));
+  EXPECT_EQ(writes, 0u);
+  // The mutable views do, so the eviction writes p back.
+  ASSERT_NO_FATAL_FAILURE(CountWritesOfPAfterTouch(
+      [](PageGuard& guard) { guard.MutableData()[0] = 'm'; }, &writes));
+  EXPECT_EQ(writes, 1u);
+  ASSERT_NO_FATAL_FAILURE(CountWritesOfPAfterTouch(
+      [](PageGuard& guard) { *guard.AsMut<uint64_t>() = 7; }, &writes));
+  EXPECT_EQ(writes, 1u);
 }
 
 }  // namespace

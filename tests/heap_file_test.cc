@@ -172,6 +172,56 @@ TEST_F(HeapFileTest, ReattachRecoversSizeAndTail) {
   EXPECT_EQ(*reattached.Get(*rid), "after reattach");
 }
 
+TEST_F(HeapFileTest, ReadsLeavePagesClean) {
+  // A 40-page heap over an 8-frame pool: every read path cycles the pages
+  // through the pool, so a read that dirtied a page would write it back.
+  SimDiskManager disk;
+  BufferPool small_pool(8, &disk, std::make_unique<LruPolicy>());
+  HeapFile heap(&small_pool);
+  std::vector<RecordId> rids;
+  for (int i = 0; i < 80; ++i) {  // Two 2,000-byte rows a page.
+    auto rid = heap.Insert(std::string(2000, static_cast<char>('a' + i % 26)));
+    ASSERT_TRUE(rid.ok());
+    rids.push_back(*rid);
+  }
+  ASSERT_TRUE(small_pool.FlushAll().ok());
+  small_pool.ResetStats();
+  const uint64_t writes_after_load = disk.stats().writes;
+
+  // Updates and deletes that find no record leave the page clean too.
+  RecordId absent{rids[0].page, 500};
+  EXPECT_EQ(heap.Update(absent, "x").code(), StatusCode::kNotFound);
+  EXPECT_EQ(heap.Delete(absent).code(), StatusCode::kNotFound);
+  for (const RecordId& rid : rids) ASSERT_TRUE(heap.Get(rid).ok());
+  size_t scanned = 0;
+  ASSERT_TRUE(heap.Scan([&](RecordId, std::string_view) {
+                    ++scanned;
+                    return true;
+                  }).ok());
+  EXPECT_EQ(scanned, rids.size());
+  EXPECT_EQ(*heap.CountPages(), 40u);
+  HeapFile reattached(&small_pool, heap.HeadPageId());
+  EXPECT_EQ(reattached.Size(), rids.size());
+
+  EXPECT_GT(small_pool.stats().evictions, 0u);
+  EXPECT_EQ(small_pool.stats().dirty_writebacks, 0u);
+  EXPECT_EQ(disk.stats().writes, writes_after_load);
+
+  // A real update is written back when a scan evicts its page. The first
+  // pool is still alive (its destructor flushes), so a fresh pool over the
+  // same disk sees the row only through that eviction write.
+  const std::string updated(2000, 'U');
+  ASSERT_TRUE(heap.Update(rids[0], updated).ok());
+  ASSERT_TRUE(heap.Scan([](RecordId, std::string_view) { return true; }).ok());
+  ASSERT_FALSE(small_pool.IsResident(rids[0].page));
+  EXPECT_EQ(small_pool.stats().dirty_writebacks, 1u);
+  EXPECT_EQ(disk.stats().writes, writes_after_load + 1);
+  BufferPool fresh_pool(8, &disk, std::make_unique<LruPolicy>());
+  HeapFile after_restart(&fresh_pool, heap.HeadPageId());
+  EXPECT_EQ(after_restart.Size(), rids.size());
+  EXPECT_EQ(*after_restart.Get(rids[0]), updated);
+}
+
 TEST_F(HeapFileTest, RandomizedAgainstModel) {
   SimDiskManager disk;
   BufferPool small_pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{}));
