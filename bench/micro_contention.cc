@@ -12,9 +12,12 @@
 // pin_cas_retries as per-op rates — the direct evidence that the
 // optimistic path removes the latch from warm hits (latch/op drops from
 // ~2 to ~the drain rate) and what the speculative pin CAS costs under
-// contention. A dedicated 8-thread "hot page" cell hammers ONE page —
-// maximal latch contention for the latched pool, maximal pin-CAS traffic
-// for the optimistic one.
+// contention. A dedicated 8-thread "hot page" cell hammers two resident
+// pages, alternating between them — maximal latch contention for the
+// latched pool, maximal pin-CAS traffic for the optimistic one. (Two, not
+// one: a thread's back-to-back fetch of the same page is a correlated
+// re-fix that publishes no reference, so a one-page cell would measure
+// nothing of the publish path; `correlated_refs` reads 0 in these cells.)
 //
 // Shape checks:
 //  * accounting — for every cell, hits + misses must equal the ops issued
@@ -106,6 +109,9 @@ struct Cell {
   uint64_t fallback_version_conflict = 0;
   uint64_t fallback_resize = 0;
   uint64_t access_drops = 0;
+  // Hits that were a thread's back-to-back re-fix of one page: counted as
+  // hits, never published to the policy.
+  uint64_t correlated_refs = 0;
   uint64_t pin_cas_retries = 0;
   uint64_t latch_acquires = 0;
   // AccessBuffer drain counters (all zero when batch_capacity == 0) — the
@@ -122,8 +128,9 @@ double PerOp(uint64_t count, uint64_t ops) {
 // Multi-threaded fetch/unpin churn; every op must succeed (the pool is
 // never pinned full), so ops issued is exact by construction. `Pool` is
 // BufferPool or ShardedBufferPool (both expose access_buffer_stats(),
-// which PoolInterface does not). The hot_page workload hammers pages[0]
-// from every thread; zipfian samples the 80-20 skew.
+// which PoolInterface does not). The hot_page workload alternates between
+// pages[0] and pages[1] on every thread (each fetch an uncorrelated hit);
+// zipfian samples the 80-20 skew.
 template <typename Pool>
 void RunCell(Pool& pool, Cell& cell, uint64_t total_ops, uint64_t db_pages) {
   std::vector<PageId> pages;
@@ -153,7 +160,7 @@ void RunCell(Pool& pool, Cell& cell, uint64_t total_ops, uint64_t db_pages) {
     workers.emplace_back([&, t] {
       RandomEngine rng(0xFACE + static_cast<uint64_t>(t));
       for (uint64_t i = 0; i < ops_per_thread; ++i) {
-        PageId p = hot ? pages[0] : pages[dist.Sample(rng) - 1];
+        PageId p = hot ? pages[i & 1] : pages[dist.Sample(rng) - 1];
         bool write = !hot && rng.NextBernoulli(kWriteFraction);
         auto page = pool.FetchPage(
             p, write ? AccessType::kWrite : AccessType::kRead);
@@ -182,6 +189,7 @@ void RunCell(Pool& pool, Cell& cell, uint64_t total_ops, uint64_t db_pages) {
   cell.fallback_version_conflict = stats.fallback_version_conflict;
   cell.fallback_resize = stats.fallback_resize;
   cell.access_drops = stats.access_drops;
+  cell.correlated_refs = stats.correlated_refs;
   cell.pin_cas_retries = stats.pin_cas_retries;
   cell.latch_acquires = stats.latch_acquires;
   AccessBufferStats end_stats = pool.access_buffer_stats();
@@ -264,7 +272,7 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
         "\"optimistic_hits\": %llu, \"optimistic_fallbacks\": %llu, "
         "\"fallback_probe_miss\": %llu, "
         "\"fallback_version_conflict\": %llu, \"fallback_resize\": %llu, "
-        "\"access_drops\": %llu, "
+        "\"access_drops\": %llu, \"correlated_refs\": %llu, "
         "\"pin_cas_retries\": %llu, \"latch_acquires\": %llu, "
         "\"latch_acquires_per_op\": %.4f, \"cas_retries_per_op\": %.4f}%s\n",
         c.pool.c_str(), c.mode.c_str(), c.workload.c_str(), c.shards,
@@ -285,6 +293,7 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
         static_cast<unsigned long long>(c.fallback_version_conflict),
         static_cast<unsigned long long>(c.fallback_resize),
         static_cast<unsigned long long>(c.access_drops),
+        static_cast<unsigned long long>(c.correlated_refs),
         static_cast<unsigned long long>(c.pin_cas_retries),
         static_cast<unsigned long long>(c.latch_acquires),
         PerOp(c.latch_acquires, c.ops_issued),
@@ -531,10 +540,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The hot-page cells: every thread hammers ONE page. At 8 threads the
-  // latch (or the pin CAS) is the entire workload; at 1 thread this is
-  // the pure per-hit cost with no misses and no contention — the cleanest
-  // single-thread comparison of the two hit paths.
+  // The hot-page cells: every thread alternates between the same two
+  // resident pages (so each fetch is an uncorrelated hit that publishes
+  // its reference). At 8 threads the latch (or the pin CAS) is the entire
+  // workload; at 1 thread this is the pure per-hit cost with no misses
+  // and no contention — the cleanest single-thread comparison of the two
+  // hit paths.
   double hot_latched = 0, hot_optimistic = 0;
   double hot1_ratio = 0;
   double hot1_latch_per_op = 0;

@@ -7,6 +7,22 @@
 
 namespace lruk {
 
+namespace {
+
+// Source of BufferPool::fix_key_ values; 0 is never handed out, so a
+// thread's empty register matches no pool.
+std::atomic<uint64_t> next_fix_key{1};
+
+// The calling thread's previous successful fix: the pool (by fix key)
+// and the page.
+struct LastFix {
+  uint64_t pool = 0;
+  PageId page = kInvalidPageId;
+};
+thread_local LastFix last_fix;
+
+}  // namespace
+
 BufferPoolStats BufferPool::AtomicPoolStats::ToStats() const {
   BufferPoolStats s;
   s.hits = hits.load(std::memory_order_relaxed);
@@ -33,6 +49,7 @@ BufferPoolStats BufferPool::AtomicPoolStats::ToStats() const {
       fallback_version_conflict.load(std::memory_order_relaxed);
   s.fallback_resize = fallback_resize.load(std::memory_order_relaxed);
   s.access_drops = access_drops.load(std::memory_order_relaxed);
+  s.correlated_refs = correlated_refs.load(std::memory_order_relaxed);
   s.pin_cas_retries = pin_cas_retries.load(std::memory_order_relaxed);
   s.latch_acquires = latch_acquires.load(std::memory_order_relaxed);
   return s;
@@ -61,6 +78,7 @@ void BufferPool::AtomicPoolStats::Reset() {
   fallback_version_conflict.store(0, std::memory_order_relaxed);
   fallback_resize.store(0, std::memory_order_relaxed);
   access_drops.store(0, std::memory_order_relaxed);
+  correlated_refs.store(0, std::memory_order_relaxed);
   pin_cas_retries.store(0, std::memory_order_relaxed);
   latch_acquires.store(0, std::memory_order_relaxed);
 }
@@ -69,7 +87,8 @@ BufferPool::BufferPool(size_t capacity, DiskManager* disk,
                        std::unique_ptr<ReplacementPolicy> policy,
                        BufferPoolOptions options,
                        IoDispatcher* shared_dispatcher)
-    : capacity_(capacity),
+    : fix_key_(next_fix_key.fetch_add(1, std::memory_order_relaxed)),
+      capacity_(capacity),
       disk_(disk),
       policy_(std::move(policy)),
       options_(options),
@@ -661,7 +680,7 @@ void BufferPool::ReplanFlusherLocked() {
   adaptive_batch_.store(next_batch, std::memory_order_relaxed);
 }
 
-Page* BufferPool::TryOptimisticHit(PageId p, AccessType type,
+Page* BufferPool::TryOptimisticHit(PageId p, AccessType type, bool refix,
                                    bool* observable) {
   PageTable::Snapshot snap;
   PageTable::ProbeFail why = PageTable::ProbeFail::kNone;
@@ -697,8 +716,10 @@ Page* BufferPool::TryOptimisticHit(PageId p, AccessType type,
   // Publish the reference after the pin, never under any latch. The pin
   // keeps p resident until at least our own unpin; a record that outlives
   // the page's residency anyway (late drain) is dropped by the
-  // skip-non-resident drain.
-  if (!access_buffer_->TryPush({p, /*process=*/0, type})) {
+  // skip-non-resident drain. A correlated re-fix publishes nothing.
+  if (refix) {
+    stats_.correlated_refs.fetch_add(1, std::memory_order_relaxed);
+  } else if (!access_buffer_->TryPush({p, /*process=*/0, type})) {
     // Stripe full: the latched slow path — drain and apply directly,
     // preserving FIFO order exactly as the latched hit branch does.
     auto guard = Lock();
@@ -751,11 +772,23 @@ Result<Page*> BufferPool::FetchPage(PageId p, AccessType type) {
   return FetchPage(p, type, nullptr);
 }
 
+void BufferPool::NoteFix(PageId p) const { last_fix = {fix_key_, p}; }
+
 Result<Page*> BufferPool::FetchPage(PageId p, AccessType type,
                                     bool* observable) {
+  const bool refix = last_fix.pool == fix_key_ && last_fix.page == p;
+  auto page = FixPage(p, type, refix, observable);
+  if (page.ok()) NoteFix(p);
+  return page;
+}
+
+Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
+                                  bool* observable) {
   if (observable != nullptr) *observable = false;
   if (fast_path_) {
-    if (Page* page = TryOptimisticHit(p, type, observable)) return page;
+    if (Page* page = TryOptimisticHit(p, type, refix, observable)) {
+      return page;
+    }
     if (observable != nullptr) *observable = false;  // Fallback re-decides.
   }
   auto guard = Lock();
@@ -768,11 +801,16 @@ Result<Page*> BufferPool::FetchPage(PageId p, AccessType type,
     if (page_table_.Find(p, &f)) {
       Page& page = frames_[f];
       if (!counted) ++stats_.hits;
+      // Only a hit collapses: a coalesced waiter (counted) was a miss.
+      const bool correlated = refix && !counted;
+      if (correlated) ++stats_.correlated_refs;
       const bool was_prefetched =
           frame_prefetched_[f].exchange(0, std::memory_order_relaxed) != 0;
       if (was_prefetched) ++stats_.prefetch_used;
       if (observable != nullptr) *observable = was_prefetched;
-      if (access_buffer_ == nullptr) policy_->RecordAccess(p, type);
+      if (access_buffer_ == nullptr && !correlated) {
+        policy_->RecordAccess(p, type);
+      }
       if (!optimistic_ &&
           page.pin_count_.load(std::memory_order_relaxed) == 0) {
         policy_->SetEvictable(p, false);
@@ -790,7 +828,7 @@ Result<Page*> BufferPool::FetchPage(PageId p, AccessType type,
                                     &flusher_due);
       }
       guard.unlock();
-      if (access_buffer_ != nullptr) {
+      if (access_buffer_ != nullptr && !correlated) {
         // Batched hit path: publish the reference outside the latch. The
         // pin taken above keeps the page resident (and un-evictable) until
         // the record is drained, so a deferred RecordAccess can never land
@@ -962,6 +1000,7 @@ Result<Page*> BufferPool::NewPage() {
   if (!page.ok()) (void)disk_->DeallocatePage(p);
   guard.unlock();
   LaunchDeferredVictimWrites(deferred);
+  if (page.ok()) NoteFix(p);
   return page;
 }
 
@@ -971,6 +1010,7 @@ Result<Page*> BufferPool::AdmitNewPage(PageId p) {
   auto page = AdmitNewPageLocked(p, &deferred);
   guard.unlock();
   LaunchDeferredVictimWrites(deferred);
+  if (page.ok()) NoteFix(p);
   return page;
 }
 

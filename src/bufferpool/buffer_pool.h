@@ -33,6 +33,14 @@
 // LockBucket) and THEN re-checking the pin count — the seq_cst store-load
 // handshake that guarantees an optimistic reader either fails validation
 // or is seen by the mutator as pinned, never neither.
+//
+// Correlated re-fix (DESIGN.md §4, the paper's §2.1.1): a FetchPage of the
+// page the calling thread's previous fix on this pool (FetchPage, NewPage
+// or AdmitNewPage) also named is one reference with that fix, not a new
+// one. It counts as a hit and pins and dirties as usual, but it reaches
+// neither RecordAccess nor the AccessBuffer; it is counted in
+// `correlated_refs`. The only state is one thread-local (pool, page)
+// register. A re-fix that misses is admitted as any miss is.
 
 #ifndef LRUK_BUFFERPOOL_BUFFER_POOL_H_
 #define LRUK_BUFFERPOOL_BUFFER_POOL_H_
@@ -298,6 +306,9 @@ class BufferPool final : public PoolInterface {
   }
 
  private:
+  // Shares its fix-register key with every shard (see fix_key_).
+  friend class ShardedBufferPool;
+
   // One tracked in-flight read (a miss or a prefetch). Waiters sleep on
   // `cv` with the pool latch; the issuer marks `done`, sets `status`,
   // erases the map entry and notifies. Waiters hold the shared_ptr, so
@@ -338,6 +349,7 @@ class BufferPool final : public PoolInterface {
     std::atomic<uint64_t> fallback_version_conflict{0};
     std::atomic<uint64_t> fallback_resize{0};
     std::atomic<uint64_t> access_drops{0};
+    std::atomic<uint64_t> correlated_refs{0};
     std::atomic<uint64_t> pin_cas_retries{0};
     std::atomic<uint64_t> latch_acquires{0};
 
@@ -414,6 +426,13 @@ class BufferPool final : public PoolInterface {
   // NewPage/AdmitNewPage body; the latch is already held.
   Result<Page*> AdmitNewPageLocked(PageId p,
                                    std::vector<PageId>* deferred_writes);
+  // Records `p` as the calling thread's latest fix on this pool (every
+  // successful FetchPage, NewPage and AdmitNewPage calls it).
+  void NoteFix(PageId p) const;
+  // FetchPage body. `refix`: the fetch is a correlated re-fix, so a hit
+  // does not reach the policy (a miss is admitted as usual).
+  Result<Page*> FixPage(PageId p, AccessType type, bool refix,
+                        bool* observable);
   // Applies every buffered access record to the policy (in optimistic
   // mode, dropping records whose page was evicted since — see
   // AccessBuffer::Drain). Caller holds the latch. Declared const because
@@ -424,10 +443,11 @@ class BufferPool final : public PoolInterface {
   // validate, count, publish. Returns the pinned page, or null on any
   // miss/instability (caller falls back to the latched path). Never
   // acquires the latch except to drain a full access-buffer stripe or to
-  // schedule a due flusher pass. `observable` (optional) reports whether
-  // the hit consumed the prefetched flag (see the FetchPage overload).
-  Page* TryOptimisticHit(PageId p, AccessType type,
-                         bool* observable = nullptr);
+  // schedule a due flusher pass. A `refix` hit publishes nothing.
+  // `observable` (optional) reports whether the hit consumed the
+  // prefetched flag (see the FetchPage overload).
+  Page* TryOptimisticHit(PageId p, AccessType type, bool refix,
+                         bool* observable);
   // Bumps the fetch counter and reports whether a flusher pass is due
   // (both hit paths share it so trigger points are mode-independent).
   bool TickFlusher() {
@@ -492,6 +512,11 @@ class BufferPool final : public PoolInterface {
   void ReplanFlusherLocked();
 
   mutable std::mutex latch_;
+  // This pool's key in the thread-local last-fix register: unique per
+  // pool (a new pool at a freed pool's address never inherits a stale
+  // register), and shared by all shards of a ShardedBufferPool, so there
+  // "the thread's previous fix" spans every shard.
+  uint64_t fix_key_;
   size_t capacity_;
   DiskManager* disk_;
   std::unique_ptr<ReplacementPolicy> policy_;

@@ -81,7 +81,15 @@ namespace lruk {
 // a lock-free publish gap, or — with optimistic_hits — its pin+publish+
 // unpin completed without the latch). Each drop is one policy reference
 // that was observed but never applied: bounded staleness, surfaced so
-// accounting like clock == hits + misses + admits - drops stays exact.
+// accounting stays exact.
+//
+// `correlated_refs` counts hits that were correlated re-fixes: the
+// fetching thread's previous fix on the same pool (FetchPage, NewPage or
+// AdmitNewPage; across all shards of a sharded pool) was the same page.
+// Such a hit pins and dirties as usual and is counted in `hits`, but it
+// is one reference with the fix before it (the paper's §2.1.1), so it
+// never reaches the policy. Together: policy clock + access_drops +
+// correlated_refs == hits + misses + admits.
 struct BufferPoolStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -105,6 +113,7 @@ struct BufferPoolStats {
   uint64_t fallback_version_conflict = 0;
   uint64_t fallback_resize = 0;
   uint64_t access_drops = 0;
+  uint64_t correlated_refs = 0;
   uint64_t pin_cas_retries = 0;
   uint64_t latch_acquires = 0;
 
@@ -137,6 +146,7 @@ struct BufferPoolStats {
     fallback_version_conflict += other.fallback_version_conflict;
     fallback_resize += other.fallback_resize;
     access_drops += other.access_drops;
+    correlated_refs += other.correlated_refs;
     pin_cas_retries += other.pin_cas_retries;
     latch_acquires += other.latch_acquires;
     return *this;

@@ -50,6 +50,9 @@ ShardedBufferPool::ShardedBufferPool(size_t capacity, size_t num_shards,
     shards_.push_back(std::make_unique<BufferPool>(
         shard_capacity, disk_, std::move(policy), per_shard, io_.get()));
   }
+  // One last-fix register key for the whole pool: a thread's fix of q on
+  // another shard between two fixes of p still separates them.
+  for (auto& shard : shards_) shard->fix_key_ = shards_[0]->fix_key_;
 }
 
 Result<Page*> ShardedBufferPool::FetchPage(PageId p, AccessType type) {

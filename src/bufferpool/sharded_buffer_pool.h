@@ -26,6 +26,9 @@
 //  * Statistics: stats() aggregates across shards; ShardStats() exposes
 //    the per-shard breakdown for observability. Hit/miss counting
 //    semantics are BufferPoolStats's (re-pins count as hits).
+//  * Correlated re-fixes (see buffer_pool.h) are judged pool-wide: all
+//    shards share one last-fix register key, so a thread's fix of q on
+//    one shard separates its two fixes of p on another.
 //  * The DiskManager must be thread-safe: shards issue reads/write-backs
 //    concurrently under their own latches. SimDiskManager and
 //    FileDiskManager are internally latched.

@@ -576,7 +576,9 @@ TEST(AdaptiveMetaStatsTest, BufferPoolExposesExpertCounters) {
   EXPECT_GE(ghost_sum, stats.window_misses);
   uint64_t active_refs = 0;
   for (const MetaExpertStats& e : stats.experts) active_refs += e.active_refs;
-  EXPECT_EQ(active_refs, 3000u + 64u);  // One per fetch + initial admit.
+  // One per fetch + initial admit, less the correlated re-fixes the pool
+  // kept from the policy.
+  EXPECT_EQ(active_refs + pool.stats().correlated_refs, 3000u + 64u);
 }
 
 TEST(AdaptiveMetaStatsTest, PlainPoliciesReportNonAdaptive) {
@@ -626,7 +628,7 @@ TEST(AdaptiveMetaStatsTest, ShardedPoolMergesExpertWise) {
   for (const MetaExpertStats& e : merged.experts) {
     merged_refs += e.active_refs;
   }
-  EXPECT_EQ(merged_refs, 4000u + 256u);
+  EXPECT_EQ(merged_refs + pool.stats().correlated_refs, 4000u + 256u);
 }
 
 }  // namespace

@@ -1,12 +1,17 @@
 #include "bufferpool/buffer_pool.h"
 
+#include <barrier>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "bufferpool/page_guard.h"
+#include "bufferpool/sharded_buffer_pool.h"
 #include "core/lru.h"
 #include "core/lru_k.h"
+#include "core/policy_factory.h"
 #include "gtest/gtest.h"
 #include "storage/sim_disk_manager.h"
 
@@ -221,8 +226,15 @@ TEST(BufferPoolTest, LruKPolicyDrivesEviction) {
   ASSERT_TRUE(a.ok());
   PageId pa = (*a)->id();
   ASSERT_TRUE(pool.UnpinPage(pa, false).ok());
+  // A back-to-back re-fix of a would be one correlated reference, so fix
+  // a filler page in between, then delete it to free its frame.
+  auto x = pool.NewPage();
+  ASSERT_TRUE(x.ok());
+  PageId px = (*x)->id();
+  ASSERT_TRUE(pool.UnpinPage(px, false).ok());
   ASSERT_TRUE(pool.FetchPage(pa).ok());  // Second reference to a.
   ASSERT_TRUE(pool.UnpinPage(pa, false).ok());
+  ASSERT_TRUE(pool.DeletePage(px).ok());
 
   auto b = pool.NewPage();
   ASSERT_TRUE(b.ok());
@@ -322,6 +334,193 @@ TEST(PageGuardTest, ConstAccessStaysClean) {
   ASSERT_NO_FATAL_FAILURE(CountWritesOfPAfterTouch(
       [](PageGuard& guard) { *guard.AsMut<uint64_t>() = 7; }, &writes));
   EXPECT_EQ(writes, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Correlated re-fixes: a thread's FetchPage of the page its previous fix on
+// the same pool named is one reference (the paper's §2.1.1), not two.
+
+std::unique_ptr<ReplacementPolicy> MakeLru2() {
+  return std::make_unique<LruKPolicy>(LruKOptions{.k = 2});
+}
+
+const LruKPolicy& LruKOf(BufferPool& pool) {
+  return static_cast<const LruKPolicy&>(pool.policy());
+}
+
+PageId NewUnpinned(PoolInterface& pool) {
+  auto page = pool.NewPage();
+  EXPECT_TRUE(page.ok());
+  if (!page.ok()) return kInvalidPageId;
+  PageId p = (*page)->id();
+  EXPECT_TRUE(pool.UnpinPage(p, false).ok());
+  return p;
+}
+
+void FixAndUnpin(PoolInterface& pool, PageId p) {
+  ASSERT_TRUE(pool.FetchPage(p).ok()) << "page " << p;
+  ASSERT_TRUE(pool.UnpinPage(p, false).ok()) << "page " << p;
+}
+
+TEST(CorrelatedRefixTest, BackToBackFetchIsOneReference) {
+  SimDiskManager disk;
+  BufferPool pool(4, &disk, MakeLru2());
+  PageId p = NewUnpinned(pool);
+  (void)NewUnpinned(pool);  // The thread's previous fix is now q, not p.
+  ASSERT_TRUE(pool.FlushAll().ok());  // Clean, so the kWrite below shows.
+  pool.ResetStats();
+  const Timestamp t0 = LruKOf(pool).CurrentTime();
+
+  FixAndUnpin(pool, p);
+  const HistoryBlock before = *LruKOf(pool).DebugBlock(p);
+  // The re-fix still pins (and, as kWrite, dirties) exactly as a hit does.
+  auto again = pool.FetchPage(p, AccessType::kWrite);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ((*again)->pin_count(), 1);
+  EXPECT_TRUE((*again)->is_dirty());
+  ASSERT_TRUE(pool.UnpinPage(p, false).ok());
+
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.correlated_refs, 1u);
+  EXPECT_EQ(LruKOf(pool).CurrentTime() - t0, 1u);  // One policy reference.
+  // The collapsed re-fix ticked no clock and left HIST/LAST untouched.
+  const HistoryBlock* after = LruKOf(pool).DebugBlock(p);
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->last, before.last);
+  EXPECT_EQ(after->hist[0], before.hist[0]);
+  EXPECT_EQ(after->hist[1], before.hist[1]);
+}
+
+TEST(CorrelatedRefixTest, InterleavedFetchStaysIndependent) {
+  SimDiskManager disk;
+  BufferPool pool(4, &disk, MakeLru2());
+  PageId p = NewUnpinned(pool);
+  PageId q = NewUnpinned(pool);
+  pool.ResetStats();
+  const Timestamp t0 = LruKOf(pool).CurrentTime();
+  FixAndUnpin(pool, p);
+  FixAndUnpin(pool, q);
+  FixAndUnpin(pool, p);  // An A-B-A interleaving: three references.
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.correlated_refs, 0u);
+  EXPECT_EQ(LruKOf(pool).CurrentTime() - t0, 3u);
+}
+
+TEST(CorrelatedRefixTest, OtherThreadsFixesStayIndependent) {
+  // Two clients take barrier-ordered turns so the pool's fetch stream is
+  // p(A) p(B) a(A) b(B), repeated: p arrives back to back, but never
+  // twice in a row from the same thread, so nothing collapses.
+  constexpr int kRounds = 50;
+  SimDiskManager disk;
+  BufferPool pool(8, &disk, MakeLru2());
+  PageId p = NewUnpinned(pool);
+  PageId own[2] = {NewUnpinned(pool), NewUnpinned(pool)};
+  pool.ResetStats();
+  const Timestamp t0 = LruKOf(pool).CurrentTime();
+
+  std::barrier turn(2);
+  auto client = [&](int me) {
+    for (int round = 0; round < kRounds; ++round) {
+      for (int step = 0; step < 4; ++step) {
+        if (step % 2 == me) FixAndUnpin(pool, step < 2 ? p : own[me]);
+        turn.arrive_and_wait();
+      }
+    }
+  };
+  std::thread a(client, 0);
+  std::thread b(client, 1);
+  a.join();
+  b.join();
+
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.hits, 4u * kRounds);
+  EXPECT_EQ(stats.correlated_refs, 0u);
+  EXPECT_EQ(LruKOf(pool).CurrentTime() - t0, 4u * kRounds);
+}
+
+TEST(CorrelatedRefixTest, RefixThatMissesIsAdmitted) {
+  // Another thread evicts p between this thread's two fixes of it: the
+  // re-fix misses and is admitted like any miss.
+  SimDiskManager disk;
+  BufferPool pool(2, &disk, MakeLru2());
+  PageId p = NewUnpinned(pool);
+  std::thread([&] {
+    (void)NewUnpinned(pool);
+    (void)NewUnpinned(pool);
+  }).join();
+  ASSERT_FALSE(pool.IsResident(p));
+  pool.ResetStats();
+  const Timestamp t0 = LruKOf(pool).CurrentTime();
+  FixAndUnpin(pool, p);
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.correlated_refs, 0u);
+  EXPECT_EQ(LruKOf(pool).CurrentTime() - t0, 1u);
+  EXPECT_TRUE(pool.IsResident(p));
+}
+
+TEST(CorrelatedRefixTest, ShardedPoolJudgesThePreviousFixAcrossShards) {
+  SimDiskManager disk;
+  auto factory = MakeShardPolicyFactory(PolicyConfig::LruK(2));
+  ASSERT_TRUE(factory.ok());
+  ShardedBufferPool pool(16, /*num_shards=*/4, &disk, *factory);
+  std::vector<PageId> pages;
+  for (int i = 0; i < 8; ++i) pages.push_back(NewUnpinned(pool));
+  PageId p = pages[0];
+  PageId q = kInvalidPageId;
+  for (PageId candidate : pages) {
+    if (pool.ShardOf(candidate) != pool.ShardOf(p)) q = candidate;
+  }
+  ASSERT_NE(q, kInvalidPageId) << "no two shards among 8 pages";
+  auto clock_sum = [&] {
+    (void)pool.stats();  // Drain, so the clocks are current.
+    Timestamp sum = 0;
+    for (size_t i = 0; i < pool.shard_count(); ++i) {
+      sum += LruKOf(pool.shard(i)).CurrentTime();
+    }
+    return sum;
+  };
+
+  // p,q,p with q on another shard: q's fix separates the two fixes of p
+  // even though p's shard never saw it. (The thread's previous fix was
+  // the last page allocated, pages[7] != p.)
+  pool.ResetStats();
+  Timestamp t0 = clock_sum();
+  FixAndUnpin(pool, p);
+  FixAndUnpin(pool, q);
+  FixAndUnpin(pool, p);
+  EXPECT_EQ(pool.stats().correlated_refs, 0u);
+  EXPECT_EQ(clock_sum() - t0, 3u);
+
+  // ...while p,p collapses on the owning shard.
+  t0 = clock_sum();
+  FixAndUnpin(pool, p);
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.correlated_refs, 1u);
+  EXPECT_EQ(pool.shard(pool.ShardOf(p)).stats().correlated_refs, 1u);
+  EXPECT_EQ(clock_sum() - t0, 0u);
+}
+
+TEST(CorrelatedRefixTest, OptimisticHitPublishesNoReference) {
+  SimDiskManager disk;
+  BufferPool pool(4, &disk, MakeLru2(),
+                  BufferPoolOptions{.optimistic_hits = true});
+  PageId p = NewUnpinned(pool);
+  (void)NewUnpinned(pool);
+  pool.ResetStats();
+  const Timestamp t0 = LruKOf(pool).CurrentTime();
+  const uint64_t pushed_before = pool.access_buffer_stats().drained_records;
+  FixAndUnpin(pool, p);
+  FixAndUnpin(pool, p);
+  BufferPoolStats stats = pool.stats();  // Drains the access buffer.
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.optimistic_hits, 2u);  // Both latch-free.
+  EXPECT_EQ(stats.correlated_refs, 1u);
+  EXPECT_EQ(pool.access_buffer_stats().drained_records - pushed_before, 1u);
+  EXPECT_EQ(LruKOf(pool).CurrentTime() - t0, 1u);
 }
 
 }  // namespace

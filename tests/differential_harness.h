@@ -49,6 +49,7 @@ inline void ExpectPoolStatsEq(const BufferPoolStats& a,
   EXPECT_EQ(a.prefetch_used, b.prefetch_used);
   EXPECT_EQ(a.prefetch_dropped, b.prefetch_dropped);
   EXPECT_EQ(a.background_cleans, b.background_cleans);
+  EXPECT_EQ(a.correlated_refs, b.correlated_refs);
 }
 
 inline void ExpectIoStatsEq(const IoStats& a, const IoStats& b) {
@@ -146,8 +147,8 @@ constexpr int kDiffOps = 20000;
 // allocator's free list). Exercises every pool entry point the async
 // stack, the optimistic hit path, and batched publishing touch. Reports
 // the number of delete/new cycles through *delete_cycles (for closed-form
-// policy-clock assertions: clock == hits + misses + initial admissions +
-// delete cycles).
+// policy-clock assertions: clock + correlated_refs == hits + misses +
+// initial admissions + delete cycles).
 inline void DriveMixedWorkload(PoolInterface& pool,
                                std::vector<PageId>& pages,
                                int ops = kDiffOps,

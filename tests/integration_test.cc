@@ -159,81 +159,123 @@ TEST(IntegrationTest, RetainedInformationIsLoadBearing) {
   EXPECT_GT(infinite->hits, 100u);
 }
 
-TEST(IntegrationTest, BTreeExample11CompositionUnderLruK) {
-  // Build the Example 1.1 database: a clustered index over 20,000 keys
-  // (scaled to 2,000 for test speed) whose values name record pages; probe
-  // random keys and fetch the record page for each. Under LRU-2 the pool
-  // should fill with index pages, under LRU the mix stays diluted.
+struct Example11Result {
+  double index_fraction = 0.0;  // Index pages / resident pages at the end.
+  uint64_t probe_reads = 0;     // Disk reads during the probe phase.
+};
+
+// Builds the Example 1.1 database: a clustered index over 20,000 keys
+// (scaled to 2,000 for test speed) whose values name record pages; probes
+// random keys and fixes each key's record page `record_fixes` times in a
+// row (2 = the Get-then-Update pair of a read-modify-write).
+void RunExample11(std::unique_ptr<ReplacementPolicy> policy, int record_fixes,
+                  Example11Result* result) {
   constexpr uint64_t kKeys = 2000;
   constexpr uint64_t kRecordsPerPage = 2;
+  SimDiskManager disk;
+  BufferPool pool(32, &disk, std::move(policy));
 
-  auto run = [&](std::unique_ptr<ReplacementPolicy> policy,
-                 double* index_fraction) {
-    SimDiskManager disk;
-    BufferPool pool(32, &disk, std::move(policy));
+  // Record pages first.
+  std::vector<PageId> record_pages;
+  for (uint64_t i = 0; i < kKeys / kRecordsPerPage; ++i) {
+    auto page = pool.NewPage();
+    ASSERT_TRUE(page.ok());
+    record_pages.push_back((*page)->id());
+    ASSERT_TRUE(pool.UnpinPage((*page)->id(), true).ok());
+  }
+  BTreeOptions options;
+  options.leaf_capacity = 100;
+  BTree tree(&pool, options);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(tree.Insert(k, record_pages[k / kRecordsPerPage]).ok());
+  }
+  std::unordered_set<PageId> index_pages;
+  auto leaves = tree.LeafPageIds();
+  ASSERT_TRUE(leaves.ok());
+  index_pages.insert(leaves->begin(), leaves->end());
+  index_pages.insert(tree.RootPageId());
 
-    // Record pages first.
-    std::vector<PageId> record_pages;
-    for (uint64_t i = 0; i < kKeys / kRecordsPerPage; ++i) {
-      auto page = pool.NewPage();
-      ASSERT_TRUE(page.ok());
-      record_pages.push_back((*page)->id());
-      ASSERT_TRUE(pool.UnpinPage((*page)->id(), true).ok());
-    }
-    BTreeOptions options;
-    options.leaf_capacity = 100;
-    BTree tree(&pool, options);
-    for (uint64_t k = 0; k < kKeys; ++k) {
-      ASSERT_TRUE(tree.Insert(k, record_pages[k / kRecordsPerPage]).ok());
-    }
-    std::unordered_set<PageId> index_pages;
-    auto leaves = tree.LeafPageIds();
-    ASSERT_TRUE(leaves.ok());
-    index_pages.insert(leaves->begin(), leaves->end());
-    index_pages.insert(tree.RootPageId());
-
-    // Probe phase: random key -> index descent -> record page fetch.
-    RandomEngine rng(31337);
-    for (int probe = 0; probe < 20000; ++probe) {
-      uint64_t key = rng.NextBounded(kKeys);
-      auto record_page = tree.Get(key);
-      ASSERT_TRUE(record_page.ok());
+  // Probe phase: random key -> index descent -> record page fix(es).
+  const uint64_t reads_before = disk.stats().reads;
+  RandomEngine rng(31337);
+  for (int probe = 0; probe < 20000; ++probe) {
+    uint64_t key = rng.NextBounded(kKeys);
+    auto record_page = tree.Get(key);
+    ASSERT_TRUE(record_page.ok());
+    for (int fix = 0; fix < record_fixes; ++fix) {
       auto guard = PageGuard::Fetch(pool, *record_page);
       ASSERT_TRUE(guard.ok());
+      if (fix > 0) guard->MutableData()[0] ^= 1;  // The update.
     }
+  }
+  result->probe_reads = disk.stats().reads - reads_before;
 
-    // Composition: fraction of resident pages that are index pages.
-    size_t index_resident = 0;
-    size_t total_resident = 0;
-    for (PageId p = 0; p < disk.NumAllocatedPages() + 8; ++p) {
-      if (!pool.IsResident(p)) continue;
-      ++total_resident;
-      if (index_pages.contains(p)) ++index_resident;
-    }
-    ASSERT_GT(total_resident, 0u);
-    *index_fraction =
-        static_cast<double>(index_resident) / static_cast<double>(total_resident);
-  };
+  // Composition: fraction of resident pages that are index pages.
+  size_t index_resident = 0;
+  size_t total_resident = 0;
+  for (PageId p = 0; p < disk.NumAllocatedPages() + 8; ++p) {
+    if (!pool.IsResident(p)) continue;
+    ++total_resident;
+    if (index_pages.contains(p)) ++index_resident;
+  }
+  ASSERT_GT(total_resident, 0u);
+  result->index_fraction =
+      static_cast<double>(index_resident) / static_cast<double>(total_resident);
+}
 
-  double lru_fraction = 0.0;
-  double lruk_fraction = 0.0;
+std::unique_ptr<ReplacementPolicy> MakeLru2() {
+  LruKOptions options;
+  options.k = 2;
+  return std::make_unique<LruKPolicy>(options);
+}
+
+TEST(IntegrationTest, BTreeExample11CompositionUnderLruK) {
+  // Under LRU-2 the pool should fill with index pages, under LRU the mix
+  // stays diluted.
+  Example11Result lru;
+  Example11Result lruk;
   {
     SCOPED_TRACE("LRU");
-    run(std::make_unique<LruPolicy>(), &lru_fraction);
+    RunExample11(std::make_unique<LruPolicy>(), 1, &lru);
   }
   {
     SCOPED_TRACE("LRU-2");
-    LruKOptions options;
-    options.k = 2;
-    run(std::make_unique<LruKPolicy>(options), &lruk_fraction);
+    RunExample11(MakeLru2(), 1, &lruk);
   }
   // LRU-2's buffer must be much richer in index pages. With 2000 keys at
   // 100 per packed leaf the index is 21 pages (20 leaves + root), so the
   // achievable maximum fraction in the 32-frame pool is 21/32 ~ 0.66 —
   // which LRU-2 should hit while LRU stays diluted by record pages.
-  EXPECT_GT(lruk_fraction, lru_fraction + 0.1);
-  EXPECT_GT(lruk_fraction, 0.62);
-  EXPECT_LT(lru_fraction, 0.55);
+  EXPECT_GT(lruk.index_fraction, lru.index_fraction + 0.1);
+  EXPECT_GT(lruk.index_fraction, 0.62);
+  EXPECT_LT(lru.index_fraction, 0.55);
+}
+
+TEST(IntegrationTest, BTreeExample11RecordRefixIsOneReference) {
+  // The same probes, but each record page is fixed twice back to back, as
+  // a Get-then-Update pair does. The paper's §2.1.1 counts such a pair as
+  // one reference: the second fix must not make record pages look twice
+  // as popular as index pages. So LRU-2 keeps the index resident and pays
+  // exactly the single-fix probe's reads, and Example 1.1's result holds:
+  // LRU-2 reads less than LRU.
+  Example11Result single;
+  Example11Result paired;
+  Example11Result lru_paired;
+  {
+    SCOPED_TRACE("LRU-2 single fix");
+    RunExample11(MakeLru2(), 1, &single);
+  }
+  {
+    SCOPED_TRACE("LRU-2 paired fix");
+    RunExample11(MakeLru2(), 2, &paired);
+  }
+  {
+    SCOPED_TRACE("LRU paired fix");
+    RunExample11(std::make_unique<LruPolicy>(), 2, &lru_paired);
+  }
+  EXPECT_GT(paired.index_fraction, 0.62);
+  EXPECT_EQ(paired.probe_reads, single.probe_reads);
+  EXPECT_LT(paired.probe_reads, lru_paired.probe_reads);
 }
 
 TEST(IntegrationTest, FullStackDeterminism) {

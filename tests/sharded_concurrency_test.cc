@@ -7,9 +7,11 @@
 // runs this and concurrency_test to catch latch regressions in either
 // pool.
 
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -49,6 +51,16 @@ TEST(ShardedConcurrencyTest, MixedTrafficAcrossShardsKeepsCountsCoherent) {
     ASSERT_TRUE(pool.UnpinPage((*page)->id(), true).ok());
   }
 
+  // A FlushPage reads the whole page image, including the slots other
+  // threads are writing under their pins. The pool leaves coordinating
+  // page writers with an explicit flush to the caller (as per-page
+  // latches would in a DBMS), so each slot write and each flush takes
+  // the page's stripe of these test-level latches.
+  std::array<std::mutex, 16> page_latches;
+  auto page_latch = [&](PageId p) -> std::mutex& {
+    return page_latches[p % page_latches.size()];
+  };
+
   std::atomic<uint64_t> failures{0};
   std::vector<uint64_t> ops_done(kThreads, 0);
   std::vector<std::thread> threads;
@@ -66,11 +78,14 @@ TEST(ShardedConcurrencyTest, MixedTrafficAcrossShardsKeepsCountsCoherent) {
           }
           continue;
         }
-        auto* slots = (*page)->As<uint64_t>();
-        ++slots[t];
+        {
+          std::lock_guard<std::mutex> latch(page_latch(p));
+          ++(*page)->As<uint64_t>()[t];
+        }
         ++ops_done[t];
         if (!pool.UnpinPage(p, true).ok()) ++failures;
         if (i % 512 == 0) {
+          std::lock_guard<std::mutex> latch(page_latch(p));
           (void)pool.FlushPage(p);  // May race with eviction: any Status.
         }
       }
