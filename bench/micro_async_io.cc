@@ -18,18 +18,16 @@
 // skewed page set over a disk wrapper that sleeps for real microseconds
 // per read, widening the window in which concurrent misses on the same
 // page land; the per-page request tracker folds those into one physical
-// read. The background flusher runs too, so eviction write-back is
-// measured off the miss path.
+// read.
 //
 // Section 3 — write-behind eviction (threaded, worker mode). A
 // dirty-heavy churn (70% writes) over a disk whose writes cost 5x its
 // reads, paced below disk saturation so the question is purely WHERE the
 // victim write-back runs: on the miss path (sync mode stalls the fetch
-// for write + read), reduced by background cleaning (flusher mode), or
-// off the miss path entirely (write-behind posts the pinned-copy victim
-// write on the Flush lane and admits immediately; the adaptive flusher
-// paces cleaning by dirty ratio). Client-side fetch latency percentiles
-// and the dispatcher's per-lane counters expose the difference.
+// for write + read), or off it (write-behind posts the pinned-copy victim
+// write on the Flush lane and admits immediately). Client-side fetch
+// latency percentiles and the dispatcher's per-lane counters expose the
+// difference.
 //
 // Shape checks (CI greps for ": NO"):
 //  * readahead — simulated foreground stall with readahead on is at
@@ -37,8 +35,6 @@
 //    prefetch_used nonzero.
 //  * coalescing — coalesced_reads nonzero in every threaded cell, and
 //    physical reads never exceed misses.
-//  * background cleaning — background_cleans nonzero in every threaded
-//    cell.
 //  * write-behind — foreground victim writes are <= 5% of all victim
 //    writes in every write-behind cell (writebehind_writes carries the
 //    rest), and client fetch p99 beats the sync baseline's.
@@ -271,7 +267,6 @@ struct CoalesceCell {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t coalesced_reads = 0;
-  uint64_t background_cleans = 0;
   uint64_t physical_reads = 0;
   double coalescing_ratio = 0.0;
   double wall_seconds = 0.0;
@@ -300,9 +295,6 @@ CoalesceCell RunCoalesceCell(const std::string& pool_kind,
   options.io_dispatcher = true;
   options.io_workers = cell.workers;
   options.io_queue_depth = 64;
-  options.flusher = true;
-  options.flusher_every_ops = 32;
-  options.flusher_batch = 8;
   options.batch_capacity = 64;
 
   std::unique_ptr<PoolInterface> pool;
@@ -350,7 +342,6 @@ CoalesceCell RunCoalesceCell(const std::string& pool_kind,
   cell.hits = stats.hits;
   cell.misses = stats.misses;
   cell.coalesced_reads = stats.coalesced_reads;
-  cell.background_cleans = stats.background_cleans;
   cell.physical_reads = disk.stats().reads;
   cell.coalescing_ratio =
       stats.misses > 0
@@ -367,7 +358,7 @@ CoalesceCell RunCoalesceCell(const std::string& pool_kind,
 // Section 3: write-behind eviction under a dirty-heavy churn.
 
 struct WriteBehindCell {
-  std::string mode;  // "sync" | "flusher" | "write-behind" | "wb sharded x4"
+  std::string mode;  // "sync" | "write-behind" | "wb sharded x4"
   uint64_t threads = 0;
   uint64_t workers = 0;
   uint64_t ops = 0;
@@ -378,7 +369,6 @@ struct WriteBehindCell {
   uint64_t writebehind_readmits = 0;
   uint64_t io_drops_flush = 0;
   uint64_t io_drops_prefetch = 0;
-  uint64_t background_cleans = 0;
   IoDispatcherStats dispatcher;  // Per-lane depth/drop/wait accounting.
   double fetch_p50_micros = 0.0;
   double fetch_p99_micros = 0.0;
@@ -424,16 +414,7 @@ WriteBehindCell RunWriteBehindCell(const std::string& mode,
   options.io_workers = cell.workers;
   options.io_queue_depth = 64;
   options.batch_capacity = 64;
-  if (mode != "sync") {
-    options.flusher = true;
-    options.flusher_every_ops = 32;
-    options.flusher_batch = 8;
-  }
-  bool write_behind = mode == "write-behind" || mode == "wb sharded x4";
-  if (write_behind) {
-    options.write_behind = true;
-    options.flusher_adaptive = true;  // Pace cleaning by dirty ratio.
-  }
+  options.write_behind = mode != "sync";
 
   std::unique_ptr<PoolInterface> pool;
   IoDispatcher* dispatcher = nullptr;
@@ -500,7 +481,6 @@ WriteBehindCell RunWriteBehindCell(const std::string& mode,
   cell.writebehind_readmits = stats.writebehind_readmits;
   cell.io_drops_flush = stats.io_drops_flush;
   cell.io_drops_prefetch = stats.io_drops_prefetch;
-  cell.background_cleans = stats.background_cleans;
   if (dispatcher != nullptr) cell.dispatcher = dispatcher->stats();
   cell.fetch_p50_micros = Percentile(&fetch_micros, 0.50);
   cell.fetch_p99_micros = Percentile(&fetch_micros, 0.99);
@@ -515,8 +495,7 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                const std::vector<CoalesceCell>& coalesce_cells,
                const std::vector<WriteBehindCell>& wb_cells,
                bool readahead_ok, bool prefetch_used_ok, bool coalesce_ok,
-               bool cleans_ok, bool wb_foreground_ok, bool wb_p99_ok,
-               bool accounting_ok) {
+               bool wb_foreground_ok, bool wb_p99_ok, bool accounting_ok) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
@@ -551,8 +530,7 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
         "    {\"pool\": \"%s\", \"threads\": %llu, \"io_workers\": %llu, "
         "\"ops\": %llu, \"hits\": %llu, \"misses\": %llu, "
         "\"coalesced_reads\": %llu, \"coalescing_ratio\": %.4f, "
-        "\"background_cleans\": %llu, \"physical_reads\": %llu, "
-        "\"wall_seconds\": %.3f}%s\n",
+        "\"physical_reads\": %llu, \"wall_seconds\": %.3f}%s\n",
         c.pool.c_str(), static_cast<unsigned long long>(c.threads),
         static_cast<unsigned long long>(c.workers),
         static_cast<unsigned long long>(c.ops),
@@ -560,7 +538,6 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
         static_cast<unsigned long long>(c.misses),
         static_cast<unsigned long long>(c.coalesced_reads),
         c.coalescing_ratio,
-        static_cast<unsigned long long>(c.background_cleans),
         static_cast<unsigned long long>(c.physical_reads), c.wall_seconds,
         i + 1 < coalesce_cells.size() ? "," : "");
   }
@@ -573,7 +550,7 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
         "\"ops\": %llu, \"hits\": %llu, \"misses\": %llu, "
         "\"dirty_writebacks\": %llu, \"writebehind_writes\": %llu, "
         "\"writebehind_readmits\": %llu, \"io_drops_flush\": %llu, "
-        "\"io_drops_prefetch\": %llu, \"background_cleans\": %llu, "
+        "\"io_drops_prefetch\": %llu, "
         "\"fetch_p50_micros\": %.1f, \"fetch_p99_micros\": %.1f, "
         "\"wall_seconds\": %.3f, \"starvation_grants\": %llu, "
         "\"lanes\": [",
@@ -587,7 +564,6 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
         static_cast<unsigned long long>(c.writebehind_readmits),
         static_cast<unsigned long long>(c.io_drops_flush),
         static_cast<unsigned long long>(c.io_drops_prefetch),
-        static_cast<unsigned long long>(c.background_cleans),
         c.fetch_p50_micros, c.fetch_p99_micros, c.wall_seconds,
         static_cast<unsigned long long>(c.dispatcher.starvation_grants));
     for (size_t l = 0; l < kIoClassCount; ++l) {
@@ -613,13 +589,12 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                "    \"readahead_beats_sync\": %s,\n"
                "    \"prefetch_used_nonzero\": %s,\n"
                "    \"coalesced_nonzero\": %s,\n"
-               "    \"background_cleans_nonzero\": %s,\n"
                "    \"writebehind_foreground_near_zero\": %s,\n"
                "    \"writebehind_p99_beats_sync\": %s,\n"
                "    \"accounting_exact\": %s\n  }\n}\n",
                readahead_ok ? "true" : "false",
                prefetch_used_ok ? "true" : "false",
-               coalesce_ok ? "true" : "false", cleans_ok ? "true" : "false",
+               coalesce_ok ? "true" : "false",
                wb_foreground_ok ? "true" : "false",
                wb_p99_ok ? "true" : "false",
                accounting_ok ? "true" : "false");
@@ -708,9 +683,8 @@ int main(int argc, char** argv) {
   std::printf("\n");
   std::vector<CoalesceCell> coalesce_cells;
   AsciiTable co_table({"pool", "misses", "coalesced", "ratio",
-                       "physical reads", "bg cleans", "wall (s)"});
+                       "physical reads", "wall (s)"});
   bool coalesce_ok = true;
-  bool cleans_ok = true;
   bool bounded_ok = true;
   for (const char* pool_kind : {"single-latch", "sharded x4"}) {
     CoalesceCell c = RunCoalesceCell(pool_kind, ops_per_thread);
@@ -718,12 +692,10 @@ int main(int argc, char** argv) {
                      AsciiTable::Integer(c.coalesced_reads),
                      AsciiTable::Fixed(c.coalescing_ratio, 3),
                      AsciiTable::Integer(c.physical_reads),
-                     AsciiTable::Integer(c.background_cleans),
                      AsciiTable::Fixed(c.wall_seconds, 3)});
     accounting_ok = accounting_ok && c.accounting_exact;
     bounded_ok = bounded_ok && c.reads_bounded;
     if (c.coalesced_reads == 0) coalesce_ok = false;
-    if (c.background_cleans == 0) cleans_ok = false;
     coalesce_cells.push_back(c);
   }
   co_table.Print();
@@ -737,8 +709,7 @@ int main(int argc, char** argv) {
   bool wb_p99_ok = true;
   double sync_p99 = 0.0;
   double wb_single_p99 = 0.0;
-  for (const char* mode :
-       {"sync", "flusher", "write-behind", "wb sharded x4"}) {
+  for (const char* mode : {"sync", "write-behind", "wb sharded x4"}) {
     WriteBehindCell c = RunWriteBehindCell(mode, wb_ops_per_thread);
     wb_table.AddRow({c.mode, AsciiTable::Integer(c.misses),
                      AsciiTable::Integer(c.dirty_writebacks),
@@ -750,8 +721,7 @@ int main(int argc, char** argv) {
     accounting_ok = accounting_ok && c.accounting_exact;
     if (c.mode == "sync") sync_p99 = c.fetch_p99_micros;
     if (c.mode == "write-behind") wb_single_p99 = c.fetch_p99_micros;
-    bool is_wb = c.mode == "write-behind" || c.mode == "wb sharded x4";
-    if (is_wb) {
+    if (c.mode != "sync") {
       // Foreground (miss-path) victim writes must be <= 5% of all victim
       // writes: the Flush lane carries the rest.
       uint64_t total_victim_writes =
@@ -786,9 +756,6 @@ int main(int argc, char** argv) {
   std::printf("shape: concurrent same-page misses coalesce "
               "(coalesced_reads > 0, physical reads <= misses): %s\n",
               coalesce_ok && bounded_ok ? "yes" : "NO");
-  std::printf("shape: the background flusher cleans pages off the miss "
-              "path (background_cleans > 0): %s\n",
-              cleans_ok ? "yes" : "NO");
   std::printf("shape: write-behind keeps foreground victim writes <= 5%% "
               "of all victim writes: %s\n",
               wb_foreground_ok ? "yes" : "NO");
@@ -801,11 +768,11 @@ int main(int argc, char** argv) {
   if (json_path != nullptr) {
     WriteJson(json_path, provenance, scan_cells, coalesce_cells, wb_cells,
               readahead_ok, prefetch_used_ok, coalesce_ok && bounded_ok,
-              cleans_ok, wb_foreground_ok, wb_p99_ok, accounting_ok);
+              wb_foreground_ok, wb_p99_ok, accounting_ok);
     std::printf("wrote %s\n", json_path);
   }
   return readahead_ok && prefetch_used_ok && coalesce_ok && bounded_ok &&
-                 cleans_ok && wb_foreground_ok && wb_p99_ok && accounting_ok
+                 wb_foreground_ok && wb_p99_ok && accounting_ok
              ? 0
              : 1;
 }

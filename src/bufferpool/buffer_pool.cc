@@ -1,6 +1,5 @@
 #include "bufferpool/buffer_pool.h"
 
-#include <algorithm>
 #include <cstring>
 #include <mutex>
 #include <utility>
@@ -36,7 +35,6 @@ BufferPoolStats BufferPool::AtomicPoolStats::ToStats() const {
   s.prefetch_issued = prefetch_issued.load(std::memory_order_relaxed);
   s.prefetch_used = prefetch_used.load(std::memory_order_relaxed);
   s.prefetch_dropped = prefetch_dropped.load(std::memory_order_relaxed);
-  s.background_cleans = background_cleans.load(std::memory_order_relaxed);
   s.writebehind_writes = writebehind_writes.load(std::memory_order_relaxed);
   s.writebehind_readmits =
       writebehind_readmits.load(std::memory_order_relaxed);
@@ -67,7 +65,6 @@ void BufferPool::AtomicPoolStats::Reset() {
   prefetch_issued.store(0, std::memory_order_relaxed);
   prefetch_used.store(0, std::memory_order_relaxed);
   prefetch_dropped.store(0, std::memory_order_relaxed);
-  background_cleans.store(0, std::memory_order_relaxed);
   writebehind_writes.store(0, std::memory_order_relaxed);
   writebehind_readmits.store(0, std::memory_order_relaxed);
   io_drops_flush.store(0, std::memory_order_relaxed);
@@ -126,20 +123,6 @@ BufferPool::BufferPool(size_t capacity, DiskManager* disk,
   // deterministic replay sees the exact same disk-op order.
   write_behind_ =
       options_.write_behind && io_ != nullptr && !io_->inline_mode();
-  {
-    // The cadence/batch in force until (if adaptive) the first re-plan.
-    uint64_t every = options_.flusher_adaptive ? options_.flusher_max_every
-                                               : options_.flusher_every_ops;
-    adaptive_every_.store(every == 0 ? 1 : every, std::memory_order_relaxed);
-    uint64_t batch = options_.flusher_batch;
-    adaptive_batch_.store(batch == 0 ? 1 : batch, std::memory_order_relaxed);
-  }
-  // A pool-level readahead detector no longer forces a stand-down: its
-  // Observe is wait-free (an atomic history ring + stride voting, see
-  // io/readahead.h), so latch-free hits feed it directly, and batched
-  // victim nomination (EvictBatch) keeps skipped pinned nominees from
-  // churning LRU-K's bounded retained-history budget.
-  fast_path_ = optimistic_;
   frames_ = std::make_unique<Page[]>(capacity_);
   frame_prefetched_ = std::make_unique<std::atomic<uint8_t>[]>(capacity_);
   for (size_t f = 0; f < capacity_; ++f) {
@@ -337,12 +320,10 @@ void BufferPool::FinishPendingLocked(PageId p,
 
 void BufferPool::FencePageLocked(std::unique_lock<std::mutex>& guard,
                                  PageId p) {
-  // Waits out every in-flight read of `p`, any in-flight write-behind
-  // victim write of `p`, and any flusher clean of `p` mid-disk-write
-  // (there is at most one of each at a time, but a completion can be
-  // followed by a new one before we re-acquire the latch, hence the
-  // loop). The flusher fence is what lets FlushPage/DeletePage run
-  // against the clean's snapshot write without racing a newer image.
+  // Waits out every in-flight read of `p` and any in-flight write-behind
+  // victim write of `p` (there is at most one of each at a time, but a
+  // completion can be followed by a new one before we re-acquire the
+  // latch, hence the loop).
   while (io_ != nullptr) {
     auto it = pending_reads_.find(p);
     if (it != pending_reads_.end()) {
@@ -356,10 +337,6 @@ void BufferPool::FencePageLocked(std::unique_lock<std::mutex>& guard,
       entry->cv.wait(guard, [&] { return entry->done; });
       continue;
     }
-    if (flusher_cleaning_.contains(p)) {
-      quiesce_cv_.wait(guard, [&] { return !flusher_cleaning_.contains(p); });
-      continue;
-    }
     return;
   }
 }
@@ -368,7 +345,7 @@ void BufferPool::QuiesceLocked(std::unique_lock<std::mutex>& guard) {
   if (io_ == nullptr) return;
   quiesce_cv_.wait(guard, [&] {
     return pending_reads_.empty() && pending_victim_writes_.empty() &&
-           inflight_background_ == 0;
+           inflight_prefetches_ == 0;
   });
 }
 
@@ -394,7 +371,6 @@ bool BufferPool::RegisterPrefetchLocked(PageId p) {
   }
   pending_reads_.emplace(p, std::make_shared<PendingIo>());
   ++inflight_prefetches_;
-  ++inflight_background_;
   ++stats_.prefetch_issued;
   return true;
 }
@@ -415,7 +391,6 @@ void BufferPool::ExecutePrefetch(PageId p) {
     entry->retry_as_primary = true;
     FinishPendingLocked(p, entry, std::move(status));
     --inflight_prefetches_;
-    --inflight_background_;
     quiesce_cv_.notify_all();
   };
   DrainAccessBufferLocked();
@@ -461,28 +436,19 @@ void BufferPool::ExecutePrefetch(PageId p) {
   policy_->Admit(p, AccessType::kRead);
   FinishPendingLocked(p, entry, Status::Ok());
   --inflight_prefetches_;
-  --inflight_background_;
   quiesce_cv_.notify_all();
 }
 
-void BufferPool::CollectBackgroundWorkLocked(PageId p, bool observe,
-                                             std::vector<PageId>* targets,
-                                             bool* flusher_due) {
-  if (readahead_ != nullptr && observe) {
-    readahead_->Observe(p, &readahead_scratch_);
-    for (PageId q : readahead_scratch_) {
-      if (RegisterPrefetchLocked(q)) targets->push_back(q);
-    }
-  }
-  if (TickFlusher()) {
-    *flusher_due = true;
-    ++inflight_background_;
+void BufferPool::CollectPrefetchesLocked(PageId p, bool observe,
+                                         std::vector<PageId>* targets) {
+  if (readahead_ == nullptr || !observe) return;
+  readahead_->Observe(p, &readahead_scratch_);
+  for (PageId q : readahead_scratch_) {
+    if (RegisterPrefetchLocked(q)) targets->push_back(q);
   }
 }
 
-void BufferPool::LaunchBackgroundWork(const std::vector<PageId>& prefetches,
-                                      bool flusher_due) {
-  if (io_ == nullptr) return;
+void BufferPool::LaunchPrefetches(const std::vector<PageId>& prefetches) {
   for (PageId q : prefetches) {
     if (io_->TryPost([this, q] { ExecutePrefetch(q); }, IoClass::kPrefetch)) {
       continue;
@@ -500,23 +466,6 @@ void BufferPool::LaunchBackgroundWork(const std::vector<PageId>& prefetches,
     FinishPendingLocked(q, entry,
                         Status::ResourceExhausted("dispatcher queue full"));
     --inflight_prefetches_;
-    --inflight_background_;
-    quiesce_cv_.notify_all();
-  }
-  if (!flusher_due) return;
-  bool posted = io_->TryPost(
-      [this] {
-        RunFlusherPass();
-        auto guard = Lock();
-        --inflight_background_;
-        quiesce_cv_.notify_all();
-      },
-      IoClass::kFlush);
-  if (!posted) {
-    // Dropped pass; the next trigger tries again.
-    auto guard = Lock();
-    ++stats_.io_drops_flush;
-    --inflight_background_;
     quiesce_cv_.notify_all();
   }
 }
@@ -527,157 +476,7 @@ void BufferPool::RequestPrefetch(PageId p) {
     auto guard = Lock();
     if (!RegisterPrefetchLocked(p)) return;
   }
-  LaunchBackgroundWork({p}, /*flusher_due=*/false);
-}
-
-void BufferPool::RunFlusherPass() {
-  auto guard = Lock();
-  DrainAccessBufferLocked();
-  // Peek the next victims without evicting: EvictBatch pops them in
-  // victim order, Restore() puts them back exactly (LRU-K resurrects the HIST
-  // block without a tick; policies with the default re-admitting Restore
-  // pay one tick per peeked page — the flusher is opt-in). LIFO restore
-  // order keeps Restore's "most recent Evict result" contract.
-  std::vector<PageId> victims;
-  // The pages the pass will try to clean. Latched mode: every peeked
-  // victim (they are all unpinned by construction). Optimistic mode: the
-  // policy nominates pinned pages too, so keep popping until
-  // flusher_batch unpinned ones surface (or the policy runs dry) — the
-  // clean set matches the latched peek exactly when nothing is pinned.
-  std::vector<PageId> clean_set;
-  size_t batch = options_.flusher_adaptive
-                     ? adaptive_batch_.load(std::memory_order_relaxed)
-                     : options_.flusher_batch;
-  if (!optimistic_) {
-    size_t want = batch;
-    if (want > policy_->EvictableCount()) want = policy_->EvictableCount();
-    policy_->EvictBatch(want, &victims);
-    clean_set = victims;
-  } else {
-    // EvictBatch keeps the pinned-nominee churn off the retained-history
-    // budget here too; chunk size tracks how many unpinned pages are
-    // still wanted, so the pop sequence matches the latched peek exactly
-    // when nothing is pinned.
-    std::vector<PageId> chunk;
-    bool dry = false;
-    while (clean_set.size() < batch && !dry) {
-      size_t want = batch - clean_set.size();
-      if (policy_->EvictBatch(want, &chunk) < want) dry = true;
-      for (PageId victim : chunk) {
-        victims.push_back(victim);
-        if (clean_set.size() >= batch) continue;
-        FrameId f = 0;
-        bool found = page_table_.Find(victim, &f);
-        LRUK_ASSERT(found, "flusher peeked a page the pool does not hold");
-        if (frames_[f].pin_count() == 0) clean_set.push_back(victim);
-      }
-    }
-  }
-  for (auto it = victims.rbegin(); it != victims.rend(); ++it) {
-    policy_->Restore(*it);
-  }
-  // Clean in victim order, most imminent first, WITHOUT holding the pool
-  // latch across the disk writes (a batch of slow writes under the latch
-  // would put the whole pass back on every other thread's miss path).
-  // Per page: under the latch, pin it (no eviction, no delete can take
-  // it), claim the dirty bit and snapshot the image; write the snapshot
-  // unlatched; relock to unpin and settle. A client that re-dirties the
-  // page mid-write just leaves it dirty for a later pass — the snapshot
-  // is a valid prior version. FencePageLocked waits on flusher_cleaning_
-  // so no explicit FlushPage can race a newer image against the
-  // snapshot; a failed write re-sets the dirty bit.
-  auto scratch = std::make_unique<char[]>(kPageSize);
-  for (PageId v : clean_set) {
-    FrameId f = 0;
-    // Re-validate per page: the latch drops between cleans, so a peeked
-    // page can be evicted or deleted before its turn comes.
-    if (!page_table_.Find(v, &f)) continue;
-    Page& page = frames_[f];
-    if (optimistic_) {
-      // Same handshake as eviction: bucket odd, THEN re-check the pin —
-      // a concurrent latch-free pin either lands before the bump (seen
-      // here: skip) or fails validation. Claim and copy while the bucket
-      // is still odd (no latch-free pin can land and mutate the image
-      // mid-copy); the pin taken here blocks eviction for the whole
-      // snapshot write after the bucket is released.
-      size_t bucket = page_table_.LockBucket(v);
-      if (page.pin_count_.load() != 0 || !page.is_dirty()) {
-        page_table_.UnlockUnchanged(bucket);
-        continue;
-      }
-      page.pin_count_.fetch_add(1);
-      page.dirty_.store(false, std::memory_order_relaxed);
-      std::memcpy(scratch.get(), page.Data(), kPageSize);
-      page_table_.UnlockUnchanged(bucket);
-    } else {
-      // Claim-then-copy under the latch: pins need the latch in latched
-      // mode, so with pin_count == 0 here nobody is mutating the image
-      // during the copy.
-      if (page.pin_count_.load(std::memory_order_relaxed) != 0 ||
-          !page.is_dirty()) {
-        continue;
-      }
-      page.pin_count_.fetch_add(1);
-      policy_->SetEvictable(v, false);
-      page.dirty_.store(false, std::memory_order_relaxed);
-      std::memcpy(scratch.get(), page.Data(), kPageSize);
-    }
-    flusher_cleaning_.insert(v);
-    guard.unlock();
-    Status written = DiskWrite(v, scratch.get());
-    guard.lock();
-    CountLatchAcquire();
-    flusher_cleaning_.erase(v);
-    if (written.ok()) {
-      ++stats_.background_cleans;
-    } else {
-      page.dirty_.store(true, std::memory_order_release);
-    }
-    if (page.pin_count_.fetch_sub(1) == 1 && !optimistic_) {
-      policy_->SetEvictable(v, true);
-    }
-    quiesce_cv_.notify_all();
-  }
-  ReplanFlusherLocked();
-}
-
-void BufferPool::ReplanFlusherLocked() {
-  if (!options_.flusher_adaptive) return;
-  // Dirty ratio over the whole pool: an O(capacity) frame scan, amortized
-  // over a pass that just did `batch` Evict/Restore pairs and up to
-  // `batch` disk writes.
-  size_t dirty = 0;
-  for (size_t f = 0; f < capacity_; ++f) {
-    if (frames_[f].id_ != kInvalidPageId && frames_[f].is_dirty()) ++dirty;
-  }
-  double ratio = static_cast<double>(dirty) / static_cast<double>(capacity_);
-  double lo = options_.flusher_dirty_low;
-  double hi = options_.flusher_dirty_high;
-  double t = hi <= lo ? (ratio >= hi ? 1.0 : 0.0)
-                      : std::min(1.0, std::max(0.0, (ratio - lo) / (hi - lo)));
-  // Cadence ramps max_every -> min_every and batch flusher_batch ->
-  // max_batch as the dirty ratio crosses [lo, hi].
-  uint64_t max_e = std::max<uint64_t>(1, options_.flusher_max_every);
-  uint64_t min_e = std::max<uint64_t>(
-      1, std::min<uint64_t>(options_.flusher_min_every, max_e));
-  uint64_t every =
-      max_e - static_cast<uint64_t>(static_cast<double>(max_e - min_e) * t);
-  uint64_t min_b = std::max<uint64_t>(1, options_.flusher_batch);
-  uint64_t max_b = std::max<uint64_t>(min_b, options_.flusher_max_batch);
-  uint64_t next_batch =
-      min_b + static_cast<uint64_t>(static_cast<double>(max_b - min_b) * t);
-  // Demand back-pressure: misses queued deeper than the worker fleet means
-  // the disk is the bottleneck right now — cleaning should yield, not
-  // compete (the Flush lane already ranks below Demand; this also shrinks
-  // how much we submit at all). Skipped in inline mode, where the depth is
-  // identically zero and determinism matters.
-  if (io_ != nullptr && !io_->inline_mode() &&
-      io_->LaneDepth(IoClass::kDemand) > io_->options().workers) {
-    every = std::min<uint64_t>(every * 2, max_e);
-    next_batch = std::max<uint64_t>(1, next_batch / 2);
-  }
-  adaptive_every_.store(every == 0 ? 1 : every, std::memory_order_relaxed);
-  adaptive_batch_.store(next_batch, std::memory_order_relaxed);
+  LaunchPrefetches({p});
 }
 
 Page* BufferPool::TryOptimisticHit(PageId p, AccessType type, bool refix,
@@ -726,7 +525,7 @@ Page* BufferPool::TryOptimisticHit(PageId p, AccessType type, bool refix,
     DrainAccessBufferLocked();
     policy_->RecordAccess(p, type);
   }
-  // Background work, after the publish (same order as the latched hit
+  // Readahead, after the publish (same order as the latched hit
   // branch, so an inline-mode prefetch admission drains this reference
   // first). The detector sees only OBSERVABLE references — demand misses
   // and prefetch-confirmation hits like this one. A steady-state warm
@@ -736,7 +535,6 @@ Page* BufferPool::TryOptimisticHit(PageId p, AccessType type, bool refix,
   // small, but a measurable fraction of a ~650 ns latch-free hit — comes
   // off the warm path completely. A scan entering cold territory from a
   // fully-resident stretch re-arms within min_run misses.
-  bool flusher_due = TickFlusher();
   std::vector<PageId> targets;
   if (readahead_ != nullptr && was_prefetched) {
     readahead_->Observe(p, &targets);
@@ -755,15 +553,14 @@ Page* BufferPool::TryOptimisticHit(PageId p, AccessType type, bool refix,
       targets.resize(kept);
     }
   }
-  if (!targets.empty() || flusher_due) {
+  if (!targets.empty()) {
     std::vector<PageId> registered;
     auto guard = Lock();
     for (PageId q : targets) {
       if (RegisterPrefetchLocked(q)) registered.push_back(q);
     }
-    if (flusher_due) ++inflight_background_;
     guard.unlock();
-    LaunchBackgroundWork(registered, flusher_due);
+    LaunchPrefetches(registered);
   }
   return &page;
 }
@@ -785,7 +582,7 @@ Result<Page*> BufferPool::FetchPage(PageId p, AccessType type,
 Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
                                   bool* observable) {
   if (observable != nullptr) *observable = false;
-  if (fast_path_) {
+  if (optimistic_) {
     if (Page* page = TryOptimisticHit(p, type, refix, observable)) {
       return page;
     }
@@ -819,14 +616,10 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
       if (type == AccessType::kWrite) {
         page.dirty_.store(true, std::memory_order_release);
       }
+      // Same observation policy as the optimistic hit path: only a
+      // prefetch-confirmation hit feeds the scan detector.
       std::vector<PageId> targets;
-      bool flusher_due = false;
-      if (io_ != nullptr) {
-        // Same observation policy as the optimistic hit path: only a
-        // prefetch-confirmation hit feeds the scan detector.
-        CollectBackgroundWorkLocked(p, was_prefetched, &targets,
-                                    &flusher_due);
-      }
+      CollectPrefetchesLocked(p, was_prefetched, &targets);
       guard.unlock();
       if (access_buffer_ != nullptr && !correlated) {
         // Batched hit path: publish the reference outside the latch. The
@@ -843,7 +636,7 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
           guard.unlock();
         }
       }
-      LaunchBackgroundWork(targets, flusher_due);
+      LaunchPrefetches(targets);
       return &page;
     }
     if (io_ != nullptr) {
@@ -978,15 +771,12 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
   frame_prefetched_[*frame].store(0, std::memory_order_relaxed);
   policy_->Admit(p, type);
   if (!optimistic_) policy_->SetEvictable(p, false);
+  // A demand miss is always observable: the cold front of a scan is a run
+  // of misses, which is exactly where detection must lock on.
   std::vector<PageId> targets;
-  bool flusher_due = false;
-  if (io_ != nullptr) {
-    // A demand miss is always observable: the cold front of a scan is a
-    // run of misses, which is exactly where detection must lock on.
-    CollectBackgroundWorkLocked(p, /*observe=*/true, &targets, &flusher_due);
-  }
+  CollectPrefetchesLocked(p, /*observe=*/true, &targets);
   guard.unlock();
-  LaunchBackgroundWork(targets, flusher_due);
+  LaunchPrefetches(targets);
   return &page;
 }
 
@@ -1047,7 +837,7 @@ Result<Page*> BufferPool::AdmitNewPageLocked(
 }
 
 Status BufferPool::UnpinPage(PageId p, bool dirty) {
-  if (fast_path_) {
+  if (optimistic_) {
     PageTable::Snapshot snap;
     PageTable::ProbeFail why = PageTable::ProbeFail::kNone;
     if (page_table_.OptimisticFind(p, &snap, &why)) {

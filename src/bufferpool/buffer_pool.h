@@ -50,7 +50,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bufferpool/page.h"
@@ -87,8 +86,12 @@ struct BufferPoolOptions {
   size_t batch_stripes = 1;
   // Bounded retry of transient (kIoError) disk read/write failures before
   // the error surfaces to the caller. Off by default (max_attempts = 1);
-  // see util/retry.h. The retry runs under the pool latch — size the
-  // backoff accordingly (or leave `sleep` null for immediate re-issue).
+  // see util/retry.h. With io_dispatcher, demand reads, prefetch reads
+  // and write-behind victim writes retry with the pool latch released.
+  // Reads without a dispatcher, synchronous eviction write-backs and
+  // FlushPage/FlushAll writes (DiskRead/DiskWrite) retry under the latch —
+  // size the backoff accordingly (or leave `sleep` null for immediate
+  // re-issue).
   RetryOptions io_retry;
 
   // Latch-free hit path (DESIGN.md "Optimistic page table & pin
@@ -103,7 +106,7 @@ struct BufferPoolOptions {
   // dropped and counted (access_drops — bounded staleness, same contract
   // as batching). Composes with readahead: the voting detector's Observe
   // is wait-free, so a latch-free hit feeds it directly and only an
-  // actual stride trigger (or a due flusher pass) touches the latch.
+  // actual stride trigger touches the latch.
   bool optimistic_hits = false;
 
   // --- Async I/O dispatcher (DESIGN.md "Async I/O dispatcher") ---
@@ -115,12 +118,13 @@ struct BufferPoolOptions {
   // Dispatcher worker threads. 0 = inline mode: every request executes
   // synchronously on the issuing thread, in issue order — single-threaded
   // behaviour (pages, victims, stats, fault replay) is identical to the
-  // direct path. > 0: miss reads run on workers, prefetches and flusher
-  // passes run in the background.
+  // direct path. > 0: miss reads run on workers, prefetches and
+  // write-behind victim writes run in the background.
   size_t io_workers = 0;
   // Bounded dispatcher queue depth (worker mode), PER priority lane
   // (Demand/Flush/Prefetch): miss reads block while the Demand lane is
-  // full, background work is dropped instead.
+  // full; a full Prefetch lane drops the prefetch, and a full Flush lane
+  // sends the write-behind write back to the evicting thread.
   size_t io_queue_depth = 64;
   // Anti-starvation bound for the dispatcher's background lanes: at most
   // this many consecutive demand dispatches while Flush/Prefetch work
@@ -136,30 +140,6 @@ struct BufferPoolOptions {
   // (writebehind_readmits). Inert in inline mode (io_workers == 0):
   // deterministic replay keeps the direct path's exact disk-op order.
   bool write_behind = false;
-  // Background flusher: every `flusher_every_ops` fetches, a pass peeks
-  // the policy's next `flusher_batch` victims (Evict + exact Restore) and
-  // writes the dirty ones back, so eviction write-back rarely lands on the
-  // miss path. Requires io_dispatcher; with io_workers == 0 the pass runs
-  // synchronously at the trigger point (deterministic).
-  bool flusher = false;
-  size_t flusher_every_ops = 64;
-  size_t flusher_batch = 8;
-  // Adaptive flusher pacing: instead of the fixed cadence above, each
-  // pass re-plans the next one from the measured dirty ratio and the
-  // dispatcher's Demand-lane depth. Cadence moves linearly from
-  // `flusher_max_every` (dirty ratio <= flusher_dirty_low) down to
-  // `flusher_min_every` (ratio >= flusher_dirty_high), and the batch from
-  // `flusher_batch` up to `flusher_max_batch` over the same ramp; while
-  // the Demand lane is deeper than the worker count the controller backs
-  // off (doubled cadence, halved batch) so cleaning never competes with
-  // waiting misses for the disk. Deterministic given a deterministic
-  // fetch stream (the inputs are pool-local counters).
-  bool flusher_adaptive = false;
-  size_t flusher_min_every = 8;
-  size_t flusher_max_every = 256;
-  size_t flusher_max_batch = 32;
-  double flusher_dirty_low = 0.10;
-  double flusher_dirty_high = 0.50;
   // Scan readahead: a stride detector observes the fetch stream and
   // prefetches the next `readahead.window` pages of a detected sequential
   // run (the Example 1.2 scan shape). Requires io_dispatcher; inline mode
@@ -189,7 +169,7 @@ class BufferPool final : public PoolInterface {
   // scan detection: a demand miss, or the first demand touch of a
   // prefetched frame (the reference that consumes the prefetched flag).
   // Steady-state warm hits are not observable — the pools deliberately
-  // keep them off the detector (see CollectBackgroundWorkLocked): a scan
+  // keep them off the detector (see CollectPrefetchesLocked): a scan
   // only ever produces misses and prefetch-confirmation hits, so skipping
   // the rest loses no detection while keeping the detector's cost off the
   // latch-free warm path. ShardedBufferPool uses this to gate its
@@ -263,13 +243,8 @@ class BufferPool final : public PoolInterface {
   // no frame is evictable, or the read fails. Used by the readahead paths;
   // public so callers with workload foreknowledge can warm the pool.
   void RequestPrefetch(PageId p);
-  // One flusher pass now, on the calling thread: peeks the policy's next
-  // flusher_batch victims via Evict + Restore and writes back the dirty
-  // ones (background_cleans). Public for tests and manual scheduling; the
-  // flusher trigger calls it every flusher_every_ops fetches.
-  void RunFlusherPass();
   // Blocks until every in-flight dispatcher request targeting this pool
-  // (miss reads, prefetches, scheduled flusher passes) has completed.
+  // (miss reads, prefetches, write-behind victim writes) has completed.
   // FlushAll fences through this; DeletePage fences per page. Trivial in
   // inline mode (nothing outlives its issuing call).
   void Quiesce();
@@ -294,15 +269,6 @@ class BufferPool final : public PoolInterface {
   size_t ParkedVictimCount() const {
     auto guard = Lock();
     return parked_victims_.size();
-  }
-  // The flusher cadence/batch currently in force (the configured constants
-  // unless flusher_adaptive re-planned them). Exposed for tests and
-  // benches observing the controller.
-  size_t flusher_cadence() const {
-    return adaptive_every_.load(std::memory_order_relaxed);
-  }
-  size_t flusher_batch_size() const {
-    return adaptive_batch_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -338,7 +304,6 @@ class BufferPool final : public PoolInterface {
     std::atomic<uint64_t> prefetch_issued{0};
     std::atomic<uint64_t> prefetch_used{0};
     std::atomic<uint64_t> prefetch_dropped{0};
-    std::atomic<uint64_t> background_cleans{0};
     std::atomic<uint64_t> writebehind_writes{0};
     std::atomic<uint64_t> writebehind_readmits{0};
     std::atomic<uint64_t> io_drops_flush{0};
@@ -443,22 +408,12 @@ class BufferPool final : public PoolInterface {
   // validate, count, publish. Returns the pinned page, or null on any
   // miss/instability (caller falls back to the latched path). Never
   // acquires the latch except to drain a full access-buffer stripe or to
-  // schedule a due flusher pass. A `refix` hit publishes nothing.
+  // register the prefetches of a stride trigger. A `refix` hit publishes
+  // nothing.
   // `observable` (optional) reports whether the hit consumed the
   // prefetched flag (see the FetchPage overload).
   Page* TryOptimisticHit(PageId p, AccessType type, bool refix,
                          bool* observable);
-  // Bumps the fetch counter and reports whether a flusher pass is due
-  // (both hit paths share it so trigger points are mode-independent).
-  bool TickFlusher() {
-    if (!options_.flusher || io_ == nullptr) return false;
-    // adaptive_every_ holds flusher_every_ops verbatim unless
-    // flusher_adaptive re-planned it (never 0; the ctor clamps).
-    uint64_t every = adaptive_every_.load(std::memory_order_relaxed);
-    return (ops_since_flusher_.fetch_add(1, std::memory_order_relaxed) + 1) %
-               every ==
-           0;
-  }
 
   // --- Dispatcher internals (io_ != nullptr only) ---
   // Completes a tracked read: publishes status, erases the tracker entry,
@@ -475,18 +430,15 @@ class BufferPool final : public PoolInterface {
   bool RegisterPrefetchLocked(PageId p);
   // Executes one registered prefetch (on a worker, or inline).
   void ExecutePrefetch(PageId p);
-  // Posts registered prefetches + a due flusher pass. Caller must NOT
-  // hold the latch (inline mode runs them synchronously right here).
-  void LaunchBackgroundWork(const std::vector<PageId>& prefetches,
-                            bool flusher_due);
+  // Posts registered prefetches. Caller must NOT hold the latch (inline
+  // mode runs them synchronously right here).
+  void LaunchPrefetches(const std::vector<PageId>& prefetches);
   // Readahead bookkeeping on the fetch path: observes `p` (only when
   // `observe` — the reference is a demand miss or a prefetch-confirmation
-  // hit; steady warm hits stay off the detector), collects and registers
-  // prefetch targets into `targets`, and decides whether a flusher pass
-  // is due. Caller holds the latch.
-  void CollectBackgroundWorkLocked(PageId p, bool observe,
-                                   std::vector<PageId>* targets,
-                                   bool* flusher_due);
+  // hit; steady warm hits stay off the detector) and collects and
+  // registers prefetch targets into `targets`. Caller holds the latch.
+  void CollectPrefetchesLocked(PageId p, bool observe,
+                               std::vector<PageId>* targets);
 
   // --- Write-behind internals (write_behind_ only) ---
   // Posts each deferred victim write on the Flush lane; a full lane falls
@@ -506,10 +458,6 @@ class BufferPool final : public PoolInterface {
   // (synchronous write-backs only — no cascading deferral), or park the
   // image when every frame is pinned. Caller holds the latch.
   void ReadmitFailedVictimLocked(PageId v, std::unique_ptr<char[]> image);
-  // Adaptive-pacing controller (flusher_adaptive only): re-plans
-  // adaptive_every_/adaptive_batch_ from the measured dirty ratio and the
-  // Demand-lane depth. Called at the end of each flusher pass, latch held.
-  void ReplanFlusherLocked();
 
   mutable std::mutex latch_;
   // This pool's key in the thread-local last-fix register: unique per
@@ -521,13 +469,10 @@ class BufferPool final : public PoolInterface {
   DiskManager* disk_;
   std::unique_ptr<ReplacementPolicy> policy_;
   BufferPoolOptions options_;
-  // options_.optimistic_hits: mutation paths use the bucket handshake and
-  // SetEvictable is suppressed (pin counts are the ground truth).
+  // options_.optimistic_hits: FetchPage and UnpinPage try the latch-free
+  // path first, mutation paths use the bucket handshake, and SetEvictable
+  // is suppressed (pin counts are the ground truth).
   bool optimistic_ = false;
-  // Mirrors optimistic_: FetchPage attempts TryOptimisticHit first. The
-  // readahead detector no longer forces a stand-down — its Observe is
-  // wait-free, so the latch-free hit feeds it directly.
-  bool fast_path_ = false;
   // Present iff options_.batch_capacity > 0.
   std::unique_ptr<AccessBuffer> access_buffer_;
   // Owned dispatcher (private to this pool); io_ points here or at the
@@ -569,28 +514,11 @@ class BufferPool final : public PoolInterface {
   // re-admit time). Resolved by the next fetch (re-admit), FlushPage/
   // FlushAll (persist), or DeletePage (discard). Never dropped silently.
   std::unordered_map<PageId, std::unique_ptr<char[]>> parked_victims_;
-  // Pages whose image snapshot the flusher is writing right now with the
-  // latch released (the page itself stays resident and pinned for the
-  // duration). FencePageLocked waits these out so an explicit flush or
-  // delete never races a newer image against the in-flight snapshot;
-  // waiters sleep on quiesce_cv_.
-  std::unordered_set<PageId> flusher_cleaning_;
-  // Prefetch reads currently in flight, bounded by
-  // ReadaheadOptions::max_inflight in worker mode (latch-guarded).
+  // Prefetches registered but not finished (latch-guarded): bounded by
+  // ReadaheadOptions::max_inflight in worker mode, and Quiesce waits for
+  // 0 alongside pending_reads_.
   size_t inflight_prefetches_ = 0;
-  // Background work items (prefetches + scheduled flusher passes) issued
-  // but not finished; Quiesce waits for 0 alongside pending_reads_.
-  uint64_t inflight_background_ = 0;
   std::condition_variable quiesce_cv_;
-  // Fetches since the last flusher trigger; atomic (modulo trigger, no
-  // reset) so latch-free hits pace the flusher identically to latched
-  // ones.
-  std::atomic<uint64_t> ops_since_flusher_{0};
-  // The flusher cadence/batch in force: the configured constants, unless
-  // flusher_adaptive re-plans them after each pass. Atomics because
-  // TickFlusher reads the cadence on the latch-free hit path.
-  std::atomic<uint64_t> adaptive_every_{0};
-  std::atomic<uint64_t> adaptive_batch_{0};
   mutable AtomicPoolStats stats_;
 };
 

@@ -24,8 +24,8 @@
 //    The table never grows: it is sized at construction for `capacity`
 //    live entries at a load factor <= 1/2 (residents are bounded by the
 //    pool's frame count), so probes always terminate at an empty bucket.
-//  * LockBucket/Unlock* expose the version dance to the pool's eviction,
-//    deletion and flusher paths, which must invalidate a bucket BEFORE
+//  * LockBucket/Unlock* expose the version dance to the pool's eviction
+//    and deletion paths, which must invalidate a bucket BEFORE
 //    checking the frame's pin count (the store-load handshake that makes
 //    "no frame is evicted or reused while an optimistic reader is
 //    mid-validation" hold; see the pin protocol notes in buffer_pool.h).

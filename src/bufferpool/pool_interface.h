@@ -36,25 +36,24 @@ namespace lruk {
 // landed on a prefetched frame before any demand reference touched it;
 // `prefetch_dropped` counts prefetches abandoned (full dispatcher queue,
 // no evictable frame, or a failed read — never an error surfaced to
-// callers). `background_cleans` counts flusher write-backs that cleaned a
-// dirty page ahead of eviction (they are not `dirty_writebacks`, which
-// stay eviction-time only).
+// callers). `background_cleans` is always 0: no pool path counts it, and
+// it stays only because bench/e2e still reads it.
 //
 // Write-behind counters (all zero unless BufferPoolOptions::write_behind
-// is on — see DESIGN.md "Priority lanes, write-behind eviction, and
-// flusher pacing"): with write-behind, `dirty_writebacks` narrows to
-// victim writes the evicting thread performed synchronously (the
-// foreground-stall metric: inline mode, or a full Flush lane), while
+// is on — see DESIGN.md "Priority lanes and write-behind eviction"):
+// with write-behind, `dirty_writebacks` narrows to victim writes the
+// evicting thread performed synchronously (the foreground-stall metric:
+// inline mode, or a full Flush lane), while
 // `writebehind_writes` counts victim writes completed off the miss path
 // from a pinned copy. `writebehind_readmits` counts failed write-behind
 // writes whose page was re-admitted dirty (exact rollback via
 // ReplacementPolicy::Restore — the eviction stays counted).
 // `io_drops_flush`/`io_drops_prefetch` count this pool's TryPost
-// submissions refused by a full dispatcher lane, per request class
-// (dropped flusher passes and write-behind fallbacks on the Flush lane;
-// on the Prefetch lane a queue-full subset of `prefetch_dropped`) —
-// with a shared dispatcher these are counted at the submitting pool, so
-// shard sums stay exact.
+// submissions refused by a full dispatcher lane, per request class (on
+// the Flush lane, write-behind fallbacks — each also one
+// `dirty_writebacks` once it succeeds; on the Prefetch lane, a queue-full
+// subset of `prefetch_dropped`) — with a shared dispatcher these are
+// counted at the submitting pool, so shard sums stay exact.
 //
 // Optimistic-path counters (all zero unless BufferPoolOptions::
 // optimistic_hits is on — see DESIGN.md "Optimistic page table & pin

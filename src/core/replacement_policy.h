@@ -84,8 +84,8 @@ class ReplacementPolicy {
   // repeated Evict() calls would return them, appends them to `*out`
   // (cleared first), and returns how many were nominated. Callers that
   // must skip ineligible nominees (pinned frames on the latch-free hit
-  // path, the flusher's clean-peek) use this to nominate once instead of
-  // paying an Evict/Restore round-trip per skipped candidate; every
+  // path) use this to nominate once instead of paying an Evict/Restore
+  // round-trip per skipped candidate; every
   // nominee the caller does not consume must still be handed back via
   // Restore, in reverse nomination order (a consumed nominee simply
   // stays evicted mid-sequence). The default is a literal Evict() loop;
@@ -104,12 +104,12 @@ class ReplacementPolicy {
 
   // Re-registers a page Evict() returned, because the eviction's side
   // effects failed (the dirty write-back errored) or were provisional (a
-  // flusher peek; a write-behind victim write still in flight).
+  // skipped batch nominee; a write-behind victim write still in flight).
   // Precondition: !IsResident(p) and p was returned by Evict() with no
   // intervening Admit/Restore of p. Afterwards p is resident and
   // evictable again, as if Evict() had never chosen it. Callers use this
   // immediately (synchronous write-back failure), in LIFO order over a
-  // batch (the flusher's Evict×k peek), or DELAYED — a failed
+  // batch (EvictBatch's unused nominees), or DELAYED — a failed
   // write-behind write re-admits its page after unrelated admissions and
   // evictions have happened. The default costs one clock tick by
   // re-admitting; policies that retain history (LRU-K) override it to

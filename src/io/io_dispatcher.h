@@ -5,10 +5,10 @@
 //
 //  * kDemand   — a caller is blocked on the result (a miss read). Served
 //    with strict preference over the background lanes.
-//  * kFlush    — dirty-page write-back running ahead of (or behind) the
-//    eviction decision: background flusher passes and write-behind victim
-//    writes. Durability work — it must complete eventually, but no caller
-//    is synchronously blocked on it in the common case.
+//  * kFlush    — dirty-page write-back running behind the eviction
+//    decision: write-behind victim writes. Durability work — it must
+//    complete eventually, but no caller is synchronously blocked on it in
+//    the common case.
 //  * kPrefetch — advisory readahead. The first casualty under pressure:
 //    dropped when its lane is full, served last when demand is waiting.
 //

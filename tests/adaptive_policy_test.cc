@@ -16,8 +16,8 @@
 //    Restored into its nominating expert exactly; the others re-admit.
 //  * Fixed-expert differential — `adaptive:lruk2` is byte-identical to
 //    plain `lruk2` through the shared 20k-op scenario harness, across the
-//    plain pool, the sharded pool, the optimistic+batched pool, and the
-//    full async stack (flusher Evict/Restore peeks included).
+//    plain pool, the sharded pool, the optimistic+batched pool, the
+//    inline dispatcher, and readahead.
 //  * Interval-estimator units — priors until min_samples, quantiles
 //    tracking the observed gap distribution, Reset.
 //  * Online tuning — retunes fire, the tuned CRP/RIP are clamped and
@@ -349,7 +349,7 @@ TEST(AdaptiveDifferentialTest, SingleExpertAdaptiveMatchesPlainLruK) {
       {"plain", {}},
       {"sharded", {.sharded = true}},
       {"optimistic+batched", {.batch_capacity = 64, .optimistic = true}},
-      {"async-stack", {.async_stack = true}},
+      {"dispatcher", {.dispatcher = true}},
       {"readahead", {.readahead = true}},
   };
   for (const Case& c : cases) {

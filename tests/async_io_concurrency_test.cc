@@ -11,7 +11,7 @@
 //    waiter observes the same error status, no frame is leaked, nothing is
 //    admitted, and the page is fetchable after Heal().
 //  * Concurrency + fault churn — 8 threads of mixed traffic over both
-//    pools with probabilistic read/write faults, flusher and readahead on:
+//    pools with probabilistic read/write faults and readahead on:
 //    after Heal + quiesce, frame accounting balances to capacity, every
 //    fetch resolved to exactly one hit or miss, all pins were released,
 //    and FlushAll converges.
@@ -22,7 +22,10 @@
 //    demand completions (the starvation budget at work).
 //  * Write-behind fault churn — threaded dirty-heavy traffic with
 //    probabilistic write faults over a write-behind pool: failed victim
-//    writes re-admit or park without losing images, frames, or counts.
+//    writes re-admit or park without losing images, frames, or counts,
+//    and a restart oracle finds every client's last acknowledged write on
+//    the disk itself. Fault-free, every foreground victim write is a
+//    counted Flush-lane refusal.
 
 #include <atomic>
 #include <chrono>
@@ -321,9 +324,6 @@ TEST(AsyncIoConcurrencyTest, FaultChurnKeepsPlainPoolInvariants) {
   options.io_dispatcher = true;
   options.io_workers = 4;
   options.io_queue_depth = 32;
-  options.flusher = true;
-  options.flusher_every_ops = 32;
-  options.flusher_batch = 4;
   options.readahead = {.enabled = true, .window = 4, .min_run = 3};
   options.batch_capacity = 64;
   options.batch_stripes = 8;
@@ -366,8 +366,7 @@ TEST(AsyncIoConcurrencyTest, FaultChurnKeepsPlainPoolInvariants) {
 
     EXPECT_TRUE(pool.FlushAll().ok());
   }
-  // Background machinery actually engaged under the churn.
-  EXPECT_GT(stats.background_cleans, 0u);
+  // Readahead actually engaged under the churn.
   EXPECT_GT(stats.prefetch_issued, 0u);
 }
 
@@ -379,9 +378,6 @@ TEST(AsyncIoConcurrencyTest, FaultChurnKeepsShardedPoolInvariants) {
   options.io_dispatcher = true;
   options.io_workers = 4;
   options.io_queue_depth = 32;
-  options.flusher = true;
-  options.flusher_every_ops = 32;
-  options.flusher_batch = 4;
   options.readahead = {.enabled = true, .window = 4, .min_run = 3};
 
   ShardedBufferPool pool(
@@ -542,36 +538,26 @@ TEST(IoPriorityConcurrencyTest, FlushWorkIsBoundedlyDelayedByDemandFlood) {
 }
 
 // ---------------------------------------------------------------------------
-// Write-behind under threaded churn with injected write faults.
+// Write-behind under threaded churn.
 
-TEST(WriteBehindConcurrencyTest, FaultChurnKeepsWriteBehindInvariants) {
-  SimDiskManager inner;
-  FaultInjectingDiskManager disk(&inner, /*seed=*/41);
-
+BufferPoolOptions WriteBehindChurnOptions() {
   BufferPoolOptions options;
   options.io_dispatcher = true;
   options.io_workers = 2;
   options.io_queue_depth = 16;
   options.write_behind = true;
-  options.flusher = true;
-  options.flusher_every_ops = 16;
-  options.flusher_batch = 2;
-  options.flusher_adaptive = true;
-  options.flusher_min_every = 4;
-  options.flusher_max_every = 64;
-  options.flusher_max_batch = 8;
   options.batch_capacity = 64;
+  return options;
+}
 
-  BufferPool pool(16, &disk,
-                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                  options);
-  std::vector<PageId> pages = AllocateDb(pool, 48);
-  ASSERT_TRUE(pool.FlushAll().ok());
-  // Write faults only: every fetch failure must then be a full pool (a
-  // parked image that cannot re-admit), never an I/O error surfacing on
-  // the read path.
-  disk.AddRule(FaultRule::FailWithProbability(FaultOp::kWrite, 0.1));
-
+// kThreads clients of uniform, 60%-write traffic. Client t stamps its own
+// 8-byte slot t of each page it writes (writers never share bytes) and
+// records the stamp in (*last)[t][page index] once the dirty unpin has
+// returned, i.e. once the pool acknowledged the write. Stamps are never 0,
+// the image of a page no client wrote. Returns the fetches attempted.
+uint64_t WriteBehindChurn(PoolInterface& pool, const std::vector<PageId>& pages,
+                          std::vector<std::vector<uint64_t>>* last) {
+  last->assign(kThreads, std::vector<uint64_t>(pages.size(), 0));
   std::atomic<uint64_t> attempts{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -579,7 +565,8 @@ TEST(WriteBehindConcurrencyTest, FaultChurnKeepsWriteBehindInvariants) {
     threads.emplace_back([&, t] {
       RandomEngine rng(/*seed=*/400 + t);
       for (int i = 0; i < 2000; ++i) {
-        PageId p = pages[rng.NextUint64() % pages.size()];
+        size_t idx = rng.NextUint64() % pages.size();
+        PageId p = pages[idx];
         bool write = rng.NextBernoulli(0.6);
         attempts.fetch_add(1, std::memory_order_relaxed);
         auto page = pool.FetchPage(
@@ -588,25 +575,60 @@ TEST(WriteBehindConcurrencyTest, FaultChurnKeepsWriteBehindInvariants) {
           EXPECT_EQ(page.status().code(), StatusCode::kResourceExhausted);
           continue;
         }
+        uint64_t stamp = static_cast<uint64_t>(t) * 1000003 +
+                         static_cast<uint64_t>(i) + 1;
         if (write) {
-          uint64_t stamp = static_cast<uint64_t>(t) * 1000003 +
-                           static_cast<uint64_t>(i);
-          std::memcpy((*page)->Data() + (static_cast<size_t>(t) % 64) *
-                                            sizeof(stamp),
-                      &stamp, sizeof(stamp));
+          std::memcpy((*page)->Data() + t * sizeof(stamp), &stamp,
+                      sizeof(stamp));
         }
         EXPECT_TRUE(pool.UnpinPage(p, write).ok());
+        if (write) (*last)[t][idx] = stamp;
       }
     });
   }
   for (auto& t : threads) t.join();
+  return attempts.load();
+}
+
+// Restart oracle: no acknowledged write was lost. The disk alone, read
+// without the pool, holds every client's last stamp on every page.
+void ExpectDiskHoldsLastStamps(DiskManager& disk,
+                               const std::vector<PageId>& pages,
+                               const std::vector<std::vector<uint64_t>>& last) {
+  char image[kPageSize];
+  for (size_t idx = 0; idx < pages.size(); ++idx) {
+    ASSERT_TRUE(disk.ReadPage(pages[idx], image).ok());
+    for (int t = 0; t < kThreads; ++t) {
+      uint64_t on_disk = 0;
+      std::memcpy(&on_disk, image + t * sizeof(on_disk), sizeof(on_disk));
+      EXPECT_EQ(on_disk, last[t][idx]) << "page " << pages[idx] << " client "
+                                       << t;
+    }
+  }
+}
+
+TEST(WriteBehindConcurrencyTest, FaultChurnKeepsWriteBehindInvariants) {
+  SimDiskManager inner;
+  FaultInjectingDiskManager disk(&inner, /*seed=*/41);
+  BufferPool pool(16, &disk,
+                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
+                  WriteBehindChurnOptions());
+  std::vector<PageId> pages = AllocateDb(pool, 48);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  // Write faults only: every fetch failure must then be a full pool (a
+  // parked image that cannot re-admit), never an I/O error surfacing on
+  // the read path.
+  disk.AddRule(FaultRule::FailWithProbability(FaultOp::kWrite, 0.1));
+
+  std::vector<std::vector<uint64_t>> last;
+  uint64_t attempts = WriteBehindChurn(pool, pages, &last);
 
   disk.Heal();
   pool.Quiesce();
   BufferPoolStats stats = pool.stats();
   // Every fetch resolved to exactly one hit or one miss — including
   // parked re-admits (counted as misses) and victim-write waiters.
-  EXPECT_EQ(stats.hits + stats.misses, attempts.load());
+  EXPECT_EQ(stats.hits + stats.misses, attempts);
   // The write-behind machinery engaged, and failures were re-absorbed:
   // either re-admitted or parked, never dropped.
   EXPECT_GT(stats.writebehind_writes, 0u);
@@ -620,12 +642,40 @@ TEST(WriteBehindConcurrencyTest, FaultChurnKeepsWriteBehindInvariants) {
   // FlushAll persists every surviving dirty page AND every parked image.
   EXPECT_TRUE(pool.FlushAll().ok());
   EXPECT_EQ(pool.ParkedVictimCount(), 0u);
-  // Nothing was lost: every page is readable afterwards.
+  ExpectDiskHoldsLastStamps(inner, pages, last);
+  // Every page is readable through the pool afterwards.
   for (PageId p : pages) {
     auto page = pool.FetchPage(p, AccessType::kRead);
     ASSERT_TRUE(page.ok());
     ASSERT_TRUE(pool.UnpinPage(p, false).ok());
   }
+}
+
+TEST(WriteBehindConcurrencyTest, ForegroundVictimWritesAreFlushLaneRefusals) {
+  // Fault-free, the only way a dirty victim write lands on the miss path
+  // is a refused Flush-lane post: each refusal runs its write on the
+  // evicting thread, and nothing else does. Those writes are durable too.
+  SimDiskManager disk;
+  BufferPoolOptions options = WriteBehindChurnOptions();
+  options.io_queue_depth = 1;  // Refusals are the case under test.
+  BufferPool pool(16, &disk,
+                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
+  std::vector<PageId> pages = AllocateDb(pool, 48);
+  ASSERT_TRUE(pool.FlushAll().ok());
+
+  std::vector<std::vector<uint64_t>> last;
+  uint64_t attempts = WriteBehindChurn(pool, pages, &last);
+
+  pool.Quiesce();
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.hits + stats.misses, attempts);
+  EXPECT_GT(stats.writebehind_writes, 0u);
+  EXPECT_GT(stats.io_drops_flush, 0u);  // A 1-deep lane refuses often.
+  EXPECT_EQ(stats.dirty_writebacks, stats.io_drops_flush);
+  EXPECT_EQ(stats.write_failures, 0u);
+  EXPECT_EQ(stats.writebehind_readmits, 0u);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  ExpectDiskHoldsLastStamps(disk, pages, last);
 }
 
 TEST(WriteBehindConcurrencyTest, ShardedPoolChurnsWithWriteBehind) {
@@ -637,10 +687,6 @@ TEST(WriteBehindConcurrencyTest, ShardedPoolChurnsWithWriteBehind) {
   options.io_workers = 4;
   options.io_queue_depth = 16;
   options.write_behind = true;
-  options.flusher = true;
-  options.flusher_every_ops = 16;
-  options.flusher_batch = 2;
-  options.flusher_adaptive = true;
 
   ShardedBufferPool pool(
       32, /*num_shards=*/4, &disk,

@@ -13,19 +13,16 @@
 //    behaviour to the direct path over a 20k-op mixed workload: same pool
 //    counters, same victim sequence, same IoStats, same residency, same
 //    disk images. Batch recording on and off.
-//  * Replay determinism — the full async stack (inline dispatcher +
-//    readahead + flusher) over a seeded fault schedule reproduces the
-//    identical fault trace, stats and disk images run-to-run (the PR 4
-//    replay story survives the dispatcher).
+//  * Replay determinism — the inline dispatcher with readahead over a
+//    seeded fault schedule reproduces the identical fault trace, stats and
+//    disk images run-to-run (fault replay survives the dispatcher).
 //  * Prefetch + readahead integration — a sequential scan faults only
 //    until the detector locks on; prefetched pages land unpinned, clean,
 //    and count prefetch_used on first demand touch; failed or rejected
 //    prefetches are dropped without surfacing errors or leaking frames.
-//  * Flusher invariants — after a pass with no intervening writes the next
-//    flusher_batch victims are clean (their evictions do no write-back);
-//    the peek (Evict + LIFO Restore) does not perturb the subsequent
-//    victim order; a failed write-back leaves the page dirty, resident,
-//    and restored in the policy.
+//  * Retry — with the dispatcher, a demand read retries a transient
+//    failure with the pool latch released: hits keep completing while the
+//    retry is in the disk.
 //  * Quiesce/fence — DeletePage waits out an in-flight prefetch of the
 //    same page (no resurrection after the delete); FlushAll quiesces the
 //    whole dispatcher; a worker-mode prefetch blocked in the disk is
@@ -35,6 +32,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -65,7 +63,6 @@ using difftest::AllocateDb;
 using difftest::DiffScenarioConfig;
 using difftest::DiffScenarioResult;
 using difftest::ExpectScenarioEq;
-using difftest::RecordingPolicy;
 using difftest::RunDiffScenario;
 using difftest::kDiffCapacity;
 using difftest::kDiffDbPages;
@@ -321,7 +318,7 @@ TEST(AsyncIoDifferentialTest, SingleThreadedWorkerModeMatchesDirectPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Replay determinism: the full async stack, inline, over a fault schedule.
+// Replay determinism: the inline dispatcher over a fault schedule.
 
 TEST(AsyncIoDifferentialTest, FaultScheduleReplayIsDeterministicInline) {
   auto run = [](std::string* trace) {
@@ -332,9 +329,6 @@ TEST(AsyncIoDifferentialTest, FaultScheduleReplayIsDeterministicInline) {
 
     BufferPoolOptions options;
     options.io_dispatcher = true;  // Inline: io_workers = 0.
-    options.flusher = true;
-    options.flusher_every_ops = 32;
-    options.flusher_batch = 4;
     options.readahead = {.enabled = true, .window = 4, .min_run = 3};
     BufferPool pool(kDiffCapacity, &disk,
                     std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
@@ -364,7 +358,6 @@ TEST(AsyncIoDifferentialTest, FaultScheduleReplayIsDeterministicInline) {
     BufferPoolStats stats = pool.stats();
     EXPECT_GT(stats.prefetch_issued, 0u);
     EXPECT_GT(stats.prefetch_used, 0u);
-    EXPECT_GT(stats.background_cleans, 0u);
     for (const FaultEvent& e : disk.Trace()) {
       *trace += FaultEventToString(e);
       *trace += "\n";
@@ -380,8 +373,7 @@ TEST(AsyncIoDifferentialTest, FaultScheduleReplayIsDeterministicInline) {
                 std::to_string(stats.evictions) + "/" +
                 std::to_string(stats.prefetch_issued) + "/" +
                 std::to_string(stats.prefetch_used) + "/" +
-                std::to_string(stats.prefetch_dropped) + "/" +
-                std::to_string(stats.background_cleans);
+                std::to_string(stats.prefetch_dropped);
     *trace += counters;
   };
   std::string first;
@@ -545,132 +537,54 @@ TEST(AsyncIoPrefetchTest, ShardedScanUsesPoolLevelDetector) {
 }
 
 // ---------------------------------------------------------------------------
-// Flusher invariants.
+// Retry through the dispatcher.
 
-TEST(AsyncIoFlusherTest, NextVictimsAreCleanAfterAPass) {
-  SimDiskManager disk;
-  BufferPoolOptions options;
-  options.io_dispatcher = true;
-  options.flusher_batch = 4;
-  auto policy = std::make_unique<RecordingPolicy>(
-      std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
-  RecordingPolicy* recorder = policy.get();
-  BufferPool pool(8, &disk, std::move(policy), options);
-
-  // Fill the pool with dirty pages.
-  std::vector<PageId> pages = AllocateDb(pool, 8);
-  ASSERT_EQ(pool.ResidentCount(), 8u);
-
-  pool.RunFlusherPass();
-  BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.background_cleans, 4u);  // flusher_batch dirty victims.
-  EXPECT_EQ(stats.evictions, 0u);          // The peek is not an eviction.
-  EXPECT_TRUE(recorder->evictions().empty());  // Evict x4 fully Restored.
-
-  // With no intervening writes, the next flusher_batch evictions hit
-  // clean pages: no write-back on the miss path.
-  std::vector<PageId> extra;
-  for (int i = 0; i < 4; ++i) {
-    auto page = pool.NewPage();
-    ASSERT_TRUE(page.ok());
-    extra.push_back((*page)->id());
-    ASSERT_TRUE(pool.UnpinPage((*page)->id(), false).ok());
-  }
-  stats = pool.stats();
-  EXPECT_EQ(stats.evictions, 4u);
-  EXPECT_EQ(stats.dirty_writebacks, 0u);  // The flusher already cleaned them.
-  EXPECT_EQ(stats.background_cleans, 4u);
-}
-
-TEST(AsyncIoFlusherTest, PeekDoesNotPerturbTheVictimOrder) {
-  auto run = [](bool with_flusher_pass) {
-    SimDiskManager disk;
-    BufferPoolOptions options;
-    options.io_dispatcher = true;
-    options.flusher_batch = 6;
-    auto policy = std::make_unique<RecordingPolicy>(
-        std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
-    RecordingPolicy* recorder = policy.get();
-    BufferPool pool(12, &disk, std::move(policy), options);
-    std::vector<PageId> pages = AllocateDb(pool, 48);
-    RecursiveSkewDistribution dist(0.8, 0.2, pages.size());
-    RandomEngine rng(/*seed=*/99);
-    for (int i = 0; i < 2000; ++i) {
-      PageId p = pages[dist.Sample(rng) - 1];
-      bool write = rng.NextBernoulli(0.4);
-      auto page =
-          pool.FetchPage(p, write ? AccessType::kWrite : AccessType::kRead);
-      EXPECT_TRUE(page.ok());
-      EXPECT_TRUE(pool.UnpinPage(p, write).ok());
-      if (with_flusher_pass && i % 100 == 50) pool.RunFlusherPass();
-    }
-    return std::make_pair(recorder->evictions(), pool.stats());
-  };
-  auto [baseline_victims, baseline_stats] = run(false);
-  auto [flushed_victims, flushed_stats] = run(true);
-  // Same victim sequence: the Evict + LIFO Restore peek is exact.
-  EXPECT_EQ(baseline_victims, flushed_victims);
-  EXPECT_EQ(baseline_stats.hits, flushed_stats.hits);
-  EXPECT_EQ(baseline_stats.misses, flushed_stats.misses);
-  EXPECT_EQ(baseline_stats.evictions, flushed_stats.evictions);
-  // The flusher moved write-backs off the eviction path.
-  EXPECT_GT(flushed_stats.background_cleans, 0u);
-  EXPECT_LT(flushed_stats.dirty_writebacks, baseline_stats.dirty_writebacks);
-}
-
-TEST(AsyncIoFlusherTest, FailedWriteBackLeavesPageDirtyAndRestored) {
+TEST(AsyncIoRetryTest, DemandReadRetriesWithTheLatchReleased) {
   SimDiskManager inner;
-  FaultInjectingDiskManager disk(&inner, /*seed=*/17);
+  GateDiskManager gate(&inner);
+  FaultInjectingDiskManager disk(&gate, /*seed=*/29);
   BufferPoolOptions options;
-  options.io_dispatcher = true;
-  options.flusher_batch = 3;
-  auto policy = std::make_unique<RecordingPolicy>(
-      std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
-  RecordingPolicy* recorder = policy.get();
-  BufferPool pool(4, &disk, std::move(policy), options);
-
-  std::vector<PageId> pages = AllocateDb(pool, 4);
-  // The flusher peeks victims in eviction order; fail the first one's
-  // write-back.
-  disk.AddRule(FaultRule::FailPage(FaultOp::kWrite, pages[0]));
-
-  pool.RunFlusherPass();
-  BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.background_cleans, 2u);  // The other two peeked pages.
-  EXPECT_EQ(stats.write_failures, 1u);
-  EXPECT_TRUE(recorder->evictions().empty());  // All three restored.
-  EXPECT_TRUE(pool.IsResident(pages[0]));      // Still resident...
-
-  // ...and still dirty: once the fault heals, its eviction writes it back.
-  disk.Heal();
-  auto page = pool.NewPage();  // Evicts pages[0] (the restored victim).
-  ASSERT_TRUE(page.ok());
-  stats = pool.stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.dirty_writebacks, 1u);  // The deferred write happened.
-  EXPECT_FALSE(pool.IsResident(pages[0]));
-  ASSERT_TRUE(pool.UnpinPage((*page)->id(), false).ok());
-}
-
-TEST(AsyncIoFlusherTest, PeriodicTriggerFiresEveryNOps) {
-  SimDiskManager disk;
-  BufferPoolOptions options;
-  options.io_dispatcher = true;
-  options.flusher = true;
-  options.flusher_every_ops = 8;
-  options.flusher_batch = 2;
-  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
+  options.io_dispatcher = true;  // Inline: the fetching thread retries.
+  options.io_retry.max_attempts = 2;  // Null sleep: immediate re-issue.
+  BufferPool pool(2, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
-  std::vector<PageId> pages = AllocateDb(pool, 4);
-  for (int i = 0; i < 32; ++i) {
-    PageId p = pages[i % pages.size()];
-    auto page = pool.FetchPage(p, AccessType::kWrite);
+  std::vector<PageId> pages = AllocateDb(pool, 3);
+  PageId target = pages[0];    // Evicted by the third admission.
+  PageId resident = pages[2];  // Survives the target's admission below.
+  ASSERT_FALSE(pool.IsResident(target));
+  ASSERT_TRUE(pool.IsResident(resident));
+  std::vector<char> stamp(kPageSize, 'x');
+  ASSERT_TRUE(inner.WritePage(target, stamp.data()).ok());
+
+  // The first read of the target fails; the retry parks at the gate.
+  disk.AddRule(FaultRule::FailNth(FaultOp::kRead, 1));
+  gate.Close(target);
+  std::thread fetcher([&] {
+    auto page = pool.FetchPage(target, AccessType::kRead);
     ASSERT_TRUE(page.ok());
-    ASSERT_TRUE(pool.UnpinPage(p, true).ok());
-  }
-  // 32 fetches / 8 = 4 passes, each cleaning up to 2 dirty pages (inline
-  // mode: deterministic).
-  EXPECT_GT(pool.stats().background_cleans, 0u);
+    EXPECT_EQ((*page)->Data()[0], 'x');
+    EXPECT_EQ((*page)->Data()[kPageSize - 1], 'x');
+    EXPECT_TRUE(pool.UnpinPage(target, false).ok());
+  });
+  gate.AwaitReader();
+
+  // The retry holds no latch: a hit on another thread completes meanwhile.
+  auto hit = std::async(std::launch::async, [&] {
+    auto page = pool.FetchPage(resident, AccessType::kRead);
+    return page.ok() && pool.UnpinPage(resident, false).ok();
+  });
+  EXPECT_EQ(hit.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "a hit waited for the retrying demand read";
+  gate.Open();
+  fetcher.join();
+  EXPECT_TRUE(hit.get());
+
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.read_failures, 0u);  // Absorbed, not surfaced.
+  EXPECT_TRUE(pool.IsResident(target));
+  EXPECT_TRUE(pool.IsResident(resident));
 }
 
 // ---------------------------------------------------------------------------

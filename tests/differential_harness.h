@@ -48,7 +48,6 @@ inline void ExpectPoolStatsEq(const BufferPoolStats& a,
   EXPECT_EQ(a.prefetch_issued, b.prefetch_issued);
   EXPECT_EQ(a.prefetch_used, b.prefetch_used);
   EXPECT_EQ(a.prefetch_dropped, b.prefetch_dropped);
-  EXPECT_EQ(a.background_cleans, b.background_cleans);
   EXPECT_EQ(a.correlated_refs, b.correlated_refs);
 }
 
@@ -75,9 +74,9 @@ inline std::vector<PageId> AllocateDb(PoolInterface& pool, uint64_t n) {
 }
 
 // Forwarding wrapper recording the surviving eviction sequence around ANY
-// inner policy (a Restore pops its eviction — eviction skips, flusher
-// peeks, and write-behind rollbacks cancel out exactly, so what remains is
-// the true victim order). Unused EvictBatch nominees come back in reverse
+// inner policy (a Restore pops its eviction — eviction skips and
+// write-behind rollbacks cancel out exactly, so what remains is the true
+// victim order). Unused EvictBatch nominees come back in reverse
 // nomination order, but a batch's CONSUMED nominee stays evicted
 // mid-sequence — so Restore erases the most recent occurrence instead of
 // asserting strict LIFO.
@@ -198,8 +197,8 @@ struct DiffScenarioConfig {
   bool optimistic = false;
   bool dispatcher = false;  // Inline unless io_workers > 0.
   size_t io_workers = 0;
-  bool async_stack = false;  // Inline dispatcher + background flusher.
-  bool readahead = false;    // Implies the dispatcher (inline).
+  bool write_behind = false;  // Inert unless io_workers > 0.
+  bool readahead = false;     // Implies the dispatcher (inline).
   MakePolicyFn make_policy{};  // Null: LruKOptions{.k = 2}.
 };
 
@@ -224,12 +223,7 @@ inline DiffScenarioResult RunDiffScenario(const DiffScenarioConfig& config) {
   options.optimistic_hits = config.optimistic;
   options.io_dispatcher = config.dispatcher;
   options.io_workers = config.io_workers;
-  if (config.async_stack) {
-    options.io_dispatcher = true;  // Inline: io_workers = 0.
-    options.flusher = true;
-    options.flusher_every_ops = 32;
-    options.flusher_batch = 4;
-  }
+  options.write_behind = config.write_behind;
   if (config.readahead) {
     options.io_dispatcher = true;
     options.readahead = {.enabled = true, .window = 4, .min_run = 3};

@@ -69,7 +69,6 @@ void ExpectPoolStatsEq(const BufferPoolStats& a, const BufferPoolStats& b) {
   EXPECT_EQ(a.prefetch_issued, b.prefetch_issued);
   EXPECT_EQ(a.prefetch_used, b.prefetch_used);
   EXPECT_EQ(a.prefetch_dropped, b.prefetch_dropped);
-  EXPECT_EQ(a.background_cleans, b.background_cleans);
 }
 
 std::string TraceToString(const std::vector<FaultEvent>& trace) {

@@ -11,9 +11,9 @@
 //    latch) and the best case for this one (all CAS traffic on one pin
 //    count). Bytes stay readable throughout; every fetch resolves.
 //  * Mixed churn, full stack — 8 threads of skewed read/write traffic
-//    over an optimistic pool with worker-mode dispatcher, background
-//    flusher and batching: evictions, flusher write-backs and latch-free
-//    hits race continuously; frame accounting balances after quiesce.
+//    over an optimistic pool with worker-mode dispatcher, write-behind
+//    and batching: evictions, victim-image copies and latch-free hits
+//    race continuously; frame accounting balances after quiesce.
 //  * Delete/reuse churn — concurrent DeletePage + NewPage cycles recycle
 //    page ids under live optimistic readers: the eviction/delete bucket
 //    handshake (version odd before the pin check) is what keeps a reader
@@ -167,9 +167,7 @@ TEST(OptimisticConcurrencyTest, MixedChurnKeepsPlainPoolInvariants) {
   options.io_dispatcher = true;
   options.io_workers = 4;
   options.io_queue_depth = 32;
-  options.flusher = true;
-  options.flusher_every_ops = 32;
-  options.flusher_batch = 4;
+  options.write_behind = true;
 
   BufferPoolStats stats;
   {
@@ -202,8 +200,8 @@ TEST(OptimisticConcurrencyTest, MixedChurnKeepsPlainPoolInvariants) {
     EXPECT_EQ(pool.PendingIoCount(), 0u);
     EXPECT_TRUE(pool.FlushAll().ok());
   }
-  // The flusher engaged against the optimistic pin/bucket handshake.
-  EXPECT_GT(stats.background_cleans, 0u);
+  // Write-behind engaged against the optimistic pin/bucket handshake.
+  EXPECT_GT(stats.writebehind_writes, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -291,9 +289,6 @@ TEST(OptimisticConcurrencyTest, ShardedChurnComposesWithPoolReadahead) {
   options.io_dispatcher = true;
   options.io_workers = 4;
   options.io_queue_depth = 32;
-  options.flusher = true;
-  options.flusher_every_ops = 32;
-  options.flusher_batch = 4;
   options.readahead = {.enabled = true, .window = 4, .min_run = 3};
 
   ShardedBufferPool pool(

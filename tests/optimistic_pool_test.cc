@@ -12,8 +12,8 @@
 //    BYTE-IDENTICAL single-threaded behaviour to the latched path over the
 //    same 20k-op mixed workload async_io_test.cc uses: same counters, same
 //    victim sequence, same IoStats, same residency, same disk images —
-//    with the async stack (inline dispatcher + flusher) off and on, and
-//    with the auto-bumped default batch_capacity.
+//    with the inline dispatcher off and on, and with the auto-bumped
+//    default batch_capacity.
 //  * Zero-mutex hit — a warm optimistic fetch/unpin pair acquires the pool
 //    latch ZERO times, asserted via the latch_acquires counter.
 //  * Readahead interaction — readahead and the optimistic fast path
@@ -215,20 +215,16 @@ TEST(OptimisticDifferentialTest, MatchesLatchedPathShardedPool) {
 }
 
 TEST(OptimisticDifferentialTest, MatchesLatchedPathUnderAsyncStack) {
-  // Inline dispatcher + background flusher: the optimistic flusher pass
-  // (pop-until-batch-unpinned + bucket-locked write-back) must peek the
-  // same victims and clean the same pages as the latched one.
+  // Inline dispatcher: misses run through IoDispatcher::Run and the
+  // per-page tracker, with the latch released across the read.
   for (bool sharded : {false, true}) {
     SCOPED_TRACE(sharded ? "sharded" : "plain");
-    DiffScenarioResult latched =
-        RunScenario({.sharded = sharded, .optimistic = false,
-                     .async_stack = true});
-    DiffScenarioResult optimistic =
-        RunScenario({.sharded = sharded, .optimistic = true,
-                     .async_stack = true});
+    DiffScenarioResult latched = RunScenario(
+        {.sharded = sharded, .optimistic = false, .dispatcher = true});
+    DiffScenarioResult optimistic = RunScenario(
+        {.sharded = sharded, .optimistic = true, .dispatcher = true});
     ExpectScenarioEq(latched, optimistic);
     EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
-    EXPECT_GT(optimistic.stats.background_cleans, 0u);
   }
 }
 

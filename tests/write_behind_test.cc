@@ -1,30 +1,33 @@
-// Write-behind eviction, I/O priority lanes, and adaptive flusher pacing
-// (deterministic half; the threaded property tests live in
-// async_io_concurrency_test.cc).
+// Write-behind eviction and I/O priority lanes (deterministic half; the
+// threaded property tests live in async_io_concurrency_test.cc).
 //
 // Coverage:
 //  * Write-behind — a dirty victim's write-back leaves the miss path: the
 //    admission returns while the victim write is still parked behind a
 //    gate; a re-fetch of the in-flight victim waits the write out and then
 //    reads the freshly written image; inline mode (io_workers = 0) keeps
-//    the synchronous path (write_behind is a no-op there).
+//    the synchronous path (write_behind is a no-op there), including its
+//    exact rollback of a failed victim write.
+//  * Decision neutrality — single-threaded, write-behind replays the direct
+//    path's victim sequence, residency and disk images for every policy
+//    under test, not only the ones whose Restore is exact.
 //  * Failure semantics — a failed victim write re-admits the page exactly
 //    (resident, dirty, original image, policy Restore) when a frame can be
 //    found, or parks the image when every frame is pinned; parked images
 //    are authoritative and are resolved by FetchPage (re-admit), FlushPage
 //    / FlushAll (persist), or DeletePage (discard). No frame is ever
-//    leaked, no image is ever dropped.
+//    leaked, no image is ever dropped. A transient victim-write failure
+//    is retried on the Flush lane with the pool latch released.
 //  * IoPriority — per-lane accept/reject/execute accounting in inline and
 //    worker mode; strict demand preference; the anti-starvation budget
 //    grants queued background work after a bounded demand streak.
-//  * FlusherPacing — the adaptive controller ramps cadence and batch
-//    within [min_every, max_every] x [flusher_batch, max_batch] as the
-//    dirty ratio crosses [dirty_low, dirty_high], in both directions.
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -33,6 +36,8 @@
 
 #include "bufferpool/buffer_pool.h"
 #include "core/lru_k.h"
+#include "core/policy_factory.h"
+#include "differential_harness.h"
 #include "gtest/gtest.h"
 #include "io/io_dispatcher.h"
 #include "storage/fault_injecting_disk_manager.h"
@@ -40,6 +45,10 @@
 
 namespace lruk {
 namespace {
+
+using difftest::DiffScenarioResult;
+using difftest::RecordingPolicy;
+using difftest::RunDiffScenario;
 
 // Blocks writes of one chosen page until released (the write-side twin of
 // the read gate in async_io_test.cc) — parks a write-behind victim write
@@ -229,6 +238,116 @@ TEST(WriteBehindTest, InlineModeKeepsSynchronousWritebacks) {
   EXPECT_TRUE(pool.UnpinPage((*b)->id(), false).ok());
 }
 
+TEST(WriteBehindTest, InlineModeFailedVictimWriteRollsBackTheEviction) {
+  SimDiskManager inner;
+  FaultInjectingDiskManager disk(&inner, /*seed=*/17);
+  auto policy = std::make_unique<RecordingPolicy>(Lru2(4));
+  RecordingPolicy* recorder = policy.get();
+  BufferPool pool(4, &disk, std::move(policy),
+                  WriteBehindOptions(/*workers=*/0));
+
+  std::vector<PageId> pages;
+  for (char fill : {'a', 'b', 'c', 'd'}) {
+    auto page = pool.NewPage();
+    ASSERT_TRUE(page.ok());
+    StampPage(*page, fill);
+    pages.push_back((*page)->id());
+    ASSERT_TRUE(pool.UnpinPage(pages.back(), true).ok());
+  }
+  // pages[0] is the victim (oldest single reference). Inline mode writes
+  // it back on the miss path, so a failed write fails the admission and
+  // the eviction rolls back: resident, dirty, restored in the policy.
+  disk.AddRule(FaultRule::FailPage(FaultOp::kWrite, pages[0]));
+  auto refused = pool.NewPage();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kIoError);
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.write_failures, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.dirty_writebacks, 0u);
+  EXPECT_EQ(stats.writebehind_writes, 0u);
+  EXPECT_EQ(pool.PendingVictimWriteCount(), 0u);
+  EXPECT_TRUE(recorder->evictions().empty());
+  EXPECT_TRUE(pool.IsResident(pages[0]));
+
+  // Still the next victim and still dirty: once the fault heals, the same
+  // admission writes the acknowledged image back and takes the frame.
+  disk.Heal();
+  auto page = pool.NewPage();
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ(recorder->evictions(), std::vector<PageId>{pages[0]});
+  stats = pool.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.dirty_writebacks, 1u);
+  EXPECT_FALSE(pool.IsResident(pages[0]));
+  ExpectDiskImage(inner, pages[0], 'a');
+  EXPECT_TRUE(pool.UnpinPage((*page)->id(), false).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Write-behind changes who writes a dirty victim back, never which page is
+// the victim.
+
+std::unique_ptr<ReplacementPolicy> SpecPolicy(const std::string& spec,
+                                              size_t capacity) {
+  auto config = ParsePolicySpec(spec);
+  EXPECT_TRUE(config.ok()) << config.status().ToString();
+  PolicyContext context;
+  context.capacity = capacity;
+  auto policy = MakePolicy(*config, context);
+  EXPECT_TRUE(policy.ok()) << policy.status().ToString();
+  return std::move(*policy);
+}
+
+class WriteBehindDifferentialTest
+    : public ::testing::TestWithParam<const char*> {};
+
+// Single-threaded, a worker-mode pool with write-behind makes the direct
+// path's policy calls in the same order: a successful victim write never
+// touches the policy, so the victim sequence holds even for policies whose
+// Restore is a fresh re-admission (plain LRU, 2Q, ARC, CLOCK).
+TEST_P(WriteBehindDifferentialTest, VictimOrderMatchesDirectPath) {
+  const std::string spec = GetParam();
+  auto make_policy = [&](size_t, size_t capacity) {
+    return SpecPolicy(spec, capacity);
+  };
+  DiffScenarioResult direct = RunDiffScenario({.make_policy = make_policy});
+  DiffScenarioResult behind = RunDiffScenario({.dispatcher = true,
+                                               .io_workers = 2,
+                                               .write_behind = true,
+                                               .make_policy = make_policy});
+  EXPECT_EQ(direct.evictions, behind.evictions);
+  EXPECT_EQ(direct.residency, behind.residency);
+  EXPECT_EQ(direct.images, behind.images);  // No acknowledged write lost.
+  EXPECT_EQ(direct.clocks, behind.clocks);
+  EXPECT_EQ(direct.stats.hits, behind.stats.hits);
+  EXPECT_EQ(direct.stats.misses, behind.stats.misses);
+  EXPECT_EQ(direct.stats.evictions, behind.stats.evictions);
+  EXPECT_EQ(direct.stats.correlated_refs, behind.stats.correlated_refs);
+  // Each dirty victim is written exactly once, on the Flush lane or (lane
+  // full) by the evicting thread.
+  EXPECT_GT(behind.stats.writebehind_writes, 0u);
+  EXPECT_EQ(behind.stats.dirty_writebacks + behind.stats.writebehind_writes,
+            direct.stats.dirty_writebacks);
+  EXPECT_EQ(behind.stats.writebehind_readmits, 0u);
+  EXPECT_EQ(behind.stats.background_cleans, 0u);
+  EXPECT_EQ(direct.io.reads, behind.io.reads);
+  EXPECT_EQ(direct.io.writes, behind.io.writes);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, WriteBehindDifferentialTest,
+                         ::testing::Values("LRU", "LRU-2", "2Q", "ARC",
+                                           "CLOCK"),
+                         [](const auto& info) {
+                           std::string name;
+                           for (const char* c = info.param; *c != '\0'; ++c) {
+                             if (std::isalnum(static_cast<unsigned char>(*c))) {
+                               name += *c;
+                             }
+                           }
+                           return name;
+                         });
+
 // ---------------------------------------------------------------------------
 // Write-behind failure semantics.
 
@@ -373,6 +492,53 @@ TEST(WriteBehindTest, FlushPersistsAndDeleteDiscardsParkedImages) {
   EXPECT_TRUE(pool.UnpinPage((*c)->id(), false).ok());
 }
 
+TEST(WriteBehindTest, TransientVictimWriteFailureRetriesOffTheMissPath) {
+  SimDiskManager inner;
+  WriteGateDiskManager gate(&inner);
+  FaultInjectingDiskManager disk(&gate, /*seed=*/5);
+  BufferPoolOptions options = WriteBehindOptions(/*workers=*/1);
+  options.io_retry.max_attempts = 2;  // Null sleep: immediate re-issue.
+  BufferPool pool(1, &disk, Lru2(1), options);
+
+  auto a = pool.NewPage();
+  ASSERT_TRUE(a.ok());
+  PageId pa = (*a)->id();
+  StampPage(*a, 'a');
+  ASSERT_TRUE(pool.UnpinPage(pa, true).ok());
+
+  // The admission evicts dirty pa. The first attempt at its victim write
+  // fails; the retry parks at the gate — while NewPage has returned.
+  disk.AddRule(FaultRule::FailNth(FaultOp::kWrite, 1));
+  gate.Close(pa);
+  auto b = pool.NewPage();
+  ASSERT_TRUE(b.ok());
+  PageId pb = (*b)->id();
+  gate.AwaitWriter();
+
+  // The retry holds no latch: a hit on another thread completes meanwhile.
+  auto hit = std::async(std::launch::async, [&] {
+    auto page = pool.FetchPage(pb, AccessType::kRead);
+    return page.ok() && pool.UnpinPage(pb, false).ok();
+  });
+  EXPECT_EQ(hit.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "a hit waited for the retrying victim write";
+  gate.Open();
+  EXPECT_TRUE(hit.get());
+  ASSERT_TRUE(pool.UnpinPage(pb, false).ok());
+  pool.Quiesce();
+
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.retries, 1u);
+  EXPECT_EQ(stats.write_failures, 0u);  // Absorbed, not surfaced.
+  EXPECT_EQ(stats.writebehind_writes, 1u);
+  EXPECT_EQ(stats.writebehind_readmits, 0u);
+  EXPECT_EQ(stats.dirty_writebacks, 0u);
+  EXPECT_EQ(pool.PendingVictimWriteCount(), 0u);
+  EXPECT_EQ(pool.ParkedVictimCount(), 0u);
+  ExpectDiskImage(inner, pa, 'a');
+}
+
 // ---------------------------------------------------------------------------
 // IoPriority: lanes, preference, anti-starvation.
 
@@ -509,69 +675,6 @@ TEST(IoPriorityTest, StarvationBudgetGrantsQueuedBackgroundWork) {
   // flush item cannot sit behind more than 2 of the 6 queued demands.
   EXPECT_LE(flush_at, 2u);
   EXPECT_GE(io.stats().starvation_grants, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// FlusherPacing: the adaptive controller.
-
-TEST(FlusherPacingTest, ControllerRampsWithDirtyRatioWithinBounds) {
-  SimDiskManager disk;
-  BufferPoolOptions options;
-  options.io_dispatcher = true;
-  options.io_workers = 0;  // Inline: passes run synchronously in-op.
-  options.flusher = true;
-  options.flusher_every_ops = 4;
-  options.flusher_batch = 1;
-  options.flusher_adaptive = true;
-  options.flusher_min_every = 2;
-  options.flusher_max_every = 16;
-  options.flusher_max_batch = 8;
-  options.flusher_dirty_low = 0.1;
-  options.flusher_dirty_high = 0.5;
-  constexpr size_t kFrames = 8;
-  BufferPool pool(kFrames, &disk, Lru2(kFrames), options);
-
-  // Adaptive mode starts at the lazy end of the range.
-  EXPECT_EQ(pool.flusher_cadence(), 16u);
-  EXPECT_EQ(pool.flusher_batch_size(), 1u);
-
-  std::vector<PageId> pages;
-  for (size_t i = 0; i < kFrames; ++i) {
-    auto page = pool.NewPage();
-    ASSERT_TRUE(page.ok());
-    pages.push_back((*page)->id());
-    ASSERT_TRUE(pool.UnpinPage(pages.back(), true).ok());
-  }
-
-  // Everything is dirty (ratio 1.0 > dirty_high): the first pass must
-  // swing cadence to min_every and batch to max_batch. Cadence/batch stay
-  // inside their configured bounds at every step.
-  bool ramped_up = false;
-  for (int i = 0; i < 64 && !ramped_up; ++i) {
-    auto page = pool.FetchPage(pages[0], AccessType::kRead);
-    ASSERT_TRUE(page.ok());
-    ASSERT_TRUE(pool.UnpinPage(pages[0], false).ok());
-    EXPECT_GE(pool.flusher_cadence(), 2u);
-    EXPECT_LE(pool.flusher_cadence(), 16u);
-    EXPECT_GE(pool.flusher_batch_size(), 1u);
-    EXPECT_LE(pool.flusher_batch_size(), 8u);
-    ramped_up =
-        pool.flusher_cadence() == 2u && pool.flusher_batch_size() == 8u;
-  }
-  EXPECT_TRUE(ramped_up);
-
-  // Clean everything (ratio 0 < dirty_low): the next pass must relax back
-  // to max_every / flusher_batch.
-  ASSERT_TRUE(pool.FlushAll().ok());
-  bool ramped_down = false;
-  for (int i = 0; i < 64 && !ramped_down; ++i) {
-    auto page = pool.FetchPage(pages[0], AccessType::kRead);
-    ASSERT_TRUE(page.ok());
-    ASSERT_TRUE(pool.UnpinPage(pages[0], false).ok());
-    ramped_down =
-        pool.flusher_cadence() == 16u && pool.flusher_batch_size() == 1u;
-  }
-  EXPECT_TRUE(ramped_down);
 }
 
 }  // namespace
