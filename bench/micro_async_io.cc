@@ -295,7 +295,6 @@ CoalesceCell RunCoalesceCell(const std::string& pool_kind,
   options.io_dispatcher = true;
   options.io_workers = cell.workers;
   options.io_queue_depth = 64;
-  options.batch_capacity = 64;
 
   std::unique_ptr<PoolInterface> pool;
   if (pool_kind == "single-latch") {
@@ -413,7 +412,6 @@ WriteBehindCell RunWriteBehindCell(const std::string& mode,
   options.io_dispatcher = true;
   options.io_workers = cell.workers;
   options.io_queue_depth = 64;
-  options.batch_capacity = 64;
   options.write_behind = mode != "sync";
 
   std::unique_ptr<PoolInterface> pool;

@@ -1,11 +1,11 @@
-// Contention microbenchmark for the hit-path scaling ladder: multi-
-// threaded Zipfian fetch/unpin throughput swept over thread count x batch
-// capacity on the single-latch BufferPool (the per-shard microcosm —
-// every hit serializes on one latch, so this isolates what each rung
-// buys), plus 4-shard composition rows and the latch-free optimistic hit
-// path (BufferPoolOptions::optimistic_hits). LRU-2 policy, hot set mostly
-// resident, ~5% writes: the read-mostly regime batching and the
-// optimistic path both target.
+// Contention microbenchmark for the pool's two hit paths: multi-threaded
+// Zipfian fetch/unpin throughput swept over thread count x {latched,
+// latch-free optimistic (BufferPoolOptions::optimistic_hits)} on the
+// single-latch BufferPool (the per-shard microcosm — every latched hit
+// serializes on one latch, so this isolates what the latch-free hit
+// buys), plus 4-shard composition rows. LRU-2 policy, hot set mostly
+// resident, ~5% writes: the read-mostly regime the optimistic path
+// targets.
 //
 // Per-cell observability: alongside throughput and the AccessBuffer drain
 // counters, every cell reports the pool's latch_acquires and
@@ -21,18 +21,16 @@
 //
 // Shape checks:
 //  * accounting — for every cell, hits + misses must equal the ops issued
-//    exactly (neither batching nor the optimistic path may lose a fetch).
-//  * throughput — at 8 threads, batch_capacity = 64 must reach >= 2x the
-//    batch_capacity = 0 baseline on the single-latch pool; the optimistic
-//    pool must reach >= 1x the latched batch-64 pool on the 1-thread
-//    hot-page cell (all hits: the pure per-hit cost must win even with no
-//    contention to remove) and >= 0.9x on the 1-thread Zipfian cell
-//    (~30% of whose ops take the latched miss path either way), and >= 1x
-//    at 8 threads on both workloads. Parallel contention is unobservable
-//    without parallel hardware, so on machines with fewer than 4 cores
-//    the multi-thread criteria are reported, not enforced (same
-//    convention as micro_sharded_pool); the 1-thread criteria are always
-//    enforced.
+//    exactly (neither hit path may lose a fetch).
+//  * throughput — the optimistic pool must reach >= 1x the latched pool
+//    on the 1-thread hot-page cell (all hits: the pure per-hit cost must
+//    win even with no contention to remove) and >= 0.9x on the 1-thread
+//    Zipfian cell (~30% of whose ops take the latched miss path either
+//    way), and >= 1x at 8 threads on both workloads. Parallel contention
+//    is unobservable without parallel hardware, so on machines with fewer
+//    than 4 cores the multi-thread criteria are reported, not enforced
+//    (same convention as micro_sharded_pool); the 1-thread criteria are
+//    always enforced.
 //  * composition — the "optimistic+ra" cell runs the optimistic pool with
 //    the voting scan detector on (inline dispatcher): its 1-thread
 //    Zipfian throughput must stay >= 0.9x the "optimistic+disp" cell —
@@ -43,7 +41,7 @@
 //    only — at -O0 the un-inlined voting loop dominates the access and
 //    the ratio is meaningless), and the 1-thread hot-page optimistic
 //    cell must show <= 0.1 latch acquires per op in every build (warm-hit
-//    publishing is genuinely latch-free; the residue is batch drains).
+//    publishing is genuinely latch-free; the residue is ring drains).
 //
 // Flags: --json <path> writes machine-readable results (BENCH_*.json
 // trajectory); --quick shrinks the per-cell op count for CI smoke runs.
@@ -75,7 +73,6 @@ constexpr size_t kFrames = 512;
 constexpr uint64_t kDbPages = 4096;
 constexpr uint64_t kHotDbPages = 8;
 constexpr double kWriteFraction = 0.05;
-constexpr size_t kStripes = 8;
 
 struct Cell {
   std::string pool;
@@ -83,7 +80,6 @@ struct Cell {
   std::string workload = "zipfian";  // "zipfian" | "hot_page"
   size_t shards = 1;
   int threads = 1;
-  size_t batch_capacity = 0;
   double ops_per_sec = 0.0;
   double hit_ratio = 0.0;
   uint64_t hits = 0;
@@ -114,10 +110,8 @@ struct Cell {
   uint64_t correlated_refs = 0;
   uint64_t pin_cas_retries = 0;
   uint64_t latch_acquires = 0;
-  // AccessBuffer drain counters (all zero when batch_capacity == 0) — the
-  // observability behind DESIGN.md's batch-capacity guidance: records per
-  // drain shows whether batching amortizes anything or just adds the
-  // enqueue hop.
+  // AccessBuffer drain counters (all zero in latched mode): records per
+  // drain shows what a drain amortizes.
   AccessBufferStats buffer_stats{};
 };
 
@@ -214,25 +208,21 @@ std::unique_ptr<ReplacementPolicy> MakeLru2(size_t capacity) {
       LruKOptions{.k = 2, .capacity_hint = capacity});
 }
 
-BufferPoolOptions CellOptions(size_t batch, bool optimistic) {
+BufferPoolOptions CellOptions(bool optimistic) {
   BufferPoolOptions options;
-  options.batch_capacity = batch;
-  options.batch_stripes = batch == 0 ? 1 : kStripes;
   options.optimistic_hits = optimistic;
   return options;
 }
 
 struct Checks {
   bool accounting_ok = true;
-  double speedup_batch = 0.0;      // 8t, batch 64 vs batch 0, latched.
-  double optimistic_1t = 0.0;      // 1t Zipfian, optimistic vs latched b64.
+  double optimistic_1t = 0.0;      // 1t Zipfian, optimistic vs latched.
   double hot_page_1t = 0.0;        // 1t hot page, optimistic vs latched.
-  double optimistic_8t = 0.0;      // 8t, optimistic vs latched batch 64.
+  double optimistic_8t = 0.0;      // 8t Zipfian, optimistic vs latched.
   double hot_page_ratio = 0.0;     // 8t hot page, optimistic vs latched.
   double readahead_1t = 0.0;       // 1t Zipfian, +ra vs +disp (same stack).
   double publish_latch_1t = 0.0;   // 1t hot page optimistic, latch/op.
   bool enforced = false;           // cores >= 4: multi-thread checks bind.
-  bool speedup_ok = false;
   bool optimistic_1t_ok = false;
   bool optimistic_8t_ok = false;
   bool hot_page_ok = false;
@@ -262,8 +252,7 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
     std::fprintf(
         f,
         "    {\"pool\": \"%s\", \"mode\": \"%s\", \"workload\": \"%s\", "
-        "\"shards\": %zu, \"threads\": %d, "
-        "\"batch_capacity\": %zu, \"ops_per_sec\": %.1f, "
+        "\"shards\": %zu, \"threads\": %d, \"ops_per_sec\": %.1f, "
         "\"hit_ratio\": %.4f, \"hits\": %llu, \"misses\": %llu, "
         "\"drains\": %llu, \"drained_records\": %llu, "
         "\"empty_drains\": %llu, \"full_pushes\": %llu, "
@@ -276,7 +265,7 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
         "\"pin_cas_retries\": %llu, \"latch_acquires\": %llu, "
         "\"latch_acquires_per_op\": %.4f, \"cas_retries_per_op\": %.4f}%s\n",
         c.pool.c_str(), c.mode.c_str(), c.workload.c_str(), c.shards,
-        c.threads, c.batch_capacity, c.ops_per_sec, c.hit_ratio,
+        c.threads, c.ops_per_sec, c.hit_ratio,
         static_cast<unsigned long long>(c.hits),
         static_cast<unsigned long long>(c.misses),
         static_cast<unsigned long long>(c.buffer_stats.drains),
@@ -303,9 +292,6 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
   std::fprintf(f,
                "  ],\n  \"checks\": {\n"
                "    \"accounting_exact\": %s,\n"
-               "    \"speedup_8t_batch64_vs_batch0\": %.3f,\n"
-               "    \"speedup_enforced\": %s,\n"
-               "    \"speedup_ok\": %s,\n"
                "    \"optimistic_1t_vs_latched\": %.3f,\n"
                "    \"hot_page_1t_optimistic_vs_latched\": %.3f,\n"
                "    \"optimistic_1t_ok\": %s,\n"
@@ -318,9 +304,7 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                "    \"readahead_1t_ok\": %s,\n"
                "    \"publish_latch_per_op_1t\": %.4f,\n"
                "    \"publish_latch_ok\": %s\n  }\n}\n",
-               checks.accounting_ok ? "true" : "false", checks.speedup_batch,
-               checks.enforced ? "true" : "false",
-               checks.speedup_ok ? "true" : "false", checks.optimistic_1t,
+               checks.accounting_ok ? "true" : "false", checks.optimistic_1t,
                checks.hot_page_1t,
                checks.optimistic_1t_ok ? "true" : "false",
                checks.optimistic_8t,
@@ -362,7 +346,6 @@ int main(int argc, char** argv) {
 
   const uint64_t total_ops = quick ? 60000 : 400000;
   const std::vector<int> thread_counts = {1, 2, 4, 8};
-  const std::vector<size_t> batch_capacities = {0, 1, 8, 64};
   unsigned cores = std::thread::hardware_concurrency();
   provenance.threads = static_cast<unsigned>(thread_counts.back());
 
@@ -373,13 +356,11 @@ int main(int argc, char** argv) {
       kWriteFraction * 100, cores);
 
   std::vector<Cell> cells;
-  AsciiTable table({"pool", "mode", "workload", "threads", "batch",
-                    "ops/sec", "hit ratio", "latch/op", "cas/op",
-                    "recs/drain"});
+  AsciiTable table({"pool", "mode", "workload", "threads", "ops/sec",
+                    "hit ratio", "latch/op", "cas/op", "recs/drain"});
   auto add_row = [&](const Cell& cell) {
     table.AddRow({cell.pool, cell.mode, cell.workload,
                   AsciiTable::Integer(cell.threads),
-                  AsciiTable::Integer(cell.batch_capacity),
                   AsciiTable::Integer(
                       static_cast<uint64_t>(cell.ops_per_sec)),
                   AsciiTable::Fixed(cell.hit_ratio, 3),
@@ -424,54 +405,37 @@ int main(int argc, char** argv) {
     }
     return ratio;
   };
-  double baseline_8t = 0, batched64_8t = 0;
-  double optimistic_1t_ratio = 0, optimistic_8t = 0;
+  double latched_8t = 0, optimistic_8t = 0;
+  double optimistic_1t_ratio = 0;
   for (int threads : thread_counts) {
-    auto run_latched = [&](size_t batch) {
+    auto run_mode = [&](bool optimistic) {
       SimDiskOptions disk_options;
       disk_options.read_micros = 0.0;  // Measure the latch, not fake I/O.
       disk_options.write_micros = 0.0;
       SimDiskManager disk(disk_options);
       BufferPool pool(kFrames, &disk, MakeLru2(kFrames),
-                      CellOptions(batch, /*optimistic=*/false));
-      Cell cell{.pool = "single-latch", .shards = 1, .threads = threads,
-                .batch_capacity = batch};
+                      CellOptions(optimistic));
+      Cell cell{.pool = "single-latch",
+                .mode = optimistic ? "optimistic" : "latched", .shards = 1,
+                .threads = threads};
       RunCell(pool, cell, total_ops, kDbPages);
       return cell;
     };
-    // The optimistic rung at the same thread count (batch 64: the
-    // latch-free hit publishes through the AccessBuffer, so this is the
-    // apples-to-apples comparison against the latched batch-64 cell).
-    auto run_optimistic = [&]() {
-      SimDiskOptions disk_options;
-      disk_options.read_micros = 0.0;
-      disk_options.write_micros = 0.0;
-      SimDiskManager disk(disk_options);
-      BufferPool pool(kFrames, &disk, MakeLru2(kFrames),
-                      CellOptions(64, /*optimistic=*/true));
-      Cell cell{.pool = "single-latch", .mode = "optimistic", .shards = 1,
-                .threads = threads, .batch_capacity = 64};
-      RunCell(pool, cell, total_ops, kDbPages);
-      return cell;
-    };
-    for (size_t batch : batch_capacities) {
-      if (threads == 1 && batch == 64) continue;  // Paired below.
-      Cell cell = run_latched(batch);
-      if (threads == 8 && batch == 0) baseline_8t = cell.ops_per_sec;
-      if (threads == 8 && batch == 64) batched64_8t = cell.ops_per_sec;
-      add_row(cell);
-    }
     if (threads == 1) {
       Cell best_latched{}, best_optimistic{};
-      optimistic_1t_ratio =
-          paired_ratio([&] { return run_latched(64); }, run_optimistic,
-                       &best_latched, &best_optimistic);
+      optimistic_1t_ratio = paired_ratio([&] { return run_mode(false); },
+                                         [&] { return run_mode(true); },
+                                         &best_latched, &best_optimistic);
       add_row(best_latched);
       add_row(best_optimistic);
     } else {
-      Cell cell = run_optimistic();
-      if (threads == 8) optimistic_8t = cell.ops_per_sec;
-      add_row(cell);
+      for (bool optimistic : {false, true}) {
+        Cell cell = run_mode(optimistic);
+        if (threads == 8) {
+          (optimistic ? optimistic_8t : latched_8t) = cell.ops_per_sec;
+        }
+        add_row(cell);
+      }
     }
   }
 
@@ -495,7 +459,7 @@ int main(int argc, char** argv) {
       disk_options.read_micros = 0.0;
       disk_options.write_micros = 0.0;
       SimDiskManager disk(disk_options);
-      BufferPoolOptions options = CellOptions(64, /*optimistic=*/true);
+      BufferPoolOptions options = CellOptions(/*optimistic=*/true);
       options.io_dispatcher = true;
       options.io_workers = 0;  // Inline: prefetches run on the fetch
                                // thread.
@@ -503,7 +467,7 @@ int main(int argc, char** argv) {
       BufferPool pool(kFrames, &disk, MakeLru2(kFrames), options);
       Cell cell{.pool = "single-latch",
                 .mode = detector ? "optimistic+ra" : "optimistic+disp",
-                .shards = 1, .threads = 1, .batch_capacity = 64};
+                .shards = 1, .threads = 1};
       RunCell(pool, cell, total_ops, kDbPages);
       return cell;
     };
@@ -516,28 +480,25 @@ int main(int argc, char** argv) {
     add_row(best_ra);
   }
 
-  // Composition rows: the same knobs through ShardedBufferPool.
+  // Composition rows: both hit paths through ShardedBufferPool.
   for (bool optimistic : {false, true}) {
-    for (size_t batch : {size_t{0}, size_t{64}}) {
-      if (optimistic && batch == 0) continue;  // Implies batching anyway.
-      SimDiskOptions disk_options;
-      disk_options.read_micros = 0.0;
-      disk_options.write_micros = 0.0;
-      SimDiskManager disk(disk_options);
-      auto factory = MakeShardPolicyFactory(PolicyConfig::LruK(2));
-      if (!factory.ok()) {
-        std::fprintf(stderr, "factory: %s\n",
-                     factory.status().ToString().c_str());
-        return 1;
-      }
-      ShardedBufferPool pool(kFrames, /*num_shards=*/4, &disk, *factory,
-                             CellOptions(batch, optimistic));
-      Cell cell{.pool = "sharded x4",
-                .mode = optimistic ? "optimistic" : "latched", .shards = 4,
-                .threads = 8, .batch_capacity = batch};
-      RunCell(pool, cell, total_ops, kDbPages);
-      add_row(cell);
+    SimDiskOptions disk_options;
+    disk_options.read_micros = 0.0;
+    disk_options.write_micros = 0.0;
+    SimDiskManager disk(disk_options);
+    auto factory = MakeShardPolicyFactory(PolicyConfig::LruK(2));
+    if (!factory.ok()) {
+      std::fprintf(stderr, "factory: %s\n",
+                   factory.status().ToString().c_str());
+      return 1;
     }
+    ShardedBufferPool pool(kFrames, /*num_shards=*/4, &disk, *factory,
+                           CellOptions(optimistic));
+    Cell cell{.pool = "sharded x4",
+              .mode = optimistic ? "optimistic" : "latched", .shards = 4,
+              .threads = 8};
+    RunCell(pool, cell, total_ops, kDbPages);
+    add_row(cell);
   }
 
   // The hot-page cells: every thread alternates between the same two
@@ -556,11 +517,10 @@ int main(int argc, char** argv) {
       disk_options.write_micros = 0.0;
       SimDiskManager disk(disk_options);
       BufferPool pool(kFrames, &disk, MakeLru2(kFrames),
-                      CellOptions(64, optimistic));
+                      CellOptions(optimistic));
       Cell cell{.pool = "single-latch",
                 .mode = optimistic ? "optimistic" : "latched",
-                .workload = "hot_page", .shards = 1, .threads = threads,
-                .batch_capacity = 64};
+                .workload = "hot_page", .shards = 1, .threads = threads};
       RunCell(pool, cell, total_ops, kHotDbPages);
       return cell;
     };
@@ -589,10 +549,9 @@ int main(int argc, char** argv) {
   for (const Cell& c : cells) {
     if (c.hits + c.misses != c.ops_issued) {
       checks.accounting_ok = false;
-      std::printf("accounting mismatch: %s %s t=%d b=%zu: "
-                  "%llu + %llu != %llu\n",
+      std::printf("accounting mismatch: %s %s t=%d: %llu + %llu != %llu\n",
                   c.pool.c_str(), c.mode.c_str(), c.threads,
-                  c.batch_capacity, static_cast<unsigned long long>(c.hits),
+                  static_cast<unsigned long long>(c.hits),
                   static_cast<unsigned long long>(c.misses),
                   static_cast<unsigned long long>(c.ops_issued));
     }
@@ -611,19 +570,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(total_write_failures),
               static_cast<unsigned long long>(total_retries));
 
-  checks.speedup_batch = baseline_8t > 0 ? batched64_8t / baseline_8t : 0.0;
   checks.optimistic_1t = optimistic_1t_ratio;
   checks.hot_page_1t = hot1_ratio;
-  checks.optimistic_8t =
-      batched64_8t > 0 ? optimistic_8t / batched64_8t : 0.0;
+  checks.optimistic_8t = latched_8t > 0 ? optimistic_8t / latched_8t : 0.0;
   checks.hot_page_ratio =
       hot_latched > 0 ? hot_optimistic / hot_latched : 0.0;
   checks.readahead_1t = readahead_ratio;
   checks.publish_latch_1t = hot1_latch_per_op;
-  std::printf("\nspeedup (8 threads, batch 64 vs batch 0, single latch): "
-              "%.2fx\n", checks.speedup_batch);
-  std::printf("optimistic vs latched batch-64 (single latch, 1t ratios "
-              "paired best-of-5): 1t zipfian %.2fx, 1t hot page %.2fx, "
+  std::printf("\noptimistic vs latched (single latch, 1t ratios paired "
+              "best-of-5): 1t zipfian %.2fx, 1t hot page %.2fx, "
               "8t %.2fx, 8t hot page %.2fx\n",
               checks.optimistic_1t, checks.hot_page_1t,
               checks.optimistic_8t, checks.hot_page_ratio);
@@ -632,7 +587,6 @@ int main(int argc, char** argv) {
               "%.2fx; 1t hot-page publish path: %.4f latch/op\n",
               checks.readahead_1t, checks.publish_latch_1t);
   checks.enforced = cores >= 4;
-  checks.speedup_ok = checks.speedup_batch >= 2.0;
   // The latch-free hit must win single-threaded where hits are the whole
   // workload (hot page: no contention to win, pure per-hit cost — the
   // uncontended mutex pair still loses to the probe + pin CAS), and must
@@ -645,8 +599,8 @@ int main(int argc, char** argv) {
   checks.hot_page_ok = checks.hot_page_ratio >= 1.0;
   // Composition floors (both single-threaded, so core-count independent):
   // warm-hit publishing must keep the latch essentially off the hot path
-  // (drains amortize across the batch; 0.1/op is 6x the batch-64 drain
-  // rate, generous headroom over noise) — counter-based, so it binds in
+  // (drains amortize across the ring; 0.1/op is 6x the 64-record ring's
+  // drain rate, generous headroom over noise) — counter-based, so it binds in
   // every build. The detector-tax ratio is a timing ratio that is only
   // meaningful where Observe's voting loop gets inlined: at -O0 the
   // un-inlined loop is ~35% of the whole access (measured 0.65x) while
@@ -668,18 +622,15 @@ int main(int argc, char** argv) {
     std::printf("note: only %u hardware threads — latch contention needs "
                 ">=4 cores, reporting multi-thread criteria without "
                 "enforcement\n", cores);
-    checks.speedup_ok = true;
     checks.optimistic_8t_ok = true;
     checks.hot_page_ok = true;
   }
   std::printf("shape: hit+miss totals exactly equal ops in every cell: %s\n",
               checks.accounting_ok ? "yes" : "NO");
-  std::printf("shape: 8-thread batch-64 throughput >= 2x batch-0 "
-              "(or <4 cores): %s\n", checks.speedup_ok ? "yes" : "NO");
   std::printf("shape: optimistic >= 1x latched on the 1-thread hot page "
               "and >= 0.9x on 1-thread zipfian: %s\n",
               checks.optimistic_1t_ok ? "yes" : "NO");
-  std::printf("shape: optimistic >= 1x latched batch-64 at 8 threads "
+  std::printf("shape: optimistic >= 1x latched at 8 threads "
               "(or <4 cores): %s\n",
               checks.optimistic_8t_ok ? "yes" : "NO");
   std::printf("shape: optimistic >= 1x latched on the 8-thread hot page "
@@ -694,8 +645,8 @@ int main(int argc, char** argv) {
     WriteJson(json_path, provenance, cells, cores, total_ops, checks);
     std::printf("wrote %s\n", json_path);
   }
-  return checks.accounting_ok && checks.speedup_ok &&
-                 checks.optimistic_1t_ok && checks.optimistic_8t_ok &&
+  return checks.accounting_ok && checks.optimistic_1t_ok &&
+                 checks.optimistic_8t_ok &&
                  checks.hot_page_ok && checks.readahead_ok &&
                  checks.publish_latch_ok
              ? 0

@@ -94,16 +94,10 @@ BufferPool::BufferPool(size_t capacity, DiskManager* disk,
   LRUK_ASSERT(disk_ != nullptr, "buffer pool needs a disk manager");
   LRUK_ASSERT(policy_ != nullptr, "buffer pool needs a replacement policy");
   optimistic_ = options_.optimistic_hits;
-  if (optimistic_ && options_.batch_capacity == 0) {
-    // A latch-free hit can only publish its reference through the
-    // AccessBuffer (RecordAccess needs the latch), so optimistic mode
-    // implies batching.
-    options_.batch_capacity = 64;
-  }
-  if (options_.batch_capacity > 0) {
-    access_buffer_ = std::make_unique<AccessBuffer>(
-        options_.batch_capacity,
-        options_.batch_stripes == 0 ? 1 : options_.batch_stripes);
+  if (optimistic_) {
+    // RecordAccess needs the latch, so a latch-free hit publishes here.
+    access_buffer_ = std::make_unique<AccessBuffer>(/*capacity=*/64,
+                                                    /*stripes=*/8);
   }
   if (options_.io_dispatcher) {
     if (shared_dispatcher != nullptr) {
@@ -164,7 +158,7 @@ Result<FrameId> BufferPool::AcquireFrame(
     free_frames_.pop_back();
     return f;
   }
-  bool defer = write_behind_ && deferred_writes != nullptr;
+  if (!write_behind_) deferred_writes = nullptr;
   if (!optimistic_) {
     auto victim = policy_->Evict();
     if (!victim.has_value()) {
@@ -177,30 +171,15 @@ Result<FrameId> BufferPool::AcquireFrame(
     Page& page = frames_[f];
     LRUK_ASSERT(page.pin_count_.load(std::memory_order_relaxed) == 0,
                 "policy evicted a pinned page");
-    if (page.is_dirty()) {
-      if (defer) {
-        // Write-behind: copy the image aside (the "pinned copy") and hand
-        // the write to the Flush lane after the latch drops — the frame is
-        // reusable immediately and the miss path never waits on it. A
-        // failed write re-admits exactly (ReadmitFailedVictimLocked).
-        auto vw = std::make_shared<VictimWrite>();
-        vw->image = std::make_unique<char[]>(kPageSize);
-        std::memcpy(vw->image.get(), page.Data(), kPageSize);
-        pending_victim_writes_.emplace(*victim, std::move(vw));
-        deferred_writes->push_back(*victim);
-      } else {
-        // Write back BEFORE dismantling any pool state, so a failure can
-        // roll the eviction back: the frame still holds the page image and
-        // its page-table entry, pin count (0) and dirty bit are untouched —
-        // Restore() re-registers the victim with the policy and the pool is
-        // exactly as it was before Evict(). No eviction is counted.
-        Status written = DiskWrite(page.id_, page.Data());
-        if (!written.ok()) {
-          policy_->Restore(*victim);
-          return written;
-        }
-        ++stats_.dirty_writebacks;
-      }
+    // Write back BEFORE dismantling any pool state, so a failure can roll
+    // the eviction back: the frame still holds the page image and its
+    // page-table entry, pin count (0) and dirty bit are untouched —
+    // Restore() re-registers the victim with the policy and the pool is
+    // exactly as it was before Evict(). No eviction is counted.
+    Status written = WriteBackVictim(*victim, page, deferred_writes);
+    if (!written.ok()) {
+      policy_->Restore(*victim);
+      return written;
     }
     page_table_.Erase(*victim);
     page.id_ = kInvalidPageId;
@@ -249,28 +228,17 @@ Result<FrameId> BufferPool::AcquireFrame(
       }
       // Unpinned and the bucket is odd: no reader can validate a new pin
       // until we release the bucket, so the frame is exclusively ours —
-      // the write-back (or write-behind image copy) below cannot race a
-      // page writer.
-      if (page.is_dirty()) {
-        if (defer) {
-          auto vw = std::make_shared<VictimWrite>();
-          vw->image = std::make_unique<char[]>(kPageSize);
-          std::memcpy(vw->image.get(), page.Data(), kPageSize);
-          pending_victim_writes_.emplace(victim, std::move(vw));
-          deferred_writes->push_back(victim);
-        } else {
-          Status written = DiskWrite(page.id_, page.Data());
-          if (!written.ok()) {
-            // The failed nominee is restored below with the rest (it is
-            // the most recent examined pop, so reverse order restores it
-            // in its exact Evict-undo position).
-            page_table_.UnlockUnchanged(bucket);
-            result = written;
-            stop = true;
-            continue;
-          }
-          ++stats_.dirty_writebacks;
-        }
+      // the write-back (or write-behind image copy) cannot race a page
+      // writer.
+      Status written = WriteBackVictim(victim, page, deferred_writes);
+      if (!written.ok()) {
+        // The failed nominee is restored below with the rest (it is the
+        // most recent examined pop, so reverse order restores it in its
+        // exact Evict-undo position).
+        page_table_.UnlockUnchanged(bucket);
+        result = written;
+        stop = true;
+        continue;
       }
       page_table_.UnlockErased(bucket);
       page.id_ = kInvalidPageId;
@@ -289,17 +257,36 @@ Result<FrameId> BufferPool::AcquireFrame(
   return result;
 }
 
+Status BufferPool::WriteBackVictim(PageId v, const Page& page,
+                                   std::vector<PageId>* deferred_writes) {
+  if (!page.is_dirty()) return Status::Ok();
+  if (deferred_writes != nullptr) {
+    // Write-behind: copy the image aside (the "pinned copy") and hand the
+    // write to the Flush lane after the latch drops — the frame is
+    // reusable immediately and the miss path never waits on it. A failed
+    // write re-admits exactly (ReadmitFailedVictimLocked).
+    auto vw = std::make_shared<VictimWrite>();
+    vw->image = std::make_unique<char[]>(kPageSize);
+    std::memcpy(vw->image.get(), page.Data(), kPageSize);
+    pending_victim_writes_.emplace(v, std::move(vw));
+    deferred_writes->push_back(v);
+    return Status::Ok();
+  }
+  LRUK_RETURN_IF_ERROR(DiskWrite(v, page.Data()));
+  ++stats_.dirty_writebacks;
+  return Status::Ok();
+}
+
 void BufferPool::DrainAccessBufferLocked() const {
   // unique_ptr members are shallow-const, so observation paths (stats)
   // can drain through the same helper as mutating ones. Records for
-  // since-evicted pages are dropped and counted (access_drops): with the
-  // lock-free ring a record can stall behind another producer's
-  // unpublished claim and surface only after its page was evicted, and
-  // with optimistic_hits a latch-free pin + publish + unpin can complete
-  // entirely inside another thread's latch hold — so residency at drain
-  // time is the only safe filter. Single-threaded nothing is ever
-  // dropped: every eviction point drains first, and the ring is exactly
-  // FIFO without concurrent producers.
+  // since-evicted pages are dropped and counted (access_drops): a record
+  // can stall behind another producer's unpublished claim and surface
+  // only after its page was evicted, and a latch-free pin + publish +
+  // unpin can complete entirely inside another thread's latch hold — so
+  // residency at drain time is the only safe filter. Single-threaded
+  // nothing is ever dropped: every eviction point drains first, and the
+  // ring is exactly FIFO without concurrent producers.
   if (access_buffer_ == nullptr) return;
   size_t dropped = 0;
   access_buffer_->Drain(*policy_, /*skip_non_resident=*/true, &dropped);
@@ -605,7 +592,10 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
           frame_prefetched_[f].exchange(0, std::memory_order_relaxed) != 0;
       if (was_prefetched) ++stats_.prefetch_used;
       if (observable != nullptr) *observable = was_prefetched;
-      if (access_buffer_ == nullptr && !correlated) {
+      if (!correlated) {
+        // Under the latch, after any latch-free hits still in the ring, as
+        // the ring-full path in TryOptimisticHit does.
+        DrainAccessBufferLocked();
         policy_->RecordAccess(p, type);
       }
       if (!optimistic_ &&
@@ -621,21 +611,6 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
       std::vector<PageId> targets;
       CollectPrefetchesLocked(p, was_prefetched, &targets);
       guard.unlock();
-      if (access_buffer_ != nullptr && !correlated) {
-        // Batched hit path: publish the reference outside the latch. The
-        // pin taken above keeps the page resident (and un-evictable) until
-        // the record is drained, so a deferred RecordAccess can never land
-        // on a non-resident page.
-        if (!access_buffer_->TryPush({p, /*process=*/0, type})) {
-          // The stripe is full: drain under the latch and apply this
-          // (newest) reference directly, preserving FIFO order.
-          guard.lock();
-          CountLatchAcquire();
-          DrainAccessBufferLocked();
-          policy_->RecordAccess(p, type);
-          guard.unlock();
-        }
-      }
       LaunchPrefetches(targets);
       return &page;
     }
@@ -962,11 +937,8 @@ Status BufferPool::DeletePage(PageId p) {
   // holds. No new read of p can start while we hold the latch.
   FencePageLocked(guard, p);
   // Any buffered reference to p must reach the policy before Remove()
-  // forgets the page (a post-Remove RecordAccess would fault). A record
-  // not yet visible here implies its producer still pins p, in which case
-  // the delete fails below anyway. (In optimistic mode a reference can
-  // also be fully published and unpinned latch-free; a record that drains
-  // after the delete is dropped by the skip-non-resident drain.)
+  // forgets the page (a post-Remove RecordAccess would fault); a record
+  // that drains after the delete is dropped by the skip-non-resident drain.
   DrainAccessBufferLocked();
   FrameId f = 0;
   bool resident = page_table_.Find(p, &f);

@@ -16,11 +16,9 @@
 // pool's lifetime, so concurrent readers are safe; concurrent writers to
 // the same page must coordinate among themselves (as with per-page latches
 // in a real DBMS). For multi-core scaling, ShardedBufferPool composes
-// several of these pools behind the same PoolInterface,
-// BufferPoolOptions::batch_capacity moves the policy-bookkeeping half of
-// the hit path out of the latch hold (latch-free AccessBuffer, drained in
-// batches), and BufferPoolOptions::optimistic_hits takes the latch off
-// warm hits and unpins entirely (see below).
+// several of these pools behind the same PoolInterface, and
+// BufferPoolOptions::optimistic_hits takes the latch off warm hits and
+// unpins entirely (see below).
 //
 // Optimistic hit protocol (DESIGN.md "Optimistic page table & pin
 // protocol"): with optimistic_hits on, a hit is — probe the version-
@@ -67,23 +65,6 @@ namespace lruk {
 
 // Knobs shared by BufferPool and (per shard) ShardedBufferPool.
 struct BufferPoolOptions {
-  // Batched access recording (DESIGN.md "Batched access recording").
-  // 0 — disabled: every hit applies ReplacementPolicy::RecordAccess under
-  //     the pool latch, today's exact semantics.
-  // >=1 — hits enqueue an AccessRecord into a latch-free AccessBuffer of
-  //     this per-stripe capacity (rounded up to a power of two) after the
-  //     latch is released; the buffer is drained in FIFO order under the
-  //     latch when a stripe fills, before any admission/eviction/removal,
-  //     and on flush/stats calls. Single-threaded, the policy sees the
-  //     exact same call sequence as batch_capacity = 0 (drains preserve
-  //     order), so replacement behaviour is identical; multi-threaded, a
-  //     reference may be applied up to one buffer-capacity late.
-  size_t batch_capacity = 0;
-  // Number of independent rings inside the AccessBuffer. 1 =
-  // one shared ring per pool/shard; >= the thread count approximates a
-  // per-thread buffer (uncontended per-stripe producer mutex, per-stripe
-  // rather than global FIFO).
-  size_t batch_stripes = 1;
   // Bounded retry of transient (kIoError) disk read/write failures before
   // the error surfaces to the caller. Off by default (max_attempts = 1);
   // see util/retry.h. With io_dispatcher, demand reads, prefetch reads
@@ -98,15 +79,17 @@ struct BufferPoolOptions {
   // protocol"). Off (default): hits and unpins take the pool latch.
   // On: warm hits and unpins run entirely without the latch (optimistic
   // version-validated page-table probe + atomic pin counts), falling back
-  // to the latched path on any miss or instability. Implies batching:
-  // batch_capacity is bumped to 64 if left 0, because a latch-free hit
-  // can only publish its reference through the AccessBuffer. Replacement
-  // behaviour is byte-identical to the latched path single-threaded;
-  // concurrently, references to pages evicted before the next drain are
-  // dropped and counted (access_drops — bounded staleness, same contract
-  // as batching). Composes with readahead: the voting detector's Observe
-  // is wait-free, so a latch-free hit feeds it directly and only an
-  // actual stride trigger touches the latch.
+  // to the latched path on any miss or instability. A latch-free hit
+  // publishes its reference into a fixed lock-free AccessBuffer (64
+  // records x 8 stripes), drained under the latch. Replacement behaviour
+  // is byte-identical to the latched path single-threaded; concurrently,
+  // a reference is applied at a later drain, and references to pages
+  // evicted before it are dropped and counted (access_drops).
+  // The policy stamps a reference when it is drained, so with a wall-clock
+  // CRP (LruKOptions::clock set) the lag adds real time to interarrival
+  // gaps: leave this off there. Composes with readahead: the voting
+  // detector's Observe is wait-free, so a latch-free hit feeds it directly
+  // and only an actual stride trigger touches the latch.
   bool optimistic_hits = false;
 
   // --- Async I/O dispatcher (DESIGN.md "Async I/O dispatcher") ---
@@ -225,8 +208,8 @@ class BufferPool final : public PoolInterface {
   }
   DiskManager& disk() { return *disk_; }
   const BufferPoolOptions& options() const { return options_; }
-  // Drain/push counters for the batching buffer; all-zero when batching is
-  // disabled (batch_capacity == 0).
+  // Drain/push counters for the latch-free hits' AccessBuffer; all-zero
+  // unless optimistic_hits.
   AccessBufferStats access_buffer_stats() const {
     auto guard = Lock();
     return access_buffer_ ? access_buffer_->stats() : AccessBufferStats{};
@@ -388,6 +371,11 @@ class BufferPool final : public PoolInterface {
   // `deferred_writes` forces the synchronous write-back (used on failure
   // paths that must not cascade).
   Result<FrameId> AcquireFrame(std::vector<PageId>* deferred_writes);
+  // AcquireFrame's dirty-victim step for `v` in `page` (held exclusively):
+  // a write-behind image copy onto `deferred_writes` when non-null, else a
+  // synchronous write-back, whose failure leaves the pool unchanged.
+  Status WriteBackVictim(PageId v, const Page& page,
+                         std::vector<PageId>* deferred_writes);
   // NewPage/AdmitNewPage body; the latch is already held.
   Result<Page*> AdmitNewPageLocked(PageId p,
                                    std::vector<PageId>* deferred_writes);
@@ -398,9 +386,9 @@ class BufferPool final : public PoolInterface {
   // does not reach the policy (a miss is admitted as usual).
   Result<Page*> FixPage(PageId p, AccessType type, bool refix,
                         bool* observable);
-  // Applies every buffered access record to the policy (in optimistic
-  // mode, dropping records whose page was evicted since — see
-  // AccessBuffer::Drain). Caller holds the latch. Declared const because
+  // Applies every buffered access record to the policy, dropping records
+  // whose page was evicted since (see AccessBuffer::Drain); a no-op
+  // without optimistic_hits. Caller holds the latch. Declared const because
   // observation paths (stats) drain too; the mutation happens through the
   // shallow-const member pointers.
   void DrainAccessBufferLocked() const;
@@ -473,7 +461,7 @@ class BufferPool final : public PoolInterface {
   // path first, mutation paths use the bucket handshake, and SetEvictable
   // is suppressed (pin counts are the ground truth).
   bool optimistic_ = false;
-  // Present iff options_.batch_capacity > 0.
+  // Present iff optimistic_: the latch-free hits' publish channel.
   std::unique_ptr<AccessBuffer> access_buffer_;
   // Owned dispatcher (private to this pool); io_ points here or at the
   // shared one passed in. Null iff options_.io_dispatcher is false.

@@ -66,13 +66,11 @@ class ShardedBufferPool final : public PoolInterface {
   // two, <= capacity). `disk` must outlive the pool and be thread-safe.
   // `factory` is invoked once per shard as factory(shard_index,
   // shard_capacity) and must return a fresh policy each time.
-  // `shard_options` is applied to every shard; batch_capacity > 0 turns
-  // on batched access recording per shard (each shard drains its own
-  // AccessBuffer under its own latch — see DESIGN.md "Batched access
-  // recording"). optimistic_hits makes every shard's warm hits and unpins
-  // latch-free (the pool-level readahead detector still observes the full
-  // fetch stream here, above the shards, so readahead and the optimistic
-  // fast path compose).
+  // `shard_options` is applied to every shard. optimistic_hits makes
+  // every shard's warm hits and unpins latch-free, each shard draining its
+  // own AccessBuffer under its own latch (the pool-level readahead
+  // detector still observes the full fetch stream here, above the shards,
+  // so readahead and the optimistic fast path compose).
   ShardedBufferPool(size_t capacity, size_t num_shards, DiskManager* disk,
                     ShardPolicyFactory factory,
                     BufferPoolOptions shard_options = {});
@@ -114,8 +112,8 @@ class ShardedBufferPool final : public PoolInterface {
     for (const auto& shard : shards_) total += shard->MetaStats();
     return total;
   }
-  // Batching-buffer counters summed across shards (all-zero when
-  // batch_capacity == 0).
+  // AccessBuffer counters summed across shards (all-zero unless
+  // optimistic_hits).
   AccessBufferStats access_buffer_stats() const {
     AccessBufferStats total;
     for (const auto& shard : shards_) total += shard->access_buffer_stats();

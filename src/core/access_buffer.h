@@ -1,9 +1,9 @@
 // AccessBuffer — a fixed-capacity, lock-free staging area for page
-// references, decoupling *observing* a reference (hit path, no pool latch
-// for policy bookkeeping) from *applying* it to a ReplacementPolicy (batch
-// drain under the pool latch). This is the mechanism behind the pools'
-// `batch_capacity` option (see DESIGN.md "Batched access recording" and
-// "Wait-free publish & batched nomination").
+// references, decoupling *observing* a reference (a hit that holds no pool
+// latch) from *applying* it to a ReplacementPolicy (batch drain under the
+// pool latch). It is the publish channel of the pools' latch-free hit
+// path, BufferPoolOptions::optimistic_hits (see DESIGN.md "The latch-free
+// hit's publish channel" and "Wait-free publish & batched nomination").
 //
 // Structure: one or more stripes, each a bounded ring of sequence-numbered
 // cells. A producer claims a ticket with a single fetch_add on the
@@ -15,7 +15,7 @@
 // stripes each thread hashes to its own ring, so `stripes` at or above the
 // expected thread count makes even the ticket fetch_add uncontended.
 //
-// Because claim and publish are no longer serialized, a producer preempted
+// Because claim and publish are not serialized, a producer preempted
 // between them leaves a *gap*: records published behind it by other
 // threads are stalled until it publishes. The drain handles gaps by
 // stopping the stripe at the first claimed-but-unpublished cell (after a
@@ -24,11 +24,9 @@
 // stalled record's page can be unpinned, and even evicted, before its
 // reference is applied; pools therefore always drain with
 // `skip_non_resident` set and surface the skipped records as
-// `access_drops` (bounded staleness the batching contract already
-// permits, not lost bookkeeping — every drop is counted). An earlier
-// revision instead serialized claim+publish under a per-stripe micro-mutex
-// to make gaps impossible; that mutex was the last lock on the warm hit
-// path, which is exactly what this design removes.
+// `access_drops` (bounded staleness, not lost bookkeeping — every drop is
+// counted). Serializing claim+publish under a per-stripe mutex would make
+// gaps impossible, but would put a lock back on the warm hit path.
 //
 // Tickets can also be *abandoned*: TryPush refuses without touching a cell
 // when the stripe is logically full, and a producer that loses its claim
@@ -62,8 +60,8 @@
 namespace lruk {
 
 // Drain/push counters for a buffer's lifetime, exposed so benches can see
-// *why* batching wins or loses (bench/micro_contention prints records per
-// drain; DESIGN.md's batch-capacity guidance is derived from it).
+// what the drains amortize (bench/micro_contention prints records per
+// drain).
 struct AccessBufferStats {
   // Drain() calls, and how many records they applied in total.
   uint64_t drains = 0;

@@ -2,12 +2,13 @@
 // sanitizer CI matrix runs this suite by name).
 //
 // Eight threads hammer a sharded pool whose shards each run
-// `adaptive:lruk2+arc+2q` with batched access publishing and the
-// latch-free optimistic hit path — the deepest concurrent composition the
-// meta-policy rides in: buffered references drain into
-// RecordAccessBatch under the shard latch, evictions flow through the
-// active expert with victim booking, and switch decisions fire on drain
-// ticks. Asserted invariants:
+// `adaptive:lruk2+arc+2q`, once behind each hit path. The optimistic run
+// is the deepest concurrent composition the meta-policy rides in:
+// latch-free hits publish into the access ring, buffered references
+// drain into RecordAccessBatch under the shard latch, evictions flow
+// through the active expert's EvictBatch with victim booking, and switch
+// decisions fire on drain ticks. The latched run applies every reference
+// under the shard latch and evicts through Evict(). Asserted invariants:
 //
 //  * Exact fetch accounting: hits + misses == total fetches, no failures.
 //  * Regret accounting: every ghost saw every observed reference, so the
@@ -37,10 +38,11 @@ namespace {
 
 using difftest::AllocateDb;
 
-class AdaptiveConcurrencyTest : public ::testing::TestWithParam<size_t> {};
+// Parameter: optimistic_hits (false = latched hits).
+class AdaptiveConcurrencyTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(AdaptiveConcurrencyTest, RegretAccountingHoldsUnderChurn) {
-  const size_t batch_capacity = GetParam();
+  const bool optimistic = GetParam();
   constexpr size_t kFrames = 256;
   constexpr size_t kShards = 4;
   constexpr uint64_t kDbPages = 1024;
@@ -60,9 +62,7 @@ TEST_P(AdaptiveConcurrencyTest, RegretAccountingHoldsUnderChurn) {
   ASSERT_TRUE(factory.ok()) << factory.status().ToString();
 
   ShardedBufferPool pool(kFrames, kShards, &disk, *factory,
-                         BufferPoolOptions{.batch_capacity = batch_capacity,
-                                           .batch_stripes = 4,
-                                           .optimistic_hits = true});
+                         BufferPoolOptions{.optimistic_hits = optimistic});
 
   std::vector<PageId> pages = AllocateDb(pool, kDbPages);
   std::atomic<uint64_t> failures{0};
@@ -122,6 +122,9 @@ TEST_P(AdaptiveConcurrencyTest, RegretAccountingHoldsUnderChurn) {
       static_cast<uint64_t>(kThreads) * kOpsPerThread + kDbPages;
   EXPECT_LE(active_refs, upper);
   EXPECT_EQ(active_refs + totals.access_drops + totals.correlated_refs, upper);
+  if (!optimistic) {
+    EXPECT_EQ(totals.access_drops, 0u);  // No ring to drop from.
+  }
 
   // Per-shard snapshots are coherent with the merged view.
   uint64_t shard_misses = 0;
@@ -136,8 +139,10 @@ TEST_P(AdaptiveConcurrencyTest, RegretAccountingHoldsUnderChurn) {
   ASSERT_TRUE(pool.FlushAll().ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(CapacityEightAndSixtyFour, AdaptiveConcurrencyTest,
-                         ::testing::Values<size_t>(8, 64));
+INSTANTIATE_TEST_SUITE_P(HitPaths, AdaptiveConcurrencyTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Optimistic" : "Latched";
+                         });
 
 }  // namespace
 }  // namespace lruk

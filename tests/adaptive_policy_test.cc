@@ -16,7 +16,7 @@
 //    Restored into its nominating expert exactly; the others re-admit.
 //  * Fixed-expert differential — `adaptive:lruk2` is byte-identical to
 //    plain `lruk2` through the shared 20k-op scenario harness, across the
-//    plain pool, the sharded pool, the optimistic+batched pool, the
+//    plain pool, the sharded pool, the optimistic pool, the
 //    inline dispatcher, and readahead.
 //  * Interval-estimator units — priors until min_samples, quantiles
 //    tracking the observed gap distribution, Reset.
@@ -348,7 +348,7 @@ TEST(AdaptiveDifferentialTest, SingleExpertAdaptiveMatchesPlainLruK) {
   const Case cases[] = {
       {"plain", {}},
       {"sharded", {.sharded = true}},
-      {"optimistic+batched", {.batch_capacity = 64, .optimistic = true}},
+      {"optimistic", {.optimistic = true}},
       {"dispatcher", {.dispatcher = true}},
       {"readahead", {.readahead = true}},
   };

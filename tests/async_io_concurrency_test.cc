@@ -325,8 +325,6 @@ TEST(AsyncIoConcurrencyTest, FaultChurnKeepsPlainPoolInvariants) {
   options.io_workers = 4;
   options.io_queue_depth = 32;
   options.readahead = {.enabled = true, .window = 4, .min_run = 3};
-  options.batch_capacity = 64;
-  options.batch_stripes = 8;
 
   BufferPoolStats stats;
   {
@@ -546,7 +544,6 @@ BufferPoolOptions WriteBehindChurnOptions() {
   options.io_workers = 2;
   options.io_queue_depth = 16;
   options.write_behind = true;
-  options.batch_capacity = 64;
   return options;
 }
 

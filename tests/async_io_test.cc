@@ -282,23 +282,23 @@ TEST(AsyncIoReadaheadTest, ResetForgetsTheRun) {
 // single-threaded) vs the direct path — byte-identical.
 
 TEST(AsyncIoDifferentialTest, InlineDispatcherIsByteIdenticalPlainPool) {
-  for (size_t batch : {size_t{0}, size_t{64}}) {
-    SCOPED_TRACE("batch=" + std::to_string(batch));
-    DiffScenarioResult direct = RunDiffScenario({.batch_capacity = batch});
+  for (bool optimistic : {false, true}) {
+    SCOPED_TRACE(optimistic ? "optimistic" : "latched");
+    DiffScenarioResult direct = RunDiffScenario({.optimistic = optimistic});
     DiffScenarioResult inline_mode =
-        RunDiffScenario({.batch_capacity = batch, .dispatcher = true});
+        RunDiffScenario({.optimistic = optimistic, .dispatcher = true});
     ExpectScenarioEq(direct, inline_mode);
     EXPECT_EQ(inline_mode.stats.coalesced_reads, 0u);  // Single-threaded.
   }
 }
 
 TEST(AsyncIoDifferentialTest, InlineDispatcherIsByteIdenticalShardedPool) {
-  for (size_t batch : {size_t{0}, size_t{64}}) {
-    SCOPED_TRACE("batch=" + std::to_string(batch));
+  for (bool optimistic : {false, true}) {
+    SCOPED_TRACE(optimistic ? "optimistic" : "latched");
     DiffScenarioResult direct =
-        RunDiffScenario({.sharded = true, .batch_capacity = batch});
+        RunDiffScenario({.sharded = true, .optimistic = optimistic});
     DiffScenarioResult inline_mode = RunDiffScenario(
-        {.sharded = true, .batch_capacity = batch, .dispatcher = true});
+        {.sharded = true, .optimistic = optimistic, .dispatcher = true});
     ExpectScenarioEq(direct, inline_mode);
   }
 }

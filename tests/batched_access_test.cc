@@ -1,25 +1,24 @@
-// Batched access recording (BufferPoolOptions::batch_capacity +
-// core/access_buffer.h).
+// The AccessBuffer (core/access_buffer.h): the lock-free ring through which
+// latch-free hits (BufferPoolOptions::optimistic_hits) publish their
+// references to the policy.
 //
 // Three layers of coverage:
 //  * AccessBuffer unit tests — striped ring mechanics: fill/refusal,
 //    FIFO drain through RecordAccessBatch, process forwarding, capacity
 //    rounding, multi-stripe accounting.
-//  * Differential tests — on a deterministic single-threaded trace, a
-//    batched pool (capacity 1 and 64) must be byte-identical to the
-//    unbatched pool: same hit/miss/eviction/write-back counters, same
-//    eviction *sequence*, same resident set, same policy clock. Drains
-//    preserve reference order, so batching must not change replacement
-//    behaviour at all when there is no concurrency.
-//  * Concurrency churn (TSan target) — 8 threads over a sharded pool with
-//    batch capacity 8 and 64: hit+miss totals stay exact, and after a
-//    draining observation point every shard's LRU-K clock plus its counted
+//  * Concurrency churn (TSan target) — 8 threads over a sharded pool on
+//    each hit path: hit+miss totals stay exact, and after a draining
+//    observation point every shard's LRU-K clock plus its counted
 //    access_drops and correlated_refs equals its fetches + admissions —
 //    i.e. every buffered reference was either applied or accounted as a
-//    drop, never lost.
+//    drop, never lost. The latched pool, which has no ring and applies
+//    each hit under the latch, must drop nothing.
 //  * Wraparound hammer (TSan/ASan target) — 8 producers push through a
 //    tiny single-stripe ring (thousands of laps) against a concurrent
 //    drainer: exact totals, per-thread FIFO, no duplicates.
+//
+// The single-threaded equality of the ring path against the latched pool
+// is OptimisticDifferentialTest (optimistic_pool_test.cc).
 
 #include <atomic>
 #include <memory>
@@ -250,56 +249,16 @@ TEST(BatchedAccessBufferTest, WraparoundHammerKeepsExactTotalsAndFifo) {
   EXPECT_EQ(buffer.stats().dropped_records, 0u);
 }
 
-// ---------------------------------------------------------------------------
-// Differential tests: batched vs unbatched over the shared deterministic
-// 20k-op mixed workload (differential_harness.h).
-
 using difftest::AllocateDb;
-using difftest::DiffScenarioResult;
-using difftest::ExpectScenarioEq;
-using difftest::RunDiffScenario;
-using difftest::kDiffDbPages;
-
-class BatchedDifferentialTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(BatchedDifferentialTest, BatchedPoolIsByteIdenticalToUnbatched) {
-  const size_t batch_capacity = GetParam();
-
-  DiffScenarioResult baseline = RunDiffScenario({});  // batch_capacity = 0.
-  DiffScenarioResult batched =
-      RunDiffScenario({.batch_capacity = batch_capacity});
-
-  // Counters, eviction *sequence*, resident set, disk images and policy
-  // clock: byte for byte. Drains preserve reference order, so batching
-  // must not change replacement behaviour when there is no concurrency.
-  ExpectScenarioEq(baseline, batched);
-  EXPECT_GT(batched.stats.hits, 0u);
-  EXPECT_GT(batched.stats.evictions, 0u);
-  // Single-threaded there are no publish gaps: every eviction point
-  // drains first, so no buffered record can outlive its page.
-  EXPECT_EQ(batched.stats.access_drops, 0u);
-  // Closed-form clock: every reference was applied exactly once — one
-  // tick per fetch, per initial NewPage admission, and per delete/new
-  // cycle's replacement admission — except the correlated re-fixes, which
-  // never reach the policy. The skewed stream repeats pages back to back,
-  // so there are some.
-  EXPECT_GT(baseline.stats.correlated_refs, 0u);
-  EXPECT_EQ(baseline.clocks[0] + baseline.stats.correlated_refs,
-            baseline.stats.hits + baseline.stats.misses + kDiffDbPages +
-                static_cast<uint64_t>(baseline.delete_cycles));
-}
-
-INSTANTIATE_TEST_SUITE_P(CapacityOneAndSixtyFour, BatchedDifferentialTest,
-                         ::testing::Values<size_t>(1, 64));
 
 // ---------------------------------------------------------------------------
 // Multi-threaded churn (run under TSan/ASan by the sanitizer CI matrix).
 
-class BatchedAccessConcurrencyTest
-    : public ::testing::TestWithParam<size_t> {};
+// Parameter: optimistic_hits (false = latched hits, no ring).
+class BatchedAccessConcurrencyTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(BatchedAccessConcurrencyTest, NoReferenceIsLostUnderChurn) {
-  const size_t batch_capacity = GetParam();
+  const bool optimistic = GetParam();
   constexpr size_t kFrames = 256;
   constexpr size_t kShards = 4;
   constexpr uint64_t kChurnDbPages = 1024;
@@ -310,8 +269,7 @@ TEST_P(BatchedAccessConcurrencyTest, NoReferenceIsLostUnderChurn) {
   auto factory = MakeShardPolicyFactory(PolicyConfig::LruK(2));
   ASSERT_TRUE(factory.ok());
   ShardedBufferPool pool(kFrames, kShards, &disk, *factory,
-                         BufferPoolOptions{.batch_capacity = batch_capacity,
-                                           .batch_stripes = 4});
+                         BufferPoolOptions{.optimistic_hits = optimistic});
 
   std::vector<PageId> pages = AllocateDb(pool, kChurnDbPages);
   std::vector<uint64_t> admits_per_shard(kShards, 0);
@@ -348,8 +306,8 @@ TEST_P(BatchedAccessConcurrencyTest, NoReferenceIsLostUnderChurn) {
 
   // No lost references: per shard, the LRU-K logical clock (one tick per
   // RecordAccess/Admit) plus the records the shard counted as dropped
-  // (buffered past their page's eviction — possible now that publish is
-  // lock-free and a gap can stall a record) plus the correlated re-fixes
+  // (buffered past their page's eviction — publish is lock-free, so a gap
+  // can stall a record) plus the correlated re-fixes
   // it kept from the policy must equal that shard's fetches plus its
   // share of the initial admissions. Every buffered record was applied or
   // accounted, never silently lost.
@@ -360,14 +318,26 @@ TEST_P(BatchedAccessConcurrencyTest, NoReferenceIsLostUnderChurn) {
     EXPECT_EQ(policy.CurrentTime() + s.access_drops + s.correlated_refs,
               s.hits + s.misses + admits_per_shard[i])
         << "shard " << i;
+    // Only latch-free hits publish through the ring; a latched hit
+    // applies its reference under the latch and so can never be dropped.
+    AccessBufferStats ring = pool.shard(i).access_buffer_stats();
+    if (optimistic) {
+      EXPECT_GT(ring.drained_records, 0u) << "shard " << i;
+    } else {
+      EXPECT_EQ(s.access_drops, 0u) << "shard " << i;
+      EXPECT_EQ(ring.drains, 0u) << "shard " << i;
+      EXPECT_EQ(ring.drained_records, 0u) << "shard " << i;
+      EXPECT_EQ(ring.full_pushes, 0u) << "shard " << i;
+    }
   }
 
   ASSERT_TRUE(pool.FlushAll().ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(CapacityEightAndSixtyFour,
-                         BatchedAccessConcurrencyTest,
-                         ::testing::Values<size_t>(8, 64));
+INSTANTIATE_TEST_SUITE_P(HitPaths, BatchedAccessConcurrencyTest,
+                         ::testing::Bool(), [](const auto& info) {
+                           return info.param ? "Optimistic" : "Latched";
+                         });
 
 }  // namespace
 }  // namespace lruk

@@ -143,11 +143,11 @@ constexpr int kDiffOps = 20000;
 
 // A mixed deterministic workload: skewed fetches, 25% writes, periodic
 // FlushPage, periodic DeletePage + NewPage (id churn through the
-// allocator's free list). Exercises every pool entry point the async
-// stack, the optimistic hit path, and batched publishing touch. Reports
-// the number of delete/new cycles through *delete_cycles (for closed-form
-// policy-clock assertions: clock + correlated_refs == hits + misses +
-// initial admissions + delete cycles).
+// allocator's free list). Exercises every pool entry point that the
+// async stack and the optimistic hit path (with its publish ring) touch.
+// Reports the number of delete/new cycles through *delete_cycles (for
+// closed-form policy-clock assertions: clock + correlated_refs == hits +
+// misses + initial admissions + delete cycles).
 inline void DriveMixedWorkload(PoolInterface& pool,
                                std::vector<PageId>& pages,
                                int ops = kDiffOps,
@@ -193,7 +193,6 @@ struct DiffScenarioConfig {
   size_t capacity = kDiffCapacity;
   uint64_t db_pages = kDiffDbPages;
   int ops = kDiffOps;
-  size_t batch_capacity = 0;
   bool optimistic = false;
   bool dispatcher = false;  // Inline unless io_workers > 0.
   size_t io_workers = 0;
@@ -219,7 +218,6 @@ struct DiffScenarioResult {
 inline DiffScenarioResult RunDiffScenario(const DiffScenarioConfig& config) {
   SimDiskManager disk;
   BufferPoolOptions options;
-  options.batch_capacity = config.batch_capacity;
   options.optimistic_hits = config.optimistic;
   options.io_dispatcher = config.dispatcher;
   options.io_workers = config.io_workers;

@@ -11,8 +11,8 @@
 //    latch) and the best case for this one (all CAS traffic on one pin
 //    count). Bytes stay readable throughout; every fetch resolves.
 //  * Mixed churn, full stack — 8 threads of skewed read/write traffic
-//    over an optimistic pool with worker-mode dispatcher, write-behind
-//    and batching: evictions, victim-image copies and latch-free hits
+//    over an optimistic pool with worker-mode dispatcher and
+//    write-behind: evictions, victim-image copies and latch-free hits
 //    race continuously; frame accounting balances after quiesce.
 //  * Delete/reuse churn — concurrent DeletePage + NewPage cycles recycle
 //    page ids under live optimistic readers: the eviction/delete bucket
@@ -58,8 +58,6 @@ TEST(OptimisticConcurrencyTest, HotPageHammerStaysCoherent) {
   SimDiskManager disk;
   BufferPoolOptions options;
   options.optimistic_hits = true;
-  options.batch_capacity = 64;
-  options.batch_stripes = 8;
   BufferPool pool(8, &disk,
                   std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
   std::vector<PageId> pages = AllocateDb(pool, 8);
@@ -162,8 +160,6 @@ TEST(OptimisticConcurrencyTest, MixedChurnKeepsPlainPoolInvariants) {
   SimDiskManager disk;
   BufferPoolOptions options;
   options.optimistic_hits = true;
-  options.batch_capacity = 64;
-  options.batch_stripes = 8;
   options.io_dispatcher = true;
   options.io_workers = 4;
   options.io_queue_depth = 32;
@@ -214,8 +210,7 @@ TEST(OptimisticConcurrencyTest, DeleteReuseChurnUnderOptimisticReaders) {
 
   SimDiskManager disk;
   BufferPoolOptions options;
-  options.optimistic_hits = true;  // batch_capacity auto-bumps to 64.
-  options.batch_stripes = 8;
+  options.optimistic_hits = true;
   BufferPool pool(16, &disk,
                   std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
   std::vector<PageId> initial = AllocateDb(pool, kSlots);
@@ -284,8 +279,6 @@ TEST(OptimisticConcurrencyTest, ShardedChurnComposesWithPoolReadahead) {
   SimDiskManager disk;
   BufferPoolOptions options;
   options.optimistic_hits = true;
-  options.batch_capacity = 64;
-  options.batch_stripes = 8;
   options.io_dispatcher = true;
   options.io_workers = 4;
   options.io_queue_depth = 32;

@@ -12,10 +12,12 @@
 //    BYTE-IDENTICAL single-threaded behaviour to the latched path over the
 //    same 20k-op mixed workload async_io_test.cc uses: same counters, same
 //    victim sequence, same IoStats, same residency, same disk images —
-//    with the inline dispatcher off and on, and with the auto-bumped
-//    default batch_capacity.
+//    with the inline dispatcher off and on, with worker-mode
+//    write-behind, and through the publish ring's full-stripe path.
 //  * Zero-mutex hit — a warm optimistic fetch/unpin pair acquires the pool
-//    latch ZERO times, asserted via the latch_acquires counter.
+//    latch ZERO times, asserted via the latch_acquires counter. Only such
+//    hits publish through the ring: a latched pool has none and applies
+//    each hit's reference before FetchPage returns.
 //  * Readahead interaction — readahead and the optimistic fast path
 //    compose on both pool shapes (the voting detector's Observe is
 //    wait-free), staying byte-identical to the latched pool with the
@@ -51,7 +53,9 @@ using difftest::DiffScenarioConfig;
 using difftest::DiffScenarioResult;
 using difftest::ExpectPoolStatsEq;
 using difftest::ExpectScenarioEq;
+using difftest::RecordingPolicy;
 using difftest::RunDiffScenario;
+using difftest::kDiffDbPages;
 
 // ---------------------------------------------------------------------------
 // PageTable units.
@@ -171,18 +175,11 @@ TEST(OptimisticPageTableTest, UnlockErasedRemovesTheMapping) {
 // ---------------------------------------------------------------------------
 // Differential battery: optimistic_hits vs the latched path —
 // byte-identical single-threaded. Workload and scaffolding live in
-// differential_harness.h (shared with async_io_test.cc and
-// batched_access_test.cc); this suite runs it with batch_capacity 64 —
-// the auto-bump default optimistic mode implies.
-
-DiffScenarioResult RunScenario(DiffScenarioConfig config) {
-  if (config.batch_capacity == 0) config.batch_capacity = 64;
-  return RunDiffScenario(config);
-}
+// differential_harness.h (shared with async_io_test.cc).
 
 TEST(OptimisticDifferentialTest, MatchesLatchedPathPlainPool) {
-  DiffScenarioResult latched = RunScenario({.optimistic = false});
-  DiffScenarioResult optimistic = RunScenario({.optimistic = true});
+  DiffScenarioResult latched = RunDiffScenario({.optimistic = false});
+  DiffScenarioResult optimistic = RunDiffScenario({.optimistic = true});
   ExpectScenarioEq(latched, optimistic);
   // The fast path actually ran (warm hits dominate a skewed workload) and
   // never misfired: single-threaded, nothing invalidates a probe
@@ -204,12 +201,22 @@ TEST(OptimisticDifferentialTest, MatchesLatchedPathPlainPool) {
   EXPECT_EQ(latched.stats.access_drops, 0u);
   // Latch-free hits show up as the acquisition gap between the modes.
   EXPECT_LT(optimistic.stats.latch_acquires, latched.stats.latch_acquires);
+  // Closed-form clock: every reference was applied exactly once — one
+  // tick per fetch, per initial NewPage admission, and per delete/new
+  // cycle's replacement admission — except the correlated re-fixes, which
+  // never reach the policy. The skewed stream repeats pages back to back,
+  // so there are some.
+  EXPECT_GT(latched.stats.correlated_refs, 0u);
+  EXPECT_EQ(latched.clocks[0] + latched.stats.correlated_refs,
+            latched.stats.hits + latched.stats.misses + kDiffDbPages +
+                static_cast<uint64_t>(latched.delete_cycles));
 }
 
 TEST(OptimisticDifferentialTest, MatchesLatchedPathShardedPool) {
-  DiffScenarioResult latched = RunScenario({.sharded = true, .optimistic = false});
+  DiffScenarioResult latched =
+      RunDiffScenario({.sharded = true, .optimistic = false});
   DiffScenarioResult optimistic =
-      RunScenario({.sharded = true, .optimistic = true});
+      RunDiffScenario({.sharded = true, .optimistic = true});
   ExpectScenarioEq(latched, optimistic);
   EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
 }
@@ -219,30 +226,47 @@ TEST(OptimisticDifferentialTest, MatchesLatchedPathUnderAsyncStack) {
   // per-page tracker, with the latch released across the read.
   for (bool sharded : {false, true}) {
     SCOPED_TRACE(sharded ? "sharded" : "plain");
-    DiffScenarioResult latched = RunScenario(
+    DiffScenarioResult latched = RunDiffScenario(
         {.sharded = sharded, .optimistic = false, .dispatcher = true});
-    DiffScenarioResult optimistic = RunScenario(
+    DiffScenarioResult optimistic = RunDiffScenario(
         {.sharded = sharded, .optimistic = true, .dispatcher = true});
     ExpectScenarioEq(latched, optimistic);
     EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
   }
 }
 
-TEST(OptimisticDifferentialTest, DefaultBatchAutoBumpMatchesExplicit) {
-  // optimistic_hits with batch_capacity left 0 implies batch_capacity 64
-  // (a latch-free hit can only publish through the AccessBuffer).
-  DiffScenarioResult defaulted =
-      RunDiffScenario({.batch_capacity = 0, .optimistic = true});
-  DiffScenarioResult explicit_batch =
-      RunDiffScenario({.batch_capacity = 64, .optimistic = true});
-  ExpectScenarioEq(defaulted, explicit_batch);
-
-  SimDiskManager disk;
-  BufferPoolOptions options;
-  options.optimistic_hits = true;
-  BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                  options);
-  EXPECT_EQ(pool.options().batch_capacity, 64u);
+TEST(OptimisticDifferentialTest, MatchesLatchedPathUnderWriteBehind) {
+  // Worker-mode dispatcher with write-behind, driven by one thread: the
+  // pool's policy calls stay sequential, so everything matches except
+  // which dirty victims the Flush lane wrote and which (lane full) the
+  // evicting thread wrote itself.
+  for (bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "plain");
+    DiffScenarioConfig config{.sharded = sharded,
+                              .dispatcher = true,
+                              .io_workers = 2,
+                              .write_behind = true};
+    DiffScenarioResult latched = RunDiffScenario(config);
+    config.optimistic = true;
+    DiffScenarioResult optimistic = RunDiffScenario(config);
+    EXPECT_EQ(latched.evictions, optimistic.evictions);
+    EXPECT_EQ(latched.residency, optimistic.residency);
+    EXPECT_EQ(latched.images, optimistic.images);
+    EXPECT_EQ(latched.clocks, optimistic.clocks);
+    EXPECT_EQ(latched.stats.hits, optimistic.stats.hits);
+    EXPECT_EQ(latched.stats.misses, optimistic.stats.misses);
+    EXPECT_EQ(latched.stats.evictions, optimistic.stats.evictions);
+    EXPECT_EQ(latched.stats.correlated_refs, optimistic.stats.correlated_refs);
+    EXPECT_EQ(
+        latched.stats.dirty_writebacks + latched.stats.writebehind_writes,
+        optimistic.stats.dirty_writebacks +
+            optimistic.stats.writebehind_writes);
+    EXPECT_EQ(latched.io.reads, optimistic.io.reads);
+    EXPECT_EQ(latched.io.writes, optimistic.io.writes);
+    EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
+    EXPECT_GT(optimistic.stats.writebehind_writes, 0u);
+    EXPECT_EQ(optimistic.stats.access_drops, 0u);
+  }
 }
 
 TEST(OptimisticDifferentialTest, ReadaheadComposesAndStaysIdentical) {
@@ -252,9 +276,9 @@ TEST(OptimisticDifferentialTest, ReadaheadComposesAndStaysIdentical) {
   // still byte-identical to the latched pool with the same detector.
   for (bool sharded : {false, true}) {
     SCOPED_TRACE(sharded ? "sharded" : "plain");
-    DiffScenarioResult latched = RunScenario(
+    DiffScenarioResult latched = RunDiffScenario(
         {.sharded = sharded, .optimistic = false, .readahead = true});
-    DiffScenarioResult optimistic = RunScenario(
+    DiffScenarioResult optimistic = RunDiffScenario(
         {.sharded = sharded, .optimistic = true, .readahead = true});
     ExpectScenarioEq(latched, optimistic);
     EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
@@ -263,19 +287,63 @@ TEST(OptimisticDifferentialTest, ReadaheadComposesAndStaysIdentical) {
   }
 }
 
-TEST(OptimisticDifferentialTest, TinyRingRefusalPathStaysIdentical) {
-  // batch_capacity 1: nearly every publish lands on the ring-full refusal
-  // path (drain under the latch + apply directly). The FIFO contract must
-  // hold across the refusals — byte-identical again — and single-threaded
-  // nothing is ever dropped, even with zero capacity headroom.
-  DiffScenarioResult latched =
-      RunScenario({.batch_capacity = 1, .optimistic = false});
-  DiffScenarioResult optimistic =
-      RunScenario({.batch_capacity = 1, .optimistic = true});
-  ExpectScenarioEq(latched, optimistic);
-  EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
-  EXPECT_EQ(optimistic.stats.access_drops, 0u);
-  EXPECT_EQ(latched.stats.access_drops, 0u);
+TEST(OptimisticDifferentialTest, RingFullPathStaysIdentical) {
+  // Alternating hits on two resident pages with no miss, hence no drain,
+  // in between: the thread's 64-record stripe fills and every 65th
+  // publish takes the ring-full path (drain, then apply under the latch).
+  // Ending on such a publish makes its reference the policy's newest. The
+  // FIFO contract must hold across the path: the policy's clock, backward
+  // K-distances and next victims end exactly where the latched pool's do.
+  constexpr uint64_t kHits = 3 * 65;
+  struct Side {
+    explicit Side(bool optimistic) {
+      auto policy = std::make_unique<RecordingPolicy>(
+          std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
+      recorder = policy.get();
+      pool = std::make_unique<BufferPool>(
+          8, &disk, std::move(policy),
+          BufferPoolOptions{.optimistic_hits = optimistic});
+      pages = AllocateDb(*pool, 8);
+    }
+    const LruKPolicy& Lruk() const {
+      return static_cast<const LruKPolicy&>(recorder->inner());
+    }
+    SimDiskManager disk;
+    RecordingPolicy* recorder = nullptr;
+    std::unique_ptr<BufferPool> pool;
+    std::vector<PageId> pages;
+  };
+  Side latched(false);
+  Side optimistic(true);
+  BufferPoolStats before = optimistic.pool->StatsSnapshot();
+  for (Side* side : {&latched, &optimistic}) {
+    for (uint64_t i = 0; i < kHits; ++i) {
+      PageId p = side->pages[i & 1];
+      ASSERT_TRUE(side->pool->FetchPage(p).ok());
+      ASSERT_TRUE(side->pool->UnpinPage(p, false).ok());
+    }
+  }
+  BufferPoolStats after = optimistic.pool->StatsSnapshot();
+  EXPECT_EQ(after.optimistic_hits - before.optimistic_hits, kHits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_GT(optimistic.pool->access_buffer_stats().full_pushes, 0u);
+  EXPECT_EQ(optimistic.pool->stats().access_drops, 0u);  // Drains.
+  EXPECT_EQ(optimistic.Lruk().CurrentTime(), latched.Lruk().CurrentTime());
+  ASSERT_EQ(optimistic.pages, latched.pages);
+  for (PageId p : latched.pages) {
+    EXPECT_EQ(optimistic.Lruk().BackwardKDistance(p),
+              latched.Lruk().BackwardKDistance(p))
+        << "page " << p;
+  }
+
+  // The next victims: admissions that evict every page but the two hot
+  // ones, then some of the fresh pages themselves.
+  for (Side* side : {&latched, &optimistic}) {
+    AllocateDb(*side->pool, 8);
+  }
+  EXPECT_EQ(optimistic.recorder->evictions(), latched.recorder->evictions());
+  EXPECT_EQ(optimistic.recorder->evictions().size(), 8u);
+  EXPECT_EQ(optimistic.Lruk().CurrentTime(), latched.Lruk().CurrentTime());
 }
 
 // ---------------------------------------------------------------------------
@@ -286,14 +354,14 @@ TEST(OptimisticHitPathTest, WarmHitAcquiresNoLatch) {
   SimDiskManager disk;
   BufferPoolOptions options;
   options.optimistic_hits = true;
-  // Room for every record this loop publishes, so no drain is triggered.
-  options.batch_capacity = 256;
   BufferPool pool(128, &disk,
                   std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
   std::vector<PageId> pages = AllocateDb(pool, kPages);
 
   // Everything resident (capacity > kPages): from here on, every fetch is
-  // a warm hit and every unpin balances a latch-free pin.
+  // a warm hit and every unpin balances a latch-free pin. The loop
+  // publishes kPages records, exactly one ring stripe's 64, so no drain
+  // is triggered.
   BufferPoolStats before = pool.StatsSnapshot();
   for (PageId p : pages) {
     auto page = pool.FetchPage(p, AccessType::kRead);
@@ -323,7 +391,6 @@ TEST(OptimisticHitPathTest, WarmHitStaysLatchFreeWithReadaheadOn) {
   SimDiskManager disk;
   BufferPoolOptions options;
   options.optimistic_hits = true;
-  options.batch_capacity = 256;
   options.io_dispatcher = true;  // Inline workers.
   options.readahead = {.enabled = true, .window = 4, .min_run = 3};
   BufferPool pool(16, &disk,
@@ -343,6 +410,41 @@ TEST(OptimisticHitPathTest, WarmHitStaysLatchFreeWithReadaheadOn) {
   EXPECT_EQ(after.optimistic_hits - before.optimistic_hits, kLoops);
   EXPECT_EQ(after.prefetch_issued, before.prefetch_issued);
   EXPECT_EQ(after.optimistic_fallbacks, before.optimistic_fallbacks);
+}
+
+TEST(OptimisticHitPathTest, OnlyLatchFreeHitsPublishThroughTheRing) {
+  // A pool holds the publish ring exactly when optimistic_hits is set. A
+  // latched hit applies its reference under the latch before FetchPage
+  // returns, so the policy clock ticks once per hit; a latch-free hit
+  // leaves its reference in the ring until the next drain.
+  constexpr uint64_t kHits = 10;
+  for (bool optimistic : {false, true}) {
+    SCOPED_TRACE(optimistic ? "optimistic" : "latched");
+    SimDiskManager disk;
+    auto policy = std::make_unique<LruKPolicy>(LruKOptions{.k = 2});
+    const LruKPolicy* lruk = policy.get();
+    BufferPool pool(8, &disk, std::move(policy),
+                    BufferPoolOptions{.optimistic_hits = optimistic});
+    std::vector<PageId> pages = AllocateDb(pool, 2);
+    BufferPoolStats before = pool.stats();  // Drains.
+    const Timestamp start = lruk->CurrentTime();
+    for (uint64_t i = 0; i < kHits; ++i) {
+      PageId p = pages[i & 1];  // Alternate: no correlated re-fix.
+      ASSERT_TRUE(pool.FetchPage(p).ok());
+      ASSERT_TRUE(pool.UnpinPage(p, false).ok());
+      EXPECT_EQ(lruk->CurrentTime(), optimistic ? start : start + i + 1)
+          << "hit " << i;
+    }
+    BufferPoolStats after = pool.stats();  // Drains.
+    EXPECT_EQ(after.hits - before.hits, kHits);
+    EXPECT_EQ(after.optimistic_hits - before.optimistic_hits,
+              optimistic ? kHits : 0u);
+    EXPECT_EQ(lruk->CurrentTime(), start + kHits);
+    EXPECT_EQ(after.access_drops, 0u);
+    AccessBufferStats ring = pool.access_buffer_stats();
+    EXPECT_EQ(ring.drained_records, optimistic ? kHits : 0u);
+    EXPECT_EQ(ring.drains > 0, optimistic);  // A latched pool has no ring.
+  }
 }
 
 TEST(OptimisticHitPathTest, StatsSnapshotMatchesStatsWhenQuiescent) {
