@@ -117,7 +117,6 @@ struct PolicyRow {
   double ratio_vs_best = 0.0;  // misses / best fixed expert misses.
   // Meta rows only:
   uint64_t switches = 0;
-  uint64_t retunes = 0;
   std::string final_expert;
 };
 
@@ -134,7 +133,7 @@ struct FamilyResult {
   std::vector<std::string> losers;  // Fixed experts over the bound here.
 };
 
-// The switching knobs the bench pins on both adaptive rows: windows much
+// The switching knobs the bench pins on the adaptive row: windows much
 // shorter than a phase-change cycle so the meta-policy can react within a
 // scan phase, with enough hysteresis not to flap on the stationary
 // families.
@@ -176,7 +175,6 @@ FamilyResult RunFamily(const std::string& family,
       make_row("lfu", "lfu", false),
       make_row("mru", "mru", false),
       make_row("adaptive", "adaptive:lruk2+lfu+mru", true),
-      make_row("adaptive-tuned", "adaptive-tuned:lruk2+lfu+mru", true),
   };
 
   for (PolicyRow& row : out.rows) {
@@ -204,7 +202,6 @@ FamilyResult RunFamily(const std::string& family,
       row.hit_ratio = result.HitRatio();
       MetaPolicyStats meta = (*policy)->GetMetaStats();
       row.switches = meta.switches;
-      row.retunes = meta.retunes;
       if (meta.active_expert < meta.experts.size()) {
         row.final_expert = meta.experts[meta.active_expert].name;
       }
@@ -293,11 +290,8 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                    static_cast<unsigned long long>(row.regret),
                    row.ratio_vs_best);
       if (row.is_adaptive) {
-        std::fprintf(f,
-                     ", \"switches\": %llu, \"retunes\": %llu, "
-                     "\"final_expert\": \"%s\"",
+        std::fprintf(f, ", \"switches\": %llu, \"final_expert\": \"%s\"",
                      static_cast<unsigned long long>(row.switches),
-                     static_cast<unsigned long long>(row.retunes),
                      row.final_expert.c_str());
       }
       std::fprintf(f, "}%s\n", r + 1 < fam.rows.size() ? "," : "");

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 
-#include "core/lru_k.h"
 #include "util/macros.h"
 
 namespace lruk {
 
 AdaptivePolicy::AdaptivePolicy(std::vector<AdaptiveExpert> experts,
                                AdaptivePolicyOptions options)
-    : experts_(std::move(experts)),
-      options_(options),
-      estimator_(options.estimator) {
+    : experts_(std::move(experts)), options_(options) {
   LRUK_ASSERT(!experts_.empty(), "adaptive policy needs at least one expert");
   LRUK_ASSERT(options_.capacity > 0,
               "adaptive policy needs the pool capacity for its ghost caches");
@@ -36,23 +33,6 @@ AdaptivePolicy::AdaptivePolicy(std::vector<AdaptiveExpert> experts,
     name_ += experts_[i].name;
   }
   name_ += ")";
-
-  if (options_.tune_lruk) {
-    for (AdaptiveExpert& e : experts_) {
-      auto* live = dynamic_cast<LruKPolicy*>(e.live.get());
-      if (live != nullptr) {
-        live_lruk_ = live;
-        ghost_lruk_ = dynamic_cast<LruKPolicy*>(e.ghost.get());
-        break;
-      }
-    }
-    if (options_.max_tuned_crp == 0) {
-      options_.max_tuned_crp = std::max<Timestamp>(1, options_.capacity / 2);
-    }
-    if (options_.min_tuned_rip == 0) {
-      options_.min_tuned_rip = 8 * static_cast<Timestamp>(options_.capacity);
-    }
-  }
 }
 
 AdaptivePolicy::~AdaptivePolicy() = default;
@@ -165,12 +145,7 @@ void AdaptivePolicy::OnReference(PageId p, AccessType type, bool live_miss) {
     ++total_meta_misses_;
   }
   ++active_refs_[active_];
-  ++refs_;
   ++refs_since_switch_;
-  if (live_lruk_ != nullptr) {
-    estimator_.Observe(p, refs_);
-    if (refs_ % options_.tune_interval == 0) MaybeRetune();
-  }
   if (++refs_in_bucket_ >= bucket_refs_) {
     refs_in_bucket_ = 0;
     RotateBucket();
@@ -235,23 +210,6 @@ void AdaptivePolicy::MaybeSwitch() {
   refs_since_switch_ = 0;
 }
 
-void AdaptivePolicy::MaybeRetune() {
-  IntervalEstimator::Estimate est = estimator_.Current();
-  if (est.samples < options_.estimator.min_samples) return;
-  Timestamp crp = std::min(est.crp, options_.max_tuned_crp);
-  Timestamp rip = est.rip;
-  if (rip != kInfinitePeriod) rip = std::max(rip, options_.min_tuned_rip);
-  live_lruk_->SetCorrelatedReferencePeriod(crp);
-  live_lruk_->SetRetainedInformationPeriod(rip);
-  if (ghost_lruk_ != nullptr) {
-    ghost_lruk_->SetCorrelatedReferencePeriod(crp);
-    ghost_lruk_->SetRetainedInformationPeriod(rip);
-  }
-  tuned_crp_ = crp;
-  tuned_rip_ = rip;
-  ++retunes_;
-}
-
 MetaPolicyStats AdaptivePolicy::GetMetaStats() const {
   MetaPolicyStats s;
   s.adaptive = true;
@@ -260,9 +218,6 @@ MetaPolicyStats AdaptivePolicy::GetMetaStats() const {
   s.evaluations = evaluations_;
   s.window_misses = window_meta_misses_;
   s.total_misses = total_meta_misses_;
-  s.tuned_crp = tuned_crp_;
-  s.tuned_rip = tuned_rip_ == kInfinitePeriod ? 0 : tuned_rip_;
-  s.retunes = retunes_;
   s.experts.resize(experts_.size());
   for (size_t i = 0; i < experts_.size(); ++i) {
     s.experts[i].name = experts_[i].name;

@@ -1,11 +1,10 @@
 // Adaptive meta-policy: online expert selection with ghost caches.
 //
 // The paper fixes K, the Correlated Reference Period, and the Retained
-// Information Period offline and concedes in Section 5 that they must be
-// tuned to the workload. This policy closes that loop in the spirit of
-// expert-mixing cache management (EEvA, arXiv:2405.00154; AWRP,
-// arXiv:1107.4851): it wraps a set of ordinary ReplacementPolicy experts
-// (LRU-K, ARC, 2Q, LFU, ...) and
+// Information Period per workload (Section 5). This policy picks among
+// whole policies online instead, in the spirit of expert-mixing cache
+// management (EEvA, arXiv:2405.00154; AWRP, arXiv:1107.4851): it wraps a
+// set of ordinary ReplacementPolicy experts (LRU-K, ARC, 2Q, LFU, ...) and
 //
 //   * keeps every expert's *live* instance synchronized with the true
 //     resident set (all of them see every RecordAccess/Admit/Remove/pin),
@@ -18,11 +17,7 @@
 //     fixed-width buckets) and switches the active expert with hysteresis:
 //     a challenger must beat the incumbent by a relative margin, the
 //     incumbent must have accumulated a minimum number of window misses,
-//     and switches are rate-limited by a cooldown;
-//   * optionally re-estimates the LRU-K expert's CRP/RIP online from the
-//     measured inter-reference gap distribution (analysis/
-//     interval_estimator.h) and applies the tuned values to both the live
-//     and the ghost LRU-K instance.
+//     and switches are rate-limited by a cooldown.
 //
 // Composition with the pools: Evict/EvictBatch/Restore forward to the
 // active expert exactly, so with a single expert this wrapper is
@@ -47,13 +42,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/interval_estimator.h"
 #include "core/replacement_policy.h"
 #include "core/types.h"
 
 namespace lruk {
-
-class LruKPolicy;
 
 // One configured expert: a live instance (mirrors the true resident set)
 // and a ghost instance (shadow-simulates the expert alone).
@@ -79,17 +71,6 @@ struct AdaptivePolicyOptions {
   double switch_margin = 0.10;
   uint64_t min_window_misses = 16;
   uint64_t cooldown_refs = 1024;
-  // Online CRP/RIP re-estimation for the (first) LRU-K expert. Off by
-  // default so `adaptive:lruk2` stays byte-identical to plain `lruk2`.
-  bool tune_lruk = false;
-  uint64_t tune_interval = 8192;
-  // Clamps on the tuned values: CRP is capped (0 = capacity / 2) so an
-  // aggressive estimate cannot mark most of the buffer correlated-hence-
-  // ineligible, and a finite RIP is floored (0 = 8 * capacity) so history
-  // is not purged while it can still matter.
-  Timestamp max_tuned_crp = 0;
-  Timestamp min_tuned_rip = 0;
-  IntervalEstimatorOptions estimator;
   // Record each ghost's victim sequence (tests: the ghost-exactness grid).
   bool record_ghost_victims = false;
 };
@@ -142,9 +123,6 @@ class AdaptivePolicy final : public ReplacementPolicy {
   const std::vector<PageId>& ghost_victims(size_t i) const {
     return ghost_victims_[i];
   }
-  Timestamp tuned_crp() const { return tuned_crp_; }
-  Timestamp tuned_rip() const { return tuned_rip_; }
-  uint64_t retunes() const { return retunes_; }
   const AdaptivePolicyOptions& options() const { return options_; }
 
  private:
@@ -159,7 +137,6 @@ class AdaptivePolicy final : public ReplacementPolicy {
   void ObserveGhost(size_t i, PageId p, AccessType type);
   void RotateBucket();
   void MaybeSwitch();
-  void MaybeRetune();
   // Books a victim nominated by the active expert: removes it from the
   // other live experts and remembers the nominator for Restore routing.
   void BookVictim(PageId v);
@@ -183,7 +160,6 @@ class AdaptivePolicy final : public ReplacementPolicy {
   std::vector<uint64_t> active_refs_;
   std::vector<uint64_t> selections_;
 
-  uint64_t refs_ = 0;
   uint64_t refs_since_switch_ = 0;
   uint64_t switches_ = 0;
   uint64_t evaluations_ = 0;
@@ -196,14 +172,6 @@ class AdaptivePolicy final : public ReplacementPolicy {
   std::unordered_map<PageId, size_t> evicted_by_;
 
   std::vector<std::vector<PageId>> ghost_victims_;
-
-  // CRP/RIP tuning (null when disabled or no LRU-K expert is configured).
-  IntervalEstimator estimator_;
-  LruKPolicy* live_lruk_ = nullptr;
-  LruKPolicy* ghost_lruk_ = nullptr;
-  Timestamp tuned_crp_ = 0;
-  Timestamp tuned_rip_ = 0;
-  uint64_t retunes_ = 0;
 };
 
 }  // namespace lruk

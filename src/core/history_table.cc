@@ -100,8 +100,7 @@ bool HistoryTable::Expired(const HistoryBlock& block, Timestamp now) const {
   return now > block.last && (now - block.last) > rip_;
 }
 
-HistoryBlock& HistoryTable::GetOrCreate(PageId p, Timestamp now,
-                                        bool* had_history) {
+HistoryBlock& HistoryTable::Reclaim(PageId p, bool* had_history) {
   size_t i = FindSlot(p);
   if (i == kNpos) {
     HistoryBlock* block = AllocateBlock();
@@ -115,12 +114,17 @@ HistoryBlock& HistoryTable::GetOrCreate(PageId p, Timestamp now,
     // history-only block (the caller marks it resident).
     nonresident_.erase({block.last, p});
   }
-  if (Expired(block, now)) {
+  *had_history = true;
+  return block;
+}
+
+HistoryBlock& HistoryTable::GetOrCreate(PageId p, Timestamp now,
+                                        bool* had_history) {
+  HistoryBlock& block = Reclaim(p, had_history);
+  if (*had_history && Expired(block, now)) {
     // The demon would have purged this block already; treat it as absent.
     block = HistoryBlock(k_);
     *had_history = false;
-  } else {
-    *had_history = true;
   }
   return block;
 }

@@ -14,7 +14,7 @@
 // process"; here it is PurgeExpired(), invoked lazily by LruKPolicy on an
 // amortized schedule (and available to callers directly).
 //
-// Storage layout (see DESIGN.md "Victim index structures"): the K
+// Storage layout (see DESIGN.md "Victim search"): the K
 // timestamps live *inline* in the block (fixed array, K <= kMaxHistoryK),
 // and blocks are allocated from a chunked slab with a free list, indexed
 // by an open-addressing hash table (linear probing, backward-shift
@@ -135,10 +135,6 @@ class HistoryTable {
   int k() const { return k_; }
   size_t size() const { return size_; }
   Timestamp retained_information_period() const { return rip_; }
-  // Re-tunes the RIP online (the adaptive meta-policy's CRP/RIP estimator).
-  // Takes effect from the next expiry check; already-purged blocks are not
-  // resurrected.
-  void SetRetainedInformationPeriod(Timestamp rip) { rip_ = rip; }
 
   // Approximate bytes held by history control blocks — the memory the
   // Retained Information Period controls, the paper's open question in
@@ -167,6 +163,11 @@ class HistoryTable {
   // returned block is fresh. `*had_history` reports whether prior history
   // survived.
   HistoryBlock& GetOrCreate(PageId p, Timestamp now, bool* had_history);
+
+  // GetOrCreate without the expiry check: a block still in the table comes
+  // back as is, whatever its age. For LruKPolicy::Restore, which undoes an
+  // eviction rather than re-admitting the page.
+  HistoryBlock& Reclaim(PageId p, bool* had_history);
 
   // Transitions p's block to non-resident (the page left the buffer but
   // its history is retained), enforcing the non-resident block bound.

@@ -7,14 +7,12 @@ namespace lruk {
 
 LruKPolicy::LruKPolicy(LruKOptions options)
     : options_(options),
-      index_kind_(options.use_linear_scan ? VictimIndex::kLinear
-                                          : options.victim_index),
       name_("LRU-" + std::to_string(options.k)),
       table_(options.k, options.retained_information_period,
              options.max_nonresident_history, options.capacity_hint) {
   LRUK_ASSERT(options_.k >= 1 && options_.k <= kMaxHistoryK,
               "LRU-K requires 1 <= K <= kMaxHistoryK");
-  if (index_kind_ == VictimIndex::kLazyHeap && options_.capacity_hint > 0) {
+  if (options_.capacity_hint > 0) {
     // Pre-size the heap's backing vector for the expected resident count.
     std::vector<VictimKey> storage;
     storage.reserve(options_.capacity_hint);
@@ -72,19 +70,10 @@ void LruKPolicy::RecordAccess(PageId p, AccessType /*type*/) {
     // A new, uncorrelated reference (Figure 2.1, then-branch): close the
     // correlated period and credit only its start-to-start interval.
     Timestamp correlation_period = block->last - block->hist.front();
-    // kOrderedSet repositions the victim index via extract()/insert() of
-    // the same node so the hit never round-trips the allocator. kLazyHeap
-    // touches nothing here — the heap entry goes stale and is re-keyed
-    // when an eviction pops it (the O(1) hit path). The key only ever
-    // grows under this shift, which is what makes staleness safe (see
-    // DESIGN.md "Victim index structures").
-    std::set<VictimKey>::node_type node;
-    bool reposition =
-        index_kind_ == VictimIndex::kOrderedSet && block->evictable;
-    if (reposition) {
-      node = queue_.extract(KeyFor(p, *block));
-      LRUK_ASSERT(!node.empty(), "evictable page missing from victim index");
-    }
+    // The victim heap is not touched here — the page's entry goes stale
+    // and is re-keyed when an eviction pops it (the O(1) hit path). The
+    // key only ever grows under this shift, which is what makes staleness
+    // safe (see DESIGN.md "Victim search").
     for (size_t i = block->hist.size() - 1; i >= 1; --i) {
       // Simultaneous shift; unknown entries (0) stay unknown.
       block->hist[i] =
@@ -92,10 +81,6 @@ void LruKPolicy::RecordAccess(PageId p, AccessType /*type*/) {
     }
     block->hist.front() = t;
     block->last = t;
-    if (reposition) {
-      node.value() = KeyFor(p, *block);
-      queue_.insert(std::move(node));
-    }
   } else {
     // A correlated reference: only LAST(p) moves; the history (and thus the
     // page's position in the victim order) is unchanged.
@@ -127,19 +112,10 @@ void LruKPolicy::Admit(PageId p, AccessType /*type*/) {
   block.last_process = current_process_;
   block.resident = true;
   block.evictable = true;
-  switch (index_kind_) {
-    case VictimIndex::kOrderedSet:
-      queue_.insert(KeyFor(p, block));
-      break;
-    case VictimIndex::kLazyHeap:
-      // A pre-eviction entry may survive in the heap (flagged); its key is
-      // <= the post-shift key, so it covers this page until re-keyed.
-      // Fresh/reset blocks have the flag cleared and get a new entry.
-      HeapPushIfAbsent(p, block);
-      break;
-    case VictimIndex::kLinear:
-      break;
-  }
+  // A pre-eviction entry may survive in the heap (flagged); its key is <=
+  // the post-shift key, so it covers this page until re-keyed. Fresh/reset
+  // blocks have the flag cleared and get a new entry.
+  HeapPushIfAbsent(p, block);
   ++resident_count_;
   ++evictable_count_;
 }
@@ -148,13 +124,13 @@ bool LruKPolicy::EligibleAt(const HistoryBlock& block, Timestamp t) const {
   return t - block.last > options_.correlated_reference_period;
 }
 
-std::optional<PageId> LruKPolicy::PickVictimLazyHeap(Timestamp t) {
+std::optional<PageId> LruKPolicy::PickVictim(Timestamp t) {
   // Pops ascend by key. Invariant: every evictable resident page has a
   // heap entry with key <= its current key (keys only grow while a block
   // keeps its history; the paths that can shrink a key — RIP expiry,
   // Remove — clear the flag, and the next Admit pushes a fresh entry). So
-  // the first pop whose key still matches its block is the true minimum,
-  // exactly the entry the ordered index would surface first.
+  // the first pop whose key still matches its block is the true minimum
+  // over all evictable residents: Figure 2.1's scan, without the scan.
   std::vector<VictimKey> ineligible;  // Fresh pops inside their CRP.
   std::optional<VictimKey> victim;
   while (!heap_.empty()) {
@@ -186,8 +162,7 @@ std::optional<PageId> LruKPolicy::PickVictimLazyHeap(Timestamp t) {
   if (!victim && !ineligible.empty()) {
     // Everyone is inside a correlated period; a real buffer manager still
     // has to yield a slot (see header). The first fresh pop is the minimum
-    // current key over all evictable residents, eligible or not — the same
-    // fallback the ordered index and the linear scan take.
+    // current key over all evictable residents, eligible or not.
     victim = ineligible.front();
     keep_from = 1;
     ++fallback_evictions_;
@@ -199,45 +174,6 @@ std::optional<PageId> LruKPolicy::PickVictimLazyHeap(Timestamp t) {
   if (!victim) return std::nullopt;
   table_.Find(victim->page)->in_victim_heap = false;
   return victim->page;
-}
-
-std::optional<PageId> LruKPolicy::PickVictimIndexed(Timestamp t) {
-  // Keys ascend by (HIST(p,K), HIST(p,1)), so the first eligible entry is
-  // the page with maximum Backward K-distance; infinite-distance pages
-  // (HIST(p,K) == 0) come first, ordered by subsidiary LRU.
-  for (const VictimKey& key : queue_) {
-    const HistoryBlock* block = table_.Find(key.page);
-    if (EligibleAt(*block, t)) return key.page;
-  }
-  if (!queue_.empty()) {
-    // Everyone is inside a correlated period; a real buffer manager still
-    // has to yield a slot (see header). Take the best key regardless.
-    ++fallback_evictions_;
-    return queue_.begin()->page;
-  }
-  return std::nullopt;
-}
-
-std::optional<PageId> LruKPolicy::PickVictimLinear(Timestamp t) {
-  // Figure 2.1's "for all pages q in the buffer" loop, extended with the
-  // subsidiary-LRU tie-break on HIST(q,1) and the pinning filter.
-  std::optional<VictimKey> best;
-  std::optional<VictimKey> best_ineligible;
-  table_.ForEach([&](PageId page, const HistoryBlock& block) {
-    if (!block.resident || !block.evictable) return;
-    VictimKey key = KeyFor(page, block);
-    if (EligibleAt(block, t)) {
-      if (!best || key < *best) best = key;
-    } else {
-      if (!best_ineligible || key < *best_ineligible) best_ineligible = key;
-    }
-  });
-  if (best) return best->page;
-  if (best_ineligible) {
-    ++fallback_evictions_;
-    return best_ineligible->page;
-  }
-  return std::nullopt;
 }
 
 std::optional<PageId> LruKPolicy::EvictOne(bool defer_retention) {
@@ -253,26 +189,12 @@ std::optional<PageId> LruKPolicy::EvictOne(bool defer_retention) {
   } else {
     t = time_ + 1;
   }
-  std::optional<PageId> victim;
-  switch (index_kind_) {
-    case VictimIndex::kLazyHeap:
-      victim = PickVictimLazyHeap(t);
-      break;
-    case VictimIndex::kOrderedSet:
-      victim = PickVictimIndexed(t);
-      break;
-    case VictimIndex::kLinear:
-      victim = PickVictimLinear(t);
-      break;
-  }
-  // With evictable pages present, every search mode must produce a victim
-  // (the lazy heap's coverage invariant guarantees an entry exists).
-  LRUK_ASSERT(victim.has_value(), "victim index lost an evictable page");
+  std::optional<PageId> victim = PickVictim(t);
+  // With evictable pages present the search must produce a victim (the
+  // heap's coverage invariant guarantees an entry exists).
+  LRUK_ASSERT(victim.has_value(), "victim heap lost an evictable page");
   if (!victim) return std::nullopt;
   HistoryBlock* block = table_.Find(*victim);
-  if (index_kind_ == VictimIndex::kOrderedSet) {
-    queue_.erase(KeyFor(*victim, *block));
-  }
   // History is retained past residence — the whole point of Section 2.1.2
   // — up to the configured non-resident block budget. EvictBatch defers
   // the retention (and the budget enforcement) so a nominee the caller
@@ -317,11 +239,13 @@ void LruKPolicy::FlushDeferredEvictions() {
 }
 
 void LruKPolicy::Restore(PageId p) {
-  // No Tick(): restoring a failed eviction is not a reference. GetOrCreate
-  // pulls the block back out of the non-resident index; if the eviction's
-  // OnEvicted dropped it (budget) or it expired, the page restarts fresh.
+  // No Tick(): restoring a failed eviction is not a reference. Reclaim
+  // pulls the block back out of the non-resident index with no RIP check —
+  // the page was resident until its Evict, so its history is as current as
+  // it was then. Only a block the eviction's retention dropped (budget) or
+  // the demon purged since is gone, and then the page restarts fresh.
   bool had_history = false;
-  HistoryBlock& block = table_.GetOrCreate(p, time_, &had_history);
+  HistoryBlock& block = table_.Reclaim(p, &had_history);
   LRUK_ASSERT(!block.resident, "Restore on a resident page");
   if (!had_history) {
     block.hist.front() = time_;
@@ -330,18 +254,9 @@ void LruKPolicy::Restore(PageId p) {
   }
   block.resident = true;
   block.evictable = true;
-  switch (index_kind_) {
-    case VictimIndex::kOrderedSet:
-      queue_.insert(KeyFor(p, block));
-      break;
-    case VictimIndex::kLazyHeap:
-      // Evict()'s pop cleared in_victim_heap for the true victim, so this
-      // re-establishes heap coverage with the page's current key.
-      HeapPushIfAbsent(p, block);
-      break;
-    case VictimIndex::kLinear:
-      break;
-  }
+  // Evict()'s pop cleared in_victim_heap for the true victim, so this
+  // re-establishes heap coverage with the page's current key.
+  HeapPushIfAbsent(p, block);
   ++resident_count_;
   ++evictable_count_;
 }
@@ -352,10 +267,7 @@ void LruKPolicy::Remove(PageId p) {
   LRUK_ASSERT(block != nullptr && block->resident,
               "Remove on a non-resident page");
   if (block->evictable) {
-    if (index_kind_ == VictimIndex::kOrderedSet) {
-      queue_.erase(KeyFor(p, *block));
-    }
-    // kLazyHeap: the entry dangles and is discarded when popped.
+    // The heap entry dangles and is discarded when popped.
     --evictable_count_;
   }
   --resident_count_;
@@ -369,24 +281,16 @@ void LruKPolicy::SetEvictable(PageId p, bool evictable) {
   LRUK_ASSERT(block != nullptr && block->resident,
               "SetEvictable on a non-resident page");
   if (block->evictable == evictable) return;
-  if (evictable) {
-    if (index_kind_ == VictimIndex::kOrderedSet) {
-      queue_.insert(KeyFor(p, *block));
-    }
-    ++evictable_count_;
-  } else {
-    if (index_kind_ == VictimIndex::kOrderedSet) {
-      queue_.erase(KeyFor(p, *block));
-    }
-    // kLazyHeap: pinning leaves the entry in place; a pop while the page
-    // is pinned discards it as dead.
-    --evictable_count_;
-  }
   block->evictable = evictable;
-  if (evictable && index_kind_ == VictimIndex::kLazyHeap) {
+  if (evictable) {
+    ++evictable_count_;
     // Un-pinning must restore heap coverage. If the pinned-era entry was
     // never popped the flag is still set and this is a no-op.
     HeapPushIfAbsent(p, *block);
+  } else {
+    // Pinning leaves the entry in place; a pop while the page is pinned
+    // discards it as dead.
+    --evictable_count_;
   }
 }
 

@@ -20,11 +20,11 @@
 //    so we fall back to the best key regardless of eligibility and count
 //    the event (fallback_evictions()).
 //
-// Victim search is pluggable (LruKOptions::victim_index, DESIGN.md "Victim
-// index structures"): a lazy min-heap whose hit path is allocation- and
-// rebalance-free (the default), the ordered std::set index keyed by
-// (HIST(p,K), HIST(p,1), page), or the paper's O(n) scan. Property tests
-// drive all three in lockstep to prove them behaviourally identical.
+// Victim search is a lazy min-heap keyed by (HIST(p,K), HIST(p,1), page)
+// whose hit path is allocation- and rebalance-free (DESIGN.md "Victim
+// search"). A property test drives it in lockstep with a naive Figure 2.1
+// scan over the policy's public view to prove the two pick identical
+// victims.
 
 #ifndef LRUK_CORE_LRU_K_H_
 #define LRUK_CORE_LRU_K_H_
@@ -33,7 +33,6 @@
 #include <functional>
 #include <optional>
 #include <queue>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,22 +42,6 @@
 #include "util/clock.h"
 
 namespace lruk {
-
-// Which data structure serves PickVictim (see DESIGN.md "Victim index
-// structures" for the cost model and the lazy-heap staleness invariant).
-enum class VictimIndex {
-  // Lazy min-heap: a hit only rewrites the page's history block — its heap
-  // entry is left stale and re-keyed when an eviction pops it. Hits are
-  // O(1) (no allocation, no rebalance); evictions are amortized O(log n).
-  kLazyHeap,
-  // Ordered std::set of (HIST(p,K), HIST(p,1), page): every uncorrelated
-  // hit repositions the page's key (red-black rebalance). Kept as a
-  // differential oracle for the heap.
-  kOrderedSet,
-  // The paper's Figure 2.1 "for all pages q in the buffer" loop; no index
-  // is maintained at all. O(1) hits, O(n) evictions.
-  kLinear,
-};
 
 struct LruKOptions {
   // The K in LRU-K. K = 1 is classical LRU; the paper advocates K = 2.
@@ -84,11 +67,6 @@ struct LruKOptions {
   // warm-up does not rehash on every few admissions; 0 = no hint.
   // MakePolicy fills it from PolicyContext::capacity when unset.
   size_t capacity_hint = 0;
-  // Victim-search structure; kLazyHeap unless a test/bench pins one of the
-  // oracles.
-  VictimIndex victim_index = VictimIndex::kLazyHeap;
-  // Legacy alias (predates the victim_index enum): true forces kLinear.
-  bool use_linear_scan = false;
   // Distinguish processes when deciding whether a reference is correlated
   // (Section 2.1.1: intra-transaction / intra-process pairs are
   // correlated, inter-process pairs are independent). When true, a
@@ -131,11 +109,14 @@ class LruKPolicy final : public ReplacementPolicy {
   size_t EvictBatch(size_t k, std::vector<PageId>* out) override;
   // Exact un-evict: re-marks the page resident against its retained
   // history block, without ticking the clock — a failed write-back leaves
-  // the policy byte-identical to the pre-Evict state. If the block was
-  // dropped (non-resident budget, RIP expiry) the page restarts with
-  // infinite backward distance, i.e. preferred victim, which is the most
-  // conservative recovery. Works on deferred EvictBatch nominees too: the
-  // pending retention entry is simply dropped at the next flush.
+  // the policy byte-identical to the pre-Evict state. A block still in the
+  // table is reinstated as is, however long the page has idled: it was
+  // resident until its Evict, and a resident page's history never expires.
+  // Only if the block is gone (dropped by the non-resident budget, or
+  // purged by the RIP demon since) does the page restart with infinite
+  // backward distance, i.e. preferred victim. Works on deferred EvictBatch
+  // nominees too: the pending retention entry is simply dropped at the
+  // next flush.
   void Restore(PageId p) override;
   void Remove(PageId p) override;
   void SetEvictable(PageId p, bool evictable) override;
@@ -149,8 +130,6 @@ class LruKPolicy final : public ReplacementPolicy {
   // --- Introspection (tests, benches, EXPERIMENTS.md plumbing) ---
 
   const LruKOptions& options() const { return options_; }
-  // The victim-search structure in use (use_linear_scan folded in).
-  VictimIndex victim_index() const { return index_kind_; }
   // Current logical time (count of references seen).
   Timestamp CurrentTime() const { return time_; }
   // b_t(p,K) at the current time; nullopt encodes infinity (page unknown,
@@ -169,25 +148,15 @@ class LruKPolicy final : public ReplacementPolicy {
   size_t NonResidentHistorySize() const {
     return table_.NonResidentCount();
   }
-  // Entries in the lazy victim heap (kLazyHeap mode only; 0 otherwise).
-  // May exceed EvictableCount() by the stale/dangling entries not yet
-  // reaped, but tests assert it stays bounded.
+  // Entries in the lazy victim heap. May exceed EvictableCount() by the
+  // stale/dangling entries not yet reaped, but tests assert it stays
+  // bounded.
   size_t VictimHeapSize() const { return heap_.size(); }
   // Runs the retained-information demon immediately; returns blocks purged.
   size_t PurgeHistory() { return table_.PurgeExpired(time_); }
   // Evictions that had to ignore the Correlated Reference Period because no
   // eligible page existed.
   uint64_t fallback_evictions() const { return fallback_evictions_; }
-  // Online re-tuning entry points (the adaptive meta-policy's interval
-  // estimator). Both take effect from the next reference; past decisions
-  // (already-recorded history shifts, already-purged blocks) stand.
-  void SetCorrelatedReferencePeriod(Timestamp crp) {
-    options_.correlated_reference_period = crp;
-  }
-  void SetRetainedInformationPeriod(Timestamp rip) {
-    options_.retained_information_period = rip;
-    table_.SetRetainedInformationPeriod(rip);
-  }
   // EvictBatch nominees whose history retention is still deferred (neither
   // flushed into the non-resident index nor cancelled by a Restore).
   size_t PendingDeferredEvictions() const {
@@ -223,22 +192,17 @@ class LruKPolicy final : public ReplacementPolicy {
   // Pushes p's current key unless the heap already holds an entry for it
   // (block.in_victim_heap). Keeps the heap at ~one entry per page.
   void HeapPushIfAbsent(PageId p, HistoryBlock& block);
-  // Victim search: lazy heap / ordered index / the paper's linear scan.
-  std::optional<PageId> PickVictimLazyHeap(Timestamp t);
-  std::optional<PageId> PickVictimIndexed(Timestamp t);
-  std::optional<PageId> PickVictimLinear(Timestamp t);
+  // Victim search over the lazy heap.
+  std::optional<PageId> PickVictim(Timestamp t);
 
   LruKOptions options_;
-  VictimIndex index_kind_;
   std::string name_;
   Timestamp time_ = 0;
   Timestamp last_purge_time_ = 0;
   uint32_t current_process_ = 0;
   HistoryTable table_;
-  // kOrderedSet: evictable resident pages ordered by eviction preference.
-  std::set<VictimKey> queue_;
-  // kLazyHeap: min-heap of (possibly stale) keys; see DESIGN.md "Victim
-  // index structures" for the staleness protocol.
+  // Min-heap of (possibly stale) keys; see DESIGN.md "Victim search" for
+  // the staleness protocol.
   std::priority_queue<VictimKey, std::vector<VictimKey>,
                       std::greater<VictimKey>>
       heap_;

@@ -14,8 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/types.h"
-
 namespace lruk {
 
 // Per-expert regret counters. `ghost_misses` is the cumulative
@@ -46,12 +44,6 @@ struct MetaPolicyStats {
   // Live-stream misses (admissions) in the current window / in total.
   uint64_t window_misses = 0;
   uint64_t total_misses = 0;
-  // Online LRU-K tuning state: last applied values and how often the
-  // estimator re-tuned the live LRU-K expert. Zero / unused when tuning is
-  // off or no LRU-K expert is configured.
-  Timestamp tuned_crp = 0;
-  Timestamp tuned_rip = 0;
-  uint64_t retunes = 0;
   std::vector<MetaExpertStats> experts;
 
   // Shard merge: sums counters element-wise by expert index. Expert lists
@@ -63,9 +55,6 @@ struct MetaPolicyStats {
     evaluations += other.evaluations;
     window_misses += other.window_misses;
     total_misses += other.total_misses;
-    retunes += other.retunes;
-    if (tuned_crp == 0) tuned_crp = other.tuned_crp;
-    if (tuned_rip == 0) tuned_rip = other.tuned_rip;
     if (experts.size() < other.experts.size()) {
       experts.resize(other.experts.size());
     }

@@ -117,8 +117,6 @@ Result<std::unique_ptr<ReplacementPolicy>> MakePolicy(
       options.switch_margin = ac.switch_margin;
       options.min_window_misses = ac.min_window_misses;
       options.cooldown_refs = ac.cooldown_refs;
-      options.tune_lruk = ac.tune_lruk;
-      options.tune_interval = ac.tune_interval;
       return std::unique_ptr<ReplacementPolicy>(
           new AdaptivePolicy(std::move(experts), options));
     }
@@ -223,26 +221,15 @@ Result<PolicyConfig> ParseSimpleToken(const std::string& token) {
 Result<PolicyConfig> ParsePolicySpec(const std::string& spec) {
   const std::string upper = UpperCopy(spec);
   constexpr std::string_view kAdaptivePrefix = "ADAPTIVE:";
-  constexpr std::string_view kTunedPrefix = "ADAPTIVE-TUNED:";
-  size_t prefix = 0;
-  bool tuned = false;
-  if (upper.rfind(kAdaptivePrefix, 0) == 0) {
-    prefix = kAdaptivePrefix.size();
-  } else if (upper.rfind(kTunedPrefix, 0) == 0) {
-    prefix = kTunedPrefix.size();
-    tuned = true;
-  } else if (upper.rfind("ADAPTIVE", 0) == 0) {
+  if (upper.rfind("ADAPTIVE", 0) != 0) return ParseSimpleToken(spec);
+  if (upper.rfind(kAdaptivePrefix, 0) != 0) {
     return Status::InvalidArgument(
         "adaptive spec '" + spec +
-        "' must list experts as 'adaptive:<e1>+<e2>+...' "
-        "(or 'adaptive-tuned:' for online CRP/RIP tuning)");
-  } else {
-    return ParseSimpleToken(spec);
+        "' must list experts as 'adaptive:<e1>+<e2>+...'");
   }
 
   PolicyConfig config = PolicyConfig::Of(PolicyKind::kAdaptive);
-  config.adaptive.tune_lruk = tuned;
-  const std::string list = spec.substr(prefix);
+  const std::string list = spec.substr(kAdaptivePrefix.size());
   if (list.empty()) {
     return Status::InvalidArgument("adaptive spec '" + spec +
                                    "' lists no experts");

@@ -45,8 +45,8 @@ enum class PolicyKind {
 
 struct PolicyConfig;
 
-// kAdaptive: the expert list plus the meta-policy's switching and tuning
-// knobs (mirrors AdaptivePolicyOptions; the ghost capacity always comes
+// kAdaptive: the expert list plus the meta-policy's switching knobs
+// (mirrors AdaptivePolicyOptions; the ghost capacity always comes
 // from PolicyContext::capacity). std::vector of the enclosing,
 // still-incomplete PolicyConfig is legal since C++17 — experts cannot
 // themselves be adaptive (MakePolicy rejects nesting).
@@ -60,8 +60,6 @@ struct AdaptiveConfig {
   double switch_margin = 0.10;
   uint64_t min_window_misses = 16;
   uint64_t cooldown_refs = 1024;
-  bool tune_lruk = false;
-  uint64_t tune_interval = 8192;
 };
 
 // Everything needed to build any policy in the catalog.
@@ -146,11 +144,10 @@ Result<ShardPolicyFactory> MakeShardPolicyFactory(const PolicyConfig& config,
 // "A0", "B0"/"BELADY" (case insensitive; LRU-K also accepts the compact
 // "LRUK2" form, with 1 <= K <= kMaxHistoryK). Adaptive meta-policy specs:
 // "adaptive:lruk2+arc+2q" — experts joined by '+', each any simple name
-// except A0/Belady (they need oracle context) — and "adaptive-tuned:..."
-// for the same with online CRP/RIP re-estimation enabled. On failure the
-// Status names the offending token (unknown expert, out-of-range K,
-// nested adaptive, empty expert list). DOMAIN-SEP is not parseable — it
-// needs a programmatic classifier.
+// except A0/Belady (they need oracle context). On failure the Status
+// names the offending token (unknown expert, out-of-range K, nested
+// adaptive, empty expert list). DOMAIN-SEP is not parseable — it needs a
+// programmatic classifier.
 Result<PolicyConfig> ParsePolicySpec(const std::string& spec);
 
 // Thin wrapper over ParsePolicySpec for callers that only care about

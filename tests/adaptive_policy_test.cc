@@ -1,7 +1,5 @@
 // The adaptive meta-policy (core/adaptive_policy.h), its spec grammar
-// (core/policy_factory.h), the online CRP/RIP estimator
-// (analysis/interval_estimator.h), and the MetaStats plumbing through both
-// pools.
+// (core/policy_factory.h), and the MetaStats plumbing through both pools.
 //
 // Coverage layers:
 //  * Ghost-exactness grid — each expert's ghost cache, fed through the
@@ -18,12 +16,8 @@
 //    plain `lruk2` through the shared 20k-op scenario harness, across the
 //    plain pool, the sharded pool, the optimistic pool, the
 //    inline dispatcher, and readahead.
-//  * Interval-estimator units — priors until min_samples, quantiles
-//    tracking the observed gap distribution, Reset.
-//  * Online tuning — retunes fire, the tuned CRP/RIP are clamped and
-//    applied to the live LRU-K expert, and surface in MetaStats.
-//  * Spec grammar — positive parses for `adaptive:`/`adaptive-tuned:`,
-//    and negative parses that name the offending token.
+//  * Spec grammar — positive parses for `adaptive:`, and negative parses
+//    that name the offending token.
 //  * MetaStats plumbing — BufferPool::MetaStats() and the sharded merge.
 
 #include <memory>
@@ -32,7 +26,6 @@
 
 #include "bufferpool/buffer_pool.h"
 #include "bufferpool/sharded_buffer_pool.h"
-#include "analysis/interval_estimator.h"
 #include "core/adaptive_policy.h"
 #include "core/lru_k.h"
 #include "core/policy_factory.h"
@@ -364,105 +357,6 @@ TEST(AdaptiveDifferentialTest, SingleExpertAdaptiveMatchesPlainLruK) {
 }
 
 // ---------------------------------------------------------------------------
-// Interval estimator.
-
-TEST(IntervalEstimatorTest, ReturnsPriorsUntilMinSamples) {
-  IntervalEstimatorOptions options;
-  options.prior_crp = 7;
-  options.prior_rip = 999;
-  options.min_samples = 64;
-  IntervalEstimator est(options);
-  Timestamp now = 1;
-  for (int i = 0; i < 32; ++i) {
-    est.Observe(5, now);
-    now += 3;
-  }
-  EXPECT_EQ(est.samples(), 31u);  // The first reference contributes no gap.
-  IntervalEstimator::Estimate e = est.Current();
-  EXPECT_EQ(e.crp, 7u);
-  EXPECT_EQ(e.rip, 999u);
-}
-
-TEST(IntervalEstimatorTest, QuantilesTrackTheObservedGapDistribution) {
-  IntervalEstimator est;
-  Timestamp now = 1;
-  est.Observe(7, now);
-  // 5000 back-to-back gaps (bucket edge 1) and 5000 gaps of 512 (bucket
-  // [512, 1023], edge 1023): the 25% quantile sits in the first mass, the
-  // 95% quantile in the second.
-  for (int i = 0; i < 5000; ++i) est.Observe(7, now += 1);
-  for (int i = 0; i < 5000; ++i) est.Observe(7, now += 512);
-  IntervalEstimator::Estimate e = est.Current();
-  EXPECT_EQ(e.samples, 10000u);
-  EXPECT_EQ(e.crp, 1u);
-  EXPECT_EQ(e.rip, 1023u);
-}
-
-TEST(IntervalEstimatorTest, ConcentratedGapsCollapseBothQuantiles) {
-  IntervalEstimator est;
-  Timestamp now = 1;
-  est.Observe(3, now);
-  for (int i = 0; i < 10000; ++i) est.Observe(3, now += 10);  // Bucket [8,15].
-  IntervalEstimator::Estimate e = est.Current();
-  EXPECT_EQ(e.crp, 15u);
-  EXPECT_EQ(e.rip, 15u);
-}
-
-TEST(IntervalEstimatorTest, ResetClearsStateBackToPriors) {
-  IntervalEstimator est;
-  Timestamp now = 1;
-  est.Observe(1, now);
-  for (int i = 0; i < 500; ++i) est.Observe(1, now += 2);
-  EXPECT_GT(est.samples(), 0u);
-  est.Reset();
-  EXPECT_EQ(est.samples(), 0u);
-  IntervalEstimator::Estimate e = est.Current();
-  EXPECT_EQ(e.crp, 0u);
-  EXPECT_EQ(e.rip, kInfinitePeriod);
-}
-
-// ---------------------------------------------------------------------------
-// Online CRP/RIP tuning.
-
-TEST(AdaptiveTuningTest, RetunesApplyClampedEstimatesToTheLruKExpert) {
-  AdaptivePolicyOptions options;
-  options.capacity = 16;
-  options.tune_lruk = true;
-  options.tune_interval = 512;
-  auto meta = BuildAdaptive({"lruk2", "lfu"}, options);
-
-  std::vector<PageId> trace = ZipfTrace(/*pages=*/64, /*len=*/8192, 11);
-  DriveReferenceSim(*meta, trace, options.capacity);
-
-  EXPECT_GT(meta->retunes(), 0u);
-  // CRP capped at capacity / 2; a finite RIP floored at 8 * capacity.
-  EXPECT_LE(meta->tuned_crp(), options.capacity / 2);
-  ASSERT_NE(meta->tuned_rip(), kInfinitePeriod);
-  EXPECT_GE(meta->tuned_rip(), 8 * static_cast<Timestamp>(options.capacity));
-
-  // The tuned values actually reached the live LRU-K instance.
-  const auto& lruk = dynamic_cast<const LruKPolicy&>(meta->expert_live(0));
-  EXPECT_EQ(lruk.options().correlated_reference_period, meta->tuned_crp());
-  EXPECT_EQ(lruk.options().retained_information_period, meta->tuned_rip());
-
-  MetaPolicyStats stats = meta->GetMetaStats();
-  EXPECT_EQ(stats.retunes, meta->retunes());
-  EXPECT_EQ(stats.tuned_crp, meta->tuned_crp());
-  EXPECT_EQ(stats.tuned_rip, meta->tuned_rip());
-}
-
-TEST(AdaptiveTuningTest, TuningOffLeavesTheExpertKnobsAlone) {
-  AdaptivePolicyOptions options;
-  options.capacity = 16;
-  auto meta = BuildAdaptive({"lruk2"}, options);
-  DriveReferenceSim(*meta, ZipfTrace(64, 8192, 11), options.capacity);
-  EXPECT_EQ(meta->retunes(), 0u);
-  const auto& lruk = dynamic_cast<const LruKPolicy&>(meta->expert_live(0));
-  EXPECT_EQ(lruk.options().correlated_reference_period, 0u);
-  EXPECT_EQ(lruk.options().retained_information_period, kInfinitePeriod);
-}
-
-// ---------------------------------------------------------------------------
 // Spec grammar.
 
 void ExpectParseError(const std::string& spec, const std::string& needle) {
@@ -472,7 +366,7 @@ void ExpectParseError(const std::string& spec, const std::string& needle) {
       << "spec '" << spec << "': error was: " << parsed.status().message();
 }
 
-TEST(AdaptiveSpecTest, ParsesExpertListsAndTunedVariant) {
+TEST(AdaptiveSpecTest, ParsesExpertLists) {
   auto parsed = ParsePolicySpec("adaptive:lruk2+arc+2q");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->kind, PolicyKind::kAdaptive);
@@ -481,15 +375,13 @@ TEST(AdaptiveSpecTest, ParsesExpertListsAndTunedVariant) {
   EXPECT_EQ(parsed->adaptive.experts[0].lru_k.k, 2);
   EXPECT_EQ(parsed->adaptive.experts[1].kind, PolicyKind::kArc);
   EXPECT_EQ(parsed->adaptive.experts[2].kind, PolicyKind::kTwoQ);
-  EXPECT_FALSE(parsed->adaptive.tune_lruk);
   ASSERT_EQ(parsed->adaptive.expert_names.size(), 3u);
   EXPECT_EQ(parsed->adaptive.expert_names[0], "lruk2");
 
-  auto tuned = ParsePolicySpec("ADAPTIVE-TUNED:lru-3+lfu");
-  ASSERT_TRUE(tuned.ok()) << tuned.status().ToString();
-  EXPECT_TRUE(tuned->adaptive.tune_lruk);
-  ASSERT_EQ(tuned->adaptive.experts.size(), 2u);
-  EXPECT_EQ(tuned->adaptive.experts[0].lru_k.k, 3);
+  auto upper = ParsePolicySpec("ADAPTIVE:lru-3+lfu");
+  ASSERT_TRUE(upper.ok()) << upper.status().ToString();
+  ASSERT_EQ(upper->adaptive.experts.size(), 2u);
+  EXPECT_EQ(upper->adaptive.experts[0].lru_k.k, 3);
 
   // The parsed config actually builds, and Name() reflects the experts.
   PolicyContext context;
@@ -502,7 +394,8 @@ TEST(AdaptiveSpecTest, ParsesExpertListsAndTunedVariant) {
 TEST(AdaptiveSpecTest, ErrorsNameTheOffendingToken) {
   ExpectParseError("adaptive", "must list experts");
   ExpectParseError("adaptive:", "lists no experts");
-  ExpectParseError("adaptive-tuned:", "lists no experts");
+  ExpectParseError("adaptive-tuned:", "must list experts");
+  ExpectParseError("adaptive-tuned:lruk2+lfu", "must list experts");
   ExpectParseError("adaptive:lruk2+", "empty expert token");
   ExpectParseError("adaptive:+lruk2", "empty expert token");
   ExpectParseError("adaptive:bogus", "unknown policy name 'bogus'");
@@ -517,6 +410,10 @@ TEST(AdaptiveSpecTest, ErrorsNameTheOffendingToken) {
   ExpectParseError("adaptive:lru-x", "malformed LRU-K depth");
   ExpectParseError("lru-", "missing LRU-K depth");
   ExpectParseError("xyz", "unknown policy name 'xyz'");
+  // One adaptive prefix exists, and the error advertises only it.
+  auto bare = ParsePolicySpec("adaptive");
+  ASSERT_FALSE(bare.ok());
+  EXPECT_EQ(bare.status().message().find("tuned"), std::string::npos);
 }
 
 TEST(AdaptiveSpecTest, FactoryRejectsMisconfiguredAdaptive) {

@@ -1,14 +1,17 @@
 // Property tests for LRU-K, parameterized over K, the Correlated Reference
 // Period, the Retained Information Period, and the random seed:
 //
-//  1. All three victim-index structures (lazy min-heap, ordered set, the
-//     paper's O(n) linear scan — LruKOptions::victim_index) are
-//     behaviourally identical on arbitrary operation sequences, including
-//     pinning, removal, post-eviction re-admission, fallback eviction
-//     (every page inside its CRP) and mid-script history purges.
+//  1. The lazy victim heap picks exactly the victim of a naive Figure 2.1
+//     scan over the policy's public view, on arbitrary operation
+//     sequences, including pinning, removal, post-eviction re-admission,
+//     fallback eviction (every page inside its CRP) and mid-script history
+//     purges.
 //  2. LRU-K with K = 1 and CRP = 0 is exactly classical LRU.
 //  3. The policy is deterministic from its inputs.
 //  4. Internal counters agree with a model of the resident set.
+//  5. A failed write-back's Restore is exact: a policy whose evictions are
+//     rolled back at random points stays in lockstep with a twin that
+//     never saw them.
 
 #include <optional>
 #include <tuple>
@@ -27,10 +30,46 @@ constexpr size_t kCapacity = 16;
 constexpr PageId kPages = 48;
 constexpr int kSteps = 4000;
 
+// Figure 2.1's "for all pages q in the buffer" loop, run naively over the
+// policy's public view: the victim is the evictable resident page with the
+// smallest (HIST(q,K), HIST(q,1), q) among those outside their Correlated
+// Reference Period at the faulting reference's time, else (every page
+// inside its CRP) the smallest regardless, counted as a fallback.
+struct Figure21Oracle {
+  const LruKPolicy& policy;
+  uint64_t fallbacks = 0;
+
+  std::optional<PageId> PickVictim() {
+    using Key = std::tuple<Timestamp, Timestamp, PageId>;
+    const Timestamp t = policy.CurrentTime() + 1;
+    const Timestamp crp = policy.options().correlated_reference_period;
+    std::optional<Key> eligible;
+    std::optional<Key> any;
+    policy.ForEachResident([&](PageId q) {
+      const HistoryBlock& block = *policy.DebugBlock(q);
+      if (!block.evictable) return;
+      Key key{block.HistK(), block.Hist1(), q};
+      if (!any || key < *any) any = key;
+      if (t - block.last > crp && (!eligible || key < *eligible)) {
+        eligible = key;
+      }
+    });
+    if (!eligible && any) ++fallbacks;
+    std::optional<Key> victim = eligible ? eligible : any;
+    if (!victim) return std::nullopt;
+    return std::get<2>(*victim);
+  }
+};
+
 // Drives N policies with an identical randomized reference/pin/remove
-// script, asserting identical observable behavior at every step.
+// script, asserting identical observable behavior at every step. With an
+// `oracle` over policies[0], every eviction must also pick the oracle's
+// victim, and the two must agree on the fallback count after each one.
+// With `failed_write_backs`, policies[0] alone also nominates victims now
+// and then and hands them all back (see the last branch below).
 void RunLockstepMany(const std::vector<ReplacementPolicy*>& policies,
-                     uint64_t seed) {
+                     uint64_t seed, Figure21Oracle* oracle = nullptr,
+                     bool failed_write_backs = false) {
   ASSERT_FALSE(policies.empty());
   RandomEngine rng(seed);
   std::unordered_set<PageId> resident;
@@ -40,7 +79,15 @@ void RunLockstepMany(const std::vector<ReplacementPolicy*>& policies,
   // victim (nullopt when everything is pinned / inside its CRP with no
   // fallback possible).
   auto evict_all = [&](int step) -> std::optional<PageId> {
+    std::optional<PageId> expected;
+    if (oracle != nullptr) expected = oracle->PickVictim();
     std::optional<PageId> first = policies[0]->Evict();
+    if (oracle != nullptr) {
+      EXPECT_EQ(first, expected)
+          << "victim diverged from the Figure 2.1 oracle at step " << step;
+      EXPECT_EQ(oracle->policy.fallback_evictions(), oracle->fallbacks)
+          << "fallback count diverged from the oracle at step " << step;
+    }
     for (size_t i = 1; i < policies.size(); ++i) {
       std::optional<PageId> other = policies[i]->Evict();
       EXPECT_EQ(first, other)
@@ -94,13 +141,28 @@ void RunLockstepMany(const std::vector<ReplacementPolicy*>& policies,
       for (ReplacementPolicy* policy : policies) policy->Remove(p);
       resident.erase(p);
       pinned.erase(p);
-    } else {
+    } else if (!failed_write_backs || action < 0.975) {
       // Spontaneous eviction.
       auto victim = evict_all(step);
       if (::testing::Test::HasFailure()) return;
       if (victim.has_value()) {
         resident.erase(*victim);
         pinned.erase(*victim);
+      }
+    } else {
+      // A failed write-back on policies[0] alone: one Evict (the latched
+      // pool's path) or an EvictBatch of 2-4 nominees (the optimistic
+      // pool's), every victim handed back with Restore in reverse order.
+      // No other policy sees it, so all must stay in lockstep.
+      std::vector<PageId> nominees;
+      const size_t n = 1 + rng.NextBounded(4);
+      if (n == 1) {
+        if (auto victim = policies[0]->Evict()) nominees.push_back(*victim);
+      } else {
+        policies[0]->EvictBatch(n, &nominees);
+      }
+      for (size_t i = nominees.size(); i-- > 0;) {
+        policies[0]->Restore(nominees[i]);
       }
     }
 
@@ -120,96 +182,94 @@ void RunLockstep(ReplacementPolicy& a, ReplacementPolicy& b, uint64_t seed) {
   RunLockstepMany({&a, &b}, seed);
 }
 
-class LruKImplEquivalence
+// The lazy heap in lockstep with the Figure 2.1 oracle on a randomized
+// script (references, pin toggles, removals, spontaneous evictions — so
+// evicted pages are re-admitted with surviving history, and with a finite
+// RIP the purge demon fires mid-script). The RIP axis sweeps infinite
+// retention plus finite periods straddling the script's reuse distance;
+// the CRP axis includes a period longer than the whole script, which
+// forces every eviction down the fallback path (no page is ever eligible).
+class LruKOracleEquivalence
     : public ::testing::TestWithParam<
           std::tuple<int, Timestamp, Timestamp, uint64_t>> {};
 
-TEST_P(LruKImplEquivalence, IndexedMatchesLinearScan) {
-  auto [k, crp, rip, seed] = GetParam();
-  LruKOptions indexed_opts;
-  indexed_opts.k = k;
-  indexed_opts.correlated_reference_period = crp;
-  indexed_opts.retained_information_period = rip;
-  // A short demon period so a finite RIP actually purges mid-script (the
-  // default 4096 would never fire inside kSteps references).
-  indexed_opts.purge_interval = 64;
-  LruKOptions linear_opts = indexed_opts;
-  linear_opts.use_linear_scan = true;
-
-  LruKPolicy indexed(indexed_opts);
-  LruKPolicy linear(linear_opts);
-  RunLockstep(indexed, linear, seed);
-}
-
-// The RIP axis sweeps infinite retention plus finite periods straddling
-// the reuse distance of the kPages/kCapacity script, so victim selection
-// runs both with and without expired-history discards; combined with
-// nonzero CRPs this covers the corner where the linear-scan and
-// ordered-index victim paths could diverge (history shifts by the closed
-// correlated period re-key the index; purges drop blocks the scan would
-// otherwise visit).
-INSTANTIATE_TEST_SUITE_P(
-    KCrpRipSeedGrid, LruKImplEquivalence,
-    ::testing::Combine(::testing::Values(1, 2, 3, 5),
-                       ::testing::Values<Timestamp>(0, 3, 20),
-                       ::testing::Values<Timestamp>(kInfinitePeriod, 48, 400),
-                       ::testing::Values<uint64_t>(1, 7, 1234)));
-
-// Three-way lockstep across every victim-index structure: the lazy heap,
-// the ordered set and the linear scan must pick byte-identical victims on
-// the same randomized script (references, pin toggles, removals,
-// spontaneous evictions — so evicted pages are re-admitted with surviving
-// history, and with a finite RIP the purge demon fires mid-script). The
-// CRP axis includes a period longer than the whole script, which forces
-// every eviction down the fallback path (no page is ever eligible).
-class LruKIndexEquivalence
-    : public ::testing::TestWithParam<
-          std::tuple<int, Timestamp, Timestamp, uint64_t>> {};
-
-TEST_P(LruKIndexEquivalence, AllThreeIndexesPickIdenticalVictims) {
+TEST_P(LruKOracleEquivalence, HeapPicksTheFigure21Victim) {
   auto [k, crp, rip, seed] = GetParam();
   LruKOptions options;
   options.k = k;
   options.correlated_reference_period = crp;
   options.retained_information_period = rip;
+  // A short demon period so a finite RIP actually purges mid-script (the
+  // default 4096 would never fire inside kSteps references).
   options.purge_interval = 64;
+  LruKPolicy policy(options);
+  Figure21Oracle oracle{policy};
 
-  LruKOptions heap_opts = options;
-  heap_opts.victim_index = VictimIndex::kLazyHeap;
-  LruKOptions set_opts = options;
-  set_opts.victim_index = VictimIndex::kOrderedSet;
-  LruKOptions linear_opts = options;
-  linear_opts.victim_index = VictimIndex::kLinear;
+  RunLockstepMany({&policy}, seed, &oracle);
 
-  LruKPolicy heap(heap_opts);
-  LruKPolicy ordered(set_opts);
-  LruKPolicy linear(linear_opts);
-  ASSERT_EQ(heap.victim_index(), VictimIndex::kLazyHeap);
-  ASSERT_EQ(ordered.victim_index(), VictimIndex::kOrderedSet);
-  ASSERT_EQ(linear.victim_index(), VictimIndex::kLinear);
-
-  RunLockstepMany({&heap, &ordered, &linear}, seed);
-
-  // The structures must agree on the side effects too, not just victims.
-  EXPECT_EQ(heap.fallback_evictions(), ordered.fallback_evictions());
-  EXPECT_EQ(heap.fallback_evictions(), linear.fallback_evictions());
-  EXPECT_EQ(heap.HistorySize(), ordered.HistorySize());
-  EXPECT_EQ(heap.HistorySize(), linear.HistorySize());
   if (crp > static_cast<Timestamp>(kSteps)) {
     // Sanity: the fallback-heavy axis actually exercised the fallback.
-    EXPECT_GT(heap.fallback_evictions(), 0u);
+    EXPECT_GT(policy.fallback_evictions(), 0u);
   }
   // The lazy heap may hold stale duplicates, but it must stay bounded by
   // pages-with-history, not grow with the operation count.
-  EXPECT_LE(heap.VictimHeapSize(), heap.HistorySize() + kCapacity);
+  EXPECT_LE(policy.VictimHeapSize(), policy.HistorySize() + kCapacity);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    KCrpRipSeedGrid, LruKIndexEquivalence,
-    ::testing::Combine(::testing::Values(1, 2, 5),
-                       ::testing::Values<Timestamp>(0, 3, 5000),
-                       ::testing::Values<Timestamp>(kInfinitePeriod, 48),
+    KCrpRipSeedGrid, LruKOracleEquivalence,
+    ::testing::Combine(::testing::Values(1, 2, 3, 5),
+                       ::testing::Values<Timestamp>(0, 3, 20, 5000),
+                       ::testing::Values<Timestamp>(kInfinitePeriod, 48, 400),
                        ::testing::Values<uint64_t>(1, 7, 1234)));
+
+// Restore's exactness (DESIGN.md "Victim search") on the lockstep script:
+// one policy's evictions fail at random points and its twin never sees
+// them. The twin must pick every victim the rolled-back policy picks, and
+// at the end both must hold the same history for every page. The finite
+// RIPs let resident pages idle past the period before their eviction
+// fails, the case in which a Restore that checks expiry wipes history; the
+// CRP axis includes the all-fallback period.
+class LruKRollbackEquivalence
+    : public ::testing::TestWithParam<std::tuple<int, Timestamp, Timestamp>> {
+};
+
+TEST_P(LruKRollbackEquivalence, RestoredPolicyMatchesANeverEvictedTwin) {
+  auto [k, crp, rip] = GetParam();
+  LruKOptions options;
+  options.k = k;
+  options.correlated_reference_period = crp;
+  options.retained_information_period = rip;
+  options.purge_interval = 64;
+  LruKPolicy rolled_back(options);
+  LruKPolicy twin(options);
+
+  RunLockstepMany({&rolled_back, &twin}, /*seed=*/1234, /*oracle=*/nullptr,
+                  /*failed_write_backs=*/true);
+  if (HasFailure()) return;
+
+  EXPECT_EQ(rolled_back.CurrentTime(), twin.CurrentTime());
+  EXPECT_EQ(rolled_back.HistorySize(), twin.HistorySize());
+  for (PageId p = 0; p < kPages; ++p) {
+    const HistoryBlock* a = rolled_back.DebugBlock(p);
+    const HistoryBlock* b = twin.DebugBlock(p);
+    ASSERT_EQ(a == nullptr, b == nullptr) << "page " << p;
+    if (a == nullptr) continue;
+    for (int i = 0; i < k; ++i) {
+      EXPECT_EQ(a->hist[i], b->hist[i]) << "page " << p << " HIST " << i + 1;
+    }
+    EXPECT_EQ(a->last, b->last) << "page " << p;
+    EXPECT_EQ(a->resident, b->resident) << "page " << p;
+    EXPECT_EQ(a->evictable, b->evictable) << "page " << p;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KCrpRipGrid, LruKRollbackEquivalence,
+    ::testing::Combine(::testing::Values(1, 2, 3, 5),
+                       ::testing::Values<Timestamp>(0, 20, 5000),
+                       ::testing::Values<Timestamp>(kInfinitePeriod, 48,
+                                                    400)));
 
 class LruK1VsLru : public ::testing::TestWithParam<uint64_t> {};
 

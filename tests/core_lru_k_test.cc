@@ -5,6 +5,7 @@
 #include "core/lru_k.h"
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -309,27 +310,142 @@ TEST(LruKTest, K1BehavesAsClassicalLruOnBasicSequence) {
   EXPECT_EQ(policy.Evict(), std::optional<PageId>(1));
 }
 
-TEST(LruKTest, LinearScanModeMatchesBasicScenario) {
-  LruKOptions options = Opts(2);
-  options.use_linear_scan = true;
+// A page idle for longer than the RIP while resident keeps its history
+// (only non-resident blocks expire), so a rolled-back eviction must hand
+// it back exactly: same HIST/LAST, same backward K-distance, same next
+// victim as a twin that was never evicted.
+TEST(LruKTest, RestoreReinstatesHistoryIdlePastTheRip) {
+  LruKOptions options = Opts(2, 0, /*rip=*/4);
+  options.purge_interval = 0;
   LruKPolicy policy(options);
-  EXPECT_EQ(policy.victim_index(), VictimIndex::kLinear);
-  policy.Admit(1, AccessType::kRead);
-  policy.Admit(2, AccessType::kRead);
-  policy.RecordAccess(1, AccessType::kRead);
-  EXPECT_EQ(policy.Evict(), std::optional<PageId>(2));
+  LruKPolicy twin(options);
+  for (LruKPolicy* p : {&policy, &twin}) {
+    p->Admit(1, AccessType::kRead);         // t=1
+    p->RecordAccess(1, AccessType::kRead);  // t=2: HIST(1)={2,1}
+    p->Admit(2, AccessType::kRead);         // t=3
+    p->Admit(3, AccessType::kRead);         // t=4
+    for (int i = 0; i < 5; ++i) {           // t=5..14
+      p->RecordAccess(2, AccessType::kRead);
+      p->RecordAccess(3, AccessType::kRead);
+    }
+  }
+  ASSERT_EQ(policy.BackwardKDistance(1), std::optional<Timestamp>(13));
+
+  // Page 1 has idled 12 > RIP ticks; the eviction fails and is undone.
+  ASSERT_EQ(policy.Evict(), std::optional<PageId>(1));
+  policy.Restore(1);
+  const HistoryBlock* restored = policy.DebugBlock(1);
+  const HistoryBlock* kept = twin.DebugBlock(1);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(restored->hist[0], kept->hist[0]);
+  EXPECT_EQ(restored->hist[1], kept->hist[1]);
+  EXPECT_EQ(restored->last, kept->last);
+  EXPECT_EQ(policy.BackwardKDistance(1), std::optional<Timestamp>(13));
+  EXPECT_EQ(policy.CurrentTime(), twin.CurrentTime());
+
+  // HIST(1,2) = 2 is still the oldest second reference, so both pick 1.
+  policy.RecordAccess(1, AccessType::kRead);  // t=15
+  twin.RecordAccess(1, AccessType::kRead);
+  EXPECT_EQ(twin.Evict(), std::optional<PageId>(1));
   EXPECT_EQ(policy.Evict(), std::optional<PageId>(1));
 }
 
-// --- Lazy-heap victim index (the default; DESIGN.md "Victim index
-// structures") ---
+// Restore's other half: a block the non-resident budget dropped is gone,
+// so the page restarts fresh (HIST(p,1) = LAST = now, infinite backward
+// distance) without a clock tick, while a block still retained comes back
+// as it was.
+TEST(LruKTest, RestoreRestartsFreshOnceTheBudgetDroppedTheBlock) {
+  LruKOptions options = Opts(2);
+  options.max_nonresident_history = 1;
+  LruKPolicy policy(options);
+  for (PageId p = 1; p <= 3; ++p) {
+    policy.Admit(p, AccessType::kRead);         // t=2p-1
+    policy.RecordAccess(p, AccessType::kRead);  // t=2p: HIST(p)={2p,2p-1}
+  }
+  ASSERT_EQ(policy.Evict(), std::optional<PageId>(1));
+  ASSERT_EQ(policy.Evict(), std::optional<PageId>(2));
+  // Two history-only blocks over a budget of one: page 1's (older LAST)
+  // was dropped.
+  ASSERT_EQ(policy.DebugBlock(1), nullptr);
+  ASSERT_EQ(policy.NonResidentHistorySize(), 1u);
+
+  policy.Restore(2);
+  const HistoryBlock* kept = policy.DebugBlock(2);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(kept->hist[0], 4u);
+  EXPECT_EQ(kept->hist[1], 3u);
+  EXPECT_EQ(kept->last, 4u);
+
+  policy.Restore(1);
+  const HistoryBlock* fresh = policy.DebugBlock(1);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->hist[0], 6u);
+  EXPECT_EQ(fresh->hist[1], 0u);
+  EXPECT_EQ(fresh->last, 6u);
+  EXPECT_EQ(policy.BackwardKDistance(1), std::nullopt);
+  EXPECT_EQ(policy.CurrentTime(), 6u);
+  EXPECT_EQ(policy.NonResidentHistorySize(), 0u);
+  EXPECT_EQ(policy.ResidentCount(), 3u);
+
+  // Infinite distance goes first, then the retained histories in order.
+  EXPECT_EQ(policy.Evict(), std::optional<PageId>(1));
+  EXPECT_EQ(policy.Evict(), std::optional<PageId>(2));
+  EXPECT_EQ(policy.Evict(), std::optional<PageId>(3));
+}
+
+// Likewise for a block the RIP demon purged between the Evict and the
+// Restore, as when a write-behind write fails after later references. An
+// expired block the demon has not reached yet is still in the table, so
+// it comes back as it was.
+TEST(LruKTest, RestoreRestartsFreshOnceTheDemonPurgedTheBlock) {
+  LruKOptions options = Opts(2, 0, /*rip=*/4);
+  options.purge_interval = 0;
+  LruKPolicy purged(options);
+  LruKPolicy unpurged(options);
+  for (LruKPolicy* p : {&purged, &unpurged}) {
+    p->Admit(1, AccessType::kRead);         // t=1: HIST(1)={1,0}
+    p->Admit(2, AccessType::kRead);         // t=2
+    p->RecordAccess(2, AccessType::kRead);  // t=3
+    p->Admit(3, AccessType::kRead);         // t=4
+    p->RecordAccess(3, AccessType::kRead);  // t=5
+    ASSERT_EQ(p->Evict(), std::optional<PageId>(1));
+    for (int i = 0; i < 3; ++i) {           // t=6..11
+      p->RecordAccess(2, AccessType::kRead);
+      p->RecordAccess(3, AccessType::kRead);
+    }
+  }
+  // Page 1 has been idle 10 > RIP ticks out of the buffer.
+  EXPECT_EQ(purged.PurgeHistory(), 1u);
+  ASSERT_EQ(purged.DebugBlock(1), nullptr);
+
+  purged.Restore(1);
+  const HistoryBlock* fresh = purged.DebugBlock(1);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->hist[0], 11u);
+  EXPECT_EQ(fresh->hist[1], 0u);
+  EXPECT_EQ(fresh->last, 11u);
+  EXPECT_EQ(purged.CurrentTime(), 11u);
+  EXPECT_EQ(purged.ResidentCount(), 3u);
+
+  unpurged.Restore(1);
+  const HistoryBlock* kept = unpurged.DebugBlock(1);
+  ASSERT_NE(kept, nullptr);
+  EXPECT_EQ(kept->hist[0], 1u);
+  EXPECT_EQ(kept->last, 1u);
+
+  // Both are infinite-distance pages against finite ones, so both go
+  // first whichever block they hold.
+  EXPECT_EQ(purged.Evict(), std::optional<PageId>(1));
+  EXPECT_EQ(unpurged.Evict(), std::optional<PageId>(1));
+}
+
+// --- Lazy victim heap (DESIGN.md "Victim search") ---
 
 TEST(LruKLazyHeapTest, HitsAddNoHeapEntries) {
   // The whole point of the lazy heap: a hit rewrites the history block and
   // touches nothing else. One entry per admitted page, zero growth across
   // an arbitrary number of re-references.
   LruKPolicy policy(Opts(2));
-  ASSERT_EQ(policy.victim_index(), VictimIndex::kLazyHeap);
   policy.Admit(1, AccessType::kRead);
   policy.Admit(2, AccessType::kRead);
   EXPECT_EQ(policy.VictimHeapSize(), 2u);
@@ -372,9 +488,9 @@ TEST(LruKLazyHeapTest, StaleEntriesStillYieldTheTrueMinimum) {
   EXPECT_EQ(policy.Evict(), std::optional<PageId>(3));
 }
 
-TEST(LruKLazyHeapTest, FallbackIgnoresCrpLikeTheOtherIndexes) {
+TEST(LruKLazyHeapTest, FallbackIgnoresCrp) {
   // Every page inside its CRP: the heap's fallback must pick the best key
-  // regardless of eligibility and count the event, like ordered/linear.
+  // regardless of eligibility and count the event.
   LruKOptions options = Opts(2, /*crp=*/1000);
   LruKPolicy policy(options);
   policy.Admit(1, AccessType::kRead);
@@ -401,9 +517,13 @@ TEST(LruKLazyHeapTest, RemoveAndReadmitKeepsHeapConsistent) {
 
 // ---------------------------------------------------------------------------
 // EvictBatch exactness. One EvictBatch(k) call must nominate exactly the
-// sequence k sequential Evict() calls would return — for every victim
-// index — and restoring unused nominees must leave the policy as if they
-// had never been nominated (deferred retention, no history churn).
+// sequence k sequential Evict() calls would return, and restoring unused
+// nominees must leave the policy as if they had never been nominated
+// (deferred retention, no history churn). Run over three configurations:
+// plain LRU-2; LRU-3 with a CRP, so the pages referenced last are
+// ineligible and the batch ends on the fallback path; and LRU-2 with a RIP
+// shorter than the nominees' idle time, which Restore must not treat as
+// expiry.
 
 // Mixed-distance state: 12 residents, skewed re-references so backward
 // K-distances differ, two pinned pages mid-range, and one infinite-
@@ -420,18 +540,11 @@ void DriveBatchTrace(LruKPolicy& p) {
   p.SetEvictable(10, false);
 }
 
-LruKOptions IndexedOpts(VictimIndex index) {
-  LruKOptions o;
-  o.k = 2;
-  o.victim_index = index;
-  return o;
-}
-
-class LruKEvictBatchTest : public ::testing::TestWithParam<VictimIndex> {};
+class LruKEvictBatchTest : public ::testing::TestWithParam<LruKOptions> {};
 
 TEST_P(LruKEvictBatchTest, MatchesSequentialEvictsExactly) {
-  LruKPolicy sequential(IndexedOpts(GetParam()));
-  LruKPolicy batched(IndexedOpts(GetParam()));
+  LruKPolicy sequential(GetParam());
+  LruKPolicy batched(GetParam());
   DriveBatchTrace(sequential);
   DriveBatchTrace(batched);
 
@@ -445,10 +558,14 @@ TEST_P(LruKEvictBatchTest, MatchesSequentialEvictsExactly) {
   EXPECT_EQ(batched.EvictBatch(64, &rest), 6u);  // ...then a short tail.
   batch.insert(batch.end(), rest.begin(), rest.end());
   EXPECT_EQ(batch, expected);
+  EXPECT_EQ(batched.fallback_evictions(), sequential.fallback_evictions());
+  if (GetParam().correlated_reference_period != 0) {
+    EXPECT_GT(sequential.fallback_evictions(), 0u);
+  }
 }
 
 TEST_P(LruKEvictBatchTest, RestoredNomineesAreAsIfNeverNominated) {
-  LruKPolicy policy(IndexedOpts(GetParam()));
+  LruKPolicy policy(GetParam());
   DriveBatchTrace(policy);
   const size_t residents = policy.ResidentCount();
 
@@ -470,8 +587,8 @@ TEST_P(LruKEvictBatchTest, ConsumedMidSequenceMatchesEvictRestore) {
   // other two back in reverse nomination order. Reference caller: two
   // sequential Evicts to reach the same victim, then Restore the skipped
   // first nominee. Both policies must agree on every later eviction.
-  LruKPolicy batched(IndexedOpts(GetParam()));
-  LruKPolicy reference(IndexedOpts(GetParam()));
+  LruKPolicy batched(GetParam());
+  LruKPolicy reference(GetParam());
   DriveBatchTrace(batched);
   DriveBatchTrace(reference);
 
@@ -493,10 +610,20 @@ TEST_P(LruKEvictBatchTest, ConsumedMidSequenceMatchesEvictRestore) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllVictimIndexes, LruKEvictBatchTest,
-                         ::testing::Values(VictimIndex::kLazyHeap,
-                                           VictimIndex::kOrderedSet,
-                                           VictimIndex::kLinear));
+INSTANTIATE_TEST_SUITE_P(
+    Configs, LruKEvictBatchTest,
+    ::testing::Values(Opts(2), Opts(3, /*crp=*/5), Opts(2, 0, /*rip=*/4)),
+    [](const auto& info) {
+      const LruKOptions& o = info.param;
+      std::string name = "K" + std::to_string(o.k);
+      if (o.correlated_reference_period != 0) {
+        name += "Crp" + std::to_string(o.correlated_reference_period);
+      }
+      if (o.retained_information_period != kInfinitePeriod) {
+        name += "Rip" + std::to_string(o.retained_information_period);
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace lruk

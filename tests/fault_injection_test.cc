@@ -434,32 +434,47 @@ TEST(PoolFaultHardeningTest, FailedReadAdmitsNothing) {
   EXPECT_TRUE(pool.UnpinPage(target, false).ok());
 }
 
-// The write-back rollback, exercised against every victim index and both
-// eviction paths (latched Evict(), optimistic EvictBatch nomination under
-// a bucket lock): the policy must restore the victim exactly (no clock
-// tick, same next victim) and the pool must keep the dirty image.
+// The write-back rollback, exercised with an infinite and a finite RIP on
+// both eviction paths (latched Evict(), optimistic EvictBatch nomination
+// under a bucket lock): the policy must restore the victim exactly (no
+// clock tick, the same history block, the same next victim) and the pool
+// must keep the dirty image. The victim idles past the finite RIP before
+// its eviction fails, which a resident page may: only non-resident
+// history expires.
 class WriteBackRollbackTest
-    : public ::testing::TestWithParam<std::tuple<VictimIndex, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<Timestamp, bool>> {};
 
 TEST_P(WriteBackRollbackTest, FailedWriteBackRollsBackEviction) {
-  const auto [victim_index, optimistic] = GetParam();
+  const auto [rip, optimistic] = GetParam();
   SimDiskManager inner;
   FaultInjectingDiskManager disk(&inner, /*seed=*/13);
-  LruKOptions options{.k = 2};
-  options.victim_index = victim_index;
-  auto policy = std::make_unique<LruKPolicy>(options);
+  auto policy = std::make_unique<LruKPolicy>(
+      LruKOptions{.k = 2, .retained_information_period = rip});
   LruKPolicy* lruk = policy.get();
-  BufferPool pool(1, &disk, std::move(policy),
+  BufferPool pool(3, &disk, std::move(policy),
                   BufferPoolOptions{.optimistic_hits = optimistic});
 
-  // Resident dirty page A; B waits on disk.
-  std::vector<PageId> ids = AllocateRaw(disk, 2);
+  // Resident dirty page A, referenced once (infinite backward distance, so
+  // the next victim); clean C and D referenced alternately while A idles;
+  // B waits on disk.
+  std::vector<PageId> ids = AllocateRaw(disk, 4);
   PageId a = ids[0];
   PageId b = ids[1];
+  PageId c = ids[2];
+  PageId d = ids[3];
   auto page_a = pool.FetchPage(a, AccessType::kWrite);
   ASSERT_TRUE(page_a.ok());
   WriteStamp((*page_a)->Data(), a, /*value=*/777);
   ASSERT_TRUE(pool.UnpinPage(a, true).ok());
+  for (int i = 0; i < 4; ++i) {
+    for (PageId p : {c, d}) {
+      ASSERT_TRUE(pool.FetchPage(p).ok());
+      ASSERT_TRUE(pool.UnpinPage(p, false).ok());
+    }
+  }
+  (void)pool.stats();  // Drains the optimistic pool's published hits.
+  const HistoryBlock block_before = *lruk->DebugBlock(a);
+  ASSERT_GT(lruk->CurrentTime() - block_before.last, 4u);
 
   disk.AddRule(FaultRule::FailPage(FaultOp::kWrite, a));
   Timestamp time_before = lruk->CurrentTime();
@@ -468,14 +483,20 @@ TEST_P(WriteBackRollbackTest, FailedWriteBackRollsBackEviction) {
   EXPECT_EQ(fetched.status().code(), StatusCode::kIoError);
 
   // The eviction rolled back: A is still resident (and still dirty — its
-  // acknowledged write was not lost), B was never admitted, the policy and
-  // frame table agree, no eviction was counted, and the clock is unmoved.
+  // acknowledged write was not lost) with its history block unchanged, B
+  // was never admitted, the policy and frame table agree, no eviction was
+  // counted, and the clock is unmoved.
   EXPECT_TRUE(pool.IsResident(a));
   EXPECT_FALSE(pool.IsResident(b));
   EXPECT_TRUE(lruk->IsResident(a));
-  EXPECT_EQ(lruk->ResidentCount(), 1u);
-  EXPECT_EQ(lruk->EvictableCount(), 1u);
+  EXPECT_EQ(lruk->ResidentCount(), 3u);
+  EXPECT_EQ(lruk->EvictableCount(), 3u);
   EXPECT_EQ(lruk->CurrentTime(), time_before);
+  const HistoryBlock* block_after = lruk->DebugBlock(a);
+  ASSERT_NE(block_after, nullptr);
+  EXPECT_EQ(block_after->hist[0], block_before.hist[0]);
+  EXPECT_EQ(block_after->hist[1], block_before.hist[1]);
+  EXPECT_EQ(block_after->last, block_before.last);
   BufferPoolStats stats = pool.stats();
   EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(stats.dirty_writebacks, 0u);
@@ -487,8 +508,9 @@ TEST_P(WriteBackRollbackTest, FailedWriteBackRollsBackEviction) {
   EXPECT_EQ(ReadStamp((*again)->Data()).value, 777u);
   ASSERT_TRUE(pool.UnpinPage(a, false).ok());
 
-  // After healing, the same fetch completes: A is written back and B
-  // admitted; A's stamp is durable on the inner disk.
+  // After healing, the same fetch completes: A, whose second reference is
+  // still the oldest, is written back and B admitted; A's stamp is
+  // durable on the inner disk.
   disk.Heal();
   auto healed = pool.FetchPage(b);
   ASSERT_TRUE(healed.ok());
@@ -504,16 +526,13 @@ TEST_P(WriteBackRollbackTest, FailedWriteBackRollsBackEviction) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllVictimIndices, WriteBackRollbackTest,
-    ::testing::Combine(::testing::Values(VictimIndex::kLazyHeap,
-                                         VictimIndex::kOrderedSet,
-                                         VictimIndex::kLinear),
+    RipsAndHitPaths, WriteBackRollbackTest,
+    ::testing::Combine(::testing::Values<Timestamp>(kInfinitePeriod, 4),
                        ::testing::Bool()),
     [](const auto& info) {
-      const VictimIndex index = std::get<0>(info.param);
-      std::string name = index == VictimIndex::kLazyHeap     ? "LazyHeap"
-                         : index == VictimIndex::kOrderedSet ? "OrderedSet"
-                                                             : "Linear";
+      std::string name = std::get<0>(info.param) == kInfinitePeriod
+                             ? "InfiniteRip"
+                             : "FiniteRip";
       return std::get<1>(info.param) ? name + "Optimistic" : name;
     });
 
