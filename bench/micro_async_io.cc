@@ -29,6 +29,18 @@
 // latency percentiles and the dispatcher's per-lane counters expose the
 // difference.
 //
+// Section 4 — overlapped flushes (threaded). FlushAll of 512 dirty pages
+// over a disk wrapper whose writes sleep 200 us of real time. The flush
+// hands the device one DiskManager::WritePages batch with the pool latch
+// released, and WritePages keeps up to kMaxWritesInFlight writes in
+// flight, so the flush takes a fraction of the 512 x 200 us it would take
+// written one at a time. The gain needs a device that overlaps writes, as
+// this sleeping one does. Further FlushAll rounds then run while a
+// foreground thread fetches (hits, each taking the pool latch) 64 clean
+// pages, paced ~20 us apart, and time each fetch that overlaps a flush: a
+// flush that held the latch across its writes would stall such a fetch
+// for most of the flush.
+//
 // Shape checks (CI greps for ": NO"):
 //  * readahead — simulated foreground stall with readahead on is at
 //    least 5x below the synchronous baseline in every scan pair, with
@@ -39,6 +51,10 @@
 //    writes in every write-behind cell (writebehind_writes carries the
 //    rest), and client fetch p99 beats the sync baseline's.
 //  * accounting — hits + misses == ops issued in every cell.
+//  * overlapped flush — FlushAll's wall time is at least 4x under the
+//    serial time (pages x write sleep).
+//  * flush off the latch — the p99 of foreground fetches that overlap a
+//    FlushAll is under a tenth of its median wall time.
 //
 // Flags: --json <path> writes machine-readable results (BENCH_async_io
 // trajectory); --quick shrinks op counts for CI smoke runs.
@@ -52,6 +68,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -487,13 +504,141 @@ WriteBehindCell RunWriteBehindCell(const std::string& mode,
 }
 
 // ---------------------------------------------------------------------
+// Section 4: overlapped flushes.
+
+struct FlushCell {
+  uint64_t pages = 0;
+  uint64_t write_micros = 0;
+  uint64_t reps = 0;
+  double serial_ms = 0.0;  // pages x write_micros, written one at a time.
+  double wall_ms = 0.0;    // Median FlushAll wall time over the reps.
+  double speedup = 0.0;    // serial_ms / wall_ms.
+  bool all_written = false;
+  // Foreground fetches that overlapped a FlushAll, over `reps` more
+  // rounds, and their latency.
+  uint64_t fetches_during_flush = 0;
+  double fetch_p50_us = 0.0;
+  double fetch_p99_us = 0.0;
+  double fetch_max_us = 0.0;
+};
+
+// Dirties the 512 flush pages of a pool that also holds 64 clean hot
+// pages (all resident) and times FlushAll, `reps` times; reports the
+// median. Then `reps` more rounds time a foreground thread's fetches of
+// the hot pages during each FlushAll.
+FlushCell RunFlushCell(uint64_t reps) {
+  using Clock = std::chrono::steady_clock;
+  constexpr uint64_t kHotPages = 64;
+  FlushCell cell;
+  cell.pages = 512;
+  cell.write_micros = 200;
+  cell.reps = reps;
+  cell.serial_ms = static_cast<double>(cell.pages * cell.write_micros) / 1e3;
+
+  SimDiskOptions disk_options;
+  disk_options.read_micros = 0.0;
+  disk_options.write_micros = 0.0;
+  SimDiskManager base(disk_options);
+  SleepingDiskManager disk(&base, /*read_sleep_micros=*/0,
+                           /*write_sleep_micros=*/cell.write_micros);
+  const uint64_t frames = cell.pages + kHotPages;
+  BufferPool pool(frames, &disk,
+                  std::make_unique<LruKPolicy>(
+                      LruKOptions{.k = 2, .capacity_hint = frames}));
+  auto new_pages = [&](uint64_t n, std::vector<PageId>* out) {
+    for (uint64_t i = 0; i < n; ++i) {
+      auto page = pool.NewPage();
+      if (!page.ok()) return false;
+      out->push_back((*page)->id());
+      (void)pool.UnpinPage((*page)->id(), true);
+    }
+    return true;
+  };
+  std::vector<PageId> hot;
+  std::vector<PageId> pages;
+  if (!new_pages(kHotPages, &hot) || !pool.FlushAll().ok() ||
+      !new_pages(cell.pages, &pages)) {
+    return cell;
+  }
+
+  // One FlushAll of the dirty pages; re-dirties them first unless `fresh`.
+  bool flushed = true;
+  auto flush_round = [&](bool fresh, Clock::time_point* start,
+                         Clock::time_point* end) {
+    if (!fresh) {
+      for (PageId p : pages) {
+        auto page = pool.FetchPage(p, AccessType::kWrite);
+        if (!page.ok()) return false;
+        (void)pool.UnpinPage(p, true);
+      }
+    }
+    uint64_t writes_before = base.stats().writes;
+    *start = Clock::now();
+    flushed = pool.FlushAll().ok() && flushed;
+    *end = Clock::now();
+    flushed = flushed && base.stats().writes - writes_before == cell.pages;
+    return true;
+  };
+
+  std::vector<double> wall_ms;
+  for (uint64_t r = 0; r < reps; ++r) {
+    Clock::time_point start, end;
+    if (!flush_round(r == 0, &start, &end)) return cell;
+    wall_ms.push_back(
+        std::chrono::duration<double, std::milli>(end - start).count());
+  }
+  cell.wall_ms = Percentile(&wall_ms, 0.50);
+  cell.speedup = cell.wall_ms > 0.0 ? cell.serial_ms / cell.wall_ms : 0.0;
+
+  std::vector<double> fetch_us;
+  for (uint64_t r = 0; r < reps; ++r) {
+    std::atomic<bool> stop{false};
+    std::atomic<bool> running{false};
+    std::vector<std::pair<Clock::time_point, Clock::time_point>> fetches;
+    std::thread foreground([&] {
+      fetches.reserve(1 << 16);
+      for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        PageId p = hot[i % kHotPages];
+        Clock::time_point begin = Clock::now();
+        auto page = pool.FetchPage(p);
+        Clock::time_point done = Clock::now();
+        if (page.ok()) (void)pool.UnpinPage(p, false);
+        fetches.emplace_back(begin, done);
+        running.store(true, std::memory_order_release);
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+      }
+    });
+    while (!running.load(std::memory_order_acquire)) std::this_thread::yield();
+    Clock::time_point start, end;
+    const bool ok = flush_round(/*fresh=*/false, &start, &end);
+    stop.store(true);
+    foreground.join();
+    if (!ok) return cell;
+    for (const auto& [begin, done] : fetches) {
+      if (begin < end && done > start) {
+        fetch_us.push_back(
+            std::chrono::duration<double, std::micro>(done - begin).count());
+      }
+    }
+  }
+  cell.fetches_during_flush = fetch_us.size();
+  cell.fetch_p50_us = Percentile(&fetch_us, 0.50);
+  cell.fetch_p99_us = Percentile(&fetch_us, 0.99);
+  cell.fetch_max_us = fetch_us.empty() ? 0.0 : fetch_us.back();
+  cell.all_written = flushed;
+  return cell;
+}
+
+// ---------------------------------------------------------------------
 
 void WriteJson(const char* path, const BenchProvenance& provenance,
                const std::vector<ScanCell>& scan_cells,
                const std::vector<CoalesceCell>& coalesce_cells,
                const std::vector<WriteBehindCell>& wb_cells,
-               bool readahead_ok, bool prefetch_used_ok, bool coalesce_ok,
-               bool wb_foreground_ok, bool wb_p99_ok, bool accounting_ok) {
+               const FlushCell& flush_cell, bool readahead_ok,
+               bool prefetch_used_ok, bool coalesce_ok, bool wb_foreground_ok,
+               bool wb_p99_ok, bool accounting_ok, bool flush_ok,
+               bool flush_unlatched_ok) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
@@ -583,19 +728,37 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
     std::fprintf(f, "]}%s\n", i + 1 < wb_cells.size() ? "," : "");
   }
   std::fprintf(f,
+               "  ],\n  \"flush_cells\": [\n"
+               "    {\"pool\": \"single-latch\", \"pages\": %llu, "
+               "\"write_micros\": %llu, \"reps\": %llu, "
+               "\"serial_ms\": %.1f, \"wall_ms\": %.2f, "
+               "\"speedup\": %.2f, \"fetches_during_flush\": %llu, "
+               "\"fetch_p50_us\": %.2f, \"fetch_p99_us\": %.2f, "
+               "\"fetch_max_us\": %.1f}\n",
+               static_cast<unsigned long long>(flush_cell.pages),
+               static_cast<unsigned long long>(flush_cell.write_micros),
+               static_cast<unsigned long long>(flush_cell.reps),
+               flush_cell.serial_ms, flush_cell.wall_ms, flush_cell.speedup,
+               static_cast<unsigned long long>(flush_cell.fetches_during_flush),
+               flush_cell.fetch_p50_us, flush_cell.fetch_p99_us,
+               flush_cell.fetch_max_us);
+  std::fprintf(f,
                "  ],\n  \"checks\": {\n"
                "    \"readahead_beats_sync\": %s,\n"
                "    \"prefetch_used_nonzero\": %s,\n"
                "    \"coalesced_nonzero\": %s,\n"
                "    \"writebehind_foreground_near_zero\": %s,\n"
                "    \"writebehind_p99_beats_sync\": %s,\n"
-               "    \"accounting_exact\": %s\n  }\n}\n",
+               "    \"accounting_exact\": %s,\n"
+               "    \"flush_overlaps_writes\": %s,\n"
+               "    \"fetch_during_flush_unstalled\": %s\n  }\n}\n",
                readahead_ok ? "true" : "false",
                prefetch_used_ok ? "true" : "false",
                coalesce_ok ? "true" : "false",
                wb_foreground_ok ? "true" : "false",
                wb_p99_ok ? "true" : "false",
-               accounting_ok ? "true" : "false");
+               accounting_ok ? "true" : "false", flush_ok ? "true" : "false",
+               flush_unlatched_ok ? "true" : "false");
   std::fclose(f);
 }
 
@@ -745,6 +908,34 @@ int main(int argc, char** argv) {
   }
   wb_table.Print();
 
+  FlushCell flush_cell = RunFlushCell(quick ? 3 : 7);
+  std::printf("\noverlapped flush: FlushAll of %llu dirty pages, %llu us "
+              "per write, median of %llu\n",
+              static_cast<unsigned long long>(flush_cell.pages),
+              static_cast<unsigned long long>(flush_cell.write_micros),
+              static_cast<unsigned long long>(flush_cell.reps));
+  AsciiTable flush_table({"pool", "serial (ms)", "FlushAll (ms)", "speedup"});
+  flush_table.AddRow({"single-latch",
+                      AsciiTable::Fixed(flush_cell.serial_ms, 1),
+                      AsciiTable::Fixed(flush_cell.wall_ms, 2),
+                      AsciiTable::Fixed(flush_cell.speedup, 2)});
+  flush_table.Print();
+  const bool flush_ok = flush_cell.all_written && flush_cell.speedup >= 4.0;
+  std::printf("\nforeground fetches (hits) during FlushAll, %llu rounds\n",
+              static_cast<unsigned long long>(flush_cell.reps));
+  AsciiTable fetch_table({"pool", "fetches", "p50 (us)", "p99 (us)",
+                          "max (us)", "FlushAll (ms)"});
+  fetch_table.AddRow(
+      {"single-latch", std::to_string(flush_cell.fetches_during_flush),
+       AsciiTable::Fixed(flush_cell.fetch_p50_us, 2),
+       AsciiTable::Fixed(flush_cell.fetch_p99_us, 2),
+       AsciiTable::Fixed(flush_cell.fetch_max_us, 1),
+       AsciiTable::Fixed(flush_cell.wall_ms, 2)});
+  fetch_table.Print();
+  const bool flush_unlatched_ok =
+      flush_cell.fetches_during_flush > 0 &&
+      flush_cell.fetch_p99_us * 10.0 < flush_cell.wall_ms * 1e3;
+
   std::printf("\nshape: readahead stalls >= 5x below the synchronous "
               "baseline in every scan pair: %s\n",
               readahead_ok ? "yes" : "NO");
@@ -762,15 +953,23 @@ int main(int argc, char** argv) {
               wb_p99_ok ? "yes" : "NO");
   std::printf("shape: hit+miss totals exactly equal ops in every cell: %s\n",
               accounting_ok ? "yes" : "NO");
+  std::printf("shape: FlushAll overlaps its writes (>= 4x under the serial "
+              "time): %s\n",
+              flush_ok ? "yes" : "NO");
+  std::printf("shape: a fetch during FlushAll waits for no flush write (p99 "
+              "< 1/10 of its wall time): %s\n",
+              flush_unlatched_ok ? "yes" : "NO");
 
   if (json_path != nullptr) {
     WriteJson(json_path, provenance, scan_cells, coalesce_cells, wb_cells,
-              readahead_ok, prefetch_used_ok, coalesce_ok && bounded_ok,
-              wb_foreground_ok, wb_p99_ok, accounting_ok);
+              flush_cell, readahead_ok, prefetch_used_ok,
+              coalesce_ok && bounded_ok, wb_foreground_ok, wb_p99_ok,
+              accounting_ok, flush_ok, flush_unlatched_ok);
     std::printf("wrote %s\n", json_path);
   }
   return readahead_ok && prefetch_used_ok && coalesce_ok && bounded_ok &&
-                 wb_foreground_ok && wb_p99_ok && accounting_ok
+                 wb_foreground_ok && wb_p99_ok && accounting_ok &&
+                 flush_ok && flush_unlatched_ok
              ? 0
              : 1;
 }

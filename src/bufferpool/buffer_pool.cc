@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <mutex>
+#include <numeric>
 #include <utility>
 
 namespace lruk {
@@ -151,6 +152,32 @@ Status BufferPool::DiskWrite(PageId p, const char* data) {
   return outcome.status;
 }
 
+void BufferPool::DiskWritePages(std::span<PageWrite> writes) {
+  // io_retry's schedule over the batch: each attempt writes, as one batch,
+  // the entries the attempt before left with a retryable error. Each
+  // re-issued write counts as one retry, as in DiskWrite.
+  std::vector<PageWrite> batch(writes.begin(), writes.end());
+  std::vector<size_t> index(writes.size());
+  std::iota(index.begin(), index.end(), size_t{0});
+  bool reissue = false;
+  (void)RetryWithBackoff(options_.io_retry, [&] {
+    if (reissue) stats_.retries += batch.size();
+    reissue = true;
+    disk_->WritePages(batch);
+    size_t failed = 0;
+    for (size_t j = 0; j < batch.size(); ++j) {
+      writes[index[j]].status = batch[j].status;
+      if (!batch[j].status.ok() && IsRetryableError(batch[j].status.code())) {
+        index[failed] = index[j];
+        batch[failed++] = batch[j];
+      }
+    }
+    batch.resize(failed);
+    index.resize(failed);
+    return failed == 0 ? Status::Ok() : batch.front().status;
+  });
+}
+
 Result<FrameId> BufferPool::AcquireFrame(
     std::vector<PageId>* deferred_writes) {
   if (!free_frames_.empty()) {
@@ -191,7 +218,7 @@ Result<FrameId> BufferPool::AcquireFrame(
   // call it), so the policy nominates pinned pages too; pin counts are
   // the ground truth. Nominate victims in escalating batches — EvictBatch
   // defers the retained-history insertion, so a skipped pinned nominee
-  // costs one Restore instead of a full OnEvicted + resurrection round
+  // costs one Restore instead of a full retention + resurrection round
   // trip through LRU-K's bounded non-resident budget. Take the first
   // unpinned nominee that survives the bucket handshake, then restore
   // every unused one in reverse pop order (exact for LRU-K;
@@ -307,11 +334,17 @@ void BufferPool::FinishPendingLocked(PageId p,
 
 void BufferPool::FencePageLocked(std::unique_lock<std::mutex>& guard,
                                  PageId p) {
-  // Waits out every in-flight read of `p` and any in-flight write-behind
-  // victim write of `p` (there is at most one of each at a time, but a
-  // completion can be followed by a new one before we re-acquire the
-  // latch, hence the loop).
-  while (io_ != nullptr) {
+  // Waits out every in-flight read of `p`, any in-flight write-behind
+  // victim write of `p` and any flush of `p` (there is at most one of each
+  // at a time, but a completion can be followed by a new one before we
+  // re-acquire the latch, hence the loop). A flush's pin is not the
+  // caller's, so a delete or flush of the page must not see it.
+  for (;;) {
+    if (flushing_.contains(p)) {
+      flush_cv_.wait(guard, [&] { return !flushing_.contains(p); });
+      continue;
+    }
+    if (io_ == nullptr) return;
     auto it = pending_reads_.find(p);
     if (it != pending_reads_.end()) {
       std::shared_ptr<PendingIo> entry = it->second;
@@ -578,8 +611,12 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
   auto guard = Lock();
   // Whether this fetch has already been counted (a coalesced waiter counts
   // its miss when it starts waiting, then resolves through the hit branch
-  // or the primary path below without recounting).
+  // or the primary path below without recounting; so does a miss that
+  // waits out a flush's pins and starts over).
   bool counted = false;
+  // The primary miss path's frame and deferred victim writes.
+  FrameId frame = 0;
+  std::vector<PageId> deferred;
   for (;;) {
     FrameId f = 0;
     if (page_table_.Find(p, &f)) {
@@ -632,25 +669,24 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
       auto parked = parked_victims_.find(p);
       if (parked != parked_victims_.end()) {
         if (!counted) ++stats_.misses;  // Not resident; no physical read.
+        counted = true;
         if (observable != nullptr) *observable = true;  // A miss.
         std::unique_ptr<char[]> image = std::move(parked->second);
         parked_victims_.erase(parked);
         DrainAccessBufferLocked();
-        std::vector<PageId> deferred;
-        auto frame = AcquireFrame(&deferred);
-        if (!frame.ok()) {
+        auto readmit = AcquireFrame(&deferred);
+        if (!readmit.ok()) {  // Nothing deferred on failure.
           parked_victims_.emplace(p, std::move(image));  // Still parked.
-          guard.unlock();
-          LaunchDeferredVictimWrites(deferred);
-          return frame.status();
+          if (AwaitFlushLocked(guard, readmit.status())) continue;
+          return readmit.status();
         }
-        Page& page = frames_[*frame];
+        Page& page = frames_[*readmit];
         std::memcpy(page.Data(), image.get(), kPageSize);
         page.id_ = p;
         page.pin_count_.fetch_add(1);  // Never a store; see below.
         page.dirty_.store(true, std::memory_order_relaxed);
-        page_table_.Insert(p, *frame);
-        frame_prefetched_[*frame].store(0, std::memory_order_relaxed);
+        page_table_.Insert(p, *readmit);
+        frame_prefetched_[*readmit].store(0, std::memory_order_relaxed);
         policy_->Restore(p);
         policy_->RecordAccess(p, type);
         if (!optimistic_) policy_->SetEvictable(p, false);
@@ -687,20 +723,26 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
         continue;
       }
     }
-    break;
+
+    if (!counted) ++stats_.misses;
+    counted = true;
+    // Deferred references precede this fault in the reference string;
+    // apply them before the policy sees the admission (and before any
+    // eviction decision, which must act on a fully drained view).
+    DrainAccessBufferLocked();
+    policy_->PrepareAdmit(p);
+    auto acquired = AcquireFrame(&deferred);
+    if (acquired.ok()) {
+      frame = *acquired;
+      break;
+    }
+    // Nothing deferred on failure. After waiting out a flush, start over:
+    // another thread may have admitted p meanwhile.
+    if (!AwaitFlushLocked(guard, acquired.status())) return acquired.status();
   }
 
-  if (!counted) ++stats_.misses;
   if (observable != nullptr) *observable = true;  // A demand miss.
-  // Deferred references precede this fault in the reference string; apply
-  // them before the policy sees the admission (and before any eviction
-  // decision, which must act on a fully drained view).
-  DrainAccessBufferLocked();
-  policy_->PrepareAdmit(p);
-  std::vector<PageId> deferred;
-  auto frame = AcquireFrame(&deferred);
-  if (!frame.ok()) return frame.status();  // Nothing deferred on failure.
-  Page& page = frames_[*frame];
+  Page& page = frames_[frame];
   Status read;
   if (io_ != nullptr) {
     // Register in the tracker, release the latch, and run the read through
@@ -733,7 +775,7 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
     // The page was never admitted: the policy has no entry for p, the
     // page table is untouched, and the frame (legitimately freed by a
     // completed eviction, or taken from the free list) goes back unused.
-    free_frames_.push_back(*frame);
+    free_frames_.push_back(frame);
     return read;
   }
   page.id_ = p;
@@ -742,8 +784,8 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
   // after failing validation), and a blind store would erase that.
   page.pin_count_.fetch_add(1);
   page.dirty_.store(type == AccessType::kWrite, std::memory_order_relaxed);
-  page_table_.Insert(p, *frame);
-  frame_prefetched_[*frame].store(0, std::memory_order_relaxed);
+  page_table_.Insert(p, frame);
+  frame_prefetched_[frame].store(0, std::memory_order_relaxed);
   policy_->Admit(p, type);
   if (!optimistic_) policy_->SetEvictable(p, false);
   // A demand miss is always observable: the cold front of a scan is a run
@@ -761,7 +803,7 @@ Result<Page*> BufferPool::NewPage() {
   auto allocated = disk_->AllocatePage();
   if (!allocated.ok()) return allocated.status();
   PageId p = *allocated;
-  auto page = AdmitNewPageLocked(p, &deferred);
+  auto page = AdmitNewPageLocked(guard, p, &deferred);
   if (!page.ok()) (void)disk_->DeallocatePage(p);
   guard.unlock();
   LaunchDeferredVictimWrites(deferred);
@@ -772,7 +814,7 @@ Result<Page*> BufferPool::NewPage() {
 Result<Page*> BufferPool::AdmitNewPage(PageId p) {
   std::vector<PageId> deferred;
   auto guard = Lock();
-  auto page = AdmitNewPageLocked(p, &deferred);
+  auto page = AdmitNewPageLocked(guard, p, &deferred);
   guard.unlock();
   LaunchDeferredVictimWrites(deferred);
   if (page.ok()) NoteFix(p);
@@ -780,32 +822,36 @@ Result<Page*> BufferPool::AdmitNewPage(PageId p) {
 }
 
 Result<Page*> BufferPool::AdmitNewPageLocked(
-    PageId p, std::vector<PageId>* deferred_writes) {
-  // A reallocated id can have a stale prefetch in flight (the readahead
-  // window ran past a page another thread deleted); wait it out so the
-  // admission cannot race the prefetch's own admission of p.
-  {
-    std::unique_lock<std::mutex> reacquired(latch_, std::adopt_lock);
-    FencePageLocked(reacquired, p);
-    reacquired.release();  // The caller's guard still owns the latch.
+    std::unique_lock<std::mutex>& guard, PageId p,
+    std::vector<PageId>* deferred_writes) {
+  FrameId frame = 0;
+  for (;;) {
+    // A reallocated id can have a stale prefetch in flight (the readahead
+    // window ran past a page another thread deleted); wait it out so the
+    // admission cannot race the prefetch's own admission of p.
+    FencePageLocked(guard, p);
+    if (page_table_.contains(p)) {
+      return Status::AlreadyExists("admit of resident page " +
+                                   std::to_string(p));
+    }
+    DrainAccessBufferLocked();  // As on the miss path: admit/evict on a
+                                // fully drained view.
+    policy_->PrepareAdmit(p);
+    auto acquired = AcquireFrame(deferred_writes);
+    if (acquired.ok()) {
+      frame = *acquired;
+      break;
+    }
+    if (!AwaitFlushLocked(guard, acquired.status())) return acquired.status();
   }
-  if (page_table_.contains(p)) {
-    return Status::AlreadyExists("admit of resident page " +
-                                 std::to_string(p));
-  }
-  DrainAccessBufferLocked();  // As on the miss path: admit/evict on a
-                              // fully drained view.
-  policy_->PrepareAdmit(p);
-  auto frame = AcquireFrame(deferred_writes);
-  if (!frame.ok()) return frame.status();
-  Page& page = frames_[*frame];
+  Page& page = frames_[frame];
   page.ZeroFill();
   page.id_ = p;
   page.pin_count_.fetch_add(1);  // Never a store; see FetchPage.
   page.dirty_.store(true, std::memory_order_relaxed);  // Must reach disk
                                                        // at least once.
-  page_table_.Insert(p, *frame);
-  frame_prefetched_[*frame].store(0, std::memory_order_relaxed);
+  page_table_.Insert(p, frame);
+  frame_prefetched_[frame].store(0, std::memory_order_relaxed);
   policy_->Admit(p, AccessType::kWrite);
   if (!optimistic_) policy_->SetEvictable(p, false);
   return &page;
@@ -862,7 +908,8 @@ Status BufferPool::FlushPage(PageId p) {
   auto guard = Lock();
   // A read in flight may be admitting p; a victim write in flight IS the
   // flush (on failure the fence's wake-up sees the page re-admitted dirty
-  // below, or parked).
+  // below, or parked); a flush of p in flight is waited out, so the two
+  // writes cannot land out of order.
   FencePageLocked(guard, p);
   DrainAccessBufferLocked();
   {
@@ -879,54 +926,111 @@ Status BufferPool::FlushPage(PageId p) {
   if (!page_table_.Find(p, &f)) {
     return Status::NotFound("flush of non-resident page " + std::to_string(p));
   }
-  Page& page = frames_[f];
-  // A clean page already matches its disk image, as in FlushAll.
-  if (!page.is_dirty()) return Status::Ok();
-  // On failure the dirty flag is untouched, so the write is retried by
-  // the next flush or eviction rather than silently dropped.
   // (Like the latched pool, an explicit flush may run while the caller —
   // who requested it — still writes the pinned page; coordinating that is
   // the caller's job, in both modes.)
-  LRUK_RETURN_IF_ERROR(DiskWrite(p, page.Data()));
-  page.dirty_.store(false, std::memory_order_relaxed);
-  return Status::Ok();
+  const std::pair<PageId, FrameId> target[] = {{p, f}};
+  return FlushFramesLocked(guard, target);
 }
 
 Status BufferPool::FlushAll() {
   auto guard = Lock();
   // Drain the dispatcher first: in-flight reads are landing in frame
-  // buffers and queued background work may still dirty the picture; after
-  // the quiesce this call sees a settled pool.
-  QuiesceLocked(guard);
+  // buffers and queued background work may still dirty the picture. Wait
+  // out another flush still writing too, so no page is ever under two
+  // flushes. Both must hold under one latch hold: while this call waits
+  // for a flush, a write-behind miss may evict a dirty page and post its
+  // write, so the quiesce is repeated until neither is in flight. From
+  // here to the batch below this call sees a settled pool.
+  for (;;) {
+    QuiesceLocked(guard);
+    if (flushing_.empty()) break;
+    flush_cv_.wait(guard, [&] { return flushing_.empty(); });
+  }
   // Also the teardown drain: the destructor flushes, so no reference is
   // ever lost to a dropped buffer.
   DrainAccessBufferLocked();
-  // Try every dirty page even after a failure (a single bad page must not
-  // shadow the rest); report the first error. Failed pages keep their
-  // dirty flag so a later FlushAll completes the job.
-  Status first_error = Status::Ok();
-  page_table_.ForEach([&](PageId p, FrameId frame) {
-    Page& page = frames_[frame];
-    if (!page.is_dirty()) return;
-    Status written = DiskWrite(p, page.Data());
-    if (written.ok()) {
-      page.dirty_.store(false, std::memory_order_relaxed);
-    } else if (first_error.ok()) {
-      first_error = written;
-    }
-  });
   // Parked victim images (failed write-behind, no frame to re-admit into)
   // are dirty pages too; the quiesce above guarantees the set is settled.
+  // They are rare, and written under the latch, before the batch releases
+  // it: a miss could otherwise re-admit one past this loop.
+  Status parked_error = Status::Ok();
   for (auto it = parked_victims_.begin(); it != parked_victims_.end();) {
     Status written = DiskWrite(it->first, it->second.get());
     if (written.ok()) {
       it = parked_victims_.erase(it);
     } else {
-      if (first_error.ok()) first_error = written;
+      if (parked_error.ok()) parked_error = written;
       ++it;
     }
   }
+  std::vector<std::pair<PageId, FrameId>> targets;
+  page_table_.ForEach([&](PageId p, FrameId frame) {
+    if (frames_[frame].is_dirty()) targets.emplace_back(p, frame);
+  });
+  // Every dirty page is tried even after a failure (a single bad page must
+  // not shadow the rest); the first error is reported, resident pages
+  // before parked images, and failed pages stay dirty so a later FlushAll
+  // completes the job.
+  Status first_error = FlushFramesLocked(guard, targets);
+  return first_error.ok() ? parked_error : first_error;
+}
+
+Status BufferPool::FlushFramesLocked(
+    std::unique_lock<std::mutex>& guard,
+    std::span<const std::pair<PageId, FrameId>> targets) {
+  std::vector<PageWrite> writes;
+  std::vector<FrameId> frames;
+  for (const auto& [p, f] : targets) {
+    Page& page = frames_[f];
+    // Clearing the dirty bit before the write, not after it, means a
+    // modification that lands during the write leaves the page dirty for
+    // the next flush or eviction. (Acquire: pairs with the release of the
+    // unpin that dirtied it.) A clean page already matches its disk image.
+    if (!page.dirty_.exchange(false, std::memory_order_acquire)) continue;
+    // The pin keeps the frame mapped to p (no eviction or delete) while
+    // the device reads it without the latch.
+    if (page.pin_count_.fetch_add(1) == 0 && !optimistic_) {
+      policy_->SetEvictable(p, false);
+    }
+    flushing_.insert(p);
+    writes.push_back({p, page.Data(), Status::Ok()});
+    frames.push_back(f);
+  }
+  if (writes.empty()) return Status::Ok();
+  guard.unlock();
+  DiskWritePages(writes);
+  guard.lock();
+  CountLatchAcquire();
+  Status first_error = Status::Ok();
+  for (size_t i = 0; i < writes.size(); ++i) {
+    const PageId p = writes[i].page;
+    Page& page = frames_[frames[i]];
+    if (!writes[i].status.ok()) {
+      // Dirty again, so the write is retried by the next flush or eviction
+      // rather than silently dropped.
+      page.dirty_.store(true, std::memory_order_relaxed);
+      ++stats_.write_failures;
+      if (first_error.ok()) first_error = writes[i].status;
+    }
+    if (page.pin_count_.fetch_sub(1) == 1 && !optimistic_) {
+      policy_->SetEvictable(p, true);
+    }
+    flushing_.erase(p);
+  }
+  ++flushes_done_;
+  flush_cv_.notify_all();
   return first_error;
+}
+
+bool BufferPool::AwaitFlushLocked(std::unique_lock<std::mutex>& guard,
+                                  const Status& failed) {
+  if (failed.code() != StatusCode::kResourceExhausted || flushing_.empty()) {
+    return false;
+  }
+  const uint64_t done = flushes_done_;
+  flush_cv_.wait(guard, [&] { return flushes_done_ != done; });
+  return true;
 }
 
 Status BufferPool::DeletePage(PageId p) {

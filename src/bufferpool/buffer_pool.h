@@ -6,11 +6,13 @@
 // Pin protocol: FetchPage/NewPage return the page pinned; callers must
 // balance every fetch with UnpinPage (or use PageGuard). Pinned pages are
 // never victims. A fetch when every frame is pinned fails with
-// RESOURCE_EXHAUSTED.
+// RESOURCE_EXHAUSTED (pins a flush holds are waited out instead).
 //
-// Thread safety: all pool MUTATIONS (and through them the policy and the
-// disk manager) are serialized by one internal latch — coarse-grained by
-// design, since the replacement *decision* is the subject of this library.
+// Thread safety: all pool MUTATIONS (and through them the policy) are
+// serialized by one internal latch — coarse-grained by design, since the
+// replacement *decision* is the subject of this library. FlushPage and
+// FlushAll write with the latch released, so the disk manager is not
+// serialized by it: see the thread-safety note in storage/disk_manager.h.
 // Page *contents* are accessed outside the latch under the pin protocol: a
 // pinned page cannot be evicted, and Page pointers stay stable for the
 // pool's lifetime, so concurrent readers are safe; concurrent writers to
@@ -47,7 +49,10 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "bufferpool/page.h"
@@ -67,10 +72,12 @@ namespace lruk {
 struct BufferPoolOptions {
   // Bounded retry of transient (kIoError) disk read/write failures before
   // the error surfaces to the caller. Off by default (max_attempts = 1);
-  // see util/retry.h. With io_dispatcher, demand reads, prefetch reads
-  // and write-behind victim writes retry with the pool latch released.
-  // Reads without a dispatcher, synchronous eviction write-backs and
-  // FlushPage/FlushAll writes (DiskRead/DiskWrite) retry under the latch —
+  // see util/retry.h. FlushPage/FlushAll writes retry with the pool latch
+  // released, each re-issue a further WritePages batch of the retryable
+  // failures. With io_dispatcher, demand reads, prefetch reads and
+  // write-behind victim writes also retry with the latch released. Reads
+  // without a dispatcher, synchronous eviction write-backs and the writes
+  // of parked victim images (DiskRead/DiskWrite) retry under the latch —
   // size the backoff accordingly (or leave `sleep` null for immediate
   // re-issue).
   RetryOptions io_retry;
@@ -169,6 +176,13 @@ class BufferPool final : public PoolInterface {
   Result<Page*> AdmitNewPage(PageId p);
 
   Status UnpinPage(PageId p, bool dirty) override;
+  // Both write without the pool latch (DESIGN.md §7 "Failed FlushPage/
+  // FlushAll"): each dirty page is pinned and its dirty bit cleared under
+  // the latch, the pages go to the device as one DiskManager::WritePages
+  // batch, and a failed write re-sets the bit. A flush's pins are never a
+  // caller's: a miss that finds every frame pinned while a flush holds
+  // pins waits for it, and DeletePage/FlushPage of a page under flush wait
+  // the flush out.
   Status FlushPage(PageId p) override;
   Status FlushAll() override;
   Status DeletePage(PageId p) override;
@@ -355,6 +369,26 @@ class BufferPool final : public PoolInterface {
   // accounting. Caller holds the latch.
   Status DiskRead(PageId p, char* out);
   Status DiskWrite(PageId p, const char* data);
+  // WritePages under options_.io_retry: each further attempt is one more
+  // WritePages call with the retryable failures of the last, and each
+  // re-issued write counts in `retries`. Caller must NOT hold the latch
+  // (the backoff sleeps here).
+  void DiskWritePages(std::span<PageWrite> writes);
+  // The flush body FlushPage and FlushAll share. Under the latch, pins
+  // each dirty page of `targets` (resident (page, frame) pairs under no
+  // other flush) and clears its dirty bit; writes them all with the latch
+  // released (DiskWritePages); re-latched, unpins them and re-sets the
+  // dirty bit of each page whose write failed. Returns the first failure
+  // in target order. Caller holds `guard`.
+  Status FlushFramesLocked(
+      std::unique_lock<std::mutex>& guard,
+      std::span<const std::pair<PageId, FrameId>> targets);
+  // Whether `failed` is an AcquireFrame refusal that a flush's pins may
+  // cause (every frame pinned while a flush holds pins). If so, waits for
+  // a flush to finish and returns true: the caller starts over, since the
+  // latch was released. Caller holds `guard`.
+  bool AwaitFlushLocked(std::unique_lock<std::mutex>& guard,
+                        const Status& failed);
   // Finds a frame for a new resident page: the free list first, then a
   // policy eviction (with dirty write-back). If the victim's write-back
   // fails, the eviction is rolled back (policy_->Restore) and the pool is
@@ -376,8 +410,9 @@ class BufferPool final : public PoolInterface {
   // synchronous write-back, whose failure leaves the pool unchanged.
   Status WriteBackVictim(PageId v, const Page& page,
                          std::vector<PageId>* deferred_writes);
-  // NewPage/AdmitNewPage body; the latch is already held.
-  Result<Page*> AdmitNewPageLocked(PageId p,
+  // NewPage/AdmitNewPage body; caller holds `guard`.
+  Result<Page*> AdmitNewPageLocked(std::unique_lock<std::mutex>& guard,
+                                   PageId p,
                                    std::vector<PageId>* deferred_writes);
   // Records `p` as the calling thread's latest fix on this pool (every
   // successful FetchPage, NewPage and AdmitNewPage calls it).
@@ -408,8 +443,8 @@ class BufferPool final : public PoolInterface {
   // wakes coalesced waiters and Quiesce. Caller holds the latch.
   void FinishPendingLocked(PageId p, const std::shared_ptr<PendingIo>& entry,
                            Status status);
-  // Blocks until no read of `p` is in flight (DeletePage's fence). Caller
-  // holds `guard`.
+  // Blocks until no read, victim write or flush of `p` is in flight
+  // (DeletePage's fence). Caller holds `guard`.
   void FencePageLocked(std::unique_lock<std::mutex>& guard, PageId p);
   // Quiesce body; caller holds `guard`.
   void QuiesceLocked(std::unique_lock<std::mutex>& guard);
@@ -507,6 +542,15 @@ class BufferPool final : public PoolInterface {
   // 0 alongside pending_reads_.
   size_t inflight_prefetches_ = 0;
   std::condition_variable quiesce_cv_;
+  // Pages whose flush write is in flight: each holds one flush pin, and
+  // no page is under two flushes at once (a later flush of the page waits
+  // for the earlier one, so their writes cannot land out of order).
+  std::unordered_set<PageId> flushing_;
+  // Flushes completed so far; a miss waiting out a flush's pins waits for
+  // it to move. Both latch-guarded; flush_cv_ is notified at each
+  // completion.
+  uint64_t flushes_done_ = 0;
+  std::condition_variable flush_cv_;
   mutable AtomicPoolStats stats_;
 };
 

@@ -175,7 +175,8 @@ class PoolInterface {
   // Writes the page image to disk now if it is dirty (page stays resident
   // and keeps its pins) and clears the dirty flag; a clean page costs no
   // write. A holder's modifications count once they are reported dirty:
-  // by a kWrite fetch, NewPage, or an UnpinPage(p, true).
+  // by a kWrite fetch, NewPage, or an UnpinPage(p, true). One reported
+  // while the write is in flight leaves the page dirty.
   virtual Status FlushPage(PageId p) = 0;
 
   // Flushes every dirty resident page. On write failure, attempts every

@@ -129,12 +129,6 @@ HistoryBlock& HistoryTable::GetOrCreate(PageId p, Timestamp now,
   return block;
 }
 
-void HistoryTable::OnEvicted(PageId p, HistoryBlock& block) {
-  LRUK_ASSERT(block.resident, "OnEvicted on a non-resident block");
-  block.resident = false;
-  RetainEvicted(p, block);
-}
-
 void HistoryTable::RetainEvicted(PageId p, HistoryBlock& block) {
   LRUK_ASSERT(!block.resident, "RetainEvicted on a resident block");
   nonresident_.insert({block.last, p});

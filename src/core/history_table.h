@@ -169,18 +169,13 @@ class HistoryTable {
   // eviction rather than re-admitting the page.
   HistoryBlock& Reclaim(PageId p, bool* had_history);
 
-  // Transitions p's block to non-resident (the page left the buffer but
-  // its history is retained), enforcing the non-resident block bound.
-  // May free blocks (including, if everything else is fresher, the one
-  // passed in) — callers must not dereference `block` afterwards.
-  void OnEvicted(PageId p, HistoryBlock& block);
-
-  // The retention half of OnEvicted for a block already marked
-  // non-resident: registers it in the non-resident index and enforces the
-  // budget. LruKPolicy's batched nomination defers this step until the
-  // nominations settle, so a nominate-then-Restore round trip never
-  // touches the budget. Same caveat as OnEvicted: may free blocks,
-  // including the one passed in.
+  // Retains the history of a page that left the buffer: registers its
+  // block, already marked non-resident, in the non-resident index and
+  // enforces the non-resident block bound. LruKPolicy defers this step
+  // until its evictions settle, so an evict-then-Restore round trip never
+  // touches the budget. May free blocks (including, if everything else is
+  // fresher, the one passed in) — callers must not dereference `block`
+  // afterwards.
   void RetainEvicted(PageId p, HistoryBlock& block);
 
   // Drops the block for p entirely (page deleted from the database).

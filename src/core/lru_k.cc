@@ -90,9 +90,9 @@ void LruKPolicy::RecordAccess(PageId p, AccessType /*type*/) {
 }
 
 void LruKPolicy::Admit(PageId p, AccessType /*type*/) {
-  // Settle any deferred nominations first: a sequential Evict would have
-  // retained its victim's history before this admission ticked the clock,
-  // so flushing here keeps the batched path's observable state identical.
+  // Settle deferred evictions first, so the victims' retained history
+  // (and the budget it burns) is current before this admission ticks the
+  // clock, whichever of Evict and EvictBatch chose them.
   FlushDeferredEvictions();
   Timestamp t = Tick();
   bool had_history = false;
@@ -176,7 +176,7 @@ std::optional<PageId> LruKPolicy::PickVictim(Timestamp t) {
   return victim->page;
 }
 
-std::optional<PageId> LruKPolicy::EvictOne(bool defer_retention) {
+std::optional<PageId> LruKPolicy::EvictOne() {
   if (evictable_count_ == 0) return std::nullopt;
   // The eviction happens while servicing the *next* reference (Figure 2.1
   // runs victim selection at the faulting reference's time t); our caller
@@ -194,17 +194,15 @@ std::optional<PageId> LruKPolicy::EvictOne(bool defer_retention) {
   // heap's coverage invariant guarantees an entry exists).
   LRUK_ASSERT(victim.has_value(), "victim heap lost an evictable page");
   if (!victim) return std::nullopt;
-  HistoryBlock* block = table_.Find(*victim);
   // History is retained past residence — the whole point of Section 2.1.2
-  // — up to the configured non-resident block budget. EvictBatch defers
-  // the retention (and the budget enforcement) so a nominee the caller
-  // hands straight back via Restore never churns the budget.
-  if (defer_retention) {
-    block->resident = false;
-    deferred_evictions_.push_back(*victim);
-  } else {
-    table_.OnEvicted(*victim, *block);
-  }
+  // — up to the configured non-resident block budget. The retention (and
+  // the budget enforcement) is deferred to the next Evict/EvictBatch/
+  // Admit/Remove, so a victim the caller hands straight back via Restore
+  // never churns the budget: under max_nonresident_history an immediate
+  // retention could drop another page's block, which Restore cannot bring
+  // back.
+  table_.Find(*victim)->resident = false;
+  deferred_evictions_.push_back(*victim);
   --resident_count_;
   --evictable_count_;
   return victim;
@@ -212,14 +210,14 @@ std::optional<PageId> LruKPolicy::EvictOne(bool defer_retention) {
 
 std::optional<PageId> LruKPolicy::Evict() {
   FlushDeferredEvictions();
-  return EvictOne(/*defer_retention=*/false);
+  return EvictOne();
 }
 
 size_t LruKPolicy::EvictBatch(size_t k, std::vector<PageId>* out) {
   FlushDeferredEvictions();
   out->clear();
   while (out->size() < k) {
-    std::optional<PageId> victim = EvictOne(/*defer_retention=*/true);
+    std::optional<PageId> victim = EvictOne();
     if (!victim.has_value()) break;
     out->push_back(*victim);
   }

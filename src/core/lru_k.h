@@ -95,17 +95,19 @@ class LruKPolicy final : public ReplacementPolicy {
   }
   void RecordAccess(PageId p, AccessType type) override;
   void Admit(PageId p, AccessType type) override;
+  // History retention for a victim is *deferred*: nothing enters the
+  // non-resident index (or burns the max_nonresident_history budget) until
+  // the next Evict/EvictBatch/Admit/Remove call settles the still-evicted
+  // victims. A victim Restored before that (a failed write-back) therefore
+  // round-trips with zero retained-history churn, and no other page's
+  // block was dropped to make room for it.
   std::optional<PageId> Evict() override;
   // Exact batch nomination: pops up to k victims in precisely the order k
-  // Evict() calls would (the budget drops OnEvicted performs only affect
+  // Evict() calls would (the budget drops retention performs only affect
   // non-resident blocks, never victim selection, so deferring them cannot
   // change the sequence — the argument is spelled out in DESIGN.md
-  // "Wait-free publish & batched nomination"). History retention for the
-  // nominees is *deferred*: nothing enters the non-resident index (or
-  // burns the max_nonresident_history budget) until the next
-  // Evict/EvictBatch/Admit/Remove call flushes the still-evicted nominees.
-  // A nominee Restored before that flush therefore round-trips with zero
-  // retained-history churn — the whole point of batched nomination.
+  // "Wait-free publish & batched nomination"). Retention is deferred as
+  // for Evict.
   size_t EvictBatch(size_t k, std::vector<PageId>* out) override;
   // Exact un-evict: re-marks the page resident against its retained
   // history block, without ticking the clock — a failed write-back leaves
@@ -114,9 +116,8 @@ class LruKPolicy final : public ReplacementPolicy {
   // resident until its Evict, and a resident page's history never expires.
   // Only if the block is gone (dropped by the non-resident budget, or
   // purged by the RIP demon since) does the page restart with infinite
-  // backward distance, i.e. preferred victim. Works on deferred EvictBatch
-  // nominees too: the pending retention entry is simply dropped at the
-  // next flush.
+  // backward distance, i.e. preferred victim. The pending retention entry
+  // of a restored victim is simply dropped at the next settle.
   void Restore(PageId p) override;
   void Remove(PageId p) override;
   void SetEvictable(PageId p, bool evictable) override;
@@ -157,8 +158,8 @@ class LruKPolicy final : public ReplacementPolicy {
   // Evictions that had to ignore the Correlated Reference Period because no
   // eligible page existed.
   uint64_t fallback_evictions() const { return fallback_evictions_; }
-  // EvictBatch nominees whose history retention is still deferred (neither
-  // flushed into the non-resident index nor cancelled by a Restore).
+  // Victims whose history retention is still deferred (neither settled
+  // into the non-resident index nor cancelled by a Restore).
   size_t PendingDeferredEvictions() const {
     return deferred_evictions_.size();
   }
@@ -178,11 +179,10 @@ class LruKPolicy final : public ReplacementPolicy {
   // Advances the logical clock by one reference and returns the new time.
   Timestamp Tick();
   // One victim pop: selection + de-indexing, shared by Evict and
-  // EvictBatch. With `defer_retention` the block is only marked
-  // non-resident and queued on deferred_evictions_; otherwise history
-  // retention (OnEvicted) runs immediately.
-  std::optional<PageId> EvictOne(bool defer_retention);
-  // Settles deferred EvictBatch nominations: every queued page still
+  // EvictBatch. The block is only marked non-resident and queued on
+  // deferred_evictions_.
+  std::optional<PageId> EvictOne();
+  // Settles deferred evictions: every queued page still
   // non-resident (i.e. not Restored meanwhile) enters the non-resident
   // history index, enforcing the budget. Called on entry to every
   // operation whose semantics depend on retention being current.
@@ -209,7 +209,7 @@ class LruKPolicy final : public ReplacementPolicy {
   size_t resident_count_ = 0;
   size_t evictable_count_ = 0;
   uint64_t fallback_evictions_ = 0;
-  // EvictBatch nominees awaiting history retention (see EvictOne /
+  // Victims awaiting history retention (see EvictOne /
   // FlushDeferredEvictions). At most one batch deep in practice.
   std::vector<PageId> deferred_evictions_;
 };

@@ -2,7 +2,9 @@
 //
 // Thread safety: every operation is serialized by an internal latch, so
 // the shards of a ShardedBufferPool (each holding only its own shard
-// latch) may issue reads, write-backs and allocations concurrently.
+// latch) may issue reads, write-backs and allocations concurrently. As the
+// latch serializes writes anyway, WritePages writes a batch in order on
+// the caller's thread (MaxConcurrentWrites is 1).
 // stats() remains safe to read once concurrent operations have ceased.
 
 #ifndef LRUK_STORAGE_SIM_DISK_MANAGER_H_
@@ -31,6 +33,7 @@ class SimDiskManager final : public DiskManager {
 
   Status ReadPage(PageId p, char* out) override;
   Status WritePage(PageId p, const char* data) override;
+  size_t MaxConcurrentWrites() const override { return 1; }
   Result<PageId> AllocatePage() override;
   Status DeallocatePage(PageId p) override;
   uint64_t NumAllocatedPages() const override;

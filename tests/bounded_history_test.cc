@@ -18,9 +18,9 @@ TEST(BoundedHistoryTableTest, NonResidentCountTracksTransitions) {
   a.resident = true;
   a.last = 1;
   EXPECT_EQ(table.NonResidentCount(), 0u);
-  table.OnEvicted(1, a);
+  a.resident = false;
+  table.RetainEvicted(1, a);
   EXPECT_EQ(table.NonResidentCount(), 1u);
-  EXPECT_FALSE(a.resident);
   // Re-admission removes the non-resident entry.
   table.GetOrCreate(1, 2, &had);
   EXPECT_TRUE(had);
@@ -34,7 +34,8 @@ TEST(BoundedHistoryTableTest, BoundDropsOldestLast) {
     HistoryBlock& block = table.GetOrCreate(p, p, &had);
     block.resident = true;
     block.last = p;  // Page 1 has the oldest LAST.
-    table.OnEvicted(p, block);
+    block.resident = false;
+    table.RetainEvicted(p, block);
   }
   EXPECT_EQ(table.NonResidentCount(), 2u);
   EXPECT_EQ(table.Find(1), nullptr);  // Oldest dropped.
@@ -48,7 +49,8 @@ TEST(BoundedHistoryTableTest, EraseMaintainsIndex) {
   HistoryBlock& block = table.GetOrCreate(1, 1, &had);
   block.resident = true;
   block.last = 1;
-  table.OnEvicted(1, block);
+  block.resident = false;
+  table.RetainEvicted(1, block);
   table.Erase(1);
   EXPECT_EQ(table.NonResidentCount(), 0u);
   EXPECT_EQ(table.size(), 0u);
@@ -61,7 +63,8 @@ TEST(BoundedHistoryTableTest, PurgeMaintainsIndex) {
   HistoryBlock& block = table.GetOrCreate(1, 1, &had);
   block.resident = true;
   block.last = 1;
-  table.OnEvicted(1, block);
+  block.resident = false;
+  table.RetainEvicted(1, block);
   EXPECT_EQ(table.PurgeExpired(100), 1u);
   EXPECT_EQ(table.NonResidentCount(), 0u);
 }

@@ -229,24 +229,24 @@ INSTANTIATE_TEST_SUITE_P(
 // at the end both must hold the same history for every page. The finite
 // RIPs let resident pages idle past the period before their eviction
 // fails, the case in which a Restore that checks expiry wipes history; the
-// CRP axis includes the all-fallback period.
-class LruKRollbackEquivalence
-    : public ::testing::TestWithParam<std::tuple<int, Timestamp, Timestamp>> {
-};
-
-TEST_P(LruKRollbackEquivalence, RestoredPolicyMatchesANeverEvictedTwin) {
-  auto [k, crp, rip] = GetParam();
+// CRP axis includes the all-fallback period. The history-budget test runs
+// the same grid under max_nonresident_history = 8, the case in which
+// retaining a victim's block at once can drop another page's block, which
+// the failed eviction's Restore cannot bring back.
+void ExpectRollbackMatchesTwin(int k, Timestamp crp, Timestamp rip,
+                               size_t budget) {
   LruKOptions options;
   options.k = k;
   options.correlated_reference_period = crp;
   options.retained_information_period = rip;
   options.purge_interval = 64;
+  options.max_nonresident_history = budget;
   LruKPolicy rolled_back(options);
   LruKPolicy twin(options);
 
   RunLockstepMany({&rolled_back, &twin}, /*seed=*/1234, /*oracle=*/nullptr,
                   /*failed_write_backs=*/true);
-  if (HasFailure()) return;
+  if (::testing::Test::HasFailure()) return;
 
   EXPECT_EQ(rolled_back.CurrentTime(), twin.CurrentTime());
   EXPECT_EQ(rolled_back.HistorySize(), twin.HistorySize());
@@ -262,6 +262,21 @@ TEST_P(LruKRollbackEquivalence, RestoredPolicyMatchesANeverEvictedTwin) {
     EXPECT_EQ(a->resident, b->resident) << "page " << p;
     EXPECT_EQ(a->evictable, b->evictable) << "page " << p;
   }
+}
+
+class LruKRollbackEquivalence
+    : public ::testing::TestWithParam<std::tuple<int, Timestamp, Timestamp>> {
+};
+
+TEST_P(LruKRollbackEquivalence, RestoredPolicyMatchesANeverEvictedTwin) {
+  auto [k, crp, rip] = GetParam();
+  ExpectRollbackMatchesTwin(k, crp, rip, /*budget=*/0);
+}
+
+TEST_P(LruKRollbackEquivalence,
+       RestoredPolicyMatchesANeverEvictedTwinUnderAHistoryBudget) {
+  auto [k, crp, rip] = GetParam();
+  ExpectRollbackMatchesTwin(k, crp, rip, /*budget=*/8);
 }
 
 INSTANTIATE_TEST_SUITE_P(

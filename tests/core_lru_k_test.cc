@@ -353,17 +353,25 @@ TEST(LruKTest, RestoreReinstatesHistoryIdlePastTheRip) {
 // Restore's other half: a block the non-resident budget dropped is gone,
 // so the page restarts fresh (HIST(p,1) = LAST = now, infinite backward
 // distance) without a clock tick, while a block still retained comes back
-// as it was.
+// as it was. An eviction's retention settles at the policy's next
+// Evict/Admit, so the drop comes from settled evictions: a write-behind
+// victim whose write fails after later admissions meets it this way.
 TEST(LruKTest, RestoreRestartsFreshOnceTheBudgetDroppedTheBlock) {
   LruKOptions options = Opts(2);
   options.max_nonresident_history = 1;
   LruKPolicy policy(options);
-  for (PageId p = 1; p <= 3; ++p) {
+  for (PageId p = 1; p <= 4; ++p) {
     policy.Admit(p, AccessType::kRead);         // t=2p-1
     policy.RecordAccess(p, AccessType::kRead);  // t=2p: HIST(p)={2p,2p-1}
+    if (p == 3) {
+      ASSERT_EQ(policy.Evict(), std::optional<PageId>(1));
+    }
   }
-  ASSERT_EQ(policy.Evict(), std::optional<PageId>(1));
+  // Page 1's retention settled at Admit(4); it is within the budget.
+  ASSERT_NE(policy.DebugBlock(1), nullptr);
+  ASSERT_EQ(policy.NonResidentHistorySize(), 1u);
   ASSERT_EQ(policy.Evict(), std::optional<PageId>(2));
+  policy.Admit(5, AccessType::kRead);  // t=9: settles page 2's retention.
   // Two history-only blocks over a budget of one: page 1's (older LAST)
   // was dropped.
   ASSERT_EQ(policy.DebugBlock(1), nullptr);
@@ -379,18 +387,22 @@ TEST(LruKTest, RestoreRestartsFreshOnceTheBudgetDroppedTheBlock) {
   policy.Restore(1);
   const HistoryBlock* fresh = policy.DebugBlock(1);
   ASSERT_NE(fresh, nullptr);
-  EXPECT_EQ(fresh->hist[0], 6u);
+  EXPECT_EQ(fresh->hist[0], 9u);
   EXPECT_EQ(fresh->hist[1], 0u);
-  EXPECT_EQ(fresh->last, 6u);
+  EXPECT_EQ(fresh->last, 9u);
   EXPECT_EQ(policy.BackwardKDistance(1), std::nullopt);
-  EXPECT_EQ(policy.CurrentTime(), 6u);
+  EXPECT_EQ(policy.CurrentTime(), 9u);
   EXPECT_EQ(policy.NonResidentHistorySize(), 0u);
-  EXPECT_EQ(policy.ResidentCount(), 3u);
+  EXPECT_EQ(policy.ResidentCount(), 5u);
 
-  // Infinite distance goes first, then the retained histories in order.
+  // Infinite distance goes first (page 1 before page 5 on the page-id
+  // tie-break: both have HIST(p,1) = 9), then the retained histories in
+  // order.
   EXPECT_EQ(policy.Evict(), std::optional<PageId>(1));
+  EXPECT_EQ(policy.Evict(), std::optional<PageId>(5));
   EXPECT_EQ(policy.Evict(), std::optional<PageId>(2));
   EXPECT_EQ(policy.Evict(), std::optional<PageId>(3));
+  EXPECT_EQ(policy.Evict(), std::optional<PageId>(4));
 }
 
 // Likewise for a block the RIP demon purged between the Evict and the

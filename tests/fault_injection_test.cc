@@ -772,19 +772,14 @@ SweepResult RunSweepPoint(const SweepPoint& point) {
     EXPECT_EQ(shard.ResidentCount(), lruk.ResidentCount());
     // Every frame is unpinned, so everything resident is evictable.
     EXPECT_EQ(lruk.EvictableCount(), lruk.ResidentCount());
-    // An optimistic pool evicts through EvictBatch, which defers retaining
-    // a consumed nominee's history until the policy's next Evict/Admit (a
-    // demand read that fails after its eviction leaves one pending). The
-    // deferred list also holds nominees restored since, so it bounds the
-    // gap from above. A latched pool's Evict() never defers, so there the
-    // two checks make an equality.
+    // Both Evict and EvictBatch defer retaining a victim's history until
+    // the policy's next Evict/Admit (a demand read that fails after its
+    // eviction leaves one pending). The deferred list also holds victims
+    // restored since, so it bounds the gap from above.
     const size_t settled =
         lruk.ResidentCount() + lruk.NonResidentHistorySize();
     EXPECT_GE(lruk.HistorySize(), settled);
     EXPECT_LE(lruk.HistorySize(), settled + lruk.PendingDeferredEvictions());
-    if (!point.optimistic) {
-      EXPECT_EQ(lruk.PendingDeferredEvictions(), 0u);
-    }
   };
   if (point.kind == PoolKind::kPlain) {
     check_shard(*plain);
