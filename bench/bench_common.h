@@ -2,8 +2,11 @@
 // BENCH_*.json artifacts. A result file without the producing commit and
 // build flavour is unreviewable (a Debug-built number silently compared to
 // a Release one, a stale JSON from three commits ago), so run_quick.sh
-// passes --git-sha / --build-type / --sanitizer to every bench and each
-// bench embeds them verbatim in its JSON.
+// passes --git-sha / --sanitizer (and --build-type when asked) to every
+// bench and each bench embeds them verbatim in its JSON. The build type
+// defaults to the one the bench was compiled in, which bench/CMakeLists.txt
+// defines as LRUK_BENCH_BUILD_TYPE; a program built without it (bench/e2e)
+// says "unknown".
 
 #ifndef LRUK_BENCH_BENCH_COMMON_H_
 #define LRUK_BENCH_BENCH_COMMON_H_
@@ -13,11 +16,15 @@
 #include <string>
 #include <thread>
 
+#ifndef LRUK_BENCH_BUILD_TYPE
+#define LRUK_BENCH_BUILD_TYPE "unknown"
+#endif
+
 namespace lruk {
 
 struct BenchProvenance {
   std::string git_sha = "unknown";
-  std::string build_type = "unknown";
+  std::string build_type = LRUK_BENCH_BUILD_TYPE;
   std::string sanitizer = "none";
   // Hardware cores on the machine that produced the numbers (0 when the
   // runtime cannot tell). Threaded-bench results are meaningless to

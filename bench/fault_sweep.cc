@@ -84,7 +84,7 @@ RunResult RunOnce(const std::string& pool_kind, double rate, uint64_t seed,
   FaultInjectingDiskManager disk(&base, seed);
 
   BufferPoolOptions options;
-  options.io_retry.max_attempts = 3;  // Null sleep: retry immediately.
+  options.io_max_attempts = 3;  // Immediate re-issue.
   std::unique_ptr<PoolInterface> pool;
   if (pool_kind == "single-latch") {
     pool = std::make_unique<BufferPool>(

@@ -18,15 +18,16 @@
 // skewed page set over a disk wrapper that sleeps for real microseconds
 // per read, widening the window in which concurrent misses on the same
 // page land; the per-page request tracker folds those into one physical
-// read.
+// read. Worker mode writes the churn's dirty victims behind.
 //
-// Section 3 — write-behind eviction (threaded, worker mode). A
-// dirty-heavy churn (70% writes) over a disk whose writes cost 5x its
-// reads, paced below disk saturation so the question is purely WHERE the
-// victim write-back runs: on the miss path (sync mode stalls the fetch
-// for write + read), or off it (write-behind posts the pinned-copy victim
-// write on the Flush lane and admits immediately). Client-side fetch
-// latency percentiles and the dispatcher's per-lane counters expose the
+// Section 3 — write-behind eviction (threaded). A dirty-heavy churn (70%
+// writes) over a disk whose writes cost 5x its reads, paced below disk
+// saturation so the question is purely WHERE the victim write-back runs:
+// on the miss path (sync: the inline dispatcher, io_workers = 0, whose
+// evicting thread writes the victim back before its read), or off it
+// (write-behind: worker mode posts the pinned-copy victim write on the
+// Flush lane and admits immediately). Client-side fetch latency
+// percentiles and the dispatcher's per-lane counters expose the
 // difference.
 //
 // Section 4 — overlapped flushes (threaded). FlushAll of 512 dirty pages
@@ -171,7 +172,7 @@ ScanCell RunScanCell(const std::string& workload,
   BufferPoolOptions options;
   options.io_dispatcher = true;
   options.io_workers = 0;  // Inline: deterministic, byte-exact.
-  options.readahead.enabled = readahead;
+  options.readahead = readahead;
 
   auto pool = MakePool(pool_kind, kFrames, &disk, options);
   if (pool == nullptr) return cell;
@@ -311,7 +312,6 @@ CoalesceCell RunCoalesceCell(const std::string& pool_kind,
   BufferPoolOptions options;
   options.io_dispatcher = true;
   options.io_workers = cell.workers;
-  options.io_queue_depth = 64;
 
   std::unique_ptr<PoolInterface> pool;
   if (pool_kind == "single-latch") {
@@ -411,7 +411,9 @@ WriteBehindCell RunWriteBehindCell(const std::string& mode,
   WriteBehindCell cell;
   cell.mode = mode;
   cell.threads = 6;
-  cell.workers = 4;
+  // Sync runs the inline dispatcher: its victim writes stay on the miss
+  // path. Worker mode writes them behind.
+  cell.workers = mode == "sync" ? 0 : 4;
 
   constexpr size_t kFrames = 64;
   constexpr uint64_t kDbPages = 96;
@@ -428,8 +430,6 @@ WriteBehindCell RunWriteBehindCell(const std::string& mode,
   BufferPoolOptions options;
   options.io_dispatcher = true;
   options.io_workers = cell.workers;
-  options.io_queue_depth = 64;
-  options.write_behind = mode != "sync";
 
   std::unique_ptr<PoolInterface> pool;
   IoDispatcher* dispatcher = nullptr;

@@ -448,8 +448,8 @@ int main(int argc, char** argv) {
   // not detection; against the matched stack the delta is exactly what the
   // always-on detector costs the fast path. Observe is wait-free, so warm
   // hits must stay latch-free, and a Zipfian stream almost never musters
-  // min_run aligned votes, so this prices the detector probe, not actual
-  // prefetch traffic.
+  // kReadaheadMinRun aligned votes, so this prices the detector probe, not
+  // actual prefetch traffic.
   // Judged on the max per-repetition ratio like the other enforced
   // 1-thread floors (see paired_ratio above).
   double readahead_ratio = 0;
@@ -463,7 +463,7 @@ int main(int argc, char** argv) {
       options.io_dispatcher = true;
       options.io_workers = 0;  // Inline: prefetches run on the fetch
                                // thread.
-      options.readahead.enabled = detector;
+      options.readahead = detector;
       BufferPool pool(kFrames, &disk, MakeLru2(kFrames), options);
       Cell cell{.pool = "single-latch",
                 .mode = detector ? "optimistic+ra" : "optimistic+disp",

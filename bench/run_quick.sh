@@ -17,7 +17,8 @@
 #
 # --full drops --quick (full-length op counts); --sanitizer records which
 # sanitizer the binaries were built with (default none); --build-type
-# overrides the CMAKE_BUILD_TYPE auto-detected from $BUILD/CMakeCache.txt.
+# overrides the build type each bench stamps by default, the one it was
+# compiled in.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -38,11 +39,6 @@ while [[ $# -gt 0 ]]; do
 done
 
 GIT_SHA=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-if [[ -z "$BUILD_TYPE" ]]; then
-  BUILD_TYPE=$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' \
-      "$BUILD/CMakeCache.txt" 2>/dev/null || true)
-  BUILD_TYPE=${BUILD_TYPE:-unknown}
-fi
 
 for bin in micro_sharded_pool micro_contention micro_policy_overhead \
            fault_sweep micro_async_io ablation_meta_policy; do
@@ -53,8 +49,10 @@ for bin in micro_sharded_pool micro_contention micro_policy_overhead \
   fi
 done
 
-PROVENANCE=(--git-sha "$GIT_SHA" --build-type "$BUILD_TYPE"
-            --sanitizer "$SANITIZER")
+PROVENANCE=(--git-sha "$GIT_SHA" --sanitizer "$SANITIZER")
+if [[ -n "$BUILD_TYPE" ]]; then
+  PROVENANCE+=(--build-type "$BUILD_TYPE")
+fi
 
 "$BUILD/bench/micro_sharded_pool" $QUICK --json BENCH_hotpath.json \
     "${PROVENANCE[@]}"

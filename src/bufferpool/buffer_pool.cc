@@ -5,6 +5,8 @@
 #include <numeric>
 #include <utility>
 
+#include "util/retry.h"
+
 namespace lruk {
 
 namespace {
@@ -104,20 +106,11 @@ BufferPool::BufferPool(size_t capacity, DiskManager* disk,
     if (shared_dispatcher != nullptr) {
       io_ = shared_dispatcher;
     } else {
-      owned_io_ = std::make_unique<IoDispatcher>(
-          IoDispatcherOptions{options_.io_workers, options_.io_queue_depth,
-                              options_.io_starvation_budget});
+      owned_io_ = std::make_unique<IoDispatcher>(options_.io_workers);
       io_ = owned_io_.get();
     }
-    if (options_.readahead.enabled) {
-      readahead_ = std::make_unique<ReadaheadDetector>(options_.readahead);
-    }
+    if (options_.readahead) readahead_ = std::make_unique<ReadaheadDetector>();
   }
-  // Write-behind needs somewhere off the miss path to run: a worker-mode
-  // dispatcher. Inline mode stays on the direct synchronous write-back so
-  // deterministic replay sees the exact same disk-op order.
-  write_behind_ =
-      options_.write_behind && io_ != nullptr && !io_->inline_mode();
   frames_ = std::make_unique<Page[]>(capacity_);
   frame_prefetched_ = std::make_unique<std::atomic<uint8_t>[]>(capacity_);
   for (size_t f = 0; f < capacity_; ++f) {
@@ -137,30 +130,30 @@ BufferPool::~BufferPool() {
 }
 
 Status BufferPool::DiskRead(PageId p, char* out) {
-  RetryOutcome outcome = RetryWithBackoff(
-      options_.io_retry, [&] { return disk_->ReadPage(p, out); });
+  RetryOutcome outcome = RetryTransient(
+      options_.io_max_attempts, [&] { return disk_->ReadPage(p, out); });
   stats_.retries += outcome.retries;
   if (!outcome.status.ok()) ++stats_.read_failures;
   return outcome.status;
 }
 
 Status BufferPool::DiskWrite(PageId p, const char* data) {
-  RetryOutcome outcome = RetryWithBackoff(
-      options_.io_retry, [&] { return disk_->WritePage(p, data); });
+  RetryOutcome outcome = RetryTransient(
+      options_.io_max_attempts, [&] { return disk_->WritePage(p, data); });
   stats_.retries += outcome.retries;
   if (!outcome.status.ok()) ++stats_.write_failures;
   return outcome.status;
 }
 
 void BufferPool::DiskWritePages(std::span<PageWrite> writes) {
-  // io_retry's schedule over the batch: each attempt writes, as one batch,
-  // the entries the attempt before left with a retryable error. Each
-  // re-issued write counts as one retry, as in DiskWrite.
+  // io_max_attempts over the batch: each attempt writes, as one batch, the
+  // entries the attempt before left with a retryable error. Each re-issued
+  // write counts as one retry, as in DiskWrite.
   std::vector<PageWrite> batch(writes.begin(), writes.end());
   std::vector<size_t> index(writes.size());
   std::iota(index.begin(), index.end(), size_t{0});
   bool reissue = false;
-  (void)RetryWithBackoff(options_.io_retry, [&] {
+  (void)RetryTransient(options_.io_max_attempts, [&] {
     if (reissue) stats_.retries += batch.size();
     reissue = true;
     disk_->WritePages(batch);
@@ -185,7 +178,11 @@ Result<FrameId> BufferPool::AcquireFrame(
     free_frames_.pop_back();
     return f;
   }
-  if (!write_behind_) deferred_writes = nullptr;
+  // Write-behind needs somewhere off the miss path to run, so a
+  // worker-mode dispatcher always writes dirty victims behind. Direct and
+  // inline pools keep the synchronous write-back, so deterministic replay
+  // sees the exact same disk-op order.
+  if (io_ == nullptr || io_->inline_mode()) deferred_writes = nullptr;
   if (!optimistic_) {
     auto victim = policy_->Evict();
     if (!victim.has_value()) {
@@ -384,10 +381,7 @@ bool BufferPool::RegisterPrefetchLocked(PageId p) {
   if (io_ != nullptr && !io_->inline_mode()) {
     // Worker mode: bound concurrently in-flight prefetches. (Inline mode
     // never has more than the one executing synchronously right now.)
-    size_t cap = options_.readahead.max_inflight != 0
-                     ? options_.readahead.max_inflight
-                     : options_.readahead.window;
-    if (cap != 0 && inflight_prefetches_ >= cap) return false;
+    if (inflight_prefetches_ >= kReadaheadWindow) return false;
   }
   pending_reads_.emplace(p, std::make_shared<PendingIo>());
   ++inflight_prefetches_;
@@ -430,11 +424,11 @@ void BufferPool::ExecutePrefetch(PageId p) {
   // the tracker entry keeps every other path off the page. The deferred
   // victim write (if any) is posted first so it overlaps the read
   // (TryPost from a worker never blocks).
-  RetryOutcome outcome;
   guard.unlock();
   LaunchDeferredVictimWrites(deferred);
-  outcome = RetryWithBackoff(options_.io_retry,
-                             [&] { return disk_->ReadPage(p, page.Data()); });
+  RetryOutcome outcome = RetryTransient(options_.io_max_attempts, [&] {
+    return disk_->ReadPage(p, page.Data());
+  });
   guard.lock();
   CountLatchAcquire();
   stats_.retries += outcome.retries;
@@ -554,7 +548,7 @@ Page* BufferPool::TryOptimisticHit(PageId p, AccessType type, bool refix,
   // so nothing detectable is lost, and the detector's per-call cost —
   // small, but a measurable fraction of a ~650 ns latch-free hit — comes
   // off the warm path completely. A scan entering cold territory from a
-  // fully-resident stretch re-arms within min_run misses.
+  // fully-resident stretch re-arms within kReadaheadMinRun misses.
   std::vector<PageId> targets;
   if (readahead_ != nullptr && was_prefetched) {
     readahead_->Observe(p, &targets);
@@ -759,8 +753,8 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
     LaunchDeferredVictimWrites(deferred);
     deferred.clear();
     io_->Run([&] {
-      outcome = RetryWithBackoff(
-          options_.io_retry, [&] { return disk_->ReadPage(p, page.Data()); });
+      outcome = RetryTransient(options_.io_max_attempts,
+                               [&] { return disk_->ReadPage(p, page.Data()); });
     });
     guard.lock();
     CountLatchAcquire();
@@ -1117,10 +1111,10 @@ void BufferPool::ExecuteVictimWrite(PageId v, bool foreground) {
   // submitting thread on lane-full fallback). The map entry keeps every
   // reader of p waiting: a demand fetch of p, a prefetch registration, a
   // fence — none can touch p's stale disk image while we are here.
-  RetryOutcome outcome;
   guard.unlock();
-  outcome = RetryWithBackoff(options_.io_retry,
-                             [&] { return disk_->WritePage(v, vw->image.get()); });
+  RetryOutcome outcome = RetryTransient(options_.io_max_attempts, [&] {
+    return disk_->WritePage(v, vw->image.get());
+  });
   guard.lock();
   CountLatchAcquire();
   stats_.retries += outcome.retries;

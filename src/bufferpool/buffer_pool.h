@@ -63,24 +63,26 @@
 #include "io/io_dispatcher.h"
 #include "io/readahead.h"
 #include "storage/disk_manager.h"
-#include "util/retry.h"
 #include "util/status.h"
 
 namespace lruk {
 
-// Knobs shared by BufferPool and (per shard) ShardedBufferPool.
+// The options a caller sets, shared by BufferPool and (per shard)
+// ShardedBufferPool. Everything else about the pool is fixed: the
+// dispatcher's lane depth and starvation budget (io/io_dispatcher.h), the
+// readahead detector's window and thresholds (io/readahead.h), and the
+// access buffer's size.
 struct BufferPoolOptions {
-  // Bounded retry of transient (kIoError) disk read/write failures before
-  // the error surfaces to the caller. Off by default (max_attempts = 1);
-  // see util/retry.h. FlushPage/FlushAll writes retry with the pool latch
+  // Attempts at a disk read or write that fails with a transient error
+  // (kIoError) before the error surfaces to the caller, the first
+  // included; 1 (the default) is no retry. A retry is re-issued at once
+  // (util/retry.h). FlushPage/FlushAll writes retry with the pool latch
   // released, each re-issue a further WritePages batch of the retryable
   // failures. With io_dispatcher, demand reads, prefetch reads and
   // write-behind victim writes also retry with the latch released. Reads
   // without a dispatcher, synchronous eviction write-backs and the writes
-  // of parked victim images (DiskRead/DiskWrite) retry under the latch —
-  // size the backoff accordingly (or leave `sleep` null for immediate
-  // re-issue).
-  RetryOptions io_retry;
+  // of parked victim images (DiskRead/DiskWrite) retry under the latch.
+  int io_max_attempts = 1;
 
   // Latch-free hit path (DESIGN.md "Optimistic page table & pin
   // protocol"). Off (default): hits and unpins take the pool latch.
@@ -108,35 +110,23 @@ struct BufferPoolOptions {
   // Dispatcher worker threads. 0 = inline mode: every request executes
   // synchronously on the issuing thread, in issue order — single-threaded
   // behaviour (pages, victims, stats, fault replay) is identical to the
-  // direct path. > 0: miss reads run on workers, prefetches and
-  // write-behind victim writes run in the background.
+  // direct path, dirty victims included: they are written back on the
+  // miss path. > 0 = worker mode: miss reads run on workers, prefetches
+  // run in the background, and every dirty victim is written behind — the
+  // evicting thread copies the frame image aside, posts the write on the
+  // Flush lane and admits the new page at once (writebehind_writes; a
+  // full Flush lane falls back to the synchronous write, dirty_writebacks).
+  // A failed write-behind re-admits the page dirty, exactly, via
+  // ReplacementPolicy::Restore (writebehind_readmits). Both write-behind
+  // counters are zero unless io_workers > 0.
   size_t io_workers = 0;
-  // Bounded dispatcher queue depth (worker mode), PER priority lane
-  // (Demand/Flush/Prefetch): miss reads block while the Demand lane is
-  // full; a full Prefetch lane drops the prefetch, and a full Flush lane
-  // sends the write-behind write back to the evicting thread.
-  size_t io_queue_depth = 64;
-  // Anti-starvation bound for the dispatcher's background lanes: at most
-  // this many consecutive demand dispatches while Flush/Prefetch work
-  // waits queued, then one background item is served (see io_dispatcher.h).
-  size_t io_starvation_budget = 16;
-  // Write-behind eviction: when a dirty victim is chosen and the
-  // dispatcher runs in worker mode, the evicting thread copies the frame
-  // image aside, posts the write on the Flush lane, and admits the new
-  // page immediately — the victim write-back leaves the miss path
-  // entirely (writebehind_writes; a full Flush lane falls back to the
-  // synchronous write, dirty_writebacks). A failed write-behind re-admits
-  // the page dirty, exactly, via ReplacementPolicy::Restore
-  // (writebehind_readmits). Inert in inline mode (io_workers == 0):
-  // deterministic replay keeps the direct path's exact disk-op order.
-  bool write_behind = false;
   // Scan readahead: a stride detector observes the fetch stream and
-  // prefetches the next `readahead.window` pages of a detected sequential
+  // prefetches the next kReadaheadWindow pages of a detected sequential
   // run (the Example 1.2 scan shape). Requires io_dispatcher; inline mode
   // prefetches synchronously (deterministic), worker mode streams them in
   // the background. ShardedBufferPool runs one detector above the shards
   // (hash routing destroys per-shard sequentiality).
-  ReadaheadOptions readahead;
+  bool readahead = false;
 };
 
 class BufferPool final : public PoolInterface {
@@ -145,7 +135,7 @@ class BufferPool final : public PoolInterface {
   // `options.io_dispatcher` is set, the pool routes its miss I/O through
   // `shared_dispatcher` if given (it must outlive the pool — this is how
   // ShardedBufferPool gives every shard one worker fleet), else through a
-  // private dispatcher built from options.io_workers/io_queue_depth.
+  // private dispatcher with options.io_workers workers.
   BufferPool(size_t capacity, DiskManager* disk,
              std::unique_ptr<ReplacementPolicy> policy,
              BufferPoolOptions options = {},
@@ -365,14 +355,13 @@ class BufferPool final : public PoolInterface {
     std::condition_variable cv;
   };
 
-  // Disk I/O under options_.io_retry, with the pool's failure/retry
+  // Disk I/O under options_.io_max_attempts, with the pool's failure/retry
   // accounting. Caller holds the latch.
   Status DiskRead(PageId p, char* out);
   Status DiskWrite(PageId p, const char* data);
-  // WritePages under options_.io_retry: each further attempt is one more
-  // WritePages call with the retryable failures of the last, and each
-  // re-issued write counts in `retries`. Caller must NOT hold the latch
-  // (the backoff sleeps here).
+  // WritePages under options_.io_max_attempts: each further attempt is one
+  // more WritePages call with the retryable failures of the last, and each
+  // re-issued write counts in `retries`. Caller must NOT hold the latch.
   void DiskWritePages(std::span<PageWrite> writes);
   // The flush body FlushPage and FlushAll share. Under the latch, pins
   // each dirty page of `targets` (resident (page, frame) pairs under no
@@ -397,11 +386,11 @@ class BufferPool final : public PoolInterface {
   // are ground truth); they are skipped under the bucket handshake and
   // restored afterwards.
   //
-  // Write-behind: when `deferred_writes` is non-null and write-behind is
-  // in force, a dirty victim's image is copied into a VictimWrite entry,
-  // the victim's id is appended to `deferred_writes`, and the frame is
-  // returned immediately — the caller MUST pass the list to
-  // LaunchDeferredVictimWrites after releasing the latch. A null
+  // Write-behind: when `deferred_writes` is non-null and the dispatcher
+  // runs in worker mode, a dirty victim's image is copied into a
+  // VictimWrite entry, the victim's id is appended to `deferred_writes`,
+  // and the frame is returned immediately — the caller MUST pass the list
+  // to LaunchDeferredVictimWrites after releasing the latch. A null
   // `deferred_writes` forces the synchronous write-back (used on failure
   // paths that must not cascade).
   Result<FrameId> AcquireFrame(std::vector<PageId>* deferred_writes);
@@ -463,7 +452,7 @@ class BufferPool final : public PoolInterface {
   void CollectPrefetchesLocked(PageId p, bool observe,
                                std::vector<PageId>* targets);
 
-  // --- Write-behind internals (write_behind_ only) ---
+  // --- Write-behind internals (worker mode only) ---
   // Posts each deferred victim write on the Flush lane; a full lane falls
   // back to executing it synchronously right here (io_drops_flush +
   // dirty_writebacks instead of writebehind_writes). Caller must NOT hold
@@ -525,9 +514,6 @@ class BufferPool final : public PoolInterface {
   PageTable page_table_;
   // The per-page request tracker: at most one in-flight read per page.
   std::unordered_map<PageId, std::shared_ptr<PendingIo>> pending_reads_;
-  // options_.write_behind in force: requires a dispatcher in worker mode
-  // (inline mode keeps the direct path's exact disk-op order).
-  bool write_behind_ = false;
   // At most one in-flight victim write per page: created at eviction time
   // (pinned copy), erased on completion. A page is never simultaneously
   // resident, in pending_reads_, and here — fetches of such a page wait
@@ -538,8 +524,8 @@ class BufferPool final : public PoolInterface {
   // FlushAll (persist), or DeletePage (discard). Never dropped silently.
   std::unordered_map<PageId, std::unique_ptr<char[]>> parked_victims_;
   // Prefetches registered but not finished (latch-guarded): bounded by
-  // ReadaheadOptions::max_inflight in worker mode, and Quiesce waits for
-  // 0 alongside pending_reads_.
+  // kReadaheadWindow in worker mode, and Quiesce waits for 0 alongside
+  // pending_reads_.
   size_t inflight_prefetches_ = 0;
   std::condition_variable quiesce_cv_;
   // Pages whose flush write is in flight: each holds one flush pin, and

@@ -25,7 +25,7 @@ namespace lruk {
 // write-backs (explicit FlushPage/FlushAll writes are not included).
 // `read_failures`/`write_failures` count pool-issued disk ops that failed
 // after exhausting any configured retries; `retries` counts the re-issues
-// spent by BufferPoolOptions::io_retry (0 when retries are off).
+// spent under BufferPoolOptions::io_max_attempts (0 when retries are off).
 //
 // Dispatcher counters (all zero unless BufferPoolOptions::io_dispatcher is
 // on — see DESIGN.md "Async I/O dispatcher"): a fetch that finds its page's
@@ -39,11 +39,11 @@ namespace lruk {
 // callers). `background_cleans` is always 0: no pool path counts it, and
 // it stays only because bench/e2e still reads it.
 //
-// Write-behind counters (all zero unless BufferPoolOptions::write_behind
-// is on — see DESIGN.md "Priority lanes and write-behind eviction"):
-// with write-behind, `dirty_writebacks` narrows to victim writes the
-// evicting thread performed synchronously (the foreground-stall metric:
-// inline mode, or a full Flush lane), while
+// Write-behind counters (zero unless `io_workers > 0` — a worker-mode
+// dispatcher always writes dirty victims behind; see DESIGN.md "Priority
+// lanes and write-behind eviction"): in worker mode, `dirty_writebacks`
+// narrows to victim writes the evicting thread performed synchronously
+// (the foreground-stall metric: a full Flush lane), while
 // `writebehind_writes` counts victim writes completed off the miss path
 // from a pinned copy. `writebehind_readmits` counts failed write-behind
 // writes whose page was re-admitted dirty (exact rollback via

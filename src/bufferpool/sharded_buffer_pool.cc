@@ -24,19 +24,15 @@ ShardedBufferPool::ShardedBufferPool(size_t capacity, size_t num_shards,
     // One dispatcher (one worker fleet, one bounded queue) serves every
     // shard; the shards receive it as a shared dispatcher instead of each
     // spinning up its own.
-    io_ = std::make_unique<IoDispatcher>(
-        IoDispatcherOptions{shard_options.io_workers,
-                            shard_options.io_queue_depth,
-                            shard_options.io_starvation_budget});
-    if (shard_options.readahead.enabled) {
-      readahead_ =
-          std::make_unique<ReadaheadDetector>(shard_options.readahead);
+    io_ = std::make_unique<IoDispatcher>(shard_options.io_workers);
+    if (shard_options.readahead) {
+      readahead_ = std::make_unique<ReadaheadDetector>();
     }
   }
   // The scan detector (if any) lives at the pool level: shard-local fetch
   // streams are hash-interleaved and would never show a stride run.
   BufferPoolOptions per_shard = shard_options;
-  per_shard.readahead.enabled = false;
+  per_shard.readahead = false;
 
   // Distribute frames as evenly as possible: the first capacity % N
   // shards absorb the remainder.

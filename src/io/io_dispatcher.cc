@@ -21,12 +21,9 @@ struct IoDispatcher::Completion {
   bool done = false;
 };
 
-IoDispatcher::IoDispatcher(IoDispatcherOptions options) : options_(options) {
-  LRUK_ASSERT(options_.workers == 0 || options_.queue_depth >= 1,
-              "worker-mode dispatcher needs a queue");
-  if (options_.starvation_budget == 0) options_.starvation_budget = 1;
-  workers_.reserve(options_.workers);
-  for (size_t i = 0; i < options_.workers; ++i) {
+IoDispatcher::IoDispatcher(size_t workers) {
+  workers_.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -55,7 +52,7 @@ size_t IoDispatcher::PickLaneLocked() {
     // Strict demand preference — until the anti-starvation budget runs
     // out with background work still waiting.
     if (background == kIoClassCount ||
-        demand_streak_ < options_.starvation_budget) {
+        demand_streak_ < kIoStarvationBudget) {
       ++demand_streak_;
       return kDemand;
     }
@@ -127,7 +124,7 @@ void IoDispatcher::Run(std::function<void()> fn, IoClass cls) {
     std::unique_lock<std::mutex> guard(mutex_);
     ++stats_.submitted;
     space_cv_.wait(guard,
-                   [&] { return lanes_[lane].size() < options_.queue_depth; });
+                   [&] { return lanes_[lane].size() < kIoLaneDepth; });
     ++stats_.lanes[lane].accepted;
     EnqueueLocked(Item{std::move(fn), &completion, {}}, cls);
   }
@@ -152,7 +149,7 @@ bool IoDispatcher::TryPost(std::function<void()> fn, IoClass cls) {
   }
   {
     std::lock_guard<std::mutex> guard(mutex_);
-    if (lanes_[lane].size() >= options_.queue_depth) {
+    if (lanes_[lane].size() >= kIoLaneDepth) {
       ++stats_.rejected;
       ++stats_.lanes[lane].rejected;
       return false;

@@ -25,11 +25,12 @@
 //    it runs immediately on the calling thread. Defaults to kPrefetch.
 //
 // Scheduling: workers pop Demand first. To bound background starvation,
-// after `starvation_budget` consecutive demand dispatches while background
+// after kIoStarvationBudget consecutive demand dispatches while background
 // work waits, one background item (Flush before Prefetch) is dispatched
 // and the budget resets — so under sustained demand load every accepted
 // background request still executes within a bounded number of demand
-// dispatches (the anti-starvation property test asserts this).
+// dispatches (the anti-starvation property test asserts this). Each lane
+// holds at most kIoLaneDepth queued items.
 //
 // Inline mode (workers == 0) is the determinism contract: every request
 // executes synchronously on the thread that issued it, in issue order
@@ -85,19 +86,15 @@ inline const char* IoClassName(IoClass cls) {
   return "?";
 }
 
-struct IoDispatcherOptions {
-  // Worker threads serving the lanes. 0 = inline mode: no threads, no
-  // queues, every submission executes synchronously on the caller.
-  size_t workers = 0;
-  // Bounded capacity of EACH class lane (worker mode). Run() blocks while
-  // its lane is full; TryPost() is rejected instead.
-  size_t queue_depth = 64;
-  // Anti-starvation bound: the maximum number of consecutive demand
-  // dispatches while background (Flush/Prefetch) work waits queued. Once
-  // the budget is spent, one background item is dispatched (Flush before
-  // Prefetch) and the budget resets. 0 behaves as 1 (alternate fairly).
-  size_t starvation_budget = 16;
-};
+// Capacity of EACH class lane in worker mode: Run() blocks while its lane
+// is full, and TryPost() is refused instead. A pool drops a refused
+// prefetch and writes a refused victim write on the evicting thread.
+inline constexpr size_t kIoLaneDepth = 64;
+// Anti-starvation bound: the maximum number of consecutive demand
+// dispatches while background (Flush/Prefetch) work waits queued. Once the
+// budget is spent, one background item is dispatched (Flush before
+// Prefetch) and the budget resets.
+inline constexpr size_t kIoStarvationBudget = 16;
 
 // Per-lane cumulative counters. `accepted` counts submissions enqueued (or
 // executed inline); `rejected` counts TryPost calls refused by a full
@@ -136,13 +133,14 @@ struct IoDispatcherStats {
 
 class IoDispatcher {
  public:
-  explicit IoDispatcher(IoDispatcherOptions options = {});
+  // `workers` threads serve the lanes. 0 = inline mode: no threads, no
+  // queues, every submission executes synchronously on the caller.
+  explicit IoDispatcher(size_t workers = 0);
   // Drains the lanes (workers finish every accepted item) and joins.
   ~IoDispatcher();
   LRUK_DISALLOW_COPY_AND_MOVE(IoDispatcher);
 
-  bool inline_mode() const { return options_.workers == 0; }
-  const IoDispatcherOptions& options() const { return options_; }
+  bool inline_mode() const { return workers_.empty(); }
 
   // Blocking lane: executes `fn` through the dispatcher, returning once
   // it has run. Never rejected; blocks while the class lane is full.
@@ -179,7 +177,6 @@ class IoDispatcher {
   void EnqueueLocked(Item item, IoClass cls);
   void WorkerLoop();
 
-  IoDispatcherOptions options_;
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   // A lane became non-empty / stopping.
   std::condition_variable space_cv_;  // A lane lost an item (Run backpressure).

@@ -8,13 +8,14 @@
 //
 // Detection is by STRIDE VOTING over a short history window rather than a
 // strict last-page match: Observe(p) checks, for every candidate stride
-// s in [-max_stride, -1] u [1, max_stride], how many distinct depths d
-// have p - s*d among the last `vote_window` observed fetches. A genuine
-// stride-s scan puts its last several pages exactly at those offsets, so
-// the winning stride collects one vote per visible predecessor; when
-// votes + 1 (p itself) reaches min_run, the detector emits the next
-// `window` pages along the stride. Ties go to the larger |s| so a
-// stride-2 scan is not misread as stride 1 via its even offsets.
+// s in [-kReadaheadMaxStride, -1] u [1, kReadaheadMaxStride], how many
+// distinct depths d have p - s*d among the last kReadaheadVoteWindow
+// observed fetches. A genuine stride-s scan puts its last several pages
+// exactly at those offsets, so the winning stride collects one vote per
+// visible predecessor; when votes + 1 (p itself) reaches kReadaheadMinRun,
+// the detector emits the next kReadaheadWindow pages along the stride.
+// Ties go to the larger |s| so a stride-2 scan is not misread as stride 1
+// via its even offsets.
 //
 // Voting is what makes the detector tolerant of SAMPLED and OUT-OF-ORDER
 // fetch streams: an interleaved hot-page reference (the Example 1.2 mix)
@@ -22,25 +23,25 @@
 // keep voting no matter what sits between them — where the old
 // last-page-match detector dropped its run on every interruption.
 // Re-references (diff 0) never vote, and a candidate predecessor only
-// counts when |p - q| <= max_stride * vote_window, so a hot-page loop
-// costs one comparison per history slot and never triggers.
+// counts when |p - q| <= kReadaheadMaxStride * kReadaheadVoteWindow, so a
+// hot-page loop costs one comparison per history slot and never triggers.
 //
 // The detector re-triggers on every OBSERVED reference while a run holds,
-// keeping the prefetch horizon a steady `window` pages ahead of the scan
-// cursor; callers dedup against their resident set and in-flight request
-// tracker, which makes the re-issue cheap. The pools feed it only demand
-// misses and prefetch-confirmation hits (the first demand touch of a
-// prefetched frame): a scan visits each page once, so its references are
-// always one of those two, and withholding steady-state warm hits keeps
-// even this Observe's cost entirely off the latch-free hit path — while
-// ALSO cleaning the observed stream (hot-page re-references never reach
-// the ring, so clustered warm traffic cannot vote at all). The conservative bias (no trigger
-// without min_run aligned references) is intentional — a false prefetch
-// evicts someone else's page and, on the optimistic pools, drags the
-// latch back onto an otherwise latch-free reference. Because votes are
-// deliberately loose matches, min_run is the precision knob (see its
-// comment for the measured false-trigger rates) and vote_window the
-// tolerance knob.
+// keeping the prefetch horizon a steady kReadaheadWindow pages ahead of
+// the scan cursor; callers dedup against their resident set and in-flight
+// request tracker, which makes the re-issue cheap. The pools feed it only
+// demand misses and prefetch-confirmation hits (the first demand touch of
+// a prefetched frame): a scan visits each page once, so its references
+// are always one of those two, and withholding steady-state warm hits
+// keeps even this Observe's cost entirely off the latch-free hit path —
+// while ALSO cleaning the observed stream (hot-page re-references never
+// reach the ring, so clustered warm traffic cannot vote at all). The
+// conservative bias (no trigger without kReadaheadMinRun aligned
+// references) is intentional — a false prefetch evicts someone else's
+// page and, on the optimistic pools, drags the latch back onto an
+// otherwise latch-free reference. Because votes are deliberately loose
+// matches, the minimum run sets the precision (see its comment for the
+// measured false-trigger rates) and the vote window the tolerance.
 //
 // Thread safety: Observe is WAIT-FREE and safe to call concurrently — the
 // history is a lock-free ring of atomic PageIds (racy-increment slot
@@ -55,320 +56,167 @@
 // triggers) a property of the merged stream — the same merged stream a
 // latched detector would have seen, modulo slot races that at worst drop
 // a vote. Single-threaded, the cursor increments exactly and the
-// detector is fully deterministic. Reset is best-effort under
-// concurrency (slots are cleared one at a time).
+// detector is fully deterministic.
 
 #ifndef LRUK_IO_READAHEAD_H_
 #define LRUK_IO_READAHEAD_H_
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "core/types.h"
 
 namespace lruk {
 
-struct ReadaheadOptions {
-  // Master switch; the pools ignore the detector entirely when false.
-  bool enabled = false;
-  // Pages to keep in flight ahead of the detected cursor.
-  size_t window = 8;
-  // Aligned references (votes + the current page) before a trigger (>= 2).
-  // The default is deliberately higher than the old exact-run detector's 3:
-  // votes are tolerant matches (any of vote_window history slots, either
-  // direction), so small thresholds fire on clustered NON-scan traffic —
-  // on an 80-20 skew over 4096 pages, min_run = 3 triggers on 11% of
-  // references (each spurious trigger costs a latched register and junk
-  // prefetch I/O) while 5 triggers on 0.14%, and a genuine scan sampled
-  // 1:1 with hot-page traffic is still caught at its 5th page. Tolerance
-  // of sparser sampling is bought with vote_window, not by lowering this:
-  // a scan page can vote from vote_window observations back, so detection
-  // needs min_run - 1 scan pages per vote_window references.
-  size_t min_run = 5;
-  // Strides with |stride| beyond this are not "sequential" (a Zipfian
-  // workload occasionally lands on neighbouring hot pages; a real scan
-  // steps by a small constant). Voting considers at most |stride| <= 16.
-  int64_t max_stride = 4;
-  // Cap on prefetch reads concurrently in flight per pool (0 = the
-  // window). Prefetch rides the dispatcher's lowest-priority lane, so a
-  // deep backlog would only ever be serviced by anti-starvation grants —
-  // better to not register targets the lane cannot absorb (enforced by
-  // the pools, not the detector).
-  size_t max_inflight = 0;
-  // History depth the voting runs over: the last `vote_window` observed
-  // fetches. Deeper windows tolerate more interleaved traffic between
-  // scan references (a scan page can vote from up to vote_window
-  // observations back) at slightly higher per-Observe cost. Clamped to
-  // [2, 63].
-  size_t vote_window = 8;
-};
+// Pages a trigger emits ahead of the detected cursor. Also the cap on
+// prefetch reads a worker-mode pool keeps in flight: prefetch rides the
+// dispatcher's lowest-priority lane, so a deeper backlog would only ever
+// be serviced by anti-starvation grants — better not to register targets
+// the lane cannot absorb (enforced by the pools, not the detector).
+inline constexpr size_t kReadaheadWindow = 8;
+// Aligned references (votes + the current page) before a trigger. Higher
+// than the old exact-run detector's 3 on purpose: votes are tolerant
+// matches (any of kReadaheadVoteWindow history slots, either direction),
+// so small thresholds fire on clustered NON-scan traffic — on an 80-20
+// skew over 4096 pages, a minimum run of 3 triggers on 11% of references
+// (each spurious trigger costs a latched register and junk prefetch I/O)
+// while 5 triggers on 0.14%, and a genuine scan sampled 1:1 with hot-page
+// traffic is still caught at its 5th page. Tolerance of sparser sampling
+// comes from the vote window, not from lowering this: a scan page can
+// vote from kReadaheadVoteWindow observations back, so detection needs
+// kReadaheadMinRun - 1 scan pages per kReadaheadVoteWindow references.
+inline constexpr size_t kReadaheadMinRun = 5;
+// Strides with |stride| beyond this are not "sequential" (a Zipfian
+// workload occasionally lands on neighbouring hot pages; a real scan
+// steps by a small constant).
+inline constexpr int64_t kReadaheadMaxStride = 4;
+// History depth the voting runs over: the last kReadaheadVoteWindow
+// observed fetches. A scan page can vote from up to this many observations
+// back, which is what tolerates interleaved traffic between scan
+// references.
+inline constexpr size_t kReadaheadVoteWindow = 8;
 
 class ReadaheadDetector {
  public:
-  explicit ReadaheadDetector(ReadaheadOptions options) : options_(options) {
-    depth_ = options_.vote_window < 2 ? 2 : options_.vote_window;
-    if (depth_ > kMaxVoteWindow) depth_ = kMaxVoteWindow;
-    ring_ = std::make_unique<std::atomic<PageId>[]>(depth_);
-    for (size_t i = 0; i < depth_; ++i) {
-      ring_[i].store(kInvalidPageId, std::memory_order_relaxed);
-    }
-    // Precompute the divisor table: for every |diff| = ad in [1, gate],
-    // the (stride, depth) factorizations ad = s*d with s <= smax and
-    // d <= depth_. Observe sits on the latch-free hit path, and |diff|s
-    // inside the gate are common under clustered (Zipfian) page ids, so
-    // the per-candidate trial divisions are replaced by one table row
-    // scan (a handful of ORs — the divisor count of ad).
-    smax_ = options_.max_stride < kMaxVoteStride ? options_.max_stride
-                                                 : kMaxVoteStride;
-    gate_ = smax_ > 0 ? smax_ * static_cast<int64_t>(depth_) : 0;
-    std::vector<uint32_t> counts(static_cast<size_t>(gate_), 0);
-    for (int64_t s = 1; s <= smax_; ++s) {
-      for (int64_t d = 1; d <= static_cast<int64_t>(depth_); ++d) {
-        ++counts[static_cast<size_t>(s * d - 1)];
-      }
-    }
-    starts_.assign(static_cast<size_t>(gate_) + 1, 0);
-    for (size_t i = 0; i < counts.size(); ++i) {
-      starts_[i + 1] = starts_[i] + counts[i];
-    }
-    pairs_.resize(starts_.back());
-    std::vector<uint32_t> fill(starts_.begin(), starts_.end() - 1);
-    for (int64_t s = 1; s <= smax_; ++s) {
-      for (int64_t d = 1; d <= static_cast<int64_t>(depth_); ++d) {
-        size_t row = static_cast<size_t>(s * d - 1);
-        pairs_[fill[row]++] = {static_cast<uint8_t>(s - 1),
-                               static_cast<uint8_t>(d)};
-      }
-    }
-    // Default-sized configs additionally get the packed single-word
-    // table (see Observe): 8 lanes of 8 depth bits cover smax <= 4 in
-    // each direction with the negative direction a 32-bit shift away.
-    if (smax_ >= 1 && smax_ <= static_cast<int64_t>(kPackedNegShift) &&
-        depth_ <= 8) {
-      packed_.assign(static_cast<size_t>(gate_), 0);
-      for (int64_t s = 1; s <= smax_; ++s) {
-        for (int64_t d = 1; d <= static_cast<int64_t>(depth_); ++d) {
-          packed_[static_cast<size_t>(s * d - 1)] |=
-              uint64_t{1} << ((s - 1) * 8 + (d - 1));
-        }
-      }
+  ReadaheadDetector() {
+    for (std::atomic<PageId>& slot : ring_) {
+      slot.store(kInvalidPageId, std::memory_order_relaxed);
     }
   }
 
-  // Observes the next fetched page. If some stride collects min_run - 1
-  // votes from the history, appends the next `window` page ids along that
-  // stride to `out` (targets that would underflow page-id zero are
-  // dropped). `out` is cleared first. Wait-free; see the header comment.
+  // Observes the next fetched page. If some stride collects
+  // kReadaheadMinRun - 1 votes from the history, appends the next
+  // kReadaheadWindow page ids along that stride to `out` (targets that
+  // would underflow page-id zero are dropped). `out` is cleared first.
+  // Wait-free; see the header comment.
+  //
+  // The whole vote table is ONE uint64_t of eight 8-bit lanes (lane s-1 =
+  // positive stride s, lane s+3 = negative; bit d-1 of a lane = matched
+  // depth d). Each in-gate history entry contributes one table load and
+  // one OR — no scratch array, no per-call zeroing — and a negative diff
+  // is the same mask shifted into the high lanes. Observe sits on the
+  // latch-free hit path; together with the count-only gate pass and the
+  // unlocked publish below, this keeps the detector from taxing warm hits
+  // (~90 ns -> ~37 ns per call on an 80-20 skew).
   void Observe(PageId p, std::vector<PageId>* out) {
     out->clear();
-    // Locals for everything the scan reads: out->clear() above writes
-    // through a pointer the compiler must assume may alias *this, so
-    // member loads would otherwise be re-issued every iteration.
-    const size_t depth = depth_;
-    const int64_t gate = gate_;
-    const std::atomic<PageId>* ring = ring_.get();
-    if (!packed_.empty()) {
-      // Packed path for default-sized configs (|stride| <= 4, vote_window
-      // <= 8): the whole vote table is ONE uint64_t of eight 8-bit lanes
-      // (lane s-1 = positive stride s, lane s+3 = negative; bit d-1 of a
-      // lane = matched depth d). Each in-gate history entry contributes
-      // one table load and one OR — no scratch array, no per-call zeroing
-      // — and a negative diff is the same mask shifted into the high
-      // lanes. Observe sits on the latch-free hit path; together with
-      // the count-only gate pass and the unlocked publish below, this
-      // keeps the always-on detector from taxing warm hits (~90 ns ->
-      // ~37 ns per call on an 80-20 skew).
-      //
-      // Snapshot the ring once (relaxed atomic loads into locals), then
-      // run a COUNT-ONLY branchless gate pass over the snapshot: no
-      // table loads, just |p - q| <= gate per entry. An entry sets at
-      // most one depth bit per stride (ad = s*d fixes d given s), so
-      // fewer than min_run - 1 in-gate entries cannot reach a trigger
-      // no matter how they vote — the common case on non-scan traffic,
-      // which pays only the gate arithmetic and skips the vote
-      // gathering and winner scan entirely.
-      PageId snap[8];
-      for (size_t i = 0; i < depth; ++i) {
-        snap[i] = ring[i].load(std::memory_order_relaxed);
-      }
-      size_t in_gate_count = 0;
-      for (size_t i = 0; i < depth; ++i) {
-        PageId q = snap[i];
-        int64_t diff = static_cast<int64_t>(p) - static_cast<int64_t>(q);
-        int64_t ad = diff < 0 ? -diff : diff;
-        in_gate_count += (q != kInvalidPageId) & (diff != 0) & (ad <= gate);
-      }
-      // Publish p before any early return so the NEXT Observe sees it
-      // (racy-increment cursor; see the header comment for why this is
-      // not a fetch_add).
-      uint64_t cur = pos_.load(std::memory_order_relaxed);
-      pos_.store(cur + 1, std::memory_order_relaxed);
-      ring_[cur % depth].store(p, std::memory_order_relaxed);
-      if (in_gate_count + 1 < options_.min_run) return;
-      // Gather votes from the SAME snapshot (the live ring now contains
-      // p itself).
-      const uint64_t* packed = packed_.data();
-      uint64_t votes = 0;
-      for (size_t i = 0; i < depth; ++i) {
-        PageId q = snap[i];
-        if (q == kInvalidPageId) continue;
-        int64_t diff = static_cast<int64_t>(p) - static_cast<int64_t>(q);
-        if (diff == 0) continue;  // A re-reference is never scan progress.
-        int64_t ad = diff < 0 ? -diff : diff;
-        if (ad > gate) continue;  // Too far to be s*d for any candidate.
-        // diff >> 63 is all-ones for negative diffs: branchless select of
-        // the high (negative-stride) lanes.
-        votes |= packed[ad - 1] << (static_cast<uint64_t>(diff >> 63) & 32);
-      }
-      // Winner: most votes (distinct-depth popcount per lane, so a page
-      // observed twice still votes once); ties to the larger |s| (a
-      // stride-2 scan also matches s=1 at even depths — the larger
-      // stride is the real one).
-      const size_t smax = static_cast<size_t>(smax_);
-      int64_t best_stride = 0;
-      size_t best_votes = 0;
-      for (size_t s = 1; s <= smax; ++s) {
-        for (int neg = 0; neg < 2; ++neg) {
-          size_t lane = (s - 1) + (neg != 0 ? kPackedNegShift : 0);
-          size_t count = PopCount((votes >> (lane * 8)) & 0xff);
-          if (count >= best_votes && count > 0) {
-            best_votes = count;
-            best_stride = neg != 0 ? -static_cast<int64_t>(s)
-                                   : static_cast<int64_t>(s);
-          }
-        }
-      }
-      if (best_votes + 1 < options_.min_run) return;
-      Emit(p, best_stride, out);
-      return;
+    // Snapshot the ring once (relaxed atomic loads into locals), then run
+    // a COUNT-ONLY branchless gate pass over the snapshot: no table loads,
+    // just |p - q| <= kGate per entry. An entry sets at most one depth bit
+    // per stride (ad = s*d fixes d given s), so fewer than
+    // kReadaheadMinRun - 1 in-gate entries cannot reach a trigger no
+    // matter how they vote — the common case on non-scan traffic, which
+    // pays only the gate arithmetic and skips the vote gathering and
+    // winner scan entirely.
+    PageId snap[kReadaheadVoteWindow];
+    for (size_t i = 0; i < kReadaheadVoteWindow; ++i) {
+      snap[i] = ring_[i].load(std::memory_order_relaxed);
     }
-    // Generic path (larger strides or deeper windows than the packed
-    // lanes can hold). First pass: collect the in-gate offsets (a racy
-    // snapshot of the history; p is not in it yet), with the same
-    // fewer-than-min_run-1 early-out as above.
-    struct InGate {
-      uint32_t row;
-      uint32_t neg;
-    };
-    InGate in_gate[kMaxVoteWindow];
     size_t in_gate_count = 0;
-    const size_t smax = static_cast<size_t>(smax_ > 0 ? smax_ : 0);
-    for (size_t i = 0; i < depth; ++i) {
-      PageId q = ring[i].load(std::memory_order_relaxed);
+    for (PageId q : snap) {
+      int64_t diff = static_cast<int64_t>(p) - static_cast<int64_t>(q);
+      int64_t ad = diff < 0 ? -diff : diff;
+      in_gate_count += (q != kInvalidPageId) & (diff != 0) & (ad <= kGate);
+    }
+    // Publish p before any early return so the NEXT Observe sees it
+    // (racy-increment cursor; see the header comment for why this is not
+    // a fetch_add).
+    uint64_t cur = pos_.load(std::memory_order_relaxed);
+    pos_.store(cur + 1, std::memory_order_relaxed);
+    ring_[cur % kReadaheadVoteWindow].store(p, std::memory_order_relaxed);
+    if (in_gate_count + 1 < kReadaheadMinRun) return;
+    // Gather votes from the SAME snapshot (the live ring now contains p
+    // itself).
+    uint64_t votes = 0;
+    for (PageId q : snap) {
       if (q == kInvalidPageId) continue;
       int64_t diff = static_cast<int64_t>(p) - static_cast<int64_t>(q);
       if (diff == 0) continue;  // A re-reference is never scan progress.
       int64_t ad = diff < 0 ? -diff : diff;
-      if (ad > gate) continue;  // Too far to be s*d for any candidate.
-      // Slots 0..smax-1: positive strides; smax..2*smax-1: negative.
-      in_gate[in_gate_count++] = {static_cast<uint32_t>(ad - 1),
-                                 diff < 0 ? static_cast<uint32_t>(smax) : 0};
+      if (ad > kGate) continue;  // Too far to be s*d for any candidate.
+      // diff >> 63 is all-ones for negative diffs: branchless select of
+      // the high (negative-stride) lanes.
+      votes |= kVoteTable[ad - 1]
+               << (static_cast<uint64_t>(diff >> 63) & kNegativeLaneShift);
     }
-    // Publish p before any early return so the NEXT Observe sees it
-    // (racy-increment cursor; see the header comment).
-    uint64_t cur = pos_.load(std::memory_order_relaxed);
-    pos_.store(cur + 1, std::memory_order_relaxed);
-    ring_[cur % depth].store(p, std::memory_order_relaxed);
-    if (in_gate_count + 1 < options_.min_run) return;
-    // votes[slot] is a bitmask of matched depths d; distinct-d popcount
-    // is the vote count, so a page observed twice still votes once.
-    uint64_t votes[2 * kMaxVoteStride];
-    for (size_t i = 0; i < 2 * smax; ++i) votes[i] = 0;
-    for (size_t i = 0; i < in_gate_count; ++i) {
-      const size_t row = in_gate[i].row;
-      const size_t neg = in_gate[i].neg;
-      for (uint32_t j = starts_[row]; j < starts_[row + 1]; ++j) {
-        votes[pairs_[j].s + neg] |= uint64_t{1} << pairs_[j].d;
-      }
-    }
-    // Winner: most votes; ties to the larger |s| (a stride-2 scan also
-    // matches s=1 at even depths — the larger stride is the real one).
+    // Winner: most votes (distinct-depth popcount per lane, so a page
+    // observed twice still votes once); ties to the larger |s| (a stride-2
+    // scan also matches s=1 at even depths — the larger stride is the real
+    // one).
     int64_t best_stride = 0;
     size_t best_votes = 0;
-    for (size_t s = 1; s <= smax; ++s) {
+    for (int64_t s = 1; s <= kReadaheadMaxStride; ++s) {
       for (int neg = 0; neg < 2; ++neg) {
-        size_t count = PopCount(votes[(s - 1) + (neg != 0 ? smax : 0)]);
+        uint64_t shift = static_cast<uint64_t>(s - 1) * 8 +
+                         (neg != 0 ? kNegativeLaneShift : 0);
+        size_t count =
+            static_cast<size_t>(std::popcount((votes >> shift) & 0xff));
         if (count >= best_votes && count > 0) {
           best_votes = count;
-          best_stride = neg != 0 ? -static_cast<int64_t>(s)
-                                 : static_cast<int64_t>(s);
+          best_stride = neg != 0 ? -s : s;
         }
       }
     }
-    if (best_votes + 1 < options_.min_run) return;
-    Emit(p, best_stride, out);
-  }
-
-  // Forgets the history (e.g. after a workload phase change known to the
-  // caller). The options stay. Best-effort under concurrent Observe.
-  void Reset() {
-    for (size_t i = 0; i < depth_; ++i) {
-      ring_[i].store(kInvalidPageId, std::memory_order_relaxed);
-    }
-  }
-
-  const ReadaheadOptions& options() const { return options_; }
-  size_t vote_depth() const { return depth_; }
-
- private:
-  // Voting considers strides up to +/-16 regardless of max_stride; the
-  // stack-local vote table is sized by this bound.
-  static constexpr int64_t kMaxVoteStride = 16;
-  // vote_window's clamp ceiling; sizes Observe's stack-local in-gate list.
-  static constexpr size_t kMaxVoteWindow = 63;
-
-  static size_t PopCount(uint64_t m) {
-#if defined(__GNUC__) || defined(__clang__)
-    return static_cast<size_t>(__builtin_popcountll(m));
-#else
-    size_t c = 0;
-    while (m != 0) {
-      m &= m - 1;
-      ++c;
-    }
-    return c;
-#endif
-  }
-
-  // Lane offset of the negative strides in the packed vote word (lanes
-  // 0..3 positive, 4..7 negative); also bounds the packed path to
-  // smax <= 4 and depth <= 8 so every (s, d) bit fits the low 32 bits.
-  static constexpr size_t kPackedNegShift = 4;
-
-  void Emit(PageId p, int64_t stride, std::vector<PageId>* out) const {
-    int64_t cursor = static_cast<int64_t>(p);
-    for (size_t i = 1; i <= options_.window; ++i) {
-      int64_t target = cursor + stride * static_cast<int64_t>(i);
+    if (best_votes + 1 < kReadaheadMinRun) return;
+    for (size_t i = 1; i <= kReadaheadWindow; ++i) {
+      int64_t target =
+          static_cast<int64_t>(p) + best_stride * static_cast<int64_t>(i);
       if (target < 0) break;
       out->push_back(static_cast<PageId>(target));
     }
   }
 
-  // One (stride, depth) factorization of some |diff|: s is the 0-based
-  // positive-stride vote slot, d the matched history depth (bit index).
-  struct VotePair {
-    uint8_t s;
-    uint8_t d;
-  };
+ private:
+  // The largest |diff| that is s*d for some candidate stride and depth.
+  static constexpr int64_t kGate =
+      kReadaheadMaxStride * static_cast<int64_t>(kReadaheadVoteWindow);
+  // Bit offset of the negative-stride lanes in the vote word: lanes 0..3
+  // hold the positive strides and 4..7 the negative ones, 8 depth bits
+  // each.
+  static constexpr uint64_t kNegativeLaneShift = 32;
+  static_assert(kReadaheadMaxStride >= 1 && kReadaheadMaxStride <= 4 &&
+                    kReadaheadVoteWindow <= 8,
+                "every (stride, depth) vote bit must fit the low 32 bits");
 
-  ReadaheadOptions options_;
-  size_t depth_;
-  std::unique_ptr<std::atomic<PageId>[]> ring_;
+  // Row ad-1 is the vote word with bit (s-1)*8 + (d-1) set for every
+  // s*d == ad (built at compile time).
+  static constexpr std::array<uint64_t, kGate> kVoteTable = [] {
+    std::array<uint64_t, kGate> table{};
+    for (int64_t s = 1; s <= kReadaheadMaxStride; ++s) {
+      for (int64_t d = 1; d <= static_cast<int64_t>(kReadaheadVoteWindow);
+           ++d) {
+        table[static_cast<size_t>(s * d - 1)] |= uint64_t{1}
+                                                 << ((s - 1) * 8 + (d - 1));
+      }
+    }
+    return table;
+  }();
+
+  std::atomic<PageId> ring_[kReadaheadVoteWindow];
   std::atomic<uint64_t> pos_{0};
-  // Divisor table (built once in the constructor, read-only after): row
-  // ad-1 spans pairs_[starts_[ad-1] .. starts_[ad]) — every s*d == ad
-  // with s <= smax_ and d <= depth_.
-  int64_t smax_ = 0;
-  int64_t gate_ = 0;
-  std::vector<uint32_t> starts_;
-  std::vector<VotePair> pairs_;
-  // Packed-path table (non-empty iff smax_ <= 4 and depth_ <= 8): row
-  // ad-1 is the uint64_t lane word with bit (s-1)*8 + (d-1) set for
-  // every s*d == ad.
-  std::vector<uint64_t> packed_;
 };
 
 }  // namespace lruk

@@ -1,38 +1,22 @@
-// Bounded retry-with-backoff for transient I/O failures.
+// Bounded retry of transient I/O failures.
 //
-// RetryWithBackoff re-issues a fallible operation up to `max_attempts`
-// times, sleeping an exponentially growing interval between attempts. Only
-// kIoError is considered transient (that's what a FaultInjectingDiskManager
-// or a flaky device surfaces); kNotFound and friends are semantic errors
-// that retrying cannot fix. The sleep is injectable so tests (and the
-// deterministic fault harness) run without wall-clock waits: a null sleep
-// function retries immediately.
+// RetryTransient re-issues a fallible operation up to `max_attempts` times
+// in total, at once: nothing sleeps between attempts, so a pool thread that
+// retries while holding its latch holds it only for the re-issued I/O
+// itself. Only kIoError is considered transient (that's what a
+// FaultInjectingDiskManager or a flaky device surfaces); kNotFound and
+// friends are semantic errors that retrying cannot fix.
 //
-// Retries are off by default (max_attempts = 1); BufferPoolOptions::io_retry
-// opts a pool in.
+// Retries are off by default (BufferPoolOptions::io_max_attempts = 1).
 
 #ifndef LRUK_UTIL_RETRY_H_
 #define LRUK_UTIL_RETRY_H_
 
 #include <cstdint>
-#include <functional>
-#include <utility>
 
 #include "util/status.h"
 
 namespace lruk {
-
-struct RetryOptions {
-  // Total attempts including the first; 1 = retries disabled.
-  int max_attempts = 1;
-  // Sleep before the first retry, in microseconds (0 = no backoff).
-  double backoff_micros = 0.0;
-  // Each subsequent retry multiplies the backoff by this factor.
-  double backoff_multiplier = 2.0;
-  // How to wait, given a duration in microseconds. Null = don't wait
-  // (deterministic tests); see SystemSleeper() for a wall-clock waiter.
-  std::function<void(double)> sleep;
-};
 
 // True for errors worth re-issuing the operation on.
 inline bool IsRetryableError(StatusCode code) {
@@ -44,29 +28,22 @@ struct RetryOutcome {
   uint64_t retries = 0;  // Re-issues performed (attempts - 1).
 };
 
-// Runs `op` (a callable returning Status) under `options`. Returns the
-// first OK or non-retryable status, or the last error once attempts are
-// exhausted, plus how many retries were spent.
+// Runs `op` (a callable returning Status) up to `max_attempts` times (a
+// value below 1 counts as 1). Returns the first OK or non-retryable
+// status, or the last error once attempts are exhausted, plus how many
+// retries were spent.
 template <typename Fn>
-RetryOutcome RetryWithBackoff(const RetryOptions& options, Fn&& op) {
+RetryOutcome RetryTransient(int max_attempts, Fn&& op) {
   RetryOutcome outcome;
-  int attempts = options.max_attempts < 1 ? 1 : options.max_attempts;
-  double backoff = options.backoff_micros;
-  for (int attempt = 0;; ++attempt) {
+  for (int attempt = 1;; ++attempt) {
     outcome.status = op();
     if (outcome.status.ok() || !IsRetryableError(outcome.status.code()) ||
-        attempt + 1 >= attempts) {
+        attempt >= max_attempts) {
       return outcome;
     }
-    if (options.sleep && backoff > 0.0) options.sleep(backoff);
-    backoff *= options.backoff_multiplier;
     ++outcome.retries;
   }
 }
-
-// A wall-clock sleep function for production use of RetryOptions::sleep.
-// Declared here, defined in retry.cc, so the header stays <thread>-free.
-std::function<void(double)> SystemSleeper();
 
 }  // namespace lruk
 

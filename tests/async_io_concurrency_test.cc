@@ -323,8 +323,7 @@ TEST(AsyncIoConcurrencyTest, FaultChurnKeepsPlainPoolInvariants) {
   BufferPoolOptions options;
   options.io_dispatcher = true;
   options.io_workers = 4;
-  options.io_queue_depth = 32;
-  options.readahead = {.enabled = true, .window = 4, .min_run = 3};
+  options.readahead = true;
 
   BufferPoolStats stats;
   {
@@ -375,8 +374,7 @@ TEST(AsyncIoConcurrencyTest, FaultChurnKeepsShardedPoolInvariants) {
   BufferPoolOptions options;
   options.io_dispatcher = true;
   options.io_workers = 4;
-  options.io_queue_depth = 32;
-  options.readahead = {.enabled = true, .window = 4, .min_run = 3};
+  options.readahead = true;
 
   ShardedBufferPool pool(
       32, /*num_shards=*/4, &disk,
@@ -420,7 +418,6 @@ TEST(AsyncIoConcurrencyTest, SamePageChurnOverTinyPoolCoalescesConstantly) {
   BufferPoolOptions options;
   options.io_dispatcher = true;
   options.io_workers = 2;
-  options.io_queue_depth = 8;
   BufferPool pool(2, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
   std::vector<PageId> pages = AllocateDb(pool, 4);
@@ -470,14 +467,10 @@ TEST(AsyncIoConcurrencyTest, SamePageChurnOverTinyPoolCoalescesConstantly) {
 // Priority lanes: the anti-starvation property under a demand flood.
 
 TEST(IoPriorityConcurrencyTest, FlushWorkIsBoundedlyDelayedByDemandFlood) {
-  constexpr size_t kBudget = 4;
-  constexpr size_t kQueueDepth = 32;
   constexpr int kDemandThreads = 4;
   constexpr int kDemandOpsPerThread = 500;
   constexpr int kFlushItems = 50;
-  IoDispatcher io(IoDispatcherOptions{.workers = 2,
-                                      .queue_depth = kQueueDepth,
-                                      .starvation_budget = kBudget});
+  IoDispatcher io(/*workers=*/2);
 
   std::atomic<uint64_t> demand_done{0};
   std::atomic<uint64_t> flush_done{0};
@@ -522,12 +515,12 @@ TEST(IoPriorityConcurrencyTest, FlushWorkIsBoundedlyDelayedByDemandFlood) {
 
   EXPECT_EQ(flush_done.load(), static_cast<uint64_t>(kFlushItems));
   // Anti-starvation bound: an accepted flush item sits behind at most the
-  // items already in its lane (≤ queue_depth), each granted after at most
-  // `budget` demand dispatches, plus slack for the two workers' in-flight
-  // items and the racy read of the counter. The demand flood alone is
-  // 2000 completions — without the budget a flush item could wait out
-  // nearly all of them.
-  constexpr uint64_t kBound = (kQueueDepth + 1) * kBudget + 16;
+  // items already in its lane (≤ kIoLaneDepth), each granted after at
+  // most kIoStarvationBudget demand dispatches, plus slack for the two
+  // workers' in-flight items and the racy read of the counter. The demand
+  // flood alone is 2000 completions — without the budget a flush item
+  // could wait out nearly all of them.
+  constexpr uint64_t kBound = (kIoLaneDepth + 1) * kIoStarvationBudget + 16;
   EXPECT_LE(max_delay.load(), kBound);
   IoDispatcherStats stats = io.stats();
   EXPECT_GT(stats.starvation_grants, 0u);
@@ -538,12 +531,11 @@ TEST(IoPriorityConcurrencyTest, FlushWorkIsBoundedlyDelayedByDemandFlood) {
 // ---------------------------------------------------------------------------
 // Write-behind under threaded churn.
 
+// Worker mode, so dirty victims are written behind.
 BufferPoolOptions WriteBehindChurnOptions() {
   BufferPoolOptions options;
   options.io_dispatcher = true;
   options.io_workers = 2;
-  options.io_queue_depth = 16;
-  options.write_behind = true;
   return options;
 }
 
@@ -648,18 +640,76 @@ TEST(WriteBehindConcurrencyTest, FaultChurnKeepsWriteBehindInvariants) {
   }
 }
 
+// Parks every worker of a dispatcher inside a Flush-lane closure until
+// released, so the lane behind them can be filled deterministically.
+class WorkerPark {
+ public:
+  void Park(IoDispatcher& io, int workers) {
+    for (int i = 0; i < workers; ++i) {
+      ASSERT_TRUE(io.TryPost(
+          [this] {
+            std::unique_lock<std::mutex> guard(mutex_);
+            ++parked_;
+            cv_.notify_all();
+            cv_.wait(guard, [&] { return open_; });
+          },
+          IoClass::kFlush));
+    }
+    std::unique_lock<std::mutex> guard(mutex_);
+    cv_.wait(guard, [&] { return parked_ == workers; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> guard(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int parked_ = 0;
+  bool open_ = false;
+};
+
 TEST(WriteBehindConcurrencyTest, ForegroundVictimWritesAreFlushLaneRefusals) {
   // Fault-free, the only way a dirty victim write lands on the miss path
   // is a refused Flush-lane post: each refusal runs its write on the
   // evicting thread, and nothing else does. Those writes are durable too.
   SimDiskManager disk;
-  BufferPoolOptions options = WriteBehindChurnOptions();
-  options.io_queue_depth = 1;  // Refusals are the case under test.
   BufferPool pool(16, &disk,
-                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
+                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
+                  WriteBehindChurnOptions());
   std::vector<PageId> pages = AllocateDb(pool, 48);
   ASSERT_TRUE(pool.FlushAll().ok());
+  const BufferPoolStats loaded = pool.stats();
 
+  // Refusals on demand: park both workers and fill the Flush lane with
+  // kIoLaneDepth closures, then admit new (dirty) pages. NewPage reads
+  // nothing, so it needs no worker; once the clean residents are gone,
+  // each admission evicts a dirty new page and its refused post writes it
+  // on this thread.
+  WorkerPark park;
+  park.Park(*pool.io_dispatcher(), /*workers=*/2);
+  for (size_t i = 0; i < kIoLaneDepth; ++i) {
+    ASSERT_TRUE(pool.io_dispatcher()->TryPost([] {}, IoClass::kFlush));
+  }
+  std::vector<PageId> fresh;
+  for (int i = 0; i < 32; ++i) {
+    auto page = pool.NewPage();
+    ASSERT_TRUE(page.ok());
+    fresh.push_back((*page)->id());
+    std::memset((*page)->Data(), 'a' + i % 26, kPageSize);
+    ASSERT_TRUE(pool.UnpinPage(fresh.back(), true).ok());
+  }
+  BufferPoolStats parked = pool.stats();
+  EXPECT_GT(parked.io_drops_flush, loaded.io_drops_flush);
+  EXPECT_EQ(parked.dirty_writebacks - loaded.dirty_writebacks,
+            parked.io_drops_flush - loaded.io_drops_flush);
+  EXPECT_EQ(parked.writebehind_writes, loaded.writebehind_writes);
+  park.Open();
+
+  // Then churn with the lane serving: write-behind takes the victims, and
+  // any further refusal is still the only foreground write.
   std::vector<std::vector<uint64_t>> last;
   uint64_t attempts = WriteBehindChurn(pool, pages, &last);
 
@@ -667,12 +717,19 @@ TEST(WriteBehindConcurrencyTest, ForegroundVictimWritesAreFlushLaneRefusals) {
   BufferPoolStats stats = pool.stats();
   EXPECT_EQ(stats.hits + stats.misses, attempts);
   EXPECT_GT(stats.writebehind_writes, 0u);
-  EXPECT_GT(stats.io_drops_flush, 0u);  // A 1-deep lane refuses often.
+  EXPECT_GE(stats.io_drops_flush, parked.io_drops_flush);
   EXPECT_EQ(stats.dirty_writebacks, stats.io_drops_flush);
   EXPECT_EQ(stats.write_failures, 0u);
   EXPECT_EQ(stats.writebehind_readmits, 0u);
   ASSERT_TRUE(pool.FlushAll().ok());
   ExpectDiskHoldsLastStamps(disk, pages, last);
+  char image[kPageSize];
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    ASSERT_TRUE(disk.ReadPage(fresh[i], image).ok());
+    EXPECT_EQ(image[0], static_cast<char>('a' + i % 26)) << fresh[i];
+    EXPECT_EQ(image[kPageSize - 1], static_cast<char>('a' + i % 26))
+        << fresh[i];
+  }
 }
 
 TEST(WriteBehindConcurrencyTest, ShardedPoolChurnsWithWriteBehind) {
@@ -682,8 +739,6 @@ TEST(WriteBehindConcurrencyTest, ShardedPoolChurnsWithWriteBehind) {
   BufferPoolOptions options;
   options.io_dispatcher = true;
   options.io_workers = 4;
-  options.io_queue_depth = 16;
-  options.write_behind = true;
 
   ShardedBufferPool pool(
       32, /*num_shards=*/4, &disk,

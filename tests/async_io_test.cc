@@ -7,12 +7,14 @@
 //    worker mode executes Run() to completion, bounds the queue, rejects
 //    TryPost when full, and drains on destruction.
 //  * ReadaheadDetector units — stride-run detection, window emission,
-//    re-triggering, run breaks, backward scans, Reset.
-//  * Differential battery — with the dispatcher in inline mode (and in
-//    worker mode driven single-threaded), both pools produce BYTE-IDENTICAL
-//    behaviour to the direct path over a 20k-op mixed workload: same pool
-//    counters, same victim sequence, same IoStats, same residency, same
-//    disk images. Batch recording on and off.
+//    re-triggering, run breaks, backward scans, the fixed window and
+//    thresholds, and the vote window's tolerance of interleaved traffic.
+//  * Differential battery — with the dispatcher in inline mode, both pools
+//    produce BYTE-IDENTICAL behaviour to the direct path over a 20k-op
+//    mixed workload: same pool counters, same victim sequence, same
+//    IoStats, same residency, same disk images. Driven single-threaded in
+//    worker mode, they match too, except that write-behind moves dirty
+//    victim writes from dirty_writebacks to writebehind_writes.
 //  * Replay determinism — the inline dispatcher with readahead over a
 //    seeded fault schedule reproduces the identical fault trace, stats and
 //    disk images run-to-run (fault replay survives the dispatcher).
@@ -26,7 +28,8 @@
 //  * Quiesce/fence — DeletePage waits out an in-flight prefetch of the
 //    same page (no resurrection after the delete); FlushAll quiesces the
 //    whole dispatcher; a worker-mode prefetch blocked in the disk is
-//    fenced deterministically via a gate disk manager.
+//    fenced deterministically via a gate disk manager; worker mode keeps
+//    at most kReadaheadWindow prefetches in flight.
 
 #include <atomic>
 #include <chrono>
@@ -146,7 +149,7 @@ TEST(AsyncIoDispatcherTest, InlineModeRunsSynchronouslyInOrder) {
 }
 
 TEST(AsyncIoDispatcherTest, WorkerModeRunReturnsAfterExecution) {
-  IoDispatcher io(IoDispatcherOptions{/*workers=*/2, /*queue_depth=*/4});
+  IoDispatcher io(/*workers=*/2);
   EXPECT_FALSE(io.inline_mode());
   std::atomic<int> ran{0};
   std::thread::id caller = std::this_thread::get_id();
@@ -161,8 +164,8 @@ TEST(AsyncIoDispatcherTest, WorkerModeRunReturnsAfterExecution) {
 }
 
 TEST(AsyncIoDispatcherTest, WorkerModeBoundsQueueAndRejectsTryPost) {
-  IoDispatcher io(IoDispatcherOptions{/*workers=*/1, /*queue_depth=*/2});
-  // Park the single worker on a gate, then fill the queue.
+  IoDispatcher io(/*workers=*/1);
+  // Park the single worker on a gate, then fill the lane.
   std::mutex m;
   std::condition_variable cv;
   bool open = false;
@@ -172,13 +175,14 @@ TEST(AsyncIoDispatcherTest, WorkerModeBoundsQueueAndRejectsTryPost) {
     std::unique_lock<std::mutex> guard(m);
     cv.wait(guard, [&] { return open; });
   }));
-  // Wait until the worker has dequeued the parked item, so the two posts
-  // below are what fills the depth-2 queue.
+  // Wait until the worker has dequeued the parked item, so the posts
+  // below are what fills the lane.
   while (!parked.load()) std::this_thread::yield();
   std::atomic<int> done{0};
-  ASSERT_TRUE(io.TryPost([&] { done.fetch_add(1); }));
-  ASSERT_TRUE(io.TryPost([&] { done.fetch_add(1); }));
-  // Queue now holds 2 items (depth 2) with the worker parked: full.
+  for (size_t i = 0; i < kIoLaneDepth; ++i) {
+    ASSERT_TRUE(io.TryPost([&] { done.fetch_add(1); }));
+  }
+  // The lane now holds kIoLaneDepth items with the worker parked: full.
   EXPECT_FALSE(io.TryPost([&] { done.fetch_add(1); }));
   EXPECT_EQ(io.stats().rejected, 1u);
   {
@@ -187,13 +191,14 @@ TEST(AsyncIoDispatcherTest, WorkerModeBoundsQueueAndRejectsTryPost) {
   }
   cv.notify_all();
   io.Drain();
-  EXPECT_EQ(done.load(), 2);  // The rejected closure never ran.
+  // The rejected closure never ran.
+  EXPECT_EQ(done.load(), static_cast<int>(kIoLaneDepth));
 }
 
 TEST(AsyncIoDispatcherTest, DestructorDrainsAcceptedWork) {
   std::atomic<int> ran{0};
   {
-    IoDispatcher io(IoDispatcherOptions{/*workers=*/2, /*queue_depth=*/16});
+    IoDispatcher io(/*workers=*/2);
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(io.TryPost([&] { ran.fetch_add(1); }));
     }
@@ -205,76 +210,113 @@ TEST(AsyncIoDispatcherTest, DestructorDrainsAcceptedWork) {
 // ReadaheadDetector units.
 
 TEST(AsyncIoReadaheadTest, TriggersAfterMinRunAndEmitsWindow) {
-  ReadaheadDetector det({.enabled = true, .window = 4, .min_run = 3});
+  ReadaheadDetector det;
   std::vector<PageId> out;
-  det.Observe(10, &out);
-  EXPECT_TRUE(out.empty());
-  det.Observe(11, &out);  // Run of 2 (10, 11).
-  EXPECT_TRUE(out.empty());
-  det.Observe(12, &out);  // Run of 3: trigger.
-  EXPECT_EQ(out, (std::vector<PageId>{13, 14, 15, 16}));
-  det.Observe(13, &out);  // Re-trigger keeps the horizon ahead.
-  EXPECT_EQ(out, (std::vector<PageId>{14, 15, 16, 17}));
+  for (PageId p = 10; p < 14; ++p) {
+    det.Observe(p, &out);  // Runs of 1 to 4.
+    EXPECT_TRUE(out.empty()) << p;
+  }
+  det.Observe(14, &out);  // Run of 5: trigger.
+  EXPECT_EQ(out, (std::vector<PageId>{15, 16, 17, 18, 19, 20, 21, 22}));
+  det.Observe(15, &out);  // Re-trigger keeps the horizon ahead.
+  EXPECT_EQ(out, (std::vector<PageId>{16, 17, 18, 19, 20, 21, 22, 23}));
 }
 
 TEST(AsyncIoReadaheadTest, NonUnitStrideIsDetected) {
-  ReadaheadDetector det(
-      {.enabled = true, .window = 3, .min_run = 3, .max_stride = 4});
+  ReadaheadDetector det;
   std::vector<PageId> out;
-  det.Observe(0, &out);
-  det.Observe(2, &out);
-  det.Observe(4, &out);
-  EXPECT_EQ(out, (std::vector<PageId>{6, 8, 10}));
+  for (PageId p : {0, 2, 4, 6}) det.Observe(p, &out);
+  EXPECT_TRUE(out.empty());
+  // Stride 1 matches the even offsets as often as stride 2 does; the tie
+  // goes to the larger stride.
+  det.Observe(8, &out);
+  EXPECT_EQ(out, (std::vector<PageId>{10, 12, 14, 16, 18, 20, 22, 24}));
 }
 
 TEST(AsyncIoReadaheadTest, BackwardScanEmitsDescendingAndStopsAtZero) {
-  ReadaheadDetector det({.enabled = true, .window = 4, .min_run = 3});
+  ReadaheadDetector det;
   std::vector<PageId> out;
+  for (PageId p : {9, 8, 7, 6}) det.Observe(p, &out);
+  EXPECT_TRUE(out.empty());
   det.Observe(5, &out);
-  det.Observe(4, &out);
-  det.Observe(3, &out);
-  EXPECT_EQ(out, (std::vector<PageId>{2, 1, 0}));  // -1 underflows: dropped.
+  // -1 and below underflow: dropped.
+  EXPECT_EQ(out, (std::vector<PageId>{4, 3, 2, 1, 0}));
 }
 
 TEST(AsyncIoReadaheadTest, StrideBreakPausesUntilRunReestablishes) {
-  ReadaheadDetector det({.enabled = true, .window = 2, .min_run = 3});
+  ReadaheadDetector det;
   std::vector<PageId> out;
-  det.Observe(10, &out);
-  det.Observe(11, &out);
-  det.Observe(12, &out);
+  for (PageId p = 10; p <= 14; ++p) det.Observe(p, &out);
   ASSERT_FALSE(out.empty());
   det.Observe(500, &out);  // Interleaved random reference breaks the run.
   EXPECT_TRUE(out.empty());
-  det.Observe(501, &out);  // New pair...
-  EXPECT_TRUE(out.empty());
-  det.Observe(502, &out);  // ...run of 3 again: trigger.
-  EXPECT_EQ(out, (std::vector<PageId>{503, 504}));
+  for (PageId p = 501; p <= 503; ++p) {
+    det.Observe(p, &out);  // A new run of 2 to 4...
+    EXPECT_TRUE(out.empty()) << p;
+  }
+  det.Observe(504, &out);  // ...run of 5 again: trigger.
+  EXPECT_EQ(out,
+            (std::vector<PageId>{505, 506, 507, 508, 509, 510, 511, 512}));
 }
 
 TEST(AsyncIoReadaheadTest, LargeJumpsAndRepeatsAreNotSequential) {
-  ReadaheadDetector det(
-      {.enabled = true, .window = 2, .min_run = 2, .max_stride = 4});
+  ReadaheadDetector det;
   std::vector<PageId> out;
-  det.Observe(0, &out);
-  det.Observe(100, &out);  // |stride| 100 > max_stride.
-  det.Observe(200, &out);  // Same large stride: still not sequential.
-  EXPECT_TRUE(out.empty());
-  det.Observe(200, &out);  // Stride 0 (a re-reference): never a run.
-  det.Observe(200, &out);
-  EXPECT_TRUE(out.empty());
+  for (PageId p = 0; p <= 1000; p += 100) {
+    det.Observe(p, &out);  // |stride| 100 is far beyond the largest stride.
+    EXPECT_TRUE(out.empty()) << p;
+  }
+  for (int i = 0; i < 10; ++i) {
+    det.Observe(1000, &out);  // Stride 0 (a re-reference): never a run.
+    EXPECT_TRUE(out.empty());
+  }
 }
 
-TEST(AsyncIoReadaheadTest, ResetForgetsTheRun) {
-  ReadaheadDetector det({.enabled = true, .window = 2, .min_run = 3});
+TEST(AsyncIoReadaheadTest, FixedWindowAndThresholds) {
+  // The detector has no settings: these pin the values it was tuned at
+  // (window 8, minimum run 5, largest stride 4).
+  ReadaheadDetector det;
   std::vector<PageId> out;
-  det.Observe(10, &out);
-  det.Observe(11, &out);
-  det.Reset();
-  det.Observe(12, &out);
-  det.Observe(13, &out);
-  EXPECT_TRUE(out.empty());  // Only a run of 2 since Reset.
-  det.Observe(14, &out);
-  EXPECT_FALSE(out.empty());
+  for (PageId p = 100; p < 104; ++p) {
+    det.Observe(p, &out);  // 4 aligned references emit nothing...
+    EXPECT_TRUE(out.empty()) << p;
+  }
+  det.Observe(104, &out);  // ...the 5th emits exactly 8 targets.
+  EXPECT_EQ(out, (std::vector<PageId>{105, 106, 107, 108, 109, 110, 111,
+                                      112}));
+
+  ReadaheadDetector stride5;
+  for (PageId p = 1000; p < 1000 + 5 * 40; p += 5) {
+    stride5.Observe(p, &out);  // A stride-5 run never triggers.
+    EXPECT_TRUE(out.empty()) << p;
+  }
+}
+
+TEST(AsyncIoReadaheadTest, VoteWindowToleratesOneToOneInterleaving) {
+  // The history holds the last 8 observed fetches, so a scan sampled 1:1
+  // with hot-page references is still caught at its 5th page...
+  ReadaheadDetector det;
+  std::vector<PageId> out;
+  for (PageId p = 100; p < 104; ++p) {
+    det.Observe(p, &out);
+    EXPECT_TRUE(out.empty()) << p;
+    det.Observe(p % 2 == 0 ? 5000 : 9000, &out);  // Hot pages never vote.
+    EXPECT_TRUE(out.empty()) << p;
+  }
+  det.Observe(104, &out);
+  EXPECT_EQ(out, (std::vector<PageId>{105, 106, 107, 108, 109, 110, 111,
+                                      112}));
+
+  // ...while at 1:2 the history never holds more than 2 earlier scan
+  // pages, short of the 4 votes a trigger needs.
+  ReadaheadDetector sparse;
+  for (PageId p = 100; p < 140; ++p) {
+    sparse.Observe(p, &out);
+    EXPECT_TRUE(out.empty()) << p;
+    sparse.Observe(5000, &out);
+    sparse.Observe(9000, &out);
+    EXPECT_TRUE(out.empty()) << p;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -306,15 +348,26 @@ TEST(AsyncIoDifferentialTest, InlineDispatcherIsByteIdenticalShardedPool) {
 TEST(AsyncIoDifferentialTest, SingleThreadedWorkerModeMatchesDirectPath) {
   // A foreground Run() blocks until its read completes, so a
   // single-threaded driver is sequential even with workers — the whole
-  // differential holds, not just the counters.
-  DiffScenarioResult direct = RunDiffScenario({});
-  DiffScenarioResult workers =
-      RunDiffScenario({.dispatcher = true, .io_workers = 2});
-  ExpectScenarioEq(direct, workers);
-  DiffScenarioResult sharded_direct = RunDiffScenario({.sharded = true});
-  DiffScenarioResult sharded_workers = RunDiffScenario(
-      {.sharded = true, .dispatcher = true, .io_workers = 2});
-  ExpectScenarioEq(sharded_direct, sharded_workers);
+  // differential holds, not just the counters. Worker mode writes dirty
+  // victims behind, so the direct path's victim writes are split between
+  // the Flush lane (writebehind_writes) and the evicting thread (a refused
+  // post, dirty_writebacks); every other field still matches.
+  auto expect_matches = [](DiffScenarioResult direct,
+                           DiffScenarioResult workers) {
+    EXPECT_GT(workers.stats.writebehind_writes, 0u);
+    EXPECT_EQ(workers.stats.writebehind_readmits, 0u);
+    EXPECT_EQ(direct.stats.dirty_writebacks,
+              workers.stats.dirty_writebacks +
+                  workers.stats.writebehind_writes);
+    workers.stats.dirty_writebacks = direct.stats.dirty_writebacks;
+    ExpectScenarioEq(direct, workers);
+  };
+  expect_matches(RunDiffScenario({}),
+                 RunDiffScenario({.dispatcher = true, .io_workers = 2}));
+  expect_matches(RunDiffScenario({.sharded = true}),
+                 RunDiffScenario({.sharded = true,
+                                  .dispatcher = true,
+                                  .io_workers = 2}));
 }
 
 // ---------------------------------------------------------------------------
@@ -329,7 +382,7 @@ TEST(AsyncIoDifferentialTest, FaultScheduleReplayIsDeterministicInline) {
 
     BufferPoolOptions options;
     options.io_dispatcher = true;  // Inline: io_workers = 0.
-    options.readahead = {.enabled = true, .window = 4, .min_run = 3};
+    options.readahead = true;
     BufferPool pool(kDiffCapacity, &disk,
                     std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                     options);
@@ -471,7 +524,7 @@ TEST(AsyncIoPrefetchTest, SequentialScanFaultsOnlyUntilDetectorLocksOn) {
   SimDiskManager disk;
   BufferPoolOptions options;
   options.io_dispatcher = true;
-  options.readahead = {.enabled = true, .window = 4, .min_run = 3};
+  options.readahead = true;
 
   // 80 allocated, first 64 scanned: the readahead window never runs past
   // the end of the allocated range. Warm the disk through one pool, then
@@ -495,12 +548,12 @@ TEST(AsyncIoPrefetchTest, SequentialScanFaultsOnlyUntilDetectorLocksOn) {
     ASSERT_TRUE(scan_pool.UnpinPage(pages[i], false).ok());
   }
   BufferPoolStats stats = scan_pool.stats();
-  // Pages 0..2 establish the run (3 demand misses); every later page was
+  // Pages 0..4 establish the run (5 demand misses); every later page was
   // prefetched before its demand reference arrived.
-  EXPECT_EQ(stats.misses, 3u);
-  EXPECT_EQ(stats.hits, 61u);
-  EXPECT_EQ(stats.prefetch_used, 61u);
-  EXPECT_EQ(stats.prefetch_issued, 65u);  // Window of 4 ahead at the end.
+  EXPECT_EQ(stats.misses, 5u);
+  EXPECT_EQ(stats.hits, 59u);
+  EXPECT_EQ(stats.prefetch_used, 59u);
+  EXPECT_EQ(stats.prefetch_issued, 67u);  // Window of 8 ahead at the end.
   EXPECT_EQ(stats.prefetch_dropped, 0u);
 }
 
@@ -508,7 +561,7 @@ TEST(AsyncIoPrefetchTest, ShardedScanUsesPoolLevelDetector) {
   SimDiskManager disk;
   BufferPoolOptions options;
   options.io_dispatcher = true;
-  options.readahead = {.enabled = true, .window = 4, .min_run = 3};
+  options.readahead = true;
   // Warm the disk through a plain pool, then scan through a sharded one.
   {
     BufferPool warm(16, &disk,
@@ -530,9 +583,9 @@ TEST(AsyncIoPrefetchTest, ShardedScanUsesPoolLevelDetector) {
   // Hash routing scatters the pages, but the pool-level detector sees the
   // sequential stream: everything past the lock-on is prefetched.
   BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.misses, 3u);
-  EXPECT_EQ(stats.hits, 61u);
-  EXPECT_EQ(stats.prefetch_used, 61u);
+  EXPECT_EQ(stats.misses, 5u);
+  EXPECT_EQ(stats.hits, 59u);
+  EXPECT_EQ(stats.prefetch_used, 59u);
   EXPECT_GT(stats.prefetch_issued, 0u);
 }
 
@@ -545,7 +598,7 @@ TEST(AsyncIoRetryTest, DemandReadRetriesWithTheLatchReleased) {
   FaultInjectingDiskManager disk(&gate, /*seed=*/29);
   BufferPoolOptions options;
   options.io_dispatcher = true;  // Inline: the fetching thread retries.
-  options.io_retry.max_attempts = 2;  // Null sleep: immediate re-issue.
+  options.io_max_attempts = 2;  // Immediate re-issue.
   BufferPool pool(2, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
   std::vector<PageId> pages = AllocateDb(pool, 3);
@@ -657,7 +710,6 @@ TEST(AsyncIoQuiesceTest, QuiesceDrainsQueuedPrefetches) {
   BufferPoolOptions options;
   options.io_dispatcher = true;
   options.io_workers = 1;
-  options.io_queue_depth = 8;
   BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
   std::vector<PageId> raws;
@@ -682,17 +734,52 @@ TEST(AsyncIoQuiesceTest, QuiesceDrainsQueuedPrefetches) {
   EXPECT_EQ(pool.stats().prefetch_issued, 4u);
 }
 
+TEST(AsyncIoQuiesceTest, WorkerModeCapsInFlightPrefetchesAtTheWindow) {
+  SimDiskManager inner;
+  GateDiskManager disk(&inner);
+  BufferPoolOptions options;
+  options.io_dispatcher = true;
+  options.io_workers = 1;
+  BufferPool pool(16, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
+                  options);
+  std::vector<PageId> raws;
+  for (size_t i = 0; i < kReadaheadWindow + 2; ++i) {
+    auto raw = disk.AllocatePage();
+    ASSERT_TRUE(raw.ok());
+    raws.push_back(*raw);
+  }
+  disk.Close(raws[0]);  // Park the worker on the first prefetch...
+  for (PageId p : raws) pool.RequestPrefetch(p);
+  disk.AwaitReader();
+  // ...so nothing completes: the first kReadaheadWindow requests are in
+  // flight and the last two are never registered.
+  EXPECT_EQ(pool.PendingIoCount(), kReadaheadWindow);
+  EXPECT_EQ(pool.stats().prefetch_issued, kReadaheadWindow);
+
+  disk.Open();
+  pool.Quiesce();
+  for (size_t i = 0; i < raws.size(); ++i) {
+    EXPECT_EQ(pool.IsResident(raws[i]), i < kReadaheadWindow) << i;
+  }
+  EXPECT_EQ(pool.stats().prefetch_dropped, 0u);  // Refused, not dropped.
+
+  // With the window drained, a prefetch registers again.
+  pool.RequestPrefetch(raws.back());
+  pool.Quiesce();
+  EXPECT_TRUE(pool.IsResident(raws.back()));
+  EXPECT_EQ(pool.stats().prefetch_issued, kReadaheadWindow + 1);
+}
+
 TEST(AsyncIoQuiesceTest, QueueFullPrefetchIsDroppedNotLost) {
   SimDiskManager inner;
   GateDiskManager disk(&inner);
   BufferPoolOptions options;
   options.io_dispatcher = true;
   options.io_workers = 1;
-  options.io_queue_depth = 1;
   BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
   std::vector<PageId> raws;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 2; ++i) {
     auto raw = disk.AllocatePage();
     ASSERT_TRUE(raw.ok());
     raws.push_back(*raw);
@@ -700,23 +787,29 @@ TEST(AsyncIoQuiesceTest, QueueFullPrefetchIsDroppedNotLost) {
   disk.Close(raws[0]);
   pool.RequestPrefetch(raws[0]);  // Parks the worker.
   disk.AwaitReader();
-  pool.RequestPrefetch(raws[1]);  // Fills the depth-1 queue.
-  pool.RequestPrefetch(raws[2]);  // Rejected: dropped cleanly.
+  // Fill the Prefetch lane behind the parked worker.
+  std::atomic<size_t> fillers{0};
+  for (size_t i = 0; i < kIoLaneDepth; ++i) {
+    ASSERT_TRUE(pool.io_dispatcher()->TryPost([&] { fillers.fetch_add(1); }));
+  }
+  pool.RequestPrefetch(raws[1]);  // Rejected: dropped cleanly.
 
   disk.Open();
   pool.Quiesce();
+  pool.io_dispatcher()->Drain();
+  EXPECT_EQ(fillers.load(), kIoLaneDepth);
   EXPECT_TRUE(pool.IsResident(raws[0]));
-  EXPECT_TRUE(pool.IsResident(raws[1]));
-  EXPECT_FALSE(pool.IsResident(raws[2]));
+  EXPECT_FALSE(pool.IsResident(raws[1]));
   BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.prefetch_issued, 3u);
+  EXPECT_EQ(stats.prefetch_issued, 2u);
   EXPECT_EQ(stats.prefetch_dropped, 1u);
+  EXPECT_EQ(stats.io_drops_prefetch, 1u);
   EXPECT_EQ(pool.PendingIoCount(), 0u);
 
   // The dropped page is still perfectly fetchable on demand.
-  auto page = pool.FetchPage(raws[2]);
+  auto page = pool.FetchPage(raws[1]);
   ASSERT_TRUE(page.ok());
-  ASSERT_TRUE(pool.UnpinPage(raws[2], false).ok());
+  ASSERT_TRUE(pool.UnpinPage(raws[1], false).ok());
 }
 
 }  // namespace

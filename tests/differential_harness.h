@@ -195,9 +195,8 @@ struct DiffScenarioConfig {
   int ops = kDiffOps;
   bool optimistic = false;
   bool dispatcher = false;  // Inline unless io_workers > 0.
-  size_t io_workers = 0;
-  bool write_behind = false;  // Inert unless io_workers > 0.
-  bool readahead = false;     // Implies the dispatcher (inline).
+  size_t io_workers = 0;    // > 0: worker mode, which writes behind.
+  bool readahead = false;   // Implies the dispatcher (inline).
   MakePolicyFn make_policy{};  // Null: LruKOptions{.k = 2}.
 };
 
@@ -221,10 +220,9 @@ inline DiffScenarioResult RunDiffScenario(const DiffScenarioConfig& config) {
   options.optimistic_hits = config.optimistic;
   options.io_dispatcher = config.dispatcher;
   options.io_workers = config.io_workers;
-  options.write_behind = config.write_behind;
   if (config.readahead) {
     options.io_dispatcher = true;
-    options.readahead = {.enabled = true, .window = 4, .min_run = 3};
+    options.readahead = true;
   }
   MakePolicyFn make_policy = config.make_policy;
   if (!make_policy) {

@@ -574,7 +574,7 @@ TEST(PoolFaultHardeningTest, RetryAbsorbsTransientFaults) {
   SimDiskManager inner;
   FaultInjectingDiskManager disk(&inner, /*seed=*/19);
   BufferPoolOptions options;
-  options.io_retry.max_attempts = 3;  // sleep left null: immediate retry.
+  options.io_max_attempts = 3;  // Immediate re-issue.
   BufferPool pool(1, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
   std::vector<PageId> pages = AllocateDb(pool, 1);
@@ -685,7 +685,7 @@ SweepResult RunSweepPoint(const SweepPoint& point) {
   BufferPoolOptions options;
   options.optimistic_hits = point.optimistic;
   if (point.seed % 2 == 1) {
-    options.io_retry.max_attempts = 2;  // Null sleep: immediate re-issue.
+    options.io_max_attempts = 2;  // Immediate re-issue.
   }
 
   auto factory = [](size_t, size_t shard_capacity) {
@@ -871,7 +871,7 @@ TEST(FaultConcurrencyTest, ConcurrentFaultsPreserveShardInvariants) {
   FaultInjectingDiskManager disk(&inner, /*seed=*/0xFA17ED);
   BufferPoolOptions options;
   options.optimistic_hits = true;
-  options.io_retry.max_attempts = 2;
+  options.io_max_attempts = 2;
   auto factory = [](size_t, size_t shard_capacity) {
     LruKOptions o{.k = 2};
     o.capacity_hint = shard_capacity;

@@ -321,8 +321,9 @@ TEST_P(FlushConcurrencyTest, FlushAllWaitsForAVictimWritePostedWhileItWaits) {
   FlushGateDiskManager disk(&inner);
   BufferPoolOptions options = PoolOptions(GetParam());
   options.io_dispatcher = true;
-  options.io_workers = 2;  // The held victim write must not block the read.
-  options.write_behind = true;
+  // Worker mode writes victims behind; two workers, so the held victim
+  // write must not block the read.
+  options.io_workers = 2;
   BufferPool pool(3, &disk, Lru2(3), options);
   // d goes to disk clean and is evicted by c's admission; a, b and c stay
   // resident and dirty.
@@ -384,7 +385,7 @@ FaultRun RunFaultedFlushes(bool optimistic) {
   SimDiskManager inner;
   FaultInjectingDiskManager disk(&inner, /*seed=*/0xF1A5);
   BufferPoolOptions options = PoolOptions(optimistic);
-  options.io_retry.max_attempts = 2;  // Null sleep: immediate re-issue.
+  options.io_max_attempts = 2;  // Immediate re-issue.
   BufferPool pool(32, &disk, Lru2(32), options);
   std::vector<PageId> pages = NewStampedPages(pool, 32);
   disk.AddRule(FaultRule::FailWithProbability(FaultOp::kWrite, 0.3));

@@ -161,9 +161,7 @@ TEST(OptimisticConcurrencyTest, MixedChurnKeepsPlainPoolInvariants) {
   BufferPoolOptions options;
   options.optimistic_hits = true;
   options.io_dispatcher = true;
-  options.io_workers = 4;
-  options.io_queue_depth = 32;
-  options.write_behind = true;
+  options.io_workers = 4;  // Worker mode: dirty victims are written behind.
 
   BufferPoolStats stats;
   {
@@ -281,8 +279,7 @@ TEST(OptimisticConcurrencyTest, ShardedChurnComposesWithPoolReadahead) {
   options.optimistic_hits = true;
   options.io_dispatcher = true;
   options.io_workers = 4;
-  options.io_queue_depth = 32;
-  options.readahead = {.enabled = true, .window = 4, .min_run = 3};
+  options.readahead = true;
 
   ShardedBufferPool pool(
       32, /*num_shards=*/4, &disk,

@@ -242,10 +242,8 @@ TEST(OptimisticDifferentialTest, MatchesLatchedPathUnderWriteBehind) {
   // evicting thread wrote itself.
   for (bool sharded : {false, true}) {
     SCOPED_TRACE(sharded ? "sharded" : "plain");
-    DiffScenarioConfig config{.sharded = sharded,
-                              .dispatcher = true,
-                              .io_workers = 2,
-                              .write_behind = true};
+    DiffScenarioConfig config{
+        .sharded = sharded, .dispatcher = true, .io_workers = 2};
     DiffScenarioResult latched = RunDiffScenario(config);
     config.optimistic = true;
     DiffScenarioResult optimistic = RunDiffScenario(config);
@@ -392,7 +390,7 @@ TEST(OptimisticHitPathTest, WarmHitStaysLatchFreeWithReadaheadOn) {
   BufferPoolOptions options;
   options.optimistic_hits = true;
   options.io_dispatcher = true;  // Inline workers.
-  options.readahead = {.enabled = true, .window = 4, .min_run = 3};
+  options.readahead = true;
   BufferPool pool(16, &disk,
                   std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
   std::vector<PageId> pages = AllocateDb(pool, 8);

@@ -1,19 +1,32 @@
-// Unit tests for util/retry.h: attempt counting, backoff schedule via an
-// injectable sleep, and the retryable-error taxonomy.
+// Unit tests for util/retry.h: attempt counting, immediate re-issue, the
+// pool's retries-off default and the retryable-error taxonomy.
 
 #include "util/retry.h"
 
-#include <vector>
+#include <chrono>
 
+#include "bufferpool/buffer_pool.h"
 #include "gtest/gtest.h"
 
 namespace lruk {
 namespace {
 
 TEST(RetryTest, DefaultOptionsRunOnce) {
-  RetryOptions options;  // max_attempts = 1: retries off.
+  BufferPoolOptions options;  // io_max_attempts = 1: retries off.
+  EXPECT_EQ(options.io_max_attempts, 1);
   int calls = 0;
-  RetryOutcome outcome = RetryWithBackoff(options, [&] {
+  RetryOutcome outcome = RetryTransient(options.io_max_attempts, [&] {
+    ++calls;
+    return Status::IoError("boom");
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(outcome.retries, 0u);
+  EXPECT_EQ(outcome.status.code(), StatusCode::kIoError);
+}
+
+TEST(RetryTest, SingleAttemptRunsOnce) {
+  int calls = 0;
+  RetryOutcome outcome = RetryTransient(1, [&] {
     ++calls;
     return Status::IoError("boom");
   });
@@ -23,10 +36,8 @@ TEST(RetryTest, DefaultOptionsRunOnce) {
 }
 
 TEST(RetryTest, SucceedsFirstTry) {
-  RetryOptions options;
-  options.max_attempts = 5;
   int calls = 0;
-  RetryOutcome outcome = RetryWithBackoff(options, [&] {
+  RetryOutcome outcome = RetryTransient(5, [&] {
     ++calls;
     return Status::Ok();
   });
@@ -36,10 +47,8 @@ TEST(RetryTest, SucceedsFirstTry) {
 }
 
 TEST(RetryTest, AbsorbsTransientFailure) {
-  RetryOptions options;
-  options.max_attempts = 3;
   int calls = 0;
-  RetryOutcome outcome = RetryWithBackoff(options, [&] {
+  RetryOutcome outcome = RetryTransient(3, [&] {
     ++calls;
     return calls < 3 ? Status::IoError("transient") : Status::Ok();
   });
@@ -49,10 +58,8 @@ TEST(RetryTest, AbsorbsTransientFailure) {
 }
 
 TEST(RetryTest, ExhaustsAttemptsOnPermanentFailure) {
-  RetryOptions options;
-  options.max_attempts = 4;
   int calls = 0;
-  RetryOutcome outcome = RetryWithBackoff(options, [&] {
+  RetryOutcome outcome = RetryTransient(4, [&] {
     ++calls;
     return Status::IoError("permanent");
   });
@@ -62,10 +69,8 @@ TEST(RetryTest, ExhaustsAttemptsOnPermanentFailure) {
 }
 
 TEST(RetryTest, NonRetryableErrorReturnsImmediately) {
-  RetryOptions options;
-  options.max_attempts = 5;
   int calls = 0;
-  RetryOutcome outcome = RetryWithBackoff(options, [&] {
+  RetryOutcome outcome = RetryTransient(5, [&] {
     ++calls;
     return Status::NotFound("semantic error");
   });
@@ -74,42 +79,27 @@ TEST(RetryTest, NonRetryableErrorReturnsImmediately) {
   EXPECT_EQ(outcome.status.code(), StatusCode::kNotFound);
 }
 
-TEST(RetryTest, BackoffScheduleIsExponential) {
-  RetryOptions options;
-  options.max_attempts = 4;
-  options.backoff_micros = 10.0;
-  options.backoff_multiplier = 3.0;
-  std::vector<double> slept;
-  options.sleep = [&](double micros) { slept.push_back(micros); };
-  RetryOutcome outcome =
-      RetryWithBackoff(options, [] { return Status::IoError("always"); });
-  EXPECT_EQ(outcome.retries, 3u);
-  ASSERT_EQ(slept.size(), 3u);
-  EXPECT_DOUBLE_EQ(slept[0], 10.0);
-  EXPECT_DOUBLE_EQ(slept[1], 30.0);
-  EXPECT_DOUBLE_EQ(slept[2], 90.0);
-}
-
 TEST(RetryTest, NullSleepRetriesWithoutWaiting) {
-  RetryOptions options;
-  options.max_attempts = 3;
-  options.backoff_micros = 1e9;  // Would hang if the sleep ran.
-  options.sleep = nullptr;
+  // There is no backoff: every retry re-issues at once, as a null sleep
+  // did. 10,000 failing attempts take well under a second; a sleep of even
+  // 100 us between attempts would take a full second.
+  constexpr int kAttempts = 10000;
   int calls = 0;
-  RetryOutcome outcome = RetryWithBackoff(options, [&] {
+  auto start = std::chrono::steady_clock::now();
+  RetryOutcome outcome = RetryTransient(kAttempts, [&] {
     ++calls;
     return Status::IoError("always");
   });
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(outcome.retries, 2u);
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(calls, kAttempts);
+  EXPECT_EQ(outcome.retries, static_cast<uint64_t>(kAttempts - 1));
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 TEST(RetryTest, ZeroAndNegativeAttemptsClampToOne) {
   for (int attempts : {0, -3}) {
-    RetryOptions options;
-    options.max_attempts = attempts;
     int calls = 0;
-    (void)RetryWithBackoff(options, [&] {
+    (void)RetryTransient(attempts, [&] {
       ++calls;
       return Status::IoError("boom");
     });
@@ -123,13 +113,6 @@ TEST(RetryTest, IsRetryableErrorTaxonomy) {
   EXPECT_FALSE(IsRetryableError(StatusCode::kNotFound));
   EXPECT_FALSE(IsRetryableError(StatusCode::kInvalidArgument));
   EXPECT_FALSE(IsRetryableError(StatusCode::kResourceExhausted));
-}
-
-TEST(RetryTest, SystemSleeperIsCallable) {
-  // Smoke only: a sub-millisecond nap must return (no deadlock, no throw).
-  auto sleeper = SystemSleeper();
-  ASSERT_TRUE(sleeper != nullptr);
-  sleeper(50.0);
 }
 
 }  // namespace

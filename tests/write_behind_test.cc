@@ -2,12 +2,12 @@
 // threaded property tests live in async_io_concurrency_test.cc).
 //
 // Coverage:
-//  * Write-behind — a dirty victim's write-back leaves the miss path: the
-//    admission returns while the victim write is still parked behind a
-//    gate; a re-fetch of the in-flight victim waits the write out and then
-//    reads the freshly written image; inline mode (io_workers = 0) keeps
-//    the synchronous path (write_behind is a no-op there), including its
-//    exact rollback of a failed victim write.
+//  * Write-behind — in worker mode a dirty victim's write-back leaves the
+//    miss path: the admission returns while the victim write is still
+//    parked behind a gate; a re-fetch of the in-flight victim waits the
+//    write out and then reads the freshly written image; inline mode
+//    (io_workers = 0) keeps the synchronous path, including its exact
+//    rollback of a failed victim write.
 //  * Decision neutrality — single-threaded, write-behind replays the direct
 //    path's victim sequence, residency and disk images for every policy
 //    under test, not only the ones whose Restore is exact.
@@ -20,7 +20,8 @@
 //    is retried on the Flush lane with the pool latch released.
 //  * IoPriority — per-lane accept/reject/execute accounting in inline and
 //    worker mode; strict demand preference; the anti-starvation budget
-//    grants queued background work after a bounded demand streak.
+//    (kIoStarvationBudget) grants queued background work after a bounded
+//    demand streak.
 
 #include <atomic>
 #include <cctype>
@@ -120,12 +121,12 @@ void ExpectDiskImage(DiskManager& disk, PageId p, char fill) {
   }
 }
 
+// Worker mode (workers > 0) writes dirty victims behind; inline mode
+// (workers = 0) writes them back on the miss path.
 BufferPoolOptions WriteBehindOptions(size_t workers) {
   BufferPoolOptions options;
   options.io_dispatcher = true;
   options.io_workers = workers;
-  options.io_queue_depth = 16;
-  options.write_behind = true;
   return options;
 }
 
@@ -218,8 +219,8 @@ TEST(WriteBehindTest, FetchOfInFlightVictimWaitsForTheWrite) {
 
 TEST(WriteBehindTest, InlineModeKeepsSynchronousWritebacks) {
   SimDiskManager disk;
-  // write_behind requested but io_workers = 0: the option must be a no-op
-  // so inline mode stays byte-identical to the direct path.
+  // io_workers = 0: inline mode writes victims back synchronously, so it
+  // stays byte-identical to the direct path.
   BufferPool pool(1, &disk, Lru2(1), WriteBehindOptions(/*workers=*/0));
 
   auto a = pool.NewPage();
@@ -302,8 +303,8 @@ std::unique_ptr<ReplacementPolicy> SpecPolicy(const std::string& spec,
 class WriteBehindDifferentialTest
     : public ::testing::TestWithParam<const char*> {};
 
-// Single-threaded, a worker-mode pool with write-behind makes the direct
-// path's policy calls in the same order: a successful victim write never
+// Single-threaded, a worker-mode pool (which writes behind) makes the
+// direct path's policy calls in the same order: a successful victim write never
 // touches the policy, so the victim sequence holds even for policies whose
 // Restore is a fresh re-admission (plain LRU, 2Q, ARC, CLOCK).
 TEST_P(WriteBehindDifferentialTest, VictimOrderMatchesDirectPath) {
@@ -312,10 +313,8 @@ TEST_P(WriteBehindDifferentialTest, VictimOrderMatchesDirectPath) {
     return SpecPolicy(spec, capacity);
   };
   DiffScenarioResult direct = RunDiffScenario({.make_policy = make_policy});
-  DiffScenarioResult behind = RunDiffScenario({.dispatcher = true,
-                                               .io_workers = 2,
-                                               .write_behind = true,
-                                               .make_policy = make_policy});
+  DiffScenarioResult behind = RunDiffScenario(
+      {.dispatcher = true, .io_workers = 2, .make_policy = make_policy});
   EXPECT_EQ(direct.evictions, behind.evictions);
   EXPECT_EQ(direct.residency, behind.residency);
   EXPECT_EQ(direct.images, behind.images);  // No acknowledged write lost.
@@ -497,7 +496,7 @@ TEST(WriteBehindTest, TransientVictimWriteFailureRetriesOffTheMissPath) {
   WriteGateDiskManager gate(&inner);
   FaultInjectingDiskManager disk(&gate, /*seed=*/5);
   BufferPoolOptions options = WriteBehindOptions(/*workers=*/1);
-  options.io_retry.max_attempts = 2;  // Null sleep: immediate re-issue.
+  options.io_max_attempts = 2;  // Immediate re-issue.
   BufferPool pool(1, &disk, Lru2(1), options);
 
   auto a = pool.NewPage();
@@ -543,7 +542,7 @@ TEST(WriteBehindTest, TransientVictimWriteFailureRetriesOffTheMissPath) {
 // IoPriority: lanes, preference, anti-starvation.
 
 TEST(IoPriorityTest, InlineModeCountsPerLaneAccounting) {
-  IoDispatcher io(IoDispatcherOptions{.workers = 0});
+  IoDispatcher io;  // Inline mode.
   int ran = 0;
   io.Run([&] { ++ran; });                      // Demand.
   io.Run([&] { ++ran; }, IoClass::kFlush);     // Flush.
@@ -608,32 +607,36 @@ class OrderLog {
 };
 
 TEST(IoPriorityTest, TryPostRejectionIsPerLane) {
-  IoDispatcher io(IoDispatcherOptions{.workers = 1, .queue_depth = 1});
+  IoDispatcher io(/*workers=*/1);
   WorkerGate gate;
   ASSERT_TRUE(io.TryPost(gate.Job(), IoClass::kDemand));
   gate.AwaitWorker();  // Worker busy; lanes empty.
 
-  EXPECT_TRUE(io.TryPost([] {}, IoClass::kFlush));
+  for (size_t i = 0; i < kIoLaneDepth; ++i) {
+    ASSERT_TRUE(io.TryPost([] {}, IoClass::kFlush));
+  }
   EXPECT_FALSE(io.TryPost([] {}, IoClass::kFlush));  // Flush lane full...
-  EXPECT_TRUE(io.TryPost([] {}, IoClass::kPrefetch));  // ...prefetch isn't.
+  for (size_t i = 0; i < kIoLaneDepth; ++i) {
+    ASSERT_TRUE(io.TryPost([] {}, IoClass::kPrefetch));  // ...prefetch isn't.
+  }
   EXPECT_FALSE(io.TryPost([] {}, IoClass::kPrefetch));
 
   gate.Open();
   io.Drain();
   IoDispatcherStats stats = io.stats();
-  EXPECT_EQ(stats.lane(IoClass::kFlush).accepted, 1u);
+  EXPECT_EQ(stats.lane(IoClass::kFlush).accepted, kIoLaneDepth);
   EXPECT_EQ(stats.lane(IoClass::kFlush).rejected, 1u);
-  EXPECT_EQ(stats.lane(IoClass::kFlush).executed, 1u);
-  EXPECT_EQ(stats.lane(IoClass::kFlush).queue_highwater, 1u);
-  EXPECT_EQ(stats.lane(IoClass::kPrefetch).accepted, 1u);
+  EXPECT_EQ(stats.lane(IoClass::kFlush).executed, kIoLaneDepth);
+  EXPECT_EQ(stats.lane(IoClass::kFlush).queue_highwater, kIoLaneDepth);
+  EXPECT_EQ(stats.lane(IoClass::kPrefetch).accepted, kIoLaneDepth);
   EXPECT_EQ(stats.lane(IoClass::kPrefetch).rejected, 1u);
-  EXPECT_EQ(stats.lane(IoClass::kPrefetch).executed, 1u);
+  EXPECT_EQ(stats.lane(IoClass::kPrefetch).executed, kIoLaneDepth);
   EXPECT_EQ(stats.lane(IoClass::kDemand).executed, 1u);  // The gate job.
   EXPECT_EQ(stats.rejected, 2u);  // Aggregate keeps its PR 5 meaning.
 }
 
 TEST(IoPriorityTest, DemandDispatchesBeforeQueuedBackgroundWork) {
-  IoDispatcher io(IoDispatcherOptions{.workers = 1, .queue_depth = 8});
+  IoDispatcher io(/*workers=*/1);
   WorkerGate gate;
   OrderLog log;
   ASSERT_TRUE(io.TryPost(gate.Job(), IoClass::kDemand));
@@ -653,27 +656,28 @@ TEST(IoPriorityTest, DemandDispatchesBeforeQueuedBackgroundWork) {
 }
 
 TEST(IoPriorityTest, StarvationBudgetGrantsQueuedBackgroundWork) {
-  IoDispatcher io(IoDispatcherOptions{
-      .workers = 1, .queue_depth = 16, .starvation_budget = 2});
+  IoDispatcher io(/*workers=*/1);
   WorkerGate gate;
   OrderLog log;
   ASSERT_TRUE(io.TryPost(gate.Job(), IoClass::kDemand));
   gate.AwaitWorker();
 
+  // One flush item behind a flood one longer than the budget.
   ASSERT_TRUE(io.TryPost([&] { log.Add("F"); }, IoClass::kFlush));
-  for (int i = 0; i < 6; ++i) {
+  for (size_t i = 0; i < kIoStarvationBudget + 1; ++i) {
     ASSERT_TRUE(io.TryPost([&] { log.Add("D"); }, IoClass::kDemand));
   }
   gate.Open();
   io.Drain();
 
   std::vector<std::string> order = log.Get();
-  ASSERT_EQ(order.size(), 7u);
+  ASSERT_EQ(order.size(), kIoStarvationBudget + 2);
   size_t flush_at = 0;
   while (flush_at < order.size() && order[flush_at] != "F") ++flush_at;
-  // With budget 2 (and the gate job already one demand dispatch), the
-  // flush item cannot sit behind more than 2 of the 6 queued demands.
-  EXPECT_LE(flush_at, 2u);
+  // The gate job was already one demand dispatch, so the flush item cannot
+  // sit behind more than kIoStarvationBudget of the queued demands — and
+  // it runs before the flood ends.
+  EXPECT_LE(flush_at, kIoStarvationBudget);
   EXPECT_GE(io.stats().starvation_grants, 1u);
 }
 
