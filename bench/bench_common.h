@@ -1,5 +1,6 @@
 // Shared plumbing for the hand-rolled benches: provenance stamping for the
-// BENCH_*.json artifacts. A result file without the producing commit and
+// BENCH_*.json artifacts, and the one writer of the pool's counters into
+// them. A result file without the producing commit and
 // build flavour is unreviewable (a Debug-built number silently compared to
 // a Release one, a stale JSON from three commits ago), so run_quick.sh
 // passes --git-sha / --sanitizer (and --build-type when asked) to every
@@ -15,6 +16,8 @@
 #include <cstring>
 #include <string>
 #include <thread>
+
+#include "bufferpool/pool_interface.h"
 
 #ifndef LRUK_BENCH_BUILD_TYPE
 #define LRUK_BENCH_BUILD_TYPE "unknown"
@@ -61,6 +64,21 @@ inline void WriteProvenanceJson(std::FILE* f,
                provenance.git_sha.c_str(), provenance.build_type.c_str(),
                provenance.sanitizer.c_str(), provenance.cores,
                provenance.threads);
+}
+
+// Every pool counter as a JSON member, `"hits": 12, "misses": 3, ...`, in
+// list order with no braces or trailing comma, for a bench cell to embed
+// in its object. The keys are the BufferPoolStats field names.
+inline std::string PoolCountersJson(const BufferPoolStats& stats) {
+  std::string out;
+  ForEachCounter(stats, [&](const char* name, uint64_t value) {
+    if (!out.empty()) out += ", ";
+    out += '"';
+    out += name;
+    out += "\": ";
+    out += std::to_string(value);
+  });
+  return out;
 }
 
 }  // namespace lruk

@@ -5,8 +5,8 @@
 // properties the fault subsystem promises:
 //
 //  * determinism — every cell runs twice with the same (seed, schedule);
-//    the injected fault traces must be identical event-by-event, and the
-//    pool counters must match exactly.
+//    the injected fault traces must be identical event-by-event, and
+//    every pool counter must match exactly.
 //  * recovery — after Heal() a FlushAll must succeed (failed write-backs
 //    kept their dirty flags, so nothing is stranded) and drain the pool's
 //    dirty set to the disk.
@@ -49,14 +49,9 @@ struct Cell {
   std::string pool;
   double fault_rate = 0.0;
   uint64_t ops = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
   double ops_per_sec = 0.0;
-  double hit_ratio = 0.0;
+  BufferPoolStats stats;  // Failures are pool-level, after retries.
   uint64_t injected_events = 0;
-  uint64_t read_failures = 0;   // Pool-level, after retries.
-  uint64_t write_failures = 0;  // Pool-level, after retries.
-  uint64_t retries = 0;         // Pool-level re-issues.
   bool replay_identical = false;
   bool accounting_exact = false;
   bool recovery_clean = false;
@@ -146,14 +141,6 @@ RunResult RunOnce(const std::string& pool_kind, double rate, uint64_t seed,
   return result;
 }
 
-bool StatsEqual(const BufferPoolStats& a, const BufferPoolStats& b) {
-  return a.hits == b.hits && a.misses == b.misses &&
-         a.evictions == b.evictions &&
-         a.dirty_writebacks == b.dirty_writebacks &&
-         a.read_failures == b.read_failures &&
-         a.write_failures == b.write_failures && a.retries == b.retries;
-}
-
 void WriteJson(const char* path, const BenchProvenance& provenance,
                const std::vector<Cell>& cells, uint64_t ops,
                bool accounting_ok, bool replay_ok, bool recovery_ok) {
@@ -174,18 +161,12 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
     std::fprintf(
         f,
         "    {\"pool\": \"%s\", \"fault_rate\": %.2f, "
-        "\"ops_per_sec\": %.1f, \"hit_ratio\": %.4f, "
-        "\"hits\": %llu, \"misses\": %llu, \"injected_events\": %llu, "
-        "\"read_failures\": %llu, \"write_failures\": %llu, "
-        "\"retries\": %llu, \"replay_identical\": %s, "
+        "\"ops_per_sec\": %.1f, \"hit_ratio\": %.4f, %s, "
+        "\"injected_events\": %llu, \"replay_identical\": %s, "
         "\"recovery_clean\": %s}%s\n",
-        c.pool.c_str(), c.fault_rate, c.ops_per_sec, c.hit_ratio,
-        static_cast<unsigned long long>(c.hits),
-        static_cast<unsigned long long>(c.misses),
+        c.pool.c_str(), c.fault_rate, c.ops_per_sec, c.stats.HitRatio(),
+        PoolCountersJson(c.stats).c_str(),
         static_cast<unsigned long long>(c.injected_events),
-        static_cast<unsigned long long>(c.read_failures),
-        static_cast<unsigned long long>(c.write_failures),
-        static_cast<unsigned long long>(c.retries),
         c.replay_identical ? "true" : "false",
         c.recovery_clean ? "true" : "false",
         i + 1 < cells.size() ? "," : "");
@@ -253,28 +234,24 @@ int main(int argc, char** argv) {
       cell.pool = pools[pi];
       cell.fault_rate = rates[ri];
       cell.ops = total_ops;
-      cell.hits = first.stats.hits;
-      cell.misses = first.stats.misses;
       cell.ops_per_sec = first.seconds > 0
                              ? static_cast<double>(total_ops) / first.seconds
                              : 0.0;
-      cell.hit_ratio = first.stats.HitRatio();
+      cell.stats = first.stats;
       cell.injected_events = first.trace.size();
-      cell.read_failures = first.stats.read_failures;
-      cell.write_failures = first.stats.write_failures;
-      cell.retries = first.stats.retries;
       cell.replay_identical = first.trace == second.trace &&
-                              StatsEqual(first.stats, second.stats);
-      cell.accounting_exact = cell.hits + cell.misses == total_ops;
+                              first.stats == second.stats;
+      cell.accounting_exact =
+          cell.stats.hits + cell.stats.misses == total_ops;
       cell.recovery_clean = first.flush_ok && second.flush_ok;
       table.AddRow({cell.pool, AsciiTable::Fixed(cell.fault_rate, 2),
                     AsciiTable::Integer(
                         static_cast<uint64_t>(cell.ops_per_sec)),
-                    AsciiTable::Fixed(cell.hit_ratio, 3),
+                    AsciiTable::Fixed(cell.stats.HitRatio(), 3),
                     AsciiTable::Integer(cell.injected_events),
-                    AsciiTable::Integer(cell.read_failures),
-                    AsciiTable::Integer(cell.write_failures),
-                    AsciiTable::Integer(cell.retries)});
+                    AsciiTable::Integer(cell.stats.read_failures),
+                    AsciiTable::Integer(cell.stats.write_failures),
+                    AsciiTable::Integer(cell.stats.retries)});
       cells.push_back(cell);
     }
   }
@@ -288,8 +265,8 @@ int main(int argc, char** argv) {
       accounting_ok = false;
       std::printf("accounting mismatch: %s rate=%.2f: %llu + %llu != %llu\n",
                   c.pool.c_str(), c.fault_rate,
-                  static_cast<unsigned long long>(c.hits),
-                  static_cast<unsigned long long>(c.misses),
+                  static_cast<unsigned long long>(c.stats.hits),
+                  static_cast<unsigned long long>(c.stats.misses),
                   static_cast<unsigned long long>(c.ops));
     }
     if (!c.replay_identical) {

@@ -97,10 +97,7 @@ struct ScanCell {
   std::string pool;      // "single-latch" | "sharded x4"
   bool readahead = false;
   uint64_t ops = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_used = 0;
+  BufferPoolStats stats;
   uint64_t physical_reads = 0;
   double foreground_stall_ms = 0.0;
   bool accounting_exact = false;
@@ -217,18 +214,14 @@ ScanCell RunScanCell(const std::string& workload,
     }
   }
 
-  BufferPoolStats stats = pool->stats();
+  cell.stats = pool->stats();
   cell.ops = ops;
-  cell.hits = stats.hits;
-  cell.misses = stats.misses;
-  cell.prefetch_issued = stats.prefetch_issued;
-  cell.prefetch_used = stats.prefetch_used;
   cell.physical_reads = disk.stats().reads;
   // The caller blocks only on demand misses; prefetch reads retire off
   // the demand path (and overlap with compute once io_workers > 0).
   cell.foreground_stall_ms =
-      static_cast<double>(stats.misses) * kReadMicros / 1000.0;
-  cell.accounting_exact = stats.hits + stats.misses == ops;
+      static_cast<double>(cell.stats.misses) * kReadMicros / 1000.0;
+  cell.accounting_exact = cell.stats.hits + cell.stats.misses == ops;
   return cell;
 }
 
@@ -282,9 +275,7 @@ struct CoalesceCell {
   uint64_t threads = 0;
   uint64_t workers = 0;
   uint64_t ops = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t coalesced_reads = 0;
+  BufferPoolStats stats;
   uint64_t physical_reads = 0;
   double coalescing_ratio = 0.0;
   double wall_seconds = 0.0;
@@ -353,11 +344,9 @@ CoalesceCell RunCoalesceCell(const std::string& pool_kind,
                           std::chrono::steady_clock::now() - start)
                           .count();
 
-  BufferPoolStats stats = pool->stats();
+  cell.stats = pool->stats();
+  const BufferPoolStats& stats = cell.stats;
   cell.ops = issued.load();
-  cell.hits = stats.hits;
-  cell.misses = stats.misses;
-  cell.coalesced_reads = stats.coalesced_reads;
   cell.physical_reads = disk.stats().reads;
   cell.coalescing_ratio =
       stats.misses > 0
@@ -366,7 +355,7 @@ CoalesceCell RunCoalesceCell(const std::string& pool_kind,
   cell.accounting_exact = stats.hits + stats.misses == cell.ops;
   // Every coalesced miss shares another miss's read; prefetching is off,
   // so the disk can never see more read ops than the pool counted misses.
-  cell.reads_bounded = cell.physical_reads <= cell.misses;
+  cell.reads_bounded = cell.physical_reads <= stats.misses;
   return cell;
 }
 
@@ -378,13 +367,8 @@ struct WriteBehindCell {
   uint64_t threads = 0;
   uint64_t workers = 0;
   uint64_t ops = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t dirty_writebacks = 0;  // Foreground (miss-path) victim writes.
-  uint64_t writebehind_writes = 0;
-  uint64_t writebehind_readmits = 0;
-  uint64_t io_drops_flush = 0;
-  uint64_t io_drops_prefetch = 0;
+  // dirty_writebacks counts foreground (miss-path) victim writes.
+  BufferPoolStats stats;
   IoDispatcherStats dispatcher;  // Per-lane depth/drop/wait accounting.
   double fetch_p50_micros = 0.0;
   double fetch_p99_micros = 0.0;
@@ -487,19 +471,12 @@ WriteBehindCell RunWriteBehindCell(const std::string& mode,
                           std::chrono::steady_clock::now() - start)
                           .count();
 
-  BufferPoolStats stats = pool->stats();
+  cell.stats = pool->stats();
   cell.ops = issued.load();
-  cell.hits = stats.hits;
-  cell.misses = stats.misses;
-  cell.dirty_writebacks = stats.dirty_writebacks;
-  cell.writebehind_writes = stats.writebehind_writes;
-  cell.writebehind_readmits = stats.writebehind_readmits;
-  cell.io_drops_flush = stats.io_drops_flush;
-  cell.io_drops_prefetch = stats.io_drops_prefetch;
   if (dispatcher != nullptr) cell.dispatcher = dispatcher->stats();
   cell.fetch_p50_micros = Percentile(&fetch_micros, 0.50);
   cell.fetch_p99_micros = Percentile(&fetch_micros, 0.99);
-  cell.accounting_exact = stats.hits + stats.misses == cell.ops;
+  cell.accounting_exact = cell.stats.hits + cell.stats.misses == cell.ops;
   return cell;
 }
 
@@ -653,15 +630,11 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
     std::fprintf(
         f,
         "    {\"workload\": \"%s\", \"pool\": \"%s\", \"readahead\": %s, "
-        "\"ops\": %llu, \"hits\": %llu, \"misses\": %llu, "
-        "\"prefetch_issued\": %llu, \"prefetch_used\": %llu, "
+        "\"ops\": %llu, %s, "
         "\"physical_reads\": %llu, \"foreground_stall_ms\": %.1f}%s\n",
         c.workload.c_str(), c.pool.c_str(), c.readahead ? "true" : "false",
         static_cast<unsigned long long>(c.ops),
-        static_cast<unsigned long long>(c.hits),
-        static_cast<unsigned long long>(c.misses),
-        static_cast<unsigned long long>(c.prefetch_issued),
-        static_cast<unsigned long long>(c.prefetch_used),
+        PoolCountersJson(c.stats).c_str(),
         static_cast<unsigned long long>(c.physical_reads),
         c.foreground_stall_ms, i + 1 < scan_cells.size() ? "," : "");
   }
@@ -671,16 +644,12 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
     std::fprintf(
         f,
         "    {\"pool\": \"%s\", \"threads\": %llu, \"io_workers\": %llu, "
-        "\"ops\": %llu, \"hits\": %llu, \"misses\": %llu, "
-        "\"coalesced_reads\": %llu, \"coalescing_ratio\": %.4f, "
+        "\"ops\": %llu, %s, \"coalescing_ratio\": %.4f, "
         "\"physical_reads\": %llu, \"wall_seconds\": %.3f}%s\n",
         c.pool.c_str(), static_cast<unsigned long long>(c.threads),
         static_cast<unsigned long long>(c.workers),
         static_cast<unsigned long long>(c.ops),
-        static_cast<unsigned long long>(c.hits),
-        static_cast<unsigned long long>(c.misses),
-        static_cast<unsigned long long>(c.coalesced_reads),
-        c.coalescing_ratio,
+        PoolCountersJson(c.stats).c_str(), c.coalescing_ratio,
         static_cast<unsigned long long>(c.physical_reads), c.wall_seconds,
         i + 1 < coalesce_cells.size() ? "," : "");
   }
@@ -690,24 +659,14 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
     std::fprintf(
         f,
         "    {\"mode\": \"%s\", \"threads\": %llu, \"io_workers\": %llu, "
-        "\"ops\": %llu, \"hits\": %llu, \"misses\": %llu, "
-        "\"dirty_writebacks\": %llu, \"writebehind_writes\": %llu, "
-        "\"writebehind_readmits\": %llu, \"io_drops_flush\": %llu, "
-        "\"io_drops_prefetch\": %llu, "
+        "\"ops\": %llu, %s, "
         "\"fetch_p50_micros\": %.1f, \"fetch_p99_micros\": %.1f, "
         "\"wall_seconds\": %.3f, \"starvation_grants\": %llu, "
         "\"lanes\": [",
         c.mode.c_str(), static_cast<unsigned long long>(c.threads),
         static_cast<unsigned long long>(c.workers),
         static_cast<unsigned long long>(c.ops),
-        static_cast<unsigned long long>(c.hits),
-        static_cast<unsigned long long>(c.misses),
-        static_cast<unsigned long long>(c.dirty_writebacks),
-        static_cast<unsigned long long>(c.writebehind_writes),
-        static_cast<unsigned long long>(c.writebehind_readmits),
-        static_cast<unsigned long long>(c.io_drops_flush),
-        static_cast<unsigned long long>(c.io_drops_prefetch),
-        c.fetch_p50_micros, c.fetch_p99_micros, c.wall_seconds,
+        PoolCountersJson(c.stats).c_str(), c.fetch_p50_micros, c.fetch_p99_micros, c.wall_seconds,
         static_cast<unsigned long long>(c.dispatcher.starvation_grants));
     for (size_t l = 0; l < kIoClassCount; ++l) {
       const IoLaneStats& lane = c.dispatcher.lanes[l];
@@ -824,8 +783,8 @@ int main(int argc, char** argv) {
                               spec.hot, chunk);
     for (const ScanCell* c : {&off, &on}) {
       scan_table.AddRow({c->workload, c->pool, c->readahead ? "on" : "off",
-                         AsciiTable::Integer(c->misses),
-                         AsciiTable::Integer(c->prefetch_used),
+                         AsciiTable::Integer(c->stats.misses),
+                         AsciiTable::Integer(c->stats.prefetch_used),
                          AsciiTable::Integer(c->physical_reads),
                          AsciiTable::Fixed(c->foreground_stall_ms, 1)});
       accounting_ok = accounting_ok && c->accounting_exact;
@@ -837,7 +796,7 @@ int main(int argc, char** argv) {
                   spec.workload, spec.pool, on.foreground_stall_ms,
                   off.foreground_stall_ms);
     }
-    if (on.prefetch_used == 0) prefetch_used_ok = false;
+    if (on.stats.prefetch_used == 0) prefetch_used_ok = false;
   }
   scan_table.Print();
 
@@ -849,14 +808,14 @@ int main(int argc, char** argv) {
   bool bounded_ok = true;
   for (const char* pool_kind : {"single-latch", "sharded x4"}) {
     CoalesceCell c = RunCoalesceCell(pool_kind, ops_per_thread);
-    co_table.AddRow({c.pool, AsciiTable::Integer(c.misses),
-                     AsciiTable::Integer(c.coalesced_reads),
+    co_table.AddRow({c.pool, AsciiTable::Integer(c.stats.misses),
+                     AsciiTable::Integer(c.stats.coalesced_reads),
                      AsciiTable::Fixed(c.coalescing_ratio, 3),
                      AsciiTable::Integer(c.physical_reads),
                      AsciiTable::Fixed(c.wall_seconds, 3)});
     accounting_ok = accounting_ok && c.accounting_exact;
     bounded_ok = bounded_ok && c.reads_bounded;
-    if (c.coalesced_reads == 0) coalesce_ok = false;
+    if (c.stats.coalesced_reads == 0) coalesce_ok = false;
     coalesce_cells.push_back(c);
   }
   co_table.Print();
@@ -872,11 +831,12 @@ int main(int argc, char** argv) {
   double wb_single_p99 = 0.0;
   for (const char* mode : {"sync", "write-behind", "wb sharded x4"}) {
     WriteBehindCell c = RunWriteBehindCell(mode, wb_ops_per_thread);
-    wb_table.AddRow({c.mode, AsciiTable::Integer(c.misses),
-                     AsciiTable::Integer(c.dirty_writebacks),
-                     AsciiTable::Integer(c.writebehind_writes),
-                     AsciiTable::Integer(c.writebehind_readmits),
-                     AsciiTable::Integer(c.io_drops_flush),
+    const BufferPoolStats& s = c.stats;
+    wb_table.AddRow({c.mode, AsciiTable::Integer(s.misses),
+                     AsciiTable::Integer(s.dirty_writebacks),
+                     AsciiTable::Integer(s.writebehind_writes),
+                     AsciiTable::Integer(s.writebehind_readmits),
+                     AsciiTable::Integer(s.io_drops_flush),
                      AsciiTable::Fixed(c.fetch_p50_micros, 1),
                      AsciiTable::Fixed(c.fetch_p99_micros, 1)});
     accounting_ok = accounting_ok && c.accounting_exact;
@@ -886,15 +846,15 @@ int main(int argc, char** argv) {
       // Foreground (miss-path) victim writes must be <= 5% of all victim
       // writes: the Flush lane carries the rest.
       uint64_t total_victim_writes =
-          c.dirty_writebacks + c.writebehind_writes;
-      if (c.writebehind_writes == 0 ||
-          c.dirty_writebacks * 20 > total_victim_writes) {
+          s.dirty_writebacks + s.writebehind_writes;
+      if (s.writebehind_writes == 0 ||
+          s.dirty_writebacks * 20 > total_victim_writes) {
         wb_foreground_ok = false;
         std::printf("write-behind still writing in the foreground: %s "
                     "fg=%llu wb=%llu\n",
                     c.mode.c_str(),
-                    static_cast<unsigned long long>(c.dirty_writebacks),
-                    static_cast<unsigned long long>(c.writebehind_writes));
+                    static_cast<unsigned long long>(s.dirty_writebacks),
+                    static_cast<unsigned long long>(s.writebehind_writes));
       }
     }
     wb_cells.push_back(c);

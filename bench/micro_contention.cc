@@ -81,35 +81,16 @@ struct Cell {
   size_t shards = 1;
   int threads = 1;
   double ops_per_sec = 0.0;
-  double hit_ratio = 0.0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
   uint64_t ops_issued = 0;
-  // I/O failure/retry counters from BufferPoolStats. SimDiskManager never
-  // fails here, so all three must read zero — printing them keeps the
-  // error-path accounting visible in the same artifact that tracks the
-  // happy path (bench/fault_sweep.cc exercises the non-zero regime).
-  uint64_t read_failures = 0;
-  uint64_t write_failures = 0;
-  uint64_t retries = 0;
-  // Optimistic hit-path counters (all zero in latched mode): how many
-  // hits ran latch-free, how many speculative pins were rolled back, what
-  // the pin CAS cost under contention, and — the headline — how often the
-  // pool latch was taken at all. The fallback split attributes every
-  // abandoned fast-path attempt to its cause (probe miss / version
-  // conflict / displacement bound); access_drops counts buffered
-  // references dropped at drain because their page was already evicted.
-  uint64_t optimistic_hits = 0;
-  uint64_t optimistic_fallbacks = 0;
-  uint64_t fallback_probe_miss = 0;
-  uint64_t fallback_version_conflict = 0;
-  uint64_t fallback_resize = 0;
-  uint64_t access_drops = 0;
-  // Hits that were a thread's back-to-back re-fix of one page: counted as
-  // hits, never published to the policy.
-  uint64_t correlated_refs = 0;
-  uint64_t pin_cas_retries = 0;
-  uint64_t latch_acquires = 0;
+  // Every pool counter over the measured churn. SimDiskManager never
+  // fails here, so the failure/retry counters must read zero — exporting
+  // them keeps the error-path accounting visible in the same artifact that
+  // tracks the happy path (bench/fault_sweep.cc exercises the non-zero
+  // regime). The optimistic hit-path counters (all zero in latched mode)
+  // show how many hits ran latch-free, why abandoned fast-path attempts
+  // fell back, what the pin CAS cost under contention, and — the
+  // headline — how often the pool latch was taken at all.
+  BufferPoolStats stats{};
   // AccessBuffer drain counters (all zero in latched mode): records per
   // drain shows what a drain amortizes.
   AccessBufferStats buffer_stats{};
@@ -167,25 +148,10 @@ void RunCell(Pool& pool, Cell& cell, uint64_t total_ops, uint64_t db_pages) {
                        std::chrono::steady_clock::now() - start)
                        .count();
 
-  BufferPoolStats stats = pool.stats();
+  cell.stats = pool.stats();
   cell.ops_issued = ops_per_thread * static_cast<uint64_t>(cell.threads);
   cell.ops_per_sec =
       seconds > 0 ? static_cast<double>(cell.ops_issued) / seconds : 0;
-  cell.hit_ratio = stats.HitRatio();
-  cell.hits = stats.hits;
-  cell.misses = stats.misses;
-  cell.read_failures = stats.read_failures;
-  cell.write_failures = stats.write_failures;
-  cell.retries = stats.retries;
-  cell.optimistic_hits = stats.optimistic_hits;
-  cell.optimistic_fallbacks = stats.optimistic_fallbacks;
-  cell.fallback_probe_miss = stats.fallback_probe_miss;
-  cell.fallback_version_conflict = stats.fallback_version_conflict;
-  cell.fallback_resize = stats.fallback_resize;
-  cell.access_drops = stats.access_drops;
-  cell.correlated_refs = stats.correlated_refs;
-  cell.pin_cas_retries = stats.pin_cas_retries;
-  cell.latch_acquires = stats.latch_acquires;
   AccessBufferStats end_stats = pool.access_buffer_stats();
   cell.buffer_stats.drains = end_stats.drains - setup_stats.drains;
   cell.buffer_stats.drained_records =
@@ -253,40 +219,19 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
         f,
         "    {\"pool\": \"%s\", \"mode\": \"%s\", \"workload\": \"%s\", "
         "\"shards\": %zu, \"threads\": %d, \"ops_per_sec\": %.1f, "
-        "\"hit_ratio\": %.4f, \"hits\": %llu, \"misses\": %llu, "
-        "\"drains\": %llu, \"drained_records\": %llu, "
+        "\"hit_ratio\": %.4f, \"drains\": %llu, \"drained_records\": %llu, "
         "\"empty_drains\": %llu, \"full_pushes\": %llu, "
-        "\"records_per_drain\": %.1f, \"read_failures\": %llu, "
-        "\"write_failures\": %llu, \"retries\": %llu, "
-        "\"optimistic_hits\": %llu, \"optimistic_fallbacks\": %llu, "
-        "\"fallback_probe_miss\": %llu, "
-        "\"fallback_version_conflict\": %llu, \"fallback_resize\": %llu, "
-        "\"access_drops\": %llu, \"correlated_refs\": %llu, "
-        "\"pin_cas_retries\": %llu, \"latch_acquires\": %llu, "
+        "\"records_per_drain\": %.1f, %s, "
         "\"latch_acquires_per_op\": %.4f, \"cas_retries_per_op\": %.4f}%s\n",
         c.pool.c_str(), c.mode.c_str(), c.workload.c_str(), c.shards,
-        c.threads, c.ops_per_sec, c.hit_ratio,
-        static_cast<unsigned long long>(c.hits),
-        static_cast<unsigned long long>(c.misses),
+        c.threads, c.ops_per_sec, c.stats.HitRatio(),
         static_cast<unsigned long long>(c.buffer_stats.drains),
         static_cast<unsigned long long>(c.buffer_stats.drained_records),
         static_cast<unsigned long long>(c.buffer_stats.empty_drains),
         static_cast<unsigned long long>(c.buffer_stats.full_pushes),
-        RecordsPerDrain(c.buffer_stats),
-        static_cast<unsigned long long>(c.read_failures),
-        static_cast<unsigned long long>(c.write_failures),
-        static_cast<unsigned long long>(c.retries),
-        static_cast<unsigned long long>(c.optimistic_hits),
-        static_cast<unsigned long long>(c.optimistic_fallbacks),
-        static_cast<unsigned long long>(c.fallback_probe_miss),
-        static_cast<unsigned long long>(c.fallback_version_conflict),
-        static_cast<unsigned long long>(c.fallback_resize),
-        static_cast<unsigned long long>(c.access_drops),
-        static_cast<unsigned long long>(c.correlated_refs),
-        static_cast<unsigned long long>(c.pin_cas_retries),
-        static_cast<unsigned long long>(c.latch_acquires),
-        PerOp(c.latch_acquires, c.ops_issued),
-        PerOp(c.pin_cas_retries, c.ops_issued),
+        RecordsPerDrain(c.buffer_stats), PoolCountersJson(c.stats).c_str(),
+        PerOp(c.stats.latch_acquires, c.ops_issued),
+        PerOp(c.stats.pin_cas_retries, c.ops_issued),
         i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f,
@@ -363,10 +308,10 @@ int main(int argc, char** argv) {
                   AsciiTable::Integer(cell.threads),
                   AsciiTable::Integer(
                       static_cast<uint64_t>(cell.ops_per_sec)),
-                  AsciiTable::Fixed(cell.hit_ratio, 3),
-                  AsciiTable::Fixed(PerOp(cell.latch_acquires,
+                  AsciiTable::Fixed(cell.stats.HitRatio(), 3),
+                  AsciiTable::Fixed(PerOp(cell.stats.latch_acquires,
                                           cell.ops_issued), 3),
-                  AsciiTable::Fixed(PerOp(cell.pin_cas_retries,
+                  AsciiTable::Fixed(PerOp(cell.stats.pin_cas_retries,
                                           cell.ops_issued), 4),
                   AsciiTable::Fixed(RecordsPerDrain(cell.buffer_stats), 1)});
     cells.push_back(cell);
@@ -531,8 +476,8 @@ int main(int argc, char** argv) {
       hot1_ratio = paired_ratio([&] { return run_hot(false); },
                                 [&] { return run_hot(true); },
                                 &best_latched, &best_optimistic);
-      hot1_latch_per_op =
-          PerOp(best_optimistic.latch_acquires, best_optimistic.ops_issued);
+      hot1_latch_per_op = PerOp(best_optimistic.stats.latch_acquires,
+                                best_optimistic.ops_issued);
       add_row(best_latched);
       add_row(best_optimistic);
     } else {
@@ -546,29 +491,23 @@ int main(int argc, char** argv) {
   table.Print();
 
   checks.accounting_ok = true;
+  BufferPoolStats total;
   for (const Cell& c : cells) {
-    if (c.hits + c.misses != c.ops_issued) {
+    if (c.stats.hits + c.stats.misses != c.ops_issued) {
       checks.accounting_ok = false;
       std::printf("accounting mismatch: %s %s t=%d: %llu + %llu != %llu\n",
                   c.pool.c_str(), c.mode.c_str(), c.threads,
-                  static_cast<unsigned long long>(c.hits),
-                  static_cast<unsigned long long>(c.misses),
+                  static_cast<unsigned long long>(c.stats.hits),
+                  static_cast<unsigned long long>(c.stats.misses),
                   static_cast<unsigned long long>(c.ops_issued));
     }
-  }
-
-  uint64_t total_read_failures = 0, total_write_failures = 0,
-           total_retries = 0;
-  for (const Cell& c : cells) {
-    total_read_failures += c.read_failures;
-    total_write_failures += c.write_failures;
-    total_retries += c.retries;
+    total += c.stats;
   }
   std::printf("\nio error accounting (expect all zero on SimDisk): "
               "read_failures=%llu write_failures=%llu retries=%llu\n",
-              static_cast<unsigned long long>(total_read_failures),
-              static_cast<unsigned long long>(total_write_failures),
-              static_cast<unsigned long long>(total_retries));
+              static_cast<unsigned long long>(total.read_failures),
+              static_cast<unsigned long long>(total.write_failures),
+              static_cast<unsigned long long>(total.retries));
 
   checks.optimistic_1t = optimistic_1t_ratio;
   checks.hot_page_1t = hot1_ratio;

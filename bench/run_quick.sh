@@ -7,9 +7,12 @@
 # micro_async_io, BENCH_meta_policy.json from ablation_meta_policy).
 # Each JSON is stamped with provenance (git SHA, CMake build type,
 # sanitizer) so a result file can always be traced to the commit and build
-# flavour that produced it. Validates that every file parses as JSON. CI
-# runs this to catch bench regressions and malformed emitters; the
-# full-length runs stay manual (--full).
+# flavour that produced it. Validates that every file parses as JSON. A
+# bench that fails (a NO shape line, or a crash) does not stop the others:
+# every bench runs and every JSON is checked, then the script names each
+# failure and exits with the first failure's status. CI runs this to catch
+# bench regressions and malformed emitters; the full-length runs stay
+# manual (--full).
 #
 # Usage: bench/run_quick.sh [--full] [--sanitizer <name>]
 #                           [--build-type <type>]
@@ -40,9 +43,16 @@ done
 
 GIT_SHA=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-for bin in micro_sharded_pool micro_contention micro_policy_overhead \
-           fault_sweep micro_async_io ablation_meta_policy; do
-  if [[ ! -x "$BUILD/bench/$bin" ]]; then
+# Each bench and the JSON file it writes.
+BENCHES=(micro_sharded_pool:BENCH_hotpath.json
+         micro_contention:BENCH_contention.json
+         micro_policy_overhead:BENCH_policy_overhead.json
+         fault_sweep:BENCH_faults.json
+         micro_async_io:BENCH_async_io.json
+         ablation_meta_policy:BENCH_meta_policy.json)
+
+for entry in "${BENCHES[@]}"; do
+  if [[ ! -x "$BUILD/bench/${entry%%:*}" ]]; then
     echo "bench binaries not found under $BUILD/bench — build first:" >&2
     echo "  cmake -B $BUILD -S . && cmake --build $BUILD -j" >&2
     exit 1
@@ -54,22 +64,33 @@ if [[ -n "$BUILD_TYPE" ]]; then
   PROVENANCE+=(--build-type "$BUILD_TYPE")
 fi
 
-"$BUILD/bench/micro_sharded_pool" $QUICK --json BENCH_hotpath.json \
-    "${PROVENANCE[@]}"
-"$BUILD/bench/micro_contention" $QUICK --json BENCH_contention.json \
-    "${PROVENANCE[@]}"
-"$BUILD/bench/micro_policy_overhead" $QUICK \
-    --json BENCH_policy_overhead.json "${PROVENANCE[@]}"
-"$BUILD/bench/fault_sweep" $QUICK --json BENCH_faults.json \
-    "${PROVENANCE[@]}"
-"$BUILD/bench/micro_async_io" $QUICK --json BENCH_async_io.json \
-    "${PROVENANCE[@]}"
-"$BUILD/bench/ablation_meta_policy" $QUICK --json BENCH_meta_policy.json \
-    "${PROVENANCE[@]}"
+FAILED=()
+STATUS=0
+fail() {  # fail <what> <status>
+  FAILED+=("$1")
+  if [[ $STATUS -eq 0 ]]; then STATUS=$2; fi
+}
 
-for f in BENCH_hotpath.json BENCH_contention.json \
-         BENCH_policy_overhead.json BENCH_faults.json \
-         BENCH_async_io.json BENCH_meta_policy.json; do
-  python3 -m json.tool "$f" > /dev/null
-  echo "$f: valid JSON"
+for entry in "${BENCHES[@]}"; do
+  bin=${entry%%:*}
+  json=${entry#*:}
+  # A bench that dies before writing must not leave an older file to pass
+  # the JSON check.
+  rm -f "$json"
+  rc=0
+  "$BUILD/bench/$bin" $QUICK --json "$json" "${PROVENANCE[@]}" || rc=$?
+  if [[ $rc -ne 0 ]]; then fail "$bin (exit $rc)" "$rc"; fi
+  rc=0
+  python3 -m json.tool "$json" > /dev/null || rc=$?
+  if [[ $rc -eq 0 ]]; then
+    echo "$json: valid JSON"
+  else
+    fail "$json (missing or not valid JSON)" "$rc"
+  fi
 done
+
+if [[ ${#FAILED[@]} -gt 0 ]]; then
+  echo "run_quick.sh: ${#FAILED[@]} failed:" >&2
+  printf '  %s\n' "${FAILED[@]}" >&2
+  exit "$STATUS"
+fi

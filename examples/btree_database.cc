@@ -107,13 +107,9 @@ int main(int argc, char** argv) {
               check.ok() ? "OK" : check.ToString().c_str());
 
   if (!pool.FlushAll().ok()) return 1;
-  std::printf("\nbuffer pool: %llu hits / %llu misses (%.1f%% hit ratio), "
-              "%llu evictions, %llu dirty write-backs\n",
-              static_cast<unsigned long long>(pool.stats().hits),
-              static_cast<unsigned long long>(pool.stats().misses),
-              100.0 * pool.stats().HitRatio(),
-              static_cast<unsigned long long>(pool.stats().evictions),
-              static_cast<unsigned long long>(pool.stats().dirty_writebacks));
+  BufferPoolStats stats = pool.stats();
+  std::printf("\nbuffer pool: %.1f%% hit ratio; %s\n",
+              100.0 * stats.HitRatio(), FormatCounters(stats).c_str());
   std::printf("disk: %llu reads, %llu writes, %llu pages allocated\n",
               static_cast<unsigned long long>(disk.stats().reads),
               static_cast<unsigned long long>(disk.stats().writes),

@@ -82,10 +82,7 @@ int main() {
   std::printf("per-shard breakdown (each shard runs its own LRU-2):\n");
   size_t i = 0;
   for (const BufferPoolStats& s : pool.ShardStats()) {
-    std::printf("  shard %zu: %llu hits, %llu misses, %llu evictions\n", i++,
-                static_cast<unsigned long long>(s.hits),
-                static_cast<unsigned long long>(s.misses),
-                static_cast<unsigned long long>(s.evictions));
+    std::printf("  shard %zu: %s\n", i++, FormatCounters(s).c_str());
   }
 
   // ---------------------------------------------------------------

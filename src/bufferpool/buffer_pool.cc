@@ -25,64 +25,6 @@ thread_local LastFix last_fix;
 
 }  // namespace
 
-BufferPoolStats BufferPool::AtomicPoolStats::ToStats() const {
-  BufferPoolStats s;
-  s.hits = hits.load(std::memory_order_relaxed);
-  s.misses = misses.load(std::memory_order_relaxed);
-  s.evictions = evictions.load(std::memory_order_relaxed);
-  s.dirty_writebacks = dirty_writebacks.load(std::memory_order_relaxed);
-  s.read_failures = read_failures.load(std::memory_order_relaxed);
-  s.write_failures = write_failures.load(std::memory_order_relaxed);
-  s.retries = retries.load(std::memory_order_relaxed);
-  s.coalesced_reads = coalesced_reads.load(std::memory_order_relaxed);
-  s.prefetch_issued = prefetch_issued.load(std::memory_order_relaxed);
-  s.prefetch_used = prefetch_used.load(std::memory_order_relaxed);
-  s.prefetch_dropped = prefetch_dropped.load(std::memory_order_relaxed);
-  s.writebehind_writes = writebehind_writes.load(std::memory_order_relaxed);
-  s.writebehind_readmits =
-      writebehind_readmits.load(std::memory_order_relaxed);
-  s.io_drops_flush = io_drops_flush.load(std::memory_order_relaxed);
-  s.io_drops_prefetch = io_drops_prefetch.load(std::memory_order_relaxed);
-  s.optimistic_hits = optimistic_hits.load(std::memory_order_relaxed);
-  s.optimistic_fallbacks = optimistic_fallbacks.load(std::memory_order_relaxed);
-  s.fallback_probe_miss = fallback_probe_miss.load(std::memory_order_relaxed);
-  s.fallback_version_conflict =
-      fallback_version_conflict.load(std::memory_order_relaxed);
-  s.fallback_resize = fallback_resize.load(std::memory_order_relaxed);
-  s.access_drops = access_drops.load(std::memory_order_relaxed);
-  s.correlated_refs = correlated_refs.load(std::memory_order_relaxed);
-  s.pin_cas_retries = pin_cas_retries.load(std::memory_order_relaxed);
-  s.latch_acquires = latch_acquires.load(std::memory_order_relaxed);
-  return s;
-}
-
-void BufferPool::AtomicPoolStats::Reset() {
-  hits.store(0, std::memory_order_relaxed);
-  misses.store(0, std::memory_order_relaxed);
-  evictions.store(0, std::memory_order_relaxed);
-  dirty_writebacks.store(0, std::memory_order_relaxed);
-  read_failures.store(0, std::memory_order_relaxed);
-  write_failures.store(0, std::memory_order_relaxed);
-  retries.store(0, std::memory_order_relaxed);
-  coalesced_reads.store(0, std::memory_order_relaxed);
-  prefetch_issued.store(0, std::memory_order_relaxed);
-  prefetch_used.store(0, std::memory_order_relaxed);
-  prefetch_dropped.store(0, std::memory_order_relaxed);
-  writebehind_writes.store(0, std::memory_order_relaxed);
-  writebehind_readmits.store(0, std::memory_order_relaxed);
-  io_drops_flush.store(0, std::memory_order_relaxed);
-  io_drops_prefetch.store(0, std::memory_order_relaxed);
-  optimistic_hits.store(0, std::memory_order_relaxed);
-  optimistic_fallbacks.store(0, std::memory_order_relaxed);
-  fallback_probe_miss.store(0, std::memory_order_relaxed);
-  fallback_version_conflict.store(0, std::memory_order_relaxed);
-  fallback_resize.store(0, std::memory_order_relaxed);
-  access_drops.store(0, std::memory_order_relaxed);
-  correlated_refs.store(0, std::memory_order_relaxed);
-  pin_cas_retries.store(0, std::memory_order_relaxed);
-  latch_acquires.store(0, std::memory_order_relaxed);
-}
-
 BufferPool::BufferPool(size_t capacity, DiskManager* disk,
                        std::unique_ptr<ReplacementPolicy> policy,
                        BufferPoolOptions options,

@@ -276,37 +276,29 @@ class BufferPool final : public PoolInterface {
     std::condition_variable cv;
   };
 
-  // The pool's counters as relaxed atomics, so the latch-free hit path
-  // can count without the latch and StatsSnapshot can read without it.
-  // Individually exact; a snapshot is not an atomic cut across fields.
+  // The pool's counters (LRUK_POOL_COUNTERS) as relaxed atomics, so the
+  // latch-free hit path can count without the latch and StatsSnapshot can
+  // read without it. Individually exact; a snapshot is not an atomic cut
+  // across fields.
   struct AtomicPoolStats {
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> dirty_writebacks{0};
-    std::atomic<uint64_t> read_failures{0};
-    std::atomic<uint64_t> write_failures{0};
-    std::atomic<uint64_t> retries{0};
-    std::atomic<uint64_t> coalesced_reads{0};
-    std::atomic<uint64_t> prefetch_issued{0};
-    std::atomic<uint64_t> prefetch_used{0};
-    std::atomic<uint64_t> prefetch_dropped{0};
-    std::atomic<uint64_t> writebehind_writes{0};
-    std::atomic<uint64_t> writebehind_readmits{0};
-    std::atomic<uint64_t> io_drops_flush{0};
-    std::atomic<uint64_t> io_drops_prefetch{0};
-    std::atomic<uint64_t> optimistic_hits{0};
-    std::atomic<uint64_t> optimistic_fallbacks{0};
-    std::atomic<uint64_t> fallback_probe_miss{0};
-    std::atomic<uint64_t> fallback_version_conflict{0};
-    std::atomic<uint64_t> fallback_resize{0};
-    std::atomic<uint64_t> access_drops{0};
-    std::atomic<uint64_t> correlated_refs{0};
-    std::atomic<uint64_t> pin_cas_retries{0};
-    std::atomic<uint64_t> latch_acquires{0};
+#define LRUK_POOL_COUNTER_ATOMIC(name) std::atomic<uint64_t> name{0};
+    LRUK_POOL_COUNTERS(LRUK_POOL_COUNTER_ATOMIC)
+#undef LRUK_POOL_COUNTER_ATOMIC
 
-    BufferPoolStats ToStats() const;
-    void Reset();
+    BufferPoolStats ToStats() const {
+      BufferPoolStats s;
+#define LRUK_POOL_COUNTER_LOAD(name) \
+  s.name = name.load(std::memory_order_relaxed);
+      LRUK_POOL_COUNTERS(LRUK_POOL_COUNTER_LOAD)
+#undef LRUK_POOL_COUNTER_LOAD
+      return s;
+    }
+    void Reset() {
+#define LRUK_POOL_COUNTER_RESET(name) \
+  name.store(0, std::memory_order_relaxed);
+      LRUK_POOL_COUNTERS(LRUK_POOL_COUNTER_RESET)
+#undef LRUK_POOL_COUNTER_RESET
+    }
   };
 
   // Acquires the pool latch, counting the acquisition (the

@@ -7,6 +7,8 @@
 #define LRUK_BUFFERPOOL_POOL_INTERFACE_H_
 
 #include <cstdint>
+#include <iterator>
+#include <string>
 
 #include "bufferpool/page.h"
 #include "core/types.h"
@@ -89,32 +91,43 @@ namespace lruk {
 // is one reference with the fix before it (the paper's §2.1.1), so it
 // never reaches the policy. Together: policy clock + access_drops +
 // correlated_refs == hits + misses + admits.
+//
+// The counters are listed once, in LRUK_POOL_COUNTERS, as X(name). The
+// fields below, the shard merge (operator+=), equality, kPoolCounters and
+// ForEachCounter, the text form, BufferPool's relaxed-atomic mirror and
+// the benches' JSON writer (bench/bench_common.h) are all generated from
+// that list, so adding or removing a counter is one line there.
+#define LRUK_POOL_COUNTERS(X)  \
+  X(hits)                      \
+  X(misses)                    \
+  X(evictions)                 \
+  X(dirty_writebacks)          \
+  X(read_failures)             \
+  X(write_failures)            \
+  X(retries)                   \
+  X(coalesced_reads)           \
+  X(prefetch_issued)           \
+  X(prefetch_used)             \
+  X(prefetch_dropped)          \
+  X(background_cleans)         \
+  X(writebehind_writes)        \
+  X(writebehind_readmits)      \
+  X(io_drops_flush)            \
+  X(io_drops_prefetch)         \
+  X(optimistic_hits)           \
+  X(optimistic_fallbacks)      \
+  X(fallback_probe_miss)       \
+  X(fallback_version_conflict) \
+  X(fallback_resize)           \
+  X(access_drops)              \
+  X(correlated_refs)           \
+  X(pin_cas_retries)           \
+  X(latch_acquires)
+
 struct BufferPoolStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t dirty_writebacks = 0;
-  uint64_t read_failures = 0;
-  uint64_t write_failures = 0;
-  uint64_t retries = 0;
-  uint64_t coalesced_reads = 0;
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_used = 0;
-  uint64_t prefetch_dropped = 0;
-  uint64_t background_cleans = 0;
-  uint64_t writebehind_writes = 0;
-  uint64_t writebehind_readmits = 0;
-  uint64_t io_drops_flush = 0;
-  uint64_t io_drops_prefetch = 0;
-  uint64_t optimistic_hits = 0;
-  uint64_t optimistic_fallbacks = 0;
-  uint64_t fallback_probe_miss = 0;
-  uint64_t fallback_version_conflict = 0;
-  uint64_t fallback_resize = 0;
-  uint64_t access_drops = 0;
-  uint64_t correlated_refs = 0;
-  uint64_t pin_cas_retries = 0;
-  uint64_t latch_acquires = 0;
+#define LRUK_POOL_COUNTER_FIELD(name) uint64_t name = 0;
+  LRUK_POOL_COUNTERS(LRUK_POOL_COUNTER_FIELD)
+#undef LRUK_POOL_COUNTER_FIELD
 
   double HitRatio() const {
     uint64_t total = hits + misses;
@@ -122,35 +135,56 @@ struct BufferPoolStats {
                       : static_cast<double>(hits) / static_cast<double>(total);
   }
 
+  // Shard merge: adds every counter.
   BufferPoolStats& operator+=(const BufferPoolStats& other) {
-    hits += other.hits;
-    misses += other.misses;
-    evictions += other.evictions;
-    dirty_writebacks += other.dirty_writebacks;
-    read_failures += other.read_failures;
-    write_failures += other.write_failures;
-    retries += other.retries;
-    coalesced_reads += other.coalesced_reads;
-    prefetch_issued += other.prefetch_issued;
-    prefetch_used += other.prefetch_used;
-    prefetch_dropped += other.prefetch_dropped;
-    background_cleans += other.background_cleans;
-    writebehind_writes += other.writebehind_writes;
-    writebehind_readmits += other.writebehind_readmits;
-    io_drops_flush += other.io_drops_flush;
-    io_drops_prefetch += other.io_drops_prefetch;
-    optimistic_hits += other.optimistic_hits;
-    optimistic_fallbacks += other.optimistic_fallbacks;
-    fallback_probe_miss += other.fallback_probe_miss;
-    fallback_version_conflict += other.fallback_version_conflict;
-    fallback_resize += other.fallback_resize;
-    access_drops += other.access_drops;
-    correlated_refs += other.correlated_refs;
-    pin_cas_retries += other.pin_cas_retries;
-    latch_acquires += other.latch_acquires;
+#define LRUK_POOL_COUNTER_ADD(name) name += other.name;
+    LRUK_POOL_COUNTERS(LRUK_POOL_COUNTER_ADD)
+#undef LRUK_POOL_COUNTER_ADD
     return *this;
   }
+
+  bool operator==(const BufferPoolStats&) const = default;
 };
+
+// One entry per counter, in list order: its name and its field.
+struct PoolCounter {
+  const char* name;
+  uint64_t BufferPoolStats::*field;
+};
+inline constexpr PoolCounter kPoolCounters[] = {
+#define LRUK_POOL_COUNTER_ENTRY(name) {#name, &BufferPoolStats::name},
+    LRUK_POOL_COUNTERS(LRUK_POOL_COUNTER_ENTRY)
+#undef LRUK_POOL_COUNTER_ENTRY
+};
+
+// Every field is a listed counter. A field declared outside the list would
+// be missed by the merge, the atomic mirror and every dump, so it fails to
+// compile here instead.
+static_assert(sizeof(BufferPoolStats) ==
+                  std::size(kPoolCounters) * sizeof(uint64_t),
+              "declare BufferPoolStats counters in LRUK_POOL_COUNTERS");
+
+// Calls fn(name, value) for every counter, in list order.
+template <typename Fn>
+void ForEachCounter(const BufferPoolStats& stats, Fn&& fn) {
+  for (const PoolCounter& counter : kPoolCounters) {
+    fn(counter.name, stats.*counter.field);
+  }
+}
+
+// The text form: every nonzero counter as name=value, space-separated, in
+// list order.
+inline std::string FormatCounters(const BufferPoolStats& stats) {
+  std::string out;
+  ForEachCounter(stats, [&](const char* name, uint64_t value) {
+    if (value == 0) return;
+    if (!out.empty()) out += ' ';
+    out += name;
+    out += '=';
+    out += std::to_string(value);
+  });
+  return out;
+}
 
 // Abstract page-caching pool. Implementations pin pages on fetch; callers
 // balance every FetchPage/NewPage with UnpinPage (or hold a PageGuard).

@@ -8,8 +8,8 @@
 //    same (seed, schedule).
 //  * Differential test — an empty-schedule wrapper over SimDiskManager is
 //    byte-identical to the bare manager under a deterministic pool
-//    workload: same IoStats (every field), same pool counters, same
-//    victim sequence, same resident set, same page images.
+//    workload: same IoStats (every field), every pool counter the same,
+//    same victim sequence, same resident set, same page images.
 //  * Pool hardening units — a failed read admits nothing; a failed dirty
 //    write-back rolls the eviction back (policy Restore, all three victim
 //    indices, latched and optimistic eviction); FlushAll tries every page and keeps failed pages dirty;
@@ -19,8 +19,9 @@
 //    faults, then Heal() + FlushAll(), asserting no acknowledged write is
 //    ever lost, durability on the inner disk, pool/policy residency sync,
 //    pin-count hygiene, and that replaying the same (seed, schedule)
-//    reproduces the identical fault trace. A concurrent variant (TSan
-//    target) races faults against pin/unpin across shards.
+//    reproduces the identical fault trace and every pool counter. A
+//    concurrent variant (TSan target) races faults against pin/unpin
+//    across shards.
 
 #include <algorithm>
 #include <atomic>
@@ -36,6 +37,7 @@
 #include "bufferpool/page_guard.h"
 #include "bufferpool/sharded_buffer_pool.h"
 #include "core/lru_k.h"
+#include "differential_harness.h"
 #include "gtest/gtest.h"
 #include "storage/fault_injecting_disk_manager.h"
 #include "storage/sim_disk_manager.h"
@@ -59,19 +61,9 @@ void ExpectIoStatsEq(const IoStats& a, const IoStats& b) {
   EXPECT_DOUBLE_EQ(a.simulated_micros, b.simulated_micros);
 }
 
-void ExpectPoolStatsEq(const BufferPoolStats& a, const BufferPoolStats& b) {
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.misses, b.misses);
-  EXPECT_EQ(a.evictions, b.evictions);
-  EXPECT_EQ(a.dirty_writebacks, b.dirty_writebacks);
-  EXPECT_EQ(a.read_failures, b.read_failures);
-  EXPECT_EQ(a.write_failures, b.write_failures);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.coalesced_reads, b.coalesced_reads);
-  EXPECT_EQ(a.prefetch_issued, b.prefetch_issued);
-  EXPECT_EQ(a.prefetch_used, b.prefetch_used);
-  EXPECT_EQ(a.prefetch_dropped, b.prefetch_dropped);
-}
+// Both sides run one seeded, single-threaded op sequence, so every pool
+// counter must match; a mismatch is nondeterminism.
+using difftest::ExpectCountersEq;
 
 std::string TraceToString(const std::vector<FaultEvent>& trace) {
   std::string out;
@@ -378,7 +370,7 @@ TEST(FaultInjectorDifferentialTest, EmptyScheduleIsByteIdenticalToBareDisk) {
 
   // Same victim sequence — replacement behaviour, not just counts.
   EXPECT_EQ(bare_recorder->evictions(), wrapped_recorder->evictions());
-  ExpectPoolStatsEq(bare_pool.stats(), wrapped_pool.stats());
+  ExpectCountersEq(bare_pool.stats(), wrapped_pool.stats());
   // Same IoStats, every field, through the wrapper's merged view.
   ExpectIoStatsEq(bare.stats(), wrapped.stats());
   EXPECT_EQ(wrapped.TraceSize(), 0u);
@@ -839,7 +831,7 @@ TEST(FaultSweepTest, GridOfSeedsRatesPoolsAndHitPaths) {
           EXPECT_EQ(first.trace, second.trace)
               << TraceToString(first.trace) << "vs\n"
               << TraceToString(second.trace);
-          ExpectPoolStatsEq(first.stats, second.stats);
+          ExpectCountersEq(first.stats, second.stats);
           if (rate > 0.0) {
             EXPECT_GT(first.trace.size(), 0u)
                 << "fault rate " << rate << " never fired";
