@@ -32,8 +32,8 @@
 //
 // Section 4 — overlapped flushes (threaded). FlushAll of 512 dirty pages
 // over a disk wrapper whose writes sleep 200 us of real time. The flush
-// hands the device one DiskManager::WritePages batch with the pool latch
-// released, and WritePages keeps up to kMaxWritesInFlight writes in
+// hands the device one DiskManager::RunBatch batch with the pool latch
+// released, and RunBatch keeps up to kMaxIoInFlight writes in
 // flight, so the flush takes a fraction of the 512 x 200 us it would take
 // written one at a time. The gain needs a device that overlaps writes, as
 // this sleeping one does. Further FlushAll rounds then run while a
@@ -41,6 +41,15 @@
 // pages, paced ~20 us apart, and time each fetch that overlaps a flush: a
 // flush that held the latch across its writes would stall such a fetch
 // for most of the flush.
+//
+// Section 5 — dirty misses (one thread, no dispatcher). A pool without a
+// dispatcher churns dirtying fetches over 4x its frames on a disk wrapper
+// whose reads and writes each sleep 200 us, so nearly every miss evicts a
+// dirty victim. Such a miss hands the device the victim's write-back and
+// its own read as one DiskManager::RunBatch batch. The cell runs twice,
+// on the sleeping disk as it is (it declares the default
+// kMaxIoInFlight, so the pair overlaps) and declaring 1 (the pair runs
+// write, then read), and times each miss.
 //
 // Shape checks (CI greps for ": NO"):
 //  * readahead — simulated foreground stall with readahead on is at
@@ -56,6 +65,8 @@
 //    serial time (pages x write sleep).
 //  * flush off the latch — the p99 of foreground fetches that overlap a
 //    FlushAll is under a tenth of its median wall time.
+//  * dirty-miss overlap — both dirty-miss runs carry identical counters,
+//    and the miss p50 on the concurrent device is <= 0.7x the serial one.
 //
 // Flags: --json <path> writes machine-readable results (BENCH_async_io
 // trajectory); --quick shrinks op counts for CI smoke runs.
@@ -237,10 +248,14 @@ ScanCell RunScanCell(const std::string& workload,
 class SleepingDiskManager final : public DiskManager {
  public:
   SleepingDiskManager(DiskManager* inner, uint64_t read_sleep_micros,
-                      uint64_t write_sleep_micros = 0)
+                      uint64_t write_sleep_micros = 0,
+                      size_t max_concurrent_io = kMaxIoInFlight)
       : inner_(inner),
         read_sleep_micros_(read_sleep_micros),
-        write_sleep_micros_(write_sleep_micros) {}
+        write_sleep_micros_(write_sleep_micros),
+        max_concurrent_io_(max_concurrent_io) {}
+
+  size_t MaxConcurrentIo() const override { return max_concurrent_io_; }
 
   Status ReadPage(PageId p, char* out) override {
     std::this_thread::sleep_for(
@@ -268,6 +283,7 @@ class SleepingDiskManager final : public DiskManager {
   DiskManager* inner_;
   uint64_t read_sleep_micros_;
   uint64_t write_sleep_micros_;
+  size_t max_concurrent_io_;
 };
 
 struct CoalesceCell {
@@ -607,15 +623,81 @@ FlushCell RunFlushCell(uint64_t reps) {
 }
 
 // ---------------------------------------------------------------------
+// Section 5: dirty misses.
+
+struct DirtyMissCell {
+  std::string device;  // "concurrent" | "serial"
+  size_t max_concurrent_io = 0;
+  uint64_t ops = 0;
+  BufferPoolStats stats;
+  double miss_p50_us = 0.0;
+  double miss_p99_us = 0.0;
+  bool accounting_exact = false;
+};
+
+// One thread fetches pages of a 256-page database through a 64-frame pool
+// without a dispatcher, every fetch for writing, uniformly at random
+// (seeded, so both runs make the same references), and times each miss.
+DirtyMissCell RunDirtyMissCell(size_t max_concurrent_io, uint64_t ops) {
+  using Clock = std::chrono::steady_clock;
+  constexpr size_t kFrames = 64;
+  constexpr uint64_t kDbPages = 256;
+  constexpr uint64_t kSleepMicros = 200;
+  DirtyMissCell cell;
+  cell.device = max_concurrent_io > 1 ? "concurrent" : "serial";
+  cell.max_concurrent_io = max_concurrent_io;
+  cell.ops = ops;
+
+  SimDiskOptions disk_options;
+  disk_options.read_micros = 0.0;
+  disk_options.write_micros = 0.0;
+  SimDiskManager base(disk_options);
+  SleepingDiskManager disk(&base, kSleepMicros, kSleepMicros,
+                           max_concurrent_io);
+  std::vector<PageId> pages;
+  for (uint64_t i = 0; i < kDbPages; ++i) {
+    auto p = base.AllocatePage();
+    if (!p.ok()) return cell;
+    pages.push_back(*p);
+  }
+  BufferPool pool(kFrames, &disk,
+                  std::make_unique<LruKPolicy>(
+                      LruKOptions{.k = 2, .capacity_hint = kFrames}));
+  RandomEngine rng(7);
+  std::vector<double> miss_us;
+  for (uint64_t i = 0; i < ops; ++i) {
+    const PageId p = pages[rng.NextBounded(kDbPages)];
+    const uint64_t misses = pool.StatsSnapshot().misses;
+    const Clock::time_point begin = Clock::now();
+    auto page = pool.FetchPage(p, AccessType::kWrite);
+    const Clock::time_point done = Clock::now();
+    if (!page.ok()) return cell;
+    (*page)->Data()[0] = static_cast<char>(i);
+    (void)pool.UnpinPage(p, true);
+    if (pool.StatsSnapshot().misses != misses) {
+      miss_us.push_back(
+          std::chrono::duration<double, std::micro>(done - begin).count());
+    }
+  }
+  cell.stats = pool.stats();
+  cell.miss_p50_us = Percentile(&miss_us, 0.50);
+  cell.miss_p99_us = Percentile(&miss_us, 0.99);
+  cell.accounting_exact = cell.stats.hits + cell.stats.misses == ops &&
+                          miss_us.size() == cell.stats.misses;
+  return cell;
+}
+
+// ---------------------------------------------------------------------
 
 void WriteJson(const char* path, const BenchProvenance& provenance,
                const std::vector<ScanCell>& scan_cells,
                const std::vector<CoalesceCell>& coalesce_cells,
                const std::vector<WriteBehindCell>& wb_cells,
-               const FlushCell& flush_cell, bool readahead_ok,
-               bool prefetch_used_ok, bool coalesce_ok, bool wb_foreground_ok,
-               bool wb_p99_ok, bool accounting_ok, bool flush_ok,
-               bool flush_unlatched_ok) {
+               const FlushCell& flush_cell,
+               const std::vector<DirtyMissCell>& dirty_cells,
+               bool readahead_ok, bool prefetch_used_ok, bool coalesce_ok,
+               bool wb_foreground_ok, bool wb_p99_ok, bool accounting_ok,
+               bool flush_ok, bool flush_unlatched_ok, bool dirty_miss_ok) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
@@ -701,6 +783,19 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                static_cast<unsigned long long>(flush_cell.fetches_during_flush),
                flush_cell.fetch_p50_us, flush_cell.fetch_p99_us,
                flush_cell.fetch_max_us);
+  std::fprintf(f, "  ],\n  \"dirty_miss_cells\": [\n");
+  for (size_t i = 0; i < dirty_cells.size(); ++i) {
+    const DirtyMissCell& c = dirty_cells[i];
+    std::fprintf(
+        f,
+        "    {\"device\": \"%s\", \"max_concurrent_io\": %zu, "
+        "\"ops\": %llu, %s, \"miss_p50_us\": %.1f, "
+        "\"miss_p99_us\": %.1f}%s\n",
+        c.device.c_str(), c.max_concurrent_io,
+        static_cast<unsigned long long>(c.ops),
+        PoolCountersJson(c.stats).c_str(), c.miss_p50_us, c.miss_p99_us,
+        i + 1 < dirty_cells.size() ? "," : "");
+  }
   std::fprintf(f,
                "  ],\n  \"checks\": {\n"
                "    \"readahead_beats_sync\": %s,\n"
@@ -710,14 +805,16 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                "    \"writebehind_p99_beats_sync\": %s,\n"
                "    \"accounting_exact\": %s,\n"
                "    \"flush_overlaps_writes\": %s,\n"
-               "    \"fetch_during_flush_unstalled\": %s\n  }\n}\n",
+               "    \"fetch_during_flush_unstalled\": %s,\n"
+               "    \"dirty_miss_overlaps\": %s\n  }\n}\n",
                readahead_ok ? "true" : "false",
                prefetch_used_ok ? "true" : "false",
                coalesce_ok ? "true" : "false",
                wb_foreground_ok ? "true" : "false",
                wb_p99_ok ? "true" : "false",
                accounting_ok ? "true" : "false", flush_ok ? "true" : "false",
-               flush_unlatched_ok ? "true" : "false");
+               flush_unlatched_ok ? "true" : "false",
+               dirty_miss_ok ? "true" : "false");
   std::fclose(f);
 }
 
@@ -751,6 +848,7 @@ int main(int argc, char** argv) {
   const uint64_t chunk = 32;
   const uint64_t ops_per_thread = quick ? 400 : 2500;
   const uint64_t wb_ops_per_thread = quick ? 600 : 3000;
+  const uint64_t dirty_ops = quick ? 800 : 4000;
   provenance.threads = 8;  // Maximum client threads across the sections.
 
   std::printf(
@@ -896,6 +994,36 @@ int main(int argc, char** argv) {
       flush_cell.fetches_during_flush > 0 &&
       flush_cell.fetch_p99_us * 10.0 < flush_cell.wall_ms * 1e3;
 
+  std::printf("\ndirty misses: one thread, no dispatcher, 200 us reads and "
+              "writes, 256 pages / 64 frames, every fetch dirtying\n");
+  const std::vector<DirtyMissCell> dirty_cells = {
+      RunDirtyMissCell(DiskManager::kMaxIoInFlight, dirty_ops),
+      RunDirtyMissCell(1, dirty_ops)};
+  AsciiTable dirty_table({"device", "max in flight", "misses",
+                          "dirty write-backs", "miss p50 (us)",
+                          "miss p99 (us)"});
+  for (const DirtyMissCell& c : dirty_cells) {
+    dirty_table.AddRow({c.device, std::to_string(c.max_concurrent_io),
+                        AsciiTable::Integer(c.stats.misses),
+                        AsciiTable::Integer(c.stats.dirty_writebacks),
+                        AsciiTable::Fixed(c.miss_p50_us, 1),
+                        AsciiTable::Fixed(c.miss_p99_us, 1)});
+    accounting_ok = accounting_ok && c.accounting_exact;
+  }
+  dirty_table.Print();
+  const DirtyMissCell& concurrent = dirty_cells[0];
+  const DirtyMissCell& serial = dirty_cells[1];
+  const bool dirty_counts_equal = concurrent.stats == serial.stats;
+  if (!dirty_counts_equal) {
+    std::printf("dirty-miss runs differ in their counters:\n  concurrent: "
+                "%s\n  serial:     %s\n",
+                FormatCounters(concurrent.stats).c_str(),
+                FormatCounters(serial.stats).c_str());
+  }
+  const bool dirty_miss_ok =
+      dirty_counts_equal && concurrent.stats.dirty_writebacks > 0 &&
+      concurrent.miss_p50_us <= 0.7 * serial.miss_p50_us;
+
   std::printf("\nshape: readahead stalls >= 5x below the synchronous "
               "baseline in every scan pair: %s\n",
               readahead_ok ? "yes" : "NO");
@@ -919,17 +1047,21 @@ int main(int argc, char** argv) {
   std::printf("shape: a fetch during FlushAll waits for no flush write (p99 "
               "< 1/10 of its wall time): %s\n",
               flush_unlatched_ok ? "yes" : "NO");
+  std::printf("shape: a dirty miss on a concurrent device waits <= 0.7x the "
+              "serial one (miss p50 %.0f vs %.0f us, same counters): %s\n",
+              concurrent.miss_p50_us, serial.miss_p50_us,
+              dirty_miss_ok ? "yes" : "NO");
 
   if (json_path != nullptr) {
     WriteJson(json_path, provenance, scan_cells, coalesce_cells, wb_cells,
-              flush_cell, readahead_ok, prefetch_used_ok,
+              flush_cell, dirty_cells, readahead_ok, prefetch_used_ok,
               coalesce_ok && bounded_ok, wb_foreground_ok, wb_p99_ok,
-              accounting_ok, flush_ok, flush_unlatched_ok);
+              accounting_ok, flush_ok, flush_unlatched_ok, dirty_miss_ok);
     std::printf("wrote %s\n", json_path);
   }
   return readahead_ok && prefetch_used_ok && coalesce_ok && bounded_ok &&
                  wb_foreground_ok && wb_p99_ok && accounting_ok &&
-                 flush_ok && flush_unlatched_ok
+                 flush_ok && flush_unlatched_ok && dirty_miss_ok
              ? 0
              : 1;
 }

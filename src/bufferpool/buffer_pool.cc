@@ -1,5 +1,6 @@
 #include "bufferpool/buffer_pool.h"
 
+#include <algorithm>
 #include <cstring>
 #include <mutex>
 #include <numeric>
@@ -52,6 +53,8 @@ BufferPool::BufferPool(size_t capacity, DiskManager* disk,
       io_ = owned_io_.get();
     }
     if (options_.readahead) readahead_ = std::make_unique<ReadaheadDetector>();
+  } else {
+    read_scratch_ = std::make_unique<char[]>(kPageSize);
   }
   frames_ = std::make_unique<Page[]>(capacity_);
   frame_prefetched_ = std::make_unique<std::atomic<uint8_t>[]>(capacity_);
@@ -87,34 +90,61 @@ Status BufferPool::DiskWrite(PageId p, const char* data) {
   return outcome.status;
 }
 
-void BufferPool::DiskWritePages(std::span<PageWrite> writes) {
-  // io_max_attempts over the batch: each attempt writes, as one batch, the
-  // entries the attempt before left with a retryable error. Each re-issued
-  // write counts as one retry, as in DiskWrite.
-  std::vector<PageWrite> batch(writes.begin(), writes.end());
-  std::vector<size_t> index(writes.size());
-  std::iota(index.begin(), index.end(), size_t{0});
-  bool reissue = false;
-  (void)RetryTransient(options_.io_max_attempts, [&] {
-    if (reissue) stats_.retries += batch.size();
-    reissue = true;
-    disk_->WritePages(batch);
-    size_t failed = 0;
-    for (size_t j = 0; j < batch.size(); ++j) {
-      writes[index[j]].status = batch[j].status;
-      if (!batch[j].status.ok() && IsRetryableError(batch[j].status.code())) {
-        index[failed] = index[j];
-        batch[failed++] = batch[j];
+void BufferPool::DiskBatch(std::span<PageIo> batch) {
+  disk_->RunBatch(batch);
+  if (std::all_of(batch.begin(), batch.end(),
+                  [](const PageIo& io) { return io.status.ok(); })) {
+    return;  // The common case: nothing to re-issue or count.
+  }
+  // Further rounds, each one RunBatch of the entries still owed an attempt
+  // (`todo`, indices into `batch`, in batch order), so that every entry
+  // gets io_max_attempts of its own, as DiskRead and DiskWrite give a
+  // single operation. An unissued read is owed its first attempt.
+  std::vector<int> attempts(batch.size(), 0);
+  std::vector<size_t> todo(batch.size());
+  std::iota(todo.begin(), todo.end(), size_t{0});
+  auto retry = [&](size_t i) {
+    const Status& status = batch[i].status;
+    return !status.ok() && IsRetryableError(status.code()) &&
+           attempts[i] < options_.io_max_attempts;
+  };
+  std::vector<PageIo> round;
+  bool write_lost = false;  // A write failed for good: no read follows it.
+  for (;;) {
+    for (size_t i : todo) {
+      const PageIo& io = batch[i];
+      if (io.status.code() == StatusCode::kAborted) continue;
+      ++attempts[i];
+      if (io.kind == PageIo::Kind::kWrite && !io.status.ok() && !retry(i)) {
+        write_lost = true;
       }
     }
-    batch.resize(failed);
-    index.resize(failed);
-    return failed == 0 ? Status::Ok() : batch.front().status;
-  });
+    size_t owed = 0;
+    for (size_t i : todo) {
+      const bool aborted = batch[i].status.code() == StatusCode::kAborted;
+      if (batch[i].kind == PageIo::Kind::kRead && write_lost) continue;
+      if (!aborted && !retry(i)) continue;
+      if (!aborted) ++stats_.retries;
+      todo[owed++] = i;
+    }
+    todo.resize(owed);
+    if (todo.empty()) break;
+    round.clear();
+    for (size_t i : todo) round.push_back(batch[i]);
+    disk_->RunBatch(round);
+    for (size_t j = 0; j < todo.size(); ++j) {
+      batch[todo[j]].status = std::move(round[j].status);
+    }
+  }
+  for (const PageIo& io : batch) {
+    if (io.status.ok() || io.status.code() == StatusCode::kAborted) continue;
+    ++(io.kind == PageIo::Kind::kRead ? stats_.read_failures
+                                      : stats_.write_failures);
+  }
 }
 
-Result<FrameId> BufferPool::AcquireFrame(
-    std::vector<PageId>* deferred_writes) {
+Result<FrameId> BufferPool::AcquireFrame(std::vector<PageId>* deferred_writes,
+                                         DemandRead* demand) {
   if (!free_frames_.empty()) {
     FrameId f = free_frames_.back();
     free_frames_.pop_back();
@@ -142,7 +172,7 @@ Result<FrameId> BufferPool::AcquireFrame(
     // page-table entry, pin count (0) and dirty bit are untouched —
     // Restore() re-registers the victim with the policy and the pool is
     // exactly as it was before Evict(). No eviction is counted.
-    Status written = WriteBackVictim(*victim, page, deferred_writes);
+    Status written = WriteBackVictim(*victim, page, deferred_writes, demand);
     if (!written.ok()) {
       policy_->Restore(*victim);
       return written;
@@ -196,7 +226,7 @@ Result<FrameId> BufferPool::AcquireFrame(
       // until we release the bucket, so the frame is exclusively ours —
       // the write-back (or write-behind image copy) cannot race a page
       // writer.
-      Status written = WriteBackVictim(victim, page, deferred_writes);
+      Status written = WriteBackVictim(victim, page, deferred_writes, demand);
       if (!written.ok()) {
         // The failed nominee is restored below with the rest (it is the
         // most recent examined pop, so reverse order restores it in its
@@ -223,8 +253,9 @@ Result<FrameId> BufferPool::AcquireFrame(
   return result;
 }
 
-Status BufferPool::WriteBackVictim(PageId v, const Page& page,
-                                   std::vector<PageId>* deferred_writes) {
+Status BufferPool::WriteBackVictim(PageId v, Page& page,
+                                   std::vector<PageId>* deferred_writes,
+                                   DemandRead* demand) {
   if (!page.is_dirty()) return Status::Ok();
   if (deferred_writes != nullptr) {
     // Write-behind: copy the image aside (the "pinned copy") and hand the
@@ -238,7 +269,19 @@ Status BufferPool::WriteBackVictim(PageId v, const Page& page,
     deferred_writes->push_back(v);
     return Status::Ok();
   }
-  LRUK_RETURN_IF_ERROR(DiskWrite(v, page.Data()));
+  if (demand == nullptr) {
+    LRUK_RETURN_IF_ERROR(DiskWrite(v, page.Data()));
+  } else {
+    // The write-back first: a device that runs one operation at a time
+    // writes, then reads only if the write landed, as two calls would.
+    PageIo pair[] = {
+        {PageIo::Kind::kWrite, v, page.Data(), Status::Ok()},
+        {PageIo::Kind::kRead, demand->page, read_scratch_.get(), Status::Ok()}};
+    DiskBatch(pair);
+    LRUK_RETURN_IF_ERROR(pair[0].status);
+    demand->done = true;
+    demand->status = std::move(pair[1].status);
+  }
   ++stats_.dirty_writebacks;
   return Status::Ok();
 }
@@ -550,9 +593,12 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
   // or the primary path below without recounting; so does a miss that
   // waits out a flush's pins and starts over).
   bool counted = false;
-  // The primary miss path's frame and deferred victim writes.
+  // The primary miss path's frame, deferred victim writes and, without a
+  // dispatcher, its read (which a dirty victim's write-back may carry).
   FrameId frame = 0;
   std::vector<PageId> deferred;
+  DemandRead demand;
+  demand.page = p;
   for (;;) {
     FrameId f = 0;
     if (page_table_.Find(p, &f)) {
@@ -667,7 +713,7 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
     // eviction decision, which must act on a fully drained view).
     DrainAccessBufferLocked();
     policy_->PrepareAdmit(p);
-    auto acquired = AcquireFrame(&deferred);
+    auto acquired = AcquireFrame(&deferred, io_ == nullptr ? &demand : nullptr);
     if (acquired.ok()) {
       frame = *acquired;
       break;
@@ -704,6 +750,9 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
     if (!outcome.status.ok()) ++stats_.read_failures;
     read = outcome.status;
     FinishPendingLocked(p, entry, read);
+  } else if (demand.done) {
+    read = demand.status;
+    if (read.ok()) std::memcpy(page.Data(), read_scratch_.get(), kPageSize);
   } else {
     read = DiskRead(p, page.Data());
   }
@@ -915,7 +964,7 @@ Status BufferPool::FlushAll() {
 Status BufferPool::FlushFramesLocked(
     std::unique_lock<std::mutex>& guard,
     std::span<const std::pair<PageId, FrameId>> targets) {
-  std::vector<PageWrite> writes;
+  std::vector<PageIo> writes;
   std::vector<FrameId> frames;
   for (const auto& [p, f] : targets) {
     Page& page = frames_[f];
@@ -930,12 +979,12 @@ Status BufferPool::FlushFramesLocked(
       policy_->SetEvictable(p, false);
     }
     flushing_.insert(p);
-    writes.push_back({p, page.Data(), Status::Ok()});
+    writes.push_back({PageIo::Kind::kWrite, p, page.Data(), Status::Ok()});
     frames.push_back(f);
   }
   if (writes.empty()) return Status::Ok();
   guard.unlock();
-  DiskWritePages(writes);
+  DiskBatch(writes);
   guard.lock();
   CountLatchAcquire();
   Status first_error = Status::Ok();
@@ -946,7 +995,6 @@ Status BufferPool::FlushFramesLocked(
       // Dirty again, so the write is retried by the next flush or eviction
       // rather than silently dropped.
       page.dirty_.store(true, std::memory_order_relaxed);
-      ++stats_.write_failures;
       if (first_error.ok()) first_error = writes[i].status;
     }
     if (page.pin_count_.fetch_sub(1) == 1 && !optimistic_) {

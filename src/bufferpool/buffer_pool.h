@@ -77,11 +77,13 @@ struct BufferPoolOptions {
   // (kIoError) before the error surfaces to the caller, the first
   // included; 1 (the default) is no retry. A retry is re-issued at once
   // (util/retry.h). FlushPage/FlushAll writes retry with the pool latch
-  // released, each re-issue a further WritePages batch of the retryable
-  // failures. With io_dispatcher, demand reads, prefetch reads and
-  // write-behind victim writes also retry with the latch released. Reads
-  // without a dispatcher, synchronous eviction write-backs and the writes
-  // of parked victim images (DiskRead/DiskWrite) retry under the latch.
+  // released, each re-issue a further DiskManager::RunBatch batch of the
+  // retryable failures. With io_dispatcher, demand reads, prefetch reads
+  // and write-behind victim writes also retry with the latch released.
+  // Reads without a dispatcher, synchronous eviction write-backs and the
+  // writes of parked victim images retry under the latch; a dirty miss's
+  // paired write-back and read (see AcquireFrame) retry as a flush's
+  // writes do, each re-issue a further batch, but under the latch.
   int io_max_attempts = 1;
 
   // Latch-free hit path (DESIGN.md "Optimistic page table & pin
@@ -168,7 +170,7 @@ class BufferPool final : public PoolInterface {
   Status UnpinPage(PageId p, bool dirty) override;
   // Both write without the pool latch (DESIGN.md §7 "Failed FlushPage/
   // FlushAll"): each dirty page is pinned and its dirty bit cleared under
-  // the latch, the pages go to the device as one DiskManager::WritePages
+  // the latch, the pages go to the device as one DiskManager::RunBatch
   // batch, and a failed write re-sets the bit. A flush's pins are never a
   // caller's: a miss that finds every frame pinned while a flush holds
   // pins waits for it, and DeletePage/FlushPage of a page under flush wait
@@ -347,20 +349,34 @@ class BufferPool final : public PoolInterface {
     std::condition_variable cv;
   };
 
+  // A miss's demand read, offered to AcquireFrame by a pool without a
+  // dispatcher so that a dirty victim's write-back can carry it (see
+  // WriteBackVictim). `done` once it did; `status` is then the read's, and
+  // on success the page's image is in read_scratch_.
+  struct DemandRead {
+    PageId page = kInvalidPageId;
+    bool done = false;
+    Status status;
+  };
+
   // Disk I/O under options_.io_max_attempts, with the pool's failure/retry
   // accounting. Caller holds the latch.
   Status DiskRead(PageId p, char* out);
   Status DiskWrite(PageId p, const char* data);
-  // WritePages under options_.io_max_attempts: each further attempt is one
-  // more WritePages call with the retryable failures of the last, and each
-  // re-issued write counts in `retries`. Caller must NOT hold the latch.
-  void DiskWritePages(std::span<PageWrite> writes);
+  // RunBatch under options_.io_max_attempts per entry, with the same
+  // accounting: each further round is one more RunBatch call with the
+  // entries the last left with a retryable error and attempts to spare
+  // (each such re-issue counts in `retries`) and the reads it did not
+  // issue (kAborted). Once a write has failed for good, no read is issued
+  // again. Every entry that ends in an error other than kAborted counts in
+  // read_failures or write_failures. The caller may hold the latch or not.
+  void DiskBatch(std::span<PageIo> batch);
   // The flush body FlushPage and FlushAll share. Under the latch, pins
   // each dirty page of `targets` (resident (page, frame) pairs under no
   // other flush) and clears its dirty bit; writes them all with the latch
-  // released (DiskWritePages); re-latched, unpins them and re-sets the
-  // dirty bit of each page whose write failed. Returns the first failure
-  // in target order. Caller holds `guard`.
+  // released (DiskBatch); re-latched, unpins them and re-sets the dirty
+  // bit of each page whose write failed. Returns the first failure in
+  // target order. Caller holds `guard`.
   Status FlushFramesLocked(
       std::unique_lock<std::mutex>& guard,
       std::span<const std::pair<PageId, FrameId>> targets);
@@ -373,10 +389,12 @@ class BufferPool final : public PoolInterface {
   // Finds a frame for a new resident page: the free list first, then a
   // policy eviction (with dirty write-back). If the victim's write-back
   // fails, the eviction is rolled back (policy_->Restore) and the pool is
-  // left exactly as before the call. In optimistic mode the policy may
-  // nominate pinned victims (SetEvictable is unused there — pin counts
-  // are ground truth); they are skipped under the bucket handshake and
-  // restored afterwards.
+  // left exactly as before the call. A synchronous write-back carries
+  // `demand` when given (see WriteBackVictim); if its read fails, the
+  // eviction stands and the frame is returned all the same. In optimistic
+  // mode the policy may nominate pinned victims (SetEvictable is unused
+  // there — pin counts are ground truth); they are skipped under the
+  // bucket handshake and restored afterwards.
   //
   // Write-behind: when `deferred_writes` is non-null and the dispatcher
   // runs in worker mode, a dirty victim's image is copied into a
@@ -385,12 +403,19 @@ class BufferPool final : public PoolInterface {
   // to LaunchDeferredVictimWrites after releasing the latch. A null
   // `deferred_writes` forces the synchronous write-back (used on failure
   // paths that must not cascade).
-  Result<FrameId> AcquireFrame(std::vector<PageId>* deferred_writes);
+  Result<FrameId> AcquireFrame(std::vector<PageId>* deferred_writes,
+                               DemandRead* demand = nullptr);
   // AcquireFrame's dirty-victim step for `v` in `page` (held exclusively):
   // a write-behind image copy onto `deferred_writes` when non-null, else a
-  // synchronous write-back, whose failure leaves the pool unchanged.
-  Status WriteBackVictim(PageId v, const Page& page,
-                         std::vector<PageId>* deferred_writes);
+  // synchronous write-back, whose failure leaves the pool unchanged. With
+  // `demand`, the write-back and the demand read go to the device as one
+  // DiskBatch, so a device that overlaps operations serves both in one
+  // service time, and the read lands in read_scratch_: the frame keeps the
+  // victim's image until the write has landed. A failed write-back fails
+  // the step as before (`demand` is left not done).
+  Status WriteBackVictim(PageId v, Page& page,
+                         std::vector<PageId>* deferred_writes,
+                         DemandRead* demand);
   // NewPage/AdmitNewPage body; caller holds `guard`.
   Result<Page*> AdmitNewPageLocked(std::unique_lock<std::mutex>& guard,
                                    PageId p,
@@ -490,6 +515,9 @@ class BufferPool final : public PoolInterface {
   // latch-free hit path uses a stack-local vector instead: it only pays
   // for an allocation when a stride actually triggers.
   std::vector<PageId> readahead_scratch_;
+  // Where a demand read paired with a dirty victim's write-back lands
+  // (latch-guarded; present iff io_ is null, the only pools that pair).
+  std::unique_ptr<char[]> read_scratch_;
   // AcquireFrame's batched-nomination scratch (latch-guarded like the
   // frame it hands out): reused across misses so the steady-state miss
   // path performs no allocation — the capacity sticks after warm-up.

@@ -8,29 +8,41 @@
 
 namespace lruk {
 
-void DiskManager::WritePages(std::span<PageWrite> writes) {
-  // Each writer takes the next unwritten entry until none is left, so the
-  // device sees up to MaxConcurrentWrites() writes at every moment of the
-  // batch rather than in waves. A lone writer (the caller) goes in order.
+void DiskManager::RunBatch(std::span<PageIo> batch) {
+  // Each runner takes the next entry not yet taken until none is left, so
+  // the device sees up to MaxConcurrentIo() operations at every moment of
+  // the batch rather than in waves. A lone runner (the caller) goes in
+  // order.
   std::atomic<size_t> next{0};
-  auto write_rest = [&] {
+  std::atomic<bool> write_failed{false};
+  auto run_rest = [&] {
     for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < writes.size();
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      writes[i].status = WritePage(writes[i].page, writes[i].data);
+         i < batch.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
+      PageIo& io = batch[i];
+      if (io.kind == PageIo::Kind::kWrite) {
+        io.status = WritePage(io.page, io.data);
+        if (!io.status.ok()) {
+          write_failed.store(true, std::memory_order_relaxed);
+        }
+      } else if (write_failed.load(std::memory_order_relaxed)) {
+        io.status = Status::Aborted("read not issued: a write of its batch "
+                                    "failed");
+      } else {
+        io.status = ReadPage(io.page, io.data);
+      }
     }
   };
-  const size_t writers = std::min(writes.size(), MaxConcurrentWrites());
+  const size_t runners = std::min(batch.size(), MaxConcurrentIo());
   std::vector<std::thread> helpers;
-  helpers.reserve(writers > 0 ? writers - 1 : 0);
-  for (size_t t = 1; t < writers; ++t) {
+  helpers.reserve(runners > 0 ? runners - 1 : 0);
+  for (size_t t = 1; t < runners; ++t) {
     try {
-      helpers.emplace_back(write_rest);
+      helpers.emplace_back(run_rest);
     } catch (const std::system_error&) {
-      break;  // No thread to be had: the writers already started finish.
+      break;  // No thread to be had: the runners already started finish.
     }
   }
-  write_rest();  // The caller is a writer too.
+  run_rest();  // The caller is a runner too.
   for (std::thread& helper : helpers) helper.join();
 }
 

@@ -3,16 +3,17 @@
 //                     used by simulations and tests.
 //   FileDiskManager — a real file on disk, used by the examples.
 //
-// Thread safety: WritePages, which FlushPage/FlushAll write through, runs
-// up to MaxConcurrentWrites() WritePage calls at once (kMaxWritesInFlight
-// unless a manager returns less), so WritePage must be thread-safe even
-// under a pool used by one thread, unless the manager returns 1. A pool
-// used by several threads calls every operation concurrently: flushes
-// write with the pool latch released, the async I/O dispatcher's workers
-// read and write, and the shards of a ShardedBufferPool share one
-// manager. SimDiskManager and FileDiskManager serialize every operation
-// on one internal latch, so overlapping their writes gains nothing: they
-// return 1.
+// Thread safety: RunBatch, which FlushPage/FlushAll write through and
+// which carries a dirty miss's write-back and read in a pool without a
+// dispatcher, runs up to MaxConcurrentIo() ReadPage/WritePage calls at
+// once (kMaxIoInFlight unless a manager returns less), so both must be
+// thread-safe even under a pool used by one thread, unless the manager
+// returns 1. A pool used by several threads calls every operation
+// concurrently: flushes write with the pool latch released, the async I/O
+// dispatcher's workers read and write, and the shards of a
+// ShardedBufferPool share one manager. SimDiskManager and FileDiskManager
+// serialize every operation on one internal latch, so overlapping their
+// operations gains nothing: they return 1.
 
 #ifndef LRUK_STORAGE_DISK_MANAGER_H_
 #define LRUK_STORAGE_DISK_MANAGER_H_
@@ -52,47 +53,59 @@ struct IoStats {
   double simulated_micros = 0.0;
 };
 
-// One entry of a WritePages batch: the page, its image (kPageSize bytes,
-// stable until WritePages returns) and, on return, the write's outcome.
-struct PageWrite {
+// One entry of a RunBatch batch: a read of `page` into `data`, or a write
+// of `data` to `page` (kPageSize bytes either way, stable until RunBatch
+// returns; a write leaves them unchanged), and on return its outcome.
+struct PageIo {
+  enum class Kind : uint8_t { kRead, kWrite };
+  Kind kind = Kind::kWrite;
   PageId page = kInvalidPageId;
-  const char* data = nullptr;
+  char* data = nullptr;
   Status status;
 };
 
 class DiskManager {
  public:
-  // The default MaxConcurrentWrites: WritePages keeps at most this many
-  // WritePage calls in flight.
-  static constexpr size_t kMaxWritesInFlight = 16;
+  // The default MaxConcurrentIo: RunBatch keeps at most this many
+  // ReadPage/WritePage calls in flight.
+  static constexpr size_t kMaxIoInFlight = 16;
 
   DiskManager() = default;
   virtual ~DiskManager() = default;
   DiskManager(const DiskManager&) = delete;
   DiskManager& operator=(const DiskManager&) = delete;
 
-  // Reads page `p` into `out` (exactly kPageSize bytes).
+  // Reads page `p` into `out` (exactly kPageSize bytes). RunBatch calls
+  // it and WritePage from several threads at once unless
+  // MaxConcurrentIo() is 1, so both must be thread-safe (see the note at
+  // the top of this file).
   virtual Status ReadPage(PageId p, char* out) = 0;
 
-  // Writes kPageSize bytes from `data` to page `p`. WritePages calls it
-  // from several threads at once unless MaxConcurrentWrites() is 1, so it
-  // must be thread-safe (see the note at the top of this file).
+  // Writes kPageSize bytes from `data` to page `p`.
   virtual Status WritePage(PageId p, const char* data) = 0;
 
-  // How many WritePage calls WritePages may keep in flight at once. The
-  // default, kMaxWritesInFlight, suits a device that serves writes
-  // concurrently, so that overlapping them saves wall time. A manager
-  // that serializes its writes anyway, whose WritePage is not
-  // thread-safe, or that needs a batch written in batch order returns 1.
-  virtual size_t MaxConcurrentWrites() const { return kMaxWritesInFlight; }
+  // How many operations RunBatch may keep in flight at once, reads and
+  // writes alike. The default, kMaxIoInFlight, suits a device that serves
+  // operations concurrently, so that overlapping them saves wall time. A
+  // manager that serializes its operations anyway, whose ReadPage or
+  // WritePage is not thread-safe, or that needs a batch run in batch order
+  // returns 1.
+  virtual size_t MaxConcurrentIo() const { return kMaxIoInFlight; }
 
-  // Writes every entry of `writes` and sets each entry's status; returns
-  // when all of them have finished. With MaxConcurrentWrites() > 1 (the
-  // default), up to that many WritePage calls run at once, on short-lived
-  // threads, continuously across the batch, so they run concurrently and
-  // in no fixed order. A batch of one, or a manager that returns 1, is
-  // written on the caller's thread in batch order.
-  void WritePages(std::span<PageWrite> writes);
+  // Runs every entry of `batch` and sets each entry's status; returns when
+  // all of them have finished. With MaxConcurrentIo() > 1 (the default),
+  // up to that many operations run at once, on the caller's thread and
+  // short-lived helper threads, continuously across the batch, so they run
+  // concurrently and in no fixed order. A batch of one, or a manager that
+  // returns 1, runs on the caller's thread in batch order.
+  //
+  // Writes always run. A read that has not started when a write of its
+  // batch fails is not issued and reports kAborted: a batch's reads are
+  // wanted only if its writes land (a dirty miss reads its page for a
+  // frame whose victim must reach disk first). So a manager that returns 1
+  // never reads after a failed write of the batch, while on a concurrent
+  // one the read may already be in flight.
+  void RunBatch(std::span<PageIo> batch);
 
   // Allocates a fresh zeroed page and returns its id.
   virtual Result<PageId> AllocatePage() = 0;

@@ -29,9 +29,9 @@
 // Thread safety: every operation is serialized by an internal latch (the
 // schedule state, RNG stream and trace are shared), so the wrapper is safe
 // under a ShardedBufferPool wherever the inner manager is. It returns 1
-// from MaxConcurrentWrites, so WritePages writes a batch one page at a
-// time in batch order and a batch's faults replay as exactly as single
-// writes do.
+// from MaxConcurrentIo, so RunBatch runs a batch one operation at a time
+// in batch order and a batch's faults replay as exactly as single
+// operations do.
 
 #ifndef LRUK_STORAGE_FAULT_INJECTING_DISK_MANAGER_H_
 #define LRUK_STORAGE_FAULT_INJECTING_DISK_MANAGER_H_
@@ -145,8 +145,8 @@ class FaultInjectingDiskManager final : public DiskManager {
 
   Status ReadPage(PageId p, char* out) override;
   Status WritePage(PageId p, const char* data) override;
-  // 1: a batch is written in batch order (see the determinism note).
-  size_t MaxConcurrentWrites() const override { return 1; }
+  // 1: a batch runs in batch order (see the determinism note).
+  size_t MaxConcurrentIo() const override { return 1; }
   Result<PageId> AllocatePage() override;
   Status DeallocatePage(PageId p) override;
   uint64_t NumAllocatedPages() const override;

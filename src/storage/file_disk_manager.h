@@ -1,8 +1,7 @@
 // File-backed disk manager: page p lives at byte offset p * kPageSize.
 // All operations are serialized by an internal latch (one shared FILE*
-// cursor), so the manager is safe under a ShardedBufferPool, and
-// WritePages writes a batch in order on the caller's thread
-// (MaxConcurrentWrites is 1).
+// cursor), so the manager is safe under a ShardedBufferPool, and RunBatch
+// runs a batch in order on the caller's thread (MaxConcurrentIo is 1).
 // The free list is kept in memory only (deallocated pages are reused within
 // a process lifetime but not across restarts); allocation high-water mark
 // is recovered from the file size on open.
@@ -30,7 +29,7 @@ class FileDiskManager final : public DiskManager {
 
   Status ReadPage(PageId p, char* out) override;
   Status WritePage(PageId p, const char* data) override;
-  size_t MaxConcurrentWrites() const override { return 1; }
+  size_t MaxConcurrentIo() const override { return 1; }
   Result<PageId> AllocatePage() override;
   Status DeallocatePage(PageId p) override;
   uint64_t NumAllocatedPages() const override;

@@ -14,11 +14,7 @@ Status SimDiskManager::ReadPage(PageId p, char* out) {
     ++stats_.read_failures;
     return Status::NotFound("read of unallocated page " + std::to_string(p));
   }
-  if (it->second.data == nullptr) {
-    std::memset(out, 0, kPageSize);  // Allocated but never written: zeros.
-  } else {
-    std::memcpy(out, it->second.data.get(), kPageSize);
-  }
+  std::memcpy(out, it->second.get(), kPageSize);
   ++stats_.reads;
   stats_.simulated_micros += options_.read_micros;
   return Status::Ok();
@@ -31,10 +27,7 @@ Status SimDiskManager::WritePage(PageId p, const char* data) {
     ++stats_.write_failures;
     return Status::NotFound("write of unallocated page " + std::to_string(p));
   }
-  if (it->second.data == nullptr) {
-    it->second.data = std::make_unique<char[]>(kPageSize);
-  }
-  std::memcpy(it->second.data.get(), data, kPageSize);
+  std::memcpy(it->second.get(), data, kPageSize);
   ++stats_.writes;
   stats_.simulated_micros += options_.write_micros;
   return Status::Ok();
@@ -49,7 +42,7 @@ Result<PageId> SimDiskManager::AllocatePage() {
   } else {
     p = next_page_id_++;
   }
-  pages_.emplace(p, Slot{});
+  pages_.emplace(p, std::make_unique<char[]>(kPageSize));  // Zeroed.
   ++stats_.allocations;
   return p;
 }

@@ -3,8 +3,8 @@
 // Thread safety: every operation is serialized by an internal latch, so
 // the shards of a ShardedBufferPool (each holding only its own shard
 // latch) may issue reads, write-backs and allocations concurrently. As the
-// latch serializes writes anyway, WritePages writes a batch in order on
-// the caller's thread (MaxConcurrentWrites is 1).
+// latch serializes operations anyway, RunBatch runs a batch in order on
+// the caller's thread (MaxConcurrentIo is 1).
 // stats() remains safe to read once concurrent operations have ceased.
 
 #ifndef LRUK_STORAGE_SIM_DISK_MANAGER_H_
@@ -33,23 +33,22 @@ class SimDiskManager final : public DiskManager {
 
   Status ReadPage(PageId p, char* out) override;
   Status WritePage(PageId p, const char* data) override;
-  size_t MaxConcurrentWrites() const override { return 1; }
+  size_t MaxConcurrentIo() const override { return 1; }
   Result<PageId> AllocatePage() override;
   Status DeallocatePage(PageId p) override;
   uint64_t NumAllocatedPages() const override;
 
  private:
-  struct Slot {
-    std::unique_ptr<char[]> data;  // Lazily materialized on first write.
-  };
-
   bool Allocated(PageId p) const { return pages_.contains(p); }
 
   mutable std::mutex latch_;
   SimDiskOptions options_;
   PageId next_page_id_ = 0;
   std::vector<PageId> free_list_;
-  std::unordered_map<PageId, Slot> pages_;
+  // Each allocated page's image, allocated zeroed by AllocatePage on the
+  // allocating thread (not by the first WritePage, which RunBatch may run
+  // on a short-lived helper thread, with its own malloc arena).
+  std::unordered_map<PageId, std::unique_ptr<char[]>> pages_;
 };
 
 }  // namespace lruk

@@ -25,6 +25,7 @@ enum class StatusCode {
   kIoError,
   kOutOfRange,
   kInternal,
+  kAborted,  // not attempted, because an operation it depends on failed
 };
 
 // Returns a short stable name for `code` ("OK", "NOT_FOUND", ...).
@@ -46,6 +47,8 @@ inline const char* StatusCodeName(StatusCode code) {
       return "OUT_OF_RANGE";
     case StatusCode::kInternal:
       return "INTERNAL";
+    case StatusCode::kAborted:
+      return "ABORTED";
   }
   return "UNKNOWN";
 }
@@ -78,6 +81,9 @@ class Status {
   }
   static Status Internal(std::string m) {
     return Status(StatusCode::kInternal, std::move(m));
+  }
+  static Status Aborted(std::string m) {
+    return Status(StatusCode::kAborted, std::move(m));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -17,10 +17,6 @@
 //  * Determinism — FlushAll under a probabilistic write-fault rule replays
 //    the same fault trace (FaultInjectingDiskManager writes a batch in
 //    batch order).
-//  * DiskManager::WritePages — it keeps at most kMaxWritesInFlight writes
-//    in flight and reports each entry's status; a manager whose
-//    MaxConcurrentWrites is 1 gets its batch in order on the caller's
-//    thread.
 //  * Churn — 8 threads fetch, modify and unpin while another thread
 //    flushes throughout; a fresh pool over the same disk then reads every
 //    acknowledged stamp (the restart oracle).
@@ -35,7 +31,6 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -530,118 +525,6 @@ INSTANTIATE_TEST_SUITE_P(Pools, FlushConcurrencyTest, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "Optimistic" : "Latched";
                          });
-
-// Counts concurrent WritePage calls, each held ~1 ms, and fails writes of
-// one chosen page.
-class InFlightDiskManager final : public DiskManager {
- public:
-  explicit InFlightDiskManager(PageId failing) : failing_(failing) {}
-
-  size_t max_in_flight() const { return max_in_flight_.load(); }
-  uint64_t WritesOf(PageId p) const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    auto it = writes_.find(p);
-    return it == writes_.end() ? 0 : it->second;
-  }
-
-  Status ReadPage(PageId, char*) override {
-    return Status::NotFound("write-only test device");
-  }
-  Status WritePage(PageId p, const char*) override {
-    size_t now = in_flight_.fetch_add(1) + 1;
-    size_t seen = max_in_flight_.load();
-    while (now > seen && !max_in_flight_.compare_exchange_weak(seen, now)) {
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      ++writes_[p];
-    }
-    in_flight_.fetch_sub(1);
-    if (p == failing_) return Status::IoError("injected");
-    return Status::Ok();
-  }
-  Result<PageId> AllocatePage() override {
-    return Status::Internal("write-only test device");
-  }
-  Status DeallocatePage(PageId) override { return Status::Ok(); }
-  uint64_t NumAllocatedPages() const override { return 0; }
-
- private:
-  PageId failing_;
-  std::atomic<size_t> in_flight_{0};
-  std::atomic<size_t> max_in_flight_{0};
-  mutable std::mutex mutex_;
-  std::unordered_map<PageId, uint64_t> writes_;
-};
-
-TEST(WritePagesConcurrencyTest, BaseKeepsAtMost16WritesInFlight) {
-  constexpr PageId kPages = 100;
-  constexpr PageId kFailing = 37;
-  InFlightDiskManager disk(kFailing);
-  std::vector<char> image(kPageSize, 'x');
-  std::vector<PageWrite> writes;
-  for (PageId p = 0; p < kPages; ++p) {
-    writes.push_back({p, image.data(), Status::Internal("not written")});
-  }
-  disk.WritePages(writes);
-
-  EXPECT_LE(disk.max_in_flight(), DiskManager::kMaxWritesInFlight);
-  EXPECT_GT(disk.max_in_flight(), 1u) << "the batch never overlapped";
-  for (PageId p = 0; p < kPages; ++p) {
-    EXPECT_EQ(disk.WritesOf(p), 1u) << "page " << p;
-    if (p == kFailing) {
-      EXPECT_EQ(writes[p].status.code(), StatusCode::kIoError);
-    } else {
-      EXPECT_TRUE(writes[p].status.ok()) << "page " << p;
-    }
-  }
-}
-
-TEST(WritePagesConcurrencyTest, BatchOfOneRunsOnTheCallersThread) {
-  struct ThreadRecorder final : public DiskManager {
-    std::thread::id writer;
-    Status ReadPage(PageId, char*) override { return Status::Ok(); }
-    Status WritePage(PageId, const char*) override {
-      writer = std::this_thread::get_id();
-      return Status::Ok();
-    }
-    Result<PageId> AllocatePage() override { return PageId{0}; }
-    Status DeallocatePage(PageId) override { return Status::Ok(); }
-    uint64_t NumAllocatedPages() const override { return 0; }
-  } disk;
-  std::vector<char> image(kPageSize, 'x');
-  PageWrite write{3, image.data(), Status::Internal("not written")};
-  disk.WritePages(std::span<PageWrite>(&write, 1));
-  EXPECT_TRUE(write.status.ok());
-  EXPECT_EQ(disk.writer, std::this_thread::get_id());
-}
-
-TEST(WritePagesConcurrencyTest, OneWriteAtATimeRunsInBatchOrderOnTheCaller) {
-  struct OrderRecorder final : public DiskManager {
-    std::vector<PageId> order;
-    std::vector<std::thread::id> writers;
-    size_t MaxConcurrentWrites() const override { return 1; }
-    Status ReadPage(PageId, char*) override { return Status::Ok(); }
-    Status WritePage(PageId p, const char*) override {
-      order.push_back(p);
-      writers.push_back(std::this_thread::get_id());
-      return Status::Ok();
-    }
-    Result<PageId> AllocatePage() override { return PageId{0}; }
-    Status DeallocatePage(PageId) override { return Status::Ok(); }
-    uint64_t NumAllocatedPages() const override { return 0; }
-  } disk;
-  std::vector<char> image(kPageSize, 'x');
-  std::vector<PageWrite> writes;
-  const std::vector<PageId> batch = {9, 4, 7, 1, 30, 2};
-  for (PageId p : batch) writes.push_back({p, image.data(), Status::Ok()});
-  disk.WritePages(writes);
-  EXPECT_EQ(disk.order, batch);
-  for (std::thread::id writer : disk.writers) {
-    EXPECT_EQ(writer, std::this_thread::get_id());
-  }
-}
 
 }  // namespace
 }  // namespace lruk

@@ -33,6 +33,7 @@ TEST(StatusTest, AllCodesHaveNames) {
   EXPECT_STREQ(StatusCodeName(StatusCode::kIoError), "IO_ERROR");
   EXPECT_STREQ(StatusCodeName(StatusCode::kOutOfRange), "OUT_OF_RANGE");
   EXPECT_STREQ(StatusCodeName(StatusCode::kInternal), "INTERNAL");
+  EXPECT_STREQ(StatusCodeName(StatusCode::kAborted), "ABORTED");
 }
 
 TEST(StatusTest, EqualityComparesCodeOnly) {
