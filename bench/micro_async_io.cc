@@ -23,8 +23,8 @@
 // Section 3 — write-behind eviction (threaded). A dirty-heavy churn (70%
 // writes) over a disk whose writes cost 5x its reads, paced below disk
 // saturation so the question is purely WHERE the victim write-back runs:
-// on the miss path (sync: the inline dispatcher, io_workers = 0, whose
-// evicting thread writes the victim back before its read), or off it
+// on the miss path (sync: the default pool, io_workers = 0, whose
+// evicting thread writes the victim back with its read), or off it
 // (write-behind: worker mode posts the pinned-copy victim write on the
 // Flush lane and admits immediately). Client-side fetch latency
 // percentiles and the dispatcher's per-lane counters expose the
@@ -42,14 +42,22 @@
 // flush that held the latch across its writes would stall such a fetch
 // for most of the flush.
 //
-// Section 5 — dirty misses (one thread, no dispatcher). A pool without a
-// dispatcher churns dirtying fetches over 4x its frames on a disk wrapper
-// whose reads and writes each sleep 200 us, so nearly every miss evicts a
-// dirty victim. Such a miss hands the device the victim's write-back and
-// its own read as one DiskManager::RunBatch batch. The cell runs twice,
-// on the sleeping disk as it is (it declares the default
+// Section 5 — dirty misses (one thread, the default pool). The pool
+// churns dirtying fetches over 4x its frames on a disk wrapper whose
+// reads and writes each sleep 200 us, so nearly every miss evicts a dirty
+// victim. Such a miss hands the device the victim's write-back and its
+// own read as one DiskManager::RunBatch batch, under the pool latch. The
+// cell runs twice, on the sleeping disk as it is (it declares the default
 // kMaxIoInFlight, so the pair overlaps) and declaring 1 (the pair runs
 // write, then read), and times each miss.
+//
+// Section 6 — hits during clean misses (two threads, the default pool).
+// One thread reads pages that are not resident, one after another, on a
+// disk wrapper whose reads sleep 200 us; every victim is clean, so each
+// read runs with the pool latch released. Meanwhile a second thread
+// fetches 64 resident pages (hits, each taking the latch), paced ~20 us
+// apart, and times each fetch: a pool that held its latch across the
+// read would stall such a hit for up to a whole read.
 //
 // Shape checks (CI greps for ": NO"):
 //  * readahead — simulated foreground stall with readahead on is at
@@ -67,6 +75,9 @@
 //    FlushAll is under a tenth of its median wall time.
 //  * dirty-miss overlap — both dirty-miss runs carry identical counters,
 //    and the miss p50 on the concurrent device is <= 0.7x the serial one.
+//  * hit during a clean miss — every fetch of the resident pages was a
+//    hit, and the p99 of those taken while the other thread's misses read
+//    is under a tenth of the read time.
 //
 // Flags: --json <path> writes machine-readable results (BENCH_async_io
 // trajectory); --quick shrinks op counts for CI smoke runs.
@@ -178,7 +189,6 @@ ScanCell RunScanCell(const std::string& workload,
 
   constexpr size_t kFrames = 512;
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = 0;  // Inline: deterministic, byte-exact.
   options.readahead = readahead;
 
@@ -317,7 +327,6 @@ CoalesceCell RunCoalesceCell(const std::string& pool_kind,
   SleepingDiskManager disk(&base, /*read_sleep_micros=*/200);
 
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = cell.workers;
 
   std::unique_ptr<PoolInterface> pool;
@@ -428,7 +437,6 @@ WriteBehindCell RunWriteBehindCell(const std::string& mode,
                            /*write_sleep_micros=*/150);
 
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = cell.workers;
 
   std::unique_ptr<PoolInterface> pool;
@@ -635,8 +643,8 @@ struct DirtyMissCell {
   bool accounting_exact = false;
 };
 
-// One thread fetches pages of a 256-page database through a 64-frame pool
-// without a dispatcher, every fetch for writing, uniformly at random
+// One thread fetches pages of a 256-page database through a default
+// 64-frame pool, every fetch for writing, uniformly at random
 // (seeded, so both runs make the same references), and times each miss.
 DirtyMissCell RunDirtyMissCell(size_t max_concurrent_io, uint64_t ops) {
   using Clock = std::chrono::steady_clock;
@@ -688,6 +696,102 @@ DirtyMissCell RunDirtyMissCell(size_t max_concurrent_io, uint64_t ops) {
 }
 
 // ---------------------------------------------------------------------
+// Section 6: hits during clean misses.
+
+struct HitDuringMissCell {
+  uint64_t read_micros = 0;
+  uint64_t hot_pages = 0;
+  uint64_t hits = 0;      // Fetches of the resident pages that hit.
+  uint64_t fetches = 0;   // Fetches of the resident pages.
+  uint64_t misses = 0;    // The other thread's misses meanwhile.
+  BufferPoolStats stats;  // The pool's counters over both threads.
+  double hit_p50_us = 0.0;
+  double hit_p99_us = 0.0;
+  double hit_max_us = 0.0;
+};
+
+// A default pool holds 64 resident pages, each referenced twice (so LRU-2
+// keeps them over pages referenced once), and 16 more frames. One thread
+// fetches pages that are not resident, in order, each a clean miss over a
+// 200 us read; another fetches the resident pages round-robin, paced ~20 us
+// apart, `fetches` times, and times each fetch.
+HitDuringMissCell RunHitDuringMissCell(uint64_t fetches) {
+  using Clock = std::chrono::steady_clock;
+  constexpr uint64_t kHotPages = 64;
+  constexpr uint64_t kColdPages = 4096;
+  constexpr size_t kFrames = kHotPages + 16;
+  HitDuringMissCell cell;
+  cell.read_micros = 200;
+  cell.hot_pages = kHotPages;
+
+  SimDiskOptions disk_options;
+  disk_options.read_micros = 0.0;
+  disk_options.write_micros = 0.0;
+  SimDiskManager base(disk_options);
+  SleepingDiskManager disk(&base, cell.read_micros);
+  BufferPool pool(kFrames, &disk,
+                  std::make_unique<LruKPolicy>(
+                      LruKOptions{.k = 2, .capacity_hint = kFrames}));
+  std::vector<PageId> hot;
+  for (uint64_t i = 0; i < kHotPages; ++i) {
+    auto page = pool.NewPage();
+    if (!page.ok()) return cell;
+    hot.push_back((*page)->id());
+    (void)pool.UnpinPage((*page)->id(), false);
+  }
+  std::vector<PageId> cold;
+  for (uint64_t i = 0; i < kColdPages; ++i) {
+    auto p = base.AllocatePage();
+    if (!p.ok()) return cell;
+    cold.push_back(*p);
+  }
+  if (!pool.FlushAll().ok()) return cell;
+  for (PageId p : hot) {  // The second reference.
+    if (!pool.FetchPage(p).ok()) return cell;
+    (void)pool.UnpinPage(p, false);
+  }
+  pool.ResetStats();
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> misses{0};
+  std::thread scanner([&] {
+    for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      const PageId p = cold[i % kColdPages];
+      auto page = pool.FetchPage(p);
+      if (page.ok()) (void)pool.UnpinPage(p, false);
+      misses.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  // Start timing once the scanner is inside its reads.
+  while (misses.load(std::memory_order_relaxed) < 4) std::this_thread::yield();
+  std::vector<double> hit_us;
+  hit_us.reserve(fetches);
+  const uint64_t hits_before = pool.StatsSnapshot().hits;
+  const uint64_t misses_before = misses.load();
+  for (uint64_t i = 0; i < fetches; ++i) {
+    const PageId p = hot[i % kHotPages];
+    const Clock::time_point begin = Clock::now();
+    auto page = pool.FetchPage(p);
+    const Clock::time_point done = Clock::now();
+    if (page.ok()) (void)pool.UnpinPage(p, false);
+    hit_us.push_back(
+        std::chrono::duration<double, std::micro>(done - begin).count());
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+  // The scanner's own misses are the only other hits or misses.
+  cell.hits = pool.StatsSnapshot().hits - hits_before;
+  cell.misses = misses.load() - misses_before;
+  stop.store(true);
+  scanner.join();
+  cell.stats = pool.stats();
+  cell.fetches = fetches;
+  cell.hit_p50_us = Percentile(&hit_us, 0.50);
+  cell.hit_p99_us = Percentile(&hit_us, 0.99);
+  cell.hit_max_us = hit_us.empty() ? 0.0 : hit_us.back();
+  return cell;
+}
+
+// ---------------------------------------------------------------------
 
 void WriteJson(const char* path, const BenchProvenance& provenance,
                const std::vector<ScanCell>& scan_cells,
@@ -695,9 +799,11 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                const std::vector<WriteBehindCell>& wb_cells,
                const FlushCell& flush_cell,
                const std::vector<DirtyMissCell>& dirty_cells,
-               bool readahead_ok, bool prefetch_used_ok, bool coalesce_ok,
+               const HitDuringMissCell& hit_cell, bool readahead_ok,
+               bool prefetch_used_ok, bool coalesce_ok,
                bool wb_foreground_ok, bool wb_p99_ok, bool accounting_ok,
-               bool flush_ok, bool flush_unlatched_ok, bool dirty_miss_ok) {
+               bool flush_ok, bool flush_unlatched_ok, bool dirty_miss_ok,
+               bool hit_unstalled_ok) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
@@ -796,6 +902,20 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
         PoolCountersJson(c.stats).c_str(), c.miss_p50_us, c.miss_p99_us,
         i + 1 < dirty_cells.size() ? "," : "");
   }
+  std::fprintf(
+      f,
+      "  ],\n  \"hit_during_miss_cells\": [\n"
+      "    {\"pool\": \"single-latch\", \"read_micros\": %llu, "
+      "\"hot_pages\": %llu, \"fetches\": %llu, \"hot_hits\": %llu, "
+      "\"misses_meanwhile\": %llu, %s, \"hit_p50_us\": %.2f, "
+      "\"hit_p99_us\": %.2f, \"hit_max_us\": %.1f}\n",
+      static_cast<unsigned long long>(hit_cell.read_micros),
+      static_cast<unsigned long long>(hit_cell.hot_pages),
+      static_cast<unsigned long long>(hit_cell.fetches),
+      static_cast<unsigned long long>(hit_cell.hits),
+      static_cast<unsigned long long>(hit_cell.misses),
+      PoolCountersJson(hit_cell.stats).c_str(), hit_cell.hit_p50_us,
+      hit_cell.hit_p99_us, hit_cell.hit_max_us);
   std::fprintf(f,
                "  ],\n  \"checks\": {\n"
                "    \"readahead_beats_sync\": %s,\n"
@@ -806,7 +926,8 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                "    \"accounting_exact\": %s,\n"
                "    \"flush_overlaps_writes\": %s,\n"
                "    \"fetch_during_flush_unstalled\": %s,\n"
-               "    \"dirty_miss_overlaps\": %s\n  }\n}\n",
+               "    \"dirty_miss_overlaps\": %s,\n"
+               "    \"hit_during_miss_unstalled\": %s\n  }\n}\n",
                readahead_ok ? "true" : "false",
                prefetch_used_ok ? "true" : "false",
                coalesce_ok ? "true" : "false",
@@ -814,7 +935,8 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                wb_p99_ok ? "true" : "false",
                accounting_ok ? "true" : "false", flush_ok ? "true" : "false",
                flush_unlatched_ok ? "true" : "false",
-               dirty_miss_ok ? "true" : "false");
+               dirty_miss_ok ? "true" : "false",
+               hit_unstalled_ok ? "true" : "false");
   std::fclose(f);
 }
 
@@ -849,6 +971,7 @@ int main(int argc, char** argv) {
   const uint64_t ops_per_thread = quick ? 400 : 2500;
   const uint64_t wb_ops_per_thread = quick ? 600 : 3000;
   const uint64_t dirty_ops = quick ? 800 : 4000;
+  const uint64_t hit_fetches = quick ? 2000 : 4000;
   provenance.threads = 8;  // Maximum client threads across the sections.
 
   std::printf(
@@ -994,7 +1117,7 @@ int main(int argc, char** argv) {
       flush_cell.fetches_during_flush > 0 &&
       flush_cell.fetch_p99_us * 10.0 < flush_cell.wall_ms * 1e3;
 
-  std::printf("\ndirty misses: one thread, no dispatcher, 200 us reads and "
+  std::printf("\ndirty misses: one thread, default pool, 200 us reads and "
               "writes, 256 pages / 64 frames, every fetch dirtying\n");
   const std::vector<DirtyMissCell> dirty_cells = {
       RunDirtyMissCell(DiskManager::kMaxIoInFlight, dirty_ops),
@@ -1024,6 +1147,24 @@ int main(int argc, char** argv) {
       dirty_counts_equal && concurrent.stats.dirty_writebacks > 0 &&
       concurrent.miss_p50_us <= 0.7 * serial.miss_p50_us;
 
+  const HitDuringMissCell hit_cell = RunHitDuringMissCell(hit_fetches);
+  std::printf("\nhits during clean misses: 64 resident pages fetched ~20 us "
+              "apart while another thread misses on %llu us reads\n",
+              static_cast<unsigned long long>(hit_cell.read_micros));
+  AsciiTable hit_table({"pool", "fetches", "hits", "misses meanwhile",
+                        "hit p50 (us)", "hit p99 (us)", "hit max (us)"});
+  hit_table.AddRow({"single-latch", AsciiTable::Integer(hit_cell.fetches),
+                    AsciiTable::Integer(hit_cell.hits),
+                    AsciiTable::Integer(hit_cell.misses),
+                    AsciiTable::Fixed(hit_cell.hit_p50_us, 2),
+                    AsciiTable::Fixed(hit_cell.hit_p99_us, 2),
+                    AsciiTable::Fixed(hit_cell.hit_max_us, 1)});
+  hit_table.Print();
+  const bool hit_unstalled_ok =
+      hit_cell.fetches > 0 && hit_cell.hits == hit_cell.fetches &&
+      hit_cell.misses > 0 &&
+      hit_cell.hit_p99_us * 10.0 < static_cast<double>(hit_cell.read_micros);
+
   std::printf("\nshape: readahead stalls >= 5x below the synchronous "
               "baseline in every scan pair: %s\n",
               readahead_ok ? "yes" : "NO");
@@ -1051,17 +1192,22 @@ int main(int argc, char** argv) {
               "serial one (miss p50 %.0f vs %.0f us, same counters): %s\n",
               concurrent.miss_p50_us, serial.miss_p50_us,
               dirty_miss_ok ? "yes" : "NO");
+  std::printf("shape: a hit during a clean miss waits for no device read "
+              "(p99 < 1/10 of the read time): %s\n",
+              hit_unstalled_ok ? "yes" : "NO");
 
   if (json_path != nullptr) {
     WriteJson(json_path, provenance, scan_cells, coalesce_cells, wb_cells,
-              flush_cell, dirty_cells, readahead_ok, prefetch_used_ok,
-              coalesce_ok && bounded_ok, wb_foreground_ok, wb_p99_ok,
-              accounting_ok, flush_ok, flush_unlatched_ok, dirty_miss_ok);
+              flush_cell, dirty_cells, hit_cell, readahead_ok,
+              prefetch_used_ok, coalesce_ok && bounded_ok, wb_foreground_ok,
+              wb_p99_ok, accounting_ok, flush_ok, flush_unlatched_ok,
+              dirty_miss_ok, hit_unstalled_ok);
     std::printf("wrote %s\n", json_path);
   }
   return readahead_ok && prefetch_used_ok && coalesce_ok && bounded_ok &&
                  wb_foreground_ok && wb_p99_ok && accounting_ok &&
-                 flush_ok && flush_unlatched_ok && dirty_miss_ok
+                 flush_ok && flush_unlatched_ok && dirty_miss_ok &&
+                 hit_unstalled_ok
              ? 0
              : 1;
 }

@@ -2,7 +2,8 @@
 // simulated disk under each policy, at a skewed access pattern where ~30%
 // of fetches miss. Complements micro_policy_overhead (pure policy cost) by
 // measuring the full manager path: page table, frame management, policy
-// callbacks, and dirty write-back.
+// callbacks, and dirty write-back. BM_PoolCleanMiss prices the clean miss
+// on its own.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "bufferpool/buffer_pool.h"
+#include "core/lru_k.h"
 #include "core/policy_factory.h"
 #include "storage/sim_disk_manager.h"
 #include "util/random.h"
@@ -70,6 +72,42 @@ void RunPool(benchmark::State& state, const char* policy_name,
   state.counters["hit_ratio"] = pool.stats().HitRatio();
 }
 
+// 64 frames over 4,096 pages read uniformly at random: ~98% of fetches
+// miss and every victim is clean, so an iteration is one clean miss —
+// tracker registration, the (zero-latency) read with the latch released,
+// admission — plus its unpin. EXPERIMENTS.md "One miss path" compares it
+// with the two miss paths it replaced.
+void BM_PoolCleanMiss(benchmark::State& state) {
+  constexpr size_t kMissFrames = 64;
+  SimDiskManager disk;
+  std::vector<PageId> pages;
+  pages.reserve(kDiskPages);
+  for (uint64_t i = 0; i < kDiskPages; ++i) {
+    auto p = disk.AllocatePage();
+    if (!p.ok()) {
+      state.SkipWithError("allocation failed");
+      return;
+    }
+    pages.push_back(*p);
+  }
+  BufferPool pool(kMissFrames, &disk,
+                  std::make_unique<LruKPolicy>(
+                      LruKOptions{.k = 2, .capacity_hint = kMissFrames}));
+  RandomEngine rng(11);
+  for (auto _ : state) {
+    PageId p = pages[rng.NextBounded(kDiskPages)];
+    auto page = pool.FetchPage(p);
+    if (!page.ok()) {
+      state.SkipWithError("fetch failed");
+      return;
+    }
+    benchmark::DoNotOptimize((*page)->Data()[0]);
+    (void)pool.UnpinPage(p, false);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["hit_ratio"] = pool.stats().HitRatio();
+}
+
 void BM_PoolLru(benchmark::State& s) { RunPool(s, "LRU", 0.0); }
 void BM_PoolLru2(benchmark::State& s) { RunPool(s, "LRU-2", 0.0); }
 void BM_PoolLru2Writes(benchmark::State& s) { RunPool(s, "LRU-2", 0.3); }
@@ -83,6 +121,7 @@ BENCHMARK(BM_PoolLru2Writes);
 BENCHMARK(BM_PoolTwoQ);
 BENCHMARK(BM_PoolArc);
 BENCHMARK(BM_PoolClock);
+BENCHMARK(BM_PoolCleanMiss);
 
 }  // namespace
 }  // namespace lruk

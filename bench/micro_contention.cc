@@ -34,9 +34,8 @@
 //  * composition — the "optimistic+ra" cell runs the optimistic pool with
 //    the voting scan detector on (inline dispatcher): its 1-thread
 //    Zipfian throughput must stay >= 0.9x the "optimistic+disp" cell —
-//    the same dispatcher stack with the detector off, so the ratio
-//    isolates what detection costs rather than pricing the dispatcher's
-//    release-latch-across-read miss protocol
+//    the same pool with the detector off, run in the same paired
+//    repetitions, so the ratio isolates what detection costs
 //    (detection must not tax the fast path; enforced in optimized builds
 //    only — at -O0 the un-inlined voting loop dominates the access and
 //    the ratio is meaningless), and the 1-thread hot-page optimistic
@@ -386,12 +385,9 @@ int main(int argc, char** argv) {
 
   // Readahead composition: the same 1-thread Zipfian churn with the scan
   // detector enabled on top of the optimistic pool (inline dispatcher: no
-  // worker threads). The baseline is the SAME dispatcher stack with the
-  // detector off — the dispatcher's miss protocol drops and re-takes the
-  // latch across every read (that is what lets concurrent misses coalesce),
-  // so an optimistic-alone baseline would price that miss-path machinery,
-  // not detection; against the matched stack the delta is exactly what the
-  // always-on detector costs the fast path. Observe is wait-free, so warm
+  // worker threads). The baseline is the same pool with the detector off,
+  // so the delta is exactly what the always-on detector costs the fast
+  // path. Observe is wait-free, so warm
   // hits must stay latch-free, and a Zipfian stream almost never musters
   // kReadaheadMinRun aligned votes, so this prices the detector probe, not
   // actual prefetch traffic.
@@ -405,7 +401,6 @@ int main(int argc, char** argv) {
       disk_options.write_micros = 0.0;
       SimDiskManager disk(disk_options);
       BufferPoolOptions options = CellOptions(/*optimistic=*/true);
-      options.io_dispatcher = true;
       options.io_workers = 0;  // Inline: prefetches run on the fetch
                                // thread.
       options.readahead = detector;

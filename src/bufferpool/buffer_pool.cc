@@ -45,17 +45,14 @@ BufferPool::BufferPool(size_t capacity, DiskManager* disk,
     access_buffer_ = std::make_unique<AccessBuffer>(/*capacity=*/64,
                                                     /*stripes=*/8);
   }
-  if (options_.io_dispatcher) {
-    if (shared_dispatcher != nullptr) {
-      io_ = shared_dispatcher;
-    } else {
-      owned_io_ = std::make_unique<IoDispatcher>(options_.io_workers);
-      io_ = owned_io_.get();
-    }
-    if (options_.readahead) readahead_ = std::make_unique<ReadaheadDetector>();
+  if (shared_dispatcher != nullptr) {
+    io_ = shared_dispatcher;
   } else {
-    read_scratch_ = std::make_unique<char[]>(kPageSize);
+    owned_io_ = std::make_unique<IoDispatcher>(options_.io_workers);
+    io_ = owned_io_.get();
   }
+  if (options_.readahead) readahead_ = std::make_unique<ReadaheadDetector>();
+  if (io_->inline_mode()) read_scratch_ = std::make_unique<char[]>(kPageSize);
   frames_ = std::make_unique<Page[]>(capacity_);
   frame_prefetched_ = std::make_unique<std::atomic<uint8_t>[]>(capacity_);
   for (size_t f = 0; f < capacity_; ++f) {
@@ -74,22 +71,6 @@ BufferPool::~BufferPool() {
   (void)FlushAll();
 }
 
-Status BufferPool::DiskRead(PageId p, char* out) {
-  RetryOutcome outcome = RetryTransient(
-      options_.io_max_attempts, [&] { return disk_->ReadPage(p, out); });
-  stats_.retries += outcome.retries;
-  if (!outcome.status.ok()) ++stats_.read_failures;
-  return outcome.status;
-}
-
-Status BufferPool::DiskWrite(PageId p, const char* data) {
-  RetryOutcome outcome = RetryTransient(
-      options_.io_max_attempts, [&] { return disk_->WritePage(p, data); });
-  stats_.retries += outcome.retries;
-  if (!outcome.status.ok()) ++stats_.write_failures;
-  return outcome.status;
-}
-
 void BufferPool::DiskBatch(std::span<PageIo> batch) {
   disk_->RunBatch(batch);
   if (std::all_of(batch.begin(), batch.end(),
@@ -98,8 +79,8 @@ void BufferPool::DiskBatch(std::span<PageIo> batch) {
   }
   // Further rounds, each one RunBatch of the entries still owed an attempt
   // (`todo`, indices into `batch`, in batch order), so that every entry
-  // gets io_max_attempts of its own, as DiskRead and DiskWrite give a
-  // single operation. An unissued read is owed its first attempt.
+  // gets io_max_attempts of its own, as RetryTransient gives a single
+  // operation. An unissued read is owed its first attempt.
   std::vector<int> attempts(batch.size(), 0);
   std::vector<size_t> todo(batch.size());
   std::iota(todo.begin(), todo.end(), size_t{0});
@@ -151,10 +132,10 @@ Result<FrameId> BufferPool::AcquireFrame(std::vector<PageId>* deferred_writes,
     return f;
   }
   // Write-behind needs somewhere off the miss path to run, so a
-  // worker-mode dispatcher always writes dirty victims behind. Direct and
-  // inline pools keep the synchronous write-back, so deterministic replay
-  // sees the exact same disk-op order.
-  if (io_ == nullptr || io_->inline_mode()) deferred_writes = nullptr;
+  // worker-mode dispatcher always writes dirty victims behind. Inline pools
+  // keep the synchronous write-back, so deterministic replay sees a fixed
+  // disk-op order.
+  if (io_->inline_mode()) deferred_writes = nullptr;
   if (!optimistic_) {
     auto victim = policy_->Evict();
     if (!victim.has_value()) {
@@ -269,18 +250,18 @@ Status BufferPool::WriteBackVictim(PageId v, Page& page,
     deferred_writes->push_back(v);
     return Status::Ok();
   }
-  if (demand == nullptr) {
-    LRUK_RETURN_IF_ERROR(DiskWrite(v, page.Data()));
-  } else {
-    // The write-back first: a device that runs one operation at a time
-    // writes, then reads only if the write landed, as two calls would.
-    PageIo pair[] = {
-        {PageIo::Kind::kWrite, v, page.Data(), Status::Ok()},
-        {PageIo::Kind::kRead, demand->page, read_scratch_.get(), Status::Ok()}};
-    DiskBatch(pair);
-    LRUK_RETURN_IF_ERROR(pair[0].status);
+  // The write-back first, then the demand read if any: a device that runs
+  // one operation at a time writes, then reads only if the write landed,
+  // as two calls would.
+  PageIo batch[] = {
+      {PageIo::Kind::kWrite, v, page.Data(), Status::Ok()},
+      {PageIo::Kind::kRead, demand != nullptr ? demand->page : kInvalidPageId,
+       read_scratch_.get(), Status::Ok()}};
+  DiskBatch(std::span(batch, demand != nullptr ? 2 : 1));
+  LRUK_RETURN_IF_ERROR(batch[0].status);
+  if (demand != nullptr) {
     demand->done = true;
-    demand->status = std::move(pair[1].status);
+    demand->status = std::move(batch[1].status);
   }
   ++stats_.dirty_writebacks;
   return Status::Ok();
@@ -304,14 +285,46 @@ void BufferPool::DrainAccessBufferLocked() const {
   }
 }
 
-void BufferPool::FinishPendingLocked(PageId p,
-                                     const std::shared_ptr<PendingIo>& entry,
-                                     Status status) {
+BufferPool::PendingIo* BufferPool::FindPendingLocked(PageId p) {
+  for (PendingIo& entry : reads_) {
+    if (!entry.done && entry.page == p) return &entry;
+  }
+  return nullptr;
+}
+
+BufferPool::PendingIo* BufferPool::TrackReadLocked(PageId p) {
+  auto spare = std::find_if(reads_.begin(), reads_.end(), [](auto& entry) {
+    return entry.done && entry.waiters == 0;
+  });
+  PendingIo& entry = spare != reads_.end() ? *spare : reads_.emplace_back();
+  entry.page = p;
+  entry.done = entry.retry_as_primary = false;
+  ++tracked_reads_;
+  return &entry;
+}
+
+void BufferPool::FinishPendingLocked(PendingIo* entry, Status status) {
   entry->status = std::move(status);
   entry->done = true;
-  pending_reads_.erase(p);
-  entry->cv.notify_all();
+  --tracked_reads_;
+  if (entry->waiters > 0) entry->cv.notify_all();
   quiesce_cv_.notify_all();
+}
+
+void BufferPool::AbandonPrefetchLocked(PendingIo* entry, Status status) {
+  ++stats_.prefetch_dropped;
+  --inflight_prefetches_;
+  entry->retry_as_primary = true;
+  FinishPendingLocked(entry, std::move(status));
+}
+
+Status BufferPool::AwaitReadLocked(std::unique_lock<std::mutex>& guard,
+                                   PendingIo* entry) {
+  // A waiter keeps the record from reuse until it has read the outcome.
+  ++entry->waiters;
+  entry->cv.wait(guard, [&] { return entry->done; });
+  --entry->waiters;
+  return entry->retry_as_primary ? Status::Ok() : entry->status;
 }
 
 void BufferPool::FencePageLocked(std::unique_lock<std::mutex>& guard,
@@ -326,11 +339,8 @@ void BufferPool::FencePageLocked(std::unique_lock<std::mutex>& guard,
       flush_cv_.wait(guard, [&] { return !flushing_.contains(p); });
       continue;
     }
-    if (io_ == nullptr) return;
-    auto it = pending_reads_.find(p);
-    if (it != pending_reads_.end()) {
-      std::shared_ptr<PendingIo> entry = it->second;
-      entry->cv.wait(guard, [&] { return entry->done; });
+    if (PendingIo* entry = FindPendingLocked(p)) {
+      (void)AwaitReadLocked(guard, entry);
       continue;
     }
     auto vw = pending_victim_writes_.find(p);
@@ -344,10 +354,8 @@ void BufferPool::FencePageLocked(std::unique_lock<std::mutex>& guard,
 }
 
 void BufferPool::QuiesceLocked(std::unique_lock<std::mutex>& guard) {
-  if (io_ == nullptr) return;
   quiesce_cv_.wait(guard, [&] {
-    return pending_reads_.empty() && pending_victim_writes_.empty() &&
-           inflight_prefetches_ == 0;
+    return tracked_reads_ == 0 && pending_victim_writes_.empty();
   });
 }
 
@@ -357,18 +365,18 @@ void BufferPool::Quiesce() {
 }
 
 bool BufferPool::RegisterPrefetchLocked(PageId p) {
-  if (page_table_.contains(p) || pending_reads_.contains(p)) return false;
+  if (page_table_.contains(p) || FindPendingLocked(p) != nullptr) return false;
   // A page with its own victim write in flight (or a parked image) will be
   // re-served from pool state, not from the possibly-stale disk image.
   if (pending_victim_writes_.contains(p) || parked_victims_.contains(p)) {
     return false;
   }
-  if (io_ != nullptr && !io_->inline_mode()) {
+  if (!io_->inline_mode()) {
     // Worker mode: bound concurrently in-flight prefetches. (Inline mode
     // never has more than the one executing synchronously right now.)
     if (inflight_prefetches_ >= kReadaheadWindow) return false;
   }
-  pending_reads_.emplace(p, std::make_shared<PendingIo>());
+  TrackReadLocked(p);
   ++inflight_prefetches_;
   ++stats_.prefetch_issued;
   return true;
@@ -376,30 +384,18 @@ bool BufferPool::RegisterPrefetchLocked(PageId p) {
 
 void BufferPool::ExecutePrefetch(PageId p) {
   auto guard = Lock();
-  auto it = pending_reads_.find(p);
-  LRUK_ASSERT(it != pending_reads_.end(), "prefetch lost its tracker entry");
-  std::shared_ptr<PendingIo> entry = it->second;
+  PendingIo* entry = FindPendingLocked(p);
+  LRUK_ASSERT(entry != nullptr, "prefetch lost its tracker entry");
   // A page stays out of the page table for as long as its tracker entry is
   // alive (demand fetches coalesce onto the entry, AdmitNewPage fences).
   LRUK_ASSERT(!page_table_.contains(p),
               "page admitted while its prefetch was in flight");
-  auto abandon = [&](Status status) {
-    // Prefetch failures never surface to demand fetches: coalesced waiters
-    // retry as primaries and take their own (fully accounted) read.
-    ++stats_.prefetch_dropped;
-    entry->retry_as_primary = true;
-    FinishPendingLocked(p, entry, std::move(status));
-    --inflight_prefetches_;
-    quiesce_cv_.notify_all();
-  };
   DrainAccessBufferLocked();
   policy_->PrepareAdmit(p);
   std::vector<PageId> deferred;
   auto frame = AcquireFrame(&deferred);
-  if (!frame.ok()) {
-    abandon(frame.status());
-    guard.unlock();
-    LaunchDeferredVictimWrites(deferred);
+  if (!frame.ok()) {  // Nothing deferred on failure.
+    AbandonPrefetchLocked(entry, frame.status());
     return;
   }
   Page& page = frames_[*frame];
@@ -417,9 +413,9 @@ void BufferPool::ExecutePrefetch(PageId p) {
   guard.lock();
   CountLatchAcquire();
   stats_.retries += outcome.retries;
-  if (!outcome.status.ok()) {
+  if (!outcome.status.ok() || admitting_.contains(p)) {
     free_frames_.push_back(*frame);
-    abandon(outcome.status);
+    AbandonPrefetchLocked(entry, outcome.status);
     return;
   }
   page.id_ = p;
@@ -433,9 +429,8 @@ void BufferPool::ExecutePrefetch(PageId p) {
   // The admission ticks the policy clock; the demand reference that
   // (hopefully) follows lands as a hit within the correlated period.
   policy_->Admit(p, AccessType::kRead);
-  FinishPendingLocked(p, entry, Status::Ok());
   --inflight_prefetches_;
-  quiesce_cv_.notify_all();
+  FinishPendingLocked(entry, Status::Ok());
 }
 
 void BufferPool::CollectPrefetchesLocked(PageId p, bool observe,
@@ -455,26 +450,17 @@ void BufferPool::LaunchPrefetches(const std::vector<PageId>& prefetches) {
     // Lane full: the prefetch never runs, so retire its tracker entry
     // here. Any demand fetch already waiting retries as a primary.
     auto guard = Lock();
-    auto it = pending_reads_.find(q);
-    LRUK_ASSERT(it != pending_reads_.end() && !it->second->done,
-                "rejected prefetch already completed");
-    std::shared_ptr<PendingIo> entry = it->second;
-    ++stats_.prefetch_dropped;
+    PendingIo* entry = FindPendingLocked(q);
+    LRUK_ASSERT(entry != nullptr, "rejected prefetch already completed");
     ++stats_.io_drops_prefetch;
-    entry->retry_as_primary = true;
-    FinishPendingLocked(q, entry,
-                        Status::ResourceExhausted("dispatcher queue full"));
-    --inflight_prefetches_;
-    quiesce_cv_.notify_all();
+    AbandonPrefetchLocked(entry,
+                          Status::ResourceExhausted("dispatcher queue full"));
   }
 }
 
 void BufferPool::RequestPrefetch(PageId p) {
-  if (io_ == nullptr) return;
-  {
-    auto guard = Lock();
-    if (!RegisterPrefetchLocked(p)) return;
-  }
+  // The latch is held for the registration only.
+  if (auto guard = Lock(); !RegisterPrefetchLocked(p)) return;
   LaunchPrefetches({p});
 }
 
@@ -593,8 +579,8 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
   // or the primary path below without recounting; so does a miss that
   // waits out a flush's pins and starts over).
   bool counted = false;
-  // The primary miss path's frame, deferred victim writes and, without a
-  // dispatcher, its read (which a dirty victim's write-back may carry).
+  // The primary miss path's frame, deferred victim writes and its read
+  // (which, in inline mode, a dirty victim's write-back may carry).
   FrameId frame = 0;
   std::vector<PageId> deferred;
   DemandRead demand;
@@ -633,77 +619,70 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
       LaunchPrefetches(targets);
       return &page;
     }
-    if (io_ != nullptr) {
-      // The page's own write-behind victim write may still be in flight: a
-      // disk read now could return the stale pre-eviction image. Wait it
-      // out; the re-loop then sees the page re-admitted (failed write), or
-      // takes a normal miss against the fresh on-disk image.
-      auto vw = pending_victim_writes_.find(p);
-      if (vw != pending_victim_writes_.end()) {
-        std::shared_ptr<VictimWrite> entry = vw->second;
-        entry->cv.wait(guard, [&] { return entry->done; });
-        continue;
+    // The page's own write-behind victim write may still be in flight: a
+    // disk read now could return the stale pre-eviction image. Wait it
+    // out; the re-loop then sees the page re-admitted (failed write), or
+    // takes a normal miss against the fresh on-disk image.
+    auto vw = pending_victim_writes_.find(p);
+    if (vw != pending_victim_writes_.end()) {
+      std::shared_ptr<VictimWrite> entry = vw->second;
+      entry->cv.wait(guard, [&] { return entry->done; });
+      continue;
+    }
+    // A parked image (failed write-behind, no frame at re-admit time) is
+    // the authoritative copy — the disk's is stale. Re-admit it here,
+    // dirty, with its retained LRU-K history (Restore), then serve the
+    // fetch as the reference it is.
+    auto parked = parked_victims_.find(p);
+    if (parked != parked_victims_.end()) {
+      if (!counted) ++stats_.misses;  // Not resident; no physical read.
+      counted = true;
+      if (observable != nullptr) *observable = true;  // A miss.
+      std::unique_ptr<char[]> image = std::move(parked->second);
+      parked_victims_.erase(parked);
+      DrainAccessBufferLocked();
+      auto readmit = AcquireFrame(&deferred);
+      if (!readmit.ok()) {  // Nothing deferred on failure.
+        parked_victims_.emplace(p, std::move(image));  // Still parked.
+        if (AwaitFlushLocked(guard, readmit.status())) continue;
+        return readmit.status();
       }
-      // A parked image (failed write-behind, no frame at re-admit time) is
-      // the authoritative copy — the disk's is stale. Re-admit it here,
-      // dirty, with its retained LRU-K history (Restore), then serve the
-      // fetch as the reference it is.
-      auto parked = parked_victims_.find(p);
-      if (parked != parked_victims_.end()) {
-        if (!counted) ++stats_.misses;  // Not resident; no physical read.
+      Page& page = frames_[*readmit];
+      std::memcpy(page.Data(), image.get(), kPageSize);
+      page.id_ = p;
+      page.pin_count_.fetch_add(1);  // Never a store; see below.
+      page.dirty_.store(true, std::memory_order_relaxed);  // Any fetch type.
+      page_table_.Insert(p, *readmit);
+      frame_prefetched_[*readmit].store(0, std::memory_order_relaxed);
+      policy_->Restore(p);
+      policy_->RecordAccess(p, type);
+      if (!optimistic_) policy_->SetEvictable(p, false);
+      ++stats_.writebehind_readmits;
+      guard.unlock();
+      LaunchDeferredVictimWrites(deferred);
+      return &page;
+    }
+    // The per-page request tracker: a read of p already in flight
+    // (another thread's miss, or a prefetch) absorbs this miss — wait
+    // for it instead of issuing a second physical read.
+    if (PendingIo* entry = FindPendingLocked(p)) {
+      if (!counted) {
+        ++stats_.misses;
+        ++stats_.coalesced_reads;
         counted = true;
-        if (observable != nullptr) *observable = true;  // A miss.
-        std::unique_ptr<char[]> image = std::move(parked->second);
-        parked_victims_.erase(parked);
-        DrainAccessBufferLocked();
-        auto readmit = AcquireFrame(&deferred);
-        if (!readmit.ok()) {  // Nothing deferred on failure.
-          parked_victims_.emplace(p, std::move(image));  // Still parked.
-          if (AwaitFlushLocked(guard, readmit.status())) continue;
-          return readmit.status();
-        }
-        Page& page = frames_[*readmit];
-        std::memcpy(page.Data(), image.get(), kPageSize);
-        page.id_ = p;
-        page.pin_count_.fetch_add(1);  // Never a store; see below.
-        page.dirty_.store(true, std::memory_order_relaxed);
-        page_table_.Insert(p, *readmit);
-        frame_prefetched_[*readmit].store(0, std::memory_order_relaxed);
-        policy_->Restore(p);
-        policy_->RecordAccess(p, type);
-        if (!optimistic_) policy_->SetEvictable(p, false);
-        if (type == AccessType::kWrite) {
-          page.dirty_.store(true, std::memory_order_release);
-        }
-        ++stats_.writebehind_readmits;
-        guard.unlock();
-        LaunchDeferredVictimWrites(deferred);
-        return &page;
       }
-      // The per-page request tracker: a read of p already in flight
-      // (another thread's miss, or a prefetch) absorbs this miss — wait
-      // for it instead of issuing a second physical read.
-      auto pending = pending_reads_.find(p);
-      if (pending != pending_reads_.end()) {
-        if (!counted) {
-          ++stats_.misses;
-          ++stats_.coalesced_reads;
-          counted = true;
-        }
-        std::shared_ptr<PendingIo> entry = pending->second;
-        entry->cv.wait(guard, [&] { return entry->done; });
-        if (!entry->status.ok() && !entry->retry_as_primary) {
-          // The coalesced read failed: every waiter reports the same
-          // status the primary saw (the failure was counted once, by the
-          // primary).
-          return entry->status;
-        }
-        // Success: the page should be resident now (re-loop to the hit
-        // branch). An abandoned prefetch (retry_as_primary) or an
-        // admission already evicted again falls through to a fresh
-        // primary miss instead.
-        continue;
+      Status read = AwaitReadLocked(guard, entry);
+      if (!read.ok()) {
+        // The coalesced read failed: every waiter reports the same
+        // status the primary saw (the failure was counted once, by the
+        // primary).
+        return read;
       }
+      // Success: the page should be resident now (re-loop to the hit
+      // branch). An abandoned prefetch (retry_as_primary) or an
+      // admission already evicted again falls through to a fresh
+      // primary miss instead.
+      continue;
     }
 
     if (!counted) ++stats_.misses;
@@ -713,7 +692,8 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
     // eviction decision, which must act on a fully drained view).
     DrainAccessBufferLocked();
     policy_->PrepareAdmit(p);
-    auto acquired = AcquireFrame(&deferred, io_ == nullptr ? &demand : nullptr);
+    auto acquired =
+        AcquireFrame(&deferred, io_->inline_mode() ? &demand : nullptr);
     if (acquired.ok()) {
       frame = *acquired;
       break;
@@ -726,7 +706,12 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
   if (observable != nullptr) *observable = true;  // A demand miss.
   Page& page = frames_[frame];
   Status read;
-  if (io_ != nullptr) {
+  PendingIo* entry = nullptr;
+  if (demand.done) {
+    // A dirty victim's write-back carried the read, under the latch.
+    read = demand.status;
+    if (read.ok()) std::memcpy(page.Data(), read_scratch_.get(), kPageSize);
+  } else {
     // Register in the tracker, release the latch, and run the read through
     // the dispatcher: concurrent misses on p coalesce onto this entry, and
     // the rest of the pool stays serviceable during the I/O. The frame is
@@ -734,12 +719,10 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
     // The deferred victim write (if any) is posted before the demand read
     // is issued, so the write-back overlaps the read instead of preceding
     // it — the point of write-behind.
-    auto entry = std::make_shared<PendingIo>();
-    pending_reads_.emplace(p, entry);
+    entry = TrackReadLocked(p);
     RetryOutcome outcome;
     guard.unlock();
     LaunchDeferredVictimWrites(deferred);
-    deferred.clear();
     io_->Run([&] {
       outcome = RetryTransient(options_.io_max_attempts,
                                [&] { return disk_->ReadPage(p, page.Data()); });
@@ -749,13 +732,11 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
     stats_.retries += outcome.retries;
     if (!outcome.status.ok()) ++stats_.read_failures;
     read = outcome.status;
-    FinishPendingLocked(p, entry, read);
-  } else if (demand.done) {
-    read = demand.status;
-    if (read.ok()) std::memcpy(page.Data(), read_scratch_.get(), kPageSize);
-  } else {
-    read = DiskRead(p, page.Data());
   }
+  if (read.ok() && admitting_.contains(p)) {
+    read = Status::NotFound("page deleted and its id reallocated");
+  }
+  if (entry != nullptr) FinishPendingLocked(entry, read);
   if (!read.ok()) {
     // The page was never admitted: the policy has no entry for p, the
     // page table is untouched, and the frame (legitimately freed by a
@@ -788,7 +769,9 @@ Result<Page*> BufferPool::NewPage() {
   auto allocated = disk_->AllocatePage();
   if (!allocated.ok()) return allocated.status();
   PageId p = *allocated;
+  admitting_.insert(p);
   auto page = AdmitNewPageLocked(guard, p, &deferred);
+  admitting_.erase(p);
   if (!page.ok()) (void)disk_->DeallocatePage(p);
   guard.unlock();
   LaunchDeferredVictimWrites(deferred);
@@ -799,7 +782,9 @@ Result<Page*> BufferPool::NewPage() {
 Result<Page*> BufferPool::AdmitNewPage(PageId p) {
   std::vector<PageId> deferred;
   auto guard = Lock();
+  admitting_.insert(p);
   auto page = AdmitNewPageLocked(guard, p, &deferred);
+  admitting_.erase(p);
   guard.unlock();
   LaunchDeferredVictimWrites(deferred);
   if (page.ok()) NoteFix(p);
@@ -811,9 +796,9 @@ Result<Page*> BufferPool::AdmitNewPageLocked(
     std::vector<PageId>* deferred_writes) {
   FrameId frame = 0;
   for (;;) {
-    // A reallocated id can have a stale prefetch in flight (the readahead
-    // window ran past a page another thread deleted); wait it out so the
-    // admission cannot race the prefetch's own admission of p.
+    // Stale reads of a reallocated id (a fetch of the deleted page, or a
+    // prefetch past it) may be in flight or start while this waits: the
+    // caller's claim (admitting_) keeps them from admitting it.
     FencePageLocked(guard, p);
     if (page_table_.contains(p)) {
       return Status::AlreadyExists("admit of resident page " +
@@ -902,7 +887,10 @@ Status BufferPool::FlushPage(PageId p) {
     if (parked != parked_victims_.end()) {
       // The parked image is the authoritative copy; persisting it IS the
       // flush. On failure it stays parked (retried by the next flush).
-      LRUK_RETURN_IF_ERROR(DiskWrite(p, parked->second.get()));
+      PageIo write[] = {
+          {PageIo::Kind::kWrite, p, parked->second.get(), Status::Ok()}};
+      DiskBatch(write);
+      LRUK_RETURN_IF_ERROR(write[0].status);
       parked_victims_.erase(p);
       return Status::Ok();
     }
@@ -941,11 +929,13 @@ Status BufferPool::FlushAll() {
   // it: a miss could otherwise re-admit one past this loop.
   Status parked_error = Status::Ok();
   for (auto it = parked_victims_.begin(); it != parked_victims_.end();) {
-    Status written = DiskWrite(it->first, it->second.get());
-    if (written.ok()) {
+    PageIo write[] = {
+        {PageIo::Kind::kWrite, it->first, it->second.get(), Status::Ok()}};
+    DiskBatch(write);
+    if (write[0].status.ok()) {
       it = parked_victims_.erase(it);
     } else {
-      if (parked_error.ok()) parked_error = written;
+      if (parked_error.ok()) parked_error = write[0].status;
       ++it;
     }
   }

@@ -10,9 +10,9 @@
 //
 // Thread safety: all pool MUTATIONS (and through them the policy) are
 // serialized by one internal latch — coarse-grained by design, since the
-// replacement *decision* is the subject of this library. FlushPage and
-// FlushAll write with the latch released, so the disk manager is not
-// serialized by it: see the thread-safety note in storage/disk_manager.h.
+// replacement *decision* is the subject of this library. A clean miss's
+// read and FlushPage/FlushAll's writes run with the latch released: see
+// the thread-safety note in storage/disk_manager.h.
 // Page *contents* are accessed outside the latch under the pin protocol: a
 // pinned page cannot be evicted, and Page pointers stay stable for the
 // pool's lifetime, so concurrent readers are safe; concurrent writers to
@@ -47,6 +47,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -78,12 +79,12 @@ struct BufferPoolOptions {
   // included; 1 (the default) is no retry. A retry is re-issued at once
   // (util/retry.h). FlushPage/FlushAll writes retry with the pool latch
   // released, each re-issue a further DiskManager::RunBatch batch of the
-  // retryable failures. With io_dispatcher, demand reads, prefetch reads
-  // and write-behind victim writes also retry with the latch released.
-  // Reads without a dispatcher, synchronous eviction write-backs and the
-  // writes of parked victim images retry under the latch; a dirty miss's
-  // paired write-back and read (see AcquireFrame) retry as a flush's
-  // writes do, each re-issue a further batch, but under the latch.
+  // retryable failures. A clean miss's read (free frame or clean victim),
+  // prefetch reads and write-behind victim writes also retry with the
+  // latch released. Synchronous eviction write-backs and the writes of
+  // parked victim images retry under the latch; so does a dirty miss's
+  // paired write-back and read (see AcquireFrame), each re-issue a
+  // further batch, as a flush's writes do.
   int io_max_attempts = 1;
 
   // Latch-free hit path (DESIGN.md "Optimistic page table & pin
@@ -103,41 +104,35 @@ struct BufferPoolOptions {
   // and only an actual stride trigger touches the latch.
   bool optimistic_hits = false;
 
-  // --- Async I/O dispatcher (DESIGN.md "Async I/O dispatcher") ---
-  // Master switch: miss reads execute through an IoDispatcher with the
-  // pool latch released and a per-page request tracker coalescing
-  // concurrent misses on the same page into one physical read. Off (the
-  // default) keeps today's direct path, byte-for-byte.
-  bool io_dispatcher = false;
-  // Dispatcher worker threads. 0 = inline mode: every request executes
-  // synchronously on the issuing thread, in issue order — single-threaded
-  // behaviour (pages, victims, stats, fault replay) is identical to the
-  // direct path, dirty victims included: they are written back on the
-  // miss path. > 0 = worker mode: miss reads run on workers, prefetches
-  // run in the background, and every dirty victim is written behind — the
-  // evicting thread copies the frame image aside, posts the write on the
-  // Flush lane and admits the new page at once (writebehind_writes; a
-  // full Flush lane falls back to the synchronous write, dirty_writebacks).
-  // A failed write-behind re-admits the page dirty, exactly, via
-  // ReplacementPolicy::Restore (writebehind_readmits). Both write-behind
-  // counters are zero unless io_workers > 0.
+  // Worker threads of the pool's IoDispatcher (DESIGN.md "Async I/O
+  // dispatcher"), which every miss reads through; concurrent misses on a
+  // page share one read. 0 (the default) = inline mode: requests run on
+  // the issuing thread, in issue order, so a single thread's op sequence
+  // is fixed by its seed; a clean miss reads with the latch released, a
+  // miss with a dirty victim writes it back and reads as one device batch
+  // under the latch (see AcquireFrame). > 0 = worker mode: miss reads run
+  // on workers, prefetches in the background, and every dirty victim is
+  // written behind — its image copied aside, its write posted on the
+  // Flush lane and the new page admitted at once (writebehind_writes; a
+  // full Flush lane falls back to the synchronous write,
+  // dirty_writebacks). A failed write-behind re-admits the page dirty,
+  // exactly, via ReplacementPolicy::Restore (writebehind_readmits).
   size_t io_workers = 0;
   // Scan readahead: a stride detector observes the fetch stream and
   // prefetches the next kReadaheadWindow pages of a detected sequential
-  // run (the Example 1.2 scan shape). Requires io_dispatcher; inline mode
-  // prefetches synchronously (deterministic), worker mode streams them in
-  // the background. ShardedBufferPool runs one detector above the shards
+  // run (the Example 1.2 scan shape). Inline mode prefetches
+  // synchronously (deterministic), worker mode streams them in the
+  // background. ShardedBufferPool runs one detector above the shards
   // (hash routing destroys per-shard sequentiality).
   bool readahead = false;
 };
 
 class BufferPool final : public PoolInterface {
  public:
-  // `disk` must outlive the pool. The pool owns the policy. When
-  // `options.io_dispatcher` is set, the pool routes its miss I/O through
-  // `shared_dispatcher` if given (it must outlive the pool — this is how
-  // ShardedBufferPool gives every shard one worker fleet), else through a
-  // private dispatcher with options.io_workers workers.
+  // `disk` must outlive the pool. The pool owns the policy. Its I/O goes
+  // through `shared_dispatcher` if given (it must outlive the pool and
+  // have options.io_workers workers: the shards of a ShardedBufferPool
+  // share one), else through a dispatcher of its own.
   BufferPool(size_t capacity, DiskManager* disk,
              std::unique_ptr<ReplacementPolicy> policy,
              BufferPoolOptions options = {},
@@ -221,9 +216,9 @@ class BufferPool final : public PoolInterface {
     return access_buffer_ ? access_buffer_->stats() : AccessBufferStats{};
   }
 
-  // --- Async I/O dispatcher surface (no-ops unless io_dispatcher) ---
+  // --- Async I/O dispatcher surface ---
 
-  // The dispatcher this pool submits through (null when disabled).
+  // The dispatcher this pool submits through (never null).
   IoDispatcher* io_dispatcher() { return io_; }
   // Requests a background prefetch of `p`: registered in the per-page
   // tracker (so demand fetches coalesce onto it), admitted unpinned and
@@ -233,14 +228,14 @@ class BufferPool final : public PoolInterface {
   // public so callers with workload foreknowledge can warm the pool.
   void RequestPrefetch(PageId p);
   // Blocks until every in-flight dispatcher request targeting this pool
-  // (miss reads, prefetches, write-behind victim writes) has completed.
-  // FlushAll fences through this; DeletePage fences per page. Trivial in
-  // inline mode (nothing outlives its issuing call).
+  // (miss reads, in inline mode another thread's; prefetches; write-behind
+  // victim writes) has completed. FlushAll fences through this;
+  // DeletePage fences per page.
   void Quiesce();
   // In-flight tracked reads (misses + prefetches); 0 after Quiesce().
   size_t PendingIoCount() const {
     auto guard = Lock();
-    return pending_reads_.size();
+    return tracked_reads_;
   }
   // Frames on the free list (capacity == resident + pending + free).
   size_t FreeFrameCount() const {
@@ -264,17 +259,20 @@ class BufferPool final : public PoolInterface {
   // Shares its fix-register key with every shard (see fix_key_).
   friend class ShardedBufferPool;
 
-  // One tracked in-flight read (a miss or a prefetch). Waiters sleep on
-  // `cv` with the pool latch; the issuer marks `done`, sets `status`,
-  // erases the map entry and notifies. Waiters hold the shared_ptr, so
-  // the record outlives the erase.
+  // One tracked read (a miss or a prefetch) of `page`, in flight until
+  // `done`. Waiters count themselves in `waiters` and sleep on `cv` with
+  // the pool latch; the issuer sets `status` and `done` and notifies. A
+  // done record with no waiters is reused for the next read (all
+  // latch-guarded), so a steady-state miss allocates nothing.
   struct PendingIo {
+    PageId page = kInvalidPageId;
     Status status;
-    bool done = false;
+    bool done = true;
     // Set when a prefetch is abandoned (queue full, no frame, failed
     // read): coalesced demand waiters must not inherit the failure — they
     // re-loop and issue their own primary read instead.
     bool retry_as_primary = false;
+    int waiters = 0;
     std::condition_variable cv;
   };
 
@@ -349,8 +347,8 @@ class BufferPool final : public PoolInterface {
     std::condition_variable cv;
   };
 
-  // A miss's demand read, offered to AcquireFrame by a pool without a
-  // dispatcher so that a dirty victim's write-back can carry it (see
+  // A miss's demand read, offered to AcquireFrame by an inline-mode pool
+  // so that a dirty victim's write-back can carry it (see
   // WriteBackVictim). `done` once it did; `status` is then the read's, and
   // on success the page's image is in read_scratch_.
   struct DemandRead {
@@ -359,16 +357,13 @@ class BufferPool final : public PoolInterface {
     Status status;
   };
 
-  // Disk I/O under options_.io_max_attempts, with the pool's failure/retry
-  // accounting. Caller holds the latch.
-  Status DiskRead(PageId p, char* out);
-  Status DiskWrite(PageId p, const char* data);
-  // RunBatch under options_.io_max_attempts per entry, with the same
-  // accounting: each further round is one more RunBatch call with the
-  // entries the last left with a retryable error and attempts to spare
-  // (each such re-issue counts in `retries`) and the reads it did not
-  // issue (kAborted). Once a write has failed for good, no read is issued
-  // again. Every entry that ends in an error other than kAborted counts in
+  // RunBatch under options_.io_max_attempts per entry, with the pool's
+  // failure/retry accounting (every synchronous write goes through it):
+  // each further round is one more RunBatch call with the entries the
+  // last left with a retryable error and attempts to spare (each such
+  // re-issue counts in `retries`) and the reads it did not issue
+  // (kAborted). Once a write has failed for good, no read is issued again.
+  // Every entry that ends in an error other than kAborted counts in
   // read_failures or write_failures. The caller may hold the latch or not.
   void DiskBatch(std::span<PageIo> batch);
   // The flush body FlushPage and FlushAll share. Under the latch, pins
@@ -444,11 +439,20 @@ class BufferPool final : public PoolInterface {
   Page* TryOptimisticHit(PageId p, AccessType type, bool refix,
                          bool* observable);
 
-  // --- Dispatcher internals (io_ != nullptr only) ---
-  // Completes a tracked read: publishes status, erases the tracker entry,
-  // wakes coalesced waiters and Quiesce. Caller holds the latch.
-  void FinishPendingLocked(PageId p, const std::shared_ptr<PendingIo>& entry,
-                           Status status);
+  // --- Dispatcher internals (all: caller holds the latch) ---
+  // The in-flight read of `p`, or null.
+  PendingIo* FindPendingLocked(PageId p);
+  // Starts tracking a read of `p`, which has none in flight.
+  PendingIo* TrackReadLocked(PageId p);
+  // Completes a tracked read: publishes status, wakes waiters and Quiesce.
+  void FinishPendingLocked(PendingIo* entry, Status status);
+  // Drops the registered prefetch `entry` (prefetch_dropped): never an
+  // error to a demand fetch, whose coalesced waiters retry as primaries.
+  void AbandonPrefetchLocked(PendingIo* entry, Status status);
+  // Waits (releasing `guard`) for `entry` to complete. Returns its status,
+  // or Ok if it was an abandoned prefetch.
+  Status AwaitReadLocked(std::unique_lock<std::mutex>& guard,
+                         PendingIo* entry);
   // Blocks until no read, victim write or flush of `p` is in flight
   // (DeletePage's fence). Caller holds `guard`.
   void FencePageLocked(std::unique_lock<std::mutex>& guard, PageId p);
@@ -505,7 +509,7 @@ class BufferPool final : public PoolInterface {
   // Present iff optimistic_: the latch-free hits' publish channel.
   std::unique_ptr<AccessBuffer> access_buffer_;
   // Owned dispatcher (private to this pool); io_ points here or at the
-  // shared one passed in. Null iff options_.io_dispatcher is false.
+  // shared one passed in.
   std::unique_ptr<IoDispatcher> owned_io_;
   IoDispatcher* io_ = nullptr;
   // Present iff readahead is enabled on a non-sharded pool.
@@ -516,7 +520,7 @@ class BufferPool final : public PoolInterface {
   // for an allocation when a stride actually triggers.
   std::vector<PageId> readahead_scratch_;
   // Where a demand read paired with a dirty victim's write-back lands
-  // (latch-guarded; present iff io_ is null, the only pools that pair).
+  // (latch-guarded; present iff inline mode, the only pools that pair).
   std::unique_ptr<char[]> read_scratch_;
   // AcquireFrame's batched-nomination scratch (latch-guarded like the
   // frame it hands out): reused across misses so the steady-state miss
@@ -533,19 +537,24 @@ class BufferPool final : public PoolInterface {
   // The resident-page index; see page_table.h for the seqlock protocol.
   PageTable page_table_;
   // The per-page request tracker: at most one in-flight read per page.
-  std::unordered_map<PageId, std::shared_ptr<PendingIo>> pending_reads_;
+  // A deque, so records never move; searched linearly, as it holds about
+  // one record per thread inside a miss plus the in-flight prefetches.
+  std::deque<PendingIo> reads_;
+  size_t tracked_reads_ = 0;  // Records not done.
+  // Ids NewPage/AdmitNewPage are admitting. A read of one (a stale fetch of
+  // the deleted page it named) drops what it read instead of admitting it.
+  std::unordered_set<PageId> admitting_;
   // At most one in-flight victim write per page: created at eviction time
   // (pinned copy), erased on completion. A page is never simultaneously
-  // resident, in pending_reads_, and here — fetches of such a page wait
+  // resident, tracked in reads_, and here — fetches of such a page wait
   // out the write first.
   std::unordered_map<PageId, std::shared_ptr<VictimWrite>> pending_victim_writes_;
   // Failed write-behind images with nowhere to go (every frame pinned at
   // re-admit time). Resolved by the next fetch (re-admit), FlushPage/
   // FlushAll (persist), or DeletePage (discard). Never dropped silently.
   std::unordered_map<PageId, std::unique_ptr<char[]>> parked_victims_;
-  // Prefetches registered but not finished (latch-guarded): bounded by
-  // kReadaheadWindow in worker mode, and Quiesce waits for 0 alongside
-  // pending_reads_.
+  // Prefetches registered but not finished (latch-guarded, and tracked
+  // reads too): bounded by kReadaheadWindow in worker mode.
   size_t inflight_prefetches_ = 0;
   std::condition_variable quiesce_cv_;
   // Pages whose flush write is in flight: each holds one flush pin, and

@@ -29,9 +29,10 @@ namespace lruk {
 // after exhausting any configured retries; `retries` counts the re-issues
 // spent under BufferPoolOptions::io_max_attempts (0 when retries are off).
 //
-// Dispatcher counters (all zero unless BufferPoolOptions::io_dispatcher is
-// on — see DESIGN.md "Async I/O dispatcher"): a fetch that finds its page's
-// read already in flight counts one miss AND one `coalesced_read` (it
+// Dispatcher counters (DESIGN.md "Async I/O dispatcher"; the prefetch
+// ones stay zero unless BufferPoolOptions::readahead is on or a caller
+// requests prefetches): a fetch that finds its page's read already in
+// flight counts one miss AND one `coalesced_read` (it
 // waited on the existing read instead of issuing its own, so physical
 // reads == misses - coalesced_reads - prefetch hits). `prefetch_issued`
 // counts readahead requests registered; `prefetch_used` counts hits that

@@ -20,14 +20,12 @@ ShardedBufferPool::ShardedBufferPool(size_t capacity, size_t num_shards,
   LRUK_ASSERT(disk_ != nullptr, "sharded pool needs a disk manager");
   LRUK_ASSERT(factory != nullptr, "sharded pool needs a policy factory");
 
-  if (shard_options.io_dispatcher) {
-    // One dispatcher (one worker fleet, one bounded queue) serves every
-    // shard; the shards receive it as a shared dispatcher instead of each
-    // spinning up its own.
-    io_ = std::make_unique<IoDispatcher>(shard_options.io_workers);
-    if (shard_options.readahead) {
-      readahead_ = std::make_unique<ReadaheadDetector>();
-    }
+  // One dispatcher (one worker fleet, one bounded queue) serves every
+  // shard; the shards receive it as a shared dispatcher instead of each
+  // spinning up its own.
+  io_ = std::make_unique<IoDispatcher>(shard_options.io_workers);
+  if (shard_options.readahead) {
+    readahead_ = std::make_unique<ReadaheadDetector>();
   }
   // The scan detector (if any) lives at the pool level: shard-local fetch
   // streams are hash-interleaved and would never show a stride run.

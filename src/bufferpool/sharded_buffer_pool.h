@@ -29,9 +29,9 @@
 //  * Correlated re-fixes (see buffer_pool.h) are judged pool-wide: all
 //    shards share one last-fix register key, so a thread's fix of q on
 //    one shard separates its two fixes of p on another.
-//  * The DiskManager must be thread-safe: shards issue reads/write-backs
-//    concurrently under their own latches. SimDiskManager and
-//    FileDiskManager are internally latched.
+//  * The DiskManager must be thread-safe: shards issue reads and
+//    write-backs concurrently. SimDiskManager and FileDiskManager are
+//    internally latched.
 //  * DeletePage frees the disk id for reuse, so a thread that fetches a
 //    page id concurrently with (or after) another thread's delete may get
 //    NotFound, a freshly reallocated page whose contents it does not
@@ -122,11 +122,10 @@ class ShardedBufferPool final : public PoolInterface {
 
   DiskManager& disk() { return *disk_; }
 
-  // --- Async I/O dispatcher surface (no-ops unless shard_options
-  //     .io_dispatcher; see DESIGN.md "Async I/O dispatcher") ---
+  // --- Async I/O dispatcher surface (DESIGN.md "Async I/O dispatcher") ---
 
   // The dispatcher every shard submits through (one worker fleet for the
-  // whole pool); null when disabled.
+  // whole pool in worker mode); never null.
   IoDispatcher* io_dispatcher() { return io_.get(); }
   // Background prefetch of `p`, routed to its owning shard.
   void RequestPrefetch(PageId p);

@@ -105,20 +105,8 @@ void IoDispatcher::WorkerLoop() {
   }
 }
 
-void IoDispatcher::Run(std::function<void()> fn, IoClass cls) {
+void IoDispatcher::RunOnWorker(std::function<void()> fn, IoClass cls) {
   size_t lane = static_cast<size_t>(cls);
-  if (inline_mode()) {
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      ++stats_.submitted;
-      ++stats_.executed_inline;
-      IoLaneStats& ls = stats_.lanes[lane];
-      ++ls.accepted;
-      ++ls.executed;
-    }
-    fn();
-    return;
-  }
   Completion completion;
   {
     std::unique_lock<std::mutex> guard(mutex_);
@@ -133,20 +121,8 @@ void IoDispatcher::Run(std::function<void()> fn, IoClass cls) {
   completion.cv.wait(wait, [&] { return completion.done; });
 }
 
-bool IoDispatcher::TryPost(std::function<void()> fn, IoClass cls) {
+bool IoDispatcher::PostToWorker(std::function<void()> fn, IoClass cls) {
   size_t lane = static_cast<size_t>(cls);
-  if (inline_mode()) {
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      ++stats_.posted;
-      ++stats_.executed_inline;
-      IoLaneStats& ls = stats_.lanes[lane];
-      ++ls.accepted;
-      ++ls.executed;
-    }
-    fn();
-    return true;
-  }
   {
     std::lock_guard<std::mutex> guard(mutex_);
     if (lanes_[lane].size() >= kIoLaneDepth) {
@@ -174,8 +150,21 @@ size_t IoDispatcher::LaneDepth(IoClass cls) const {
 }
 
 IoDispatcherStats IoDispatcher::stats() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return stats_;
+  IoDispatcherStats stats;
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    stats = stats_;
+  }
+  for (size_t lane = 0; lane < kIoClassCount; ++lane) {
+    const uint64_t runs = inline_runs_[lane].load(std::memory_order_relaxed);
+    const uint64_t posts = inline_posts_[lane].load(std::memory_order_relaxed);
+    stats.submitted += runs;
+    stats.posted += posts;
+    stats.executed_inline += runs + posts;
+    stats.lanes[lane].accepted += runs + posts;
+    stats.lanes[lane].executed += runs + posts;
+  }
+  return stats;
 }
 
 }  // namespace lruk

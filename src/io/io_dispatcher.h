@@ -56,6 +56,7 @@
 #ifndef LRUK_IO_IO_DISPATCHER_H_
 #define LRUK_IO_IO_DISPATCHER_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -63,6 +64,7 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/macros.h"
@@ -144,11 +146,31 @@ class IoDispatcher {
 
   // Blocking lane: executes `fn` through the dispatcher, returning once
   // it has run. Never rejected; blocks while the class lane is full.
-  void Run(std::function<void()> fn, IoClass cls = IoClass::kDemand);
+  // Inline mode calls `fn` directly: no type erasure, no allocation, no
+  // lock, so pools sharing one inline dispatcher never meet here.
+  template <typename Fn>
+  void Run(Fn&& fn, IoClass cls = IoClass::kDemand) {
+    if (inline_mode()) {
+      CountInline(inline_runs_, cls);
+      fn();
+      return;
+    }
+    // The caller blocks until `fn` has run, so the queued item may refer
+    // to it (a reference_wrapper fits std::function's local buffer).
+    RunOnWorker(std::ref(fn), cls);
+  }
 
   // Fire-and-forget: returns false (and does not run `fn`) when the class
   // lane is full. Inline mode always runs and returns true.
-  bool TryPost(std::function<void()> fn, IoClass cls = IoClass::kPrefetch);
+  template <typename Fn>
+  bool TryPost(Fn&& fn, IoClass cls = IoClass::kPrefetch) {
+    if (inline_mode()) {
+      CountInline(inline_posts_, cls);
+      fn();
+      return true;
+    }
+    return PostToWorker(std::forward<Fn>(fn), cls);
+  }
 
   // Blocks until every accepted item has finished executing. New
   // submissions during the wait extend it.
@@ -167,6 +189,14 @@ class IoDispatcher {
     Completion* completion = nullptr;
     std::chrono::steady_clock::time_point enqueued;
   };
+
+  static void CountInline(std::atomic<uint64_t> (&counts)[kIoClassCount],
+                          IoClass cls) {
+    counts[static_cast<size_t>(cls)].fetch_add(1, std::memory_order_relaxed);
+  }
+  // Worker-mode bodies of Run and TryPost.
+  void RunOnWorker(std::function<void()> fn, IoClass cls);
+  bool PostToWorker(std::function<void()> fn, IoClass cls);
 
   size_t TotalQueuedLocked() const {
     return lanes_[0].size() + lanes_[1].size() + lanes_[2].size();
@@ -188,6 +218,11 @@ class IoDispatcher {
   size_t executing_ = 0;  // Items currently running on workers.
   bool stopping_ = false;
   IoDispatcherStats stats_;
+  // Inline-mode Run and TryPost calls per lane, counted without mutex_;
+  // stats() folds them into the submitted/posted/executed_inline and lane
+  // accepted/executed counts.
+  std::atomic<uint64_t> inline_runs_[kIoClassCount] = {};
+  std::atomic<uint64_t> inline_posts_[kIoClassCount] = {};
   std::vector<std::thread> workers_;
 };
 

@@ -3,6 +3,12 @@
 // matrix (test names match the 'AsyncIo' ctest regex).
 //
 // Coverage:
+//  * The default pool's clean miss — with default options (the inline
+//    dispatcher), a miss that takes a clean victim reads with the pool
+//    latch released: while its read is held in the device, another
+//    thread's hit and its miss of another page complete, and a second
+//    miss of the same page waits on the held read instead of reading it
+//    again.
 //  * Request coalescing — 8 threads missing on the same page while its
 //    read is parked behind a gate produce exactly ONE physical read; every
 //    waiter gets the same pinned page, stats account one primary miss plus
@@ -31,6 +37,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -115,6 +122,11 @@ class GateDiskManager final : public DiskManager {
     std::unique_lock<std::mutex> guard(mutex_);
     cv_.wait(guard, [&] { return waiting_ > 0; });
   }
+  // AwaitReader with a deadline: false if no reader reached the gate.
+  bool AwaitReaderFor(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> guard(mutex_);
+    return cv_.wait_for(guard, timeout, [&] { return waiting_ > 0; });
+  }
 
   Status ReadPage(PageId p, char* out) override {
     {
@@ -164,6 +176,121 @@ std::vector<PageId> AllocateDb(PoolInterface& pool, uint64_t n) {
 constexpr int kThreads = 8;
 
 // ---------------------------------------------------------------------------
+// The default pool's clean miss: its read runs with the latch released.
+
+// Default options, with latched or optimistic hits.
+class DefaultMissConcurrencyTest : public ::testing::TestWithParam<bool> {
+ protected:
+  BufferPoolOptions Options() const {
+    return BufferPoolOptions{.optimistic_hits = GetParam()};
+  }
+};
+
+// How long a check waits for what the held read must not block, before it
+// fails instead of hanging.
+constexpr std::chrono::milliseconds kHeldReadTimeout{10000};
+
+// Four resident pages, all clean, in four frames: every miss evicts a
+// clean victim. The last page allocated survives the next two misses.
+std::vector<PageId> FillWithCleanPages(BufferPool& pool) {
+  std::vector<PageId> pages = AllocateDb(pool, 4);
+  EXPECT_TRUE(pool.FlushAll().ok());
+  return pages;
+}
+
+TEST_P(DefaultMissConcurrencyTest,
+       HitAndOtherMissCompleteWhileACleanMissReads) {
+  SimDiskManager inner;
+  GateDiskManager gate(&inner);
+  BufferPool pool(4, &gate, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
+                  Options());
+  const PageId resident = FillWithCleanPages(pool).back();
+  auto held = inner.AllocatePage();
+  auto other = inner.AllocatePage();
+  ASSERT_TRUE(held.ok() && other.ok());
+
+  gate.Close(*held);
+  std::thread reader([&] {
+    auto page = pool.FetchPage(*held);
+    EXPECT_TRUE(page.ok());
+    if (page.ok()) {
+      EXPECT_TRUE(pool.UnpinPage(*held, false).ok());
+    }
+  });
+  EXPECT_TRUE(gate.AwaitReaderFor(kHeldReadTimeout))
+      << "the miss never reached the device";
+  auto others = std::async(std::launch::async, [&] {
+    auto hit = pool.FetchPage(resident);
+    bool ok = hit.ok() && pool.UnpinPage(resident, false).ok();
+    auto miss = pool.FetchPage(*other);
+    return ok && miss.ok() && pool.UnpinPage(*other, false).ok();
+  });
+  EXPECT_EQ(others.wait_for(kHeldReadTimeout), std::future_status::ready)
+      << "a hit or another page's miss waited for the held read";
+  gate.Open();
+  reader.join();
+  EXPECT_TRUE(others.get());
+
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(stats.dirty_writebacks, 0u);
+  EXPECT_TRUE(pool.IsResident(*held));
+  EXPECT_TRUE(pool.IsResident(*other));
+}
+
+TEST_P(DefaultMissConcurrencyTest, SecondMissOfThePageWaitsOnTheHeldRead) {
+  SimDiskManager inner;
+  GateDiskManager gate(&inner);
+  CountingDiskManager disk(&gate);
+  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
+                  Options());
+  FillWithCleanPages(pool);
+  auto held = inner.AllocatePage();
+  ASSERT_TRUE(held.ok());
+  std::vector<char> stamp(kPageSize, 'h');
+  ASSERT_TRUE(inner.WritePage(*held, stamp.data()).ok());
+
+  gate.Close(*held);
+  auto fetch = [&] {
+    auto page = pool.FetchPage(*held);
+    EXPECT_TRUE(page.ok());
+    if (!page.ok()) return;
+    EXPECT_EQ((*page)->Data()[0], 'h');
+    EXPECT_EQ((*page)->Data()[kPageSize - 1], 'h');
+    EXPECT_TRUE(pool.UnpinPage(*held, false).ok());
+  };
+  std::thread first(fetch);
+  EXPECT_TRUE(gate.AwaitReaderFor(kHeldReadTimeout))
+      << "the miss never reached the device";
+  std::thread second(fetch);
+  // The second miss finds the held read in the tracker and waits on it.
+  const auto deadline = std::chrono::steady_clock::now() + kHeldReadTimeout;
+  while (pool.StatsSnapshot().coalesced_reads == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(pool.StatsSnapshot().coalesced_reads, 1u)
+      << "the second miss did not wait on the held read";
+  gate.Open();
+  first.join();
+  second.join();
+
+  EXPECT_EQ(disk.ReadsOf(*held), 1u);  // The device served one read.
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.coalesced_reads, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(pool.PendingIoCount(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(LatchedAndOptimistic, DefaultMissConcurrencyTest,
+                         ::testing::Bool(), [](const auto& info) {
+                           return info.param ? "Optimistic" : "Latched";
+                         });
+
+// ---------------------------------------------------------------------------
 // Coalescing: one physical read per group.
 
 TEST(AsyncIoCoalescingTest, ConcurrentMissesOnSamePageShareOneRead) {
@@ -171,7 +298,6 @@ TEST(AsyncIoCoalescingTest, ConcurrentMissesOnSamePageShareOneRead) {
   GateDiskManager gate(&inner);
   CountingDiskManager disk(&gate);
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = 2;
   BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
@@ -222,7 +348,6 @@ TEST(AsyncIoCoalescingTest, EveryWaiterSeesTheSameFailureAndNoFrameLeaks) {
   GateDiskManager gate(&faulty);
   CountingDiskManager disk(&gate);
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = 2;
   BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
@@ -321,7 +446,6 @@ TEST(AsyncIoConcurrencyTest, FaultChurnKeepsPlainPoolInvariants) {
   FaultInjectingDiskManager disk(&inner, /*seed=*/31);
 
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = 4;
   options.readahead = true;
 
@@ -372,7 +496,6 @@ TEST(AsyncIoConcurrencyTest, FaultChurnKeepsShardedPoolInvariants) {
   FaultInjectingDiskManager disk(&inner, /*seed=*/37);
 
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = 4;
   options.readahead = true;
 
@@ -416,7 +539,6 @@ TEST(AsyncIoConcurrencyTest, SamePageChurnOverTinyPoolCoalescesConstantly) {
   SimDiskManager inner;
   CountingDiskManager disk(&inner);
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = 2;
   BufferPool pool(2, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
@@ -534,7 +656,6 @@ TEST(IoPriorityConcurrencyTest, FlushWorkIsBoundedlyDelayedByDemandFlood) {
 // Worker mode, so dirty victims are written behind.
 BufferPoolOptions WriteBehindChurnOptions() {
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = 2;
   return options;
 }
@@ -737,7 +858,6 @@ TEST(WriteBehindConcurrencyTest, ShardedPoolChurnsWithWriteBehind) {
   FaultInjectingDiskManager disk(&inner, /*seed=*/43);
 
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = 4;
 
   ShardedBufferPool pool(

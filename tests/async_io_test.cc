@@ -9,12 +9,12 @@
 //  * ReadaheadDetector units — stride-run detection, window emission,
 //    re-triggering, run breaks, backward scans, the fixed window and
 //    thresholds, and the vote window's tolerance of interleaved traffic.
-//  * Differential battery — with the dispatcher in inline mode, both pools
-//    produce BYTE-IDENTICAL behaviour to the direct path over a 20k-op
-//    mixed workload: same pool counters, same victim sequence, same
-//    IoStats, same residency, same disk images. Driven single-threaded in
-//    worker mode, they match too, except that write-behind moves dirty
-//    victim writes from dirty_writebacks to writebehind_writes.
+//  * Differential battery — driven single-threaded, a worker-mode pool
+//    (plain or sharded) produces BYTE-IDENTICAL behaviour to the inline
+//    pool over a 20k-op mixed workload: same pool counters, same victim
+//    sequence, same IoStats, same residency, same disk images, except
+//    that write-behind moves dirty victim writes from dirty_writebacks to
+//    writebehind_writes.
 //  * Replay determinism — the inline dispatcher with readahead over a
 //    seeded fault schedule reproduces the identical fault trace, stats and
 //    disk images run-to-run (fault replay survives the dispatcher).
@@ -22,9 +22,9 @@
 //    until the detector locks on; prefetched pages land unpinned, clean,
 //    and count prefetch_used on first demand touch; failed or rejected
 //    prefetches are dropped without surfacing errors or leaking frames.
-//  * Retry — with the dispatcher, a demand read retries a transient
-//    failure with the pool latch released: hits keep completing while the
-//    retry is in the disk.
+//  * Retry — a clean miss's read retries a transient failure with the
+//    pool latch released: hits keep completing while the retry is in the
+//    disk.
 //  * Quiesce/fence — DeletePage waits out an in-flight prefetch of the
 //    same page (no resurrection after the delete); FlushAll quiesces the
 //    whole dispatcher; a worker-mode prefetch blocked in the disk is
@@ -63,7 +63,6 @@ namespace {
 // scenario driver) lives in differential_harness.h.
 
 using difftest::AllocateDb;
-using difftest::DiffScenarioConfig;
 using difftest::DiffScenarioResult;
 using difftest::ExpectScenarioEq;
 using difftest::RunDiffScenario;
@@ -320,54 +319,29 @@ TEST(AsyncIoReadaheadTest, VoteWindowToleratesOneToOneInterleaving) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential battery: dispatcher (inline, and worker-mode driven
-// single-threaded) vs the direct path — byte-identical.
+// Differential battery: worker mode driven single-threaded vs the inline
+// pool — byte-identical but for who wrote the dirty victims.
 
-TEST(AsyncIoDifferentialTest, InlineDispatcherIsByteIdenticalPlainPool) {
-  for (bool optimistic : {false, true}) {
-    SCOPED_TRACE(optimistic ? "optimistic" : "latched");
-    DiffScenarioResult direct = RunDiffScenario({.optimistic = optimistic});
-    DiffScenarioResult inline_mode =
-        RunDiffScenario({.optimistic = optimistic, .dispatcher = true});
-    ExpectScenarioEq(direct, inline_mode);
-    EXPECT_EQ(inline_mode.stats.coalesced_reads, 0u);  // Single-threaded.
-  }
-}
-
-TEST(AsyncIoDifferentialTest, InlineDispatcherIsByteIdenticalShardedPool) {
-  for (bool optimistic : {false, true}) {
-    SCOPED_TRACE(optimistic ? "optimistic" : "latched");
-    DiffScenarioResult direct =
-        RunDiffScenario({.sharded = true, .optimistic = optimistic});
-    DiffScenarioResult inline_mode = RunDiffScenario(
-        {.sharded = true, .optimistic = optimistic, .dispatcher = true});
-    ExpectScenarioEq(direct, inline_mode);
-  }
-}
-
-TEST(AsyncIoDifferentialTest, SingleThreadedWorkerModeMatchesDirectPath) {
+TEST(AsyncIoDifferentialTest, SingleThreadedWorkerModeMatchesInlinePool) {
   // A foreground Run() blocks until its read completes, so a
   // single-threaded driver is sequential even with workers — the whole
   // differential holds, not just the counters. Worker mode writes dirty
-  // victims behind, so the direct path's victim writes are split between
+  // victims behind, so the inline pool's victim writes are split between
   // the Flush lane (writebehind_writes) and the evicting thread (a refused
   // post, dirty_writebacks); every other field still matches.
-  auto expect_matches = [](DiffScenarioResult direct,
+  auto expect_matches = [](DiffScenarioResult inline_pool,
                            DiffScenarioResult workers) {
     EXPECT_GT(workers.stats.writebehind_writes, 0u);
     EXPECT_EQ(workers.stats.writebehind_readmits, 0u);
-    EXPECT_EQ(direct.stats.dirty_writebacks,
+    EXPECT_EQ(inline_pool.stats.dirty_writebacks,
               workers.stats.dirty_writebacks +
                   workers.stats.writebehind_writes);
-    workers.stats.dirty_writebacks = direct.stats.dirty_writebacks;
-    ExpectScenarioEq(direct, workers);
+    workers.stats.dirty_writebacks = inline_pool.stats.dirty_writebacks;
+    ExpectScenarioEq(inline_pool, workers);
   };
-  expect_matches(RunDiffScenario({}),
-                 RunDiffScenario({.dispatcher = true, .io_workers = 2}));
+  expect_matches(RunDiffScenario({}), RunDiffScenario({.io_workers = 2}));
   expect_matches(RunDiffScenario({.sharded = true}),
-                 RunDiffScenario({.sharded = true,
-                                  .dispatcher = true,
-                                  .io_workers = 2}));
+                 RunDiffScenario({.sharded = true, .io_workers = 2}));
 }
 
 // ---------------------------------------------------------------------------
@@ -381,7 +355,6 @@ TEST(AsyncIoDifferentialTest, FaultScheduleReplayIsDeterministicInline) {
     disk.AddRule(FaultRule::FailWithProbability(FaultOp::kWrite, 0.02));
 
     BufferPoolOptions options;
-    options.io_dispatcher = true;  // Inline: io_workers = 0.
     options.readahead = true;
     BufferPool pool(kDiffCapacity, &disk,
                     std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
@@ -439,16 +412,9 @@ TEST(AsyncIoDifferentialTest, FaultScheduleReplayIsDeterministicInline) {
 // ---------------------------------------------------------------------------
 // Prefetch + readahead integration (inline mode: fully deterministic).
 
-BufferPoolOptions InlineDispatcherOptions() {
-  BufferPoolOptions options;
-  options.io_dispatcher = true;
-  return options;
-}
-
 TEST(AsyncIoPrefetchTest, RequestPrefetchAdmitsUnpinnedCleanPage) {
   SimDiskManager disk;
-  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                  InlineDispatcherOptions());
+  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   // A raw allocation is on disk but not resident — prefetchable.
   auto raw = disk.AllocatePage();
   ASSERT_TRUE(raw.ok());
@@ -481,8 +447,7 @@ TEST(AsyncIoPrefetchTest, RequestPrefetchAdmitsUnpinnedCleanPage) {
 
 TEST(AsyncIoPrefetchTest, PrefetchOfResidentPageIsANoOp) {
   SimDiskManager disk;
-  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                  InlineDispatcherOptions());
+  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   std::vector<PageId> pages = AllocateDb(pool, 1);
   pool.RequestPrefetch(pages[0]);  // Resident: no tracker entry, no read.
   EXPECT_EQ(pool.stats().prefetch_issued, 0u);
@@ -492,8 +457,7 @@ TEST(AsyncIoPrefetchTest, PrefetchOfResidentPageIsANoOp) {
 TEST(AsyncIoPrefetchTest, FailedPrefetchIsDroppedWithoutLeakingFrames) {
   SimDiskManager inner;
   FaultInjectingDiskManager disk(&inner, /*seed=*/3);
-  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                  InlineDispatcherOptions());
+  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   std::vector<PageId> pages = AllocateDb(pool, 2);
   ASSERT_TRUE(pool.FlushAll().ok());
   // Make both non-resident by deleting... instead, use a raw allocation
@@ -523,7 +487,6 @@ TEST(AsyncIoPrefetchTest, FailedPrefetchIsDroppedWithoutLeakingFrames) {
 TEST(AsyncIoPrefetchTest, SequentialScanFaultsOnlyUntilDetectorLocksOn) {
   SimDiskManager disk;
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.readahead = true;
 
   // 80 allocated, first 64 scanned: the readahead window never runs past
@@ -560,7 +523,6 @@ TEST(AsyncIoPrefetchTest, SequentialScanFaultsOnlyUntilDetectorLocksOn) {
 TEST(AsyncIoPrefetchTest, ShardedScanUsesPoolLevelDetector) {
   SimDiskManager disk;
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.readahead = true;
   // Warm the disk through a plain pool, then scan through a sharded one.
   {
@@ -597,11 +559,14 @@ TEST(AsyncIoRetryTest, DemandReadRetriesWithTheLatchReleased) {
   GateDiskManager gate(&inner);
   FaultInjectingDiskManager disk(&gate, /*seed=*/29);
   BufferPoolOptions options;
-  options.io_dispatcher = true;  // Inline: the fetching thread retries.
   options.io_max_attempts = 2;  // Immediate re-issue.
   BufferPool pool(2, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
   std::vector<PageId> pages = AllocateDb(pool, 3);
+  // AllocateDb leaves its pages dirty, and a miss whose victim is dirty
+  // reads as one batch with the write-back, under the latch. A clean
+  // victim leaves the read (and its retry) to run without it.
+  ASSERT_TRUE(pool.FlushAll().ok());
   PageId target = pages[0];    // Evicted by the third admission.
   PageId resident = pages[2];  // Survives the target's admission below.
   ASSERT_FALSE(pool.IsResident(target));
@@ -647,7 +612,6 @@ TEST(AsyncIoQuiesceTest, DeletePageFencesAnInFlightPrefetch) {
   SimDiskManager inner;
   GateDiskManager disk(&inner);
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = 1;
   BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
@@ -681,7 +645,6 @@ TEST(AsyncIoQuiesceTest, FlushAllQuiescesInFlightBackgroundWork) {
   SimDiskManager inner;
   GateDiskManager disk(&inner);
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = 2;
   BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
@@ -708,7 +671,6 @@ TEST(AsyncIoQuiesceTest, QuiesceDrainsQueuedPrefetches) {
   SimDiskManager inner;
   GateDiskManager disk(&inner);
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = 1;
   BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
@@ -738,7 +700,6 @@ TEST(AsyncIoQuiesceTest, WorkerModeCapsInFlightPrefetchesAtTheWindow) {
   SimDiskManager inner;
   GateDiskManager disk(&inner);
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = 1;
   BufferPool pool(16, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
@@ -774,7 +735,6 @@ TEST(AsyncIoQuiesceTest, QueueFullPrefetchIsDroppedNotLost) {
   SimDiskManager inner;
   GateDiskManager disk(&inner);
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = 1;
   BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);

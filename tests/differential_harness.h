@@ -221,9 +221,8 @@ struct DiffScenarioConfig {
   uint64_t db_pages = kDiffDbPages;
   int ops = kDiffOps;
   bool optimistic = false;
-  bool dispatcher = false;  // Inline unless io_workers > 0.
   size_t io_workers = 0;    // > 0: worker mode, which writes behind.
-  bool readahead = false;   // Implies the dispatcher (inline).
+  bool readahead = false;
   MakePolicyFn make_policy{};  // Null: LruKOptions{.k = 2}.
 };
 
@@ -245,12 +244,8 @@ inline DiffScenarioResult RunDiffScenario(const DiffScenarioConfig& config) {
   SimDiskManager disk;
   BufferPoolOptions options;
   options.optimistic_hits = config.optimistic;
-  options.io_dispatcher = config.dispatcher;
   options.io_workers = config.io_workers;
-  if (config.readahead) {
-    options.io_dispatcher = true;
-    options.readahead = true;
-  }
+  options.readahead = config.readahead;
   MakePolicyFn make_policy = config.make_policy;
   if (!make_policy) {
     make_policy = [](size_t, size_t) {

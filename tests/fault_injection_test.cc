@@ -361,7 +361,9 @@ TEST(FaultInjectorDifferentialTest, EmptyScheduleIsByteIdenticalToBareDisk) {
       ASSERT_TRUE(page.ok()) << i;
       if (write) WriteStamp((*page)->Data(), p, static_cast<uint64_t>(i));
       ASSERT_TRUE(pool.UnpinPage(p, write).ok()) << i;
-      if (i % 1009 == 0) ASSERT_TRUE(pool.FlushPage(p).ok());
+      if (i % 1009 == 0) {
+        ASSERT_TRUE(pool.FlushPage(p).ok());
+      }
     }
     ASSERT_TRUE(pool.FlushAll().ok());
   };

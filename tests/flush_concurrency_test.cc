@@ -315,7 +315,6 @@ TEST_P(FlushConcurrencyTest, FlushAllWaitsForAVictimWritePostedWhileItWaits) {
   SimDiskManager inner;
   FlushGateDiskManager disk(&inner);
   BufferPoolOptions options = PoolOptions(GetParam());
-  options.io_dispatcher = true;
   // Worker mode writes victims behind; two workers, so the held victim
   // write must not block the read.
   options.io_workers = 2;

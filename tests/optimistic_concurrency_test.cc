@@ -160,7 +160,6 @@ TEST(OptimisticConcurrencyTest, MixedChurnKeepsPlainPoolInvariants) {
   SimDiskManager disk;
   BufferPoolOptions options;
   options.optimistic_hits = true;
-  options.io_dispatcher = true;
   options.io_workers = 4;  // Worker mode: dirty victims are written behind.
 
   BufferPoolStats stats;
@@ -277,7 +276,6 @@ TEST(OptimisticConcurrencyTest, ShardedChurnComposesWithPoolReadahead) {
   SimDiskManager disk;
   BufferPoolOptions options;
   options.optimistic_hits = true;
-  options.io_dispatcher = true;
   options.io_workers = 4;
   options.readahead = true;
 

@@ -12,8 +12,8 @@
 //    BYTE-IDENTICAL single-threaded behaviour to the latched path over the
 //    same 20k-op mixed workload async_io_test.cc uses: same counters, same
 //    victim sequence, same IoStats, same residency, same disk images —
-//    with the inline dispatcher off and on, with worker-mode
-//    write-behind, and through the publish ring's full-stripe path.
+//    in inline mode, with worker-mode write-behind, and through the
+//    publish ring's full-stripe path.
 //  * Zero-mutex hit — a warm optimistic fetch/unpin pair acquires the pool
 //    latch ZERO times, asserted via the latch_acquires counter. Only such
 //    hits publish through the ring: a latched pool has none and applies
@@ -221,20 +221,6 @@ TEST(OptimisticDifferentialTest, MatchesLatchedPathShardedPool) {
   EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
 }
 
-TEST(OptimisticDifferentialTest, MatchesLatchedPathUnderAsyncStack) {
-  // Inline dispatcher: misses run through IoDispatcher::Run and the
-  // per-page tracker, with the latch released across the read.
-  for (bool sharded : {false, true}) {
-    SCOPED_TRACE(sharded ? "sharded" : "plain");
-    DiffScenarioResult latched = RunDiffScenario(
-        {.sharded = sharded, .optimistic = false, .dispatcher = true});
-    DiffScenarioResult optimistic = RunDiffScenario(
-        {.sharded = sharded, .optimistic = true, .dispatcher = true});
-    ExpectScenarioEq(latched, optimistic);
-    EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
-  }
-}
-
 TEST(OptimisticDifferentialTest, MatchesLatchedPathUnderWriteBehind) {
   // Worker-mode dispatcher with write-behind, driven by one thread: the
   // pool's policy calls stay sequential, so everything matches except
@@ -242,8 +228,7 @@ TEST(OptimisticDifferentialTest, MatchesLatchedPathUnderWriteBehind) {
   // evicting thread wrote itself.
   for (bool sharded : {false, true}) {
     SCOPED_TRACE(sharded ? "sharded" : "plain");
-    DiffScenarioConfig config{
-        .sharded = sharded, .dispatcher = true, .io_workers = 2};
+    DiffScenarioConfig config{.sharded = sharded, .io_workers = 2};
     DiffScenarioResult latched = RunDiffScenario(config);
     config.optimistic = true;
     DiffScenarioResult optimistic = RunDiffScenario(config);
@@ -389,7 +374,6 @@ TEST(OptimisticHitPathTest, WarmHitStaysLatchFreeWithReadaheadOn) {
   SimDiskManager disk;
   BufferPoolOptions options;
   options.optimistic_hits = true;
-  options.io_dispatcher = true;  // Inline workers.
   options.readahead = true;
   BufferPool pool(16, &disk,
                   std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);

@@ -91,7 +91,6 @@ TEST_P(PoolCountersConcurrencyTest, MergeSnapshotResetAndJsonCoverTheList) {
   BufferPoolOptions options;
   options.io_max_attempts = 2;
   options.optimistic_hits = optimistic;
-  options.io_dispatcher = true;
   options.io_workers = 2;
   options.readahead = true;
 

@@ -8,9 +8,9 @@
 //    write out and then reads the freshly written image; inline mode
 //    (io_workers = 0) keeps the synchronous path, including its exact
 //    rollback of a failed victim write.
-//  * Decision neutrality — single-threaded, write-behind replays the direct
-//    path's victim sequence, residency and disk images for every policy
-//    under test, not only the ones whose Restore is exact.
+//  * Decision neutrality — single-threaded, write-behind replays the
+//    inline pool's victim sequence, residency and disk images for every
+//    policy under test, not only the ones whose Restore is exact.
 //  * Failure semantics — a failed victim write re-admits the page exactly
 //    (resident, dirty, original image, policy Restore) when a frame can be
 //    found, or parks the image when every frame is pinned; parked images
@@ -125,7 +125,6 @@ void ExpectDiskImage(DiskManager& disk, PageId p, char fill) {
 // (workers = 0) writes them back on the miss path.
 BufferPoolOptions WriteBehindOptions(size_t workers) {
   BufferPoolOptions options;
-  options.io_dispatcher = true;
   options.io_workers = workers;
   return options;
 }
@@ -219,8 +218,8 @@ TEST(WriteBehindTest, FetchOfInFlightVictimWaitsForTheWrite) {
 
 TEST(WriteBehindTest, InlineModeKeepsSynchronousWritebacks) {
   SimDiskManager disk;
-  // io_workers = 0: inline mode writes victims back synchronously, so it
-  // stays byte-identical to the direct path.
+  // io_workers = 0: inline mode writes victims back synchronously, on the
+  // miss path.
   BufferPool pool(1, &disk, Lru2(1), WriteBehindOptions(/*workers=*/0));
 
   auto a = pool.NewPage();
@@ -304,34 +303,37 @@ class WriteBehindDifferentialTest
     : public ::testing::TestWithParam<const char*> {};
 
 // Single-threaded, a worker-mode pool (which writes behind) makes the
-// direct path's policy calls in the same order: a successful victim write never
-// touches the policy, so the victim sequence holds even for policies whose
-// Restore is a fresh re-admission (plain LRU, 2Q, ARC, CLOCK).
-TEST_P(WriteBehindDifferentialTest, VictimOrderMatchesDirectPath) {
+// inline pool's policy calls in the same order: a successful victim write
+// never touches the policy, so the victim sequence holds even for policies
+// whose Restore is a fresh re-admission (plain LRU, 2Q, ARC, CLOCK).
+TEST_P(WriteBehindDifferentialTest, VictimOrderMatchesInlinePool) {
   const std::string spec = GetParam();
   auto make_policy = [&](size_t, size_t capacity) {
     return SpecPolicy(spec, capacity);
   };
-  DiffScenarioResult direct = RunDiffScenario({.make_policy = make_policy});
-  DiffScenarioResult behind = RunDiffScenario(
-      {.dispatcher = true, .io_workers = 2, .make_policy = make_policy});
-  EXPECT_EQ(direct.evictions, behind.evictions);
-  EXPECT_EQ(direct.residency, behind.residency);
-  EXPECT_EQ(direct.images, behind.images);  // No acknowledged write lost.
-  EXPECT_EQ(direct.clocks, behind.clocks);
-  EXPECT_EQ(direct.stats.hits, behind.stats.hits);
-  EXPECT_EQ(direct.stats.misses, behind.stats.misses);
-  EXPECT_EQ(direct.stats.evictions, behind.stats.evictions);
-  EXPECT_EQ(direct.stats.correlated_refs, behind.stats.correlated_refs);
+  DiffScenarioResult inline_pool =
+      RunDiffScenario({.make_policy = make_policy});
+  DiffScenarioResult behind =
+      RunDiffScenario({.io_workers = 2, .make_policy = make_policy});
+  EXPECT_EQ(inline_pool.evictions, behind.evictions);
+  EXPECT_EQ(inline_pool.residency, behind.residency);
+  // No acknowledged write lost.
+  EXPECT_EQ(inline_pool.images, behind.images);
+  EXPECT_EQ(inline_pool.clocks, behind.clocks);
+  EXPECT_EQ(inline_pool.stats.hits, behind.stats.hits);
+  EXPECT_EQ(inline_pool.stats.misses, behind.stats.misses);
+  EXPECT_EQ(inline_pool.stats.evictions, behind.stats.evictions);
+  EXPECT_EQ(inline_pool.stats.correlated_refs,
+            behind.stats.correlated_refs);
   // Each dirty victim is written exactly once, on the Flush lane or (lane
   // full) by the evicting thread.
   EXPECT_GT(behind.stats.writebehind_writes, 0u);
   EXPECT_EQ(behind.stats.dirty_writebacks + behind.stats.writebehind_writes,
-            direct.stats.dirty_writebacks);
+            inline_pool.stats.dirty_writebacks);
   EXPECT_EQ(behind.stats.writebehind_readmits, 0u);
   EXPECT_EQ(behind.stats.background_cleans, 0u);
-  EXPECT_EQ(direct.io.reads, behind.io.reads);
-  EXPECT_EQ(direct.io.writes, behind.io.writes);
+  EXPECT_EQ(inline_pool.io.reads, behind.io.reads);
+  EXPECT_EQ(inline_pool.io.writes, behind.io.writes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, WriteBehindDifferentialTest,
