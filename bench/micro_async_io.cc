@@ -1,18 +1,8 @@
-// Async-I/O microbenchmark: measures the two wins the IoDispatcher claims.
+// Async-I/O microbenchmark: measures the pool's I/O paths through its
+// IoDispatcher.
 //
-// Section 1 — scan latency (deterministic, inline dispatcher). Example
-// 1.2-style workloads driven through a real BufferPool over a simulated
-// 10 ms disk: a pure sequential scan, and an interactive/hot mix where a
-// batch scan reads sequential chunks between bursts of hot-set traffic.
-// Readahead off is the synchronous baseline: every scan page is a demand
-// miss, so the caller stalls misses x read_micros of simulated I/O time.
-// Readahead on prefetches the detected run; the same pages still cross
-// the disk, but almost none of the reads happen on the demand path. The
-// pool runs LRU-2 with a correlated reference period so the
-// prefetch-admit + demand-hit pair counts as one uncorrelated reference
-// — scanned pages stay preferred victims (the paper's scan-resistance
-// story) while the not-yet-consumed readahead window, being the most
-// recently touched of the once-referenced pages, survives until demand.
+// Section 1, scan readahead, is deleted with the readahead it measured;
+// the other sections keep their numbers.
 //
 // Section 2 — coalescing (threaded, worker mode). Eight threads churn a
 // skewed page set over a disk wrapper that sleeps for real microseconds
@@ -60,9 +50,6 @@
 // read would stall such a hit for up to a whole read.
 //
 // Shape checks (CI greps for ": NO"):
-//  * readahead — simulated foreground stall with readahead on is at
-//    least 5x below the synchronous baseline in every scan pair, with
-//    prefetch_used nonzero.
 //  * coalescing — coalesced_reads nonzero in every threaded cell, and
 //    physical reads never exceed misses.
 //  * write-behind — foreground victim writes are <= 5% of all victim
@@ -108,46 +95,6 @@
 namespace lruk {
 namespace {
 
-constexpr double kReadMicros = 10000.0;  // 10 ms simulated disk read.
-constexpr Timestamp kScanCrp = 64;       // Covers the admit->demand gap.
-
-// ---------------------------------------------------------------------
-// Section 1: scan latency.
-
-struct ScanCell {
-  std::string workload;  // "sequential-scan" | "example-1.2-mix"
-  std::string pool;      // "single-latch" | "sharded x4"
-  bool readahead = false;
-  uint64_t ops = 0;
-  BufferPoolStats stats;
-  uint64_t physical_reads = 0;
-  double foreground_stall_ms = 0.0;
-  bool accounting_exact = false;
-};
-
-std::unique_ptr<PoolInterface> MakePool(const std::string& pool_kind,
-                                        size_t frames, DiskManager* disk,
-                                        const BufferPoolOptions& options) {
-  if (pool_kind == "single-latch") {
-    return std::make_unique<BufferPool>(
-        frames, disk,
-        std::make_unique<LruKPolicy>(LruKOptions{
-            .k = 2,
-            .correlated_reference_period = kScanCrp,
-            .capacity_hint = frames}),
-        options);
-  }
-  auto factory =
-      MakeShardPolicyFactory(PolicyConfig::LruK(2, kScanCrp));
-  if (!factory.ok()) {
-    std::fprintf(stderr, "factory: %s\n",
-                 factory.status().ToString().c_str());
-    return nullptr;
-  }
-  return std::make_unique<ShardedBufferPool>(frames, /*num_shards=*/4, disk,
-                                             *factory, options);
-}
-
 // Allocates `db_pages` through the pool, flushes, and zeroes all stats so
 // the measured phase starts from a cold-but-allocated database.
 bool AllocateDb(PoolInterface* pool, DiskManager* disk, uint64_t db_pages,
@@ -168,82 +115,6 @@ bool AllocateDb(PoolInterface* pool, DiskManager* disk, uint64_t db_pages,
   pool->ResetStats();
   disk->ResetStats();
   return true;
-}
-
-// One deterministic scan cell: single-threaded, inline dispatcher, so the
-// demand-miss count (and with it the simulated foreground stall) is exact
-// and replayable.
-ScanCell RunScanCell(const std::string& workload,
-                     const std::string& pool_kind, bool readahead,
-                     uint64_t scan_pages, uint64_t hot_pages,
-                     uint64_t chunk) {
-  ScanCell cell;
-  cell.workload = workload;
-  cell.pool = pool_kind;
-  cell.readahead = readahead;
-
-  SimDiskOptions disk_options;
-  disk_options.read_micros = kReadMicros;
-  disk_options.write_micros = kReadMicros;
-  SimDiskManager disk(disk_options);
-
-  constexpr size_t kFrames = 512;
-  BufferPoolOptions options;
-  options.io_workers = 0;  // Inline: deterministic, byte-exact.
-  options.readahead = readahead;
-
-  auto pool = MakePool(pool_kind, kFrames, &disk, options);
-  if (pool == nullptr) return cell;
-
-  std::vector<PageId> pages;
-  if (!AllocateDb(pool.get(), &disk, scan_pages + hot_pages, &pages)) {
-    return cell;
-  }
-
-  // Warm the hot set (mix workload only) so its pages carry >= 2
-  // uncorrelated references and are replacement-protected before the scan
-  // starts competing for frames.
-  RandomEngine rng(20260809);
-  if (hot_pages > 0) {
-    for (uint64_t round = 0; round < 4; ++round) {
-      for (uint64_t h = 0; h < hot_pages; ++h) {
-        PageId p = pages[scan_pages + h];
-        auto page = pool->FetchPage(p, AccessType::kRead);
-        if (page.ok()) (void)pool->UnpinPage(p, false);
-      }
-    }
-    pool->ResetStats();
-    disk.ResetStats();
-  }
-
-  uint64_t ops = 0;
-  uint64_t next_scan = 0;
-  while (next_scan < scan_pages) {
-    // A chunk of the batch scan...
-    for (uint64_t i = 0; i < chunk && next_scan < scan_pages; ++i) {
-      PageId p = pages[next_scan++];
-      auto page = pool->FetchPage(p, AccessType::kRead);
-      if (page.ok()) (void)pool->UnpinPage(p, false);
-      ++ops;
-    }
-    // ...then a burst of interactive traffic (mix workload only).
-    for (uint64_t i = 0; i < chunk && hot_pages > 0; ++i) {
-      PageId p = pages[scan_pages + rng.NextBounded(hot_pages)];
-      auto page = pool->FetchPage(p, AccessType::kRead);
-      if (page.ok()) (void)pool->UnpinPage(p, false);
-      ++ops;
-    }
-  }
-
-  cell.stats = pool->stats();
-  cell.ops = ops;
-  cell.physical_reads = disk.stats().reads;
-  // The caller blocks only on demand misses; prefetch reads retire off
-  // the demand path (and overlap with compute once io_workers > 0).
-  cell.foreground_stall_ms =
-      static_cast<double>(cell.stats.misses) * kReadMicros / 1000.0;
-  cell.accounting_exact = cell.stats.hits + cell.stats.misses == ops;
-  return cell;
 }
 
 // ---------------------------------------------------------------------
@@ -378,8 +249,8 @@ CoalesceCell RunCoalesceCell(const std::string& pool_kind,
           ? static_cast<double>(stats.coalesced_reads) / stats.misses
           : 0.0;
   cell.accounting_exact = stats.hits + stats.misses == cell.ops;
-  // Every coalesced miss shares another miss's read; prefetching is off,
-  // so the disk can never see more read ops than the pool counted misses.
+  // Every coalesced miss shares another miss's read, so the disk can never
+  // see more read ops than the pool counted misses.
   cell.reads_bounded = cell.physical_reads <= stats.misses;
   return cell;
 }
@@ -794,13 +665,11 @@ HitDuringMissCell RunHitDuringMissCell(uint64_t fetches) {
 // ---------------------------------------------------------------------
 
 void WriteJson(const char* path, const BenchProvenance& provenance,
-               const std::vector<ScanCell>& scan_cells,
                const std::vector<CoalesceCell>& coalesce_cells,
                const std::vector<WriteBehindCell>& wb_cells,
                const FlushCell& flush_cell,
                const std::vector<DirtyMissCell>& dirty_cells,
-               const HitDuringMissCell& hit_cell, bool readahead_ok,
-               bool prefetch_used_ok, bool coalesce_ok,
+               const HitDuringMissCell& hit_cell, bool coalesce_ok,
                bool wb_foreground_ok, bool wb_p99_ok, bool accounting_ok,
                bool flush_ok, bool flush_unlatched_ok, bool dirty_miss_ok,
                bool hit_unstalled_ok) {
@@ -811,22 +680,7 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
   }
   std::fprintf(f, "{\n  \"bench\": \"micro_async_io\",\n");
   WriteProvenanceJson(f, provenance);
-  std::fprintf(f, ",\n  \"read_micros\": %.1f,\n  \"scan_cells\": [\n",
-               kReadMicros);
-  for (size_t i = 0; i < scan_cells.size(); ++i) {
-    const ScanCell& c = scan_cells[i];
-    std::fprintf(
-        f,
-        "    {\"workload\": \"%s\", \"pool\": \"%s\", \"readahead\": %s, "
-        "\"ops\": %llu, %s, "
-        "\"physical_reads\": %llu, \"foreground_stall_ms\": %.1f}%s\n",
-        c.workload.c_str(), c.pool.c_str(), c.readahead ? "true" : "false",
-        static_cast<unsigned long long>(c.ops),
-        PoolCountersJson(c.stats).c_str(),
-        static_cast<unsigned long long>(c.physical_reads),
-        c.foreground_stall_ms, i + 1 < scan_cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"coalescing_cells\": [\n");
+  std::fprintf(f, ",\n  \"coalescing_cells\": [\n");
   for (size_t i = 0; i < coalesce_cells.size(); ++i) {
     const CoalesceCell& c = coalesce_cells[i];
     std::fprintf(
@@ -918,8 +772,6 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
       hit_cell.hit_p99_us, hit_cell.hit_max_us);
   std::fprintf(f,
                "  ],\n  \"checks\": {\n"
-               "    \"readahead_beats_sync\": %s,\n"
-               "    \"prefetch_used_nonzero\": %s,\n"
                "    \"coalesced_nonzero\": %s,\n"
                "    \"writebehind_foreground_near_zero\": %s,\n"
                "    \"writebehind_p99_beats_sync\": %s,\n"
@@ -928,8 +780,6 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                "    \"fetch_during_flush_unstalled\": %s,\n"
                "    \"dirty_miss_overlaps\": %s,\n"
                "    \"hit_during_miss_unstalled\": %s\n  }\n}\n",
-               readahead_ok ? "true" : "false",
-               prefetch_used_ok ? "true" : "false",
                coalesce_ok ? "true" : "false",
                wb_foreground_ok ? "true" : "false",
                wb_p99_ok ? "true" : "false",
@@ -965,63 +815,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  const uint64_t scan_pages = quick ? 2048 : 8192;
-  const uint64_t hot_pages = 128;
-  const uint64_t chunk = 32;
   const uint64_t ops_per_thread = quick ? 400 : 2500;
   const uint64_t wb_ops_per_thread = quick ? 600 : 3000;
   const uint64_t dirty_ops = quick ? 800 : 4000;
   const uint64_t hit_fetches = quick ? 2000 : 4000;
   provenance.threads = 8;  // Maximum client threads across the sections.
 
-  std::printf(
-      "Async I/O: scans over a simulated %.0f ms disk (inline dispatcher, "
-      "LRU-2 CRP=%llu, 512 frames), then 8-thread coalescing churn over a "
-      "sleeping disk\n\n",
-      kReadMicros / 1000.0, static_cast<unsigned long long>(kScanCrp));
-
-  struct ScanSpec {
-    const char* workload;
-    const char* pool;
-    uint64_t hot;
-  };
-  const std::vector<ScanSpec> scan_specs = {
-      {"sequential-scan", "single-latch", 0},
-      {"example-1.2-mix", "single-latch", hot_pages},
-      {"sequential-scan", "sharded x4", 0},
-  };
-
-  std::vector<ScanCell> scan_cells;
-  AsciiTable scan_table({"workload", "pool", "readahead", "misses",
-                         "prefetch used", "physical reads", "stall (ms)"});
-  bool readahead_ok = true;
-  bool prefetch_used_ok = true;
+  std::printf("Async I/O: 8-thread coalescing churn over a sleeping disk\n\n");
   bool accounting_ok = true;
-  for (const ScanSpec& spec : scan_specs) {
-    ScanCell off = RunScanCell(spec.workload, spec.pool, false, scan_pages,
-                               spec.hot, chunk);
-    ScanCell on = RunScanCell(spec.workload, spec.pool, true, scan_pages,
-                              spec.hot, chunk);
-    for (const ScanCell* c : {&off, &on}) {
-      scan_table.AddRow({c->workload, c->pool, c->readahead ? "on" : "off",
-                         AsciiTable::Integer(c->stats.misses),
-                         AsciiTable::Integer(c->stats.prefetch_used),
-                         AsciiTable::Integer(c->physical_reads),
-                         AsciiTable::Fixed(c->foreground_stall_ms, 1)});
-      accounting_ok = accounting_ok && c->accounting_exact;
-      scan_cells.push_back(*c);
-    }
-    if (on.foreground_stall_ms * 5 > off.foreground_stall_ms) {
-      readahead_ok = false;
-      std::printf("readahead win too small: %s/%s %.1f ms vs %.1f ms\n",
-                  spec.workload, spec.pool, on.foreground_stall_ms,
-                  off.foreground_stall_ms);
-    }
-    if (on.stats.prefetch_used == 0) prefetch_used_ok = false;
-  }
-  scan_table.Print();
-
-  std::printf("\n");
   std::vector<CoalesceCell> coalesce_cells;
   AsciiTable co_table({"pool", "misses", "coalesced", "ratio",
                        "physical reads", "wall (s)"});
@@ -1165,13 +966,7 @@ int main(int argc, char** argv) {
       hit_cell.misses > 0 &&
       hit_cell.hit_p99_us * 10.0 < static_cast<double>(hit_cell.read_micros);
 
-  std::printf("\nshape: readahead stalls >= 5x below the synchronous "
-              "baseline in every scan pair: %s\n",
-              readahead_ok ? "yes" : "NO");
-  std::printf("shape: prefetched pages are consumed by demand fetches "
-              "(prefetch_used > 0): %s\n",
-              prefetch_used_ok ? "yes" : "NO");
-  std::printf("shape: concurrent same-page misses coalesce "
+  std::printf("\nshape: concurrent same-page misses coalesce "
               "(coalesced_reads > 0, physical reads <= misses): %s\n",
               coalesce_ok && bounded_ok ? "yes" : "NO");
   std::printf("shape: write-behind keeps foreground victim writes <= 5%% "
@@ -1197,17 +992,15 @@ int main(int argc, char** argv) {
               hit_unstalled_ok ? "yes" : "NO");
 
   if (json_path != nullptr) {
-    WriteJson(json_path, provenance, scan_cells, coalesce_cells, wb_cells,
-              flush_cell, dirty_cells, hit_cell, readahead_ok,
-              prefetch_used_ok, coalesce_ok && bounded_ok, wb_foreground_ok,
-              wb_p99_ok, accounting_ok, flush_ok, flush_unlatched_ok,
-              dirty_miss_ok, hit_unstalled_ok);
+    WriteJson(json_path, provenance, coalesce_cells, wb_cells, flush_cell,
+              dirty_cells, hit_cell, coalesce_ok && bounded_ok,
+              wb_foreground_ok, wb_p99_ok, accounting_ok, flush_ok,
+              flush_unlatched_ok, dirty_miss_ok, hit_unstalled_ok);
     std::printf("wrote %s\n", json_path);
   }
-  return readahead_ok && prefetch_used_ok && coalesce_ok && bounded_ok &&
-                 wb_foreground_ok && wb_p99_ok && accounting_ok &&
-                 flush_ok && flush_unlatched_ok && dirty_miss_ok &&
-                 hit_unstalled_ok
+  return coalesce_ok && bounded_ok && wb_foreground_ok && wb_p99_ok &&
+                 accounting_ok && flush_ok && flush_unlatched_ok &&
+                 dirty_miss_ok && hit_unstalled_ok
              ? 0
              : 1;
 }

@@ -28,7 +28,7 @@ void RunPool(benchmark::State& state, const char* policy_name,
   SimDiskOptions disk_options;
   disk_options.read_micros = 0.0;  // Measure manager cost, not fake I/O.
   disk_options.write_micros = 0.0;
-  SimDiskManager disk;
+  SimDiskManager disk(disk_options);
 
   PolicyContext context;
   context.capacity = kFrames;

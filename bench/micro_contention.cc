@@ -31,16 +31,9 @@
 //    than 4 cores the multi-thread criteria are reported, not enforced
 //    (same convention as micro_sharded_pool); the 1-thread criteria are
 //    always enforced.
-//  * composition — the "optimistic+ra" cell runs the optimistic pool with
-//    the voting scan detector on (inline dispatcher): its 1-thread
-//    Zipfian throughput must stay >= 0.9x the "optimistic+disp" cell —
-//    the same pool with the detector off, run in the same paired
-//    repetitions, so the ratio isolates what detection costs
-//    (detection must not tax the fast path; enforced in optimized builds
-//    only — at -O0 the un-inlined voting loop dominates the access and
-//    the ratio is meaningless), and the 1-thread hot-page optimistic
-//    cell must show <= 0.1 latch acquires per op in every build (warm-hit
-//    publishing is genuinely latch-free; the residue is ring drains).
+//  * publish path — the 1-thread hot-page optimistic cell must show
+//    <= 0.1 latch acquires per op in every build (warm-hit publishing is
+//    genuinely latch-free; the residue is ring drains).
 //
 // Flags: --json <path> writes machine-readable results (BENCH_*.json
 // trajectory); --quick shrinks the per-cell op count for CI smoke runs.
@@ -185,14 +178,11 @@ struct Checks {
   double hot_page_1t = 0.0;        // 1t hot page, optimistic vs latched.
   double optimistic_8t = 0.0;      // 8t Zipfian, optimistic vs latched.
   double hot_page_ratio = 0.0;     // 8t hot page, optimistic vs latched.
-  double readahead_1t = 0.0;       // 1t Zipfian, +ra vs +disp (same stack).
   double publish_latch_1t = 0.0;   // 1t hot page optimistic, latch/op.
   bool enforced = false;           // cores >= 4: multi-thread checks bind.
   bool optimistic_1t_ok = false;
   bool optimistic_8t_ok = false;
   bool hot_page_ok = false;
-  bool floors_enforced = false;    // NDEBUG: the ratio floor binds.
-  bool readahead_ok = false;       // Enforced in optimized builds.
   bool publish_latch_ok = false;   // Counter-based: always enforced.
 };
 
@@ -243,9 +233,6 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                "    \"optimistic_8t_ok\": %s,\n"
                "    \"hot_page_8t_optimistic_vs_latched\": %.3f,\n"
                "    \"hot_page_ok\": %s,\n"
-               "    \"readahead_1t_vs_dispatcher\": %.3f,\n"
-               "    \"readahead_floor_enforced\": %s,\n"
-               "    \"readahead_1t_ok\": %s,\n"
                "    \"publish_latch_per_op_1t\": %.4f,\n"
                "    \"publish_latch_ok\": %s\n  }\n}\n",
                checks.accounting_ok ? "true" : "false", checks.optimistic_1t,
@@ -255,9 +242,6 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                checks.optimistic_8t_ok ? "true" : "false",
                checks.hot_page_ratio,
                checks.hot_page_ok ? "true" : "false",
-               checks.readahead_1t,
-               checks.floors_enforced ? "true" : "false",
-               checks.readahead_ok ? "true" : "false",
                checks.publish_latch_1t,
                checks.publish_latch_ok ? "true" : "false");
   std::fclose(f);
@@ -383,43 +367,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Readahead composition: the same 1-thread Zipfian churn with the scan
-  // detector enabled on top of the optimistic pool (inline dispatcher: no
-  // worker threads). The baseline is the same pool with the detector off,
-  // so the delta is exactly what the always-on detector costs the fast
-  // path. Observe is wait-free, so warm
-  // hits must stay latch-free, and a Zipfian stream almost never musters
-  // kReadaheadMinRun aligned votes, so this prices the detector probe, not
-  // actual prefetch traffic.
-  // Judged on the max per-repetition ratio like the other enforced
-  // 1-thread floors (see paired_ratio above).
-  double readahead_ratio = 0;
-  {
-    auto run_detector = [&](bool detector) {
-      SimDiskOptions disk_options;
-      disk_options.read_micros = 0.0;
-      disk_options.write_micros = 0.0;
-      SimDiskManager disk(disk_options);
-      BufferPoolOptions options = CellOptions(/*optimistic=*/true);
-      options.io_workers = 0;  // Inline: prefetches run on the fetch
-                               // thread.
-      options.readahead = detector;
-      BufferPool pool(kFrames, &disk, MakeLru2(kFrames), options);
-      Cell cell{.pool = "single-latch",
-                .mode = detector ? "optimistic+ra" : "optimistic+disp",
-                .shards = 1, .threads = 1};
-      RunCell(pool, cell, total_ops, kDbPages);
-      return cell;
-    };
-    Cell best_disp{}, best_ra{};
-    readahead_ratio =
-        paired_ratio([&] { return run_detector(false); },
-                     [&] { return run_detector(true); }, &best_disp,
-                     &best_ra);
-    add_row(best_disp);
-    add_row(best_ra);
-  }
-
   // Composition rows: both hit paths through ShardedBufferPool.
   for (bool optimistic : {false, true}) {
     SimDiskOptions disk_options;
@@ -509,17 +456,14 @@ int main(int argc, char** argv) {
   checks.optimistic_8t = latched_8t > 0 ? optimistic_8t / latched_8t : 0.0;
   checks.hot_page_ratio =
       hot_latched > 0 ? hot_optimistic / hot_latched : 0.0;
-  checks.readahead_1t = readahead_ratio;
   checks.publish_latch_1t = hot1_latch_per_op;
   std::printf("\noptimistic vs latched (single latch, 1t ratios paired "
               "best-of-5): 1t zipfian %.2fx, 1t hot page %.2fx, "
               "8t %.2fx, 8t hot page %.2fx\n",
               checks.optimistic_1t, checks.hot_page_1t,
               checks.optimistic_8t, checks.hot_page_ratio);
-  std::printf("optimistic+readahead vs same stack, detector off "
-              "(1t zipfian, paired best-of-5): "
-              "%.2fx; 1t hot-page publish path: %.4f latch/op\n",
-              checks.readahead_1t, checks.publish_latch_1t);
+  std::printf("1t hot-page publish path: %.4f latch/op\n",
+              checks.publish_latch_1t);
   checks.enforced = cores >= 4;
   // The latch-free hit must win single-threaded where hits are the whole
   // workload (hot page: no contention to win, pure per-hit cost — the
@@ -531,27 +475,12 @@ int main(int argc, char** argv) {
   // ...and must win (or at least not lose) once threads actually contend.
   checks.optimistic_8t_ok = checks.optimistic_8t >= 1.0;
   checks.hot_page_ok = checks.hot_page_ratio >= 1.0;
-  // Composition floors (both single-threaded, so core-count independent):
+  // Publish-path floor (single-threaded, so core-count independent):
   // warm-hit publishing must keep the latch essentially off the hot path
   // (drains amortize across the ring; 0.1/op is 6x the 64-record ring's
-  // drain rate, generous headroom over noise) — counter-based, so it binds in
-  // every build. The detector-tax ratio is a timing ratio that is only
-  // meaningful where Observe's voting loop gets inlined: at -O0 the
-  // un-inlined loop is ~35% of the whole access (measured 0.65x) while
-  // optimized builds keep it under 10% (1.0-1.05x), so the >= 0.9 floor
-  // binds only under NDEBUG and is report-only otherwise. CI's default
-  // build resolves to Release (CMakeLists falls back when the type is
-  // unset), so both CI bench jobs enforce it.
-#ifdef NDEBUG
-  checks.floors_enforced = true;
-#endif
-  checks.readahead_ok =
-      checks.readahead_1t >= 0.9 || !checks.floors_enforced;
+  // drain rate, generous headroom over noise) — counter-based, so it binds
+  // in every build.
   checks.publish_latch_ok = checks.publish_latch_1t <= 0.1;
-  if (!checks.floors_enforced) {
-    std::printf("note: unoptimized build — reporting the "
-                "optimistic+readahead ratio without enforcement\n");
-  }
   if (!checks.enforced) {
     std::printf("note: only %u hardware threads — latch contention needs "
                 ">=4 cores, reporting multi-thread criteria without "
@@ -569,9 +498,6 @@ int main(int argc, char** argv) {
               checks.optimistic_8t_ok ? "yes" : "NO");
   std::printf("shape: optimistic >= 1x latched on the 8-thread hot page "
               "(or <4 cores): %s\n", checks.hot_page_ok ? "yes" : "NO");
-  std::printf("shape: optimistic+readahead >= 0.9x the detector-off stack "
-              "at 1 thread (or unoptimized build): %s\n",
-              checks.readahead_ok ? "yes" : "NO");
   std::printf("shape: 1-thread hot-page optimistic <= 0.1 latch/op: %s\n",
               checks.publish_latch_ok ? "yes" : "NO");
 
@@ -580,8 +506,7 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", json_path);
   }
   return checks.accounting_ok && checks.optimistic_1t_ok &&
-                 checks.optimistic_8t_ok &&
-                 checks.hot_page_ok && checks.readahead_ok &&
+                 checks.optimistic_8t_ok && checks.hot_page_ok &&
                  checks.publish_latch_ok
              ? 0
              : 1;

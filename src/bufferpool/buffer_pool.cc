@@ -51,13 +51,8 @@ BufferPool::BufferPool(size_t capacity, DiskManager* disk,
     owned_io_ = std::make_unique<IoDispatcher>(options_.io_workers);
     io_ = owned_io_.get();
   }
-  if (options_.readahead) readahead_ = std::make_unique<ReadaheadDetector>();
   if (io_->inline_mode()) read_scratch_ = std::make_unique<char[]>(kPageSize);
   frames_ = std::make_unique<Page[]>(capacity_);
-  frame_prefetched_ = std::make_unique<std::atomic<uint8_t>[]>(capacity_);
-  for (size_t f = 0; f < capacity_; ++f) {
-    frame_prefetched_[f].store(0, std::memory_order_relaxed);
-  }
   free_frames_.reserve(capacity_);
   for (FrameId f = 0; f < capacity_; ++f) {
     free_frames_.push_back(static_cast<FrameId>(capacity_ - 1 - f));
@@ -65,8 +60,9 @@ BufferPool::BufferPool(size_t capacity, DiskManager* disk,
 }
 
 BufferPool::~BufferPool() {
-  // Settle in-flight dispatcher work first (prefetch reads land in frame
-  // buffers), then best-effort write-back of surviving dirty pages.
+  // Settle in-flight dispatcher work first (another thread's miss read
+  // lands in a frame buffer), then best-effort write-back of surviving
+  // dirty pages.
   Quiesce();
   (void)FlushAll();
 }
@@ -79,8 +75,9 @@ void BufferPool::DiskBatch(std::span<PageIo> batch) {
   }
   // Further rounds, each one RunBatch of the entries still owed an attempt
   // (`todo`, indices into `batch`, in batch order), so that every entry
-  // gets io_max_attempts of its own, as RetryTransient gives a single
-  // operation. An unissued read is owed its first attempt.
+  // gets io_max_attempts of its own (a value below 1 counts as 1): a
+  // retryable failure (util/retry.h) is re-issued at once, anything else
+  // is final. An unissued read is owed its first attempt.
   std::vector<int> attempts(batch.size(), 0);
   std::vector<size_t> todo(batch.size());
   std::iota(todo.begin(), todo.end(), size_t{0});
@@ -298,7 +295,7 @@ BufferPool::PendingIo* BufferPool::TrackReadLocked(PageId p) {
   });
   PendingIo& entry = spare != reads_.end() ? *spare : reads_.emplace_back();
   entry.page = p;
-  entry.done = entry.retry_as_primary = false;
+  entry.done = false;
   ++tracked_reads_;
   return &entry;
 }
@@ -311,20 +308,13 @@ void BufferPool::FinishPendingLocked(PendingIo* entry, Status status) {
   quiesce_cv_.notify_all();
 }
 
-void BufferPool::AbandonPrefetchLocked(PendingIo* entry, Status status) {
-  ++stats_.prefetch_dropped;
-  --inflight_prefetches_;
-  entry->retry_as_primary = true;
-  FinishPendingLocked(entry, std::move(status));
-}
-
 Status BufferPool::AwaitReadLocked(std::unique_lock<std::mutex>& guard,
                                    PendingIo* entry) {
   // A waiter keeps the record from reuse until it has read the outcome.
   ++entry->waiters;
   entry->cv.wait(guard, [&] { return entry->done; });
   --entry->waiters;
-  return entry->retry_as_primary ? Status::Ok() : entry->status;
+  return entry->status;
 }
 
 void BufferPool::FencePageLocked(std::unique_lock<std::mutex>& guard,
@@ -364,108 +354,7 @@ void BufferPool::Quiesce() {
   QuiesceLocked(guard);
 }
 
-bool BufferPool::RegisterPrefetchLocked(PageId p) {
-  if (page_table_.contains(p) || FindPendingLocked(p) != nullptr) return false;
-  // A page with its own victim write in flight (or a parked image) will be
-  // re-served from pool state, not from the possibly-stale disk image.
-  if (pending_victim_writes_.contains(p) || parked_victims_.contains(p)) {
-    return false;
-  }
-  if (!io_->inline_mode()) {
-    // Worker mode: bound concurrently in-flight prefetches. (Inline mode
-    // never has more than the one executing synchronously right now.)
-    if (inflight_prefetches_ >= kReadaheadWindow) return false;
-  }
-  TrackReadLocked(p);
-  ++inflight_prefetches_;
-  ++stats_.prefetch_issued;
-  return true;
-}
-
-void BufferPool::ExecutePrefetch(PageId p) {
-  auto guard = Lock();
-  PendingIo* entry = FindPendingLocked(p);
-  LRUK_ASSERT(entry != nullptr, "prefetch lost its tracker entry");
-  // A page stays out of the page table for as long as its tracker entry is
-  // alive (demand fetches coalesce onto the entry, AdmitNewPage fences).
-  LRUK_ASSERT(!page_table_.contains(p),
-              "page admitted while its prefetch was in flight");
-  DrainAccessBufferLocked();
-  policy_->PrepareAdmit(p);
-  std::vector<PageId> deferred;
-  auto frame = AcquireFrame(&deferred);
-  if (!frame.ok()) {  // Nothing deferred on failure.
-    AbandonPrefetchLocked(entry, frame.status());
-    return;
-  }
-  Page& page = frames_[*frame];
-  // The read itself runs with the latch released (we are on a worker in
-  // worker mode, or past the foreground admission in inline mode); the
-  // frame is reserved — in neither the free list nor the page table — and
-  // the tracker entry keeps every other path off the page. The deferred
-  // victim write (if any) is posted first so it overlaps the read
-  // (TryPost from a worker never blocks).
-  guard.unlock();
-  LaunchDeferredVictimWrites(deferred);
-  RetryOutcome outcome = RetryTransient(options_.io_max_attempts, [&] {
-    return disk_->ReadPage(p, page.Data());
-  });
-  guard.lock();
-  CountLatchAcquire();
-  stats_.retries += outcome.retries;
-  if (!outcome.status.ok() || admitting_.contains(p)) {
-    free_frames_.push_back(*frame);
-    AbandonPrefetchLocked(entry, outcome.status);
-    return;
-  }
-  page.id_ = p;
-  // The frame came out of AcquireFrame with pin 0 and its clean image is
-  // being installed; only the dirty flag needs (re)setting — pin counts
-  // are never blind-stored (a stale optimistic reader may hold a
-  // transient +1 it is about to undo).
-  page.dirty_.store(false, std::memory_order_relaxed);
-  page_table_.Insert(p, *frame);
-  frame_prefetched_[*frame].store(1, std::memory_order_relaxed);
-  // The admission ticks the policy clock; the demand reference that
-  // (hopefully) follows lands as a hit within the correlated period.
-  policy_->Admit(p, AccessType::kRead);
-  --inflight_prefetches_;
-  FinishPendingLocked(entry, Status::Ok());
-}
-
-void BufferPool::CollectPrefetchesLocked(PageId p, bool observe,
-                                         std::vector<PageId>* targets) {
-  if (readahead_ == nullptr || !observe) return;
-  readahead_->Observe(p, &readahead_scratch_);
-  for (PageId q : readahead_scratch_) {
-    if (RegisterPrefetchLocked(q)) targets->push_back(q);
-  }
-}
-
-void BufferPool::LaunchPrefetches(const std::vector<PageId>& prefetches) {
-  for (PageId q : prefetches) {
-    if (io_->TryPost([this, q] { ExecutePrefetch(q); }, IoClass::kPrefetch)) {
-      continue;
-    }
-    // Lane full: the prefetch never runs, so retire its tracker entry
-    // here. Any demand fetch already waiting retries as a primary.
-    auto guard = Lock();
-    PendingIo* entry = FindPendingLocked(q);
-    LRUK_ASSERT(entry != nullptr, "rejected prefetch already completed");
-    ++stats_.io_drops_prefetch;
-    AbandonPrefetchLocked(entry,
-                          Status::ResourceExhausted("dispatcher queue full"));
-  }
-}
-
-void BufferPool::RequestPrefetch(PageId p) {
-  // The latch is held for the registration only.
-  if (auto guard = Lock(); !RegisterPrefetchLocked(p)) return;
-  LaunchPrefetches({p});
-}
-
-Page* BufferPool::TryOptimisticHit(PageId p, AccessType type, bool refix,
-                                   bool* observable) {
+Page* BufferPool::TryOptimisticHit(PageId p, AccessType type, bool refix) {
   PageTable::Snapshot snap;
   PageTable::ProbeFail why = PageTable::ProbeFail::kNone;
   if (!page_table_.OptimisticFind(p, &snap, &why)) {
@@ -488,13 +377,6 @@ Page* BufferPool::TryOptimisticHit(PageId p, AccessType type, bool refix,
   if (type == AccessType::kWrite) {
     page.dirty_.store(true, std::memory_order_release);
   }
-  const bool was_prefetched =
-      frame_prefetched_[snap.frame].exchange(0, std::memory_order_relaxed) !=
-      0;
-  if (was_prefetched) {
-    stats_.prefetch_used.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (observable != nullptr) *observable = was_prefetched;
   stats_.hits.fetch_add(1, std::memory_order_relaxed);
   stats_.optimistic_hits.fetch_add(1, std::memory_order_relaxed);
   // Publish the reference after the pin, never under any latch. The pin
@@ -510,68 +392,21 @@ Page* BufferPool::TryOptimisticHit(PageId p, AccessType type, bool refix,
     DrainAccessBufferLocked();
     policy_->RecordAccess(p, type);
   }
-  // Readahead, after the publish (same order as the latched hit
-  // branch, so an inline-mode prefetch admission drains this reference
-  // first). The detector sees only OBSERVABLE references — demand misses
-  // and prefetch-confirmation hits like this one. A steady-state warm
-  // hit skips Observe entirely: a scan's references are always misses or
-  // first touches of prefetched frames (a scan visits each page once),
-  // so nothing detectable is lost, and the detector's per-call cost —
-  // small, but a measurable fraction of a ~650 ns latch-free hit — comes
-  // off the warm path completely. A scan entering cold territory from a
-  // fully-resident stretch re-arms within kReadaheadMinRun misses.
-  std::vector<PageId> targets;
-  if (readahead_ != nullptr && was_prefetched) {
-    readahead_->Observe(p, &targets);
-    if (!targets.empty()) {
-      // Latch-free pre-filter: drop targets the wait-free probe already
-      // finds resident. RegisterPrefetchLocked would refuse them anyway,
-      // so this only avoids taking the latch for triggers whose window
-      // is already cached (common when clustered non-scan traffic
-      // happens to vote) — exactly what the latched register would have
-      // concluded; uncertain probes (conflict/bound) are kept for it.
-      size_t kept = 0;
-      for (PageId q : targets) {
-        PageTable::Snapshot snap;
-        if (!page_table_.OptimisticFind(q, &snap)) targets[kept++] = q;
-      }
-      targets.resize(kept);
-    }
-  }
-  if (!targets.empty()) {
-    std::vector<PageId> registered;
-    auto guard = Lock();
-    for (PageId q : targets) {
-      if (RegisterPrefetchLocked(q)) registered.push_back(q);
-    }
-    guard.unlock();
-    LaunchPrefetches(registered);
-  }
   return &page;
-}
-
-Result<Page*> BufferPool::FetchPage(PageId p, AccessType type) {
-  return FetchPage(p, type, nullptr);
 }
 
 void BufferPool::NoteFix(PageId p) const { last_fix = {fix_key_, p}; }
 
-Result<Page*> BufferPool::FetchPage(PageId p, AccessType type,
-                                    bool* observable) {
+Result<Page*> BufferPool::FetchPage(PageId p, AccessType type) {
   const bool refix = last_fix.pool == fix_key_ && last_fix.page == p;
-  auto page = FixPage(p, type, refix, observable);
+  auto page = FixPage(p, type, refix);
   if (page.ok()) NoteFix(p);
   return page;
 }
 
-Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
-                                  bool* observable) {
-  if (observable != nullptr) *observable = false;
+Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix) {
   if (optimistic_) {
-    if (Page* page = TryOptimisticHit(p, type, refix, observable)) {
-      return page;
-    }
-    if (observable != nullptr) *observable = false;  // Fallback re-decides.
+    if (Page* page = TryOptimisticHit(p, type, refix)) return page;
   }
   auto guard = Lock();
   // Whether this fetch has already been counted (a coalesced waiter counts
@@ -593,10 +428,6 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
       // Only a hit collapses: a coalesced waiter (counted) was a miss.
       const bool correlated = refix && !counted;
       if (correlated) ++stats_.correlated_refs;
-      const bool was_prefetched =
-          frame_prefetched_[f].exchange(0, std::memory_order_relaxed) != 0;
-      if (was_prefetched) ++stats_.prefetch_used;
-      if (observable != nullptr) *observable = was_prefetched;
       if (!correlated) {
         // Under the latch, after any latch-free hits still in the ring, as
         // the ring-full path in TryOptimisticHit does.
@@ -611,12 +442,6 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
       if (type == AccessType::kWrite) {
         page.dirty_.store(true, std::memory_order_release);
       }
-      // Same observation policy as the optimistic hit path: only a
-      // prefetch-confirmation hit feeds the scan detector.
-      std::vector<PageId> targets;
-      CollectPrefetchesLocked(p, was_prefetched, &targets);
-      guard.unlock();
-      LaunchPrefetches(targets);
       return &page;
     }
     // The page's own write-behind victim write may still be in flight: a
@@ -637,7 +462,6 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
     if (parked != parked_victims_.end()) {
       if (!counted) ++stats_.misses;  // Not resident; no physical read.
       counted = true;
-      if (observable != nullptr) *observable = true;  // A miss.
       std::unique_ptr<char[]> image = std::move(parked->second);
       parked_victims_.erase(parked);
       DrainAccessBufferLocked();
@@ -653,7 +477,6 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
       page.pin_count_.fetch_add(1);  // Never a store; see below.
       page.dirty_.store(true, std::memory_order_relaxed);  // Any fetch type.
       page_table_.Insert(p, *readmit);
-      frame_prefetched_[*readmit].store(0, std::memory_order_relaxed);
       policy_->Restore(p);
       policy_->RecordAccess(p, type);
       if (!optimistic_) policy_->SetEvictable(p, false);
@@ -663,8 +486,8 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
       return &page;
     }
     // The per-page request tracker: a read of p already in flight
-    // (another thread's miss, or a prefetch) absorbs this miss — wait
-    // for it instead of issuing a second physical read.
+    // (another thread's miss) absorbs this miss — wait for it instead of
+    // issuing a second physical read.
     if (PendingIo* entry = FindPendingLocked(p)) {
       if (!counted) {
         ++stats_.misses;
@@ -679,9 +502,8 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
         return read;
       }
       // Success: the page should be resident now (re-loop to the hit
-      // branch). An abandoned prefetch (retry_as_primary) or an
-      // admission already evicted again falls through to a fresh
-      // primary miss instead.
+      // branch). An admission already evicted again falls through to a
+      // fresh primary miss instead.
       continue;
     }
 
@@ -703,7 +525,6 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
     if (!AwaitFlushLocked(guard, acquired.status())) return acquired.status();
   }
 
-  if (observable != nullptr) *observable = true;  // A demand miss.
   Page& page = frames_[frame];
   Status read;
   PendingIo* entry = nullptr;
@@ -720,18 +541,13 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
     // is issued, so the write-back overlaps the read instead of preceding
     // it — the point of write-behind.
     entry = TrackReadLocked(p);
-    RetryOutcome outcome;
+    PageIo io[] = {{PageIo::Kind::kRead, p, page.Data(), Status::Ok()}};
     guard.unlock();
     LaunchDeferredVictimWrites(deferred);
-    io_->Run([&] {
-      outcome = RetryTransient(options_.io_max_attempts,
-                               [&] { return disk_->ReadPage(p, page.Data()); });
-    });
+    io_->Run([&] { DiskBatch(io); });
     guard.lock();
     CountLatchAcquire();
-    stats_.retries += outcome.retries;
-    if (!outcome.status.ok()) ++stats_.read_failures;
-    read = outcome.status;
+    read = std::move(io[0].status);
   }
   if (read.ok() && admitting_.contains(p)) {
     read = Status::NotFound("page deleted and its id reallocated");
@@ -751,15 +567,8 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix,
   page.pin_count_.fetch_add(1);
   page.dirty_.store(type == AccessType::kWrite, std::memory_order_relaxed);
   page_table_.Insert(p, frame);
-  frame_prefetched_[frame].store(0, std::memory_order_relaxed);
   policy_->Admit(p, type);
   if (!optimistic_) policy_->SetEvictable(p, false);
-  // A demand miss is always observable: the cold front of a scan is a run
-  // of misses, which is exactly where detection must lock on.
-  std::vector<PageId> targets;
-  CollectPrefetchesLocked(p, /*observe=*/true, &targets);
-  guard.unlock();
-  LaunchPrefetches(targets);
   return &page;
 }
 
@@ -796,9 +605,9 @@ Result<Page*> BufferPool::AdmitNewPageLocked(
     std::vector<PageId>* deferred_writes) {
   FrameId frame = 0;
   for (;;) {
-    // Stale reads of a reallocated id (a fetch of the deleted page, or a
-    // prefetch past it) may be in flight or start while this waits: the
-    // caller's claim (admitting_) keeps them from admitting it.
+    // Stale reads of a reallocated id (a fetch of the deleted page) may be
+    // in flight or start while this waits: the caller's claim
+    // (admitting_) keeps them from admitting it.
     FencePageLocked(guard, p);
     if (page_table_.contains(p)) {
       return Status::AlreadyExists("admit of resident page " +
@@ -821,7 +630,6 @@ Result<Page*> BufferPool::AdmitNewPageLocked(
   page.dirty_.store(true, std::memory_order_relaxed);  // Must reach disk
                                                        // at least once.
   page_table_.Insert(p, frame);
-  frame_prefetched_[frame].store(0, std::memory_order_relaxed);
   policy_->Admit(p, AccessType::kWrite);
   if (!optimistic_) policy_->SetEvictable(p, false);
   return &page;
@@ -909,7 +717,7 @@ Status BufferPool::FlushPage(PageId p) {
 Status BufferPool::FlushAll() {
   auto guard = Lock();
   // Drain the dispatcher first: in-flight reads are landing in frame
-  // buffers and queued background work may still dirty the picture. Wait
+  // buffers and queued victim writes may still change the picture. Wait
   // out another flush still writing too, so no page is ever under two
   // flushes. Both must hold under one latch hold: while this call waits
   // for a flush, a write-behind miss may evict a dirty page and post its
@@ -1009,10 +817,10 @@ bool BufferPool::AwaitFlushLocked(std::unique_lock<std::mutex>& guard,
 
 Status BufferPool::DeletePage(PageId p) {
   auto guard = Lock();
-  // Fence in-flight reads of p: a prefetch that already left the queue
-  // must finish (and admit its page) before the delete dismantles it —
-  // otherwise its completion would resurrect a page the disk no longer
-  // holds. No new read of p can start while we hold the latch.
+  // Fence in-flight reads of p: a miss read already issued must finish
+  // (and admit its page) before the delete dismantles it — otherwise its
+  // completion would resurrect a page the disk no longer holds. No new
+  // read of p can start while we hold the latch.
   FencePageLocked(guard, p);
   // Any buffered reference to p must reach the policy before Remove()
   // forgets the page (a post-Remove RecordAccess would fault); a record
@@ -1053,7 +861,6 @@ Status BufferPool::DeletePage(PageId p) {
     Page& page = frames_[f];
     policy_->Remove(p);
     free_frames_.push_back(f);
-    frame_prefetched_[f].store(0, std::memory_order_relaxed);
     page.id_ = kInvalidPageId;
     page.dirty_.store(false, std::memory_order_relaxed);
     if (optimistic_) {
@@ -1089,16 +896,14 @@ void BufferPool::ExecuteVictimWrite(PageId v, bool foreground) {
   std::shared_ptr<VictimWrite> vw = it->second;
   // The write runs with the latch released (a Flush-lane worker, or the
   // submitting thread on lane-full fallback). The map entry keeps every
-  // reader of p waiting: a demand fetch of p, a prefetch registration, a
-  // fence — none can touch p's stale disk image while we are here.
+  // reader of p waiting: a demand fetch of p, a fence — none can touch
+  // p's stale disk image while we are here.
   guard.unlock();
-  RetryOutcome outcome = RetryTransient(options_.io_max_attempts, [&] {
-    return disk_->WritePage(v, vw->image.get());
-  });
+  PageIo write[] = {{PageIo::Kind::kWrite, v, vw->image.get(), Status::Ok()}};
+  DiskBatch(write);
   guard.lock();
   CountLatchAcquire();
-  stats_.retries += outcome.retries;
-  Status written = outcome.status;
+  Status written = std::move(write[0].status);
   if (written.ok()) {
     if (foreground) {
       ++stats_.dirty_writebacks;
@@ -1106,7 +911,6 @@ void BufferPool::ExecuteVictimWrite(PageId v, bool foreground) {
       ++stats_.writebehind_writes;
     }
   } else {
-    ++stats_.write_failures;
     // Exact rollback, just later than the synchronous path's: the page
     // comes back dirty with its retained policy history (or its image is
     // parked when every frame is pinned). The eviction stays counted.
@@ -1138,7 +942,6 @@ void BufferPool::ReadmitFailedVictimLocked(PageId v,
   page.id_ = v;
   page.dirty_.store(true, std::memory_order_relaxed);
   page_table_.Insert(v, *frame);
-  frame_prefetched_[*frame].store(0, std::memory_order_relaxed);
   policy_->Restore(v);  // Unpinned and evictable, history intact.
   ++stats_.writebehind_readmits;
 }

@@ -62,7 +62,6 @@
 #include "core/access_buffer.h"
 #include "core/replacement_policy.h"
 #include "io/io_dispatcher.h"
-#include "io/readahead.h"
 #include "storage/disk_manager.h"
 #include "util/status.h"
 
@@ -70,21 +69,19 @@ namespace lruk {
 
 // The options a caller sets, shared by BufferPool and (per shard)
 // ShardedBufferPool. Everything else about the pool is fixed: the
-// dispatcher's lane depth and starvation budget (io/io_dispatcher.h), the
-// readahead detector's window and thresholds (io/readahead.h), and the
-// access buffer's size.
+// dispatcher's lane depth and starvation budget (io/io_dispatcher.h) and
+// the access buffer's size.
 struct BufferPoolOptions {
   // Attempts at a disk read or write that fails with a transient error
   // (kIoError) before the error surfaces to the caller, the first
-  // included; 1 (the default) is no retry. A retry is re-issued at once
-  // (util/retry.h). FlushPage/FlushAll writes retry with the pool latch
-  // released, each re-issue a further DiskManager::RunBatch batch of the
-  // retryable failures. A clean miss's read (free frame or clean victim),
-  // prefetch reads and write-behind victim writes also retry with the
-  // latch released. Synchronous eviction write-backs and the writes of
-  // parked victim images retry under the latch; so does a dirty miss's
-  // paired write-back and read (see AcquireFrame), each re-issue a
-  // further batch, as a flush's writes do.
+  // included; 1 (the default) is no retry. Every pool I/O goes through one
+  // retry loop (DiskBatch): a retry is re-issued at once, as a further
+  // DiskManager::RunBatch batch of the retryable failures. FlushPage/
+  // FlushAll writes, a clean miss's read (free frame or clean victim) and
+  // write-behind victim writes retry with the pool latch released.
+  // Synchronous eviction write-backs and the writes of parked victim
+  // images retry under the latch; so does a dirty miss's paired
+  // write-back and read (see AcquireFrame).
   int io_max_attempts = 1;
 
   // Latch-free hit path (DESIGN.md "Optimistic page table & pin
@@ -99,9 +96,7 @@ struct BufferPoolOptions {
   // evicted before it are dropped and counted (access_drops).
   // The policy stamps a reference when it is drained, so with a wall-clock
   // CRP (LruKOptions::clock set) the lag adds real time to interarrival
-  // gaps: leave this off there. Composes with readahead: the voting
-  // detector's Observe is wait-free, so a latch-free hit feeds it directly
-  // and only an actual stride trigger touches the latch.
+  // gaps: leave this off there.
   bool optimistic_hits = false;
 
   // Worker threads of the pool's IoDispatcher (DESIGN.md "Async I/O
@@ -111,20 +106,13 @@ struct BufferPoolOptions {
   // is fixed by its seed; a clean miss reads with the latch released, a
   // miss with a dirty victim writes it back and reads as one device batch
   // under the latch (see AcquireFrame). > 0 = worker mode: miss reads run
-  // on workers, prefetches in the background, and every dirty victim is
-  // written behind — its image copied aside, its write posted on the
-  // Flush lane and the new page admitted at once (writebehind_writes; a
-  // full Flush lane falls back to the synchronous write,
-  // dirty_writebacks). A failed write-behind re-admits the page dirty,
-  // exactly, via ReplacementPolicy::Restore (writebehind_readmits).
+  // on workers, and every dirty victim is written behind — its image
+  // copied aside, its write posted on the Flush lane and the new page
+  // admitted at once (writebehind_writes; a full Flush lane falls back to
+  // the synchronous write, dirty_writebacks). A failed write-behind
+  // re-admits the page dirty, exactly, via ReplacementPolicy::Restore
+  // (writebehind_readmits).
   size_t io_workers = 0;
-  // Scan readahead: a stride detector observes the fetch stream and
-  // prefetches the next kReadaheadWindow pages of a detected sequential
-  // run (the Example 1.2 scan shape). Inline mode prefetches
-  // synchronously (deterministic), worker mode streams them in the
-  // background. ShardedBufferPool runs one detector above the shards
-  // (hash routing destroys per-shard sequentiality).
-  bool readahead = false;
 };
 
 class BufferPool final : public PoolInterface {
@@ -141,17 +129,6 @@ class BufferPool final : public PoolInterface {
 
   Result<Page*> FetchPage(PageId p,
                           AccessType type = AccessType::kRead) override;
-
-  // FetchPage variant reporting whether this reference is OBSERVABLE for
-  // scan detection: a demand miss, or the first demand touch of a
-  // prefetched frame (the reference that consumes the prefetched flag).
-  // Steady-state warm hits are not observable — the pools deliberately
-  // keep them off the detector (see CollectPrefetchesLocked): a scan
-  // only ever produces misses and prefetch-confirmation hits, so skipping
-  // the rest loses no detection while keeping the detector's cost off the
-  // latch-free warm path. ShardedBufferPool uses this to gate its
-  // pool-level detector the same way.
-  Result<Page*> FetchPage(PageId p, AccessType type, bool* observable);
 
   Result<Page*> NewPage() override;
 
@@ -220,19 +197,11 @@ class BufferPool final : public PoolInterface {
 
   // The dispatcher this pool submits through (never null).
   IoDispatcher* io_dispatcher() { return io_; }
-  // Requests a background prefetch of `p`: registered in the per-page
-  // tracker (so demand fetches coalesce onto it), admitted unpinned and
-  // clean on completion. A no-op if `p` is resident or already in flight;
-  // silently dropped (prefetch_dropped) if the dispatcher queue is full,
-  // no frame is evictable, or the read fails. Used by the readahead paths;
-  // public so callers with workload foreknowledge can warm the pool.
-  void RequestPrefetch(PageId p);
   // Blocks until every in-flight dispatcher request targeting this pool
-  // (miss reads, in inline mode another thread's; prefetches; write-behind
-  // victim writes) has completed. FlushAll fences through this;
-  // DeletePage fences per page.
+  // (miss reads, on any thread; write-behind victim writes) has
+  // completed. FlushAll fences through this; DeletePage fences per page.
   void Quiesce();
-  // In-flight tracked reads (misses + prefetches); 0 after Quiesce().
+  // In-flight tracked miss reads; 0 after Quiesce().
   size_t PendingIoCount() const {
     auto guard = Lock();
     return tracked_reads_;
@@ -259,8 +228,7 @@ class BufferPool final : public PoolInterface {
   // Shares its fix-register key with every shard (see fix_key_).
   friend class ShardedBufferPool;
 
-  // One tracked read (a miss or a prefetch) of `page`, in flight until
-  // `done`. Waiters count themselves in `waiters` and sleep on `cv` with
+  // One tracked miss read of `page`, in flight until `done`. Waiters count themselves in `waiters` and sleep on `cv` with
   // the pool latch; the issuer sets `status` and `done` and notifies. A
   // done record with no waiters is reused for the next read (all
   // latch-guarded), so a steady-state miss allocates nothing.
@@ -268,10 +236,6 @@ class BufferPool final : public PoolInterface {
     PageId page = kInvalidPageId;
     Status status;
     bool done = true;
-    // Set when a prefetch is abandoned (queue full, no frame, failed
-    // read): coalesced demand waiters must not inherit the failure — they
-    // re-loop and issue their own primary read instead.
-    bool retry_as_primary = false;
     int waiters = 0;
     std::condition_variable cv;
   };
@@ -358,7 +322,8 @@ class BufferPool final : public PoolInterface {
   };
 
   // RunBatch under options_.io_max_attempts per entry, with the pool's
-  // failure/retry accounting (every synchronous write goes through it):
+  // failure/retry accounting (every pool read and write goes through it;
+  // a batch of one runs on the calling thread):
   // each further round is one more RunBatch call with the entries the
   // last left with a retryable error and attempts to spare (each such
   // re-issue counts in `retries`) and the reads it did not issue
@@ -420,8 +385,7 @@ class BufferPool final : public PoolInterface {
   void NoteFix(PageId p) const;
   // FetchPage body. `refix`: the fetch is a correlated re-fix, so a hit
   // does not reach the policy (a miss is admitted as usual).
-  Result<Page*> FixPage(PageId p, AccessType type, bool refix,
-                        bool* observable);
+  Result<Page*> FixPage(PageId p, AccessType type, bool refix);
   // Applies every buffered access record to the policy, dropping records
   // whose page was evicted since (see AccessBuffer::Drain); a no-op
   // without optimistic_hits. Caller holds the latch. Declared const because
@@ -431,13 +395,9 @@ class BufferPool final : public PoolInterface {
   // The latch-free hit attempt: optimistic probe, speculative pin,
   // validate, count, publish. Returns the pinned page, or null on any
   // miss/instability (caller falls back to the latched path). Never
-  // acquires the latch except to drain a full access-buffer stripe or to
-  // register the prefetches of a stride trigger. A `refix` hit publishes
-  // nothing.
-  // `observable` (optional) reports whether the hit consumed the
-  // prefetched flag (see the FetchPage overload).
-  Page* TryOptimisticHit(PageId p, AccessType type, bool refix,
-                         bool* observable);
+  // acquires the latch except to drain a full access-buffer stripe. A
+  // `refix` hit publishes nothing.
+  Page* TryOptimisticHit(PageId p, AccessType type, bool refix);
 
   // --- Dispatcher internals (all: caller holds the latch) ---
   // The in-flight read of `p`, or null.
@@ -446,11 +406,7 @@ class BufferPool final : public PoolInterface {
   PendingIo* TrackReadLocked(PageId p);
   // Completes a tracked read: publishes status, wakes waiters and Quiesce.
   void FinishPendingLocked(PendingIo* entry, Status status);
-  // Drops the registered prefetch `entry` (prefetch_dropped): never an
-  // error to a demand fetch, whose coalesced waiters retry as primaries.
-  void AbandonPrefetchLocked(PendingIo* entry, Status status);
-  // Waits (releasing `guard`) for `entry` to complete. Returns its status,
-  // or Ok if it was an abandoned prefetch.
+  // Waits (releasing `guard`) for `entry` to complete. Returns its status.
   Status AwaitReadLocked(std::unique_lock<std::mutex>& guard,
                          PendingIo* entry);
   // Blocks until no read, victim write or flush of `p` is in flight
@@ -458,26 +414,12 @@ class BufferPool final : public PoolInterface {
   void FencePageLocked(std::unique_lock<std::mutex>& guard, PageId p);
   // Quiesce body; caller holds `guard`.
   void QuiesceLocked(std::unique_lock<std::mutex>& guard);
-  // Registers a prefetch of `p` in the tracker if it is neither resident
-  // nor in flight; returns whether registered. Caller holds the latch.
-  bool RegisterPrefetchLocked(PageId p);
-  // Executes one registered prefetch (on a worker, or inline).
-  void ExecutePrefetch(PageId p);
-  // Posts registered prefetches. Caller must NOT hold the latch (inline
-  // mode runs them synchronously right here).
-  void LaunchPrefetches(const std::vector<PageId>& prefetches);
-  // Readahead bookkeeping on the fetch path: observes `p` (only when
-  // `observe` — the reference is a demand miss or a prefetch-confirmation
-  // hit; steady warm hits stay off the detector) and collects and
-  // registers prefetch targets into `targets`. Caller holds the latch.
-  void CollectPrefetchesLocked(PageId p, bool observe,
-                               std::vector<PageId>* targets);
 
   // --- Write-behind internals (worker mode only) ---
   // Posts each deferred victim write on the Flush lane; a full lane falls
   // back to executing it synchronously right here (io_drops_flush +
   // dirty_writebacks instead of writebehind_writes). Caller must NOT hold
-  // the latch. Safe from dispatcher workers (TryPost never blocks).
+  // the latch.
   void LaunchDeferredVictimWrites(const std::vector<PageId>& victims);
   // Writes one pending victim image to disk (latch released for the I/O),
   // then completes the VictimWrite entry: on failure the page is
@@ -512,13 +454,6 @@ class BufferPool final : public PoolInterface {
   // shared one passed in.
   std::unique_ptr<IoDispatcher> owned_io_;
   IoDispatcher* io_ = nullptr;
-  // Present iff readahead is enabled on a non-sharded pool.
-  std::unique_ptr<ReadaheadDetector> readahead_;
-  // Scratch for ReadaheadDetector::Observe on the LATCHED fetch path
-  // (latch-guarded, reused to avoid a per-fetch allocation). The
-  // latch-free hit path uses a stack-local vector instead: it only pays
-  // for an allocation when a stride actually triggers.
-  std::vector<PageId> readahead_scratch_;
   // Where a demand read paired with a dirty victim's write-back lands
   // (latch-guarded; present iff inline mode, the only pools that pair).
   std::unique_ptr<char[]> read_scratch_;
@@ -531,14 +466,11 @@ class BufferPool final : public PoolInterface {
   // count and dirty flag are atomics).
   std::unique_ptr<Page[]> frames_;
   std::vector<FrameId> free_frames_;
-  // Per-frame "prefetched and not yet demand-referenced" flag, feeding
-  // prefetch_used; atomic so the latch-free hit can consume it.
-  std::unique_ptr<std::atomic<uint8_t>[]> frame_prefetched_;
   // The resident-page index; see page_table.h for the seqlock protocol.
   PageTable page_table_;
   // The per-page request tracker: at most one in-flight read per page.
   // A deque, so records never move; searched linearly, as it holds about
-  // one record per thread inside a miss plus the in-flight prefetches.
+  // one record per thread inside a miss.
   std::deque<PendingIo> reads_;
   size_t tracked_reads_ = 0;  // Records not done.
   // Ids NewPage/AdmitNewPage are admitting. A read of one (a stale fetch of
@@ -553,9 +485,6 @@ class BufferPool final : public PoolInterface {
   // re-admit time). Resolved by the next fetch (re-admit), FlushPage/
   // FlushAll (persist), or DeletePage (discard). Never dropped silently.
   std::unordered_map<PageId, std::unique_ptr<char[]>> parked_victims_;
-  // Prefetches registered but not finished (latch-guarded, and tracked
-  // reads too): bounded by kReadaheadWindow in worker mode.
-  size_t inflight_prefetches_ = 0;
   std::condition_variable quiesce_cv_;
   // Pages whose flush write is in flight: each holds one flush pin, and
   // no page is under two flushes at once (a later flush of the page waits

@@ -29,18 +29,13 @@ namespace lruk {
 // after exhausting any configured retries; `retries` counts the re-issues
 // spent under BufferPoolOptions::io_max_attempts (0 when retries are off).
 //
-// Dispatcher counters (DESIGN.md "Async I/O dispatcher"; the prefetch
-// ones stay zero unless BufferPoolOptions::readahead is on or a caller
-// requests prefetches): a fetch that finds its page's read already in
-// flight counts one miss AND one `coalesced_read` (it
-// waited on the existing read instead of issuing its own, so physical
-// reads == misses - coalesced_reads - prefetch hits). `prefetch_issued`
-// counts readahead requests registered; `prefetch_used` counts hits that
-// landed on a prefetched frame before any demand reference touched it;
-// `prefetch_dropped` counts prefetches abandoned (full dispatcher queue,
-// no evictable frame, or a failed read — never an error surfaced to
-// callers). `background_cleans` is always 0: no pool path counts it, and
-// it stays only because bench/e2e still reads it.
+// Dispatcher counters (DESIGN.md "Async I/O dispatcher"): a fetch that
+// finds its page's read already in flight counts one miss AND one
+// `coalesced_read` (it waited on the existing read instead of issuing its
+// own). `prefetch_issued`, `prefetch_used` and `background_cleans` are
+// always 0: the scan prefetcher and the background flusher that counted
+// them are deleted, and they stay only because bench/e2e still reads
+// them.
 //
 // Write-behind counters (zero unless `io_workers > 0` — a worker-mode
 // dispatcher always writes dirty victims behind; see DESIGN.md "Priority
@@ -51,11 +46,9 @@ namespace lruk {
 // from a pinned copy. `writebehind_readmits` counts failed write-behind
 // writes whose page was re-admitted dirty (exact rollback via
 // ReplacementPolicy::Restore — the eviction stays counted).
-// `io_drops_flush`/`io_drops_prefetch` count this pool's TryPost
-// submissions refused by a full dispatcher lane, per request class (on
-// the Flush lane, write-behind fallbacks — each also one
-// `dirty_writebacks` once it succeeds; on the Prefetch lane, a queue-full
-// subset of `prefetch_dropped`) — with a shared dispatcher these are
+// `io_drops_flush` counts this pool's write-behind posts refused by a full
+// Flush lane, each written on the evicting thread instead (one
+// `dirty_writebacks` once it succeeds); with a shared dispatcher it is
 // counted at the submitting pool, so shard sums stay exact.
 //
 // Optimistic-path counters (all zero unless BufferPoolOptions::
@@ -109,12 +102,10 @@ namespace lruk {
   X(coalesced_reads)           \
   X(prefetch_issued)           \
   X(prefetch_used)             \
-  X(prefetch_dropped)          \
   X(background_cleans)         \
   X(writebehind_writes)        \
   X(writebehind_readmits)      \
   X(io_drops_flush)            \
-  X(io_drops_prefetch)         \
   X(optimistic_hits)           \
   X(optimistic_fallbacks)      \
   X(fallback_probe_miss)       \

@@ -24,13 +24,6 @@ ShardedBufferPool::ShardedBufferPool(size_t capacity, size_t num_shards,
   // shard; the shards receive it as a shared dispatcher instead of each
   // spinning up its own.
   io_ = std::make_unique<IoDispatcher>(shard_options.io_workers);
-  if (shard_options.readahead) {
-    readahead_ = std::make_unique<ReadaheadDetector>();
-  }
-  // The scan detector (if any) lives at the pool level: shard-local fetch
-  // streams are hash-interleaved and would never show a stride run.
-  BufferPoolOptions per_shard = shard_options;
-  per_shard.readahead = false;
 
   // Distribute frames as evenly as possible: the first capacity % N
   // shards absorb the remainder.
@@ -42,7 +35,7 @@ ShardedBufferPool::ShardedBufferPool(size_t capacity, size_t num_shards,
     auto policy = factory(i, shard_capacity);
     LRUK_ASSERT(policy != nullptr, "shard policy factory returned null");
     shards_.push_back(std::make_unique<BufferPool>(
-        shard_capacity, disk_, std::move(policy), per_shard, io_.get()));
+        shard_capacity, disk_, std::move(policy), shard_options, io_.get()));
   }
   // One last-fix register key for the whole pool: a thread's fix of q on
   // another shard between two fixes of p still separates them.
@@ -50,28 +43,7 @@ ShardedBufferPool::ShardedBufferPool(size_t capacity, size_t num_shards,
 }
 
 Result<Page*> ShardedBufferPool::FetchPage(PageId p, AccessType type) {
-  bool observable = false;
-  auto page = shards_[ShardOf(p)]->FetchPage(
-      p, type, readahead_ != nullptr ? &observable : nullptr);
-  if (readahead_ != nullptr && page.ok() && observable) {
-    // Observe the pool-level fetch stream (wait-free; concurrent fetch
-    // streams vote over the merged history) and fan the prefetch targets
-    // out to their owning shards (each dedups against its own residents
-    // and in-flight tracker). Only OBSERVABLE references — shard demand
-    // misses and prefetch-confirmation hits — feed the detector: a scan
-    // is made of exactly those, and steady warm hits skipping Observe
-    // keeps the detector tax off the shards' latch-free hit paths (the
-    // same policy BufferPool applies internally; see its FetchPage
-    // overload).
-    std::vector<PageId> targets;
-    readahead_->Observe(p, &targets);
-    for (PageId q : targets) shards_[ShardOf(q)]->RequestPrefetch(q);
-  }
-  return page;
-}
-
-void ShardedBufferPool::RequestPrefetch(PageId p) {
-  shards_[ShardOf(p)]->RequestPrefetch(p);
+  return shards_[ShardOf(p)]->FetchPage(p, type);
 }
 
 void ShardedBufferPool::Quiesce() {

@@ -68,9 +68,7 @@ class ShardedBufferPool final : public PoolInterface {
   // shard_capacity) and must return a fresh policy each time.
   // `shard_options` is applied to every shard. optimistic_hits makes
   // every shard's warm hits and unpins latch-free, each shard draining its
-  // own AccessBuffer under its own latch (the pool-level readahead
-  // detector still observes the full fetch stream here, above the shards,
-  // so readahead and the optimistic fast path compose).
+  // own AccessBuffer under its own latch.
   ShardedBufferPool(size_t capacity, size_t num_shards, DiskManager* disk,
                     ShardPolicyFactory factory,
                     BufferPoolOptions shard_options = {});
@@ -127,8 +125,6 @@ class ShardedBufferPool final : public PoolInterface {
   // The dispatcher every shard submits through (one worker fleet for the
   // whole pool in worker mode); never null.
   IoDispatcher* io_dispatcher() { return io_.get(); }
-  // Background prefetch of `p`, routed to its owning shard.
-  void RequestPrefetch(PageId p);
   // Blocks until every shard's in-flight dispatcher work has completed.
   void Quiesce();
 
@@ -158,12 +154,6 @@ class ShardedBufferPool final : public PoolInterface {
   // shards — which quiesce through it in their destructors — are torn
   // down while it is still alive).
   std::unique_ptr<IoDispatcher> io_;
-  // Pool-level scan detector: hash routing destroys per-shard
-  // sequentiality, so the shards' own detectors stay off and the fetch
-  // stream is observed here, after each shard fetch. Observe is
-  // wait-free (stride voting over an atomic history ring), so no
-  // detector latch serializes the fetch streams.
-  std::unique_ptr<ReadaheadDetector> readahead_;
   std::vector<std::unique_ptr<BufferPool>> shards_;
 };
 

@@ -41,16 +41,11 @@ IoDispatcher::~IoDispatcher() {
 
 size_t IoDispatcher::PickLaneLocked() {
   constexpr size_t kDemand = static_cast<size_t>(IoClass::kDemand);
-  size_t background = kIoClassCount;
-  for (size_t lane = kDemand + 1; lane < kIoClassCount; ++lane) {
-    if (!lanes_[lane].empty()) {
-      background = lane;
-      break;
-    }
-  }
+  constexpr size_t kFlush = static_cast<size_t>(IoClass::kFlush);
+  const size_t background = lanes_[kFlush].empty() ? kIoClassCount : kFlush;
   if (!lanes_[kDemand].empty()) {
     // Strict demand preference — until the anti-starvation budget runs
-    // out with background work still waiting.
+    // out with Flush work still waiting.
     if (background == kIoClassCount ||
         demand_streak_ < kIoStarvationBudget) {
       ++demand_streak_;

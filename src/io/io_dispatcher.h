@@ -4,13 +4,11 @@
 // Request classes (priority lanes), highest priority first:
 //
 //  * kDemand   — a caller is blocked on the result (a miss read). Served
-//    with strict preference over the background lanes.
+//    with strict preference over the Flush lane.
 //  * kFlush    — dirty-page write-back running behind the eviction
 //    decision: write-behind victim writes. Durability work — it must
 //    complete eventually, but no caller is synchronously blocked on it in
 //    the common case.
-//  * kPrefetch — advisory readahead. The first casualty under pressure:
-//    dropped when its lane is full, served last when demand is waiting.
 //
 // Submission surfaces:
 //
@@ -22,15 +20,15 @@
 //  * TryPost(fn, cls) — fire-and-forget. In worker mode it is enqueued
 //    without blocking and rejected when the class queue is full —
 //    background work must never stall a foreground miss; in inline mode
-//    it runs immediately on the calling thread. Defaults to kPrefetch.
+//    it runs immediately on the calling thread. Defaults to kFlush.
 //
-// Scheduling: workers pop Demand first. To bound background starvation,
-// after kIoStarvationBudget consecutive demand dispatches while background
-// work waits, one background item (Flush before Prefetch) is dispatched
-// and the budget resets — so under sustained demand load every accepted
-// background request still executes within a bounded number of demand
-// dispatches (the anti-starvation property test asserts this). Each lane
-// holds at most kIoLaneDepth queued items.
+// Scheduling: workers pop Demand first. To bound Flush starvation, after
+// kIoStarvationBudget consecutive demand dispatches while Flush work
+// waits, one Flush item is dispatched and the budget resets — so under
+// sustained demand load every accepted Flush request still executes
+// within a bounded number of demand dispatches (the anti-starvation
+// property test asserts this). Each lane holds at most kIoLaneDepth
+// queued items.
 //
 // Inline mode (workers == 0) is the determinism contract: every request
 // executes synchronously on the thread that issued it, in issue order
@@ -49,9 +47,8 @@
 // Thread safety: all public methods are safe to call concurrently.
 // Restriction: a closure running on a worker must not call Run on the
 // same dispatcher (with one worker, Run would wait on a queue only itself
-// could drain). TryPost from a worker is safe — it never blocks — and the
-// pools use it (a worker-mode prefetch admission can defer a write-behind
-// victim write).
+// could drain). TryPost from a worker never blocks, but no pool work
+// running on a worker submits more work.
 
 #ifndef LRUK_IO_IO_DISPATCHER_H_
 #define LRUK_IO_IO_DISPATCHER_H_
@@ -73,8 +70,8 @@ namespace lruk {
 
 // Request class = priority lane. Order is priority order (lower enumerator
 // value wins); kIoClassCount sizes per-class arrays.
-enum class IoClass : uint8_t { kDemand = 0, kFlush = 1, kPrefetch = 2 };
-inline constexpr size_t kIoClassCount = 3;
+enum class IoClass : uint8_t { kDemand = 0, kFlush = 1 };
+inline constexpr size_t kIoClassCount = 2;
 
 inline const char* IoClassName(IoClass cls) {
   switch (cls) {
@@ -82,20 +79,17 @@ inline const char* IoClassName(IoClass cls) {
       return "demand";
     case IoClass::kFlush:
       return "flush";
-    case IoClass::kPrefetch:
-      return "prefetch";
   }
   return "?";
 }
 
 // Capacity of EACH class lane in worker mode: Run() blocks while its lane
-// is full, and TryPost() is refused instead. A pool drops a refused
-// prefetch and writes a refused victim write on the evicting thread.
+// is full, and TryPost() is refused instead. A pool writes a refused
+// victim write on the evicting thread.
 inline constexpr size_t kIoLaneDepth = 64;
 // Anti-starvation bound: the maximum number of consecutive demand
-// dispatches while background (Flush/Prefetch) work waits queued. Once the
-// budget is spent, one background item is dispatched (Flush before
-// Prefetch) and the budget resets.
+// dispatches while Flush work waits queued. Once the budget is spent, one
+// Flush item is dispatched and the budget resets.
 inline constexpr size_t kIoStarvationBudget = 16;
 
 // Per-lane cumulative counters. `accepted` counts submissions enqueued (or
@@ -163,7 +157,7 @@ class IoDispatcher {
   // Fire-and-forget: returns false (and does not run `fn`) when the class
   // lane is full. Inline mode always runs and returns true.
   template <typename Fn>
-  bool TryPost(Fn&& fn, IoClass cls = IoClass::kPrefetch) {
+  bool TryPost(Fn&& fn, IoClass cls = IoClass::kFlush) {
     if (inline_mode()) {
       CountInline(inline_posts_, cls);
       fn();
@@ -199,7 +193,7 @@ class IoDispatcher {
   bool PostToWorker(std::function<void()> fn, IoClass cls);
 
   size_t TotalQueuedLocked() const {
-    return lanes_[0].size() + lanes_[1].size() + lanes_[2].size();
+    return lanes_[0].size() + lanes_[1].size();
   }
   // Picks the next lane to dispatch from (the scheduling policy above).
   // Returns kIoClassCount when every lane is empty. Caller holds mutex_.

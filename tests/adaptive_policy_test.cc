@@ -14,7 +14,7 @@
 //    Restored into its nominating expert exactly; the others re-admit.
 //  * Fixed-expert differential — `adaptive:lruk2` is byte-identical to
 //    plain `lruk2` through the shared 20k-op scenario harness, across the
-//    plain pool, the sharded pool, the optimistic pool, and readahead.
+//    plain pool, the sharded pool and the optimistic pool.
 //  * Spec grammar — positive parses for `adaptive:`, and negative parses
 //    that name the offending token.
 //  * MetaStats plumbing — BufferPool::MetaStats() and the sharded merge.
@@ -341,7 +341,6 @@ TEST(AdaptiveDifferentialTest, SingleExpertAdaptiveMatchesPlainLruK) {
       {"plain", {}},
       {"sharded", {.sharded = true}},
       {"optimistic", {.optimistic = true}},
-      {"readahead", {.readahead = true}},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);

@@ -17,8 +17,7 @@
 //    waiter observes the same error status, no frame is leaked, nothing is
 //    admitted, and the page is fetchable after Heal().
 //  * Concurrency + fault churn — 8 threads of mixed traffic over both
-//    pools with probabilistic read/write faults and readahead on:
-//    after Heal + quiesce, frame accounting balances to capacity, every
+//    pools with probabilistic read/write faults: after Heal + quiesce, frame accounting balances to capacity, every
 //    fetch resolved to exactly one hit or miss, all pins were released,
 //    and FlushAll converges.
 //  * Same-page churn — a page-id range smaller than the thread count over
@@ -415,7 +414,7 @@ void ChurnThread(PoolInterface& pool, const std::vector<PageId>& pages,
   for (int i = 0; i < ops; ++i) {
     PageId p;
     if (rng.NextBernoulli(0.2)) {
-      // Short sequential stretches keep the readahead path hot.
+      // Short sequential stretches sweep pages past the skewed hot set.
       p = pages[(static_cast<size_t>(i) * 3 + seed) % pages.size()];
     } else {
       p = pages[dist.Sample(rng) - 1];
@@ -447,48 +446,42 @@ TEST(AsyncIoConcurrencyTest, FaultChurnKeepsPlainPoolInvariants) {
 
   BufferPoolOptions options;
   options.io_workers = 4;
-  options.readahead = true;
 
-  BufferPoolStats stats;
-  {
-    BufferPool pool(24, &disk,
-                    std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                    options);
-    std::vector<PageId> pages = AllocateDb(pool, 64);
-    // Arm the faults only once the DB exists (allocation itself must not
-    // fail; the churn tolerates fetch failures).
-    disk.AddRule(FaultRule::FailWithProbability(FaultOp::kRead, 0.03));
-    disk.AddRule(FaultRule::FailWithProbability(FaultOp::kWrite, 0.03));
-    ChurnTotals totals;
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        ChurnThread(pool, pages, /*seed=*/100 + t, /*ops=*/3000, totals);
-      });
-    }
-    for (auto& t : threads) t.join();
-
-    disk.Heal();
-    pool.Quiesce();
-    stats = pool.stats();
-    // Every fetch resolved to exactly one hit or one miss.
-    EXPECT_EQ(stats.hits + stats.misses, totals.attempts.load());
-    // A failed fetch is a miss; coalesced waiters of a failed read are
-    // misses too, but only primaries count read_failures.
-    EXPECT_LE(stats.read_failures, totals.failures.load());
-    EXPECT_GE(stats.misses, totals.failures.load());
-
-    // All pins released: every resident page is evictable again.
-    EXPECT_EQ(pool.policy().EvictableCount(), pool.policy().ResidentCount());
-    // Frame accounting balances after quiesce.
-    EXPECT_EQ(pool.ResidentCount() + pool.FreeFrameCount(), pool.capacity());
-    EXPECT_EQ(pool.PendingIoCount(), 0u);
-
-    EXPECT_TRUE(pool.FlushAll().ok());
+  BufferPool pool(24, &disk,
+                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
+                  options);
+  std::vector<PageId> pages = AllocateDb(pool, 64);
+  // Arm the faults only once the DB exists (allocation itself must not
+  // fail; the churn tolerates fetch failures).
+  disk.AddRule(FaultRule::FailWithProbability(FaultOp::kRead, 0.03));
+  disk.AddRule(FaultRule::FailWithProbability(FaultOp::kWrite, 0.03));
+  ChurnTotals totals;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ChurnThread(pool, pages, /*seed=*/100 + t, /*ops=*/3000, totals);
+    });
   }
-  // Readahead actually engaged under the churn.
-  EXPECT_GT(stats.prefetch_issued, 0u);
+  for (auto& t : threads) t.join();
+
+  disk.Heal();
+  pool.Quiesce();
+  BufferPoolStats stats = pool.stats();
+  // Every fetch resolved to exactly one hit or one miss.
+  EXPECT_EQ(stats.hits + stats.misses, totals.attempts.load());
+  // A failed fetch is a miss; coalesced waiters of a failed read are
+  // misses too, but only primaries count read_failures.
+  EXPECT_LE(stats.read_failures, totals.failures.load());
+  EXPECT_GE(stats.misses, totals.failures.load());
+
+  // All pins released: every resident page is evictable again.
+  EXPECT_EQ(pool.policy().EvictableCount(), pool.policy().ResidentCount());
+  // Frame accounting balances after quiesce.
+  EXPECT_EQ(pool.ResidentCount() + pool.FreeFrameCount(), pool.capacity());
+  EXPECT_EQ(pool.PendingIoCount(), 0u);
+
+  EXPECT_TRUE(pool.FlushAll().ok());
 }
 
 TEST(AsyncIoConcurrencyTest, FaultChurnKeepsShardedPoolInvariants) {
@@ -497,7 +490,6 @@ TEST(AsyncIoConcurrencyTest, FaultChurnKeepsShardedPoolInvariants) {
 
   BufferPoolOptions options;
   options.io_workers = 4;
-  options.readahead = true;
 
   ShardedBufferPool pool(
       32, /*num_shards=*/4, &disk,

@@ -5,31 +5,32 @@
 // Coverage layers:
 //  * IoDispatcher units — inline mode runs synchronously in issue order;
 //    worker mode executes Run() to completion, bounds the queue, rejects
-//    TryPost when full, and drains on destruction.
-//  * ReadaheadDetector units — stride-run detection, window emission,
-//    re-triggering, run breaks, backward scans, the fixed window and
-//    thresholds, and the vote window's tolerance of interleaved traffic.
+//    TryPost when full, counts each lane's queued items and waits, and
+//    drains (Drain(), destruction) only once every accepted item ran.
+//  * Demand misses — an inline pool reads a clean miss on the calling
+//    thread; a worker pool reads every miss on a worker through the
+//    Demand lane and posts dirty victims on the Flush lane; a failed read
+//    on a worker gives its frame back.
+//  * Scans (plain, worker, sharded and optimistic pools) — a cold scan
+//    reads each page once and nothing ahead of it, and, as in the paper's
+//    Example 1.2, leaves an LRU-2 pool's hot set resident where LRU
+//    (K = 1) loses all of it.
 //  * Differential battery — driven single-threaded, a worker-mode pool
 //    (plain or sharded) produces BYTE-IDENTICAL behaviour to the inline
 //    pool over a 20k-op mixed workload: same pool counters, same victim
 //    sequence, same IoStats, same residency, same disk images, except
 //    that write-behind moves dirty victim writes from dirty_writebacks to
 //    writebehind_writes.
-//  * Replay determinism — the inline dispatcher with readahead over a
-//    seeded fault schedule reproduces the identical fault trace, stats and
-//    disk images run-to-run (fault replay survives the dispatcher).
-//  * Prefetch + readahead integration — a sequential scan faults only
-//    until the detector locks on; prefetched pages land unpinned, clean,
-//    and count prefetch_used on first demand touch; failed or rejected
-//    prefetches are dropped without surfacing errors or leaking frames.
+//  * Replay determinism — the inline dispatcher over a seeded fault
+//    schedule reproduces the identical fault trace, stats and disk images
+//    run-to-run (fault replay survives the dispatcher).
 //  * Retry — a clean miss's read retries a transient failure with the
 //    pool latch released: hits keep completing while the retry is in the
 //    disk.
-//  * Quiesce/fence — DeletePage waits out an in-flight prefetch of the
-//    same page (no resurrection after the delete); FlushAll quiesces the
-//    whole dispatcher; a worker-mode prefetch blocked in the disk is
-//    fenced deterministically via a gate disk manager; worker mode keeps
-//    at most kReadaheadWindow prefetches in flight.
+//  * Quiesce/fence — a demand read is held in the disk by a gate disk
+//    manager: DeletePage waits out the read of the same page (no
+//    resurrection after the delete), FlushAll waits for it, and Quiesce
+//    waits for reads queued behind a parked worker.
 
 #include <atomic>
 #include <chrono>
@@ -45,10 +46,10 @@
 #include "bufferpool/buffer_pool.h"
 #include "bufferpool/sharded_buffer_pool.h"
 #include "core/lru_k.h"
+#include "core/policy_factory.h"
 #include "differential_harness.h"
 #include "gtest/gtest.h"
 #include "io/io_dispatcher.h"
-#include "io/readahead.h"
 #include "storage/fault_injecting_disk_manager.h"
 #include "storage/sim_disk_manager.h"
 #include "util/random.h"
@@ -70,8 +71,8 @@ using difftest::kDiffCapacity;
 using difftest::kDiffDbPages;
 
 // Forwarding disk manager that blocks reads of one chosen page until
-// released — pins a worker-mode prefetch mid-flight so fences can be
-// exercised deterministically.
+// released — pins a demand read mid-flight so fences can be exercised
+// deterministically — and records which thread issued each read.
 class GateDiskManager final : public DiskManager {
  public:
   explicit GateDiskManager(DiskManager* inner) : inner_(inner) {}
@@ -87,18 +88,26 @@ class GateDiskManager final : public DiskManager {
     open_ = true;
     cv_.notify_all();
   }
-  // Blocks until a reader has reached the gate.
-  void AwaitReader() {
+  // Blocks until a reader has reached the gate, or `timeout` passes:
+  // false if none did.
+  bool AwaitReaderFor(std::chrono::milliseconds timeout) {
     std::unique_lock<std::mutex> guard(mutex_);
-    cv_.wait(guard, [&] { return waiting_ > 0; });
+    return cv_.wait_for(guard, timeout, [&] { return waiting_ > 0; });
+  }
+
+  // The thread of every read so far, in issue order.
+  std::vector<std::thread::id> ReaderThreads() {
+    std::lock_guard<std::mutex> guard(mutex_);
+    return reader_threads_;
   }
 
   Status ReadPage(PageId p, char* out) override {
     {
       std::unique_lock<std::mutex> guard(mutex_);
+      reader_threads_.push_back(std::this_thread::get_id());
       if (!open_ && p == gated_) {
         ++waiting_;
-        cv_.notify_all();  // Wake AwaitReader.
+        cv_.notify_all();  // Wake AwaitReaderFor.
         cv_.wait(guard, [&] { return open_; });
         --waiting_;
       }
@@ -125,7 +134,12 @@ class GateDiskManager final : public DiskManager {
   PageId gated_ = kInvalidPageId;
   bool open_ = true;
   int waiting_ = 0;
+  std::vector<std::thread::id> reader_threads_;
 };
+
+// How long a check waits for a held read to reach the gate, before it
+// fails instead of hanging.
+constexpr std::chrono::milliseconds kHeldReadTimeout{10000};
 
 // ---------------------------------------------------------------------------
 // IoDispatcher units.
@@ -205,117 +219,95 @@ TEST(AsyncIoDispatcherTest, DestructorDrainsAcceptedWork) {
   EXPECT_EQ(ran.load(), 10);
 }
 
-// ---------------------------------------------------------------------------
-// ReadaheadDetector units.
-
-TEST(AsyncIoReadaheadTest, TriggersAfterMinRunAndEmitsWindow) {
-  ReadaheadDetector det;
-  std::vector<PageId> out;
-  for (PageId p = 10; p < 14; ++p) {
-    det.Observe(p, &out);  // Runs of 1 to 4.
-    EXPECT_TRUE(out.empty()) << p;
+// Parks a dispatcher's single worker inside a closure until Open(), so
+// what queues behind it can be staged deterministically.
+class ParkedWorker {
+ public:
+  // Posts the parking closure on `cls` and waits until the worker runs it.
+  void Park(IoDispatcher& io, IoClass cls) {
+    ASSERT_TRUE(io.TryPost(
+        [this] {
+          std::unique_lock<std::mutex> guard(mutex_);
+          parked_ = true;
+          cv_.notify_all();
+          cv_.wait(guard, [&] { return open_; });
+        },
+        cls));
+    std::unique_lock<std::mutex> guard(mutex_);
+    cv_.wait(guard, [&] { return parked_; });
   }
-  det.Observe(14, &out);  // Run of 5: trigger.
-  EXPECT_EQ(out, (std::vector<PageId>{15, 16, 17, 18, 19, 20, 21, 22}));
-  det.Observe(15, &out);  // Re-trigger keeps the horizon ahead.
-  EXPECT_EQ(out, (std::vector<PageId>{16, 17, 18, 19, 20, 21, 22, 23}));
+  void Open() {
+    std::lock_guard<std::mutex> guard(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool open_ = false;
+};
+
+TEST(AsyncIoDispatcherTest, LaneDepthCountsQueuedItemsPerLane) {
+  IoDispatcher io(/*workers=*/1);
+  ParkedWorker worker;
+  worker.Park(io, IoClass::kDemand);
+  EXPECT_EQ(io.LaneDepth(IoClass::kDemand), 0u);  // Running, not queued.
+
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(io.TryPost([&] { ran.fetch_add(1); }));  // Flush lane.
+  }
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(io.TryPost([&] { ran.fetch_add(1); }, IoClass::kDemand));
+  }
+  EXPECT_EQ(io.LaneDepth(IoClass::kFlush), 3u);
+  EXPECT_EQ(io.LaneDepth(IoClass::kDemand), 2u);
+  // Hold the queued items for at least 5 ms of the clock the dispatcher
+  // measures waits with.
+  const auto queued = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() - queued <
+         std::chrono::milliseconds(5)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  worker.Open();
+  io.Drain();
+
+  EXPECT_EQ(ran.load(), 5);
+  EXPECT_EQ(io.LaneDepth(IoClass::kFlush), 0u);
+  EXPECT_EQ(io.LaneDepth(IoClass::kDemand), 0u);
+  IoDispatcherStats stats = io.stats();
+  EXPECT_EQ(stats.lane(IoClass::kFlush).queue_highwater, 3u);
+  EXPECT_EQ(stats.lane(IoClass::kDemand).queue_highwater, 2u);
+  EXPECT_EQ(stats.queue_highwater, 5u);  // Both lanes together.
+  for (IoClass cls : {IoClass::kDemand, IoClass::kFlush}) {
+    const IoLaneStats& lane = stats.lane(cls);
+    EXPECT_GE(lane.max_wait_micros, 5000.0) << IoClassName(cls);
+    EXPECT_GE(lane.wait_micros, lane.max_wait_micros) << IoClassName(cls);
+  }
+  EXPECT_GE(stats.lane(IoClass::kFlush).wait_micros, 3 * 5000.0);
 }
 
-TEST(AsyncIoReadaheadTest, NonUnitStrideIsDetected) {
-  ReadaheadDetector det;
-  std::vector<PageId> out;
-  for (PageId p : {0, 2, 4, 6}) det.Observe(p, &out);
-  EXPECT_TRUE(out.empty());
-  // Stride 1 matches the even offsets as often as stride 2 does; the tie
-  // goes to the larger stride.
-  det.Observe(8, &out);
-  EXPECT_EQ(out, (std::vector<PageId>{10, 12, 14, 16, 18, 20, 22, 24}));
-}
-
-TEST(AsyncIoReadaheadTest, BackwardScanEmitsDescendingAndStopsAtZero) {
-  ReadaheadDetector det;
-  std::vector<PageId> out;
-  for (PageId p : {9, 8, 7, 6}) det.Observe(p, &out);
-  EXPECT_TRUE(out.empty());
-  det.Observe(5, &out);
-  // -1 and below underflow: dropped.
-  EXPECT_EQ(out, (std::vector<PageId>{4, 3, 2, 1, 0}));
-}
-
-TEST(AsyncIoReadaheadTest, StrideBreakPausesUntilRunReestablishes) {
-  ReadaheadDetector det;
-  std::vector<PageId> out;
-  for (PageId p = 10; p <= 14; ++p) det.Observe(p, &out);
-  ASSERT_FALSE(out.empty());
-  det.Observe(500, &out);  // Interleaved random reference breaks the run.
-  EXPECT_TRUE(out.empty());
-  for (PageId p = 501; p <= 503; ++p) {
-    det.Observe(p, &out);  // A new run of 2 to 4...
-    EXPECT_TRUE(out.empty()) << p;
+TEST(AsyncIoDispatcherTest, DrainWaitsForQueuedAndRunningWork) {
+  IoDispatcher io(/*workers=*/1);
+  ParkedWorker worker;
+  worker.Park(io, IoClass::kFlush);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(io.TryPost([&] { ran.fetch_add(1); }));
   }
-  det.Observe(504, &out);  // ...run of 5 again: trigger.
-  EXPECT_EQ(out,
-            (std::vector<PageId>{505, 506, 507, 508, 509, 510, 511, 512}));
-}
 
-TEST(AsyncIoReadaheadTest, LargeJumpsAndRepeatsAreNotSequential) {
-  ReadaheadDetector det;
-  std::vector<PageId> out;
-  for (PageId p = 0; p <= 1000; p += 100) {
-    det.Observe(p, &out);  // |stride| 100 is far beyond the largest stride.
-    EXPECT_TRUE(out.empty()) << p;
-  }
-  for (int i = 0; i < 10; ++i) {
-    det.Observe(1000, &out);  // Stride 0 (a re-reference): never a run.
-    EXPECT_TRUE(out.empty());
-  }
-}
-
-TEST(AsyncIoReadaheadTest, FixedWindowAndThresholds) {
-  // The detector has no settings: these pin the values it was tuned at
-  // (window 8, minimum run 5, largest stride 4).
-  ReadaheadDetector det;
-  std::vector<PageId> out;
-  for (PageId p = 100; p < 104; ++p) {
-    det.Observe(p, &out);  // 4 aligned references emit nothing...
-    EXPECT_TRUE(out.empty()) << p;
-  }
-  det.Observe(104, &out);  // ...the 5th emits exactly 8 targets.
-  EXPECT_EQ(out, (std::vector<PageId>{105, 106, 107, 108, 109, 110, 111,
-                                      112}));
-
-  ReadaheadDetector stride5;
-  for (PageId p = 1000; p < 1000 + 5 * 40; p += 5) {
-    stride5.Observe(p, &out);  // A stride-5 run never triggers.
-    EXPECT_TRUE(out.empty()) << p;
-  }
-}
-
-TEST(AsyncIoReadaheadTest, VoteWindowToleratesOneToOneInterleaving) {
-  // The history holds the last 8 observed fetches, so a scan sampled 1:1
-  // with hot-page references is still caught at its 5th page...
-  ReadaheadDetector det;
-  std::vector<PageId> out;
-  for (PageId p = 100; p < 104; ++p) {
-    det.Observe(p, &out);
-    EXPECT_TRUE(out.empty()) << p;
-    det.Observe(p % 2 == 0 ? 5000 : 9000, &out);  // Hot pages never vote.
-    EXPECT_TRUE(out.empty()) << p;
-  }
-  det.Observe(104, &out);
-  EXPECT_EQ(out, (std::vector<PageId>{105, 106, 107, 108, 109, 110, 111,
-                                      112}));
-
-  // ...while at 1:2 the history never holds more than 2 earlier scan
-  // pages, short of the 4 votes a trigger needs.
-  ReadaheadDetector sparse;
-  for (PageId p = 100; p < 140; ++p) {
-    sparse.Observe(p, &out);
-    EXPECT_TRUE(out.empty()) << p;
-    sparse.Observe(5000, &out);
-    sparse.Observe(9000, &out);
-    EXPECT_TRUE(out.empty()) << p;
-  }
+  auto drained = std::async(std::launch::async, [&] { io.Drain(); });
+  EXPECT_EQ(drained.wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout)
+      << "Drain returned with the worker parked and four items queued";
+  EXPECT_EQ(ran.load(), 0);
+  worker.Open();
+  drained.get();
+  EXPECT_EQ(ran.load(), 4);
+  EXPECT_EQ(io.LaneDepth(IoClass::kFlush), 0u);
+  EXPECT_EQ(io.stats().executed_async, 5u);  // The parked closure too.
 }
 
 // ---------------------------------------------------------------------------
@@ -354,11 +346,8 @@ TEST(AsyncIoDifferentialTest, FaultScheduleReplayIsDeterministicInline) {
     disk.AddRule(FaultRule::FailWithProbability(FaultOp::kRead, 0.02));
     disk.AddRule(FaultRule::FailWithProbability(FaultOp::kWrite, 0.02));
 
-    BufferPoolOptions options;
-    options.readahead = true;
     BufferPool pool(kDiffCapacity, &disk,
-                    std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                    options);
+                    std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
 
     std::vector<PageId> pages = AllocateDb(pool, kDiffDbPages);
     RecursiveSkewDistribution dist(0.8, 0.2, pages.size());
@@ -366,7 +355,7 @@ TEST(AsyncIoDifferentialTest, FaultScheduleReplayIsDeterministicInline) {
     for (int i = 0; i < 8000; ++i) {
       PageId p;
       if (i % 10 < 3) {
-        // Interleave scan stretches so the readahead path fires.
+        // Interleave scan stretches with the skewed references.
         p = pages[static_cast<size_t>(i / 10 * 3 + i % 10) % pages.size()];
       } else {
         p = pages[dist.Sample(rng) - 1];
@@ -382,8 +371,6 @@ TEST(AsyncIoDifferentialTest, FaultScheduleReplayIsDeterministicInline) {
     EXPECT_TRUE(pool.FlushAll().ok());
 
     BufferPoolStats stats = pool.stats();
-    EXPECT_GT(stats.prefetch_issued, 0u);
-    EXPECT_GT(stats.prefetch_used, 0u);
     for (const FaultEvent& e : disk.Trace()) {
       *trace += FaultEventToString(e);
       *trace += "\n";
@@ -394,161 +381,13 @@ TEST(AsyncIoDifferentialTest, FaultScheduleReplayIsDeterministicInline) {
       trace->append(buf, kPageSize);
     }
     std::string counters;
-    counters += std::to_string(stats.hits) + "/" +
-                std::to_string(stats.misses) + "/" +
-                std::to_string(stats.evictions) + "/" +
-                std::to_string(stats.prefetch_issued) + "/" +
-                std::to_string(stats.prefetch_used) + "/" +
-                std::to_string(stats.prefetch_dropped);
-    *trace += counters;
+    *trace += FormatCounters(stats);
   };
   std::string first;
   std::string second;
   run(&first);
   run(&second);
   EXPECT_EQ(first, second);
-}
-
-// ---------------------------------------------------------------------------
-// Prefetch + readahead integration (inline mode: fully deterministic).
-
-TEST(AsyncIoPrefetchTest, RequestPrefetchAdmitsUnpinnedCleanPage) {
-  SimDiskManager disk;
-  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
-  // A raw allocation is on disk but not resident — prefetchable.
-  auto raw = disk.AllocatePage();
-  ASSERT_TRUE(raw.ok());
-  std::vector<PageId> pages{*raw};
-
-  IoStats before = disk.stats();
-  pool.RequestPrefetch(pages[0]);
-  EXPECT_TRUE(pool.IsResident(pages[0]));
-  EXPECT_EQ(disk.stats().reads, before.reads + 1);
-
-  BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.prefetch_issued, 1u);
-  EXPECT_EQ(stats.prefetch_used, 0u);
-  EXPECT_EQ(stats.misses, 0u);  // Prefetches are not demand misses.
-
-  // Unpinned (evictable) and clean: a DeletePage succeeds immediately and
-  // triggers no write-back.
-  // First, the demand touch counts prefetch_used exactly once.
-  auto page = pool.FetchPage(pages[0]);
-  ASSERT_TRUE(page.ok());
-  stats = pool.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.prefetch_used, 1u);
-  ASSERT_TRUE(pool.UnpinPage(pages[0], false).ok());
-  auto again = pool.FetchPage(pages[0]);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(pool.stats().prefetch_used, 1u);  // Not double counted.
-  ASSERT_TRUE(pool.UnpinPage(pages[0], false).ok());
-}
-
-TEST(AsyncIoPrefetchTest, PrefetchOfResidentPageIsANoOp) {
-  SimDiskManager disk;
-  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
-  std::vector<PageId> pages = AllocateDb(pool, 1);
-  pool.RequestPrefetch(pages[0]);  // Resident: no tracker entry, no read.
-  EXPECT_EQ(pool.stats().prefetch_issued, 0u);
-  EXPECT_EQ(disk.stats().reads, 0u);
-}
-
-TEST(AsyncIoPrefetchTest, FailedPrefetchIsDroppedWithoutLeakingFrames) {
-  SimDiskManager inner;
-  FaultInjectingDiskManager disk(&inner, /*seed=*/3);
-  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
-  std::vector<PageId> pages = AllocateDb(pool, 2);
-  ASSERT_TRUE(pool.FlushAll().ok());
-  // Make both non-resident by deleting... instead, use a raw allocation
-  // that was never admitted.
-  auto raw = disk.AllocatePage();
-  ASSERT_TRUE(raw.ok());
-
-  disk.AddRule(FaultRule::FailPage(FaultOp::kRead, *raw));
-  size_t free_before = pool.FreeFrameCount();
-  pool.RequestPrefetch(*raw);
-  EXPECT_FALSE(pool.IsResident(*raw));
-  EXPECT_EQ(pool.FreeFrameCount(), free_before);
-  EXPECT_EQ(pool.PendingIoCount(), 0u);
-
-  BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.prefetch_issued, 1u);
-  EXPECT_EQ(stats.prefetch_dropped, 1u);
-  EXPECT_EQ(stats.read_failures, 0u);  // Not a demand-read failure.
-
-  // The page is perfectly fetchable once the fault clears.
-  disk.Heal();
-  auto page = pool.FetchPage(*raw);
-  ASSERT_TRUE(page.ok());
-  ASSERT_TRUE(pool.UnpinPage(*raw, false).ok());
-}
-
-TEST(AsyncIoPrefetchTest, SequentialScanFaultsOnlyUntilDetectorLocksOn) {
-  SimDiskManager disk;
-  BufferPoolOptions options;
-  options.readahead = true;
-
-  // 80 allocated, first 64 scanned: the readahead window never runs past
-  // the end of the allocated range. Warm the disk through one pool, then
-  // scan cold through a second. Capacity >= scan length keeps the test
-  // eviction-free, so the counter arithmetic below is exact (under CRP=0,
-  // once-referenced prefetched pages are LRU-K's preferred victims — the
-  // eviction interplay is bench territory, not unit-test arithmetic).
-  std::vector<PageId> pages;
-  {
-    BufferPool warm(16, &disk,
-                    std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
-    pages = AllocateDb(warm, 80);
-    EXPECT_TRUE(warm.FlushAll().ok());
-  }
-  BufferPool scan_pool(80, &disk,
-                       std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                       options);
-  for (size_t i = 0; i < 64; ++i) {
-    auto page = scan_pool.FetchPage(pages[i]);
-    ASSERT_TRUE(page.ok()) << i;
-    ASSERT_TRUE(scan_pool.UnpinPage(pages[i], false).ok());
-  }
-  BufferPoolStats stats = scan_pool.stats();
-  // Pages 0..4 establish the run (5 demand misses); every later page was
-  // prefetched before its demand reference arrived.
-  EXPECT_EQ(stats.misses, 5u);
-  EXPECT_EQ(stats.hits, 59u);
-  EXPECT_EQ(stats.prefetch_used, 59u);
-  EXPECT_EQ(stats.prefetch_issued, 67u);  // Window of 8 ahead at the end.
-  EXPECT_EQ(stats.prefetch_dropped, 0u);
-}
-
-TEST(AsyncIoPrefetchTest, ShardedScanUsesPoolLevelDetector) {
-  SimDiskManager disk;
-  BufferPoolOptions options;
-  options.readahead = true;
-  // Warm the disk through a plain pool, then scan through a sharded one.
-  {
-    BufferPool warm(16, &disk,
-                    std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
-    std::vector<PageId> pages = AllocateDb(warm, 80);
-    ASSERT_TRUE(warm.FlushAll().ok());
-  }
-  ShardedBufferPool pool(
-      128, /*num_shards=*/4, &disk,  // Eviction-free: exact counters.
-      [](size_t, size_t) {
-        return std::make_unique<LruKPolicy>(LruKOptions{.k = 2});
-      },
-      options);
-  for (PageId p = 0; p < 64; ++p) {
-    auto page = pool.FetchPage(p);
-    ASSERT_TRUE(page.ok()) << p;
-    ASSERT_TRUE(pool.UnpinPage(p, false).ok());
-  }
-  // Hash routing scatters the pages, but the pool-level detector sees the
-  // sequential stream: everything past the lock-on is prefetched.
-  BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.misses, 5u);
-  EXPECT_EQ(stats.hits, 59u);
-  EXPECT_EQ(stats.prefetch_used, 59u);
-  EXPECT_GT(stats.prefetch_issued, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -584,7 +423,8 @@ TEST(AsyncIoRetryTest, DemandReadRetriesWithTheLatchReleased) {
     EXPECT_EQ((*page)->Data()[kPageSize - 1], 'x');
     EXPECT_TRUE(pool.UnpinPage(target, false).ok());
   });
-  gate.AwaitReader();
+  EXPECT_TRUE(gate.AwaitReaderFor(kHeldReadTimeout))
+      << "the retry never reached the device";
 
   // The retry holds no latch: a hit on another thread completes meanwhile.
   auto hit = std::async(std::launch::async, [&] {
@@ -606,33 +446,265 @@ TEST(AsyncIoRetryTest, DemandReadRetriesWithTheLatchReleased) {
 }
 
 // ---------------------------------------------------------------------------
-// Quiesce / fence.
+// Demand misses: which thread reads, and on which lane.
 
-TEST(AsyncIoQuiesceTest, DeletePageFencesAnInFlightPrefetch) {
+std::unique_ptr<LruKPolicy> Lru2() {
+  return std::make_unique<LruKPolicy>(LruKOptions{.k = 2});
+}
+
+// `n` pages allocated on `disk` that no pool holds: each one's first fetch
+// is a clean miss.
+std::vector<PageId> AllocateRaw(DiskManager& disk, size_t n) {
+  std::vector<PageId> pages;
+  for (size_t i = 0; i < n; ++i) {
+    auto raw = disk.AllocatePage();
+    EXPECT_TRUE(raw.ok());
+    if (raw.ok()) pages.push_back(*raw);
+  }
+  return pages;
+}
+
+// The byte FixAndUnpin's dirtying fetch fills page `p` with.
+char FillOf(PageId p) { return static_cast<char>('a' + p % 26); }
+
+// Fetches and unpins `p`; a `dirty` fetch fills it with FillOf(p) first.
+void FixAndUnpin(PoolInterface& pool, PageId p, bool dirty = false) {
+  auto page = pool.FetchPage(p, dirty ? AccessType::kWrite : AccessType::kRead);
+  ASSERT_TRUE(page.ok()) << "page " << p;
+  if (dirty) std::memset((*page)->Data(), FillOf(p), kPageSize);
+  ASSERT_TRUE(pool.UnpinPage(p, dirty).ok()) << "page " << p;
+}
+
+TEST(AsyncIoMissTest, InlineMissReadsOnTheCallingThread) {
   SimDiskManager inner;
   GateDiskManager disk(&inner);
-  BufferPoolOptions options;
-  options.io_workers = 1;
-  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                  options);
+  BufferPool pool(4, &disk, Lru2());
+  for (PageId p : AllocateRaw(disk, 3)) FixAndUnpin(pool, p);
 
+  EXPECT_EQ(disk.ReaderThreads(),
+            std::vector<std::thread::id>(3, std::this_thread::get_id()));
+  IoDispatcherStats io = pool.io_dispatcher()->stats();
+  EXPECT_EQ(io.executed_inline, 3u);
+  EXPECT_EQ(io.executed_async, 0u);
+  EXPECT_EQ(io.lane(IoClass::kDemand).accepted, 3u);
+  EXPECT_EQ(io.lane(IoClass::kFlush).accepted, 0u);
+}
+
+TEST(AsyncIoMissTest, WorkerMissReadsOnAWorkerThroughTheDemandLane) {
+  SimDiskManager inner;
+  GateDiskManager disk(&inner);
+  BufferPool pool(4, &disk, Lru2(), BufferPoolOptions{.io_workers = 1});
+  for (PageId p : AllocateRaw(disk, 3)) FixAndUnpin(pool, p);
+
+  const std::vector<std::thread::id> readers = disk.ReaderThreads();
+  ASSERT_EQ(readers.size(), 3u);
+  EXPECT_NE(readers[0], std::this_thread::get_id());
+  // One worker read all three.
+  EXPECT_EQ(readers, std::vector<std::thread::id>(3, readers[0]));
+  IoDispatcherStats io = pool.io_dispatcher()->stats();
+  EXPECT_EQ(io.executed_inline, 0u);
+  EXPECT_EQ(io.executed_async, 3u);
+  EXPECT_EQ(io.submitted, 3u);  // Each miss blocked in Run() for its read.
+  EXPECT_EQ(io.lane(IoClass::kDemand).accepted, 3u);
+  EXPECT_EQ(io.lane(IoClass::kFlush).accepted, 0u);
+}
+
+TEST(AsyncIoMissTest, WorkerModePostsDirtyVictimsOnTheFlushLane) {
+  SimDiskManager disk;
+  BufferPool pool(2, &disk, Lru2(), BufferPoolOptions{.io_workers = 1});
+  const std::vector<PageId> pages = AllocateRaw(disk, 3);
+  FixAndUnpin(pool, pages[0], /*dirty=*/true);
+  FixAndUnpin(pool, pages[1], /*dirty=*/true);
+  FixAndUnpin(pool, pages[2]);  // Evicts a dirty page: written behind.
+  pool.Quiesce();
+
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.writebehind_writes, 1u);
+  EXPECT_EQ(stats.dirty_writebacks, 0u);
+  IoDispatcherStats io = pool.io_dispatcher()->stats();
+  EXPECT_EQ(io.lane(IoClass::kDemand).accepted, 3u);  // The three reads.
+  EXPECT_EQ(io.lane(IoClass::kFlush).accepted, 1u);   // The victim write.
+  EXPECT_EQ(io.lane(IoClass::kFlush).executed, 1u);
+  EXPECT_EQ(io.posted, 1u);
+  EXPECT_EQ(disk.stats().writes, 1u);
+  const PageId victim = pool.IsResident(pages[0]) ? pages[1] : pages[0];
+  EXPECT_FALSE(pool.IsResident(victim));
+  char image[kPageSize];
+  ASSERT_TRUE(disk.ReadPage(victim, image).ok());
+  EXPECT_EQ(image[0], FillOf(victim));
+  EXPECT_EQ(image[kPageSize - 1], FillOf(victim));
+}
+
+TEST(AsyncIoMissTest, FailedReadOnAWorkerGivesItsFrameBack) {
+  SimDiskManager inner;
+  FaultInjectingDiskManager disk(&inner);
+  BufferPool pool(4, &disk, Lru2(), BufferPoolOptions{.io_workers = 1});
+  const PageId p = AllocateRaw(disk, 1).at(0);
+  disk.AddRule(FaultRule::FailPage(FaultOp::kRead, p));
+
+  auto page = pool.FetchPage(p);
+  ASSERT_FALSE(page.ok());
+  EXPECT_EQ(page.status().code(), StatusCode::kIoError);
+  EXPECT_FALSE(pool.IsResident(p));
+  EXPECT_EQ(pool.FreeFrameCount(), 4u);
+  EXPECT_EQ(pool.PendingIoCount(), 0u);
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.read_failures, 1u);
+
+  // The page is fetchable once the fault clears.
+  disk.Heal();
+  FixAndUnpin(pool, p);
+  EXPECT_TRUE(pool.IsResident(p));
+  EXPECT_EQ(pool.FreeFrameCount(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Scans, on every pool shape a scan can meet.
+
+struct ScanPool {
+  const char* name;
+  bool sharded;
+  size_t io_workers;
+  bool optimistic_hits;
+};
+
+// An LRU-`k` pool of `capacity` frames over `disk`, shaped as `shape`
+// says (a sharded pool has 4 shards).
+std::unique_ptr<PoolInterface> MakeScanPool(const ScanPool& shape,
+                                            size_t capacity,
+                                            DiskManager* disk, int k) {
+  BufferPoolOptions options{.optimistic_hits = shape.optimistic_hits,
+                            .io_workers = shape.io_workers};
+  if (shape.sharded) {
+    auto factory = MakeShardPolicyFactory(PolicyConfig::LruK(k));
+    EXPECT_TRUE(factory.ok());
+    return std::make_unique<ShardedBufferPool>(capacity, /*num_shards=*/4,
+                                               disk, *factory, options);
+  }
+  return std::make_unique<BufferPool>(
+      capacity, disk, std::make_unique<LruKPolicy>(LruKOptions{.k = k}),
+      options);
+}
+
+class ScanTest : public ::testing::TestWithParam<ScanPool> {};
+
+// No page is read twice and none is read before its demand: the pages
+// just past the scan stay on disk.
+TEST_P(ScanTest, ColdScanReadsEachPageOnceAndNothingAhead) {
+  constexpr size_t kScanned = 64;
+  constexpr size_t kPastTheScan = 16;
+  SimDiskManager disk;
+  // Every shard can hold the whole scan: nothing is evicted.
+  auto pool = MakeScanPool(GetParam(), 4 * kScanned, &disk, /*k=*/2);
+  const std::vector<PageId> pages = AllocateRaw(disk, kScanned + kPastTheScan);
+
+  for (size_t i = 0; i < kScanned; ++i) FixAndUnpin(*pool, pages[i]);
+  EXPECT_EQ(disk.stats().reads, kScanned);
+  for (size_t i = 0; i < pages.size(); ++i) {
+    EXPECT_EQ(pool->IsResident(pages[i]), i < kScanned) << "page " << i;
+  }
+  BufferPoolStats stats = pool->stats();
+  EXPECT_EQ(stats.misses, kScanned);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.prefetch_issued, 0u);
+  EXPECT_EQ(stats.prefetch_used, 0u);
+
+  // A second pass hits every page and reads nothing.
+  for (size_t i = 0; i < kScanned; ++i) FixAndUnpin(*pool, pages[i]);
+  EXPECT_EQ(disk.stats().reads, kScanned);
+  EXPECT_EQ(pool->stats().misses, kScanned);
+}
+
+// The paper's Example 1.2: a hot set referenced twice, then a scan of
+// four times the pool's size. Under LRU-2 every scanned page has an
+// infinite backward 2-distance, so the scan replaces only its own pages
+// and the hot set is still resident; under LRU (K = 1) the scan flushes
+// it all out.
+TEST_P(ScanTest, ColdScanLeavesTheHotSetResident) {
+  constexpr size_t kCapacity = 64;
+  constexpr size_t kHot = 8;
+  constexpr size_t kScanned = 4 * kCapacity;
+  for (int k : {2, 1}) {
+    SCOPED_TRACE(k == 2 ? "LRU-2" : "LRU");
+    SimDiskManager disk;
+    auto pool = MakeScanPool(GetParam(), kCapacity, &disk, k);
+    const std::vector<PageId> hot = AllocateRaw(disk, kHot);
+    const std::vector<PageId> scan = AllocateRaw(disk, kScanned);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (PageId p : hot) FixAndUnpin(*pool, p);
+    }
+    for (PageId p : scan) FixAndUnpin(*pool, p);
+
+    BufferPoolStats stats = pool->stats();
+    EXPECT_EQ(stats.misses, kHot + kScanned);
+    EXPECT_EQ(disk.stats().reads, kHot + kScanned);
+    // Every frame (in a sharded pool, every shard) filled, so each miss
+    // past the capacity evicted one page.
+    EXPECT_EQ(pool->ResidentCount(), kCapacity);
+    EXPECT_EQ(stats.evictions, kHot + kScanned - kCapacity);
+
+    size_t hot_resident = 0;
+    for (PageId p : hot) hot_resident += pool->IsResident(p) ? 1 : 0;
+    EXPECT_EQ(hot_resident, k == 2 ? kHot : 0u);
+    // Under LRU-2 the hot set's next references all hit.
+    for (PageId p : hot) FixAndUnpin(*pool, p);
+    EXPECT_EQ(pool->stats().misses,
+              kHot + kScanned + (k == 2 ? 0 : kHot));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pools, ScanTest,
+    ::testing::Values(ScanPool{"Plain", false, 0, false},
+                      ScanPool{"Workers", false, 2, false},
+                      ScanPool{"Sharded", true, 0, false},
+                      ScanPool{"Optimistic", false, 0, true}),
+    [](const ::testing::TestParamInfo<ScanPool>& info) {
+      return std::string(info.param.name);
+    });
+
+// ---------------------------------------------------------------------------
+// Quiesce / fence.
+
+TEST(AsyncIoQuiesceTest, DeletePageFencesAnInFlightRead) {
+  SimDiskManager inner;
+  GateDiskManager disk(&inner);
+  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   auto target = disk.AllocatePage();
   ASSERT_TRUE(target.ok());
-  PageId p = *target;
+  const PageId p = *target;
 
   disk.Close(p);
-  pool.RequestPrefetch(p);
-  disk.AwaitReader();  // The worker is mid-read of p.
+  std::promise<void> delete_returned;
+  std::thread reader([&] {
+    auto page = pool.FetchPage(p);
+    EXPECT_TRUE(page.ok());
+    // Holds its pin until the fenced delete has returned.
+    delete_returned.get_future().wait();
+    if (page.ok()) {
+      EXPECT_TRUE(pool.UnpinPage(p, false).ok());
+    }
+  });
+  EXPECT_TRUE(disk.AwaitReaderFor(kHeldReadTimeout))
+      << "the miss never reached the device";
   EXPECT_EQ(pool.PendingIoCount(), 1u);
 
-  std::thread deleter([&] {
-    // Fences: waits for the prefetch to settle, then deletes.
-    EXPECT_TRUE(pool.DeletePage(p).ok());
+  auto deleter = std::async(std::launch::async, [&] {
+    return pool.DeletePage(p);  // Fenced: waits for the read to settle.
   });
+  EXPECT_EQ(deleter.wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout)
+      << "the delete did not wait for the in-flight read";
   disk.Open();
-  deleter.join();
+  // The delete saw the read's admission (p resident, the reader's pin on
+  // it), not a non-resident page it could deallocate under the read.
+  EXPECT_EQ(deleter.get().code(), StatusCode::kInvalidArgument);
+  delete_returned.set_value();
+  reader.join();
 
-  // The prefetch could NOT resurrect the deleted page.
+  ASSERT_TRUE(pool.DeletePage(p).ok());
   EXPECT_FALSE(pool.IsResident(p));
   EXPECT_EQ(pool.PendingIoCount(), 0u);
   EXPECT_EQ(pool.FreeFrameCount(), 4u);  // No leaked frame.
@@ -641,33 +713,38 @@ TEST(AsyncIoQuiesceTest, DeletePageFencesAnInFlightPrefetch) {
   EXPECT_FALSE(inner.ReadPage(p, buf).ok());  // Gone on disk too.
 }
 
-TEST(AsyncIoQuiesceTest, FlushAllQuiescesInFlightBackgroundWork) {
+TEST(AsyncIoQuiesceTest, FlushAllQuiescesAnInFlightRead) {
   SimDiskManager inner;
   GateDiskManager disk(&inner);
-  BufferPoolOptions options;
-  options.io_workers = 2;
-  BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                  options);
-  std::vector<PageId> pages = AllocateDb(pool, 2);
+  BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
+  AllocateDb(pool, 2);
   ASSERT_TRUE(pool.FlushAll().ok());
 
   auto raw = disk.AllocatePage();
   ASSERT_TRUE(raw.ok());
   disk.Close(*raw);
-  pool.RequestPrefetch(*raw);
-  disk.AwaitReader();
+  std::thread reader([&] {
+    auto page = pool.FetchPage(*raw);
+    EXPECT_TRUE(page.ok());
+    if (page.ok()) {
+      EXPECT_TRUE(pool.UnpinPage(*raw, false).ok());
+    }
+  });
+  EXPECT_TRUE(disk.AwaitReaderFor(kHeldReadTimeout))
+      << "the miss never reached the device";
 
   std::thread opener([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     disk.Open();
   });
-  ASSERT_TRUE(pool.FlushAll().ok());  // Blocks until the prefetch settles.
-  opener.join();
+  ASSERT_TRUE(pool.FlushAll().ok());  // Blocks until the read settles.
   EXPECT_EQ(pool.PendingIoCount(), 0u);
-  EXPECT_TRUE(pool.IsResident(*raw));  // The prefetch completed first.
+  EXPECT_TRUE(pool.IsResident(*raw));  // The read completed first.
+  opener.join();
+  reader.join();
 }
 
-TEST(AsyncIoQuiesceTest, QuiesceDrainsQueuedPrefetches) {
+TEST(AsyncIoQuiesceTest, QuiesceDrainsQueuedReads) {
   SimDiskManager inner;
   GateDiskManager disk(&inner);
   BufferPoolOptions options;
@@ -680,96 +757,37 @@ TEST(AsyncIoQuiesceTest, QuiesceDrainsQueuedPrefetches) {
     ASSERT_TRUE(raw.ok());
     raws.push_back(*raw);
   }
-  disk.Close(raws[0]);  // Park the worker on the first prefetch...
-  for (PageId p : raws) pool.RequestPrefetch(p);
-  disk.AwaitReader();
-  EXPECT_EQ(pool.PendingIoCount(), 4u);  // ...three more queued behind it.
+  auto fetch = [&](PageId p) {
+    auto page = pool.FetchPage(p);
+    EXPECT_TRUE(page.ok());
+    if (page.ok()) {
+      EXPECT_TRUE(pool.UnpinPage(p, false).ok());
+    }
+  };
+  disk.Close(raws[0]);  // Park the worker on the first read...
+  std::vector<std::thread> readers;
+  readers.emplace_back(fetch, raws[0]);
+  EXPECT_TRUE(disk.AwaitReaderFor(kHeldReadTimeout))
+      << "the miss never reached the device";
+  for (size_t i = 1; i < raws.size(); ++i) readers.emplace_back(fetch, raws[i]);
+  // ...and let the three other misses queue their reads behind it.
+  const auto deadline = std::chrono::steady_clock::now() + kHeldReadTimeout;
+  while (pool.PendingIoCount() < raws.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(pool.PendingIoCount(), raws.size());
 
   std::thread opener([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     disk.Open();
   });
   pool.Quiesce();
-  opener.join();
   EXPECT_EQ(pool.PendingIoCount(), 0u);
   for (PageId p : raws) EXPECT_TRUE(pool.IsResident(p));
-  EXPECT_EQ(pool.stats().prefetch_issued, 4u);
-}
-
-TEST(AsyncIoQuiesceTest, WorkerModeCapsInFlightPrefetchesAtTheWindow) {
-  SimDiskManager inner;
-  GateDiskManager disk(&inner);
-  BufferPoolOptions options;
-  options.io_workers = 1;
-  BufferPool pool(16, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                  options);
-  std::vector<PageId> raws;
-  for (size_t i = 0; i < kReadaheadWindow + 2; ++i) {
-    auto raw = disk.AllocatePage();
-    ASSERT_TRUE(raw.ok());
-    raws.push_back(*raw);
-  }
-  disk.Close(raws[0]);  // Park the worker on the first prefetch...
-  for (PageId p : raws) pool.RequestPrefetch(p);
-  disk.AwaitReader();
-  // ...so nothing completes: the first kReadaheadWindow requests are in
-  // flight and the last two are never registered.
-  EXPECT_EQ(pool.PendingIoCount(), kReadaheadWindow);
-  EXPECT_EQ(pool.stats().prefetch_issued, kReadaheadWindow);
-
-  disk.Open();
-  pool.Quiesce();
-  for (size_t i = 0; i < raws.size(); ++i) {
-    EXPECT_EQ(pool.IsResident(raws[i]), i < kReadaheadWindow) << i;
-  }
-  EXPECT_EQ(pool.stats().prefetch_dropped, 0u);  // Refused, not dropped.
-
-  // With the window drained, a prefetch registers again.
-  pool.RequestPrefetch(raws.back());
-  pool.Quiesce();
-  EXPECT_TRUE(pool.IsResident(raws.back()));
-  EXPECT_EQ(pool.stats().prefetch_issued, kReadaheadWindow + 1);
-}
-
-TEST(AsyncIoQuiesceTest, QueueFullPrefetchIsDroppedNotLost) {
-  SimDiskManager inner;
-  GateDiskManager disk(&inner);
-  BufferPoolOptions options;
-  options.io_workers = 1;
-  BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                  options);
-  std::vector<PageId> raws;
-  for (int i = 0; i < 2; ++i) {
-    auto raw = disk.AllocatePage();
-    ASSERT_TRUE(raw.ok());
-    raws.push_back(*raw);
-  }
-  disk.Close(raws[0]);
-  pool.RequestPrefetch(raws[0]);  // Parks the worker.
-  disk.AwaitReader();
-  // Fill the Prefetch lane behind the parked worker.
-  std::atomic<size_t> fillers{0};
-  for (size_t i = 0; i < kIoLaneDepth; ++i) {
-    ASSERT_TRUE(pool.io_dispatcher()->TryPost([&] { fillers.fetch_add(1); }));
-  }
-  pool.RequestPrefetch(raws[1]);  // Rejected: dropped cleanly.
-
-  disk.Open();
-  pool.Quiesce();
-  pool.io_dispatcher()->Drain();
-  EXPECT_EQ(fillers.load(), kIoLaneDepth);
-  EXPECT_TRUE(pool.IsResident(raws[0]));
-  EXPECT_FALSE(pool.IsResident(raws[1]));
-  BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.prefetch_issued, 2u);
-  EXPECT_EQ(stats.prefetch_dropped, 1u);
-  EXPECT_EQ(stats.io_drops_prefetch, 1u);
-  EXPECT_EQ(pool.PendingIoCount(), 0u);
-
-  // The dropped page is still perfectly fetchable on demand.
-  auto page = pool.FetchPage(raws[1]);
-  ASSERT_TRUE(page.ok());
-  ASSERT_TRUE(pool.UnpinPage(raws[1], false).ok());
+  opener.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(pool.stats().misses, raws.size());
 }
 
 }  // namespace

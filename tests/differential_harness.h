@@ -60,7 +60,6 @@ inline constexpr CounterField kModeDependentCounters[] = {
     &BufferPoolStats::writebehind_writes,
     &BufferPoolStats::writebehind_readmits,
     &BufferPoolStats::io_drops_flush,
-    &BufferPoolStats::io_drops_prefetch,
     &BufferPoolStats::optimistic_hits,
     &BufferPoolStats::optimistic_fallbacks,
     &BufferPoolStats::fallback_probe_miss,
@@ -222,7 +221,6 @@ struct DiffScenarioConfig {
   int ops = kDiffOps;
   bool optimistic = false;
   size_t io_workers = 0;    // > 0: worker mode, which writes behind.
-  bool readahead = false;
   MakePolicyFn make_policy{};  // Null: LruKOptions{.k = 2}.
 };
 
@@ -245,7 +243,6 @@ inline DiffScenarioResult RunDiffScenario(const DiffScenarioConfig& config) {
   BufferPoolOptions options;
   options.optimistic_hits = config.optimistic;
   options.io_workers = config.io_workers;
-  options.readahead = config.readahead;
   MakePolicyFn make_policy = config.make_policy;
   if (!make_policy) {
     make_policy = [](size_t, size_t) {

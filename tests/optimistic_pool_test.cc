@@ -18,10 +18,6 @@
 //    latch ZERO times, asserted via the latch_acquires counter. Only such
 //    hits publish through the ring: a latched pool has none and applies
 //    each hit's reference before FetchPage returns.
-//  * Readahead interaction — readahead and the optimistic fast path
-//    compose on both pool shapes (the voting detector's Observe is
-//    wait-free), staying byte-identical to the latched pool with the
-//    same detector; a non-triggering warm hit stays at zero latches.
 //  * StatsSnapshot — the lock-free snapshot equals the draining stats()
 //    when the pool is quiescent.
 //  * Error paths — optimistic UnpinPage/DeletePage report the same status
@@ -252,24 +248,6 @@ TEST(OptimisticDifferentialTest, MatchesLatchedPathUnderWriteBehind) {
   }
 }
 
-TEST(OptimisticDifferentialTest, ReadaheadComposesAndStaysIdentical) {
-  // Readahead + optimistic_hits COMPOSE on both pool shapes: the voting
-  // detector's Observe is wait-free, so warm hits stay latch-free while
-  // the detector watches the full fetch stream — and the combined pool is
-  // still byte-identical to the latched pool with the same detector.
-  for (bool sharded : {false, true}) {
-    SCOPED_TRACE(sharded ? "sharded" : "plain");
-    DiffScenarioResult latched = RunDiffScenario(
-        {.sharded = sharded, .optimistic = false, .readahead = true});
-    DiffScenarioResult optimistic = RunDiffScenario(
-        {.sharded = sharded, .optimistic = true, .readahead = true});
-    ExpectScenarioEq(latched, optimistic);
-    EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
-    EXPECT_GT(optimistic.stats.prefetch_issued, 0u);
-    EXPECT_EQ(optimistic.stats.access_drops, 0u);
-  }
-}
-
 TEST(OptimisticDifferentialTest, RingFullPathStaysIdentical) {
   // Alternating hits on two resident pages with no miss, hence no drain,
   // in between: the thread's 64-record stripe fills and every 65th
@@ -364,34 +342,6 @@ TEST(OptimisticHitPathTest, WarmHitAcquiresNoLatch) {
   // The buffered references land in the policy at the next drain point.
   (void)pool.stats();
   EXPECT_EQ(pool.policy().ResidentCount(), kPages);
-}
-
-TEST(OptimisticHitPathTest, WarmHitStaysLatchFreeWithReadaheadOn) {
-  // The detector no longer forces warm hits onto the latched path: its
-  // Observe is wait-free, so a hit that triggers nothing touches no
-  // mutex. A single hot page re-referenced in a loop (diff 0 never votes)
-  // is the detector's cheapest case — and must stay at zero latches.
-  SimDiskManager disk;
-  BufferPoolOptions options;
-  options.optimistic_hits = true;
-  options.readahead = true;
-  BufferPool pool(16, &disk,
-                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
-  std::vector<PageId> pages = AllocateDb(pool, 8);
-
-  constexpr uint64_t kLoops = 64;
-  BufferPoolStats before = pool.StatsSnapshot();
-  for (uint64_t i = 0; i < kLoops; ++i) {
-    auto page = pool.FetchPage(pages[0], AccessType::kRead);
-    ASSERT_TRUE(page.ok());
-    ASSERT_TRUE(pool.UnpinPage(pages[0], false).ok());
-  }
-  BufferPoolStats after = pool.StatsSnapshot();
-
-  EXPECT_EQ(after.latch_acquires, before.latch_acquires);
-  EXPECT_EQ(after.optimistic_hits - before.optimistic_hits, kLoops);
-  EXPECT_EQ(after.prefetch_issued, before.prefetch_issued);
-  EXPECT_EQ(after.optimistic_fallbacks, before.optimistic_fallbacks);
 }
 
 TEST(OptimisticHitPathTest, OnlyLatchFreeHitsPublishThroughTheRing) {

@@ -1,8 +1,8 @@
 // The pool's counter list (LRUK_POOL_COUNTERS in pool_interface.h) drives
 // BufferPoolStats, its shard merge, the pools' atomic mirror with its
 // snapshot and reset, and the benches' JSON writer. These tests run every
-// pool shape with most counters moving — worker-mode dispatcher, readahead,
-// retries over a fault schedule, client threads — and check through
+// pool shape with most counters moving — worker-mode dispatcher, retries
+// over a fault schedule, client threads — and check through
 // ForEachCounter that each of those generated pieces covers every counter.
 // Threaded, so the names match CI's sanitizer regex ('Concurren').
 
@@ -50,7 +50,7 @@ constexpr uint64_t kDbPages = 160;
 constexpr int kClients = 4;
 constexpr int kOpsPerClient = 1500;
 
-// Each client alternates a 24-page sequential run (readahead) with 40
+// Each client alternates a 24-page sequential run with 40
 // skewed fetches, a quarter of them writes (dirty victims, written behind),
 // every fifth one re-fixed at once (a correlated re-fix). Page bytes are
 // never written, so clients sharing a page do not race on its data; a
@@ -92,7 +92,6 @@ TEST_P(PoolCountersConcurrencyTest, MergeSnapshotResetAndJsonCoverTheList) {
   options.io_max_attempts = 2;
   options.optimistic_hits = optimistic;
   options.io_workers = 2;
-  options.readahead = true;
 
   std::unique_ptr<BufferPool> plain;
   std::unique_ptr<ShardedBufferPool> sharded;
@@ -130,14 +129,13 @@ TEST_P(PoolCountersConcurrencyTest, MergeSnapshotResetAndJsonCoverTheList) {
 
   // Settle the access buffers so every snapshot below reads one state.
   const BufferPoolStats settled = pool->stats();
-  // Most counters move: 14-15 of 25 latched and 18-21 optimistic in runs
+  // Most counters move: 11-12 of 23 latched and 16-18 optimistic in runs
   // of this test. These are the ones that move in every run.
   SCOPED_TRACE("moved: " + FormatCounters(settled));
   for (uint64_t BufferPoolStats::*field :
        {&BufferPoolStats::hits, &BufferPoolStats::misses,
         &BufferPoolStats::evictions, &BufferPoolStats::read_failures,
         &BufferPoolStats::retries, &BufferPoolStats::coalesced_reads,
-        &BufferPoolStats::prefetch_issued, &BufferPoolStats::prefetch_used,
         &BufferPoolStats::writebehind_writes,
         &BufferPoolStats::correlated_refs, &BufferPoolStats::latch_acquires}) {
     EXPECT_GT(settled.*field, 0u);

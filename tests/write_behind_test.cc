@@ -546,16 +546,14 @@ TEST(WriteBehindTest, TransientVictimWriteFailureRetriesOffTheMissPath) {
 TEST(IoPriorityTest, InlineModeCountsPerLaneAccounting) {
   IoDispatcher io;  // Inline mode.
   int ran = 0;
-  io.Run([&] { ++ran; });                      // Demand.
-  io.Run([&] { ++ran; }, IoClass::kFlush);     // Flush.
-  EXPECT_TRUE(io.TryPost([&] { ++ran; }));     // Prefetch (default).
-  EXPECT_EQ(ran, 3);
+  io.Run([&] { ++ran; });                   // Demand (Run's default).
+  EXPECT_TRUE(io.TryPost([&] { ++ran; }));  // Flush (TryPost's default).
+  EXPECT_EQ(ran, 2);
 
   IoDispatcherStats stats = io.stats();
-  EXPECT_EQ(stats.executed_inline, 3u);
+  EXPECT_EQ(stats.executed_inline, 2u);
   EXPECT_EQ(stats.starvation_grants, 0u);
-  for (IoClass cls :
-       {IoClass::kDemand, IoClass::kFlush, IoClass::kPrefetch}) {
+  for (IoClass cls : {IoClass::kDemand, IoClass::kFlush}) {
     EXPECT_EQ(stats.lane(cls).accepted, 1u) << IoClassName(cls);
     EXPECT_EQ(stats.lane(cls).executed, 1u) << IoClassName(cls);
     EXPECT_EQ(stats.lane(cls).rejected, 0u) << IoClassName(cls);
@@ -619,9 +617,9 @@ TEST(IoPriorityTest, TryPostRejectionIsPerLane) {
   }
   EXPECT_FALSE(io.TryPost([] {}, IoClass::kFlush));  // Flush lane full...
   for (size_t i = 0; i < kIoLaneDepth; ++i) {
-    ASSERT_TRUE(io.TryPost([] {}, IoClass::kPrefetch));  // ...prefetch isn't.
+    ASSERT_TRUE(io.TryPost([] {}, IoClass::kDemand));  // ...demand isn't.
   }
-  EXPECT_FALSE(io.TryPost([] {}, IoClass::kPrefetch));
+  EXPECT_FALSE(io.TryPost([] {}, IoClass::kDemand));
 
   gate.Open();
   io.Drain();
@@ -630,10 +628,10 @@ TEST(IoPriorityTest, TryPostRejectionIsPerLane) {
   EXPECT_EQ(stats.lane(IoClass::kFlush).rejected, 1u);
   EXPECT_EQ(stats.lane(IoClass::kFlush).executed, kIoLaneDepth);
   EXPECT_EQ(stats.lane(IoClass::kFlush).queue_highwater, kIoLaneDepth);
-  EXPECT_EQ(stats.lane(IoClass::kPrefetch).accepted, kIoLaneDepth);
-  EXPECT_EQ(stats.lane(IoClass::kPrefetch).rejected, 1u);
-  EXPECT_EQ(stats.lane(IoClass::kPrefetch).executed, kIoLaneDepth);
-  EXPECT_EQ(stats.lane(IoClass::kDemand).executed, 1u);  // The gate job.
+  // The gate job and the posts behind it.
+  EXPECT_EQ(stats.lane(IoClass::kDemand).accepted, kIoLaneDepth + 1);
+  EXPECT_EQ(stats.lane(IoClass::kDemand).rejected, 1u);
+  EXPECT_EQ(stats.lane(IoClass::kDemand).executed, kIoLaneDepth + 1);
   EXPECT_EQ(stats.rejected, 2u);  // Aggregate keeps its PR 5 meaning.
 }
 
@@ -644,8 +642,7 @@ TEST(IoPriorityTest, DemandDispatchesBeforeQueuedBackgroundWork) {
   ASSERT_TRUE(io.TryPost(gate.Job(), IoClass::kDemand));
   gate.AwaitWorker();
 
-  // Stage: prefetch and flush queued first, demand arriving last.
-  ASSERT_TRUE(io.TryPost([&] { log.Add("P"); }, IoClass::kPrefetch));
+  // Stage: flush queued first, demand arriving last.
   ASSERT_TRUE(io.TryPost([&] { log.Add("F"); }, IoClass::kFlush));
   std::thread demand([&] { io.Run([&] { log.Add("D"); }); });
   while (io.LaneDepth(IoClass::kDemand) == 0) std::this_thread::yield();
@@ -653,8 +650,8 @@ TEST(IoPriorityTest, DemandDispatchesBeforeQueuedBackgroundWork) {
   gate.Open();
   demand.join();
   io.Drain();
-  // Demand jumps the queue; among background work Flush outranks Prefetch.
-  EXPECT_EQ(log.Get(), (std::vector<std::string>{"D", "F", "P"}));
+  // Demand jumps the queue.
+  EXPECT_EQ(log.Get(), (std::vector<std::string>{"D", "F"}));
 }
 
 TEST(IoPriorityTest, StarvationBudgetGrantsQueuedBackgroundWork) {
