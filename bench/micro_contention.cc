@@ -1,44 +1,31 @@
-// Contention microbenchmark for the pool's two hit paths: multi-threaded
-// Zipfian fetch/unpin throughput swept over thread count x {latched,
-// latch-free optimistic (BufferPoolOptions::optimistic_hits)} on the
-// single-latch BufferPool (the per-shard microcosm — every latched hit
-// serializes on one latch, so this isolates what the latch-free hit
-// buys), plus 4-shard composition rows. LRU-2 policy, hot set mostly
-// resident, ~5% writes: the read-mostly regime the optimistic path
-// targets.
+// Contention microbenchmark for the pool's hit path: multi-threaded
+// Zipfian fetch/unpin throughput swept over thread count on the
+// single-latch BufferPool (the per-shard microcosm: every miss serializes
+// on one latch, every warm hit takes none), plus a 4-shard composition
+// row. LRU-2 policy, hot set mostly resident, ~5% writes: the read-mostly
+// regime the latch-free hit path targets.
 //
 // Per-cell observability: alongside throughput and the AccessBuffer drain
 // counters, every cell reports the pool's latch_acquires and
-// pin_cas_retries as per-op rates — the direct evidence that the
-// optimistic path removes the latch from warm hits (latch/op drops from
-// ~2 to ~the drain rate) and what the speculative pin CAS costs under
-// contention. A dedicated 8-thread "hot page" cell hammers two resident
-// pages, alternating between them — maximal latch contention for the
-// latched pool, maximal pin-CAS traffic for the optimistic one. (Two, not
-// one: a thread's back-to-back fetch of the same page is a correlated
-// re-fix that publishes no reference, so a one-page cell would measure
-// nothing of the publish path; `correlated_refs` reads 0 in these cells.)
+// pin_cas_retries as per-op rates — the direct evidence that warm hits
+// take no latch (latch/op is ~the miss and drain rate) and what the
+// speculative pin CAS costs under contention. Dedicated "hot page" cells
+// (1 and 8 threads) hammer two resident pages, alternating between them —
+// maximal pin-CAS traffic. (Two, not one: a thread's back-to-back fetch of
+// the same page is a correlated re-fix that publishes no reference, so a
+// one-page cell would measure nothing of the publish path;
+// `correlated_refs` reads 0 in these cells.)
 //
 // Shape checks:
 //  * accounting — for every cell, hits + misses must equal the ops issued
-//    exactly (neither hit path may lose a fetch).
-//  * throughput — the optimistic pool must reach >= 1x the latched pool
-//    on the 1-thread hot-page cell (all hits: the pure per-hit cost must
-//    win even with no contention to remove) and >= 0.9x on the 1-thread
-//    Zipfian cell (~30% of whose ops take the latched miss path either
-//    way), and >= 1x at 8 threads on both workloads. Parallel contention
-//    is unobservable without parallel hardware, so on machines with fewer
-//    than 4 cores the multi-thread criteria are reported, not enforced
-//    (same convention as micro_sharded_pool); the 1-thread criteria are
-//    always enforced.
-//  * publish path — the 1-thread hot-page optimistic cell must show
-//    <= 0.1 latch acquires per op in every build (warm-hit publishing is
-//    genuinely latch-free; the residue is ring drains).
+//    exactly (the hit path may not lose a fetch).
+//  * publish path — the 1-thread hot-page cell must show <= 0.1 latch
+//    acquires per op in every build (warm-hit publishing is genuinely
+//    latch-free; the residue is ring drains).
 //
 // Flags: --json <path> writes machine-readable results (BENCH_*.json
 // trajectory); --quick shrinks the per-cell op count for CI smoke runs.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <chrono>
@@ -68,7 +55,9 @@ constexpr double kWriteFraction = 0.05;
 
 struct Cell {
   std::string pool;
-  std::string mode = "latched";      // "latched" | "optimistic"
+  // The hit path, kept in the JSON for its readers: every pool's hits are
+  // latch-free ("optimistic").
+  std::string mode = "optimistic";
   std::string workload = "zipfian";  // "zipfian" | "hot_page"
   size_t shards = 1;
   int threads = 1;
@@ -78,13 +67,13 @@ struct Cell {
   // fails here, so the failure/retry counters must read zero — exporting
   // them keeps the error-path accounting visible in the same artifact that
   // tracks the happy path (bench/fault_sweep.cc exercises the non-zero
-  // regime). The optimistic hit-path counters (all zero in latched mode)
-  // show how many hits ran latch-free, why abandoned fast-path attempts
-  // fell back, what the pin CAS cost under contention, and — the
-  // headline — how often the pool latch was taken at all.
+  // regime). The latch-free hit-path counters show how many hits ran
+  // latch-free, why abandoned fast-path attempts fell back, what the pin
+  // CAS cost under contention, and — the headline — how often the pool
+  // latch was taken at all.
   BufferPoolStats stats{};
-  // AccessBuffer drain counters (all zero in latched mode): records per
-  // drain shows what a drain amortizes.
+  // AccessBuffer drain counters: records per drain shows what a drain
+  // amortizes.
   AccessBufferStats buffer_stats{};
 };
 
@@ -166,23 +155,17 @@ std::unique_ptr<ReplacementPolicy> MakeLru2(size_t capacity) {
       LruKOptions{.k = 2, .capacity_hint = capacity});
 }
 
-BufferPoolOptions CellOptions(bool optimistic) {
-  BufferPoolOptions options;
-  options.optimistic_hits = optimistic;
+// A zero-latency simulated disk: the cells measure the pool, not fake I/O.
+SimDiskOptions ZeroLatencyDisk() {
+  SimDiskOptions options;
+  options.read_micros = 0.0;
+  options.write_micros = 0.0;
   return options;
 }
 
 struct Checks {
   bool accounting_ok = true;
-  double optimistic_1t = 0.0;      // 1t Zipfian, optimistic vs latched.
-  double hot_page_1t = 0.0;        // 1t hot page, optimistic vs latched.
-  double optimistic_8t = 0.0;      // 8t Zipfian, optimistic vs latched.
-  double hot_page_ratio = 0.0;     // 8t hot page, optimistic vs latched.
-  double publish_latch_1t = 0.0;   // 1t hot page optimistic, latch/op.
-  bool enforced = false;           // cores >= 4: multi-thread checks bind.
-  bool optimistic_1t_ok = false;
-  bool optimistic_8t_ok = false;
-  bool hot_page_ok = false;
+  double publish_latch_1t = 0.0;   // 1t hot page, latch/op.
   bool publish_latch_ok = false;   // Counter-based: always enforced.
 };
 
@@ -226,22 +209,9 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
   std::fprintf(f,
                "  ],\n  \"checks\": {\n"
                "    \"accounting_exact\": %s,\n"
-               "    \"optimistic_1t_vs_latched\": %.3f,\n"
-               "    \"hot_page_1t_optimistic_vs_latched\": %.3f,\n"
-               "    \"optimistic_1t_ok\": %s,\n"
-               "    \"optimistic_8t_vs_latched\": %.3f,\n"
-               "    \"optimistic_8t_ok\": %s,\n"
-               "    \"hot_page_8t_optimistic_vs_latched\": %.3f,\n"
-               "    \"hot_page_ok\": %s,\n"
                "    \"publish_latch_per_op_1t\": %.4f,\n"
                "    \"publish_latch_ok\": %s\n  }\n}\n",
-               checks.accounting_ok ? "true" : "false", checks.optimistic_1t,
-               checks.hot_page_1t,
-               checks.optimistic_1t_ok ? "true" : "false",
-               checks.optimistic_8t,
-               checks.optimistic_8t_ok ? "true" : "false",
-               checks.hot_page_ratio,
-               checks.hot_page_ok ? "true" : "false",
+               checks.accounting_ok ? "true" : "false",
                checks.publish_latch_1t,
                checks.publish_latch_ok ? "true" : "false");
   std::fclose(f);
@@ -284,10 +254,10 @@ int main(int argc, char** argv) {
       kWriteFraction * 100, cores);
 
   std::vector<Cell> cells;
-  AsciiTable table({"pool", "mode", "workload", "threads", "ops/sec",
-                    "hit ratio", "latch/op", "cas/op", "recs/drain"});
+  AsciiTable table({"pool", "workload", "threads", "ops/sec", "hit ratio",
+                    "latch/op", "cas/op", "recs/drain"});
   auto add_row = [&](const Cell& cell) {
-    table.AddRow({cell.pool, cell.mode, cell.workload,
+    table.AddRow({cell.pool, cell.workload,
                   AsciiTable::Integer(cell.threads),
                   AsciiTable::Integer(
                       static_cast<uint64_t>(cell.ops_per_sec)),
@@ -301,134 +271,44 @@ int main(int argc, char** argv) {
   };
 
   Checks checks;
-  // The always-enforced floors are 1-thread RATIO checks, and on a busy
-  // shared host single-cell timings drift ±20% run-to-run — an order of
-  // magnitude more than the few-percent effects being gated. Each such
-  // pair is therefore measured back-to-back five times and judged on the
-  // better of two estimators: the max per-repetition ratio (slow drift
-  // hits both halves of a repetition roughly equally) and best-vs-best
-  // across all repetitions (a burst that lands inside one repetition's
-  // test half still leaves its other repetitions clean). Both cap at the
-  // true ratio when the test mode carries a real systematic cost — that
-  // cost is paid in every repetition, so no rep and no best escapes it —
-  // while a noise dip has to hit all five repetitions to fail the floor.
-  // The best repetition of each mode is the exported JSON cell.
-  // Multi-thread cells stay single-run — their checks only bind on
-  // >=4-core hosts, where contention noise dwarfs scheduler drift anyway.
-  auto paired_ratio = [](auto&& run_base, auto&& run_test, Cell* best_base,
-                         Cell* best_test) {
-    double ratio = 0.0;
-    for (int rep = 0; rep < 5; ++rep) {
-      Cell base = run_base();
-      Cell test = run_test();
-      if (base.ops_per_sec > best_base->ops_per_sec) *best_base = base;
-      if (test.ops_per_sec > best_test->ops_per_sec) *best_test = test;
-      if (base.ops_per_sec > 0) {
-        ratio = std::max(ratio, test.ops_per_sec / base.ops_per_sec);
-      }
-    }
-    if (best_base->ops_per_sec > 0) {
-      ratio = std::max(ratio,
-                       best_test->ops_per_sec / best_base->ops_per_sec);
-    }
-    return ratio;
-  };
-  double latched_8t = 0, optimistic_8t = 0;
-  double optimistic_1t_ratio = 0;
   for (int threads : thread_counts) {
-    auto run_mode = [&](bool optimistic) {
-      SimDiskOptions disk_options;
-      disk_options.read_micros = 0.0;  // Measure the latch, not fake I/O.
-      disk_options.write_micros = 0.0;
-      SimDiskManager disk(disk_options);
-      BufferPool pool(kFrames, &disk, MakeLru2(kFrames),
-                      CellOptions(optimistic));
-      Cell cell{.pool = "single-latch",
-                .mode = optimistic ? "optimistic" : "latched", .shards = 1,
-                .threads = threads};
-      RunCell(pool, cell, total_ops, kDbPages);
-      return cell;
-    };
-    if (threads == 1) {
-      Cell best_latched{}, best_optimistic{};
-      optimistic_1t_ratio = paired_ratio([&] { return run_mode(false); },
-                                         [&] { return run_mode(true); },
-                                         &best_latched, &best_optimistic);
-      add_row(best_latched);
-      add_row(best_optimistic);
-    } else {
-      for (bool optimistic : {false, true}) {
-        Cell cell = run_mode(optimistic);
-        if (threads == 8) {
-          (optimistic ? optimistic_8t : latched_8t) = cell.ops_per_sec;
-        }
-        add_row(cell);
-      }
-    }
+    SimDiskManager disk(ZeroLatencyDisk());
+    BufferPool pool(kFrames, &disk, MakeLru2(kFrames));
+    Cell cell{.pool = "single-latch", .shards = 1, .threads = threads};
+    RunCell(pool, cell, total_ops, kDbPages);
+    add_row(cell);
   }
 
-  // Composition rows: both hit paths through ShardedBufferPool.
-  for (bool optimistic : {false, true}) {
-    SimDiskOptions disk_options;
-    disk_options.read_micros = 0.0;
-    disk_options.write_micros = 0.0;
-    SimDiskManager disk(disk_options);
+  // Composition row: the hit path through ShardedBufferPool.
+  {
+    SimDiskManager disk(ZeroLatencyDisk());
     auto factory = MakeShardPolicyFactory(PolicyConfig::LruK(2));
     if (!factory.ok()) {
       std::fprintf(stderr, "factory: %s\n",
                    factory.status().ToString().c_str());
       return 1;
     }
-    ShardedBufferPool pool(kFrames, /*num_shards=*/4, &disk, *factory,
-                           CellOptions(optimistic));
-    Cell cell{.pool = "sharded x4",
-              .mode = optimistic ? "optimistic" : "latched", .shards = 4,
-              .threads = 8};
+    ShardedBufferPool pool(kFrames, /*num_shards=*/4, &disk, *factory);
+    Cell cell{.pool = "sharded x4", .shards = 4, .threads = 8};
     RunCell(pool, cell, total_ops, kDbPages);
     add_row(cell);
   }
 
   // The hot-page cells: every thread alternates between the same two
   // resident pages (so each fetch is an uncorrelated hit that publishes
-  // its reference). At 8 threads the latch (or the pin CAS) is the entire
-  // workload; at 1 thread this is the pure per-hit cost with no misses
-  // and no contention — the cleanest single-thread comparison of the two
-  // hit paths.
-  double hot_latched = 0, hot_optimistic = 0;
-  double hot1_ratio = 0;
+  // its reference). At 8 threads the pin CAS is the entire workload; at 1
+  // thread this is the pure per-hit cost with no misses and no contention.
   double hot1_latch_per_op = 0;
   for (int threads : {1, 8}) {
-    auto run_hot = [&](bool optimistic) {
-      SimDiskOptions disk_options;
-      disk_options.read_micros = 0.0;
-      disk_options.write_micros = 0.0;
-      SimDiskManager disk(disk_options);
-      BufferPool pool(kFrames, &disk, MakeLru2(kFrames),
-                      CellOptions(optimistic));
-      Cell cell{.pool = "single-latch",
-                .mode = optimistic ? "optimistic" : "latched",
-                .workload = "hot_page", .shards = 1, .threads = threads};
-      RunCell(pool, cell, total_ops, kHotDbPages);
-      return cell;
-    };
+    SimDiskManager disk(ZeroLatencyDisk());
+    BufferPool pool(kFrames, &disk, MakeLru2(kFrames));
+    Cell cell{.pool = "single-latch", .workload = "hot_page", .shards = 1,
+              .threads = threads};
+    RunCell(pool, cell, total_ops, kHotDbPages);
     if (threads == 1) {
-      // Feeds the always-enforced hot_page_1t >= 1.0 floor: judged on
-      // the max per-repetition ratio (see paired_ratio above).
-      Cell best_latched{}, best_optimistic{};
-      hot1_ratio = paired_ratio([&] { return run_hot(false); },
-                                [&] { return run_hot(true); },
-                                &best_latched, &best_optimistic);
-      hot1_latch_per_op = PerOp(best_optimistic.stats.latch_acquires,
-                                best_optimistic.ops_issued);
-      add_row(best_latched);
-      add_row(best_optimistic);
-    } else {
-      for (bool optimistic : {false, true}) {
-        Cell cell = run_hot(optimistic);
-        (optimistic ? hot_optimistic : hot_latched) = cell.ops_per_sec;
-        add_row(cell);
-      }
+      hot1_latch_per_op = PerOp(cell.stats.latch_acquires, cell.ops_issued);
     }
+    add_row(cell);
   }
   table.Print();
 
@@ -438,7 +318,7 @@ int main(int argc, char** argv) {
     if (c.stats.hits + c.stats.misses != c.ops_issued) {
       checks.accounting_ok = false;
       std::printf("accounting mismatch: %s %s t=%d: %llu + %llu != %llu\n",
-                  c.pool.c_str(), c.mode.c_str(), c.threads,
+                  c.pool.c_str(), c.workload.c_str(), c.threads,
                   static_cast<unsigned long long>(c.stats.hits),
                   static_cast<unsigned long long>(c.stats.misses),
                   static_cast<unsigned long long>(c.ops_issued));
@@ -451,63 +331,23 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(total.write_failures),
               static_cast<unsigned long long>(total.retries));
 
-  checks.optimistic_1t = optimistic_1t_ratio;
-  checks.hot_page_1t = hot1_ratio;
-  checks.optimistic_8t = latched_8t > 0 ? optimistic_8t / latched_8t : 0.0;
-  checks.hot_page_ratio =
-      hot_latched > 0 ? hot_optimistic / hot_latched : 0.0;
   checks.publish_latch_1t = hot1_latch_per_op;
-  std::printf("\noptimistic vs latched (single latch, 1t ratios paired "
-              "best-of-5): 1t zipfian %.2fx, 1t hot page %.2fx, "
-              "8t %.2fx, 8t hot page %.2fx\n",
-              checks.optimistic_1t, checks.hot_page_1t,
-              checks.optimistic_8t, checks.hot_page_ratio);
   std::printf("1t hot-page publish path: %.4f latch/op\n",
               checks.publish_latch_1t);
-  checks.enforced = cores >= 4;
-  // The latch-free hit must win single-threaded where hits are the whole
-  // workload (hot page: no contention to win, pure per-hit cost — the
-  // uncontended mutex pair still loses to the probe + pin CAS), and must
-  // stay within noise of latched on the miss-diluted Zipfian cell (~30%
-  // of its ops take the latched miss path either way).
-  checks.optimistic_1t_ok =
-      checks.hot_page_1t >= 1.0 && checks.optimistic_1t >= 0.9;
-  // ...and must win (or at least not lose) once threads actually contend.
-  checks.optimistic_8t_ok = checks.optimistic_8t >= 1.0;
-  checks.hot_page_ok = checks.hot_page_ratio >= 1.0;
   // Publish-path floor (single-threaded, so core-count independent):
   // warm-hit publishing must keep the latch essentially off the hot path
   // (drains amortize across the ring; 0.1/op is 6x the 64-record ring's
   // drain rate, generous headroom over noise) — counter-based, so it binds
   // in every build.
   checks.publish_latch_ok = checks.publish_latch_1t <= 0.1;
-  if (!checks.enforced) {
-    std::printf("note: only %u hardware threads — latch contention needs "
-                ">=4 cores, reporting multi-thread criteria without "
-                "enforcement\n", cores);
-    checks.optimistic_8t_ok = true;
-    checks.hot_page_ok = true;
-  }
   std::printf("shape: hit+miss totals exactly equal ops in every cell: %s\n",
               checks.accounting_ok ? "yes" : "NO");
-  std::printf("shape: optimistic >= 1x latched on the 1-thread hot page "
-              "and >= 0.9x on 1-thread zipfian: %s\n",
-              checks.optimistic_1t_ok ? "yes" : "NO");
-  std::printf("shape: optimistic >= 1x latched at 8 threads "
-              "(or <4 cores): %s\n",
-              checks.optimistic_8t_ok ? "yes" : "NO");
-  std::printf("shape: optimistic >= 1x latched on the 8-thread hot page "
-              "(or <4 cores): %s\n", checks.hot_page_ok ? "yes" : "NO");
-  std::printf("shape: 1-thread hot-page optimistic <= 0.1 latch/op: %s\n",
+  std::printf("shape: 1-thread hot-page <= 0.1 latch/op: %s\n",
               checks.publish_latch_ok ? "yes" : "NO");
 
   if (json_path != nullptr) {
     WriteJson(json_path, provenance, cells, cores, total_ops, checks);
     std::printf("wrote %s\n", json_path);
   }
-  return checks.accounting_ok && checks.optimistic_1t_ok &&
-                 checks.optimistic_8t_ok && checks.hot_page_ok &&
-                 checks.publish_latch_ok
-             ? 0
-             : 1;
+  return checks.accounting_ok && checks.publish_latch_ok ? 0 : 1;
 }

@@ -39,12 +39,6 @@ BufferPool::BufferPool(size_t capacity, DiskManager* disk,
   LRUK_ASSERT(capacity_ >= 1, "buffer pool needs at least one frame");
   LRUK_ASSERT(disk_ != nullptr, "buffer pool needs a disk manager");
   LRUK_ASSERT(policy_ != nullptr, "buffer pool needs a replacement policy");
-  optimistic_ = options_.optimistic_hits;
-  if (optimistic_) {
-    // RecordAccess needs the latch, so a latch-free hit publishes here.
-    access_buffer_ = std::make_unique<AccessBuffer>(/*capacity=*/64,
-                                                    /*stripes=*/8);
-  }
   if (shared_dispatcher != nullptr) {
     io_ = shared_dispatcher;
   } else {
@@ -133,45 +127,16 @@ Result<FrameId> BufferPool::AcquireFrame(std::vector<PageId>* deferred_writes,
   // keep the synchronous write-back, so deterministic replay sees a fixed
   // disk-op order.
   if (io_->inline_mode()) deferred_writes = nullptr;
-  if (!optimistic_) {
-    auto victim = policy_->Evict();
-    if (!victim.has_value()) {
-      return Status::ResourceExhausted(
-          "all buffer frames are pinned; cannot evict");
-    }
-    FrameId f = 0;
-    bool found = page_table_.Find(*victim, &f);
-    LRUK_ASSERT(found, "policy evicted a page the pool does not hold");
-    Page& page = frames_[f];
-    LRUK_ASSERT(page.pin_count_.load(std::memory_order_relaxed) == 0,
-                "policy evicted a pinned page");
-    // Write back BEFORE dismantling any pool state, so a failure can roll
-    // the eviction back: the frame still holds the page image and its
-    // page-table entry, pin count (0) and dirty bit are untouched —
-    // Restore() re-registers the victim with the policy and the pool is
-    // exactly as it was before Evict(). No eviction is counted.
-    Status written = WriteBackVictim(*victim, page, deferred_writes, demand);
-    if (!written.ok()) {
-      policy_->Restore(*victim);
-      return written;
-    }
-    page_table_.Erase(*victim);
-    page.id_ = kInvalidPageId;
-    page.dirty_.store(false, std::memory_order_relaxed);
-    ++stats_.evictions;
-    return f;
-  }
-  // Optimistic mode: SetEvictable is unused (a latch-free unpin cannot
-  // call it), so the policy nominates pinned pages too; pin counts are
-  // the ground truth. Nominate victims in escalating batches — EvictBatch
-  // defers the retained-history insertion, so a skipped pinned nominee
-  // costs one Restore instead of a full retention + resurrection round
-  // trip through LRU-K's bounded non-resident budget. Take the first
-  // unpinned nominee that survives the bucket handshake, then restore
-  // every unused one in reverse pop order (exact for LRU-K;
-  // single-threaded there are no pinned nominations in steady fetch/unpin
-  // loops, so the first batch of one behaves identically to the latched
-  // path's single Evict()).
+  // Pin counts are the ground truth (the policy is never told of pins), so
+  // the policy may nominate pinned pages. Nominate victims in escalating
+  // batches — EvictBatch defers LRU-K's retained-history insertion, so a
+  // skipped pinned nominee costs one Restore instead of a full retention +
+  // resurrection round trip through the bounded non-resident budget. Take
+  // the first unpinned nominee that survives the bucket handshake, then
+  // restore every unused one in reverse pop order: exact for LRU-K, a
+  // re-admission for a policy on the default Restore (see the header).
+  // Single-threaded there are no pinned nominations in steady fetch/unpin
+  // loops, so the first batch of one is a single Evict().
   std::vector<PageId>& nominees = nominee_scratch_;  // Latch-guarded.
   std::vector<PageId>& batch = batch_scratch_;
   nominees.clear();
@@ -190,7 +155,7 @@ Result<FrameId> BufferPool::AcquireFrame(std::vector<PageId>* deferred_writes,
       LRUK_ASSERT(found, "policy evicted a page the pool does not hold");
       Page& page = frames_[f];
       // Invalidate the bucket FIRST, then read the pin count: any
-      // optimistic reader that pinned before our version bump is visible
+      // latch-free reader that pinned before our version bump is visible
       // here (seq_cst store-load handshake); any later one fails its
       // validation and undoes its pin. A transient speculative pin from a
       // stale reader can park a +1 on any frame, so a nonzero count only
@@ -203,7 +168,10 @@ Result<FrameId> BufferPool::AcquireFrame(std::vector<PageId>* deferred_writes,
       // Unpinned and the bucket is odd: no reader can validate a new pin
       // until we release the bucket, so the frame is exclusively ours —
       // the write-back (or write-behind image copy) cannot race a page
-      // writer.
+      // writer. It runs BEFORE any pool state is dismantled, so a failure
+      // rolls the eviction back: the frame still holds the page image, and
+      // its page-table entry, pin count (0) and dirty bit are untouched.
+      // No eviction is counted.
       Status written = WriteBackVictim(victim, page, deferred_writes, demand);
       if (!written.ok()) {
         // The failed nominee is restored below with the rest (it is the
@@ -265,18 +233,18 @@ Status BufferPool::WriteBackVictim(PageId v, Page& page,
 }
 
 void BufferPool::DrainAccessBufferLocked() const {
-  // unique_ptr members are shallow-const, so observation paths (stats)
-  // can drain through the same helper as mutating ones. Records for
-  // since-evicted pages are dropped and counted (access_drops): a record
-  // can stall behind another producer's unpublished claim and surface
-  // only after its page was evicted, and a latch-free pin + publish +
-  // unpin can complete entirely inside another thread's latch hold — so
-  // residency at drain time is the only safe filter. Single-threaded
-  // nothing is ever dropped: every eviction point drains first, and the
-  // ring is exactly FIFO without concurrent producers.
-  if (access_buffer_ == nullptr) return;
+  // The buffer is mutable and policy_ a shallow-const unique_ptr, so
+  // observation paths (stats) can drain through the same helper as
+  // mutating ones. Records for since-evicted pages are dropped and counted
+  // (access_drops): a record can stall behind another producer's
+  // unpublished claim and surface only after its page was evicted, and a
+  // latch-free pin + publish + unpin can complete entirely inside another
+  // thread's latch hold — so residency at drain time is the only safe
+  // filter. Single-threaded nothing is ever dropped: every eviction point
+  // drains first, and the ring is exactly FIFO without concurrent
+  // producers.
   size_t dropped = 0;
-  access_buffer_->Drain(*policy_, /*skip_non_resident=*/true, &dropped);
+  access_buffer_.Drain(*policy_, /*skip_non_resident=*/true, &dropped);
   if (dropped != 0) {
     stats_.access_drops.fetch_add(dropped, std::memory_order_relaxed);
   }
@@ -385,9 +353,9 @@ Page* BufferPool::TryOptimisticHit(PageId p, AccessType type, bool refix) {
   // skip-non-resident drain. A correlated re-fix publishes nothing.
   if (refix) {
     stats_.correlated_refs.fetch_add(1, std::memory_order_relaxed);
-  } else if (!access_buffer_->TryPush({p, /*process=*/0, type})) {
-    // Stripe full: the latched slow path — drain and apply directly,
-    // preserving FIFO order exactly as the latched hit branch does.
+  } else if (!access_buffer_.TryPush({p, /*process=*/0, type})) {
+    // Stripe full: drain and apply directly under the latch, preserving
+    // FIFO order exactly as the latched hit branch in FixPage does.
     auto guard = Lock();
     DrainAccessBufferLocked();
     policy_->RecordAccess(p, type);
@@ -405,9 +373,9 @@ Result<Page*> BufferPool::FetchPage(PageId p, AccessType type) {
 }
 
 Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix) {
-  if (optimistic_) {
-    if (Page* page = TryOptimisticHit(p, type, refix)) return page;
-  }
+  if (Page* page = TryOptimisticHit(p, type, refix)) return page;
+  // A miss, or a hit whose probe met a concurrent mutation: the latched
+  // path, authoritative for both.
   auto guard = Lock();
   // Whether this fetch has already been counted (a coalesced waiter counts
   // its miss when it starts waiting, then resolves through the hit branch
@@ -433,10 +401,6 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix) {
         // the ring-full path in TryOptimisticHit does.
         DrainAccessBufferLocked();
         policy_->RecordAccess(p, type);
-      }
-      if (!optimistic_ &&
-          page.pin_count_.load(std::memory_order_relaxed) == 0) {
-        policy_->SetEvictable(p, false);
       }
       page.pin_count_.fetch_add(1);
       if (type == AccessType::kWrite) {
@@ -479,7 +443,6 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix) {
       page_table_.Insert(p, *readmit);
       policy_->Restore(p);
       policy_->RecordAccess(p, type);
-      if (!optimistic_) policy_->SetEvictable(p, false);
       ++stats_.writebehind_readmits;
       guard.unlock();
       LaunchDeferredVictimWrites(deferred);
@@ -561,14 +524,13 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix) {
     return read;
   }
   page.id_ = p;
-  // fetch_add, not a store: in optimistic mode a stale reader may be
-  // holding a transient speculative +1 on this frame (it will undo it
-  // after failing validation), and a blind store would erase that.
+  // fetch_add, not a store: a stale latch-free reader may be holding a
+  // transient speculative +1 on this frame (it will undo it after failing
+  // validation), and a blind store would erase that.
   page.pin_count_.fetch_add(1);
   page.dirty_.store(type == AccessType::kWrite, std::memory_order_relaxed);
   page_table_.Insert(p, frame);
   policy_->Admit(p, type);
-  if (!optimistic_) policy_->SetEvictable(p, false);
   return &page;
 }
 
@@ -631,39 +593,36 @@ Result<Page*> BufferPool::AdmitNewPageLocked(
                                                        // at least once.
   page_table_.Insert(p, frame);
   policy_->Admit(p, AccessType::kWrite);
-  if (!optimistic_) policy_->SetEvictable(p, false);
   return &page;
 }
 
 Status BufferPool::UnpinPage(PageId p, bool dirty) {
-  if (optimistic_) {
-    PageTable::Snapshot snap;
-    PageTable::ProbeFail why = PageTable::ProbeFail::kNone;
-    if (page_table_.OptimisticFind(p, &snap, &why)) {
-      // The caller's own pin (its API obligation) keeps p resident, and a
-      // resident page never changes frames — so a consistent probe gives
-      // the right frame even if the bucket shifts afterwards. Order
-      // matters: set dirty BEFORE the decrement, so a mutator that sees
-      // pin == 0 under its bucket lock also sees the dirty bit.
-      Page& page = frames_[snap.frame];
-      int cur = page.pin_count_.load();
-      if (cur > 0) {
-        if (dirty) page.dirty_.store(true, std::memory_order_release);
-        while (cur > 0) {
-          if (page.pin_count_.compare_exchange_weak(cur, cur - 1)) {
-            return Status::Ok();
-          }
-          stats_.pin_cas_retries.fetch_add(1, std::memory_order_relaxed);
+  PageTable::Snapshot snap;
+  PageTable::ProbeFail why = PageTable::ProbeFail::kNone;
+  if (page_table_.OptimisticFind(p, &snap, &why)) {
+    // The caller's own pin (its API obligation) keeps p resident, and a
+    // resident page never changes frames — so a consistent probe gives the
+    // right frame even if the bucket shifts afterwards. Order matters: set
+    // dirty BEFORE the decrement, so a mutator that sees pin == 0 under
+    // its bucket lock also sees the dirty bit.
+    Page& page = frames_[snap.frame];
+    int cur = page.pin_count_.load();
+    if (cur > 0) {
+      if (dirty) page.dirty_.store(true, std::memory_order_release);
+      while (cur > 0) {
+        if (page.pin_count_.compare_exchange_weak(cur, cur - 1)) {
+          return Status::Ok();
         }
+        stats_.pin_cas_retries.fetch_add(1, std::memory_order_relaxed);
       }
-      // cur dropped to 0: unpin of an unpinned page (or a misuse race) —
-      // let the latched path produce the authoritative error. (Not an
-      // attributed fallback: the probe itself succeeded.)
-    } else {
-      // Probe failed (absent or unstable): latched path for the
-      // authoritative NotFound / InvalidArgument.
-      CountOptimisticFallback(why);
     }
+    // cur dropped to 0: unpin of an unpinned page (or a misuse race) — let
+    // the latched path produce the authoritative error. (Not an attributed
+    // fallback: the probe itself succeeded.)
+  } else {
+    // Probe failed (absent or unstable): latched path for the
+    // authoritative NotFound / InvalidArgument.
+    CountOptimisticFallback(why);
   }
   auto guard = Lock();
   FrameId f = 0;
@@ -676,9 +635,7 @@ Status BufferPool::UnpinPage(PageId p, bool dirty) {
                                    std::to_string(p));
   }
   if (dirty) page.dirty_.store(true, std::memory_order_release);
-  if (page.pin_count_.fetch_sub(1) == 1 && !optimistic_) {
-    policy_->SetEvictable(p, true);
-  }
+  page.pin_count_.fetch_sub(1);
   return Status::Ok();
 }
 
@@ -707,9 +664,8 @@ Status BufferPool::FlushPage(PageId p) {
   if (!page_table_.Find(p, &f)) {
     return Status::NotFound("flush of non-resident page " + std::to_string(p));
   }
-  // (Like the latched pool, an explicit flush may run while the caller —
-  // who requested it — still writes the pinned page; coordinating that is
-  // the caller's job, in both modes.)
+  // An explicit flush may run while the caller — who requested it — still
+  // writes the pinned page; coordinating that is the caller's job.
   const std::pair<PageId, FrameId> target[] = {{p, f}};
   return FlushFramesLocked(guard, target);
 }
@@ -773,9 +729,7 @@ Status BufferPool::FlushFramesLocked(
     if (!page.dirty_.exchange(false, std::memory_order_acquire)) continue;
     // The pin keeps the frame mapped to p (no eviction or delete) while
     // the device reads it without the latch.
-    if (page.pin_count_.fetch_add(1) == 0 && !optimistic_) {
-      policy_->SetEvictable(p, false);
-    }
+    page.pin_count_.fetch_add(1);
     flushing_.insert(p);
     writes.push_back({PageIo::Kind::kWrite, p, page.Data(), Status::Ok()});
     frames.push_back(f);
@@ -795,9 +749,7 @@ Status BufferPool::FlushFramesLocked(
       page.dirty_.store(true, std::memory_order_relaxed);
       if (first_error.ok()) first_error = writes[i].status;
     }
-    if (page.pin_count_.fetch_sub(1) == 1 && !optimistic_) {
-      policy_->SetEvictable(p, true);
-    }
+    page.pin_count_.fetch_sub(1);
     flushing_.erase(p);
   }
   ++flushes_done_;
@@ -828,13 +780,8 @@ Status BufferPool::DeletePage(PageId p) {
   DrainAccessBufferLocked();
   FrameId f = 0;
   bool resident = page_table_.Find(p, &f);
-  if (resident && !optimistic_ &&
-      frames_[f].pin_count_.load(std::memory_order_relaxed) > 0) {
-    return Status::InvalidArgument("delete of pinned page " +
-                                   std::to_string(p));
-  }
   size_t bucket = 0;
-  if (resident && optimistic_) {
+  if (resident) {
     // Bucket handshake before the pin check, exactly as in eviction: a
     // concurrent latch-free pin is either visible here (delete refused —
     // a transient speculative pin can cause a spurious refusal, which is
@@ -851,7 +798,7 @@ Status BufferPool::DeletePage(PageId p) {
   // history, dirty image) is untouched and the page is still usable.
   Status deallocated = disk_->DeallocatePage(p);
   if (!deallocated.ok()) {
-    if (resident && optimistic_) page_table_.UnlockUnchanged(bucket);
+    if (resident) page_table_.UnlockUnchanged(bucket);
     return deallocated;
   }
   // A parked image of a deleted page is intentionally discarded: its data
@@ -863,11 +810,7 @@ Status BufferPool::DeletePage(PageId p) {
     free_frames_.push_back(f);
     page.id_ = kInvalidPageId;
     page.dirty_.store(false, std::memory_order_relaxed);
-    if (optimistic_) {
-      page_table_.UnlockErased(bucket);
-    } else {
-      page_table_.Erase(p);
-    }
+    page_table_.UnlockErased(bucket);
   }
   return Status::Ok();
 }

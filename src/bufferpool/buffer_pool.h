@@ -5,34 +5,46 @@
 //
 // Pin protocol: FetchPage/NewPage return the page pinned; callers must
 // balance every fetch with UnpinPage (or use PageGuard). Pinned pages are
-// never victims. A fetch when every frame is pinned fails with
-// RESOURCE_EXHAUSTED (pins a flush holds are waited out instead).
+// never victims: the frames' atomic pin counts are the ground truth, and
+// the policy is never told of pins. A fetch when every frame is pinned
+// fails with RESOURCE_EXHAUSTED (pins a flush holds are waited out
+// instead).
 //
 // Thread safety: all pool MUTATIONS (and through them the policy) are
 // serialized by one internal latch — coarse-grained by design, since the
-// replacement *decision* is the subject of this library. A clean miss's
-// read and FlushPage/FlushAll's writes run with the latch released: see
-// the thread-safety note in storage/disk_manager.h.
+// replacement *decision* is the subject of this library. Warm hits and
+// unpins take no latch (below); a clean miss's read and FlushPage/
+// FlushAll's writes run with the latch released: see the thread-safety
+// note in storage/disk_manager.h.
 // Page *contents* are accessed outside the latch under the pin protocol: a
 // pinned page cannot be evicted, and Page pointers stay stable for the
 // pool's lifetime, so concurrent readers are safe; concurrent writers to
 // the same page must coordinate among themselves (as with per-page latches
 // in a real DBMS). For multi-core scaling, ShardedBufferPool composes
-// several of these pools behind the same PoolInterface, and
-// BufferPoolOptions::optimistic_hits takes the latch off warm hits and
-// unpins entirely (see below).
+// several of these pools behind the same PoolInterface.
 //
-// Optimistic hit protocol (DESIGN.md "Optimistic page table & pin
-// protocol"): with optimistic_hits on, a hit is — probe the version-
-// stamped PageTable without any lock, speculatively fetch_add the frame's
-// atomic pin count, re-validate the bucket version, publish the reference
-// to the AccessBuffer, go. Any instability falls back to the latched slow
-// path. The cross-cutting invariant every mutation path upholds: no frame
-// is evicted, flushed-while-unpinned, deleted, or reused for another page
-// without first bumping its page-table bucket version (PageTable::
-// LockBucket) and THEN re-checking the pin count — the seq_cst store-load
-// handshake that guarantees an optimistic reader either fails validation
-// or is seen by the mutator as pinned, never neither.
+// Hit protocol (DESIGN.md §9 "Page table & pin protocol"): a hit probes
+// the version-stamped PageTable without any lock, speculatively
+// fetch_adds the frame's atomic pin count, re-validates the bucket
+// version, publishes the reference to the AccessBuffer, and goes. Any
+// instability falls back to the latched path, which re-checks
+// authoritatively; an unpin is a CAS on the pin count. The cross-cutting
+// invariant every mutation path upholds: no frame is evicted,
+// flushed-while-unpinned, deleted, or reused for another page without
+// first bumping its page-table bucket version (PageTable::LockBucket) and
+// THEN re-checking the pin count — the seq_cst store-load handshake that
+// guarantees a latch-free reader either fails validation or is seen by the
+// mutator as pinned, never neither.
+//
+// References reach the policy when the AccessBuffer (64 records x 8
+// stripes) is drained under the latch, which every admission, eviction,
+// delete and stats() does first, so single-threaded the policy sees the
+// reference string in the order the pages were fixed. Concurrently, a
+// reference may be applied at a later drain, and one whose page was
+// evicted before it is dropped and counted (access_drops). The policy
+// stamps a reference when it is drained, not when the hit ran: with a
+// wall-clock CRP (LruKOptions::clock set) the lag would add real time to
+// interarrival gaps. The pools here run LRU-K on its logical clock.
 //
 // Correlated re-fix (DESIGN.md §4, the paper's §2.1.1): a FetchPage of the
 // page the calling thread's previous fix on this pool (FetchPage, NewPage
@@ -69,8 +81,9 @@ namespace lruk {
 
 // The options a caller sets, shared by BufferPool and (per shard)
 // ShardedBufferPool. Everything else about the pool is fixed: the
-// dispatcher's lane depth and starvation budget (io/io_dispatcher.h) and
-// the access buffer's size.
+// dispatcher's lane depth and starvation budget (io/io_dispatcher.h), the
+// access buffer's size, and the latch-free hit path, which every pool
+// takes.
 struct BufferPoolOptions {
   // Attempts at a disk read or write that fails with a transient error
   // (kIoError) before the error surfaces to the caller, the first
@@ -83,21 +96,6 @@ struct BufferPoolOptions {
   // images retry under the latch; so does a dirty miss's paired
   // write-back and read (see AcquireFrame).
   int io_max_attempts = 1;
-
-  // Latch-free hit path (DESIGN.md "Optimistic page table & pin
-  // protocol"). Off (default): hits and unpins take the pool latch.
-  // On: warm hits and unpins run entirely without the latch (optimistic
-  // version-validated page-table probe + atomic pin counts), falling back
-  // to the latched path on any miss or instability. A latch-free hit
-  // publishes its reference into a fixed lock-free AccessBuffer (64
-  // records x 8 stripes), drained under the latch. Replacement behaviour
-  // is byte-identical to the latched path single-threaded; concurrently,
-  // a reference is applied at a later drain, and references to pages
-  // evicted before it are dropped and counted (access_drops).
-  // The policy stamps a reference when it is drained, so with a wall-clock
-  // CRP (LruKOptions::clock set) the lag adds real time to interarrival
-  // gaps: leave this off there.
-  bool optimistic_hits = false;
 
   // Worker threads of the pool's IoDispatcher (DESIGN.md "Async I/O
   // dispatcher"), which every miss reads through; concurrent misses on a
@@ -186,11 +184,10 @@ class BufferPool final : public PoolInterface {
   }
   DiskManager& disk() { return *disk_; }
   const BufferPoolOptions& options() const { return options_; }
-  // Drain/push counters for the latch-free hits' AccessBuffer; all-zero
-  // unless optimistic_hits.
+  // Drain/push counters for the latch-free hits' AccessBuffer.
   AccessBufferStats access_buffer_stats() const {
     auto guard = Lock();
-    return access_buffer_ ? access_buffer_->stats() : AccessBufferStats{};
+    return access_buffer_.stats();
   }
 
   // --- Async I/O dispatcher surface ---
@@ -278,7 +275,7 @@ class BufferPool final : public PoolInterface {
     stats_.latch_acquires.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Counts one optimistic attempt that fell back to the latched path,
+  // Counts one latch-free attempt that fell back to the latched path,
   // attributed to its cause — optimistic_fallbacks stays the exact sum
   // of the three attributed counters.
   void CountOptimisticFallback(PageTable::ProbeFail why) const {
@@ -349,12 +346,14 @@ class BufferPool final : public PoolInterface {
   // Finds a frame for a new resident page: the free list first, then a
   // policy eviction (with dirty write-back). If the victim's write-back
   // fails, the eviction is rolled back (policy_->Restore) and the pool is
-  // left exactly as before the call. A synchronous write-back carries
-  // `demand` when given (see WriteBackVictim); if its read fails, the
-  // eviction stands and the frame is returned all the same. In optimistic
-  // mode the policy may nominate pinned victims (SetEvictable is unused
-  // there — pin counts are ground truth); they are skipped under the
-  // bucket handshake and restored afterwards.
+  // left as before the call. A synchronous write-back carries `demand`
+  // when given (see WriteBackVictim); if its read fails, the eviction
+  // stands and the frame is returned all the same. The policy is never
+  // told of pins, so it may nominate pinned pages: they are skipped under
+  // the bucket handshake and handed back with Restore. That is exact for
+  // LRU-K (and the adaptive policy's LRU-K nominator); a policy on the
+  // default Restore re-admits the page instead, which moves it as an
+  // admission would (an LRU page becomes the most recent, say).
   //
   // Write-behind: when `deferred_writes` is non-null and the dispatcher
   // runs in worker mode, a dirty victim's image is copied into a
@@ -387,14 +386,14 @@ class BufferPool final : public PoolInterface {
   // does not reach the policy (a miss is admitted as usual).
   Result<Page*> FixPage(PageId p, AccessType type, bool refix);
   // Applies every buffered access record to the policy, dropping records
-  // whose page was evicted since (see AccessBuffer::Drain); a no-op
-  // without optimistic_hits. Caller holds the latch. Declared const because
-  // observation paths (stats) drain too; the mutation happens through the
-  // shallow-const member pointers.
+  // whose page was evicted since (see AccessBuffer::Drain). Caller holds
+  // the latch. Declared const because observation paths (stats) drain too;
+  // the buffer is mutable and the policy is behind a shallow-const
+  // pointer.
   void DrainAccessBufferLocked() const;
-  // The latch-free hit attempt: optimistic probe, speculative pin,
-  // validate, count, publish. Returns the pinned page, or null on any
-  // miss/instability (caller falls back to the latched path). Never
+  // The latch-free hit: optimistic probe, speculative pin, validate,
+  // count, publish. Returns the pinned page, or null on any miss or
+  // instability (the caller falls back to the latched path). Never
   // acquires the latch except to drain a full access-buffer stripe. A
   // `refix` hit publishes nothing.
   Page* TryOptimisticHit(PageId p, AccessType type, bool refix);
@@ -444,12 +443,9 @@ class BufferPool final : public PoolInterface {
   DiskManager* disk_;
   std::unique_ptr<ReplacementPolicy> policy_;
   BufferPoolOptions options_;
-  // options_.optimistic_hits: FetchPage and UnpinPage try the latch-free
-  // path first, mutation paths use the bucket handshake, and SetEvictable
-  // is suppressed (pin counts are the ground truth).
-  bool optimistic_ = false;
-  // Present iff optimistic_: the latch-free hits' publish channel.
-  std::unique_ptr<AccessBuffer> access_buffer_;
+  // The latch-free hits' publish channel (RecordAccess needs the latch),
+  // 64 records x 8 stripes.
+  mutable AccessBuffer access_buffer_{/*capacity=*/64, /*stripes=*/8};
   // Owned dispatcher (private to this pool); io_ points here or at the
   // shared one passed in.
   std::unique_ptr<IoDispatcher> owned_io_;

@@ -19,17 +19,18 @@ class BufferPool;
 // code receives Page* from FetchPage/NewPage and must Unpin when done
 // (or hold a PageGuard, which does it automatically).
 //
-// pin_count_ and dirty_ are atomics because the optimistic hit path
-// (BufferPoolOptions::optimistic_hits) pins and dirties frames without
-// the pool latch. Two rules keep the counts exact:
+// pin_count_ and dirty_ are atomics because every pool's hits and unpins
+// pin, unpin and dirty frames without the pool latch, and the pin count
+// is the only record of pins (the policy is never told). Two rules keep
+// the counts exact:
 //  * pin_count_ is only ever modified with fetch_add/fetch_sub/CAS,
-//    never store() — a stale optimistic reader may hold a transient +1
+//    never store() — a stale latch-free reader may hold a transient +1
 //    on any frame (undone after validation fails), and a blind store
 //    would erase it.
 //  * id_ stays a plain field: it is written only under the pool latch
 //    while the page-table bucket is locked (odd version), and the
-//    bucket-version validation orders those writes before any
-//    optimistic reader's access.
+//    bucket-version validation orders those writes before any latch-free
+//    reader's access.
 class Page {
  public:
   Page() : data_(std::make_unique<char[]>(kPageSize)) {}

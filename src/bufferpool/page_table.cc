@@ -75,10 +75,6 @@ void PageTable::UnlockErased(size_t bucket) {
   --size_;
 }
 
-void PageTable::Erase(PageId p) {
-  UnlockErased(LockBucket(p));
-}
-
 void PageTable::EraseFromLockedBucket(size_t hole) {
   // buckets_[hole].version is odd (caller locked it). Backward-shift the
   // probe cluster into the hole, giving every moved-from bucket the same

@@ -3,7 +3,7 @@
 // to FrameId, with a per-bucket version stamp that makes LOOKUPS safe
 // without the pool latch while MUTATIONS stay serialized under it.
 //
-// Concurrency protocol (DESIGN.md "Optimistic page table & pin protocol"):
+// Concurrency protocol (DESIGN.md §9 "Page table & pin protocol"):
 //
 //  * Every bucket carries an atomic version counter. Even = stable, odd =
 //    a mutation is in progress. A mutator (always holding the pool latch)
@@ -68,8 +68,6 @@ class PageTable {
   bool Find(PageId p, FrameId* frame) const;
   // Inserts p -> frame. Precondition: p is absent and size() < capacity.
   void Insert(PageId p, FrameId frame);
-  // Removes p (present), backward-shifting the probe cluster.
-  void Erase(PageId p);
   // Locks p's bucket: version goes odd, so every optimistic reader that
   // probed it falls back (and any reader that pins afterwards fails
   // validation). Returns the bucket index for the matching Unlock call.

@@ -51,11 +51,11 @@ namespace lruk {
 // `dirty_writebacks` once it succeeds); with a shared dispatcher it is
 // counted at the submitting pool, so shard sums stay exact.
 //
-// Optimistic-path counters (all zero unless BufferPoolOptions::
-// optimistic_hits is on — see DESIGN.md "Optimistic page table & pin
-// protocol"): `optimistic_hits` counts hits served entirely without the
-// pool latch; they are also counted in `hits`. `optimistic_fallbacks`
-// counts every optimistic attempt that ended up on the latched path, and
+// Latch-free path counters (every pool's hits and unpins try it first —
+// see DESIGN.md §9 "Page table & pin protocol"): `optimistic_hits` counts
+// hits served entirely without the pool latch; they are also counted in
+// `hits`. `optimistic_fallbacks` counts every latch-free attempt that
+// ended up on the latched path, and
 // splits exactly into three attributed causes: `fallback_probe_miss`
 // (the probe found a clean empty bucket — the page is simply absent, so
 // single-threaded this equals the miss count plus any unpin probes of
@@ -68,13 +68,13 @@ namespace lruk {
 // failed compare-exchange iterations in latch-free unpins — a contention
 // proxy. `latch_acquires` counts acquisitions of the pool mutex (per
 // shard, summed); it is a proxy, not a lock census: condition-variable
-// re-acquisitions inside waits are not counted. With optimistic_hits on,
-// a warm hit+unpin pair performs zero latch acquisitions.
+// re-acquisitions inside waits are not counted. A warm hit+unpin pair
+// performs zero latch acquisitions.
 //
 // `access_drops` counts buffered access records dropped at drain time
 // because their page had already been evicted (the record stalled behind
-// a lock-free publish gap, or — with optimistic_hits — its pin+publish+
-// unpin completed without the latch). Each drop is one policy reference
+// a lock-free publish gap, or its pin+publish+unpin completed without the
+// latch). Each drop is one policy reference
 // that was observed but never applied: bounded staleness, surfaced so
 // accounting stays exact.
 //

@@ -66,9 +66,9 @@ class ShardedBufferPool final : public PoolInterface {
   // two, <= capacity). `disk` must outlive the pool and be thread-safe.
   // `factory` is invoked once per shard as factory(shard_index,
   // shard_capacity) and must return a fresh policy each time.
-  // `shard_options` is applied to every shard. optimistic_hits makes
-  // every shard's warm hits and unpins latch-free, each shard draining its
-  // own AccessBuffer under its own latch.
+  // `shard_options` is applied to every shard. Every shard's warm hits and
+  // unpins are latch-free, each shard draining its own AccessBuffer under
+  // its own latch.
   ShardedBufferPool(size_t capacity, size_t num_shards, DiskManager* disk,
                     ShardPolicyFactory factory,
                     BufferPoolOptions shard_options = {});
@@ -110,8 +110,7 @@ class ShardedBufferPool final : public PoolInterface {
     for (const auto& shard : shards_) total += shard->MetaStats();
     return total;
   }
-  // AccessBuffer counters summed across shards (all-zero unless
-  // optimistic_hits).
+  // AccessBuffer counters summed across shards.
   AccessBufferStats access_buffer_stats() const {
     AccessBufferStats total;
     for (const auto& shard : shards_) total += shard->access_buffer_stats();

@@ -1,9 +1,9 @@
 // AccessBuffer — a fixed-capacity, lock-free staging area for page
 // references, decoupling *observing* a reference (a hit that holds no pool
 // latch) from *applying* it to a ReplacementPolicy (batch drain under the
-// pool latch). It is the publish channel of the pools' latch-free hit
-// path, BufferPoolOptions::optimistic_hits (see DESIGN.md "The latch-free
-// hit's publish channel" and "Wait-free publish & batched nomination").
+// pool latch). It is the publish channel of the pools' latch-free hits,
+// which every BufferPool takes (see DESIGN.md "The latch-free hit's
+// publish channel" and "Wait-free publish & batched nomination").
 //
 // Structure: one or more stripes, each a bounded ring of sequence-numbered
 // cells. A producer claims a ticket with a single fetch_add on the
@@ -117,11 +117,10 @@ class AccessBuffer {
   // in `policy` are dropped instead of applied, and the number dropped is
   // added to `*dropped` (when non-null) and to stats(). The pools always
   // set this: with the lock-free publish path a record can stall behind a
-  // gap past its page's eviction, and with latch-free hits
-  // (BufferPoolOptions::optimistic_hits) a pin + publish + unpin can
-  // complete entirely without the pool latch — either way the drain may
-  // see records for pages already evicted, which the policy must not be
-  // asked to apply.
+  // gap past its page's eviction, and a latch-free hit's pin + publish +
+  // unpin can complete entirely without the pool latch — either way the
+  // drain may see records for pages already evicted, which the policy
+  // must not be asked to apply.
   size_t Drain(ReplacementPolicy& policy, bool skip_non_resident = false,
                size_t* dropped = nullptr);
 

@@ -16,8 +16,10 @@
 // hit/miss split.
 //
 // Pinning: SetEvictable(p, false) removes p from Evict()'s candidate set
-// without forgetting its statistics; the buffer pool pins pages while user
-// code holds them. Policies driven by a simulator never see pins.
+// without forgetting its statistics. The buffer pools never call it: their
+// frames' pin counts are the ground truth, so they nominate with
+// EvictBatch, skip pinned nominees and hand those back with Restore.
+// Policies driven by a simulator never see pins either.
 
 #ifndef LRUK_CORE_REPLACEMENT_POLICY_H_
 #define LRUK_CORE_REPLACEMENT_POLICY_H_
@@ -83,8 +85,8 @@ class ReplacementPolicy {
   // Batch victim nomination: pops up to `k` victims in exactly the order
   // repeated Evict() calls would return them, appends them to `*out`
   // (cleared first), and returns how many were nominated. Callers that
-  // must skip ineligible nominees (pinned frames on the latch-free hit
-  // path) use this to nominate once instead of paying an Evict/Restore
+  // must skip ineligible nominees (the buffer pools' pinned frames) use
+  // this to nominate once instead of paying an Evict/Restore
   // round-trip per skipped candidate; every
   // nominee the caller does not consume must still be handed back via
   // Restore, in reverse nomination order (a consumed nominee simply

@@ -2,13 +2,11 @@
 // sanitizer CI matrix runs this suite by name).
 //
 // Eight threads hammer a sharded pool whose shards each run
-// `adaptive:lruk2+arc+2q`, once behind each hit path. The optimistic run
-// is the deepest concurrent composition the meta-policy rides in:
-// latch-free hits publish into the access ring, buffered references
-// drain into RecordAccessBatch under the shard latch, evictions flow
-// through the active expert's EvictBatch with victim booking, and switch
-// decisions fire on drain ticks. The latched run applies every reference
-// under the shard latch and evicts through Evict(). Asserted invariants:
+// `adaptive:lruk2+arc+2q`. It is the deepest concurrent composition the
+// meta-policy rides in: latch-free hits publish into the access ring,
+// buffered references drain into RecordAccessBatch under the shard latch,
+// evictions flow through the active expert's EvictBatch with victim
+// booking, and switch decisions fire on drain ticks. Asserted invariants:
 //
 //  * Exact fetch accounting: hits + misses == total fetches, no failures.
 //  * Regret accounting: every ghost saw every observed reference, so the
@@ -38,11 +36,7 @@ namespace {
 
 using difftest::AllocateDb;
 
-// Parameter: optimistic_hits (false = latched hits).
-class AdaptiveConcurrencyTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(AdaptiveConcurrencyTest, RegretAccountingHoldsUnderChurn) {
-  const bool optimistic = GetParam();
+TEST(AdaptiveConcurrencyTest, RegretAccountingHoldsUnderChurn) {
   constexpr size_t kFrames = 256;
   constexpr size_t kShards = 4;
   constexpr uint64_t kDbPages = 1024;
@@ -61,8 +55,7 @@ TEST_P(AdaptiveConcurrencyTest, RegretAccountingHoldsUnderChurn) {
   auto factory = MakeShardPolicyFactory(*spec);
   ASSERT_TRUE(factory.ok()) << factory.status().ToString();
 
-  ShardedBufferPool pool(kFrames, kShards, &disk, *factory,
-                         BufferPoolOptions{.optimistic_hits = optimistic});
+  ShardedBufferPool pool(kFrames, kShards, &disk, *factory);
 
   std::vector<PageId> pages = AllocateDb(pool, kDbPages);
   std::atomic<uint64_t> failures{0};
@@ -113,7 +106,7 @@ TEST_P(AdaptiveConcurrencyTest, RegretAccountingHoldsUnderChurn) {
 
   // Reference accounting: the references the experts observed (one per
   // applied RecordAccess/Admit across all shards) can never exceed the
-  // fetch stream plus the initial admissions; with optimistic publishing
+  // fetch stream plus the initial admissions; with latch-free publishing
   // some records may drop (counted by the pools), never double-apply, and
   // correlated re-fixes never reach the policy (counted too).
   uint64_t active_refs = 0;
@@ -122,9 +115,6 @@ TEST_P(AdaptiveConcurrencyTest, RegretAccountingHoldsUnderChurn) {
       static_cast<uint64_t>(kThreads) * kOpsPerThread + kDbPages;
   EXPECT_LE(active_refs, upper);
   EXPECT_EQ(active_refs + totals.access_drops + totals.correlated_refs, upper);
-  if (!optimistic) {
-    EXPECT_EQ(totals.access_drops, 0u);  // No ring to drop from.
-  }
 
   // Per-shard snapshots are coherent with the merged view.
   uint64_t shard_misses = 0;
@@ -138,11 +128,6 @@ TEST_P(AdaptiveConcurrencyTest, RegretAccountingHoldsUnderChurn) {
 
   ASSERT_TRUE(pool.FlushAll().ok());
 }
-
-INSTANTIATE_TEST_SUITE_P(HitPaths, AdaptiveConcurrencyTest, ::testing::Bool(),
-                         [](const auto& info) {
-                           return info.param ? "Optimistic" : "Latched";
-                         });
 
 }  // namespace
 }  // namespace lruk

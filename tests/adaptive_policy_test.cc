@@ -14,7 +14,7 @@
 //    Restored into its nominating expert exactly; the others re-admit.
 //  * Fixed-expert differential — `adaptive:lruk2` is byte-identical to
 //    plain `lruk2` through the shared 20k-op scenario harness, across the
-//    plain pool, the sharded pool and the optimistic pool.
+//    plain pool and the sharded pool.
 //  * Spec grammar — positive parses for `adaptive:`, and negative parses
 //    that name the offending token.
 //  * MetaStats plumbing — BufferPool::MetaStats() and the sharded merge.
@@ -340,7 +340,6 @@ TEST(AdaptiveDifferentialTest, SingleExpertAdaptiveMatchesPlainLruK) {
   const Case cases[] = {
       {"plain", {}},
       {"sharded", {.sharded = true}},
-      {"optimistic", {.optimistic = true}},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);

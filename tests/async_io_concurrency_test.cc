@@ -177,14 +177,6 @@ constexpr int kThreads = 8;
 // ---------------------------------------------------------------------------
 // The default pool's clean miss: its read runs with the latch released.
 
-// Default options, with latched or optimistic hits.
-class DefaultMissConcurrencyTest : public ::testing::TestWithParam<bool> {
- protected:
-  BufferPoolOptions Options() const {
-    return BufferPoolOptions{.optimistic_hits = GetParam()};
-  }
-};
-
 // How long a check waits for what the held read must not block, before it
 // fails instead of hanging.
 constexpr std::chrono::milliseconds kHeldReadTimeout{10000};
@@ -197,12 +189,10 @@ std::vector<PageId> FillWithCleanPages(BufferPool& pool) {
   return pages;
 }
 
-TEST_P(DefaultMissConcurrencyTest,
-       HitAndOtherMissCompleteWhileACleanMissReads) {
+TEST(DefaultMissConcurrencyTest, HitAndOtherMissCompleteWhileACleanMissReads) {
   SimDiskManager inner;
   GateDiskManager gate(&inner);
-  BufferPool pool(4, &gate, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                  Options());
+  BufferPool pool(4, &gate, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   const PageId resident = FillWithCleanPages(pool).back();
   auto held = inner.AllocatePage();
   auto other = inner.AllocatePage();
@@ -239,12 +229,11 @@ TEST_P(DefaultMissConcurrencyTest,
   EXPECT_TRUE(pool.IsResident(*other));
 }
 
-TEST_P(DefaultMissConcurrencyTest, SecondMissOfThePageWaitsOnTheHeldRead) {
+TEST(DefaultMissConcurrencyTest, SecondMissOfThePageWaitsOnTheHeldRead) {
   SimDiskManager inner;
   GateDiskManager gate(&inner);
   CountingDiskManager disk(&gate);
-  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                  Options());
+  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   FillWithCleanPages(pool);
   auto held = inner.AllocatePage();
   ASSERT_TRUE(held.ok());
@@ -283,11 +272,6 @@ TEST_P(DefaultMissConcurrencyTest, SecondMissOfThePageWaitsOnTheHeldRead) {
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(pool.PendingIoCount(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(LatchedAndOptimistic, DefaultMissConcurrencyTest,
-                         ::testing::Bool(), [](const auto& info) {
-                           return info.param ? "Optimistic" : "Latched";
-                         });
 
 // ---------------------------------------------------------------------------
 // Coalescing: one physical read per group.

@@ -11,7 +11,7 @@
 //    thread; a worker pool reads every miss on a worker through the
 //    Demand lane and posts dirty victims on the Flush lane; a failed read
 //    on a worker gives its frame back.
-//  * Scans (plain, worker, sharded and optimistic pools) — a cold scan
+//  * Scans (plain, worker and sharded pools) — a cold scan
 //    reads each page once and nothing ahead of it, and, as in the paper's
 //    Example 1.2, leaves an LRU-2 pool's hot set resident where LRU
 //    (K = 1) loses all of it.
@@ -65,6 +65,7 @@ namespace {
 
 using difftest::AllocateDb;
 using difftest::DiffScenarioResult;
+using difftest::ExpectMatchesModel;
 using difftest::ExpectScenarioEq;
 using difftest::RunDiffScenario;
 using difftest::kDiffCapacity;
@@ -330,6 +331,7 @@ TEST(AsyncIoDifferentialTest, SingleThreadedWorkerModeMatchesInlinePool) {
                   workers.stats.writebehind_writes);
     workers.stats.dirty_writebacks = inline_pool.stats.dirty_writebacks;
     ExpectScenarioEq(inline_pool, workers);
+    ExpectMatchesModel(workers);  // As OptimisticDifferentialTest's pools.
   };
   expect_matches(RunDiffScenario({}), RunDiffScenario({.io_workers = 2}));
   expect_matches(RunDiffScenario({.sharded = true}),
@@ -567,7 +569,6 @@ struct ScanPool {
   const char* name;
   bool sharded;
   size_t io_workers;
-  bool optimistic_hits;
 };
 
 // An LRU-`k` pool of `capacity` frames over `disk`, shaped as `shape`
@@ -575,8 +576,7 @@ struct ScanPool {
 std::unique_ptr<PoolInterface> MakeScanPool(const ScanPool& shape,
                                             size_t capacity,
                                             DiskManager* disk, int k) {
-  BufferPoolOptions options{.optimistic_hits = shape.optimistic_hits,
-                            .io_workers = shape.io_workers};
+  BufferPoolOptions options{.io_workers = shape.io_workers};
   if (shape.sharded) {
     auto factory = MakeShardPolicyFactory(PolicyConfig::LruK(k));
     EXPECT_TRUE(factory.ok());
@@ -657,10 +657,9 @@ TEST_P(ScanTest, ColdScanLeavesTheHotSetResident) {
 
 INSTANTIATE_TEST_SUITE_P(
     Pools, ScanTest,
-    ::testing::Values(ScanPool{"Plain", false, 0, false},
-                      ScanPool{"Workers", false, 2, false},
-                      ScanPool{"Sharded", true, 0, false},
-                      ScanPool{"Optimistic", false, 0, true}),
+    ::testing::Values(ScanPool{"Plain", false, 0},
+                      ScanPool{"Workers", false, 2},
+                      ScanPool{"Sharded", true, 0}),
     [](const ::testing::TestParamInfo<ScanPool>& info) {
       return std::string(info.param.name);
     });

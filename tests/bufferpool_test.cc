@@ -1,9 +1,12 @@
 #include "bufferpool/buffer_pool.h"
 
+#include <algorithm>
 #include <barrier>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -100,22 +103,180 @@ TEST(BufferPoolTest, RePinningAPinnedPageCountsAsAHit) {
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(pool.UnpinPage(p, false).ok());
 }
 
-TEST(BufferPoolTest, AllFramesPinnedExhaustsPool) {
+// ---------------------------------------------------------------------------
+// Pins under every policy. The pool never tells the policy of a pin: the
+// frames' pin counts are the ground truth, so a policy may nominate a
+// pinned page, which the pool skips and hands back with Restore. Restore
+// is exact only for LRU-K (the others re-admit the page), so these cases
+// check what must hold under any policy: no pinned page is ever evicted,
+// and a fetch that finds every frame pinned fails with RESOURCE_EXHAUSTED
+// and leaves every page resident and fetchable.
+
+class PolicyPinTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  static constexpr size_t kFrames = 4;
+
+  std::unique_ptr<BufferPool> MakePool(SimDiskManager* disk) const {
+    auto config = ParsePolicySpec(GetParam());
+    EXPECT_TRUE(config.ok()) << config.status().ToString();
+    auto factory = MakeShardPolicyFactory(*config);
+    EXPECT_TRUE(factory.ok()) << factory.status().ToString();
+    return std::make_unique<BufferPool>(kFrames, disk,
+                                        (*factory)(0, kFrames));
+  }
+
+  // Fetches every page of `pinned` once more (a hit on the same frame,
+  // pinned twice now) and drops that extra pin: each is resident in the
+  // pool and the policy, and fetchable.
+  static void ExpectResidentAndFetchable(BufferPool& pool,
+                                         const std::vector<Page*>& pinned) {
+    for (Page* page : pinned) {
+      const PageId p = page->id();
+      EXPECT_TRUE(pool.IsResident(p)) << "page " << p;
+      EXPECT_TRUE(pool.policy().IsResident(p)) << "page " << p;
+      auto again = pool.FetchPage(p);
+      ASSERT_TRUE(again.ok()) << "page " << p;
+      EXPECT_EQ(*again, page);
+      EXPECT_EQ(page->pin_count(), 2);
+      ASSERT_TRUE(pool.UnpinPage(p, false).ok());
+    }
+  }
+};
+
+TEST_P(PolicyPinTest, AllFramesPinnedExhaustsPool) {
   SimDiskManager disk;
-  BufferPool pool(2, &disk, MakeLru());
-  auto a = pool.NewPage();
-  auto b = pool.NewPage();
-  ASSERT_TRUE(a.ok() && b.ok());
-  auto c = pool.NewPage();  // No evictable frame.
-  ASSERT_FALSE(c.ok());
-  EXPECT_EQ(c.status().code(), StatusCode::kResourceExhausted);
-  // Releasing one pin frees a frame again.
-  ASSERT_TRUE(pool.UnpinPage((*a)->id(), false).ok());
-  auto d = pool.NewPage();
-  EXPECT_TRUE(d.ok());
-  ASSERT_TRUE(pool.UnpinPage((*b)->id(), false).ok());
-  ASSERT_TRUE(pool.UnpinPage((*d)->id(), false).ok());
+  auto pool = MakePool(&disk);
+  std::vector<Page*> pinned;
+  for (size_t i = 0; i < kFrames; ++i) {
+    auto page = pool->NewPage();
+    ASSERT_TRUE(page.ok());
+    pinned.push_back(*page);
+  }
+  auto on_disk = disk.AllocatePage();
+  ASSERT_TRUE(on_disk.ok());
+  // No evictable frame: every nominee is pinned, skipped and restored,
+  // on each of several attempts.
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    auto fresh = pool->NewPage();
+    ASSERT_FALSE(fresh.ok());
+    EXPECT_EQ(fresh.status().code(), StatusCode::kResourceExhausted);
+    auto fetched = pool->FetchPage(*on_disk);
+    ASSERT_FALSE(fetched.ok());
+    EXPECT_EQ(fetched.status().code(), StatusCode::kResourceExhausted);
+  }
+  EXPECT_EQ(pool->ResidentCount(), kFrames);
+  EXPECT_EQ(pool->policy().ResidentCount(), kFrames);
+  EXPECT_EQ(pool->stats().evictions, 0u);
+  ExpectResidentAndFetchable(*pool, pinned);
+
+  // Releasing one pin frees its frame, and only it.
+  const PageId released = pinned.front()->id();
+  ASSERT_TRUE(pool->UnpinPage(released, false).ok());
+  pinned.erase(pinned.begin());
+  auto fetched = pool->FetchPage(*on_disk);
+  ASSERT_TRUE(fetched.ok());
+  EXPECT_FALSE(pool->IsResident(released));
+  ExpectResidentAndFetchable(*pool, pinned);
+  ASSERT_TRUE(pool->UnpinPage(*on_disk, false).ok());
+  for (Page* page : pinned) {
+    ASSERT_TRUE(pool->UnpinPage(page->id(), false).ok());
+  }
 }
+
+TEST_P(PolicyPinTest, PinnedFirstRankedPageIsNeverEvicted) {
+  // Four resident pages with a mixed history; the last fix of `hold` keeps
+  // its pin. Unpins never reach the policy, so a twin pool driven through
+  // the same calls with every pin released names the page this policy
+  // ranks first: the one its next miss evicts.
+  constexpr size_t kRefs[] = {0, 1, 2, 1, 3, 0, 2, 3, 1, 0};
+  auto set_up = [&](BufferPool& pool, PageId hold) {
+    std::vector<PageId> pages;
+    for (size_t i = 0; i < kFrames; ++i) {
+      auto page = pool.NewPage();
+      EXPECT_TRUE(page.ok());
+      pages.push_back((*page)->id());
+      EXPECT_TRUE(pool.UnpinPage(pages.back(), true).ok());
+    }
+    for (size_t r = 0; r < std::size(kRefs); ++r) {
+      const PageId p = pages[kRefs[r]];
+      EXPECT_TRUE(pool.FetchPage(p).ok());
+      const bool last_fix = std::find(std::begin(kRefs) + r + 1,
+                                      std::end(kRefs),
+                                      kRefs[r]) == std::end(kRefs);
+      if (!(last_fix && p == hold)) {
+        EXPECT_TRUE(pool.UnpinPage(p, false).ok());
+      }
+    }
+    return pages;
+  };
+  SimDiskManager twin_disk;
+  auto twin = MakePool(&twin_disk);
+  const std::vector<PageId> twin_pages = set_up(*twin, kInvalidPageId);
+  auto fresh = twin->NewPage();
+  ASSERT_TRUE(fresh.ok());
+  PageId first = kInvalidPageId;
+  for (PageId p : twin_pages) {
+    if (!twin->IsResident(p)) first = p;
+  }
+  ASSERT_NE(first, kInvalidPageId);
+
+  SimDiskManager disk;
+  auto pool = MakePool(&disk);
+  const std::vector<PageId> pages = set_up(*pool, first);
+  ASSERT_EQ(pages, twin_pages);  // The same ids, so `first` names a page.
+  ASSERT_TRUE(pool->IsResident(first));
+  // Misses on pages never seen: each evicts an unpinned page, never the
+  // pinned first-ranked one.
+  std::vector<PageId> misses;
+  for (int i = 0; i < 8; ++i) {
+    auto p = disk.AllocatePage();
+    ASSERT_TRUE(p.ok());
+    misses.push_back(*p);
+    ASSERT_TRUE(pool->FetchPage(*p).ok()) << "miss " << i;
+    ASSERT_TRUE(pool->UnpinPage(*p, false).ok());
+    ASSERT_TRUE(pool->IsResident(first)) << "after miss " << i;
+  }
+  EXPECT_EQ(pool->stats().evictions, 8u);
+
+  // Pin every other resident page too: a miss now finds no victim.
+  // (`first` keeps the one pin it has.)
+  std::vector<Page*> pinned;
+  for (PageId p : pages) {
+    if (!pool->IsResident(p)) continue;
+    auto page = pool->FetchPage(p);
+    ASSERT_TRUE(page.ok());
+    pinned.push_back(*page);
+    if (p == first) {
+      ASSERT_TRUE(pool->UnpinPage(p, false).ok());
+    }
+  }
+  for (PageId p : misses) {
+    if (!pool->IsResident(p)) continue;
+    auto page = pool->FetchPage(p);
+    ASSERT_TRUE(page.ok());
+    pinned.push_back(*page);
+  }
+  ASSERT_EQ(pinned.size(), kFrames);
+  auto never_seen = disk.AllocatePage();
+  ASSERT_TRUE(never_seen.ok());
+  auto exhausted = pool->FetchPage(*never_seen);
+  ASSERT_FALSE(exhausted.ok());
+  EXPECT_EQ(exhausted.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(pool->stats().evictions, 8u);
+  ExpectResidentAndFetchable(*pool, pinned);
+  for (Page* page : pinned) {
+    ASSERT_TRUE(pool->UnpinPage(page->id(), false).ok());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, PolicyPinTest,
+                         ::testing::Values("LRU", "FIFO", "MRU", "LFU",
+                                           "CLOCK", "2Q", "ARC", "LRU-2"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           std::erase(name, '-');
+                           return name == "2Q" ? std::string("TwoQ") : name;
+                         });
 
 TEST(BufferPoolTest, PinCountNestsAcrossFetches) {
   SimDiskManager disk;
@@ -372,6 +533,7 @@ TEST(CorrelatedRefixTest, BackToBackFetchIsOneReference) {
   const Timestamp t0 = LruKOf(pool).CurrentTime();
 
   FixAndUnpin(pool, p);
+  (void)pool.stats();  // Applies the latch-free hit's reference.
   const HistoryBlock before = *LruKOf(pool).DebugBlock(p);
   // The re-fix still pins (and, as kWrite, dirties) exactly as a hit does.
   auto again = pool.FetchPage(p, AccessType::kWrite);
@@ -506,8 +668,7 @@ TEST(CorrelatedRefixTest, ShardedPoolJudgesThePreviousFixAcrossShards) {
 
 TEST(CorrelatedRefixTest, OptimisticHitPublishesNoReference) {
   SimDiskManager disk;
-  BufferPool pool(4, &disk, MakeLru2(),
-                  BufferPoolOptions{.optimistic_hits = true});
+  BufferPool pool(4, &disk, MakeLru2());
   PageId p = NewUnpinned(pool);
   (void)NewUnpinned(pool);
   pool.ResetStats();

@@ -150,9 +150,9 @@ void RunLockstepMany(const std::vector<ReplacementPolicy*>& policies,
         pinned.erase(*victim);
       }
     } else {
-      // A failed write-back on policies[0] alone: one Evict (the latched
-      // pool's path) or an EvictBatch of 2-4 nominees (the optimistic
-      // pool's), every victim handed back with Restore in reverse order.
+      // A failed write-back on policies[0] alone: one Evict or an
+      // EvictBatch of 2-4 nominees (the pools' path, skipping pinned
+      // ones), every victim handed back with Restore in reverse order.
       // No other policy sees it, so all must stay in lockstep.
       std::vector<PageId> nominees;
       const size_t n = 1 + rng.NextBounded(4);

@@ -7,7 +7,8 @@
 // with its RunScenario driver. This header is the single home for all of
 // it; adaptive_policy_test.cc builds its fixed-expert differential on the
 // same pieces (DiffScenarioConfig::make_policy swaps the policy under
-// record).
+// record). Every scenario also feeds its op sequence to PoolModel, a
+// naive model of the pool that is the pools' independent reference.
 //
 // Everything is inline and header-only: each test binary stays standalone,
 // and the compiler sees one definition per TU.
@@ -23,6 +24,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "bufferpool/buffer_pool.h"
@@ -52,21 +54,13 @@ inline void ExpectCountersEq(const BufferPoolStats& a,
 }
 
 // The counters that differ between pool modes running one op sequence:
-// write-behind and lane drops exist only in worker mode, the optimistic
-// and fallback counters only with optimistic hits, access_drops and
-// pin_cas_retries follow the latch-free publish path, and latch_acquires
-// is what the optimistic path removes.
+// write-behind and lane drops exist only in worker mode, and
+// latch_acquires follows the dispatcher (a worker-mode miss re-takes the
+// latch after its read).
 inline constexpr CounterField kModeDependentCounters[] = {
     &BufferPoolStats::writebehind_writes,
     &BufferPoolStats::writebehind_readmits,
     &BufferPoolStats::io_drops_flush,
-    &BufferPoolStats::optimistic_hits,
-    &BufferPoolStats::optimistic_fallbacks,
-    &BufferPoolStats::fallback_probe_miss,
-    &BufferPoolStats::fallback_version_conflict,
-    &BufferPoolStats::fallback_resize,
-    &BufferPoolStats::access_drops,
-    &BufferPoolStats::pin_cas_retries,
     &BufferPoolStats::latch_acquires,
 };
 
@@ -163,6 +157,142 @@ class RecordingPolicy final : public ReplacementPolicy {
   std::vector<PageId> evictions_;
 };
 
+// Builds the policy under record for one pool (shard_index 0 for the
+// plain pool). Defaults to the repo's canonical LRU-2.
+using MakePolicyFn = std::function<std::unique_ptr<ReplacementPolicy>(
+    size_t shard_index, size_t capacity)>;
+
+// A naive single-threaded model of a pool: per shard, the set of resident
+// pages and the bare policy, driven by the pool's rules alone — no page
+// table, pins, latch, access buffer or disk. A hit calls RecordAccess
+// unless it is a correlated re-fix (the previous fix on the pool named
+// the same page); a miss or a NewPage calls PrepareAdmit, then Evict when
+// the shard is full, then Admit; a delete calls Remove. Fed the op
+// sequence a pool ran (ModelCheckedPool), it must end with the pool's
+// hits, misses, evictions, correlated_refs, victim order and LRU-K clock.
+class PoolModel {
+ public:
+  // `shard_capacities` has one entry per shard; `shard_of` routes a page
+  // to its shard.
+  PoolModel(const std::vector<size_t>& shard_capacities,
+            const MakePolicyFn& make_policy,
+            std::function<size_t(PageId)> shard_of)
+      : shard_of_(std::move(shard_of)) {
+    for (size_t i = 0; i < shard_capacities.size(); ++i) {
+      shards_.push_back(
+          {shard_capacities[i], make_policy(i, shard_capacities[i]), {}, {}});
+    }
+  }
+
+  void Fetch(PageId p, AccessType type) {
+    Shard& shard = shards_[shard_of_(p)];
+    const bool refix = last_fix_ == p;
+    last_fix_ = p;
+    if (!shard.resident.contains(p)) {
+      ++stats_.misses;
+      Admit(shard, p, type);
+    } else if (refix) {
+      ++stats_.hits;
+      ++stats_.correlated_refs;
+    } else {
+      ++stats_.hits;
+      shard.policy->RecordAccess(p, type);
+    }
+  }
+  void NewPage(PageId p) {
+    last_fix_ = p;
+    Admit(shards_[shard_of_(p)], p, AccessType::kWrite);
+  }
+  void Delete(PageId p) {
+    Shard& shard = shards_[shard_of_(p)];
+    if (shard.resident.erase(p) != 0) shard.policy->Remove(p);
+  }
+
+  // hits, misses, evictions and correlated_refs; every other counter 0.
+  const BufferPoolStats& stats() const { return stats_; }
+  bool IsResident(PageId p) const {
+    return shards_[shard_of_(p)].resident.contains(p);
+  }
+  size_t shard_count() const { return shards_.size(); }
+  const std::vector<PageId>& evictions(size_t shard) const {
+    return shards_[shard].evictions;
+  }
+  const ReplacementPolicy& policy(size_t shard) const {
+    return *shards_[shard].policy;
+  }
+
+ private:
+  struct Shard {
+    size_t capacity;
+    std::unique_ptr<ReplacementPolicy> policy;
+    std::unordered_set<PageId> resident;
+    std::vector<PageId> evictions;
+  };
+
+  void Admit(Shard& shard, PageId p, AccessType type) {
+    shard.policy->PrepareAdmit(p);
+    if (shard.resident.size() == shard.capacity) {
+      std::optional<PageId> victim = shard.policy->Evict();
+      ASSERT_TRUE(victim.has_value());
+      shard.resident.erase(*victim);
+      shard.evictions.push_back(*victim);
+      ++stats_.evictions;
+    }
+    shard.resident.insert(p);
+    shard.policy->Admit(p, type);
+  }
+
+  std::function<size_t(PageId)> shard_of_;
+  std::vector<Shard> shards_;
+  PageId last_fix_ = kInvalidPageId;
+  BufferPoolStats stats_;
+};
+
+// A pool that forwards every call to `pool` and mirrors each one that
+// succeeded in `model`, so one workload feeds both the same op sequence.
+class ModelCheckedPool final : public PoolInterface {
+ public:
+  ModelCheckedPool(PoolInterface& pool, PoolModel& model)
+      : pool_(pool), model_(model) {}
+
+  Result<Page*> FetchPage(PageId p,
+                          AccessType type = AccessType::kRead) override {
+    auto page = pool_.FetchPage(p, type);
+    if (page.ok()) model_.Fetch(p, type);
+    return page;
+  }
+  Result<Page*> NewPage() override {
+    auto page = pool_.NewPage();
+    if (page.ok()) model_.NewPage((*page)->id());
+    return page;
+  }
+  Status UnpinPage(PageId p, bool dirty) override {
+    return pool_.UnpinPage(p, dirty);
+  }
+  Status FlushPage(PageId p) override { return pool_.FlushPage(p); }
+  Status FlushAll() override { return pool_.FlushAll(); }
+  Status DeletePage(PageId p) override {
+    Status deleted = pool_.DeletePage(p);
+    if (deleted.ok()) model_.Delete(p);
+    return deleted;
+  }
+  size_t capacity() const override { return pool_.capacity(); }
+  size_t ResidentCount() const override { return pool_.ResidentCount(); }
+  bool IsResident(PageId p) const override { return pool_.IsResident(p); }
+  BufferPoolStats stats() const override { return pool_.stats(); }
+  void ResetStats() override { pool_.ResetStats(); }
+
+ private:
+  PoolInterface& pool_;
+  PoolModel& model_;
+};
+
+// The policy's logical clock if it is LRU-K, else 0.
+inline Timestamp LruKClock(const ReplacementPolicy& policy) {
+  const auto* lruk = dynamic_cast<const LruKPolicy*>(&policy);
+  return lruk != nullptr ? lruk->CurrentTime() : 0;
+}
+
 constexpr uint64_t kDiffDbPages = 96;
 constexpr size_t kDiffCapacity = 24;
 constexpr int kDiffOps = 20000;
@@ -170,7 +300,7 @@ constexpr int kDiffOps = 20000;
 // A mixed deterministic workload: skewed fetches, 25% writes, periodic
 // FlushPage, periodic DeletePage + NewPage (id churn through the
 // allocator's free list). Exercises every pool entry point that the
-// async stack and the optimistic hit path (with its publish ring) touch.
+// async stack and the latch-free hit path (with its publish ring) touch.
 // Reports the number of delete/new cycles through *delete_cycles (for
 // closed-form policy-clock assertions: clock + correlated_refs == hits +
 // misses + initial admissions + delete cycles).
@@ -208,18 +338,12 @@ inline void DriveMixedWorkload(PoolInterface& pool,
   if (delete_cycles != nullptr) *delete_cycles = cycles;
 }
 
-// Builds the policy under record for one pool (shard_index 0 for the
-// plain pool). Defaults to the repo's canonical LRU-2.
-using MakePolicyFn = std::function<std::unique_ptr<ReplacementPolicy>(
-    size_t shard_index, size_t capacity)>;
-
 struct DiffScenarioConfig {
   bool sharded = false;
   size_t num_shards = 4;
   size_t capacity = kDiffCapacity;
   uint64_t db_pages = kDiffDbPages;
   int ops = kDiffOps;
-  bool optimistic = false;
   size_t io_workers = 0;    // > 0: worker mode, which writes behind.
   MakePolicyFn make_policy{};  // Null: LruKOptions{.k = 2}.
 };
@@ -236,12 +360,17 @@ struct DiffScenarioResult {
   // inner policy is not LRU-K).
   std::vector<Timestamp> clocks;
   int delete_cycles = 0;
+  // PoolModel's end state after the same op sequence: its counters,
+  // victim order, clocks and residency, shaped as the pool's above.
+  BufferPoolStats model_stats;
+  std::vector<std::vector<PageId>> model_evictions;
+  std::vector<Timestamp> model_clocks;
+  std::vector<bool> model_residency;
 };
 
 inline DiffScenarioResult RunDiffScenario(const DiffScenarioConfig& config) {
   SimDiskManager disk;
   BufferPoolOptions options;
-  options.optimistic_hits = config.optimistic;
   options.io_workers = config.io_workers;
   MakePolicyFn make_policy = config.make_policy;
   if (!make_policy) {
@@ -253,23 +382,32 @@ inline DiffScenarioResult RunDiffScenario(const DiffScenarioConfig& config) {
   DiffScenarioResult result;
   std::vector<PageId> pages;
   std::vector<RecordingPolicy*> recorders;
-  auto finish = [&](PoolInterface& pool) {
+  // Drives `pool` through the model, then records both end states.
+  auto run = [&](PoolInterface& pool, const std::vector<size_t>& capacities,
+                 std::function<size_t(PageId)> shard_of) {
+    PoolModel model(capacities, make_policy, std::move(shard_of));
+    ModelCheckedPool checked(pool, model);
+    pages = AllocateDb(checked, config.db_pages);
+    DriveMixedWorkload(checked, pages, config.ops, &result.delete_cycles);
     result.stats = pool.stats();
     for (RecordingPolicy* r : recorders) {
       result.evictions.push_back(r->evictions());
-      const auto* lruk = dynamic_cast<const LruKPolicy*>(&r->inner());
-      result.clocks.push_back(lruk != nullptr ? lruk->CurrentTime() : 0);
+      result.clocks.push_back(LruKClock(r->inner()));
     }
     for (PageId p : pages) result.residency.push_back(pool.IsResident(p));
+    result.model_stats = model.stats();
+    for (size_t i = 0; i < model.shard_count(); ++i) {
+      result.model_evictions.push_back(model.evictions(i));
+      result.model_clocks.push_back(LruKClock(model.policy(i)));
+    }
+    for (PageId p : pages) result.model_residency.push_back(model.IsResident(p));
   };
   if (!config.sharded) {
     auto policy = std::make_unique<RecordingPolicy>(
         make_policy(0, config.capacity));
     recorders.push_back(policy.get());
     BufferPool pool(config.capacity, &disk, std::move(policy), options);
-    pages = AllocateDb(pool, config.db_pages);
-    DriveMixedWorkload(pool, pages, config.ops, &result.delete_cycles);
-    finish(pool);
+    run(pool, {config.capacity}, [](PageId) { return size_t{0}; });
   } else {
     recorders.resize(config.num_shards, nullptr);
     ShardedBufferPool pool(
@@ -281,9 +419,11 @@ inline DiffScenarioResult RunDiffScenario(const DiffScenarioConfig& config) {
           return policy;
         },
         options);
-    pages = AllocateDb(pool, config.db_pages);
-    DriveMixedWorkload(pool, pages, config.ops, &result.delete_cycles);
-    finish(pool);
+    std::vector<size_t> capacities;
+    for (size_t i = 0; i < pool.shard_count(); ++i) {
+      capacities.push_back(pool.shard(i).capacity());
+    }
+    run(pool, capacities, [&pool](PageId p) { return pool.ShardOf(p); });
   }
   result.io = disk.stats();
   char buf[kPageSize];
@@ -305,6 +445,19 @@ inline void ExpectScenarioEq(const DiffScenarioResult& a,
   // (same count on both sides, so full equality still holds
   // field-for-field).
   ExpectIoStatsEq(a.io, b.io);
+}
+
+// The pool ended where PoolModel did: the same hits, misses, evictions
+// and correlated re-fixes, the same victims in the same order per shard,
+// the same LRU-K clocks and the same resident pages.
+inline void ExpectMatchesModel(const DiffScenarioResult& r) {
+  EXPECT_EQ(r.stats.hits, r.model_stats.hits);
+  EXPECT_EQ(r.stats.misses, r.model_stats.misses);
+  EXPECT_EQ(r.stats.evictions, r.model_stats.evictions);
+  EXPECT_EQ(r.stats.correlated_refs, r.model_stats.correlated_refs);
+  EXPECT_EQ(r.evictions, r.model_evictions);
+  EXPECT_EQ(r.clocks, r.model_clocks);
+  EXPECT_EQ(r.residency, r.model_residency);
 }
 
 }  // namespace difftest

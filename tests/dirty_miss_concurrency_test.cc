@@ -1,6 +1,6 @@
 // The device batch (DiskManager::RunBatch) and the dirty miss that uses it
 // (DESIGN.md §6 "The miss path" and §7 "Failed write-back"), on the
-// latched and the optimistic pool without a dispatcher.
+// default (inline-dispatcher) pool.
 //
 // Coverage:
 //  * RunBatch — it keeps at most kMaxIoInFlight operations in flight,
@@ -421,19 +421,12 @@ struct PolicyState {
   bool operator==(const PolicyState&) const = default;
 };
 
-class DirtyMissConcurrencyTest : public ::testing::TestWithParam<bool> {
- protected:
-  BufferPoolOptions Options() const {
-    return BufferPoolOptions{.optimistic_hits = GetParam()};
-  }
-};
-
 // A seeded single-threaded churn of dirtying fetches over 12 pages in 4
 // frames, once on a device that overlaps (each write-back held until its
 // miss's read has started) and once on one that declares 1: the same
 // counters and the same bytes on disk, and on the first every write-back
 // overlapped its read.
-TEST_P(DirtyMissConcurrencyTest, WriteBackAndReadOverlapWithSerialResults) {
+TEST(DirtyMissConcurrencyTest, WriteBackAndReadOverlapWithSerialResults) {
   constexpr size_t kFrames = 4;
   constexpr size_t kPages = 12;
   struct Run {
@@ -448,7 +441,7 @@ TEST_P(DirtyMissConcurrencyTest, WriteBackAndReadOverlapWithSerialResults) {
     PairDevice disk(&inner, max_concurrent_io);
     std::vector<PageId> pages = AllocatePages(disk, kPages);
     {
-      BufferPool pool(kFrames, &disk, Lru2(), Options());
+      BufferPool pool(kFrames, &disk, Lru2());
       // Every fetch dirties its page, so once the frames are full every
       // miss evicts a dirty victim: the device sees only pairs, each a
       // write-back and then (or alongside) its miss's read.
@@ -518,12 +511,11 @@ VictimSetUp SetUpVictim(BufferPool& pool, DiskManager& disk) {
 // On a device that declares 1, a dirty miss is the write-back, then the
 // read (with the write's retries first), and a failed write-back issues
 // no read at all.
-TEST_P(DirtyMissConcurrencyTest, SerialDeviceSeesWriteBackThenRead) {
+TEST(DirtyMissConcurrencyTest, SerialDeviceSeesWriteBackThenRead) {
   SimDiskManager inner;
   PairDevice disk(&inner, 1);
-  BufferPoolOptions options = Options();
-  options.io_max_attempts = 3;
-  BufferPool pool(kSetUpFrames, &disk, Lru2(), options);
+  BufferPool pool(kSetUpFrames, &disk, Lru2(),
+                  BufferPoolOptions{.io_max_attempts = 3});
   VictimSetUp t = SetUpVictim(pool, disk);
   (void)disk.TakeOps();
   using Ops = std::vector<PairDevice::Op>;
@@ -557,14 +549,14 @@ TEST_P(DirtyMissConcurrencyTest, SerialDeviceSeesWriteBackThenRead) {
 // A failed write-back on a device that overlaps: the read was in flight
 // (the write waits for it) and is discarded, and the pool and the policy
 // are exactly as before the eviction.
-TEST_P(DirtyMissConcurrencyTest, FailedWriteBackRollsBackExactly) {
+TEST(DirtyMissConcurrencyTest, FailedWriteBackRollsBackExactly) {
   SimDiskManager inner;
   PairDevice disk(&inner, DiskManager::kMaxIoInFlight);
   auto policy = Lru2();
   LruKPolicy* lruk = policy.get();
-  BufferPool pool(kSetUpFrames, &disk, std::move(policy), Options());
+  BufferPool pool(kSetUpFrames, &disk, std::move(policy));
   VictimSetUp t = SetUpVictim(pool, disk);
-  (void)pool.stats();  // Drains the optimistic pool's published hits.
+  (void)pool.stats();  // Drains the published hits.
   const PolicyState before = PolicyState::Of(*lruk, kSetUpPages);
   const BufferPoolStats stats_before = pool.stats();
   const uint64_t reads_before = disk.stats().reads;
@@ -608,12 +600,12 @@ TEST_P(DirtyMissConcurrencyTest, FailedWriteBackRollsBackExactly) {
 // The write-back lands and the read fails: the eviction stands (the
 // victim is on disk and gone from the pool), the frame is free again, and
 // the fetch reports the read's error.
-TEST_P(DirtyMissConcurrencyTest, FailedReadAfterLandedWriteBackFreesTheFrame) {
+TEST(DirtyMissConcurrencyTest, FailedReadAfterLandedWriteBackFreesTheFrame) {
   SimDiskManager inner;
   PairDevice disk(&inner, DiskManager::kMaxIoInFlight);
   auto policy = Lru2();
   LruKPolicy* lruk = policy.get();
-  BufferPool pool(kSetUpFrames, &disk, std::move(policy), Options());
+  BufferPool pool(kSetUpFrames, &disk, std::move(policy));
   VictimSetUp t = SetUpVictim(pool, disk);
   const BufferPoolStats stats_before = pool.stats();
 
@@ -642,11 +634,6 @@ TEST_P(DirtyMissConcurrencyTest, FailedReadAfterLandedWriteBackFreesTheFrame) {
   ASSERT_TRUE(pool.UnpinPage(t.b, false).ok());
   EXPECT_EQ(pool.stats().evictions, stats_before.evictions + 1);
 }
-
-INSTANTIATE_TEST_SUITE_P(LatchedAndOptimistic, DirtyMissConcurrencyTest,
-                         ::testing::Bool(), [](const auto& info) {
-                           return info.param ? "Optimistic" : "Latched";
-                         });
 
 }  // namespace
 }  // namespace lruk

@@ -11,11 +11,11 @@
 //    workload: same IoStats (every field), every pool counter the same,
 //    same victim sequence, same resident set, same page images.
 //  * Pool hardening units — a failed read admits nothing; a failed dirty
-//    write-back rolls the eviction back (policy Restore, all three victim
-//    indices, latched and optimistic eviction); FlushAll tries every page and keeps failed pages dirty;
-//    retries absorb transient faults; NewPage reclaims its id.
+//    write-back rolls the eviction back (policy Restore, with an infinite
+//    and a finite RIP); FlushAll tries every page and keeps failed pages
+//    dirty; retries absorb transient faults; NewPage reclaims its id.
 //  * Fault-sweep property grid — 208 points of seeds x fault rates x
-//    (plain, sharded) x (latched, optimistic): Zipfian workload with injected
+//    (plain, sharded): Zipfian workload with injected
 //    faults, then Heal() + FlushAll(), asserting no acknowledged write is
 //    ever lost, durability on the inner disk, pool/policy residency sync,
 //    pin-count hygiene, and that replaying the same (seed, schedule)
@@ -30,7 +30,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "bufferpool/buffer_pool.h"
@@ -428,25 +427,23 @@ TEST(PoolFaultHardeningTest, FailedReadAdmitsNothing) {
   EXPECT_TRUE(pool.UnpinPage(target, false).ok());
 }
 
-// The write-back rollback, exercised with an infinite and a finite RIP on
-// both eviction paths (latched Evict(), optimistic EvictBatch nomination
-// under a bucket lock): the policy must restore the victim exactly (no
+// The write-back rollback, exercised with an infinite and a finite RIP
+// (the victim is nominated by EvictBatch under a bucket lock): the policy
+// must restore the victim exactly (no
 // clock tick, the same history block, the same next victim) and the pool
 // must keep the dirty image. The victim idles past the finite RIP before
 // its eviction fails, which a resident page may: only non-resident
 // history expires.
-class WriteBackRollbackTest
-    : public ::testing::TestWithParam<std::tuple<Timestamp, bool>> {};
+class WriteBackRollbackTest : public ::testing::TestWithParam<Timestamp> {};
 
 TEST_P(WriteBackRollbackTest, FailedWriteBackRollsBackEviction) {
-  const auto [rip, optimistic] = GetParam();
+  const Timestamp rip = GetParam();
   SimDiskManager inner;
   FaultInjectingDiskManager disk(&inner, /*seed=*/13);
   auto policy = std::make_unique<LruKPolicy>(
       LruKOptions{.k = 2, .retained_information_period = rip});
   LruKPolicy* lruk = policy.get();
-  BufferPool pool(3, &disk, std::move(policy),
-                  BufferPoolOptions{.optimistic_hits = optimistic});
+  BufferPool pool(3, &disk, std::move(policy));
 
   // Resident dirty page A, referenced once (infinite backward distance, so
   // the next victim); clean C and D referenced alternately while A idles;
@@ -466,7 +463,7 @@ TEST_P(WriteBackRollbackTest, FailedWriteBackRollsBackEviction) {
       ASSERT_TRUE(pool.UnpinPage(p, false).ok());
     }
   }
-  (void)pool.stats();  // Drains the optimistic pool's published hits.
+  (void)pool.stats();  // Drains the published hits.
   const HistoryBlock block_before = *lruk->DebugBlock(a);
   ASSERT_GT(lruk->CurrentTime() - block_before.last, 4u);
 
@@ -519,16 +516,13 @@ TEST_P(WriteBackRollbackTest, FailedWriteBackRollsBackEviction) {
   EXPECT_EQ(stats.dirty_writebacks, 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    RipsAndHitPaths, WriteBackRollbackTest,
-    ::testing::Combine(::testing::Values<Timestamp>(kInfinitePeriod, 4),
-                       ::testing::Bool()),
-    [](const auto& info) {
-      std::string name = std::get<0>(info.param) == kInfinitePeriod
-                             ? "InfiniteRip"
-                             : "FiniteRip";
-      return std::get<1>(info.param) ? name + "Optimistic" : name;
-    });
+INSTANTIATE_TEST_SUITE_P(Rips, WriteBackRollbackTest,
+                         ::testing::Values<Timestamp>(kInfinitePeriod, 4),
+                         [](const auto& info) {
+                           return info.param == kInfinitePeriod
+                                      ? "InfiniteRip"
+                                      : "FiniteRip";
+                         });
 
 TEST(PoolFaultHardeningTest, FlushAllTriesEveryPageAndKeepsFailedDirty) {
   SimDiskManager inner;
@@ -657,7 +651,6 @@ struct SweepPoint {
   uint64_t seed = 0;
   double fault_rate = 0.0;
   PoolKind kind = PoolKind::kPlain;
-  bool optimistic = false;
 };
 
 struct SweepResult {
@@ -677,7 +670,6 @@ SweepResult RunSweepPoint(const SweepPoint& point) {
   FaultInjectingDiskManager disk(&inner, point.seed);
 
   BufferPoolOptions options;
-  options.optimistic_hits = point.optimistic;
   if (point.seed % 2 == 1) {
     options.io_max_attempts = 2;  // Immediate re-issue.
   }
@@ -811,44 +803,41 @@ SweepResult RunSweepPoint(const SweepPoint& point) {
   return result;
 }
 
-TEST(FaultSweepTest, GridOfSeedsRatesPoolsAndHitPaths) {
+TEST(FaultSweepTest, GridOfSeedsRatesAndPools) {
   const double kRates[] = {0.0, 0.05, 0.15, 0.3};
   int points = 0;
   int faulted_points = 0;
-  for (uint64_t seed = 1; seed <= 13; ++seed) {
+  for (uint64_t seed = 1; seed <= 26; ++seed) {
     for (double rate : kRates) {
       for (PoolKind kind : {PoolKind::kPlain, PoolKind::kSharded}) {
-        for (bool optimistic : {false, true}) {
-          SweepPoint point{seed * 7919, rate, kind, optimistic};
-          SCOPED_TRACE(::testing::Message()
-                       << "seed=" << point.seed << " rate=" << rate
-                       << " kind=" << (kind == PoolKind::kPlain ? "plain"
-                                                                : "sharded")
-                       << " optimistic=" << optimistic);
-          SweepResult first = RunSweepPoint(point);
-          if (::testing::Test::HasFatalFailure()) return;
-          // Replay: the identical (seed, schedule, workload) reproduces
-          // the identical fault trace and pool counters.
-          SweepResult second = RunSweepPoint(point);
-          EXPECT_EQ(first.trace, second.trace)
-              << TraceToString(first.trace) << "vs\n"
-              << TraceToString(second.trace);
-          ExpectCountersEq(first.stats, second.stats);
-          if (rate > 0.0) {
-            EXPECT_GT(first.trace.size(), 0u)
-                << "fault rate " << rate << " never fired";
-            ++faulted_points;
-          } else {
-            EXPECT_EQ(first.trace.size(), 0u);
-          }
-          ++points;
+        SweepPoint point{seed * 7919, rate, kind};
+        SCOPED_TRACE(::testing::Message()
+                     << "seed=" << point.seed << " rate=" << rate
+                     << " kind=" << (kind == PoolKind::kPlain ? "plain"
+                                                              : "sharded"));
+        SweepResult first = RunSweepPoint(point);
+        if (::testing::Test::HasFatalFailure()) return;
+        // Replay: the identical (seed, schedule, workload) reproduces the
+        // identical fault trace and pool counters.
+        SweepResult second = RunSweepPoint(point);
+        EXPECT_EQ(first.trace, second.trace)
+            << TraceToString(first.trace) << "vs\n"
+            << TraceToString(second.trace);
+        ExpectCountersEq(first.stats, second.stats);
+        if (rate > 0.0) {
+          EXPECT_GT(first.trace.size(), 0u)
+              << "fault rate " << rate << " never fired";
+          ++faulted_points;
+        } else {
+          EXPECT_EQ(first.trace.size(), 0u);
         }
+        ++points;
       }
     }
   }
   EXPECT_GE(points, 200);  // The acceptance bar: >= 200 grid points.
-  EXPECT_EQ(points, 13 * 4 * 2 * 2);
-  EXPECT_EQ(faulted_points, 13 * 3 * 2 * 2);
+  EXPECT_EQ(points, 26 * 4 * 2);
+  EXPECT_EQ(faulted_points, 26 * 3 * 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -864,7 +853,6 @@ TEST(FaultConcurrencyTest, ConcurrentFaultsPreserveShardInvariants) {
   SimDiskManager inner;
   FaultInjectingDiskManager disk(&inner, /*seed=*/0xFA17ED);
   BufferPoolOptions options;
-  options.optimistic_hits = true;
   options.io_max_attempts = 2;
   auto factory = [](size_t, size_t shard_capacity) {
     LruKOptions o{.k = 2};

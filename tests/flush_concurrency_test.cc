@@ -1,5 +1,5 @@
 // Flushes without the pool latch (DESIGN.md §7 "Failed FlushPage/FlushAll"
-// and §8 "Quiesce and fencing"), on the latched and the optimistic pool.
+// and §8 "Quiesce and fencing").
 //
 // Coverage:
 //  * The dirty bit — a flush clears it before the write, so a page
@@ -141,12 +141,6 @@ std::unique_ptr<LruKPolicy> Lru2(size_t capacity) {
       LruKOptions{.k = 2, .capacity_hint = capacity});
 }
 
-BufferPoolOptions PoolOptions(bool optimistic) {
-  BufferPoolOptions options;
-  options.optimistic_hits = optimistic;
-  return options;
-}
-
 // NewPage `n` pages, stamp each with value 1, unpin dirty.
 std::vector<PageId> NewStampedPages(BufferPool& pool, size_t n) {
   std::vector<PageId> pages;
@@ -168,12 +162,11 @@ void GiveItTime() {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 }
 
-class FlushConcurrencyTest : public ::testing::TestWithParam<bool> {};
 
-TEST_P(FlushConcurrencyTest, ModificationDuringTheWriteLeavesThePageDirty) {
+TEST(FlushConcurrencyTest, ModificationDuringTheWriteLeavesThePageDirty) {
   SimDiskManager inner;
   FlushGateDiskManager disk(&inner);
-  BufferPool pool(4, &disk, Lru2(4), PoolOptions(GetParam()));
+  BufferPool pool(4, &disk, Lru2(4));
   PageId a = NewStampedPages(pool, 1)[0];
 
   disk.Close(a);
@@ -200,10 +193,10 @@ TEST_P(FlushConcurrencyTest, ModificationDuringTheWriteLeavesThePageDirty) {
   EXPECT_FALSE((*page)->is_dirty());
 }
 
-TEST_P(FlushConcurrencyTest, HitOnAnotherPageCompletesDuringTheWrite) {
+TEST(FlushConcurrencyTest, HitOnAnotherPageCompletesDuringTheWrite) {
   SimDiskManager inner;
   FlushGateDiskManager disk(&inner);
-  BufferPool pool(4, &disk, Lru2(4), PoolOptions(GetParam()));
+  BufferPool pool(4, &disk, Lru2(4));
   std::vector<PageId> pages = NewStampedPages(pool, 2);
   ASSERT_TRUE(pool.FlushPage(pages[1]).ok());  // pages[1] is clean.
 
@@ -222,10 +215,10 @@ TEST_P(FlushConcurrencyTest, HitOnAnotherPageCompletesDuringTheWrite) {
   EXPECT_EQ(DiskStamp(inner, pages[0]), 1u);
 }
 
-TEST_P(FlushConcurrencyTest, MissThatFindsACleanFrameCompletesDuringTheWrite) {
+TEST(FlushConcurrencyTest, MissThatFindsACleanFrameCompletesDuringTheWrite) {
   SimDiskManager inner;
   FlushGateDiskManager disk(&inner);
-  BufferPool pool(2, &disk, Lru2(2), PoolOptions(GetParam()));
+  BufferPool pool(2, &disk, Lru2(2));
   std::vector<PageId> pages = NewStampedPages(pool, 3);  // Evicts pages[0].
   ASSERT_FALSE(pool.IsResident(pages[0]));
   ASSERT_TRUE(pool.FlushPage(pages[2]).ok());  // pages[2] is clean.
@@ -247,10 +240,10 @@ TEST_P(FlushConcurrencyTest, MissThatFindsACleanFrameCompletesDuringTheWrite) {
   EXPECT_EQ(DiskStamp(inner, pages[1]), 1u);
 }
 
-TEST_P(FlushConcurrencyTest, MissWhenEveryFrameIsFlushPinnedWaitsForTheFlush) {
+TEST(FlushConcurrencyTest, MissWhenEveryFrameIsFlushPinnedWaitsForTheFlush) {
   SimDiskManager inner;
   FlushGateDiskManager disk(&inner);
-  BufferPool pool(2, &disk, Lru2(2), PoolOptions(GetParam()));
+  BufferPool pool(2, &disk, Lru2(2));
   std::vector<PageId> pages = NewStampedPages(pool, 3);  // Evicts pages[0].
   ASSERT_FALSE(pool.IsResident(pages[0]));
 
@@ -280,10 +273,10 @@ TEST_P(FlushConcurrencyTest, MissWhenEveryFrameIsFlushPinnedWaitsForTheFlush) {
   EXPECT_EQ(DiskStamp(inner, pages[2]), 1u);
 }
 
-TEST_P(FlushConcurrencyTest, DeleteOfThePageUnderFlushWaitsForTheFlush) {
+TEST(FlushConcurrencyTest, DeleteOfThePageUnderFlushWaitsForTheFlush) {
   SimDiskManager inner;
   FlushGateDiskManager disk(&inner);
-  BufferPool pool(4, &disk, Lru2(4), PoolOptions(GetParam()));
+  BufferPool pool(4, &disk, Lru2(4));
   PageId a = NewStampedPages(pool, 1)[0];
 
   disk.Close(a);
@@ -311,14 +304,12 @@ TEST_P(FlushConcurrencyTest, DeleteOfThePageUnderFlushWaitsForTheFlush) {
 // A FlushAll that waits behind another flush must not miss a dirty page
 // that a write-behind miss evicts meanwhile: it returns only once that
 // victim write has landed.
-TEST_P(FlushConcurrencyTest, FlushAllWaitsForAVictimWritePostedWhileItWaits) {
+TEST(FlushConcurrencyTest, FlushAllWaitsForAVictimWritePostedWhileItWaits) {
   SimDiskManager inner;
   FlushGateDiskManager disk(&inner);
-  BufferPoolOptions options = PoolOptions(GetParam());
   // Worker mode writes victims behind; two workers, so the held victim
   // write must not block the read.
-  options.io_workers = 2;
-  BufferPool pool(3, &disk, Lru2(3), options);
+  BufferPool pool(3, &disk, Lru2(3), BufferPoolOptions{.io_workers = 2});
   // d goes to disk clean and is evicted by c's admission; a, b and c stay
   // resident and dirty.
   PageId d = NewStampedPages(pool, 1)[0];
@@ -374,13 +365,12 @@ struct FaultRun {
   BufferPoolStats stats;
 };
 
-FaultRun RunFaultedFlushes(bool optimistic) {
+FaultRun RunFaultedFlushes() {
   FaultRun run;
   SimDiskManager inner;
   FaultInjectingDiskManager disk(&inner, /*seed=*/0xF1A5);
-  BufferPoolOptions options = PoolOptions(optimistic);
-  options.io_max_attempts = 2;  // Immediate re-issue.
-  BufferPool pool(32, &disk, Lru2(32), options);
+  BufferPool pool(32, &disk, Lru2(32),
+                  BufferPoolOptions{.io_max_attempts = 2});  // Re-issue.
   std::vector<PageId> pages = NewStampedPages(pool, 32);
   disk.AddRule(FaultRule::FailWithProbability(FaultOp::kWrite, 0.3));
   for (uint64_t round = 2; round <= 4; ++round) {
@@ -401,9 +391,9 @@ FaultRun RunFaultedFlushes(bool optimistic) {
   return run;
 }
 
-TEST_P(FlushConcurrencyTest, FaultScheduleReplaysUnderFlushAll) {
-  FaultRun first = RunFaultedFlushes(GetParam());
-  FaultRun second = RunFaultedFlushes(GetParam());
+TEST(FlushConcurrencyTest, FaultScheduleReplaysUnderFlushAll) {
+  FaultRun first = RunFaultedFlushes();
+  FaultRun second = RunFaultedFlushes();
   ASSERT_FALSE(first.trace.empty()) << "no write fault fired";
   ASSERT_EQ(first.trace.size(), second.trace.size());
   for (size_t i = 0; i < first.trace.size(); ++i) {
@@ -422,7 +412,7 @@ TEST_P(FlushConcurrencyTest, FaultScheduleReplaysUnderFlushAll) {
 // last acknowledged stamp is well defined; a FlushPage reads the whole
 // image, so page writers and flushes coordinate through striped
 // test-level page latches (the pool leaves that to the caller).
-TEST_P(FlushConcurrencyTest, ChurnKeepsEveryAcknowledgedStamp) {
+TEST(FlushConcurrencyTest, ChurnKeepsEveryAcknowledgedStamp) {
   constexpr size_t kCapacity = 32;
   constexpr size_t kDbPages = 128;
   constexpr int kThreads = 8;
@@ -430,8 +420,8 @@ TEST_P(FlushConcurrencyTest, ChurnKeepsEveryAcknowledgedStamp) {
   constexpr size_t kStripes = 16;
 
   SimDiskManager inner;
-  auto pool = std::make_unique<BufferPool>(kCapacity, &inner, Lru2(kCapacity),
-                                           PoolOptions(GetParam()));
+  auto pool =
+      std::make_unique<BufferPool>(kCapacity, &inner, Lru2(kCapacity));
   std::vector<PageId> pages = NewStampedPages(*pool, kDbPages);
   ASSERT_EQ(pages.size(), kDbPages);
   std::array<std::mutex, kStripes> stripes;
@@ -519,11 +509,6 @@ TEST_P(FlushConcurrencyTest, ChurnKeepsEveryAcknowledgedStamp) {
     ASSERT_TRUE(fresh.UnpinPage(pages[i], false).ok());
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Pools, FlushConcurrencyTest, ::testing::Bool(),
-                         [](const auto& info) {
-                           return info.param ? "Optimistic" : "Latched";
-                         });
 
 }  // namespace
 }  // namespace lruk

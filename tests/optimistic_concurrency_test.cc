@@ -1,9 +1,9 @@
-// Threaded half of the optimistic hit-path battery (the deterministic
-// half lives in optimistic_pool_test.cc). Runs under TSan/ASan in CI's
-// sanitizer matrix (test names match the 'Optimistic' ctest regex) —
-// these are the tests that prove the seqlock/pin handshake, not just
-// exercise it: TSan sees every optimistic probe, speculative pin and
-// bucket-version dance.
+// Threaded half of the latch-free hit-path battery (the deterministic
+// half lives in optimistic_pool_test.cc), on default pools, whose hits
+// and unpins all take that path. Runs under TSan/ASan in CI's sanitizer
+// matrix (test names match the 'Optimistic' ctest regex) — these are the
+// tests that prove the seqlock/pin handshake, not just exercise it: TSan
+// sees every optimistic probe, speculative pin and bucket-version dance.
 //
 // Coverage:
 //  * Hot-page hammer — 8 threads fetch/unpin ONE page in a tight loop:
@@ -11,14 +11,14 @@
 //    latch) and the best case for this one (all CAS traffic on one pin
 //    count). Bytes stay readable throughout; every fetch resolves.
 //  * Mixed churn, full stack — 8 threads of skewed read/write traffic
-//    over an optimistic pool with worker-mode dispatcher and
+//    over a pool with a worker-mode dispatcher and
 //    write-behind: evictions, victim-image copies and latch-free hits
 //    race continuously; frame accounting balances after quiesce.
 //  * Delete/reuse churn — concurrent DeletePage + NewPage cycles recycle
-//    page ids under live optimistic readers: the eviction/delete bucket
+//    page ids under live latch-free readers: the eviction/delete bucket
 //    handshake (version odd before the pin check) is what keeps a reader
 //    from validating a pin on a reused frame.
-//  * Sharded churn — optimistic shards sharing one worker-mode
+//  * Sharded churn — shards sharing one worker-mode
 //    dispatcher: latch-free hits race the shards' worker reads and
 //    write-behind; frame accounting balances after quiesce.
 
@@ -57,10 +57,8 @@ std::vector<PageId> AllocateDb(PoolInterface& pool, uint64_t n) {
 
 TEST(OptimisticConcurrencyTest, HotPageHammerStaysCoherent) {
   SimDiskManager disk;
-  BufferPoolOptions options;
-  options.optimistic_hits = true;
   BufferPool pool(8, &disk,
-                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
+                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   std::vector<PageId> pages = AllocateDb(pool, 8);
   PageId hot = pages[0];
 
@@ -160,7 +158,6 @@ void ChurnThread(PoolInterface& pool, const std::vector<PageId>& pages,
 TEST(OptimisticConcurrencyTest, MixedChurnKeepsPlainPoolInvariants) {
   SimDiskManager disk;
   BufferPoolOptions options;
-  options.optimistic_hits = true;
   options.io_workers = 4;  // Worker mode: dirty victims are written behind.
 
   BufferPoolStats stats;
@@ -194,12 +191,12 @@ TEST(OptimisticConcurrencyTest, MixedChurnKeepsPlainPoolInvariants) {
     EXPECT_EQ(pool.PendingIoCount(), 0u);
     EXPECT_TRUE(pool.FlushAll().ok());
   }
-  // Write-behind engaged against the optimistic pin/bucket handshake.
+  // Write-behind engaged against the latch-free pin/bucket handshake.
   EXPECT_GT(stats.writebehind_writes, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Delete/reuse churn: page ids recycle under live optimistic readers.
+// Delete/reuse churn: page ids recycle under live latch-free readers.
 
 TEST(OptimisticConcurrencyTest, DeleteReuseChurnUnderOptimisticReaders) {
   constexpr size_t kSlots = 48;
@@ -207,10 +204,8 @@ TEST(OptimisticConcurrencyTest, DeleteReuseChurnUnderOptimisticReaders) {
   constexpr int kDeleteThreads = 2;
 
   SimDiskManager disk;
-  BufferPoolOptions options;
-  options.optimistic_hits = true;
   BufferPool pool(16, &disk,
-                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
+                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   std::vector<PageId> initial = AllocateDb(pool, kSlots);
   // Readers sample slots while delete threads swap fresh ids in; a stale
   // id may be deleted (NotFound), mid-recycle, or already reincarnated by
@@ -271,12 +266,11 @@ TEST(OptimisticConcurrencyTest, DeleteReuseChurnUnderOptimisticReaders) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded churn: optimistic shards sharing one worker-mode dispatcher.
+// Sharded churn: shards sharing one worker-mode dispatcher.
 
 TEST(OptimisticConcurrencyTest, ShardedChurnSharesOneWorkerDispatcher) {
   SimDiskManager disk;
   BufferPoolOptions options;
-  options.optimistic_hits = true;
   options.io_workers = 4;
 
   ShardedBufferPool pool(

@@ -1,6 +1,5 @@
-// The optimistic hit path (BufferPoolOptions::optimistic_hits),
-// deterministic half (the threaded half lives in
-// optimistic_concurrency_test.cc).
+// The latch-free hit path every pool takes, deterministic half (the
+// threaded half lives in optimistic_concurrency_test.cc).
 //
 // Coverage layers:
 //  * PageTable units — insert/find/erase round-trips against a reference
@@ -8,22 +7,22 @@
 //    LockBucket forcing optimistic readers to fall back, UnlockErased
 //    removing the mapping, OptimisticFind/Validate agreeing with the
 //    latched surface when nothing is mutating.
-//  * Differential battery — with optimistic_hits ON, both pools produce
-//    BYTE-IDENTICAL single-threaded behaviour to the latched path over the
-//    same 20k-op mixed workload async_io_test.cc uses: same counters, same
-//    victim sequence, same IoStats, same residency, same disk images —
-//    in inline mode, with worker-mode write-behind, and through the
-//    publish ring's full-stripe path.
-//  * Zero-mutex hit — a warm optimistic fetch/unpin pair acquires the pool
-//    latch ZERO times, asserted via the latch_acquires counter. Only such
-//    hits publish through the ring: a latched pool has none and applies
-//    each hit's reference before FetchPage returns.
+//  * Differential battery — single-threaded, both pools end exactly where
+//    a naive model of the pool does (difftest::PoolModel: a resident set
+//    and the bare policy) over the 20k-op mixed workload async_io_test.cc
+//    uses: same hits, misses, evictions and correlated re-fixes, same
+//    victim sequence, same LRU-K clock, same residency — and so does a
+//    run whose hits fill the publish ring's stripe, and so does every
+//    policy in the catalogue that needs no oracle context.
+//  * Zero-mutex hit — a warm fetch/unpin pair acquires the pool latch
+//    ZERO times, asserted via the latch_acquires counter; its reference
+//    reaches the policy at the next drain.
 //  * StatsSnapshot — the lock-free snapshot equals the draining stats()
 //    when the pool is quiescent.
-//  * Error paths — optimistic UnpinPage/DeletePage report the same status
-//    codes as the latched pool (NotFound, InvalidArgument), pinned pages
-//    are never victims (pin counts as ground truth), ResourceExhausted
-//    when every frame is pinned, and id reuse after delete works.
+//  * Error paths — UnpinPage/DeletePage report NotFound and
+//    InvalidArgument, pinned pages are never victims (pin counts as
+//    ground truth), ResourceExhausted when every frame is pinned, and id
+//    reuse after delete works.
 
 #include <iterator>
 #include <memory>
@@ -35,6 +34,7 @@
 #include "bufferpool/page_table.h"
 #include "bufferpool/sharded_buffer_pool.h"
 #include "core/lru_k.h"
+#include "core/policy_factory.h"
 #include "differential_harness.h"
 #include "gtest/gtest.h"
 #include "storage/sim_disk_manager.h"
@@ -45,13 +45,19 @@ namespace lruk {
 namespace {
 
 using difftest::AllocateDb;
-using difftest::DiffScenarioConfig;
 using difftest::DiffScenarioResult;
+using difftest::ExpectMatchesModel;
 using difftest::ExpectPoolStatsEq;
-using difftest::ExpectScenarioEq;
+using difftest::ModelCheckedPool;
+using difftest::PoolModel;
 using difftest::RecordingPolicy;
 using difftest::RunDiffScenario;
 using difftest::kDiffDbPages;
+
+// Erases `p` (present) as the pool does: lock its bucket, then erase.
+void Erase(PageTable& table, PageId p) {
+  table.UnlockErased(table.LockBucket(p));
+}
 
 // ---------------------------------------------------------------------------
 // PageTable units.
@@ -73,7 +79,7 @@ TEST(OptimisticPageTableTest, InsertFindEraseRoundTrip) {
   EXPECT_FALSE(table.Find(99, &frame));
   EXPECT_FALSE(table.contains(99));
 
-  for (PageId p = 0; p < 16; p += 2) table.Erase(p);
+  for (PageId p = 0; p < 16; p += 2) Erase(table, p);
   EXPECT_EQ(table.size(), 8u);
   for (PageId p = 0; p < 16; ++p) {
     EXPECT_EQ(table.contains(p), p % 2 == 1) << "page " << p;
@@ -104,7 +110,7 @@ TEST(OptimisticPageTableTest, BackwardShiftChurnMatchesReferenceMap) {
       size_t skip = rng.NextBounded(reference.size());
       auto it = reference.begin();
       std::advance(it, skip);
-      table.Erase(it->first);
+      Erase(table, it->first);
       reference.erase(it);
     }
     ASSERT_EQ(table.size(), reference.size());
@@ -169,154 +175,144 @@ TEST(OptimisticPageTableTest, UnlockErasedRemovesTheMapping) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential battery: optimistic_hits vs the latched path —
-// byte-identical single-threaded. Workload and scaffolding live in
-// differential_harness.h (shared with async_io_test.cc).
+// Differential battery: the pool against PoolModel, its naive model.
+// Workload and scaffolding live in differential_harness.h (shared with
+// async_io_test.cc).
 
-TEST(OptimisticDifferentialTest, MatchesLatchedPathPlainPool) {
-  DiffScenarioResult latched = RunDiffScenario({.optimistic = false});
-  DiffScenarioResult optimistic = RunDiffScenario({.optimistic = true});
-  ExpectScenarioEq(latched, optimistic);
-  // The fast path actually ran (warm hits dominate a skewed workload) and
-  // never misfired: single-threaded, nothing invalidates a probe
-  // mid-flight, so every fallback is an honest probe miss (the page was
-  // simply absent) — never a version conflict or a displacement-bound
-  // overflow — and the attribution split is exact.
-  EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
-  EXPECT_EQ(optimistic.stats.optimistic_fallbacks, optimistic.stats.misses);
-  EXPECT_EQ(optimistic.stats.fallback_probe_miss, optimistic.stats.misses);
-  EXPECT_EQ(optimistic.stats.fallback_version_conflict, 0u);
-  EXPECT_EQ(optimistic.stats.fallback_resize, 0u);
-  EXPECT_EQ(optimistic.stats.optimistic_fallbacks,
-            optimistic.stats.fallback_probe_miss +
-                optimistic.stats.fallback_version_conflict +
-                optimistic.stats.fallback_resize);
-  EXPECT_EQ(optimistic.stats.access_drops, 0u);
-  EXPECT_EQ(optimistic.stats.pin_cas_retries, 0u);
-  EXPECT_EQ(latched.stats.optimistic_hits, 0u);
-  EXPECT_EQ(latched.stats.access_drops, 0u);
-  // Latch-free hits show up as the acquisition gap between the modes.
-  EXPECT_LT(optimistic.stats.latch_acquires, latched.stats.latch_acquires);
+TEST(OptimisticDifferentialTest, MatchesModelPlainPool) {
+  DiffScenarioResult r = RunDiffScenario({});
+  ExpectMatchesModel(r);
+  // The latch-free path served every hit and never misfired:
+  // single-threaded, nothing invalidates a probe mid-flight, so every
+  // fallback is an honest probe miss (the page was simply absent) — never
+  // a version conflict or a displacement-bound overflow — and the
+  // attribution split is exact.
+  EXPECT_EQ(r.stats.optimistic_hits, r.stats.hits);
+  EXPECT_EQ(r.stats.optimistic_fallbacks, r.stats.misses);
+  EXPECT_EQ(r.stats.fallback_probe_miss, r.stats.misses);
+  EXPECT_EQ(r.stats.fallback_version_conflict, 0u);
+  EXPECT_EQ(r.stats.fallback_resize, 0u);
+  EXPECT_EQ(r.stats.access_drops, 0u);
+  EXPECT_EQ(r.stats.pin_cas_retries, 0u);
   // Closed-form clock: every reference was applied exactly once — one
   // tick per fetch, per initial NewPage admission, and per delete/new
   // cycle's replacement admission — except the correlated re-fixes, which
   // never reach the policy. The skewed stream repeats pages back to back,
   // so there are some.
-  EXPECT_GT(latched.stats.correlated_refs, 0u);
-  EXPECT_EQ(latched.clocks[0] + latched.stats.correlated_refs,
-            latched.stats.hits + latched.stats.misses + kDiffDbPages +
-                static_cast<uint64_t>(latched.delete_cycles));
+  EXPECT_GT(r.stats.correlated_refs, 0u);
+  EXPECT_EQ(r.clocks[0] + r.stats.correlated_refs,
+            r.stats.hits + r.stats.misses + kDiffDbPages +
+                static_cast<uint64_t>(r.delete_cycles));
 }
 
-TEST(OptimisticDifferentialTest, MatchesLatchedPathShardedPool) {
-  DiffScenarioResult latched =
-      RunDiffScenario({.sharded = true, .optimistic = false});
-  DiffScenarioResult optimistic =
-      RunDiffScenario({.sharded = true, .optimistic = true});
-  ExpectScenarioEq(latched, optimistic);
-  EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
+TEST(OptimisticDifferentialTest, MatchesModelShardedPool) {
+  DiffScenarioResult r = RunDiffScenario({.sharded = true});
+  ExpectMatchesModel(r);
+  EXPECT_EQ(r.stats.optimistic_hits, r.stats.hits);
+  EXPECT_EQ(r.stats.access_drops, 0u);
 }
 
-TEST(OptimisticDifferentialTest, MatchesLatchedPathUnderWriteBehind) {
-  // Worker-mode dispatcher with write-behind, driven by one thread: the
-  // pool's policy calls stay sequential, so everything matches except
-  // which dirty victims the Flush lane wrote and which (lane full) the
-  // evicting thread wrote itself.
-  for (bool sharded : {false, true}) {
-    SCOPED_TRACE(sharded ? "sharded" : "plain");
-    DiffScenarioConfig config{.sharded = sharded, .io_workers = 2};
-    DiffScenarioResult latched = RunDiffScenario(config);
-    config.optimistic = true;
-    DiffScenarioResult optimistic = RunDiffScenario(config);
-    EXPECT_EQ(latched.evictions, optimistic.evictions);
-    EXPECT_EQ(latched.residency, optimistic.residency);
-    EXPECT_EQ(latched.images, optimistic.images);
-    EXPECT_EQ(latched.clocks, optimistic.clocks);
-    EXPECT_EQ(latched.stats.hits, optimistic.stats.hits);
-    EXPECT_EQ(latched.stats.misses, optimistic.stats.misses);
-    EXPECT_EQ(latched.stats.evictions, optimistic.stats.evictions);
-    EXPECT_EQ(latched.stats.correlated_refs, optimistic.stats.correlated_refs);
-    EXPECT_EQ(
-        latched.stats.dirty_writebacks + latched.stats.writebehind_writes,
-        optimistic.stats.dirty_writebacks +
-            optimistic.stats.writebehind_writes);
-    EXPECT_EQ(latched.io.reads, optimistic.io.reads);
-    EXPECT_EQ(latched.io.writes, optimistic.io.writes);
-    EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
-    EXPECT_GT(optimistic.stats.writebehind_writes, 0u);
-    EXPECT_EQ(optimistic.stats.access_drops, 0u);
-  }
-}
-
-TEST(OptimisticDifferentialTest, RingFullPathStaysIdentical) {
+TEST(OptimisticDifferentialTest, RingFullPathMatchesModel) {
   // Alternating hits on two resident pages with no miss, hence no drain,
   // in between: the thread's 64-record stripe fills and every 65th
   // publish takes the ring-full path (drain, then apply under the latch).
   // Ending on such a publish makes its reference the policy's newest. The
   // FIFO contract must hold across the path: the policy's clock, backward
-  // K-distances and next victims end exactly where the latched pool's do.
+  // K-distances and next victims end exactly where the model's do.
   constexpr uint64_t kHits = 3 * 65;
-  struct Side {
-    explicit Side(bool optimistic) {
-      auto policy = std::make_unique<RecordingPolicy>(
-          std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
-      recorder = policy.get();
-      pool = std::make_unique<BufferPool>(
-          8, &disk, std::move(policy),
-          BufferPoolOptions{.optimistic_hits = optimistic});
-      pages = AllocateDb(*pool, 8);
-    }
-    const LruKPolicy& Lruk() const {
-      return static_cast<const LruKPolicy&>(recorder->inner());
-    }
-    SimDiskManager disk;
-    RecordingPolicy* recorder = nullptr;
-    std::unique_ptr<BufferPool> pool;
-    std::vector<PageId> pages;
+  constexpr size_t kFrames = 8;
+  auto make_policy = [](size_t, size_t) {
+    return std::make_unique<LruKPolicy>(LruKOptions{.k = 2});
   };
-  Side latched(false);
-  Side optimistic(true);
-  BufferPoolStats before = optimistic.pool->StatsSnapshot();
-  for (Side* side : {&latched, &optimistic}) {
-    for (uint64_t i = 0; i < kHits; ++i) {
-      PageId p = side->pages[i & 1];
-      ASSERT_TRUE(side->pool->FetchPage(p).ok());
-      ASSERT_TRUE(side->pool->UnpinPage(p, false).ok());
-    }
+  SimDiskManager disk;
+  auto policy = std::make_unique<RecordingPolicy>(make_policy(0, kFrames));
+  RecordingPolicy* recorder = policy.get();
+  BufferPool pool(kFrames, &disk, std::move(policy));
+  PoolModel model({kFrames}, make_policy, [](PageId) { return size_t{0}; });
+  ModelCheckedPool checked(pool, model);
+  const auto& lruk = static_cast<const LruKPolicy&>(recorder->inner());
+  const auto& model_lruk = static_cast<const LruKPolicy&>(model.policy(0));
+  const std::vector<PageId> pages = AllocateDb(checked, kFrames);
+
+  BufferPoolStats before = pool.StatsSnapshot();
+  for (uint64_t i = 0; i < kHits; ++i) {
+    PageId p = pages[i & 1];
+    ASSERT_TRUE(checked.FetchPage(p).ok());
+    ASSERT_TRUE(checked.UnpinPage(p, false).ok());
   }
-  BufferPoolStats after = optimistic.pool->StatsSnapshot();
+  BufferPoolStats after = pool.StatsSnapshot();
   EXPECT_EQ(after.optimistic_hits - before.optimistic_hits, kHits);
   EXPECT_EQ(after.misses, before.misses);
-  EXPECT_GT(optimistic.pool->access_buffer_stats().full_pushes, 0u);
-  EXPECT_EQ(optimistic.pool->stats().access_drops, 0u);  // Drains.
-  EXPECT_EQ(optimistic.Lruk().CurrentTime(), latched.Lruk().CurrentTime());
-  ASSERT_EQ(optimistic.pages, latched.pages);
-  for (PageId p : latched.pages) {
-    EXPECT_EQ(optimistic.Lruk().BackwardKDistance(p),
-              latched.Lruk().BackwardKDistance(p))
+  EXPECT_GT(pool.access_buffer_stats().full_pushes, 0u);
+  EXPECT_EQ(pool.stats().access_drops, 0u);  // Drains.
+  EXPECT_EQ(lruk.CurrentTime(), model_lruk.CurrentTime());
+  for (PageId p : pages) {
+    EXPECT_EQ(lruk.BackwardKDistance(p), model_lruk.BackwardKDistance(p))
         << "page " << p;
   }
 
   // The next victims: admissions that evict every page but the two hot
   // ones, then some of the fresh pages themselves.
-  for (Side* side : {&latched, &optimistic}) {
-    AllocateDb(*side->pool, 8);
-  }
-  EXPECT_EQ(optimistic.recorder->evictions(), latched.recorder->evictions());
-  EXPECT_EQ(optimistic.recorder->evictions().size(), 8u);
-  EXPECT_EQ(optimistic.Lruk().CurrentTime(), latched.Lruk().CurrentTime());
+  AllocateDb(checked, kFrames);
+  EXPECT_EQ(recorder->evictions(), model.evictions(0));
+  EXPECT_EQ(recorder->evictions().size(), kFrames);
+  EXPECT_EQ(lruk.CurrentTime(), model_lruk.CurrentTime());
 }
 
+// The same battery under every policy that needs no oracle context. A
+// latch-free hit reaches the policy only at the next drain, so each
+// policy must still see its references in fix order, and all of them
+// before the Evict of the miss that follows. Single-threaded there is
+// never a pinned nominee, so no Restore runs and the victim order is the
+// policy's own, whatever its Restore does.
+class PolicyModelTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  static difftest::MakePolicyFn SpecPolicy() {
+    auto config = ParsePolicySpec(GetParam());
+    EXPECT_TRUE(config.ok()) << config.status().ToString();
+    auto factory = MakeShardPolicyFactory(*config);
+    EXPECT_TRUE(factory.ok()) << factory.status().ToString();
+    return *factory;
+  }
+};
+
+TEST_P(PolicyModelTest, PlainPoolMatchesModel) {
+  DiffScenarioResult r = RunDiffScenario({.make_policy = SpecPolicy()});
+  ExpectMatchesModel(r);
+  EXPECT_GT(r.stats.evictions, 0u);
+  EXPECT_GT(r.stats.correlated_refs, 0u);
+  EXPECT_EQ(r.stats.optimistic_hits, r.stats.hits);
+  EXPECT_EQ(r.stats.access_drops, 0u);
+}
+
+TEST_P(PolicyModelTest, ShardedPoolMatchesModel) {
+  DiffScenarioResult r =
+      RunDiffScenario({.sharded = true, .make_policy = SpecPolicy()});
+  ExpectMatchesModel(r);
+  EXPECT_GT(r.stats.evictions, 0u);
+  EXPECT_EQ(r.stats.optimistic_hits, r.stats.hits);
+  EXPECT_EQ(r.stats.access_drops, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, PolicyModelTest,
+    ::testing::Values("LRU", "LRU-3", "FIFO", "MRU", "LFU", "CLOCK", "GCLOCK",
+                      "LRD", "RANDOM", "2Q", "ARC", "adaptive:lruk2+arc+2q"),
+    [](const auto& info) {
+      std::string name = info.param;
+      if (name.starts_with("adaptive:")) return std::string("Adaptive");
+      std::erase(name, '-');
+      return name == "2Q" ? std::string("TwoQ") : name;
+    });
+
 // ---------------------------------------------------------------------------
-// The zero-mutex hit: the acceptance criterion of the optimistic path.
+// The zero-mutex hit: the acceptance criterion of the latch-free path.
 
 TEST(OptimisticHitPathTest, WarmHitAcquiresNoLatch) {
   constexpr size_t kPages = 64;
   SimDiskManager disk;
-  BufferPoolOptions options;
-  options.optimistic_hits = true;
   BufferPool pool(128, &disk,
-                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
+                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   std::vector<PageId> pages = AllocateDb(pool, kPages);
 
   // Everything resident (capacity > kPages): from here on, every fetch is
@@ -344,47 +340,37 @@ TEST(OptimisticHitPathTest, WarmHitAcquiresNoLatch) {
   EXPECT_EQ(pool.policy().ResidentCount(), kPages);
 }
 
-TEST(OptimisticHitPathTest, OnlyLatchFreeHitsPublishThroughTheRing) {
-  // A pool holds the publish ring exactly when optimistic_hits is set. A
-  // latched hit applies its reference under the latch before FetchPage
-  // returns, so the policy clock ticks once per hit; a latch-free hit
-  // leaves its reference in the ring until the next drain.
+TEST(OptimisticHitPathTest, LatchFreeHitsReachThePolicyAtTheDrain) {
+  // A warm hit publishes its reference to the ring and returns: the
+  // policy clock stands still until the next drain applies every one.
   constexpr uint64_t kHits = 10;
-  for (bool optimistic : {false, true}) {
-    SCOPED_TRACE(optimistic ? "optimistic" : "latched");
-    SimDiskManager disk;
-    auto policy = std::make_unique<LruKPolicy>(LruKOptions{.k = 2});
-    const LruKPolicy* lruk = policy.get();
-    BufferPool pool(8, &disk, std::move(policy),
-                    BufferPoolOptions{.optimistic_hits = optimistic});
-    std::vector<PageId> pages = AllocateDb(pool, 2);
-    BufferPoolStats before = pool.stats();  // Drains.
-    const Timestamp start = lruk->CurrentTime();
-    for (uint64_t i = 0; i < kHits; ++i) {
-      PageId p = pages[i & 1];  // Alternate: no correlated re-fix.
-      ASSERT_TRUE(pool.FetchPage(p).ok());
-      ASSERT_TRUE(pool.UnpinPage(p, false).ok());
-      EXPECT_EQ(lruk->CurrentTime(), optimistic ? start : start + i + 1)
-          << "hit " << i;
-    }
-    BufferPoolStats after = pool.stats();  // Drains.
-    EXPECT_EQ(after.hits - before.hits, kHits);
-    EXPECT_EQ(after.optimistic_hits - before.optimistic_hits,
-              optimistic ? kHits : 0u);
-    EXPECT_EQ(lruk->CurrentTime(), start + kHits);
-    EXPECT_EQ(after.access_drops, 0u);
-    AccessBufferStats ring = pool.access_buffer_stats();
-    EXPECT_EQ(ring.drained_records, optimistic ? kHits : 0u);
-    EXPECT_EQ(ring.drains > 0, optimistic);  // A latched pool has no ring.
+  SimDiskManager disk;
+  auto policy = std::make_unique<LruKPolicy>(LruKOptions{.k = 2});
+  const LruKPolicy* lruk = policy.get();
+  BufferPool pool(8, &disk, std::move(policy));
+  std::vector<PageId> pages = AllocateDb(pool, 2);
+  BufferPoolStats before = pool.stats();  // Drains.
+  const Timestamp start = lruk->CurrentTime();
+  const uint64_t drained_before = pool.access_buffer_stats().drained_records;
+  for (uint64_t i = 0; i < kHits; ++i) {
+    PageId p = pages[i & 1];  // Alternate: no correlated re-fix.
+    ASSERT_TRUE(pool.FetchPage(p).ok());
+    ASSERT_TRUE(pool.UnpinPage(p, false).ok());
+    EXPECT_EQ(lruk->CurrentTime(), start) << "hit " << i;
   }
+  BufferPoolStats after = pool.stats();  // Drains.
+  EXPECT_EQ(after.hits - before.hits, kHits);
+  EXPECT_EQ(after.optimistic_hits - before.optimistic_hits, kHits);
+  EXPECT_EQ(lruk->CurrentTime(), start + kHits);
+  EXPECT_EQ(after.access_drops, 0u);
+  EXPECT_EQ(pool.access_buffer_stats().drained_records - drained_before,
+            kHits);
 }
 
 TEST(OptimisticHitPathTest, StatsSnapshotMatchesStatsWhenQuiescent) {
   SimDiskManager disk;
-  BufferPoolOptions options;
-  options.optimistic_hits = true;
   BufferPool pool(16, &disk,
-                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
+                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   std::vector<PageId> pages = AllocateDb(pool, 48);
   RecursiveSkewDistribution dist(0.8, 0.2, pages.size());
   RandomEngine rng(/*seed=*/11);
@@ -414,41 +400,31 @@ TEST(OptimisticHitPathTest, StatsSnapshotMatchesStatsWhenQuiescent) {
 // Error paths and the pin protocol.
 
 TEST(OptimisticHitPathTest, UnpinErrorsMatchLatchedCodes) {
-  SimDiskManager latched_disk;
-  SimDiskManager optimistic_disk;
-  BufferPoolOptions optimistic_options;
-  optimistic_options.optimistic_hits = true;
-  BufferPool latched(4, &latched_disk,
-                     std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
-  BufferPool optimistic(4, &optimistic_disk,
-                        std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                        optimistic_options);
-
-  for (BufferPool* pool : {&latched, &optimistic}) {
-    std::vector<PageId> pages = AllocateDb(*pool, 2);
-    // Non-resident page: NotFound through both paths.
-    EXPECT_EQ(pool->UnpinPage(999, false).code(), StatusCode::kNotFound);
-    // Resident but unpinned: InvalidArgument through both paths (the
-    // optimistic probe sees pin == 0 and defers to the latched path for
-    // the authoritative error).
-    EXPECT_EQ(pool->UnpinPage(pages[0], false).code(),
-              StatusCode::kInvalidArgument);
-    // Balanced unpin still works afterwards.
-    auto page = pool->FetchPage(pages[0]);
-    ASSERT_TRUE(page.ok());
-    EXPECT_TRUE(pool->UnpinPage(pages[0], false).ok());
-  }
+  SimDiskManager disk;
+  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
+  std::vector<PageId> pages = AllocateDb(pool, 2);
+  // Non-resident page: the probe misses, and the latched path reports
+  // NotFound.
+  EXPECT_EQ(pool.UnpinPage(999, false).code(), StatusCode::kNotFound);
+  // Resident but unpinned: the probe sees pin == 0 and defers to the
+  // latched path, which reports InvalidArgument.
+  EXPECT_EQ(pool.UnpinPage(pages[0], false).code(),
+            StatusCode::kInvalidArgument);
+  // Balanced unpin still works afterwards.
+  auto page = pool.FetchPage(pages[0]);
+  ASSERT_TRUE(page.ok());
+  EXPECT_TRUE(pool.UnpinPage(pages[0], false).ok());
+  EXPECT_EQ((*page)->pin_count(), 0);
 }
 
 TEST(OptimisticHitPathTest, PinCountsAreEvictionGroundTruth) {
-  // In optimistic mode SetEvictable is never used — AcquireFrame trusts
-  // the atomic pin counts. Pinned pages must survive eviction pressure
-  // and exhaust the pool exactly like the latched mode.
+  // The policy is never told of pins — AcquireFrame trusts the atomic pin
+  // counts. Pinned pages must survive eviction pressure and exhaust the
+  // pool (PolicyPinTest in bufferpool_test.cc runs this under every
+  // policy).
   SimDiskManager disk;
-  BufferPoolOptions options;
-  options.optimistic_hits = true;
   BufferPool pool(4, &disk,
-                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
+                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   std::vector<PageId> pages = AllocateDb(pool, 8);
 
   std::vector<Page*> pinned;
@@ -479,10 +455,8 @@ TEST(OptimisticHitPathTest, PinCountsAreEvictionGroundTruth) {
 
 TEST(OptimisticHitPathTest, DeleteRefusesPinnedAndReusesIds) {
   SimDiskManager disk;
-  BufferPoolOptions options;
-  options.optimistic_hits = true;
   BufferPool pool(4, &disk,
-                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
+                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   std::vector<PageId> pages = AllocateDb(pool, 4);
 
   auto page = pool.FetchPage(pages[0]);

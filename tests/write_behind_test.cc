@@ -48,6 +48,7 @@ namespace lruk {
 namespace {
 
 using difftest::DiffScenarioResult;
+using difftest::ExpectMatchesModel;
 using difftest::RecordingPolicy;
 using difftest::RunDiffScenario;
 
@@ -334,6 +335,9 @@ TEST_P(WriteBehindDifferentialTest, VictimOrderMatchesInlinePool) {
   EXPECT_EQ(behind.stats.background_cleans, 0u);
   EXPECT_EQ(inline_pool.io.reads, behind.io.reads);
   EXPECT_EQ(inline_pool.io.writes, behind.io.writes);
+  // And both end where the naive model of the pool does, under this
+  // policy too.
+  ExpectMatchesModel(inline_pool);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, WriteBehindDifferentialTest,
