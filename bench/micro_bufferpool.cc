@@ -3,7 +3,7 @@
 // of fetches miss. Complements micro_policy_overhead (pure policy cost) by
 // measuring the full manager path: page table, frame management, policy
 // callbacks, and dirty write-back. BM_PoolCleanMiss prices the clean miss
-// on its own.
+// on its own, and BM_RunBatchPair the device batch a dirty miss hands over.
 
 #include <benchmark/benchmark.h>
 
@@ -108,6 +108,33 @@ void BM_PoolCleanMiss(benchmark::State& state) {
   state.counters["hit_ratio"] = pool.stats().HitRatio();
 }
 
+// A device that stores nothing and answers at once, and keeps the default
+// MaxConcurrentIo, so a batch of two goes to RunBatch's runners.
+class InstantDisk final : public DiskManager {
+ public:
+  Status ReadPage(PageId, char*) override { return Status::Ok(); }
+  Status WritePage(PageId, const char*) override { return Status::Ok(); }
+  Result<PageId> AllocatePage() override { return PageId{0}; }
+  Status DeallocatePage(PageId) override { return Status::Ok(); }
+  uint64_t NumAllocatedPages() const override { return 0; }
+};
+
+// One iteration is one RunBatch of a write and a read, the shape of a
+// dirty miss's batch, on a zero-latency device: the cost of handing a
+// batch to the runners and collecting it, with no device time to hide it.
+void BM_RunBatchPair(benchmark::State& state) {
+  InstantDisk disk;
+  std::vector<char> victim(kPageSize);
+  std::vector<char> scratch(kPageSize);
+  PageIo pair[] = {{PageIo::Kind::kWrite, 1, victim.data(), Status::Ok()},
+                   {PageIo::Kind::kRead, 2, scratch.data(), Status::Ok()}};
+  for (auto _ : state) {
+    disk.RunBatch(pair);
+    benchmark::DoNotOptimize(pair[1].status.ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 void BM_PoolLru(benchmark::State& s) { RunPool(s, "LRU", 0.0); }
 void BM_PoolLru2(benchmark::State& s) { RunPool(s, "LRU-2", 0.0); }
 void BM_PoolLru2Writes(benchmark::State& s) { RunPool(s, "LRU-2", 0.3); }
@@ -122,6 +149,7 @@ BENCHMARK(BM_PoolTwoQ);
 BENCHMARK(BM_PoolArc);
 BENCHMARK(BM_PoolClock);
 BENCHMARK(BM_PoolCleanMiss);
+BENCHMARK(BM_RunBatchPair);
 
 }  // namespace
 }  // namespace lruk

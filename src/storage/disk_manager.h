@@ -4,22 +4,24 @@
 //   FileDiskManager — a real file on disk, used by the examples.
 //
 // Thread safety: RunBatch, which FlushPage/FlushAll write through and
-// which carries a dirty miss's write-back and read in a pool without a
-// dispatcher, runs up to MaxConcurrentIo() ReadPage/WritePage calls at
-// once (kMaxIoInFlight unless a manager returns less), so both must be
+// which carries an inline pool's dirty miss (the victim's write-back and
+// the miss's read), runs up to MaxConcurrentIo() ReadPage/WritePage calls
+// at once (kMaxIoInFlight unless a manager returns less), on the caller's
+// thread and the manager's persistent runner threads, so both must be
 // thread-safe even under a pool used by one thread, unless the manager
 // returns 1. A pool used by several threads calls every operation
 // concurrently: flushes write with the pool latch released, the async I/O
 // dispatcher's workers read and write, and the shards of a
 // ShardedBufferPool share one manager. SimDiskManager and FileDiskManager
 // serialize every operation on one internal latch, so overlapping their
-// operations gains nothing: they return 1.
+// operations gains nothing: they return 1, and start no runner.
 
 #ifndef LRUK_STORAGE_DISK_MANAGER_H_
 #define LRUK_STORAGE_DISK_MANAGER_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 
 #include "core/types.h"
@@ -70,8 +72,10 @@ class DiskManager {
   // ReadPage/WritePage calls in flight.
   static constexpr size_t kMaxIoInFlight = 16;
 
-  DiskManager() = default;
-  virtual ~DiskManager() = default;
+  DiskManager();
+  // Joins the manager's runner threads, if RunBatch started any. No batch
+  // may still be running.
+  virtual ~DiskManager();
   DiskManager(const DiskManager&) = delete;
   DiskManager& operator=(const DiskManager&) = delete;
 
@@ -93,11 +97,26 @@ class DiskManager {
   virtual size_t MaxConcurrentIo() const { return kMaxIoInFlight; }
 
   // Runs every entry of `batch` and sets each entry's status; returns when
-  // all of them have finished. With MaxConcurrentIo() > 1 (the default),
-  // up to that many operations run at once, on the caller's thread and
-  // short-lived helper threads, continuously across the batch, so they run
-  // concurrently and in no fixed order. A batch of one, or a manager that
-  // returns 1, runs on the caller's thread in batch order.
+  // all of them have finished. A batch of one, or a manager that returns 1
+  // from MaxConcurrentIo(), runs on the caller's thread in batch order.
+  //
+  // Otherwise up to MaxConcurrentIo() operations run at once, continuously
+  // across the batch, so they run concurrently and in no fixed order: the
+  // caller runs the last entry first and then takes entries from the back,
+  // while the manager's runner threads take them from the front. So a
+  // dirty miss's demand read (the last entry of its pair) runs on the
+  // fetching thread, and its victim's write-back on a runner unless the
+  // read is over before a runner takes it. A caller waits only for the
+  // runners that took a share of its own batch and runs the shares nobody
+  // took; if no runner is free (all busy, or none could be started), it
+  // runs the whole batch alone, in batch order.
+  //
+  // The runners persist: each is started on demand, the first time a batch
+  // offers a share no idle runner can take, by that batch's caller, whose
+  // timer slack, scheduling policy and CPU affinity it inherits once.
+  // There are never more than MaxConcurrentIo() - 1; they park on a
+  // condition variable between batches (never spinning), each keeping its
+  // stack resident, and the destructor joins them.
   //
   // Writes always run. A read that has not started when a write of its
   // batch fails is not issued and reports kAborted: a batch's reads are
@@ -125,6 +144,10 @@ class DiskManager {
 
  protected:
   IoStats stats_;
+
+ private:
+  class Runners;  // RunBatch's runner threads (disk_manager.cc).
+  std::unique_ptr<Runners> runners_;
 };
 
 }  // namespace lruk

@@ -46,8 +46,9 @@ class SimDiskManager final : public DiskManager {
   PageId next_page_id_ = 0;
   std::vector<PageId> free_list_;
   // Each allocated page's image, allocated zeroed by AllocatePage on the
-  // allocating thread (not by the first WritePage, which RunBatch may run
-  // on a short-lived helper thread, with its own malloc arena).
+  // allocating thread (not by the first WritePage, which a wrapping
+  // manager's RunBatch may run on one of its runner threads, each with its
+  // own malloc arena).
   std::unordered_map<PageId, std::unique_ptr<char[]>> pages_;
 };
 

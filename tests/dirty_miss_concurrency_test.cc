@@ -8,10 +8,14 @@
 //    one runs on the caller's thread; a manager whose MaxConcurrentIo is 1
 //    gets its batch in order on the caller's thread and never reads after
 //    a failed write of the batch.
+//  * Runners — the same few persistent runner threads serve a thousand
+//    batches; a batch finishes, on its caller alone, while every runner
+//    is held by another; a destroyed manager has joined every runner.
 //  * Overlap — on a device that declares concurrency, a dirty miss's
 //    write-back is held until its demand read has started, so both are in
 //    flight at once; the run's counters and page bytes equal a serial
-//    device's.
+//    device's. The demand read runs on the fetching thread, the write-back
+//    on a runner.
 //  * Serial order — a device that declares 1 sees the write-back, then
 //    the read (and the write's retries before it), and no read after a
 //    failed write-back.
@@ -26,6 +30,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -248,15 +253,203 @@ TEST(RunBatchConcurrencyTest, SerialBatchReadsNothingAfterAFailedWrite) {
   EXPECT_TRUE(batch[3].status.ok());
 }
 
+// The threads other than a test's own that have run a BarrierDisk
+// operation: each is counted on its first one (a thread_local, since a
+// joined thread's id may be reused) and leaves `live` when it exits.
+std::atomic<int> census_started{0};
+std::atomic<int> census_live{0};
+
+void EnterCensus() {
+  struct Entry {
+    Entry() {
+      census_started.fetch_add(1);
+      census_live.fetch_add(1);
+    }
+    ~Entry() { census_live.fetch_sub(1); }
+  };
+  thread_local Entry entry;
+  (void)entry;
+}
+
+// A device without storage whose operations on pages below kFreePages
+// wait for each other: each waits until `group` of them, counted in
+// arrival order, have arrived (so a batch of `group` such entries must run
+// all at once, on as many threads), or until Release. A wait that lasts
+// 10 s is counted and ends the waiting, so the test fails instead of
+// hanging. Operations on other pages never wait. It records the thread of
+// each page's last operation, and enters the census from every thread but
+// the one that made it.
+class BarrierDisk final : public DiskManager {
+ public:
+  static constexpr PageId kFreePages = 1000;
+
+  explicit BarrierDisk(size_t group) : group_(group) {}
+
+  // Starts counting groups afresh, of `group` operations each.
+  void SetGroup(size_t group) {
+    std::lock_guard<std::mutex> guard(mutex_);
+    group_ = group;
+    arrived_ = 0;
+  }
+  void Release() {
+    std::lock_guard<std::mutex> guard(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  // Waits up to 10 s for `n` operations to have arrived since SetGroup.
+  bool AwaitArrivals(uint64_t n) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return arrived_ >= n; });
+  }
+  uint64_t timeouts() const {
+    std::lock_guard<std::mutex> guard(mutex_);
+    return timeouts_;
+  }
+  std::thread::id ThreadOf(PageId p) const {
+    std::lock_guard<std::mutex> guard(mutex_);
+    return threads_.at(p);
+  }
+
+  Status ReadPage(PageId p, char*) override { return Meet(p); }
+  Status WritePage(PageId p, const char*) override { return Meet(p); }
+  Result<PageId> AllocatePage() override {
+    return Status::Internal("batch-only test device");
+  }
+  Status DeallocatePage(PageId) override { return Status::Ok(); }
+  uint64_t NumAllocatedPages() const override { return 0; }
+
+ private:
+  Status Meet(PageId p) {
+    if (std::this_thread::get_id() != owner_) EnterCensus();
+    std::unique_lock<std::mutex> lock(mutex_);
+    threads_[p] = std::this_thread::get_id();
+    if (p >= kFreePages) return Status::Ok();
+    const uint64_t quorum = (arrived_++ / group_ + 1) * group_;
+    cv_.notify_all();
+    if (!cv_.wait_for(lock, std::chrono::seconds(10),
+                      [&] { return released_ || arrived_ >= quorum; })) {
+      ++timeouts_;
+      released_ = true;
+      cv_.notify_all();
+    }
+    return Status::Ok();
+  }
+
+  const std::thread::id owner_ = std::this_thread::get_id();
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  size_t group_;
+  uint64_t arrived_ = 0;
+  bool released_ = false;
+  uint64_t timeouts_ = 0;
+  std::unordered_map<PageId, std::thread::id> threads_;
+};
+
+// Batch entries of pages [first, first + n), writes and reads alternating.
+std::vector<PageIo> Entries(PageId first, size_t n, char* buffer) {
+  std::vector<PageIo> batch;
+  for (PageId p = first; p < first + n; ++p) {
+    batch.push_back(p % 2 == 0 ? Write(p, buffer) : Read(p, buffer));
+  }
+  return batch;
+}
+
+bool AllOk(const std::vector<PageIo>& batch) {
+  for (const PageIo& io : batch) {
+    if (!io.status.ok()) return false;
+  }
+  return true;
+}
+
+// A thousand two-entry batches whose entries must run at once: every one
+// gets a runner, and the same few runners serve them all.
+TEST(RunBatchConcurrencyTest, RunnersPersistAcrossBatches) {
+  BarrierDisk disk(/*group=*/2);
+  std::vector<char> buffer(kPageSize);
+  const int started_before = census_started.load();
+  for (int i = 0; i < 1000; ++i) {
+    std::vector<PageIo> pair = Entries(0, 2, buffer.data());
+    disk.RunBatch(pair);
+    ASSERT_TRUE(AllOk(pair)) << "batch " << i;
+  }
+  EXPECT_EQ(disk.timeouts(), 0u) << "a pair's entries did not run at once";
+  const int runners = census_started.load() - started_before;
+  EXPECT_GE(runners, 1);
+  EXPECT_LE(runners, static_cast<int>(disk.MaxConcurrentIo()) - 1);
+}
+
+// Every runner holds an entry of one batch that cannot finish yet; another
+// thread's batch still finishes, on that thread alone and in batch order.
+TEST(RunBatchConcurrencyTest, CallerCompletesWhileEveryRunnerIsBusy) {
+  const size_t width = DiskManager::kMaxIoInFlight;
+  BarrierDisk disk(/*group=*/width + 1);  // A quorum never reached.
+  std::vector<char> buffer(kPageSize);
+  std::vector<PageIo> held = Entries(0, width, buffer.data());
+  std::thread holder([&] { disk.RunBatch(held); });
+  ASSERT_TRUE(disk.AwaitArrivals(width)) << "the held batch never spread";
+
+  std::vector<PageIo> pair =
+      Entries(BarrierDisk::kFreePages, 2, buffer.data());
+  std::thread::id caller;
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread other([&] {
+    caller = std::this_thread::get_id();
+    disk.RunBatch(pair);
+    finished.set_value();
+  });
+  const bool in_time =
+      done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  disk.Release();
+  other.join();
+  holder.join();
+
+  EXPECT_TRUE(in_time) << "a batch waited for another batch's runners";
+  EXPECT_TRUE(AllOk(pair));
+  EXPECT_TRUE(AllOk(held));
+  EXPECT_EQ(disk.ThreadOf(BarrierDisk::kFreePages), caller);
+  EXPECT_EQ(disk.ThreadOf(BarrierDisk::kFreePages + 1), caller);
+  EXPECT_EQ(disk.timeouts(), 0u);
+}
+
+// A manager's runners are gone once its destructor returns: each round
+// starts every runner (a full-width batch must run all at once), reuses
+// them, and destroys the manager.
+TEST(RunBatchConcurrencyTest, DestroyedManagerJoinsItsRunners) {
+  const size_t width = DiskManager::kMaxIoInFlight;
+  std::vector<char> buffer(kPageSize);
+  for (int round = 0; round < 100; ++round) {
+    const int started_before = census_started.load();
+    auto disk = std::make_unique<BarrierDisk>(/*group=*/width);
+    std::vector<PageIo> wide = Entries(0, width, buffer.data());
+    disk->RunBatch(wide);
+    disk->SetGroup(2);
+    for (int i = 0; i < 3; ++i) {
+      std::vector<PageIo> pair = Entries(0, 2, buffer.data());
+      disk->RunBatch(pair);
+      ASSERT_TRUE(AllOk(pair));
+    }
+    ASSERT_TRUE(AllOk(wide));
+    ASSERT_EQ(disk->timeouts(), 0u) << "round " << round;
+    disk.reset();
+    ASSERT_EQ(census_started.load() - started_before,
+              static_cast<int>(width) - 1)
+        << "round " << round;
+    ASSERT_EQ(census_live.load(), 0) << "round " << round;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The dirty miss.
 
-// A device over SimDiskManager that logs every operation, fails the ones
-// it is told to, and, while HoldWrites is on, holds the k-th write since
-// until the k-th read since has started: for a run of paired dirty misses,
-// each write-back until its own miss's read is in flight. A write that
-// waits 10 s instead is counted and ends the holding, so the test fails
-// instead of hanging. It declares `max_concurrent_io`.
+// A device over SimDiskManager that logs every operation and the thread
+// that ran it, fails the ones it is told to, and, while HoldWrites is on,
+// holds the k-th write since until the k-th read since has started: for a
+// run of paired dirty misses, each write-back until its own miss's read is
+// in flight. HoldReads holds reads for writes the same way. An operation
+// that waits 10 s instead is counted and ends the holding, so the test
+// fails instead of hanging. It declares `max_concurrent_io`.
 class PairDevice final : public DiskManager {
  public:
   using Op = std::pair<PageIo::Kind, PageId>;
@@ -269,6 +462,12 @@ class PairDevice final : public DiskManager {
     hold_writes_ = on;
     held_writes_ = 0;
     reads_started_ = 0;
+  }
+  void HoldReads(bool on) {
+    std::lock_guard<std::mutex> guard(mutex_);
+    hold_reads_ = on;
+    held_reads_ = 0;
+    writes_started_ = 0;
   }
   // Writes of `p` fail with kIoError: the next `times` of them, or all.
   void FailWrites(PageId p, int times = -1) {
@@ -286,7 +485,13 @@ class PairDevice final : public DiskManager {
   }
   std::vector<Op> TakeOps() {
     std::lock_guard<std::mutex> guard(mutex_);
+    op_threads_.clear();
     return std::exchange(ops_, {});
+  }
+  // The thread of each operation TakeOps would return.
+  std::vector<std::thread::id> OpThreads() const {
+    std::lock_guard<std::mutex> guard(mutex_);
+    return op_threads_;
   }
   // Held writes that a read released, and held writes that timed out.
   uint64_t overlapped_writes() const {
@@ -297,14 +502,26 @@ class PairDevice final : public DiskManager {
     std::lock_guard<std::mutex> guard(mutex_);
     return timed_out_writes_;
   }
+  uint64_t timed_out_reads() const {
+    std::lock_guard<std::mutex> guard(mutex_);
+    return timed_out_reads_;
+  }
 
   size_t MaxConcurrentIo() const override { return max_concurrent_io_; }
   Status ReadPage(PageId p, char* out) override {
     {
-      std::lock_guard<std::mutex> guard(mutex_);
-      ops_.emplace_back(PageIo::Kind::kRead, p);
+      std::unique_lock<std::mutex> guard(mutex_);
+      Log(PageIo::Kind::kRead, p);
       ++reads_started_;
       cv_.notify_all();
+      if (hold_reads_) {
+        const uint64_t k = ++held_reads_;
+        if (!cv_.wait_for(guard, std::chrono::seconds(10),
+                          [&] { return writes_started_ >= k; })) {
+          ++timed_out_reads_;
+          hold_reads_ = false;
+        }
+      }
       if (failing_reads_.contains(p)) {
         return Status::IoError("injected read failure");
       }
@@ -314,7 +531,9 @@ class PairDevice final : public DiskManager {
   Status WritePage(PageId p, const char* data) override {
     {
       std::unique_lock<std::mutex> guard(mutex_);
-      ops_.emplace_back(PageIo::Kind::kWrite, p);
+      Log(PageIo::Kind::kWrite, p);
+      ++writes_started_;
+      cv_.notify_all();
       if (hold_writes_) {
         const uint64_t k = ++held_writes_;
         if (cv_.wait_for(guard, std::chrono::seconds(10),
@@ -344,6 +563,11 @@ class PairDevice final : public DiskManager {
   void ResetStats() override { inner_->ResetStats(); }
 
  private:
+  void Log(PageIo::Kind kind, PageId p) {
+    ops_.emplace_back(kind, p);
+    op_threads_.push_back(std::this_thread::get_id());
+  }
+
   DiskManager* inner_;
   size_t max_concurrent_io_;
   mutable std::mutex mutex_;
@@ -353,9 +577,14 @@ class PairDevice final : public DiskManager {
   uint64_t reads_started_ = 0;
   uint64_t overlapped_writes_ = 0;
   uint64_t timed_out_writes_ = 0;
+  bool hold_reads_ = false;
+  uint64_t held_reads_ = 0;
+  uint64_t writes_started_ = 0;
+  uint64_t timed_out_reads_ = 0;
   std::unordered_map<PageId, int> failing_writes_;
   std::unordered_set<PageId> failing_reads_;
   std::vector<Op> ops_;
+  std::vector<std::thread::id> op_threads_;
 };
 
 std::unique_ptr<LruKPolicy> Lru2() {
@@ -478,6 +707,38 @@ TEST(DirtyMissConcurrencyTest, WriteBackAndReadOverlapWithSerialResults) {
   EXPECT_EQ(concurrent.stats.read_failures + concurrent.stats.write_failures,
             0u);
   EXPECT_EQ(concurrent.images, serial.images);
+}
+
+// On a device that overlaps, each dirty miss's demand read runs on the
+// thread that fetches, and its victim's write-back on a runner: each read
+// is held until its write-back has started, so the two run at once.
+TEST(DirtyMissConcurrencyTest, DemandReadRunsOnTheFetchingThread) {
+  constexpr size_t kFrames = 4;
+  SimDiskManager inner;
+  PairDevice disk(&inner, DiskManager::kMaxIoInFlight);
+  std::vector<PageId> pages = AllocatePages(disk, 12);
+  BufferPool pool(kFrames, &disk, Lru2());
+  for (size_t i = 0; i < kFrames; ++i) Dirty(pool, pages[i], 'z');
+  (void)disk.TakeOps();
+  disk.HoldReads(true);  // Every miss from here on evicts a dirty page.
+  for (size_t i = kFrames; i < pages.size(); ++i) Dirty(pool, pages[i], 'y');
+  disk.HoldReads(false);
+  const std::vector<std::thread::id> threads = disk.OpThreads();
+  const std::vector<PairDevice::Op> ops = disk.TakeOps();
+  ASSERT_EQ(ops.size(), threads.size());
+
+  EXPECT_EQ(disk.timed_out_reads(), 0u) << "a read ran without its write";
+  EXPECT_EQ(pool.stats().dirty_writebacks, pages.size() - kFrames);
+  size_t reads = 0;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].first == PageIo::Kind::kRead) {
+      ++reads;
+      EXPECT_EQ(threads[i], std::this_thread::get_id()) << "read " << i;
+    } else {
+      EXPECT_NE(threads[i], std::this_thread::get_id()) << "write " << i;
+    }
+  }
+  EXPECT_EQ(reads, pages.size() - kFrames);
 }
 
 // The three-frame set-up shared by the cases below: resident dirty victim
