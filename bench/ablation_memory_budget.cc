@@ -33,17 +33,17 @@ constexpr size_t kBudgetPages = 96;  // Total memory in page-equivalents.
 
 // One metronome page every kPeriod / kMetronomePages references, one-shot
 // filler pages in between.
-std::vector<lruk::PageRef> MetronomeMixTrace() {
-  std::vector<lruk::PageRef> refs;
+std::vector<lruk::AccessRecord> MetronomeMixTrace() {
+  std::vector<lruk::AccessRecord> refs;
   refs.reserve(kTotalRefs);
   lruk::PageId filler = kMetronomePages;
   uint64_t stride = kPeriod / kMetronomePages;  // 8.
   for (uint64_t t = 0; t < kTotalRefs; ++t) {
     if (t % stride == 0) {
-      refs.push_back({(t / stride) % kMetronomePages,
-                      lruk::AccessType::kRead, 0});
+      refs.push_back({.page = (t / stride) % kMetronomePages,
+                      .type = lruk::AccessType::kRead});
     } else {
-      refs.push_back({filler++, lruk::AccessType::kRead, 0});
+      refs.push_back({.page = filler++, .type = lruk::AccessType::kRead});
     }
   }
   return refs;

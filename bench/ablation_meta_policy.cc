@@ -74,8 +74,8 @@ class PhaseChangeWorkload final : public ReferenceStringGenerator {
         dist_(options.alpha, options.beta, options.oltp_pages),
         rng_(options.seed) {}
 
-  PageRef Next() override {
-    PageRef ref;
+  AccessRecord Next() override {
+    AccessRecord ref;
     if (pos_ < options_.oltp_refs) {
       ref.page = static_cast<PageId>(dist_.Sample(rng_) - 1);
     } else {

@@ -33,15 +33,16 @@
 namespace {
 
 // Builds the metronome trace: page 0 every `period`, fresh pages between.
-std::vector<lruk::PageRef> MetronomeTrace(uint64_t period, uint64_t total) {
-  std::vector<lruk::PageRef> refs;
+std::vector<lruk::AccessRecord> MetronomeTrace(uint64_t period,
+                                               uint64_t total) {
+  std::vector<lruk::AccessRecord> refs;
   refs.reserve(total);
   lruk::PageId fresh = 1;
   for (uint64_t t = 0; t < total; ++t) {
     if (t % period == 0) {
-      refs.push_back({0, lruk::AccessType::kRead});
+      refs.push_back({.page = 0, .type = lruk::AccessType::kRead});
     } else {
-      refs.push_back({fresh++, lruk::AccessType::kRead});
+      refs.push_back({.page = fresh++, .type = lruk::AccessType::kRead});
     }
   }
   return refs;

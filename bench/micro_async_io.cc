@@ -49,6 +49,10 @@
 // apart, and times each fetch: a pool that held its latch across the
 // read would stall such a hit for up to a whole read.
 //
+// Every thread sleeps with 1 ns timer slack (main sets it before any
+// thread starts; threads inherit it), as bench/e2e's TimedDisk does: with
+// the default 50 us slack a nominal 200 us sleep lasts ~265 us.
+//
 // Shape checks (CI greps for ": NO"):
 //  * coalescing — coalesced_reads nonzero in every threaded cell, and
 //    physical reads never exceed misses.
@@ -68,6 +72,8 @@
 //
 // Flags: --json <path> writes machine-readable results (BENCH_async_io
 // trajectory); --quick shrinks op counts for CI smoke runs.
+
+#include <sys/prctl.h>
 
 #include <algorithm>
 #include <atomic>
@@ -795,6 +801,7 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
 
 int main(int argc, char** argv) {
   using namespace lruk;
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
 
   const char* json_path = nullptr;
   bool quick = false;

@@ -1,12 +1,12 @@
 // Bookkeeping-overhead microbenchmark (the paper's claim that LRU-K "is
 // fairly simple and incurs little bookkeeping overhead"). Two parts:
 //
-//  1. Catalog sweep — nanoseconds per reference (the full hit-or-admit-
-//     with-eviction step at a fixed buffer size) for every policy in the
-//     catalog, on the Zipfian 80-20 stream. An 8.5 ms 1993 disk read is
-//     ~10^5 of these steps, so sub-microsecond numbers substantiate the
-//     claim. The `adaptive:` rows price the meta-policy's ghost caches
-//     against the bare expert.
+//  1. Catalog sweep — nanoseconds per reference (ReferenceStep, the full
+//     hit-or-admit-with-eviction step at a fixed buffer size) for every
+//     policy in the catalog, on the Zipfian 80-20 stream. An 8.5 ms 1993
+//     disk read is ~10^5 of these steps, so sub-microsecond numbers
+//     substantiate the claim. The `adaptive:` rows price the
+//     meta-policy's ghost caches against the bare expert.
 //
 //  2. Lazy-heap throughput — LRU-2's victim search (DESIGN.md "Victim
 //     search") at two resident-set sizes, on a 95%-hot / 5%-cold stream:
@@ -39,16 +39,6 @@ namespace {
 
 constexpr size_t kCatalogCapacity = 1024;
 
-// One hit-or-admit reference step; the unit both parts measure.
-inline void Step(ReplacementPolicy& p, PageId page, size_t capacity) {
-  if (p.IsResident(page)) {
-    p.RecordAccess(page, AccessType::kRead);
-  } else {
-    if (p.ResidentCount() == capacity) (void)p.Evict();
-    p.Admit(page, AccessType::kRead);
-  }
-}
-
 // --- Part 1: catalog sweep -------------------------------------------------
 
 std::vector<PageId> ZipfTrace(size_t length) {
@@ -73,11 +63,11 @@ CatalogRow RunCatalog(const std::string& label, const PolicyConfig& config,
   ReplacementPolicy& p = **policy;
 
   // One full pass to warm the resident set, then the timed loop.
-  for (PageId page : trace) Step(p, page, kCatalogCapacity);
+  for (PageId page : trace) ReferenceStep(p, kCatalogCapacity, {.page = page});
   size_t i = 0;
   auto start = std::chrono::steady_clock::now();
   for (uint64_t n = 0; n < ops; ++n) {
-    Step(p, trace[i], kCatalogCapacity);
+    ReferenceStep(p, kCatalogCapacity, {.page = trace[i]});
     if (++i == trace.size()) i = 0;
   }
   double seconds = std::chrono::duration<double>(
@@ -117,11 +107,11 @@ struct HeapCell {
 HeapCell RunHeapCell(size_t resident, const std::vector<PageId>& trace,
                      uint64_t ops) {
   LruKPolicy p(LruKOptions{.k = 2, .capacity_hint = resident});
-  for (PageId page : trace) Step(p, page, resident);
+  for (PageId page : trace) ReferenceStep(p, resident, {.page = page});
   size_t i = 0;
   auto start = std::chrono::steady_clock::now();
   for (uint64_t n = 0; n < ops; ++n) {
-    Step(p, trace[i], resident);
+    ReferenceStep(p, resident, {.page = trace[i]});
     if (++i == trace.size()) i = 0;
   }
   double seconds = std::chrono::duration<double>(

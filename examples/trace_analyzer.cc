@@ -24,7 +24,7 @@
 int main(int argc, char** argv) {
   using namespace lruk;
 
-  std::vector<PageRef> refs;
+  std::vector<AccessRecord> refs;
   std::string source;
   if (argc > 1) {
     auto loaded = ReadTraceFile(argv[1]);

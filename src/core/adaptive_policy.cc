@@ -154,27 +154,20 @@ void AdaptivePolicy::OnReference(PageId p, AccessType type, bool live_miss) {
 }
 
 void AdaptivePolicy::ObserveGhost(size_t i, PageId p, AccessType type) {
-  // Mirrors the simulator's reference loop exactly (sim/simulator.cc):
-  // ghost victim sequences are byte-identical to a standalone run of the
-  // expert at the same capacity over the same reference stream — the
-  // ghost-exactness property grid in tests/adaptive_policy_test.cc.
-  ReplacementPolicy& g = *experts_[i].ghost;
-  g.SetReferencingProcess(current_process_);
-  if (g.IsResident(p)) {
-    g.RecordAccess(p, type);
-    return;
-  }
-  Bucket& bucket = buckets_[bucket_index_];
-  ++bucket.ghost_misses[i];
+  // The simulator's reference step (ReferenceStep), so ghost victim
+  // sequences are byte-identical to a standalone run of the expert at the
+  // same capacity over the same reference stream — the ghost-exactness
+  // property grid in tests/adaptive_policy_test.cc.
+  const auto [hit, victim] =
+      ReferenceStep(*experts_[i].ghost, options_.capacity,
+                    {.page = p, .process = current_process_, .type = type});
+  if (hit) return;
+  ++buckets_[bucket_index_].ghost_misses[i];
   ++window_ghost_misses_[i];
   ++cum_ghost_misses_[i];
-  g.PrepareAdmit(p);
-  if (g.ResidentCount() >= options_.capacity) {
-    std::optional<PageId> victim = g.Evict();
-    LRUK_ASSERT(victim.has_value(), "ghost cache found no evictable page");
-    if (options_.record_ghost_victims) ghost_victims_[i].push_back(*victim);
+  if (victim.has_value() && options_.record_ghost_victims) {
+    ghost_victims_[i].push_back(*victim);
   }
-  g.Admit(p, type);
 }
 
 void AdaptivePolicy::RotateBucket() {

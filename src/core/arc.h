@@ -15,8 +15,8 @@
 //
 // Interface mapping: the victim that REPLACE() picks depends on whether
 // the faulting page sits in B2, so callers must announce the incoming
-// page via PrepareAdmit(p) before Evict() — both the simulator and the
-// buffer pool do. Pinned pages are skipped from the tail of the chosen
+// page via PrepareAdmit(p) before Evict() — ReferenceStep and the buffer
+// pool both do. Pinned pages are skipped from the tail of the chosen
 // side, falling over to the other side when necessary.
 
 #ifndef LRUK_CORE_ARC_H_

@@ -13,9 +13,9 @@
 // domains still have room, so Admit() evicts *within the domain* when the
 // domain is full even though the caller saw total ResidentCount() <
 // capacity. Such internally evicted pages are queued and retrievable via
-// TakeInternalEvictions() — the CacheSimulator needs nothing (it tracks
-// residency through the policy), but a buffer pool reclaiming frames
-// would drain that queue.
+// TakeInternalEvictions() — ReferenceStep needs nothing (its residency is
+// the policy's), but a buffer pool reclaiming frames would drain that
+// queue.
 
 #ifndef LRUK_CORE_DOMAIN_SEPARATION_H_
 #define LRUK_CORE_DOMAIN_SEPARATION_H_

@@ -76,7 +76,7 @@ struct LruKOptions {
   // A-B-A burst counts A's second touch as independent — conservative in
   // the direction of the paper's type-4 rule (inter-process references
   // are evidence of genuine popularity). Processes are announced via
-  // SetReferencingProcess (the simulator forwards PageRef::process).
+  // SetReferencingProcess (ReferenceStep forwards AccessRecord::process).
   bool per_process_correlation = false;
   // Optional wall-clock time source (not owned; must outlive the policy).
   // When set, reference times come from the clock and the CRP / RIP /

@@ -5,10 +5,12 @@
 // one tick, matching the paper's convention that time is the index into the
 // reference string.
 //
-// Contract (shared by the CacheSimulator and the BufferPool):
+// Contract (ReferenceStep below implements it; the BufferPool interleaves
+// the same calls with frames, pins and I/O):
 //
 //   hit:   policy->RecordAccess(p, type);
-//   miss:  if (need room) victim = policy->Evict();   // then write back
+//   miss:  policy->PrepareAdmit(p);
+//          if (need room) victim = policy->Evict();   // then write back
 //          policy->Admit(p, type);                    // p becomes resident
 //
 // Admit() also counts as the reference to p (one tick), so a trace of T
@@ -19,7 +21,7 @@
 // without forgetting its statistics. The buffer pools never call it: their
 // frames' pin counts are the ground truth, so they nominate with
 // EvictBatch, skip pinned nominees and hand those back with Restore.
-// Policies driven by a simulator never see pins either.
+// Policies driven by ReferenceStep never see pins either.
 
 #ifndef LRUK_CORE_REPLACEMENT_POLICY_H_
 #define LRUK_CORE_REPLACEMENT_POLICY_H_
@@ -148,6 +150,38 @@ class ReplacementPolicy {
   // meta-policy overrides this. Pools surface it next to their own stats.
   virtual MetaPolicyStats GetMetaStats() const { return {}; }
 };
+
+// What one reference did: whether it hit, and the page its miss evicted
+// (nullopt on a hit, and on a miss that found a free frame).
+struct ReferenceOutcome {
+  bool hit = false;
+  std::optional<PageId> victim;
+};
+
+// The contract above as one step of a buffer of `frames` frames under
+// `policy`: announce the reference's process; on a hit record the access;
+// on a miss announce the incoming page, evict when the buffer is full, and
+// admit. The buffer's residency is the policy's. The simulator, the
+// convergence harness, the adaptive policy's ghost caches and the tests'
+// model of the buffer pool all run this step.
+inline ReferenceOutcome ReferenceStep(ReplacementPolicy& policy,
+                                      size_t frames,
+                                      const AccessRecord& ref) {
+  policy.SetReferencingProcess(ref.process);
+  if (policy.IsResident(ref.page)) {
+    policy.RecordAccess(ref.page, ref.type);
+    return {.hit = true, .victim = std::nullopt};
+  }
+  ReferenceOutcome outcome;
+  policy.PrepareAdmit(ref.page);
+  if (policy.ResidentCount() >= frames) {
+    outcome.victim = policy.Evict();
+    LRUK_ASSERT(outcome.victim.has_value(),
+                "policy failed to evict from a full, unpinned buffer");
+  }
+  policy.Admit(ref.page, ref.type);
+  return outcome;
+}
 
 }  // namespace lruk
 

@@ -35,10 +35,13 @@ enum class AccessType : uint8_t {
   kWrite = 1,
 };
 
-// One deferred page reference: what a buffer pool's hit path captures when
-// batched access recording is enabled, and what
-// ReplacementPolicy::RecordAccessBatch later applies. `process` feeds
-// SetReferencingProcess for policies with per-process correlation.
+// One page reference: an element of the reference string r_1, r_2, ...
+// that workloads generate and ReferenceStep applies, and the cell a buffer
+// pool's hit path publishes to its access ring for
+// ReplacementPolicy::RecordAccessBatch. `process` identifies the issuing
+// process/transaction stream (Section 2.1.1 distinguishes correlated
+// reference-pair types by process) and feeds SetReferencingProcess;
+// single-stream workloads and the pools leave it 0.
 struct AccessRecord {
   PageId page = kInvalidPageId;
   uint32_t process = 0;

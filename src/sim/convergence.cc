@@ -1,32 +1,8 @@
 #include "sim/convergence.h"
 
-#include <utility>
-
-#include "workload/workload.h"
+#include "sim/simulator.h"
 
 namespace lruk {
-
-namespace {
-
-// Drives one reference; returns whether it hit.
-bool Step(ReplacementPolicy& policy, ReferenceStringGenerator& gen,
-          size_t capacity) {
-  PageRef ref = gen.Next();
-  policy.SetReferencingProcess(ref.process);
-  if (policy.IsResident(ref.page)) {
-    policy.RecordAccess(ref.page, ref.type);
-    return true;
-  }
-  policy.PrepareAdmit(ref.page);
-  if (policy.ResidentCount() == capacity) {
-    auto victim = policy.Evict();
-    LRUK_ASSERT(victim.has_value(), "nothing evictable in a full buffer");
-  }
-  policy.Admit(ref.page, ref.type);
-  return false;
-}
-
-}  // namespace
 
 Result<ConvergenceResult> MeasureConvergence(
     const PolicyConfig& config, ReferenceStringGenerator& gen,
@@ -35,27 +11,14 @@ Result<ConvergenceResult> MeasureConvergence(
   LRUK_ASSERT(options.pre_shift_refs >= 4 * options.window,
               "pre-shift phase too short for a steady-state estimate");
 
-  PolicyContext context;
-  context.capacity = options.capacity;
-  if (config.kind == PolicyKind::kA0) {
-    auto probs = gen.Probabilities();
-    if (!probs) {
-      return Status::InvalidArgument(
-          "A0 requires a workload with known probabilities");
-    }
-    context.probabilities = std::move(*probs);
-  }
-  if (config.kind == PolicyKind::kBelady) {
-    gen.Reset();
-    context.trace = MaterializeTrace(
-        gen, options.pre_shift_refs + options.post_shift_refs);
-  }
-  auto policy = MakePolicy(config, context);
-  if (!policy.ok()) return policy.status();
-  gen.Reset();
+  auto built = MakeSimulatedPolicy(
+      config, gen, options.capacity,
+      options.pre_shift_refs + options.post_shift_refs);
+  if (!built.ok()) return built.status();
+  ReplacementPolicy& policy = **built;
 
   ConvergenceResult result;
-  result.policy_name = std::string((*policy)->Name());
+  result.policy_name = std::string(policy.Name());
 
   // Pre-shift: run to the boundary, averaging windows over the last
   // quarter for the steady-state estimate.
@@ -64,7 +27,9 @@ Result<ConvergenceResult> MeasureConvergence(
   uint64_t steady_windows = 0;
   double steady_sum = 0.0;
   for (uint64_t i = 0; i < options.pre_shift_refs; ++i) {
-    if (Step(**policy, gen, options.capacity)) ++hits_in_window;
+    if (ReferenceStep(policy, options.capacity, gen.Next()).hit) {
+      ++hits_in_window;
+    }
     if ((i + 1) % options.window == 0) {
       if (i >= steady_start) {
         steady_sum +=
@@ -82,7 +47,9 @@ Result<ConvergenceResult> MeasureConvergence(
   hits_in_window = 0;
   double target = options.recovery_fraction * result.steady_state;
   for (uint64_t i = 0; i < options.post_shift_refs; ++i) {
-    if (Step(**policy, gen, options.capacity)) ++hits_in_window;
+    if (ReferenceStep(policy, options.capacity, gen.Next()).hit) {
+      ++hits_in_window;
+    }
     if ((i + 1) % options.window == 0) {
       double ratio = static_cast<double>(hits_in_window) / options.window;
       result.post_shift_windows.push_back(ratio);

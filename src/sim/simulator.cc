@@ -34,24 +34,11 @@ SimResult RunSimulation(ReplacementPolicy& policy,
 
   const uint64_t total = options.warmup_refs + options.measure_refs;
   for (uint64_t i = 0; i < total; ++i) {
-    PageRef ref = generator.Next();
-    bool measured = i >= options.warmup_refs;
-    policy.SetReferencingProcess(ref.process);
-    bool hit = policy.IsResident(ref.page);
-    if (hit) {
-      policy.RecordAccess(ref.page, ref.type);
-    } else {
-      ++result.total_misses;
-      policy.PrepareAdmit(ref.page);
-      if (policy.ResidentCount() == options.capacity) {
-        auto victim = policy.Evict();
-        LRUK_ASSERT(victim.has_value(),
-                    "policy failed to evict from a full, unpinned buffer");
-        ++result.evictions;
-      }
-      policy.Admit(ref.page, ref.type);
-    }
-    if (measured) {
+    const AccessRecord ref = generator.Next();
+    const auto [hit, victim] = ReferenceStep(policy, options.capacity, ref);
+    if (!hit) ++result.total_misses;
+    if (victim.has_value()) ++result.evictions;
+    if (i >= options.warmup_refs) {
       (hit ? result.hits : result.misses) += 1;
       if (classes) {
         ClassStats& cs = result.classes[generator.ClassOf(ref.page)];
@@ -82,11 +69,11 @@ SimResult RunSimulation(ReplacementPolicy& policy,
   return result;
 }
 
-Result<SimResult> SimulatePolicy(const PolicyConfig& config,
-                                 ReferenceStringGenerator& generator,
-                                 const SimOptions& options) {
+Result<std::unique_ptr<ReplacementPolicy>> MakeSimulatedPolicy(
+    const PolicyConfig& config, ReferenceStringGenerator& generator,
+    size_t capacity, uint64_t trace_length) {
   PolicyContext context;
-  context.capacity = options.capacity;
+  context.capacity = capacity;
   if (config.kind == PolicyKind::kA0) {
     auto probs = generator.Probabilities();
     if (!probs) {
@@ -97,12 +84,19 @@ Result<SimResult> SimulatePolicy(const PolicyConfig& config,
   }
   if (config.kind == PolicyKind::kBelady) {
     generator.Reset();
-    context.trace = MaterializeTrace(
-        generator, options.warmup_refs + options.measure_refs);
+    context.trace = MaterializeTrace(generator, trace_length);
   }
-  auto policy = MakePolicy(config, context);
-  if (!policy.ok()) return policy.status();
   generator.Reset();
+  return MakePolicy(config, context);
+}
+
+Result<SimResult> SimulatePolicy(const PolicyConfig& config,
+                                 ReferenceStringGenerator& generator,
+                                 const SimOptions& options) {
+  auto policy =
+      MakeSimulatedPolicy(config, generator, options.capacity,
+                          options.warmup_refs + options.measure_refs);
+  if (!policy.ok()) return policy.status();
   return RunSimulation(**policy, generator, options);
 }
 

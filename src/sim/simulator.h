@@ -79,10 +79,18 @@ SimResult RunSimulation(ReplacementPolicy& policy,
                         ReferenceStringGenerator& generator,
                         const SimOptions& options);
 
-// Builds the policy from `config` (resolving A0/Belady/2Q context from the
-// generator and options), resets the generator, and runs. Every policy
-// compared through this entry point therefore sees the identical reference
-// string.
+// Builds the policy `config` names for a buffer of `capacity` frames,
+// resolving the oracles' context from `generator`: A0's stationary
+// probabilities, and Belady's future as the first `trace_length`
+// references. Leaves the generator reset, so the run that follows sees the
+// string the oracle saw.
+Result<std::unique_ptr<ReplacementPolicy>> MakeSimulatedPolicy(
+    const PolicyConfig& config, ReferenceStringGenerator& generator,
+    size_t capacity, uint64_t trace_length);
+
+// Builds the policy from `config` (MakeSimulatedPolicy) and runs it from
+// the start of the string. Every policy compared through this entry point
+// therefore sees the identical reference string.
 Result<SimResult> SimulatePolicy(const PolicyConfig& config,
                                  ReferenceStringGenerator& generator,
                                  const SimOptions& options);

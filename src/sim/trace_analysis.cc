@@ -8,11 +8,11 @@
 
 namespace lruk {
 
-TraceProfile ProfileTrace(const std::vector<PageRef>& refs) {
+TraceProfile ProfileTrace(const std::vector<AccessRecord>& refs) {
   TraceProfile profile;
   profile.total_references = refs.size();
   std::unordered_map<PageId, uint64_t> counts;
-  for (const PageRef& ref : refs) {
+  for (const AccessRecord& ref : refs) {
     ++counts[ref.page];
     if (ref.type == AccessType::kWrite) ++profile.write_references;
   }
@@ -43,7 +43,7 @@ double AccessSkew(const TraceProfile& profile, double ref_fraction) {
          static_cast<double>(profile.distinct_pages);
 }
 
-uint64_t PagesReReferencedWithin(const std::vector<PageRef>& refs,
+uint64_t PagesReReferencedWithin(const std::vector<AccessRecord>& refs,
                                  uint64_t horizon) {
   std::unordered_map<PageId, uint64_t> last_seen;
   std::unordered_map<PageId, bool> qualifies;
@@ -81,7 +81,7 @@ uint64_t PagesWithMeanInterarrivalWithin(const TraceProfile& profile,
 }
 
 std::vector<uint64_t> InterarrivalPercentiles(
-    const std::vector<PageRef>& refs,
+    const std::vector<AccessRecord>& refs,
     const std::vector<double>& percentiles) {
   std::unordered_map<PageId, uint64_t> last_seen;
   std::vector<uint64_t> gaps;

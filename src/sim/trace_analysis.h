@@ -32,7 +32,7 @@ struct TraceProfile {
 };
 
 // Single pass over the trace.
-TraceProfile ProfileTrace(const std::vector<PageRef>& refs);
+TraceProfile ProfileTrace(const std::vector<AccessRecord>& refs);
 
 // Smallest fraction of (accessed) pages receiving `ref_fraction` of the
 // references — e.g. AccessSkew(profile, 0.40) answers "what fraction of
@@ -42,7 +42,7 @@ double AccessSkew(const TraceProfile& profile, double ref_fraction);
 // Number of distinct pages that are re-referenced at least once within
 // `horizon` references of a previous reference. A permissive census: on a
 // long trace almost any recurring page eventually has one short gap.
-uint64_t PagesReReferencedWithin(const std::vector<PageRef>& refs,
+uint64_t PagesReReferencedWithin(const std::vector<AccessRecord>& refs,
                                  uint64_t horizon);
 
 // The Five Minute Rule census proper: pages whose MEAN interarrival over
@@ -57,7 +57,8 @@ uint64_t PagesWithMeanInterarrivalWithin(const TraceProfile& profile,
 // returns the requested percentiles (each in [0,100]) of the gaps, in
 // reference counts. Pages referenced once contribute nothing.
 std::vector<uint64_t> InterarrivalPercentiles(
-    const std::vector<PageRef>& refs, const std::vector<double>& percentiles);
+    const std::vector<AccessRecord>& refs,
+    const std::vector<double>& percentiles);
 
 }  // namespace lruk
 

@@ -13,12 +13,12 @@ CorrelatedWorkload::CorrelatedWorkload(
   LRUK_ASSERT(options_.max_burst_length >= 2, "bursts must repeat the page");
 }
 
-PageRef CorrelatedWorkload::Next() {
+AccessRecord CorrelatedWorkload::Next() {
   if (burst_remaining_ > 0) {
     --burst_remaining_;
     return pending_;
   }
-  PageRef ref = base_->Next();
+  AccessRecord ref = base_->Next();
   if (rng_.NextBernoulli(options_.burst_probability)) {
     uint32_t total =
         2 + static_cast<uint32_t>(rng_.NextBounded(options_.max_burst_length - 1));

@@ -31,7 +31,7 @@ class CorrelatedWorkload final : public ReferenceStringGenerator {
   CorrelatedWorkload(std::unique_ptr<ReferenceStringGenerator> base,
                      CorrelatedOptions options);
 
-  PageRef Next() override;
+  AccessRecord Next() override;
   void Reset() override;
   uint64_t NumPages() const override { return base_->NumPages(); }
   std::string_view Name() const override { return "correlated"; }
@@ -47,7 +47,7 @@ class CorrelatedWorkload final : public ReferenceStringGenerator {
   std::unique_ptr<ReferenceStringGenerator> base_;
   CorrelatedOptions options_;
   RandomEngine rng_;
-  PageRef pending_;          // Page the active burst repeats.
+  AccessRecord pending_;     // Page the active burst repeats.
   uint32_t burst_remaining_ = 0;
 };
 

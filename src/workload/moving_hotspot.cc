@@ -19,14 +19,14 @@ uint32_t MovingHotspotWorkload::ClassOf(PageId page) const {
   return offset < options_.hot_pages ? 0 : 1;
 }
 
-PageRef MovingHotspotWorkload::Next() {
+AccessRecord MovingHotspotWorkload::Next() {
   if (refs_in_epoch_ == options_.epoch_length) {
     refs_in_epoch_ = 0;
     window_start_ = (window_start_ + options_.shift) % options_.num_pages;
   }
   ++refs_in_epoch_;
 
-  PageRef ref;
+  AccessRecord ref;
   if (rng_.NextBernoulli(options_.hot_probability)) {
     uint64_t offset = rng_.NextBounded(options_.hot_pages);
     ref.page = (window_start_ + offset) % options_.num_pages;

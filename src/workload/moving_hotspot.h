@@ -29,7 +29,7 @@ class MovingHotspotWorkload final : public ReferenceStringGenerator {
  public:
   explicit MovingHotspotWorkload(MovingHotspotOptions options);
 
-  PageRef Next() override;
+  AccessRecord Next() override;
   void Reset() override;
   uint64_t NumPages() const override { return options_.num_pages; }
   std::string_view Name() const override { return "moving-hotspot"; }

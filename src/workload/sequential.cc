@@ -9,8 +9,8 @@ SequentialScanWorkload::SequentialScanWorkload(SequentialScanOptions options)
   LRUK_ASSERT(options_.num_pages >= 1, "need at least one page");
 }
 
-PageRef SequentialScanWorkload::Next() {
-  PageRef ref;
+AccessRecord SequentialScanWorkload::Next() {
+  AccessRecord ref;
   ref.page = next_;
   next_ = (next_ + 1) % options_.num_pages;
   return ref;
@@ -29,8 +29,8 @@ MixedScanWorkload::MixedScanWorkload(MixedScanOptions options)
               "hot set must fit in the database");
 }
 
-PageRef MixedScanWorkload::InteractiveRef() {
-  PageRef ref;
+AccessRecord MixedScanWorkload::InteractiveRef() {
+  AccessRecord ref;
   if (rng_.NextBernoulli(options_.hot_probability)) {
     ref.page = rng_.NextBounded(options_.hot_pages);
   } else {
@@ -39,9 +39,9 @@ PageRef MixedScanWorkload::InteractiveRef() {
   return ref;
 }
 
-PageRef MixedScanWorkload::Next() {
+AccessRecord MixedScanWorkload::Next() {
   if (scan_active_ && rng_.NextBernoulli(options_.scan_fraction)) {
-    PageRef ref;
+    AccessRecord ref;
     ref.page = scan_cursor_;
     scan_cursor_ = (scan_cursor_ + 1) % options_.total_pages;
     return ref;

@@ -25,7 +25,7 @@ class SequentialScanWorkload final : public ReferenceStringGenerator {
  public:
   explicit SequentialScanWorkload(SequentialScanOptions options);
 
-  PageRef Next() override;
+  AccessRecord Next() override;
   void Reset() override;
   uint64_t NumPages() const override { return options_.num_pages; }
   std::string_view Name() const override { return "sequential-scan"; }
@@ -53,7 +53,7 @@ class MixedScanWorkload final : public ReferenceStringGenerator {
  public:
   explicit MixedScanWorkload(MixedScanOptions options);
 
-  PageRef Next() override;
+  AccessRecord Next() override;
   void Reset() override;
   uint64_t NumPages() const override { return options_.total_pages; }
   std::string_view Name() const override { return "mixed-scan"; }
@@ -72,7 +72,7 @@ class MixedScanWorkload final : public ReferenceStringGenerator {
   bool scan_active() const { return scan_active_; }
 
  private:
-  PageRef InteractiveRef();
+  AccessRecord InteractiveRef();
 
   MixedScanOptions options_;
   RandomEngine rng_;

@@ -84,8 +84,8 @@ uint64_t SyntheticOltpWorkload::GeometricLength(double mean) {
   return static_cast<uint64_t>(len);
 }
 
-PageRef SyntheticOltpWorkload::Next() {
-  PageRef ref;
+AccessRecord SyntheticOltpWorkload::Next() {
+  AccessRecord ref;
   ++refs_emitted_;
   if (options_.hot_drift_period != 0 &&
       refs_emitted_ % options_.hot_drift_period == 0) {

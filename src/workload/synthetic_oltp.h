@@ -64,7 +64,7 @@ class SyntheticOltpWorkload final : public ReferenceStringGenerator {
  public:
   explicit SyntheticOltpWorkload(SyntheticOltpOptions options);
 
-  PageRef Next() override;
+  AccessRecord Next() override;
   void Reset() override;
   uint64_t NumPages() const override { return options_.num_pages; }
   std::string_view Name() const override { return "synthetic-oltp"; }

@@ -7,22 +7,22 @@
 
 namespace lruk {
 
-TraceWorkload::TraceWorkload(std::vector<PageRef> refs)
+TraceWorkload::TraceWorkload(std::vector<AccessRecord> refs)
     : refs_(std::move(refs)) {
   LRUK_ASSERT(!refs_.empty(), "trace must contain at least one reference");
-  for (const PageRef& ref : refs_) {
+  for (const AccessRecord& ref : refs_) {
     if (ref.page + 1 > num_pages_) num_pages_ = ref.page + 1;
   }
 }
 
-PageRef TraceWorkload::Next() {
-  PageRef ref = refs_[pos_ % refs_.size()];
+AccessRecord TraceWorkload::Next() {
+  AccessRecord ref = refs_[pos_ % refs_.size()];
   ++pos_;
   return ref;
 }
 
-Result<std::vector<PageRef>> ParseTrace(const std::string& text) {
-  std::vector<PageRef> refs;
+Result<std::vector<AccessRecord>> ParseTrace(const std::string& text) {
+  std::vector<AccessRecord> refs;
   std::istringstream in(text);
   std::string line;
   size_t line_no = 0;
@@ -37,7 +37,7 @@ Result<std::vector<PageRef>> ParseTrace(const std::string& text) {
       return Status::InvalidArgument("trace line " + std::to_string(line_no) +
                                      ": expected a page id");
     }
-    PageRef ref;
+    AccessRecord ref;
     ref.page = page;
     std::string type;
     if (fields >> type) {
@@ -66,7 +66,7 @@ Result<std::vector<PageRef>> ParseTrace(const std::string& text) {
   return refs;
 }
 
-Result<std::vector<PageRef>> ReadTraceFile(const std::string& path) {
+Result<std::vector<AccessRecord>> ReadTraceFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Status::IoError("cannot open trace file: " + path);
@@ -86,14 +86,14 @@ Result<std::vector<PageRef>> ReadTraceFile(const std::string& path) {
 }
 
 Status WriteTraceFile(const std::string& path,
-                      const std::vector<PageRef>& refs) {
+                      const std::vector<AccessRecord>& refs) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     return Status::IoError("cannot create trace file: " + path);
   }
   std::fprintf(f, "# lruk trace: %zu references (page type process)\n",
                refs.size());
-  for (const PageRef& ref : refs) {
+  for (const AccessRecord& ref : refs) {
     std::fprintf(f, "%llu %c %u\n",
                  static_cast<unsigned long long>(ref.page),
                  ref.type == AccessType::kWrite ? 'W' : 'R', ref.process);

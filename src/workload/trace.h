@@ -23,9 +23,9 @@ namespace lruk {
 // be checked to stop at one pass).
 class TraceWorkload final : public ReferenceStringGenerator {
  public:
-  explicit TraceWorkload(std::vector<PageRef> refs);
+  explicit TraceWorkload(std::vector<AccessRecord> refs);
 
-  PageRef Next() override;
+  AccessRecord Next() override;
   void Reset() override { pos_ = 0; }
   uint64_t NumPages() const override { return num_pages_; }
   std::string_view Name() const override { return "trace"; }
@@ -33,23 +33,23 @@ class TraceWorkload final : public ReferenceStringGenerator {
   size_t size() const { return refs_.size(); }
   // True once one full pass has been emitted (wraps afterwards).
   bool exhausted() const { return pos_ >= refs_.size(); }
-  const std::vector<PageRef>& refs() const { return refs_; }
+  const std::vector<AccessRecord>& refs() const { return refs_; }
 
  private:
-  std::vector<PageRef> refs_;
+  std::vector<AccessRecord> refs_;
   uint64_t num_pages_ = 0;
   size_t pos_ = 0;
 };
 
 // Parses the text trace format from a file.
-Result<std::vector<PageRef>> ReadTraceFile(const std::string& path);
+Result<std::vector<AccessRecord>> ReadTraceFile(const std::string& path);
 
 // Parses the text trace format from a string (tests).
-Result<std::vector<PageRef>> ParseTrace(const std::string& text);
+Result<std::vector<AccessRecord>> ParseTrace(const std::string& text);
 
 // Writes refs in the text trace format. Overwrites `path`.
 Status WriteTraceFile(const std::string& path,
-                      const std::vector<PageRef>& refs);
+                      const std::vector<AccessRecord>& refs);
 
 }  // namespace lruk
 

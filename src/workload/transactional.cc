@@ -34,7 +34,7 @@ void TransactionalWorkload::StartTransaction(uint32_t pid) {
       std::max(1.0, std::ceil(std::log1p(-u) / std::log1p(-p))));
   length = std::min<uint64_t>(length, 64);
 
-  std::vector<PageRef> txn;
+  std::vector<AccessRecord> txn;
   txn.reserve(length * 2);
   for (uint64_t i = 0; i < length; ++i) {
     PageId page;
@@ -44,15 +44,15 @@ void TransactionalWorkload::StartTransaction(uint32_t pid) {
     } else {
       page = dist_.Sample(rng_) - 1;
     }
-    txn.push_back(PageRef{page, AccessType::kRead, pid});
+    txn.push_back(AccessRecord{page, pid, AccessType::kRead});
     if (rng_.NextBernoulli(options_.intra_transaction_reref)) {
       // Type 1: read now, update later in the same transaction.
-      txn.push_back(PageRef{page, AccessType::kWrite, pid});
+      txn.push_back(AccessRecord{page, pid, AccessType::kWrite});
     }
   }
   // Updates happen after the initial reads: stable-partition writes to the
   // second half, preserving read order (classic read-set-then-write-set).
-  std::stable_partition(txn.begin(), txn.end(), [](const PageRef& r) {
+  std::stable_partition(txn.begin(), txn.end(), [](const AccessRecord& r) {
     return r.type == AccessType::kRead;
   });
 
@@ -61,13 +61,13 @@ void TransactionalWorkload::StartTransaction(uint32_t pid) {
   proc.script.assign(txn.begin(), txn.end());
 }
 
-PageRef TransactionalWorkload::Next() {
+AccessRecord TransactionalWorkload::Next() {
   // Round-robin scheduler: one reference per process per turn.
   uint32_t pid = next_process_;
   next_process_ = (next_process_ + 1) % options_.num_processes;
   Process& proc = processes_[pid];
   if (proc.script.empty()) StartTransaction(pid);
-  PageRef ref = proc.script.front();
+  AccessRecord ref = proc.script.front();
   proc.script.pop_front();
   return ref;
 }

@@ -52,15 +52,15 @@ class TransactionalWorkload final : public ReferenceStringGenerator {
  public:
   explicit TransactionalWorkload(TransactionalOptions options);
 
-  PageRef Next() override;
+  AccessRecord Next() override;
   void Reset() override;
   uint64_t NumPages() const override { return options_.num_pages; }
   std::string_view Name() const override { return "transactional"; }
 
  private:
   struct Process {
-    std::deque<PageRef> script;     // Remaining refs of the current txn.
-    std::vector<PageRef> last_txn;  // For type-2 retries.
+    std::deque<AccessRecord> script;     // Remaining refs of the current txn.
+    std::vector<AccessRecord> last_txn;  // For type-2 retries.
     PageId last_page = kInvalidPageId;  // For type-3 continuation.
   };
 

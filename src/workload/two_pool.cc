@@ -10,8 +10,8 @@ TwoPoolWorkload::TwoPoolWorkload(TwoPoolOptions options)
               "both pools must be nonempty");
 }
 
-PageRef TwoPoolWorkload::Next() {
-  PageRef ref;
+AccessRecord TwoPoolWorkload::Next() {
+  AccessRecord ref;
   if (next_is_pool1_) {
     ref.page = rng_.NextBounded(options_.n1);
   } else {

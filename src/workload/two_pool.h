@@ -24,7 +24,7 @@ class TwoPoolWorkload final : public ReferenceStringGenerator {
  public:
   explicit TwoPoolWorkload(TwoPoolOptions options);
 
-  PageRef Next() override;
+  AccessRecord Next() override;
   void Reset() override;
   uint64_t NumPages() const override { return options_.n1 + options_.n2; }
   std::string_view Name() const override { return "two-pool"; }

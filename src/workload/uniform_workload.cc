@@ -9,8 +9,8 @@ UniformWorkload::UniformWorkload(UniformOptions options)
   LRUK_ASSERT(options_.num_pages >= 1, "need at least one page");
 }
 
-PageRef UniformWorkload::Next() {
-  PageRef ref;
+AccessRecord UniformWorkload::Next() {
+  AccessRecord ref;
   ref.page = rng_.NextBounded(options_.num_pages);
   ref.type = rng_.NextBernoulli(options_.write_fraction) ? AccessType::kWrite
                                                          : AccessType::kRead;

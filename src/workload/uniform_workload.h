@@ -19,7 +19,7 @@ class UniformWorkload final : public ReferenceStringGenerator {
  public:
   explicit UniformWorkload(UniformOptions options);
 
-  PageRef Next() override;
+  AccessRecord Next() override;
   void Reset() override;
   uint64_t NumPages() const override { return options_.num_pages; }
   std::string_view Name() const override { return "uniform"; }

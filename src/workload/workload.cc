@@ -10,9 +10,9 @@ std::vector<PageId> MaterializeTrace(ReferenceStringGenerator& generator,
   return trace;
 }
 
-std::vector<PageRef> MaterializeRefs(ReferenceStringGenerator& generator,
+std::vector<AccessRecord> MaterializeRefs(ReferenceStringGenerator& generator,
                                      size_t count) {
-  std::vector<PageRef> refs;
+  std::vector<AccessRecord> refs;
   refs.reserve(count);
   for (size_t i = 0; i < count; ++i) refs.push_back(generator.Next());
   return refs;

@@ -18,22 +18,13 @@
 
 namespace lruk {
 
-// One element of the reference string. `process` identifies the issuing
-// process/transaction stream (the paper's Section 2.1.1 distinguishes
-// correlated reference-pair types by process); single-stream workloads
-// leave it 0.
-struct PageRef {
-  PageId page = kInvalidPageId;
-  AccessType type = AccessType::kRead;
-  uint32_t process = 0;
-};
-
 class ReferenceStringGenerator {
  public:
   virtual ~ReferenceStringGenerator() = default;
 
-  // Produces the next reference. The stream never ends.
-  virtual PageRef Next() = 0;
+  // Produces the next reference (core/types.h's AccessRecord). The stream
+  // never ends.
+  virtual AccessRecord Next() = 0;
 
   // Rewinds to the beginning of the exact same stream.
   virtual void Reset() = 0;
@@ -64,7 +55,7 @@ std::vector<PageId> MaterializeTrace(ReferenceStringGenerator& generator,
                                      size_t count);
 
 // Draws `count` full references (page + access type).
-std::vector<PageRef> MaterializeRefs(ReferenceStringGenerator& generator,
+std::vector<AccessRecord> MaterializeRefs(ReferenceStringGenerator& generator,
                                      size_t count);
 
 }  // namespace lruk

@@ -17,9 +17,9 @@ ZipfianWorkload::ZipfianWorkload(ZipfianOptions options)
   }
 }
 
-PageRef ZipfianWorkload::Next() {
+AccessRecord ZipfianWorkload::Next() {
   uint64_t rank = dist_.Sample(rng_);
-  PageRef ref;
+  AccessRecord ref;
   ref.page = page_of_rank_[rank - 1];
   ref.type = rng_.NextBernoulli(options_.write_fraction) ? AccessType::kWrite
                                                          : AccessType::kRead;

@@ -29,7 +29,7 @@ class ZipfianWorkload final : public ReferenceStringGenerator {
  public:
   explicit ZipfianWorkload(ZipfianOptions options);
 
-  PageRef Next() override;
+  AccessRecord Next() override;
   void Reset() override;
   uint64_t NumPages() const override { return options_.num_pages; }
   std::string_view Name() const override { return "zipfian"; }

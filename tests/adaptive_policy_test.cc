@@ -90,30 +90,17 @@ std::vector<PageId> CyclicTrace(size_t pages, int len) {
   return trace;
 }
 
-// Drives `policy` through the simulator's reference loop (the loop the
-// ghost caches mirror — see AdaptivePolicy::ObserveGhost): resident pages
-// get RecordAccess, misses evict-at-capacity then Admit. Returns the miss
-// count; appends each victim to *victims when given.
+// Drives `policy` over `trace` through ReferenceStep, the step the ghost
+// caches run. Returns the miss count; appends each victim to *victims
+// when given.
 uint64_t DriveReferenceSim(ReplacementPolicy& policy,
                            const std::vector<PageId>& trace, size_t capacity,
                            std::vector<PageId>* victims = nullptr) {
   uint64_t misses = 0;
   for (PageId p : trace) {
-    policy.SetReferencingProcess(0);
-    if (policy.IsResident(p)) {
-      policy.RecordAccess(p, AccessType::kRead);
-      continue;
-    }
-    ++misses;
-    policy.PrepareAdmit(p);
-    if (policy.ResidentCount() >= capacity) {
-      std::optional<PageId> victim = policy.Evict();
-      EXPECT_TRUE(victim.has_value());
-      if (victims != nullptr && victim.has_value()) {
-        victims->push_back(*victim);
-      }
-    }
-    policy.Admit(p, AccessType::kRead);
+    const auto [hit, victim] = ReferenceStep(policy, capacity, {.page = p});
+    if (!hit) ++misses;
+    if (victims != nullptr && victim.has_value()) victims->push_back(*victim);
   }
   return misses;
 }
@@ -245,17 +232,7 @@ TEST(AdaptiveSwitchTest, NoSwitchHappensInsideEvictBatch) {
   std::vector<PageId> trace = CyclicTrace(24, 4000);
   uint64_t switches_seen = 0;
   for (size_t i = 0; i < trace.size(); ++i) {
-    PageId p = trace[i];
-    meta->SetReferencingProcess(0);
-    if (meta->IsResident(p)) {
-      meta->RecordAccess(p, AccessType::kRead);
-    } else {
-      meta->PrepareAdmit(p);
-      if (meta->ResidentCount() >= options.capacity) {
-        ASSERT_TRUE(meta->Evict().has_value());
-      }
-      meta->Admit(p, AccessType::kRead);
-    }
+    ReferenceStep(*meta, options.capacity, {.page = trace[i]});
     if (i % 37 == 36) {
       size_t active_before = meta->active_expert();
       std::vector<PageId> nominated;
@@ -292,16 +269,7 @@ TEST(AdaptiveRestoreTest, RestoreRoutesToTheNominatingExpert) {
   for (PageId p : more) {
     if (p == *victim) continue;  // Keep the in-flight victim in flight.
     if (meta->switches() != switches_before) break;
-    meta->SetReferencingProcess(0);
-    if (meta->IsResident(p)) {
-      meta->RecordAccess(p, AccessType::kRead);
-    } else {
-      meta->PrepareAdmit(p);
-      if (meta->ResidentCount() >= options.capacity) {
-        ASSERT_TRUE(meta->Evict().has_value());
-      }
-      meta->Admit(p, AccessType::kRead);
-    }
+    ReferenceStep(*meta, options.capacity, {.page = p});
   }
   ASSERT_NE(meta->switches(), switches_before) << "no switch provoked";
   ASSERT_NE(meta->active_expert(), nominator);

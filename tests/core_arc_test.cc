@@ -8,14 +8,9 @@
 namespace lruk {
 namespace {
 
-// Drives the standard miss protocol: PrepareAdmit + (Evict when full) +
-// Admit, like the simulator does.
+// A reference to the non-resident page `p` through ReferenceStep.
 void Miss(ArcPolicy& arc, PageId p, size_t capacity) {
-  arc.PrepareAdmit(p);
-  if (arc.ResidentCount() == capacity) {
-    ASSERT_TRUE(arc.Evict().has_value());
-  }
-  arc.Admit(p, AccessType::kRead);
+  ASSERT_FALSE(ReferenceStep(arc, capacity, {.page = p}).hit);
 }
 
 TEST(ArcTest, NewPagesEnterT1) {

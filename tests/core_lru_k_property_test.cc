@@ -375,15 +375,7 @@ TEST(LruKStackProperty, HitsMonotoneInCapacity) {
       LruKPolicy policy(options);
       uint64_t hits = 0;
       for (PageId p : trace) {
-        if (policy.IsResident(p)) {
-          policy.RecordAccess(p, AccessType::kRead);
-          ++hits;
-        } else {
-          if (policy.ResidentCount() == capacity) {
-            ASSERT_TRUE(policy.Evict().has_value());
-          }
-          policy.Admit(p, AccessType::kRead);
-        }
+        if (ReferenceStep(policy, capacity, {.page = p}).hit) ++hits;
       }
       ASSERT_GE(hits, prev_hits)
           << "K=" << k << " capacity=" << capacity;

@@ -102,19 +102,8 @@ TEST(BeladyTest, AchievesOptimalHitsOnKnownPattern) {
   }
   BeladyPolicy b0(trace);
   size_t hits = 0;
-  size_t resident_cap = 2;
-  std::vector<PageId> resident;
   for (PageId p : trace) {
-    bool hit = b0.IsResident(p);
-    if (hit) {
-      ++hits;
-      b0.RecordAccess(p, AccessType::kRead);
-    } else {
-      if (b0.ResidentCount() == resident_cap) {
-        ASSERT_TRUE(b0.Evict().has_value());
-      }
-      b0.Admit(p, AccessType::kRead);
-    }
+    if (ReferenceStep(b0, /*frames=*/2, {.page = p}).hit) ++hits;
   }
   // OPT on this trace with capacity 2: references 4..9 alternate hits.
   EXPECT_GE(hits, 3u);

@@ -24,7 +24,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "bufferpool/buffer_pool.h"
@@ -162,13 +161,13 @@ class RecordingPolicy final : public ReplacementPolicy {
 using MakePolicyFn = std::function<std::unique_ptr<ReplacementPolicy>(
     size_t shard_index, size_t capacity)>;
 
-// A naive single-threaded model of a pool: per shard, the set of resident
-// pages and the bare policy, driven by the pool's rules alone — no page
-// table, pins, latch, access buffer or disk. A hit calls RecordAccess
-// unless it is a correlated re-fix (the previous fix on the pool named
-// the same page); a miss or a NewPage calls PrepareAdmit, then Evict when
-// the shard is full, then Admit; a delete calls Remove. Fed the op
-// sequence a pool ran (ModelCheckedPool), it must end with the pool's
+// A naive single-threaded model of a pool: per shard, the bare policy
+// driven by ReferenceStep at the shard's capacity — no page table, pins,
+// latch, access buffer or disk. The step's residency is the model's. On
+// top of the step the model keeps the pool's correlated re-fix rule: a
+// hit whose previous fix on the pool named the same page reaches no
+// policy. A NewPage is a step that misses; a delete calls Remove. Fed the
+// op sequence a pool ran (ModelCheckedPool), it must end with the pool's
 // hits, misses, evictions, correlated_refs, victim order and LRU-K clock.
 class PoolModel {
  public:
@@ -180,38 +179,33 @@ class PoolModel {
       : shard_of_(std::move(shard_of)) {
     for (size_t i = 0; i < shard_capacities.size(); ++i) {
       shards_.push_back(
-          {shard_capacities[i], make_policy(i, shard_capacities[i]), {}, {}});
+          {shard_capacities[i], make_policy(i, shard_capacities[i]), {}});
     }
   }
 
   void Fetch(PageId p, AccessType type) {
-    Shard& shard = shards_[shard_of_(p)];
     const bool refix = last_fix_ == p;
     last_fix_ = p;
-    if (!shard.resident.contains(p)) {
-      ++stats_.misses;
-      Admit(shard, p, type);
-    } else if (refix) {
+    if (refix && IsResident(p)) {
       ++stats_.hits;
       ++stats_.correlated_refs;
-    } else {
-      ++stats_.hits;
-      shard.policy->RecordAccess(p, type);
+      return;
     }
+    ++(Step(p, type) ? stats_.hits : stats_.misses);
   }
   void NewPage(PageId p) {
     last_fix_ = p;
-    Admit(shards_[shard_of_(p)], p, AccessType::kWrite);
+    Step(p, AccessType::kWrite);
   }
   void Delete(PageId p) {
-    Shard& shard = shards_[shard_of_(p)];
-    if (shard.resident.erase(p) != 0) shard.policy->Remove(p);
+    ReplacementPolicy& policy = *shards_[shard_of_(p)].policy;
+    if (policy.IsResident(p)) policy.Remove(p);
   }
 
   // hits, misses, evictions and correlated_refs; every other counter 0.
   const BufferPoolStats& stats() const { return stats_; }
   bool IsResident(PageId p) const {
-    return shards_[shard_of_(p)].resident.contains(p);
+    return shards_[shard_of_(p)].policy->IsResident(p);
   }
   size_t shard_count() const { return shards_.size(); }
   const std::vector<PageId>& evictions(size_t shard) const {
@@ -225,21 +219,20 @@ class PoolModel {
   struct Shard {
     size_t capacity;
     std::unique_ptr<ReplacementPolicy> policy;
-    std::unordered_set<PageId> resident;
     std::vector<PageId> evictions;
   };
 
-  void Admit(Shard& shard, PageId p, AccessType type) {
-    shard.policy->PrepareAdmit(p);
-    if (shard.resident.size() == shard.capacity) {
-      std::optional<PageId> victim = shard.policy->Evict();
-      ASSERT_TRUE(victim.has_value());
-      shard.resident.erase(*victim);
+  // One reference through p's shard; logs its victim, returns whether it
+  // hit.
+  bool Step(PageId p, AccessType type) {
+    Shard& shard = shards_[shard_of_(p)];
+    const auto [hit, victim] =
+        ReferenceStep(*shard.policy, shard.capacity, {.page = p, .type = type});
+    if (victim.has_value()) {
       shard.evictions.push_back(*victim);
       ++stats_.evictions;
     }
-    shard.resident.insert(p);
-    shard.policy->Admit(p, type);
+    return hit;
   }
 
   std::function<size_t(PageId)> shard_of_;

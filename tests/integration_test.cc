@@ -136,13 +136,13 @@ TEST(IntegrationTest, RetainedInformationIsLoadBearing) {
   // it returns.
   constexpr uint64_t kPeriod = 32;
   constexpr uint64_t kTotal = 4800;
-  std::vector<PageRef> refs;
+  std::vector<AccessRecord> refs;
   PageId fresh = 1;
   for (uint64_t t = 0; t < kTotal; ++t) {
     if (t % kPeriod == 0) {
-      refs.push_back({0, AccessType::kRead});
+      refs.push_back({.page = 0, .type = AccessType::kRead});
     } else {
-      refs.push_back({fresh++, AccessType::kRead});
+      refs.push_back({.page = fresh++, .type = AccessType::kRead});
     }
   }
   TraceWorkload gen(std::move(refs));

@@ -8,8 +8,8 @@
 //    removing the mapping, OptimisticFind/Validate agreeing with the
 //    latched surface when nothing is mutating.
 //  * Differential battery — single-threaded, both pools end exactly where
-//    a naive model of the pool does (difftest::PoolModel: a resident set
-//    and the bare policy) over the 20k-op mixed workload async_io_test.cc
+//    a naive model of the pool does (difftest::PoolModel: the bare policy
+//    driven by ReferenceStep) over the 20k-op mixed workload async_io_test.cc
 //    uses: same hits, misses, evictions and correlated re-fixes, same
 //    victim sequence, same LRU-K clock, same residency — and so does a
 //    run whose hits fill the publish ring's stripe, and so does every

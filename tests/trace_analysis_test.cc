@@ -8,9 +8,9 @@
 namespace lruk {
 namespace {
 
-std::vector<PageRef> Refs(std::initializer_list<PageId> pages) {
-  std::vector<PageRef> out;
-  for (PageId p : pages) out.push_back({p, AccessType::kRead, 0});
+std::vector<AccessRecord> Refs(std::initializer_list<PageId> pages) {
+  std::vector<AccessRecord> out;
+  for (PageId p : pages) out.push_back({.page = p, .type = AccessType::kRead});
   return out;
 }
 
@@ -60,9 +60,11 @@ TEST(PagesReReferencedWithinTest, HorizonBoundary) {
 
 TEST(PagesReReferencedWithinTest, MetronomeCensusIsExact) {
   // 10 pages on a strict period of 10: every page re-references at gap 10.
-  std::vector<PageRef> refs;
+  std::vector<AccessRecord> refs;
   for (int round = 0; round < 5; ++round) {
-    for (PageId p = 0; p < 10; ++p) refs.push_back({p, AccessType::kRead, 0});
+    for (PageId p = 0; p < 10; ++p) {
+      refs.push_back({.page = p, .type = AccessType::kRead});
+    }
   }
   EXPECT_EQ(PagesReReferencedWithin(refs, 9), 0u);
   EXPECT_EQ(PagesReReferencedWithin(refs, 10), 10u);

@@ -61,9 +61,9 @@ TEST(ParseTraceTest, RejectsEmptyTrace) {
 }
 
 TEST(TraceWorkloadTest, ReplaysAndWraps) {
-  TraceWorkload gen({{1, AccessType::kRead},
-                     {5, AccessType::kWrite},
-                     {3, AccessType::kRead}});
+  TraceWorkload gen({{.page = 1, .type = AccessType::kRead},
+                     {.page = 5, .type = AccessType::kWrite},
+                     {.page = 3, .type = AccessType::kRead}});
   EXPECT_EQ(gen.NumPages(), 6u);  // Max page id + 1.
   EXPECT_EQ(gen.size(), 3u);
   EXPECT_EQ(gen.Next().page, 1u);
@@ -79,9 +79,9 @@ TEST(TraceWorkloadTest, ReplaysAndWraps) {
 
 TEST(TraceFileTest, RoundTripsThroughDisk) {
   std::string path = ::testing::TempDir() + "/lruk_trace_roundtrip.txt";
-  std::vector<PageRef> refs = {{10, AccessType::kRead, 1},
-                               {20, AccessType::kWrite, 2},
-                               {10, AccessType::kRead, 0}};
+  std::vector<AccessRecord> refs = {{10, 1, AccessType::kRead},
+                                    {20, 2, AccessType::kWrite},
+                                    {10, 0, AccessType::kRead}};
   ASSERT_TRUE(WriteTraceFile(path, refs).ok());
   auto loaded = ReadTraceFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

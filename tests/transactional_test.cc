@@ -17,7 +17,7 @@ TEST(TransactionalTest, ProcessesRoundRobin) {
   options.num_processes = 4;
   TransactionalWorkload gen(options);
   for (int i = 0; i < 400; ++i) {
-    PageRef ref = gen.Next();
+    AccessRecord ref = gen.Next();
     EXPECT_EQ(ref.process, static_cast<uint32_t>(i % 4));
   }
 }
@@ -43,7 +43,7 @@ TEST(TransactionalTest, IntraTransactionRereadsAreReadThenWrite) {
   std::map<PageId, int> reads;
   std::map<PageId, int> writes;
   for (int i = 0; i < 2000; ++i) {
-    PageRef ref = gen.Next();
+    AccessRecord ref = gen.Next();
     if (ref.type == AccessType::kRead) {
       ++reads[ref.page];
     } else {
@@ -101,11 +101,11 @@ TEST(TransactionalTest, BatchContinuationChainsTransactions) {
 
 TEST(TransactionalTest, ResetReplaysStream) {
   TransactionalWorkload gen(TransactionalOptions{});
-  std::vector<PageRef> first;
+  std::vector<AccessRecord> first;
   for (int i = 0; i < 3000; ++i) first.push_back(gen.Next());
   gen.Reset();
   for (int i = 0; i < 3000; ++i) {
-    PageRef ref = gen.Next();
+    AccessRecord ref = gen.Next();
     ASSERT_EQ(ref.page, first[i].page) << i;
     ASSERT_EQ(ref.process, first[i].process) << i;
     ASSERT_EQ(static_cast<int>(ref.type), static_cast<int>(first[i].type));

@@ -37,7 +37,7 @@ TEST(TwoPoolTest, AlternatesPools) {
   options.n2 = 100;
   TwoPoolWorkload gen(options);
   for (int i = 0; i < 500; ++i) {
-    PageRef ref = gen.Next();
+    AccessRecord ref = gen.Next();
     if (i % 2 == 0) {
       EXPECT_LT(ref.page, 10u) << "even positions reference pool 1";
     } else {
