@@ -49,6 +49,16 @@
 // apart, and times each fetch: a pool that held its latch across the
 // read would stall such a hit for up to a whole read.
 //
+// Section 7 — allocation write-backs (one thread, the default pool). The
+// thread NewPages N pages through a pool of N/4 frames on a disk wrapper
+// whose writes sleep 200 us, unpinning each dirty, so once the frames are
+// full every allocation's victim is dirty. An allocation whose first
+// victim is dirty writes back up to MaxConcurrentIo() dirty victims as one
+// DiskManager::RunBatch batch and keeps the extra frames for the next
+// allocations. The cell runs twice, on the sleeping disk as it is (the
+// default kMaxIoInFlight: batches of 16) and declaring 1 (one victim per
+// allocation, written alone), and times each allocation and the run.
+//
 // Every thread sleeps with 1 ns timer slack (main sets it before any
 // thread starts; threads inherit it), as bench/e2e's TimedDisk does: with
 // the default 50 us slack a nominal 200 us sleep lasts ~265 us.
@@ -69,6 +79,9 @@
 //  * hit during a clean miss — every fetch of the resident pages was a
 //    hit, and the p99 of those taken while the other thread's misses read
 //    is under a tenth of the read time.
+//  * allocation write-backs overlap — both allocation runs count the same
+//    evictions, dirty write-backs and device writes, and the concurrent
+//    run's total time is <= 0.25x the serial one's.
 //
 // Flags: --json <path> writes machine-readable results (BENCH_async_io
 // trajectory); --quick shrinks op counts for CI smoke runs.
@@ -669,16 +682,78 @@ HitDuringMissCell RunHitDuringMissCell(uint64_t fetches) {
 }
 
 // ---------------------------------------------------------------------
+// Section 7: allocation write-backs.
+
+struct AllocationCell {
+  std::string device;  // "concurrent" | "serial"
+  size_t max_concurrent_io = 0;
+  uint64_t pages = 0;
+  size_t frames = 0;
+  BufferPoolStats stats;
+  uint64_t device_writes = 0;
+  double alloc_p50_us = 0.0;
+  double alloc_p99_us = 0.0;
+  double total_ms = 0.0;
+};
+
+// One thread NewPages `pages` pages through a default pool of pages / 4
+// frames on the 200 us sleeping disk, unpinning each dirty, and times each
+// allocation and the whole run. With pages a multiple of 64, the
+// allocations past the first pool-full come in whole batches of 16, so
+// both runs evict the same pages.
+AllocationCell RunAllocationCell(size_t max_concurrent_io, uint64_t pages) {
+  using Clock = std::chrono::steady_clock;
+  constexpr uint64_t kSleepMicros = 200;
+  AllocationCell cell;
+  cell.device = max_concurrent_io > 1 ? "concurrent" : "serial";
+  cell.max_concurrent_io = max_concurrent_io;
+  cell.pages = pages;
+  cell.frames = static_cast<size_t>(pages / 4);
+
+  SimDiskOptions disk_options;
+  disk_options.read_micros = 0.0;
+  disk_options.write_micros = 0.0;
+  SimDiskManager base(disk_options);
+  SleepingDiskManager disk(&base, kSleepMicros, kSleepMicros,
+                           max_concurrent_io);
+  BufferPool pool(cell.frames, &disk,
+                  std::make_unique<LruKPolicy>(
+                      LruKOptions{.k = 2, .capacity_hint = cell.frames}));
+  std::vector<double> alloc_us;
+  alloc_us.reserve(pages);
+  const Clock::time_point start = Clock::now();
+  for (uint64_t i = 0; i < pages; ++i) {
+    const Clock::time_point begin = Clock::now();
+    auto page = pool.NewPage();
+    const Clock::time_point done = Clock::now();
+    if (!page.ok()) return cell;
+    std::memset((*page)->Data(), static_cast<int>(i), kPageSize);
+    (void)pool.UnpinPage((*page)->id(), true);
+    alloc_us.push_back(
+        std::chrono::duration<double, std::micro>(done - begin).count());
+  }
+  cell.total_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+  cell.stats = pool.stats();
+  cell.device_writes = base.stats().writes;
+  cell.alloc_p50_us = Percentile(&alloc_us, 0.50);
+  cell.alloc_p99_us = Percentile(&alloc_us, 0.99);
+  return cell;
+}
+
+// ---------------------------------------------------------------------
 
 void WriteJson(const char* path, const BenchProvenance& provenance,
                const std::vector<CoalesceCell>& coalesce_cells,
                const std::vector<WriteBehindCell>& wb_cells,
                const FlushCell& flush_cell,
                const std::vector<DirtyMissCell>& dirty_cells,
-               const HitDuringMissCell& hit_cell, bool coalesce_ok,
-               bool wb_foreground_ok, bool wb_p99_ok, bool accounting_ok,
-               bool flush_ok, bool flush_unlatched_ok, bool dirty_miss_ok,
-               bool hit_unstalled_ok) {
+               const HitDuringMissCell& hit_cell,
+               const std::vector<AllocationCell>& alloc_cells,
+               bool coalesce_ok, bool wb_foreground_ok, bool wb_p99_ok,
+               bool accounting_ok, bool flush_ok, bool flush_unlatched_ok,
+               bool dirty_miss_ok, bool hit_unstalled_ok,
+               bool alloc_overlap_ok) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
@@ -776,6 +851,21 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
       static_cast<unsigned long long>(hit_cell.misses),
       PoolCountersJson(hit_cell.stats).c_str(), hit_cell.hit_p50_us,
       hit_cell.hit_p99_us, hit_cell.hit_max_us);
+  std::fprintf(f, "  ],\n  \"allocation_cells\": [\n");
+  for (size_t i = 0; i < alloc_cells.size(); ++i) {
+    const AllocationCell& c = alloc_cells[i];
+    std::fprintf(
+        f,
+        "    {\"device\": \"%s\", \"max_concurrent_io\": %zu, "
+        "\"pages\": %llu, \"frames\": %zu, %s, \"device_writes\": %llu, "
+        "\"alloc_p50_us\": %.1f, \"alloc_p99_us\": %.1f, "
+        "\"total_ms\": %.1f}%s\n",
+        c.device.c_str(), c.max_concurrent_io,
+        static_cast<unsigned long long>(c.pages), c.frames,
+        PoolCountersJson(c.stats).c_str(),
+        static_cast<unsigned long long>(c.device_writes), c.alloc_p50_us,
+        c.alloc_p99_us, c.total_ms, i + 1 < alloc_cells.size() ? "," : "");
+  }
   std::fprintf(f,
                "  ],\n  \"checks\": {\n"
                "    \"coalesced_nonzero\": %s,\n"
@@ -785,14 +875,16 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                "    \"flush_overlaps_writes\": %s,\n"
                "    \"fetch_during_flush_unstalled\": %s,\n"
                "    \"dirty_miss_overlaps\": %s,\n"
-               "    \"hit_during_miss_unstalled\": %s\n  }\n}\n",
+               "    \"hit_during_miss_unstalled\": %s,\n"
+               "    \"allocation_writes_overlap\": %s\n  }\n}\n",
                coalesce_ok ? "true" : "false",
                wb_foreground_ok ? "true" : "false",
                wb_p99_ok ? "true" : "false",
                accounting_ok ? "true" : "false", flush_ok ? "true" : "false",
                flush_unlatched_ok ? "true" : "false",
                dirty_miss_ok ? "true" : "false",
-               hit_unstalled_ok ? "true" : "false");
+               hit_unstalled_ok ? "true" : "false",
+               alloc_overlap_ok ? "true" : "false");
   std::fclose(f);
 }
 
@@ -826,6 +918,7 @@ int main(int argc, char** argv) {
   const uint64_t wb_ops_per_thread = quick ? 600 : 3000;
   const uint64_t dirty_ops = quick ? 800 : 4000;
   const uint64_t hit_fetches = quick ? 2000 : 4000;
+  const uint64_t alloc_pages = quick ? 512 : 2048;
   provenance.threads = 8;  // Maximum client threads across the sections.
 
   std::printf("Async I/O: 8-thread coalescing churn over a sleeping disk\n\n");
@@ -973,6 +1066,46 @@ int main(int argc, char** argv) {
       hit_cell.misses > 0 &&
       hit_cell.hit_p99_us * 10.0 < static_cast<double>(hit_cell.read_micros);
 
+  std::printf("\nallocation write-backs: one thread, default pool, 200 us "
+              "writes, %llu pages NewPage'd through %llu frames, each "
+              "unpinned dirty\n",
+              static_cast<unsigned long long>(alloc_pages),
+              static_cast<unsigned long long>(alloc_pages / 4));
+  const std::vector<AllocationCell> alloc_cells = {
+      RunAllocationCell(DiskManager::kMaxIoInFlight, alloc_pages),
+      RunAllocationCell(1, alloc_pages)};
+  AsciiTable alloc_table({"device", "max in flight", "evictions",
+                          "dirty write-backs", "device writes",
+                          "alloc p50 (us)", "alloc p99 (us)", "total (ms)"});
+  for (const AllocationCell& c : alloc_cells) {
+    alloc_table.AddRow({c.device, std::to_string(c.max_concurrent_io),
+                        AsciiTable::Integer(c.stats.evictions),
+                        AsciiTable::Integer(c.stats.dirty_writebacks),
+                        AsciiTable::Integer(c.device_writes),
+                        AsciiTable::Fixed(c.alloc_p50_us, 1),
+                        AsciiTable::Fixed(c.alloc_p99_us, 1),
+                        AsciiTable::Fixed(c.total_ms, 1)});
+  }
+  alloc_table.Print();
+  const AllocationCell& alloc_concurrent = alloc_cells[0];
+  const AllocationCell& alloc_serial = alloc_cells[1];
+  const bool alloc_counts_equal =
+      alloc_concurrent.stats.evictions == alloc_serial.stats.evictions &&
+      alloc_concurrent.stats.dirty_writebacks ==
+          alloc_serial.stats.dirty_writebacks &&
+      alloc_concurrent.device_writes == alloc_serial.device_writes;
+  if (!alloc_counts_equal) {
+    std::printf("allocation runs differ in their counts:\n  concurrent: %s "
+                "device_writes=%llu\n  serial:     %s device_writes=%llu\n",
+                FormatCounters(alloc_concurrent.stats).c_str(),
+                static_cast<unsigned long long>(alloc_concurrent.device_writes),
+                FormatCounters(alloc_serial.stats).c_str(),
+                static_cast<unsigned long long>(alloc_serial.device_writes));
+  }
+  const bool alloc_overlap_ok =
+      alloc_counts_equal && alloc_concurrent.stats.dirty_writebacks > 0 &&
+      alloc_concurrent.total_ms <= 0.25 * alloc_serial.total_ms;
+
   std::printf("\nshape: concurrent same-page misses coalesce "
               "(coalesced_reads > 0, physical reads <= misses): %s\n",
               coalesce_ok && bounded_ok ? "yes" : "NO");
@@ -998,16 +1131,23 @@ int main(int argc, char** argv) {
               "(p99 < 1/10 of the read time): %s\n",
               hit_unstalled_ok ? "yes" : "NO");
 
+  std::printf("shape: allocations on a concurrent device take <= 0.25x "
+              "the serial time (%.0f vs %.0f ms, same counts), "
+              "allocation_writes_overlap: %s\n",
+              alloc_concurrent.total_ms, alloc_serial.total_ms,
+              alloc_overlap_ok ? "yes" : "NO");
+
   if (json_path != nullptr) {
     WriteJson(json_path, provenance, coalesce_cells, wb_cells, flush_cell,
-              dirty_cells, hit_cell, coalesce_ok && bounded_ok,
+              dirty_cells, hit_cell, alloc_cells, coalesce_ok && bounded_ok,
               wb_foreground_ok, wb_p99_ok, accounting_ok, flush_ok,
-              flush_unlatched_ok, dirty_miss_ok, hit_unstalled_ok);
+              flush_unlatched_ok, dirty_miss_ok, hit_unstalled_ok,
+              alloc_overlap_ok);
     std::printf("wrote %s\n", json_path);
   }
   return coalesce_ok && bounded_ok && wb_foreground_ok && wb_p99_ok &&
                  accounting_ok && flush_ok && flush_unlatched_ok &&
-                 dirty_miss_ok && hit_unstalled_ok
+                 dirty_miss_ok && hit_unstalled_ok && alloc_overlap_ok
              ? 0
              : 1;
 }

@@ -15,10 +15,18 @@
 //     That the heap picks Figure 2.1's victims is a ctest property
 //     (LruKOracleEquivalence), not a bench check.
 //
+// Every row is timed in kRounds interleaved rounds inside one process:
+// each row's policy is built and warmed once, then every round times each
+// row once, starting one row later than the round before, so drift over
+// the run (frequency, cache, a noisy neighbour) lands on every row alike.
+// The table and the JSON give each row's median over the rounds with its
+// quartiles; a single timing per row moved ~±15% between processes.
+//
 // Flags: --json <path>, --quick, and the provenance flags of
 // bench_common.h (--git-sha/--build-type/--sanitizer, stamped into the
 // JSON by run_quick.sh).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -38,6 +46,71 @@ namespace lruk {
 namespace {
 
 constexpr size_t kCatalogCapacity = 1024;
+constexpr int kRounds = 7;
+
+// A row's timings over the rounds: the median and the quartiles (linear
+// interpolation between order statistics).
+struct Spread {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  auto at = [&](double q) {
+    const double pos = q * static_cast<double>(xs.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, xs.size() - 1);
+    return xs[lo] + (xs[hi] - xs[lo]) * (pos - static_cast<double>(lo));
+  };
+  return Spread{at(0.25), at(0.5), at(0.75)};
+}
+
+// One timed row: a policy warmed on its trace, then stepped on from where
+// its last round stopped.
+struct TimedRow {
+  std::string name;
+  std::unique_ptr<ReplacementPolicy> policy;
+  size_t capacity = 0;
+  const std::vector<PageId>* trace = nullptr;
+  size_t cursor = 0;
+  std::vector<double> ns_per_ref;  // One per round.
+
+  TimedRow(std::string label, std::unique_ptr<ReplacementPolicy> p,
+           size_t frames, const std::vector<PageId>* refs)
+      : name(std::move(label)),
+        policy(std::move(p)),
+        capacity(frames),
+        trace(refs) {
+    // One full pass warms the resident set.
+    for (PageId page : *trace) {
+      ReferenceStep(*policy, capacity, {.page = page});
+    }
+  }
+
+  void TimeRound(uint64_t ops) {
+    auto start = std::chrono::steady_clock::now();
+    for (uint64_t n = 0; n < ops; ++n) {
+      ReferenceStep(*policy, capacity, {.page = (*trace)[cursor]});
+      if (++cursor == trace->size()) cursor = 0;
+    }
+    double seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+    ns_per_ref.push_back(seconds * 1e9 / static_cast<double>(ops));
+  }
+};
+
+// Times every row kRounds times, `ops` steps each, round r starting at row
+// r (mod the row count).
+void RunRounds(std::vector<TimedRow>& rows, uint64_t ops) {
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      rows[(i + static_cast<size_t>(round)) % rows.size()].TimeRound(ops);
+    }
+  }
+}
 
 // --- Part 1: catalog sweep -------------------------------------------------
 
@@ -47,33 +120,6 @@ std::vector<PageId> ZipfTrace(size_t length) {
   zopt.seed = 77;
   ZipfianWorkload gen(zopt);
   return MaterializeTrace(gen, length);
-}
-
-struct CatalogRow {
-  std::string name;
-  double ns_per_ref = 0.0;
-};
-
-CatalogRow RunCatalog(const std::string& label, const PolicyConfig& config,
-                      const std::vector<PageId>& trace, uint64_t ops) {
-  PolicyContext context;
-  context.capacity = kCatalogCapacity;
-  auto policy = MakePolicy(config, context);
-  LRUK_ASSERT(policy.ok(), "catalog policy failed to build");
-  ReplacementPolicy& p = **policy;
-
-  // One full pass to warm the resident set, then the timed loop.
-  for (PageId page : trace) ReferenceStep(p, kCatalogCapacity, {.page = page});
-  size_t i = 0;
-  auto start = std::chrono::steady_clock::now();
-  for (uint64_t n = 0; n < ops; ++n) {
-    ReferenceStep(p, kCatalogCapacity, {.page = trace[i]});
-    if (++i == trace.size()) i = 0;
-  }
-  double seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  return CatalogRow{label, seconds * 1e9 / static_cast<double>(ops)};
 }
 
 // --- Part 2: lazy-heap throughput -------------------------------------------
@@ -98,35 +144,9 @@ std::vector<PageId> HotColdTrace(size_t resident, size_t length,
   return trace;
 }
 
-struct HeapCell {
-  size_t resident = 0;
-  double ops_per_sec = 0.0;
-  double ns_per_ref = 0.0;
-};
-
-HeapCell RunHeapCell(size_t resident, const std::vector<PageId>& trace,
-                     uint64_t ops) {
-  LruKPolicy p(LruKOptions{.k = 2, .capacity_hint = resident});
-  for (PageId page : trace) ReferenceStep(p, resident, {.page = page});
-  size_t i = 0;
-  auto start = std::chrono::steady_clock::now();
-  for (uint64_t n = 0; n < ops; ++n) {
-    ReferenceStep(p, resident, {.page = trace[i]});
-    if (++i == trace.size()) i = 0;
-  }
-  double seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  HeapCell cell{resident};
-  cell.ops_per_sec =
-      seconds > 0 ? static_cast<double>(ops) / seconds : 0.0;
-  cell.ns_per_ref = seconds * 1e9 / static_cast<double>(ops);
-  return cell;
-}
-
 void WriteJson(const char* path, const BenchProvenance& provenance,
-               const std::vector<CatalogRow>& catalog,
-               const std::vector<HeapCell>& cells) {
+               const std::vector<TimedRow>& catalog,
+               const std::vector<TimedRow>& heap_rows) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
@@ -134,21 +154,28 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
   }
   std::fprintf(f, "{\n  \"bench\": \"micro_policy_overhead\",\n");
   WriteProvenanceJson(f, provenance);
-  std::fprintf(f, ",\n  \"catalog_capacity\": %zu,\n  \"catalog\": [\n",
-               kCatalogCapacity);
+  std::fprintf(f,
+               ",\n  \"rounds\": %d,\n  \"catalog_capacity\": %zu,\n"
+               "  \"catalog\": [\n",
+               kRounds, kCatalogCapacity);
   for (size_t i = 0; i < catalog.size(); ++i) {
-    std::fprintf(f, "    {\"policy\": \"%s\", \"ns_per_ref\": %.1f}%s\n",
-                 catalog[i].name.c_str(), catalog[i].ns_per_ref,
+    const Spread ns = SpreadOf(catalog[i].ns_per_ref);
+    std::fprintf(f,
+                 "    {\"policy\": \"%s\", \"ns_per_ref\": %.1f, "
+                 "\"ns_per_ref_q1\": %.1f, \"ns_per_ref_q3\": %.1f}%s\n",
+                 catalog[i].name.c_str(), ns.median, ns.q1, ns.q3,
                  i + 1 < catalog.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"lazy_heap_cells\": [\n");
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const HeapCell& c = cells[i];
+  for (size_t i = 0; i < heap_rows.size(); ++i) {
+    const TimedRow& row = heap_rows[i];
+    const Spread ns = SpreadOf(row.ns_per_ref);
     std::fprintf(f,
                  "    {\"resident\": %zu, \"ops_per_sec\": %.1f, "
-                 "\"ns_per_ref\": %.1f}%s\n",
-                 c.resident, c.ops_per_sec, c.ns_per_ref,
-                 i + 1 < cells.size() ? "," : "");
+                 "\"ns_per_ref\": %.1f, \"ns_per_ref_q1\": %.1f, "
+                 "\"ns_per_ref_q3\": %.1f}%s\n",
+                 row.capacity, 1e9 / ns.median, ns.median, ns.q1, ns.q3,
+                 i + 1 < heap_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -179,17 +206,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  const uint64_t catalog_ops = quick ? 1 << 16 : 1 << 20;
-  const uint64_t heap_ops = quick ? 1 << 17 : 1 << 21;
+  // Steps per row per round.
+  const uint64_t catalog_ops = quick ? 1 << 14 : 1 << 18;
+  const uint64_t heap_ops = quick ? 1 << 15 : 1 << 18;
   const std::vector<size_t> resident_sizes = {512, 2048};
 
   // --- Catalog sweep ---
   std::printf(
       "Policy bookkeeping overhead: Zipfian 80-20, %zu frames, "
-      "hit-or-admit step\n\n",
-      kCatalogCapacity);
+      "hit-or-admit step, %d interleaved rounds\n\n",
+      kCatalogCapacity, kRounds);
   std::vector<PageId> zipf = ZipfTrace(1 << 16);
-  std::vector<CatalogRow> catalog;
   auto spec = [](const char* text) {
     auto config = ParsePolicySpec(text);
     LRUK_ASSERT(config.ok(), "catalog spec failed to parse");
@@ -211,34 +238,59 @@ int main(int argc, char** argv) {
       {"adaptive:lruk2", spec("adaptive:lruk2")},
       {"adaptive:lruk2+lfu+mru", spec("adaptive:lruk2+lfu+mru")},
   };
-  AsciiTable catalog_table({"policy", "ns/ref"});
+  PolicyContext context;
+  context.capacity = kCatalogCapacity;
+  std::vector<TimedRow> catalog;
   for (const auto& [label, config] : entries) {
-    catalog.push_back(RunCatalog(label, config, zipf, catalog_ops));
-    catalog_table.AddRow(
-        {catalog.back().name, AsciiTable::Fixed(catalog.back().ns_per_ref, 1)});
+    auto policy = MakePolicy(config, context);
+    LRUK_ASSERT(policy.ok(), "catalog policy failed to build");
+    catalog.emplace_back(label, std::move(*policy), kCatalogCapacity, &zipf);
+  }
+  RunRounds(catalog, catalog_ops);
+  AsciiTable catalog_table({"policy", "ns/ref (median)", "q1", "q3"});
+  for (const TimedRow& row : catalog) {
+    const Spread ns = SpreadOf(row.ns_per_ref);
+    catalog_table.AddRow({row.name, AsciiTable::Fixed(ns.median, 1),
+                          AsciiTable::Fixed(ns.q1, 1),
+                          AsciiTable::Fixed(ns.q3, 1)});
   }
   catalog_table.Print();
   catalog_table.MaybeWriteCsvFromEnv("micro_policy_overhead_catalog");
 
   // --- Lazy-heap throughput ---
   std::printf(
-      "\nLRU-2 lazy victim heap: 95%% hot / 5%% cold uniform stream\n\n");
-  std::vector<HeapCell> cells;
-  AsciiTable grid({"resident", "ops/sec", "ns/ref"});
+      "\nLRU-2 lazy victim heap: 95%% hot / 5%% cold uniform stream, %d "
+      "interleaved rounds\n\n",
+      kRounds);
+  std::vector<std::vector<PageId>> traces;
   for (size_t resident : resident_sizes) {
-    std::vector<PageId> trace =
-        HotColdTrace(resident, 1 << 18, /*seed=*/0xBEEF + resident);
-    cells.push_back(RunHeapCell(resident, trace, heap_ops));
-    const HeapCell& c = cells.back();
-    grid.AddRow({AsciiTable::Integer(c.resident),
-                 AsciiTable::Integer(static_cast<uint64_t>(c.ops_per_sec)),
-                 AsciiTable::Fixed(c.ns_per_ref, 1)});
+    traces.push_back(
+        HotColdTrace(resident, 1 << 18, /*seed=*/0xBEEF + resident));
+  }
+  std::vector<TimedRow> heap_rows;
+  for (size_t i = 0; i < resident_sizes.size(); ++i) {
+    const size_t resident = resident_sizes[i];
+    heap_rows.emplace_back(
+        "LRU-2",
+        std::make_unique<LruKPolicy>(
+            LruKOptions{.k = 2, .capacity_hint = resident}),
+        resident, &traces[i]);
+  }
+  RunRounds(heap_rows, heap_ops);
+  AsciiTable grid(
+      {"resident", "ops/sec (median)", "ns/ref (median)", "q1", "q3"});
+  for (const TimedRow& row : heap_rows) {
+    const Spread ns = SpreadOf(row.ns_per_ref);
+    grid.AddRow({AsciiTable::Integer(row.capacity),
+                 AsciiTable::Integer(static_cast<uint64_t>(1e9 / ns.median)),
+                 AsciiTable::Fixed(ns.median, 1), AsciiTable::Fixed(ns.q1, 1),
+                 AsciiTable::Fixed(ns.q3, 1)});
   }
   grid.Print();
   grid.MaybeWriteCsvFromEnv("micro_policy_overhead_index");
 
   if (json_path != nullptr) {
-    WriteJson(json_path, provenance, catalog, cells);
+    WriteJson(json_path, provenance, catalog, heap_rows);
     std::printf("wrote %s\n", json_path);
   }
   return 0;

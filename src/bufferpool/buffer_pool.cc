@@ -4,6 +4,7 @@
 #include <cstring>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "util/retry.h"
@@ -116,37 +117,42 @@ void BufferPool::DiskBatch(std::span<PageIo> batch) {
 }
 
 Result<FrameId> BufferPool::AcquireFrame(std::vector<PageId>* deferred_writes,
-                                         DemandRead* demand) {
+                                         DemandRead* demand,
+                                         size_t max_victims) {
   if (!free_frames_.empty()) {
     FrameId f = free_frames_.back();
     free_frames_.pop_back();
     return f;
   }
   // Write-behind needs somewhere off the miss path to run, so a
-  // worker-mode dispatcher always writes dirty victims behind. Inline pools
-  // keep the synchronous write-back, so deterministic replay sees a fixed
-  // disk-op order.
-  if (io_->inline_mode()) deferred_writes = nullptr;
+  // worker-mode dispatcher always writes dirty victims behind, one per
+  // call. Inline pools keep the synchronous write-back, so deterministic
+  // replay sees a fixed disk-op order.
+  if (io_->inline_mode()) {
+    deferred_writes = nullptr;
+  } else {
+    max_victims = 1;
+  }
   // Pin counts are the ground truth (the policy is never told of pins), so
   // the policy may nominate pinned pages. Nominate victims in escalating
   // batches — EvictBatch defers LRU-K's retained-history insertion, so a
   // skipped pinned nominee costs one Restore instead of a full retention +
   // resurrection round trip through the bounded non-resident budget. Take
-  // the first unpinned nominee that survives the bucket handshake, then
-  // restore every unused one in reverse pop order: exact for LRU-K, a
-  // re-admission for a policy on the default Restore (see the header).
-  // Single-threaded there are no pinned nominations in steady fetch/unpin
-  // loops, so the first batch of one is a single Evict().
+  // unpinned nominees that survive the bucket handshake (the first, and
+  // after a dirty first the next dirty ones, up to max_victims, and at
+  // most one clean one to end the batch), then restore every unused one in
+  // reverse pop order: exact for LRU-K, a re-admission for a policy on the
+  // default Restore (see the header). Single-threaded there are no pinned
+  // nominations in steady fetch/unpin loops, so the first batch of one is
+  // a single Evict(), and so is each later nomination of a batch.
   std::vector<PageId>& nominees = nominee_scratch_;  // Latch-guarded.
   std::vector<PageId>& batch = batch_scratch_;
+  std::vector<Victim>& victims = victim_scratch_;
   nominees.clear();
-  size_t used = static_cast<size_t>(-1);
+  victims.clear();
   bool stop = false;
-  Result<FrameId> result = Status::ResourceExhausted(
-      "all buffer frames are pinned; cannot evict");
   size_t want = 1;
-  while (!stop) {
-    if (policy_->EvictBatch(want, &batch) == 0) break;
+  while (!stop && policy_->EvictBatch(want, &batch) > 0) {
     for (PageId victim : batch) {
       nominees.push_back(victim);
       if (stop) continue;  // Unexamined tail of the batch: restore below.
@@ -168,68 +174,105 @@ Result<FrameId> BufferPool::AcquireFrame(std::vector<PageId>* deferred_writes,
       // Unpinned and the bucket is odd: no reader can validate a new pin
       // until we release the bucket, so the frame is exclusively ours —
       // the write-back (or write-behind image copy) cannot race a page
-      // writer. It runs BEFORE any pool state is dismantled, so a failure
-      // rolls the eviction back: the frame still holds the page image, and
-      // its page-table entry, pin count (0) and dirty bit are untouched.
-      // No eviction is counted.
-      Status written = WriteBackVictim(victim, page, deferred_writes, demand);
-      if (!written.ok()) {
-        // The failed nominee is restored below with the rest (it is the
-        // most recent examined pop, so reverse order restores it in its
-        // exact Evict-undo position).
-        page_table_.UnlockUnchanged(bucket);
-        result = written;
-        stop = true;
-        continue;
-      }
-      page_table_.UnlockErased(bucket);
-      page.id_ = kInvalidPageId;
-      page.dirty_.store(false, std::memory_order_relaxed);
-      ++stats_.evictions;
-      result = f;
-      used = nominees.size() - 1;
-      stop = true;
+      // writer, and nothing can dirty the page meanwhile.
+      const bool dirty = page.is_dirty();
+      victims.push_back({victim, f, bucket, nominees.size() - 1, dirty,
+                         Status::Ok()});
+      stop = !dirty || victims.size() >= max_victims;
     }
-    // Every nominee so far was pinned: widen the net.
-    want = want < 4 ? 4 : 16;
+    // Every nominee so far was pinned: widen the net. Else nominate one
+    // page at a time, so a clean nominee ends the batch with no nominee
+    // left unexamined: a policy on the default Restore re-admits what it
+    // is handed back, so only pinned nominees may go back.
+    want = victims.empty() ? (want < 4 ? 4 : 16) : 1;
   }
+  // The write-backs run BEFORE any pool state is dismantled, so a failure
+  // rolls its eviction back: the frame still holds the page image, and its
+  // page-table entry, pin count (0) and dirty bit are untouched.
+  WriteBackVictims(victims, deferred_writes, demand);
+  std::optional<FrameId> frame;
+  Status failed = Status::Ok();  // The first failed write-back's status.
+  std::vector<size_t>& erased = bucket_scratch_;
+  erased.clear();
+  for (const Victim& v : victims) {
+    if (!v.status.ok()) {
+      // Rolled back: restored below with the unused nominees. No eviction
+      // is counted.
+      page_table_.UnlockUnchanged(v.bucket);
+      if (failed.ok()) failed = v.status;
+      continue;
+    }
+    erased.push_back(v.bucket);
+    nominees[v.nominee] = kInvalidPageId;  // Evicted: not restored.
+    Page& page = frames_[v.frame];
+    page.id_ = kInvalidPageId;
+    page.dirty_.store(false, std::memory_order_relaxed);
+    ++stats_.evictions;
+    if (v.dirty && deferred_writes == nullptr) ++stats_.dirty_writebacks;
+    if (frame.has_value()) {
+      free_frames_.push_back(v.frame);
+    } else {
+      frame = v.frame;
+    }
+  }
+  page_table_.UnlockErased(std::span(erased));
+  // Hand back every other nominee in reverse pop order (a failed victim is
+  // restored in its exact Evict-undo position).
   for (size_t i = nominees.size(); i-- > 0;) {
-    if (i != used) policy_->Restore(nominees[i]);
+    if (nominees[i] != kInvalidPageId) policy_->Restore(nominees[i]);
   }
-  return result;
+  if (frame.has_value()) return *frame;
+  if (!failed.ok()) return failed;
+  return Status::ResourceExhausted(
+      "all buffer frames are pinned; cannot evict");
 }
 
-Status BufferPool::WriteBackVictim(PageId v, Page& page,
-                                   std::vector<PageId>* deferred_writes,
-                                   DemandRead* demand) {
-  if (!page.is_dirty()) return Status::Ok();
+void BufferPool::WriteBackVictims(std::span<Victim> victims,
+                                  std::vector<PageId>* deferred_writes,
+                                  DemandRead* demand) {
   if (deferred_writes != nullptr) {
     // Write-behind: copy the image aside (the "pinned copy") and hand the
     // write to the Flush lane after the latch drops — the frame is
     // reusable immediately and the miss path never waits on it. A failed
     // write re-admits exactly (ReadmitFailedVictimLocked).
-    auto vw = std::make_shared<VictimWrite>();
-    vw->image = std::make_unique<char[]>(kPageSize);
-    std::memcpy(vw->image.get(), page.Data(), kPageSize);
-    pending_victim_writes_.emplace(v, std::move(vw));
-    deferred_writes->push_back(v);
-    return Status::Ok();
+    for (const Victim& v : victims) {
+      if (!v.dirty) continue;
+      auto vw = std::make_shared<VictimWrite>();
+      vw->image = std::make_unique<char[]>(kPageSize);
+      std::memcpy(vw->image.get(), frames_[v.frame].Data(), kPageSize);
+      pending_victim_writes_.emplace(v.page, std::move(vw));
+      deferred_writes->push_back(v.page);
+    }
+    return;
   }
-  // The write-back first, then the demand read if any: a device that runs
-  // one operation at a time writes, then reads only if the write landed,
-  // as two calls would.
-  PageIo batch[] = {
-      {PageIo::Kind::kWrite, v, page.Data(), Status::Ok()},
-      {PageIo::Kind::kRead, demand != nullptr ? demand->page : kInvalidPageId,
-       read_scratch_.get(), Status::Ok()}};
-  DiskBatch(std::span(batch, demand != nullptr ? 2 : 1));
-  LRUK_RETURN_IF_ERROR(batch[0].status);
+  // The write-backs first, then the demand read if any: a device that runs
+  // one operation at a time writes, then reads only if the writes landed,
+  // as separate calls would.
+  std::vector<PageIo>& batch = io_scratch_;
+  batch.clear();
+  for (const Victim& v : victims) {
+    if (v.dirty) {
+      batch.push_back({PageIo::Kind::kWrite, v.page, frames_[v.frame].Data(),
+                       Status::Ok()});
+    }
+  }
+  if (batch.empty()) return;
   if (demand != nullptr) {
-    demand->done = true;
-    demand->status = std::move(batch[1].status);
+    batch.push_back({PageIo::Kind::kRead, demand->page, read_scratch_.get(),
+                     Status::Ok()});
   }
-  ++stats_.dirty_writebacks;
-  return Status::Ok();
+  DiskBatch(batch);
+  bool written = true;
+  size_t i = 0;
+  for (Victim& v : victims) {
+    if (!v.dirty) continue;
+    v.status = std::move(batch[i++].status);
+    written = written && v.status.ok();
+  }
+  if (demand != nullptr && written) {
+    demand->done = true;
+    demand->status = std::move(batch[i].status);
+  }
 }
 
 void BufferPool::DrainAccessBufferLocked() const {
@@ -578,7 +621,11 @@ Result<Page*> BufferPool::AdmitNewPageLocked(
     DrainAccessBufferLocked();  // As on the miss path: admit/evict on a
                                 // fully drained view.
     policy_->PrepareAdmit(p);
-    auto acquired = AcquireFrame(deferred_writes);
+    // An inline pool's allocation writes its dirty victims back in
+    // batches (see AcquireFrame); a worker-mode pool writes them behind.
+    auto acquired =
+        AcquireFrame(deferred_writes, /*demand=*/nullptr,
+                     /*max_victims=*/disk_->MaxConcurrentIo());
     if (acquired.ok()) {
       frame = *acquired;
       break;

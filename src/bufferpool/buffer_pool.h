@@ -93,8 +93,9 @@ struct BufferPoolOptions {
   // FlushAll writes, a clean miss's read (free frame or clean victim) and
   // write-behind victim writes retry with the pool latch released.
   // Synchronous eviction write-backs and the writes of parked victim
-  // images retry under the latch; so does a dirty miss's paired
-  // write-back and read (see AcquireFrame).
+  // images retry under the latch; so do a dirty miss's paired write-back
+  // and read and an allocation's batch of victim write-backs, each
+  // failed write on its own (see AcquireFrame).
   int io_max_attempts = 1;
 
   // Worker threads of the pool's IoDispatcher (DESIGN.md "Async I/O
@@ -103,7 +104,9 @@ struct BufferPoolOptions {
   // the issuing thread, in issue order, so a single thread's op sequence
   // is fixed by its seed; a clean miss reads with the latch released, a
   // miss with a dirty victim writes it back and reads as one device batch
-  // under the latch (see AcquireFrame). > 0 = worker mode: miss reads run
+  // under the latch, and an allocation with a dirty victim writes back up
+  // to MaxConcurrentIo() dirty victims as one batch under the latch (see
+  // AcquireFrame). > 0 = worker mode: miss reads run
   // on workers, and every dirty victim is written behind — its image
   // copied aside, its write posted on the Flush lane and the new page
   // admitted at once (writebehind_writes; a full Flush lane falls back to
@@ -343,17 +346,45 @@ class BufferPool final : public PoolInterface {
   // latch was released. Caller holds `guard`.
   bool AwaitFlushLocked(std::unique_lock<std::mutex>& guard,
                         const Status& failed);
+  // One victim AcquireFrame has taken: its bucket is locked and its pin
+  // count 0, so the frame is the pool's alone until the bucket is
+  // released. `status` is its write-back's (Ok for a clean victim).
+  struct Victim {
+    PageId page = kInvalidPageId;
+    FrameId frame = 0;
+    size_t bucket = 0;
+    size_t nominee = 0;  // Its index in nominee_scratch_.
+    bool dirty = false;
+    Status status;
+  };
+
   // Finds a frame for a new resident page: the free list first, then a
-  // policy eviction (with dirty write-back). If the victim's write-back
-  // fails, the eviction is rolled back (policy_->Restore) and the pool is
-  // left as before the call. A synchronous write-back carries `demand`
-  // when given (see WriteBackVictim); if its read fails, the eviction
-  // stands and the frame is returned all the same. The policy is never
-  // told of pins, so it may nominate pinned pages: they are skipped under
-  // the bucket handshake and handed back with Restore. That is exact for
+  // policy eviction (with dirty write-back). The policy is never told of
+  // pins, so it may nominate pinned pages: they are skipped under the
+  // bucket handshake and handed back with Restore. That is exact for
   // LRU-K (and the adaptive policy's LRU-K nominator); a policy on the
   // default Restore re-admits the page instead, which moves it as an
   // admission would (an LRU page becomes the most recent, say).
+  //
+  // Allocation batches (DESIGN.md §8): with `max_victims` > 1 (an inline
+  // pool's NewPage/AdmitNewPage passes disk_->MaxConcurrentIo()), a dirty
+  // first victim is followed by the policy's next victims while they are
+  // dirty, up to `max_victims` in all; a clean one ends the batch and is
+  // evicted too. After the first victim it nominates one page at a time,
+  // so no nominee is left unexamined and only pinned ones are handed
+  // back. Their write-backs go to the device as one DiskBatch, one
+  // freed frame is returned and the others go on the free list. A victim
+  // whose write-back fails is rolled back exactly (frame image, dirty bit,
+  // page-table entry, policy_->Restore), but for what an LRU-K history
+  // budget dropped when a later nomination settled its retention
+  // (DESIGN.md §7); the other evictions stand, and
+  // the call fails, with the first failed write's status, only if no
+  // victim was freed. With 1 (every other caller, every worker-mode pool)
+  // it takes one victim.
+  //
+  // A synchronous write-back carries `demand` when given (see
+  // WriteBackVictims); if its read fails, the eviction stands and the
+  // frame is returned all the same.
   //
   // Write-behind: when `deferred_writes` is non-null and the dispatcher
   // runs in worker mode, a dirty victim's image is copied into a
@@ -363,18 +394,23 @@ class BufferPool final : public PoolInterface {
   // `deferred_writes` forces the synchronous write-back (used on failure
   // paths that must not cascade).
   Result<FrameId> AcquireFrame(std::vector<PageId>* deferred_writes,
-                               DemandRead* demand = nullptr);
-  // AcquireFrame's dirty-victim step for `v` in `page` (held exclusively):
-  // a write-behind image copy onto `deferred_writes` when non-null, else a
-  // synchronous write-back, whose failure leaves the pool unchanged. With
-  // `demand`, the write-back and the demand read go to the device as one
-  // DiskBatch, so a device that overlaps operations serves both in one
-  // service time, and the read lands in read_scratch_: the frame keeps the
-  // victim's image until the write has landed. A failed write-back fails
-  // the step as before (`demand` is left not done).
-  Status WriteBackVictim(PageId v, Page& page,
-                         std::vector<PageId>* deferred_writes,
-                         DemandRead* demand);
+                               DemandRead* demand = nullptr,
+                               size_t max_victims = 1);
+  // AcquireFrame's write step for `victims` (each held exclusively), which
+  // sets each one's status: a write-behind image copy onto
+  // `deferred_writes` when non-null (worker mode takes one victim), else
+  // the dirty victims' synchronous write-backs as one DiskBatch, under the
+  // latch. With `demand`, the demand read rides in the same batch, after
+  // the writes, so a device that overlaps operations serves the pair in
+  // one service time, and the read lands in read_scratch_: the frame keeps
+  // the victim's image until the write has landed. `demand` is done only
+  // if every write landed. A batch whose RunBatch finds every runner busy
+  // (a concurrent FlushAll, say) runs in order on the calling thread: its
+  // k writes then take as long under the latch as k allocations' single
+  // write-backs would.
+  void WriteBackVictims(std::span<Victim> victims,
+                        std::vector<PageId>* deferred_writes,
+                        DemandRead* demand);
   // NewPage/AdmitNewPage body; caller holds `guard`.
   Result<Page*> AdmitNewPageLocked(std::unique_lock<std::mutex>& guard,
                                    PageId p,
@@ -458,6 +494,9 @@ class BufferPool final : public PoolInterface {
   // path performs no allocation — the capacity sticks after warm-up.
   std::vector<PageId> nominee_scratch_;
   std::vector<PageId> batch_scratch_;
+  std::vector<Victim> victim_scratch_;
+  std::vector<PageIo> io_scratch_;
+  std::vector<size_t> bucket_scratch_;
   // Frames live in a fixed array (Page is immovable now that its pin
   // count and dirty flag are atomics).
   std::unique_ptr<Page[]> frames_;

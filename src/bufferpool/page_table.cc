@@ -1,5 +1,7 @@
 #include "bufferpool/page_table.h"
 
+#include <algorithm>
+
 namespace lruk {
 
 namespace {
@@ -73,6 +75,23 @@ void PageTable::UnlockUnchanged(size_t bucket) {
 void PageTable::UnlockErased(size_t bucket) {
   EraseFromLockedBucket(bucket);
   --size_;
+}
+
+void PageTable::UnlockErased(std::span<size_t> buckets) {
+  // Within a cluster, a bucket nearer the end has fewer occupied buckets
+  // after it; erasing it never moves the locked buckets before it, so the
+  // order stays right as the erases go.
+  auto tail = [&](size_t bucket) {
+    size_t n = 0;
+    while (buckets_[(bucket + n + 1) & mask_].page.load(
+               std::memory_order_relaxed) != kInvalidPageId) {
+      ++n;
+    }
+    return n;
+  };
+  std::sort(buckets.begin(), buckets.end(),
+            [&](size_t a, size_t b) { return tail(a) < tail(b); });
+  for (size_t bucket : buckets) UnlockErased(bucket);
 }
 
 void PageTable::EraseFromLockedBucket(size_t hole) {

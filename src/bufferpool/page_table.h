@@ -43,6 +43,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/types.h"
@@ -78,6 +79,12 @@ class PageTable {
   // Releases a locked bucket by erasing its entry (backward shift; every
   // touched bucket's version is bumped).
   void UnlockErased(size_t bucket);
+  // Releases several locked buckets by erasing their entries. A backward
+  // shift moves the entries after the hole in its probe cluster, so a
+  // still-locked entry there would move (and come unlocked); the entries
+  // are therefore erased nearest their cluster's end first, and no erase
+  // moves a bucket still locked. Reorders `buckets`.
+  void UnlockErased(std::span<size_t> buckets);
   // Visits every (page, frame) pair in unspecified order. Caller holds the
   // latch; the callback must not mutate the table.
   template <typename Fn>

@@ -24,7 +24,11 @@ namespace lruk {
 // `evictions` counts policy-chosen victims only (DeletePage is not an
 // eviction, and an eviction whose dirty write-back failed — and was rolled
 // back — is not counted); `dirty_writebacks` counts eviction-time
-// write-backs (explicit FlushPage/FlushAll writes are not included).
+// write-backs (explicit FlushPage/FlushAll writes are not included). Both
+// count each victim of an allocation's batch (an inline pool's NewPage
+// may evict up to MaxConcurrentIo() victims at once, keeping the extra
+// frames free), so `evictions` can run ahead of the admissions that used
+// the frames.
 // `read_failures`/`write_failures` count pool-issued disk ops that failed
 // after exhausting any configured retries; `retries` counts the re-issues
 // spent under BufferPoolOptions::io_max_attempts (0 when retries are off).

@@ -120,7 +120,18 @@ void ArcPolicy::Admit(PageId p, AccessType /*type*/) {
     ++evictable_count_;
     return;
   }
-  // Case IV: first sighting goes to T1.
+  // Case IV: first sighting goes to T1. An admission into a frame no Evict
+  // emptied for it (a frame a deleted page or an allocation batch's early
+  // victim left free) did none of Case IV's directory upkeep, so keep the
+  // bounds here: |T1| + |B1| <= c, and the four lists <= 2c. After an
+  // Evict both already hold with room for this page, and nothing is
+  // dropped.
+  if (t1_.size() + b1_.size() >= capacity_) {
+    DropGhostLru(b1_, b1_index_);
+  } else if (t1_.size() + t2_.size() + b1_.size() + b2_.size() >=
+             2 * capacity_) {
+    DropGhostLru(b2_, b2_index_);
+  }
   t1_.push_front(p);
   entries_.emplace(p, Entry{Queue::kT1, t1_.begin(), /*evictable=*/true});
   ++evictable_count_;

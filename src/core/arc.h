@@ -17,7 +17,10 @@
 // the faulting page sits in B2, so callers must announce the incoming
 // page via PrepareAdmit(p) before Evict() — ReferenceStep and the buffer
 // pool both do. Pinned pages are skipped from the tail of the chosen
-// side, falling over to the other side when necessary.
+// side, falling over to the other side when necessary. A pool may admit
+// into a free frame with no Evict before it (a deleted page's frame, or
+// the spare frames of an allocation batch), so Admit keeps the directory
+// bounds (|T1| + |B1| <= c, the four lists <= 2c) itself.
 
 #ifndef LRUK_CORE_ARC_H_
 #define LRUK_CORE_ARC_H_

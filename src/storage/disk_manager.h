@@ -5,7 +5,9 @@
 //
 // Thread safety: RunBatch, which FlushPage/FlushAll write through and
 // which carries an inline pool's dirty miss (the victim's write-back and
-// the miss's read), runs up to MaxConcurrentIo() ReadPage/WritePage calls
+// the miss's read) and an inline pool's allocation (the write-backs of up
+// to MaxConcurrentIo() dirty victims), runs up to MaxConcurrentIo()
+// ReadPage/WritePage calls
 // at once (kMaxIoInFlight unless a manager returns less), on the caller's
 // thread and the manager's persistent runner threads, so both must be
 // thread-safe even under a pool used by one thread, unless the manager

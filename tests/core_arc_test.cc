@@ -165,5 +165,37 @@ TEST(ArcTest, RandomizedDirectoryInvariants) {
   }
 }
 
+// A pool admits with no Evict when a free frame waits: one a deleted page
+// left (Remove), or one an allocation batch emptied by evicting several
+// pages ahead of their admissions. The directory bounds hold all the same.
+TEST(ArcTest, DirectoryStaysBoundedWhenAdmissionsFindFreeFrames) {
+  constexpr size_t kCapacity = 12;
+  ArcPolicy arc(kCapacity);
+  RandomEngine rng(89);
+  for (int step = 0; step < 20000; ++step) {
+    PageId p = rng.NextBounded(64);
+    if (arc.IsResident(p)) {
+      if (rng.NextBounded(8) == 0) {
+        arc.Remove(p);
+      } else {
+        arc.RecordAccess(p, AccessType::kRead);
+      }
+    } else {
+      arc.PrepareAdmit(p);
+      if (arc.ResidentCount() >= kCapacity) {
+        const uint64_t ahead = 1 + rng.NextBounded(4);
+        for (uint64_t i = 0; i < ahead; ++i) {
+          ASSERT_TRUE(arc.Evict().has_value());
+        }
+      }
+      arc.Admit(p, AccessType::kRead);
+    }
+    ASSERT_LE(arc.ResidentCount(), kCapacity);
+    ASSERT_LE(arc.T1Size() + arc.B1Size(), kCapacity);
+    ASSERT_LE(arc.T1Size() + arc.T2Size() + arc.B1Size() + arc.B2Size(),
+              2 * kCapacity);
+  }
+}
+
 }  // namespace
 }  // namespace lruk

@@ -129,6 +129,7 @@ class RecordingPolicy final : public ReplacementPolicy {
     auto it = std::find(evictions_.rbegin(), evictions_.rend(), p);
     ASSERT_TRUE(it != evictions_.rend());
     evictions_.erase(std::next(it).base());
+    ++restores_;
     inner_->Restore(p);
   }
   void Remove(PageId p) override { inner_->Remove(p); }
@@ -148,12 +149,14 @@ class RecordingPolicy final : public ReplacementPolicy {
   }
 
   const std::vector<PageId>& evictions() const { return evictions_; }
+  size_t restores() const { return restores_; }
   ReplacementPolicy& inner() { return *inner_; }
   const ReplacementPolicy& inner() const { return *inner_; }
 
  private:
   std::unique_ptr<ReplacementPolicy> inner_;
   std::vector<PageId> evictions_;
+  size_t restores_ = 0;
 };
 
 // Builds the policy under record for one pool (shard_index 0 for the

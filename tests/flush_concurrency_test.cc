@@ -156,6 +156,23 @@ std::vector<PageId> NewStampedPages(BufferPool& pool, size_t n) {
   return pages;
 }
 
+// In a two-frame pool, NewPage three stamped pages, unpinned dirty, of
+// which the third's allocation evicts pages[0] alone: pages[1] stays
+// pinned meanwhile, since on a device that overlaps writes an unpinned
+// dirty pages[1] would be written back in the same batch.
+std::vector<PageId> ThreePagesEvictingTheFirst(BufferPool& pool) {
+  std::vector<PageId> pages = NewStampedPages(pool, 1);
+  auto second = pool.NewPage();
+  EXPECT_TRUE(second.ok());
+  if (!second.ok()) return pages;
+  pages.push_back((*second)->id());
+  WriteStamp((*second)->Data(), pages[1], 1);
+  std::vector<PageId> third = NewStampedPages(pool, 1);
+  pages.insert(pages.end(), third.begin(), third.end());
+  EXPECT_TRUE(pool.UnpinPage(pages[1], true).ok());
+  return pages;
+}
+
 // Waits long enough that a call which could complete would have; used
 // only to assert that a call is still blocked.
 void GiveItTime() {
@@ -219,7 +236,7 @@ TEST(FlushConcurrencyTest, MissThatFindsACleanFrameCompletesDuringTheWrite) {
   SimDiskManager inner;
   FlushGateDiskManager disk(&inner);
   BufferPool pool(2, &disk, Lru2(2));
-  std::vector<PageId> pages = NewStampedPages(pool, 3);  // Evicts pages[0].
+  std::vector<PageId> pages = ThreePagesEvictingTheFirst(pool);
   ASSERT_FALSE(pool.IsResident(pages[0]));
   ASSERT_TRUE(pool.FlushPage(pages[2]).ok());  // pages[2] is clean.
 
@@ -244,7 +261,7 @@ TEST(FlushConcurrencyTest, MissWhenEveryFrameIsFlushPinnedWaitsForTheFlush) {
   SimDiskManager inner;
   FlushGateDiskManager disk(&inner);
   BufferPool pool(2, &disk, Lru2(2));
-  std::vector<PageId> pages = NewStampedPages(pool, 3);  // Evicts pages[0].
+  std::vector<PageId> pages = ThreePagesEvictingTheFirst(pool);
   ASSERT_FALSE(pool.IsResident(pages[0]));
 
   // Both resident pages are dirty: FlushAll pins both frames, and the
