@@ -1,5 +1,5 @@
-// Async-I/O microbenchmark: measures the pool's I/O paths through its
-// IoDispatcher.
+// Async-I/O microbenchmark: measures the pool's I/O paths — coalesced
+// misses, write-behind, overlapped flushes and device batches.
 //
 // Section 1, scan readahead, is deleted with the readahead it measured;
 // the other sections keep their numbers.
@@ -8,17 +8,20 @@
 // skewed page set over a disk wrapper that sleeps for real microseconds
 // per read, widening the window in which concurrent misses on the same
 // page land; the per-page request tracker folds those into one physical
-// read. Worker mode writes the churn's dirty victims behind.
+// read. Each miss reads on its own client thread, so up to eight reads
+// are in flight at once; worker mode's four writer threads write the
+// churn's dirty victims behind.
 //
 // Section 3 — write-behind eviction (threaded). A dirty-heavy churn (70%
 // writes) over a disk whose writes cost 5x its reads, paced below disk
 // saturation so the question is purely WHERE the victim write-back runs:
 // on the miss path (sync: the default pool, io_workers = 0, whose
 // evicting thread writes the victim back with its read), or off it
-// (write-behind: worker mode posts the pinned-copy victim write on the
-// Flush lane and admits immediately). Client-side fetch latency
-// percentiles and the dispatcher's per-lane counters expose the
-// difference.
+// (write-behind: worker mode posts the pinned-copy victim write on its
+// write-behind queue, admits immediately and reads on the client
+// thread). Client-side fetch latency percentiles and the queue's
+// counters (the JSON's `lanes`, whose demand entry is always 0) expose
+// the difference.
 //
 // Section 4 — overlapped flushes (threaded). FlushAll of 512 dirty pages
 // over a disk wrapper whose writes sleep 200 us of real time. The flush
@@ -284,7 +287,7 @@ struct WriteBehindCell {
   uint64_t ops = 0;
   // dirty_writebacks counts foreground (miss-path) victim writes.
   BufferPoolStats stats;
-  IoDispatcherStats dispatcher;  // Per-lane depth/drop/wait accounting.
+  IoDispatcherStats dispatcher;  // The queue's depth/refusal/wait counts.
   double fetch_p50_micros = 0.0;
   double fetch_p99_micros = 0.0;
   double wall_seconds = 0.0;
@@ -303,15 +306,15 @@ double Percentile(std::vector<double>* sorted_in_place, double q) {
 // (150 us vs 30 us of real sleep), and each client thread paces itself
 // with think time so the offered load stays below disk saturation —
 // write-behind reorders work, it does not create capacity, so the
-// interesting regime is the one where the Flush lane CAN keep up and the
+// interesting regime is the one where the writers CAN keep up and the
 // only question is whether the miss path still pays for victim writes.
 WriteBehindCell RunWriteBehindCell(const std::string& mode,
                                    uint64_t ops_per_thread) {
   WriteBehindCell cell;
   cell.mode = mode;
   cell.threads = 6;
-  // Sync runs the inline dispatcher: its victim writes stay on the miss
-  // path. Worker mode writes them behind.
+  // Sync runs an inline pool: its victim writes stay on the miss path.
+  // Worker mode writes them behind.
   cell.workers = mode == "sync" ? 0 : 4;
 
   constexpr size_t kFrames = 64;
@@ -784,13 +787,12 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
         "    {\"mode\": \"%s\", \"threads\": %llu, \"io_workers\": %llu, "
         "\"ops\": %llu, %s, "
         "\"fetch_p50_micros\": %.1f, \"fetch_p99_micros\": %.1f, "
-        "\"wall_seconds\": %.3f, \"starvation_grants\": %llu, "
-        "\"lanes\": [",
+        "\"wall_seconds\": %.3f, \"lanes\": [",
         c.mode.c_str(), static_cast<unsigned long long>(c.threads),
         static_cast<unsigned long long>(c.workers),
         static_cast<unsigned long long>(c.ops),
-        PoolCountersJson(c.stats).c_str(), c.fetch_p50_micros, c.fetch_p99_micros, c.wall_seconds,
-        static_cast<unsigned long long>(c.dispatcher.starvation_grants));
+        PoolCountersJson(c.stats).c_str(), c.fetch_p50_micros,
+        c.fetch_p99_micros, c.wall_seconds);
     for (size_t l = 0; l < kIoClassCount; ++l) {
       const IoLaneStats& lane = c.dispatcher.lanes[l];
       std::fprintf(
@@ -966,7 +968,7 @@ int main(int argc, char** argv) {
     if (c.mode == "write-behind") wb_single_p99 = c.fetch_p99_micros;
     if (c.mode != "sync") {
       // Foreground (miss-path) victim writes must be <= 5% of all victim
-      // writes: the Flush lane carries the rest.
+      // writes: the write-behind writers carry the rest.
       uint64_t total_victim_writes =
           s.dirty_writebacks + s.writebehind_writes;
       if (s.writebehind_writes == 0 ||

@@ -42,11 +42,11 @@ BufferPool::BufferPool(size_t capacity, DiskManager* disk,
   LRUK_ASSERT(policy_ != nullptr, "buffer pool needs a replacement policy");
   if (shared_dispatcher != nullptr) {
     io_ = shared_dispatcher;
-  } else {
+  } else if (options_.io_workers > 0) {
     owned_io_ = std::make_unique<IoDispatcher>(options_.io_workers);
     io_ = owned_io_.get();
   }
-  if (io_->inline_mode()) read_scratch_ = std::make_unique<char[]>(kPageSize);
+  if (io_ == nullptr) read_scratch_ = std::make_unique<char[]>(kPageSize);
   frames_ = std::make_unique<Page[]>(capacity_);
   free_frames_.reserve(capacity_);
   for (FrameId f = 0; f < capacity_; ++f) {
@@ -55,9 +55,9 @@ BufferPool::BufferPool(size_t capacity, DiskManager* disk,
 }
 
 BufferPool::~BufferPool() {
-  // Settle in-flight dispatcher work first (another thread's miss read
-  // lands in a frame buffer), then best-effort write-back of surviving
-  // dirty pages.
+  // Settle in-flight I/O first (another thread's miss read lands in a
+  // frame buffer, a victim write reads its image), then best-effort
+  // write-back of surviving dirty pages.
   Quiesce();
   (void)FlushAll();
 }
@@ -125,10 +125,10 @@ Result<FrameId> BufferPool::AcquireFrame(std::vector<PageId>* deferred_writes,
     return f;
   }
   // Write-behind needs somewhere off the miss path to run, so a
-  // worker-mode dispatcher always writes dirty victims behind, one per
-  // call. Inline pools keep the synchronous write-back, so deterministic
-  // replay sees a fixed disk-op order.
-  if (io_->inline_mode()) {
+  // worker-mode pool always writes dirty victims behind, one per call.
+  // Inline pools keep the synchronous write-back, so deterministic replay
+  // sees a fixed disk-op order.
+  if (io_ == nullptr) {
     deferred_writes = nullptr;
   } else {
     max_victims = 1;
@@ -231,8 +231,8 @@ void BufferPool::WriteBackVictims(std::span<Victim> victims,
                                   std::vector<PageId>* deferred_writes,
                                   DemandRead* demand) {
   if (deferred_writes != nullptr) {
-    // Write-behind: copy the image aside (the "pinned copy") and hand the
-    // write to the Flush lane after the latch drops — the frame is
+    // Write-behind: copy the image aside (the "pinned copy") and post the
+    // write to the write-behind queue after the latch drops — the frame is
     // reusable immediately and the miss path never waits on it. A failed
     // write re-admits exactly (ReadmitFailedVictimLocked).
     for (const Victim& v : victims) {
@@ -521,7 +521,7 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix) {
     DrainAccessBufferLocked();
     policy_->PrepareAdmit(p);
     auto acquired =
-        AcquireFrame(&deferred, io_->inline_mode() ? &demand : nullptr);
+        AcquireFrame(&deferred, io_ == nullptr ? &demand : nullptr);
     if (acquired.ok()) {
       frame = *acquired;
       break;
@@ -539,9 +539,9 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix) {
     read = demand.status;
     if (read.ok()) std::memcpy(page.Data(), read_scratch_.get(), kPageSize);
   } else {
-    // Register in the tracker, release the latch, and run the read through
-    // the dispatcher: concurrent misses on p coalesce onto this entry, and
-    // the rest of the pool stays serviceable during the I/O. The frame is
+    // Register in the tracker, release the latch, and read on this
+    // thread: concurrent misses on p coalesce onto this entry, and the
+    // rest of the pool stays serviceable during the I/O. The frame is
     // reserved (neither free nor mapped), so nothing else can claim it.
     // The deferred victim write (if any) is posted before the demand read
     // is issued, so the write-back overlaps the read instead of preceding
@@ -550,7 +550,7 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix) {
     PageIo io[] = {{PageIo::Kind::kRead, p, page.Data(), Status::Ok()}};
     guard.unlock();
     LaunchDeferredVictimWrites(deferred);
-    io_->Run([&] { DiskBatch(io); });
+    DiskBatch(io);
     guard.lock();
     CountLatchAcquire();
     read = std::move(io[0].status);
@@ -719,8 +719,8 @@ Status BufferPool::FlushPage(PageId p) {
 
 Status BufferPool::FlushAll() {
   auto guard = Lock();
-  // Drain the dispatcher first: in-flight reads are landing in frame
-  // buffers and queued victim writes may still change the picture. Wait
+  // Settle in-flight I/O first: miss reads are landing in frame buffers
+  // and queued victim writes may still change the picture. Wait
   // out another flush still writing too, so no page is ever under two
   // flushes. Both must hold under one latch hold: while this call waits
   // for a flush, a write-behind miss may evict a dirty page and post its
@@ -865,11 +865,11 @@ Status BufferPool::DeletePage(PageId p) {
 void BufferPool::LaunchDeferredVictimWrites(
     const std::vector<PageId>& victims) {
   for (PageId v : victims) {
-    if (io_->TryPost([this, v] { ExecuteVictimWrite(v, /*foreground=*/false); },
-                     IoClass::kFlush)) {
+    if (io_->TryPost(
+            [this, v] { ExecuteVictimWrite(v, /*foreground=*/false); })) {
       continue;
     }
-    // Flush lane full: the image must still reach disk (or the page be
+    // Queue full: the image must still reach disk (or the page be
     // re-admitted) before anyone can read p again, so run the write here,
     // synchronously — the one case where write-behind stalls the
     // foreground, and it counts as such (dirty_writebacks).
@@ -884,10 +884,10 @@ void BufferPool::ExecuteVictimWrite(PageId v, bool foreground) {
   LRUK_ASSERT(it != pending_victim_writes_.end(),
               "victim write lost its entry");
   std::shared_ptr<VictimWrite> vw = it->second;
-  // The write runs with the latch released (a Flush-lane worker, or the
-  // submitting thread on lane-full fallback). The map entry keeps every
-  // reader of p waiting: a demand fetch of p, a fence — none can touch
-  // p's stale disk image while we are here.
+  // The write runs with the latch released (a write-behind writer, or the
+  // submitting thread when the queue refused the post). The map entry
+  // keeps every reader of p waiting: a demand fetch of p, a fence — none
+  // can touch p's stale disk image while we are here.
   guard.unlock();
   PageIo write[] = {{PageIo::Kind::kWrite, v, vw->image.get(), Status::Ok()}};
   DiskBatch(write);

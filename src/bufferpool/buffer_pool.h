@@ -81,9 +81,8 @@ namespace lruk {
 
 // The options a caller sets, shared by BufferPool and (per shard)
 // ShardedBufferPool. Everything else about the pool is fixed: the
-// dispatcher's lane depth and starvation budget (io/io_dispatcher.h), the
-// access buffer's size, and the latch-free hit path, which every pool
-// takes.
+// write-behind queue's depth (io/io_dispatcher.h), the access buffer's
+// size, and the latch-free hit path, which every pool takes.
 struct BufferPoolOptions {
   // Attempts at a disk read or write that fails with a transient error
   // (kIoError) before the error surfaces to the caller, the first
@@ -98,30 +97,30 @@ struct BufferPoolOptions {
   // failed write on its own (see AcquireFrame).
   int io_max_attempts = 1;
 
-  // Worker threads of the pool's IoDispatcher (DESIGN.md "Async I/O
-  // dispatcher"), which every miss reads through; concurrent misses on a
-  // page share one read. 0 (the default) = inline mode: requests run on
-  // the issuing thread, in issue order, so a single thread's op sequence
-  // is fixed by its seed; a clean miss reads with the latch released, a
-  // miss with a dirty victim writes it back and reads as one device batch
-  // under the latch, and an allocation with a dirty victim writes back up
-  // to MaxConcurrentIo() dirty victims as one batch under the latch (see
-  // AcquireFrame). > 0 = worker mode: miss reads run
-  // on workers, and every dirty victim is written behind — its image
-  // copied aside, its write posted on the Flush lane and the new page
-  // admitted at once (writebehind_writes; a full Flush lane falls back to
-  // the synchronous write, dirty_writebacks). A failed write-behind
-  // re-admits the page dirty, exactly, via ReplacementPolicy::Restore
-  // (writebehind_readmits).
+  // Writer threads of the pool's write-behind queue (IoDispatcher,
+  // DESIGN.md §8 "The dispatcher"). In either mode every miss reads on
+  // the fetching thread, and concurrent misses on a page share one read.
+  // 0 (the default) = inline mode, and no queue: a single thread's
+  // op sequence is fixed by its seed; a clean miss reads with the latch
+  // released, a miss with a dirty victim writes it back and reads as one
+  // device batch under the latch, and an allocation with a dirty victim
+  // writes back up to MaxConcurrentIo() dirty victims as one batch under
+  // the latch (see AcquireFrame). > 0 = worker mode: every dirty victim is
+  // written behind — its image copied aside, its write posted on the
+  // queue and the new page admitted at once (writebehind_writes; a full
+  // queue falls back to the synchronous write, dirty_writebacks). A
+  // failed write-behind re-admits the page dirty, exactly, via
+  // ReplacementPolicy::Restore (writebehind_readmits).
   size_t io_workers = 0;
 };
 
 class BufferPool final : public PoolInterface {
  public:
-  // `disk` must outlive the pool. The pool owns the policy. Its I/O goes
-  // through `shared_dispatcher` if given (it must outlive the pool and
-  // have options.io_workers workers: the shards of a ShardedBufferPool
-  // share one), else through a dispatcher of its own.
+  // `disk` must outlive the pool. The pool owns the policy. A worker-mode
+  // pool posts its victim writes to `shared_dispatcher` if given (it must
+  // outlive the pool and have options.io_workers writers: the shards of a
+  // ShardedBufferPool share one), else to a dispatcher of its own; an
+  // inline pool has none.
   BufferPool(size_t capacity, DiskManager* disk,
              std::unique_ptr<ReplacementPolicy> policy,
              BufferPoolOptions options = {},
@@ -193,13 +192,14 @@ class BufferPool final : public PoolInterface {
     return access_buffer_.stats();
   }
 
-  // --- Async I/O dispatcher surface ---
+  // --- In-flight I/O ---
 
-  // The dispatcher this pool submits through (never null).
+  // The write-behind queue this pool posts victim writes to; null for an
+  // inline pool (io_workers = 0).
   IoDispatcher* io_dispatcher() { return io_; }
-  // Blocks until every in-flight dispatcher request targeting this pool
-  // (miss reads, on any thread; write-behind victim writes) has
-  // completed. FlushAll fences through this; DeletePage fences per page.
+  // Blocks until every in-flight miss read of this pool (on any thread)
+  // and every write-behind victim write it posted has completed. FlushAll
+  // fences through this; DeletePage fences per page.
   void Quiesce();
   // In-flight tracked miss reads; 0 after Quiesce().
   size_t PendingIoCount() const {
@@ -386,8 +386,8 @@ class BufferPool final : public PoolInterface {
   // WriteBackVictims); if its read fails, the eviction stands and the
   // frame is returned all the same.
   //
-  // Write-behind: when `deferred_writes` is non-null and the dispatcher
-  // runs in worker mode, a dirty victim's image is copied into a
+  // Write-behind: when `deferred_writes` is non-null and the pool runs
+  // in worker mode, a dirty victim's image is copied into a
   // VictimWrite entry, the victim's id is appended to `deferred_writes`,
   // and the frame is returned immediately — the caller MUST pass the list
   // to LaunchDeferredVictimWrites after releasing the latch. A null
@@ -434,7 +434,7 @@ class BufferPool final : public PoolInterface {
   // `refix` hit publishes nothing.
   Page* TryOptimisticHit(PageId p, AccessType type, bool refix);
 
-  // --- Dispatcher internals (all: caller holds the latch) ---
+  // --- The per-page read tracker (all: caller holds the latch) ---
   // The in-flight read of `p`, or null.
   PendingIo* FindPendingLocked(PageId p);
   // Starts tracking a read of `p`, which has none in flight.
@@ -451,16 +451,16 @@ class BufferPool final : public PoolInterface {
   void QuiesceLocked(std::unique_lock<std::mutex>& guard);
 
   // --- Write-behind internals (worker mode only) ---
-  // Posts each deferred victim write on the Flush lane; a full lane falls
-  // back to executing it synchronously right here (io_drops_flush +
-  // dirty_writebacks instead of writebehind_writes). Caller must NOT hold
-  // the latch.
+  // Posts each deferred victim write on the write-behind queue; a refused
+  // post falls back to executing it synchronously right here
+  // (io_drops_flush + dirty_writebacks instead of writebehind_writes).
+  // Caller must NOT hold the latch.
   void LaunchDeferredVictimWrites(const std::vector<PageId>& victims);
   // Writes one pending victim image to disk (latch released for the I/O),
   // then completes the VictimWrite entry: on failure the page is
   // re-admitted dirty (or parked), waiters and Quiesce are woken.
   // `foreground` selects the counter: the submitting thread ran it
-  // synchronously (dirty_writebacks) vs a Flush-lane worker
+  // synchronously (dirty_writebacks) vs a write-behind writer
   // (writebehind_writes).
   void ExecuteVictimWrite(PageId v, bool foreground);
   // Exact rollback of a failed write-behind: re-admit `v` dirty and
@@ -483,7 +483,7 @@ class BufferPool final : public PoolInterface {
   // 64 records x 8 stripes.
   mutable AccessBuffer access_buffer_{/*capacity=*/64, /*stripes=*/8};
   // Owned dispatcher (private to this pool); io_ points here or at the
-  // shared one passed in.
+  // shared one passed in, and is null in inline mode.
   std::unique_ptr<IoDispatcher> owned_io_;
   IoDispatcher* io_ = nullptr;
   // Where a demand read paired with a dirty victim's write-back lands

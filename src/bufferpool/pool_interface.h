@@ -33,7 +33,7 @@ namespace lruk {
 // after exhausting any configured retries; `retries` counts the re-issues
 // spent under BufferPoolOptions::io_max_attempts (0 when retries are off).
 //
-// Dispatcher counters (DESIGN.md "Async I/O dispatcher"): a fetch that
+// Read-tracker counters (DESIGN.md §8): a fetch that
 // finds its page's read already in flight counts one miss AND one
 // `coalesced_read` (it waited on the existing read instead of issuing its
 // own). `prefetch_issued`, `prefetch_used` and `background_cleans` are
@@ -42,17 +42,17 @@ namespace lruk {
 // them.
 //
 // Write-behind counters (zero unless `io_workers > 0` — a worker-mode
-// dispatcher always writes dirty victims behind; see DESIGN.md "Priority
-// lanes and write-behind eviction"): in worker mode, `dirty_writebacks`
-// narrows to victim writes the evicting thread performed synchronously
-// (the foreground-stall metric: a full Flush lane), while
-// `writebehind_writes` counts victim writes completed off the miss path
-// from a pinned copy. `writebehind_readmits` counts failed write-behind
-// writes whose page was re-admitted dirty (exact rollback via
-// ReplacementPolicy::Restore — the eviction stays counted).
-// `io_drops_flush` counts this pool's write-behind posts refused by a full
-// Flush lane, each written on the evicting thread instead (one
-// `dirty_writebacks` once it succeeds); with a shared dispatcher it is
+// pool always writes dirty victims behind, through its write-behind
+// queue; see DESIGN.md §8 "The dispatcher"): in worker mode,
+// `dirty_writebacks` narrows to victim writes the evicting thread
+// performed synchronously (the foreground-stall metric: a full queue),
+// while `writebehind_writes` counts victim writes completed off the miss
+// path from a pinned copy. `writebehind_readmits` counts failed
+// write-behind writes whose page was re-admitted dirty (exact rollback
+// via ReplacementPolicy::Restore — the eviction stays counted).
+// `io_drops_flush` counts this pool's write-behind posts refused by a
+// full queue, each written on the evicting thread instead (one
+// `dirty_writebacks` once it succeeds); with a shared queue it is
 // counted at the submitting pool, so shard sums stay exact.
 //
 // Latch-free path counters (every pool's hits and unpins try it first —

@@ -20,10 +20,12 @@ ShardedBufferPool::ShardedBufferPool(size_t capacity, size_t num_shards,
   LRUK_ASSERT(disk_ != nullptr, "sharded pool needs a disk manager");
   LRUK_ASSERT(factory != nullptr, "sharded pool needs a policy factory");
 
-  // One dispatcher (one worker fleet, one bounded queue) serves every
-  // shard; the shards receive it as a shared dispatcher instead of each
-  // spinning up its own.
-  io_ = std::make_unique<IoDispatcher>(shard_options.io_workers);
+  // In worker mode one write-behind queue (one set of writers) serves
+  // every shard; the shards receive it as a shared dispatcher instead of
+  // each spinning up its own. An inline pool has none.
+  if (shard_options.io_workers > 0) {
+    io_ = std::make_unique<IoDispatcher>(shard_options.io_workers);
+  }
 
   // Distribute frames as evenly as possible: the first capacity % N
   // shards absorb the remainder.

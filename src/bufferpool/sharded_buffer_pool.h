@@ -119,12 +119,13 @@ class ShardedBufferPool final : public PoolInterface {
 
   DiskManager& disk() { return *disk_; }
 
-  // --- Async I/O dispatcher surface (DESIGN.md "Async I/O dispatcher") ---
+  // --- In-flight I/O (DESIGN.md §8 "The dispatcher") ---
 
-  // The dispatcher every shard submits through (one worker fleet for the
-  // whole pool in worker mode); never null.
+  // The write-behind queue every shard posts victim writes to (one set of
+  // writers for the whole pool in worker mode); null for an inline pool.
   IoDispatcher* io_dispatcher() { return io_.get(); }
-  // Blocks until every shard's in-flight dispatcher work has completed.
+  // Blocks until every shard's in-flight miss reads and victim writes have
+  // completed.
   void Quiesce();
 
  private:
@@ -149,9 +150,10 @@ class ShardedBufferPool final : public PoolInterface {
   // yet (guarded by alloc_latch_). DeletePage refuses these: a stale
   // delete of a reused id must not free the disk page mid-admission.
   std::unordered_set<PageId> pending_admits_;
-  // One dispatcher shared by all shards (declared before shards_ so the
-  // shards — which quiesce through it in their destructors — are torn
-  // down while it is still alive).
+  // One dispatcher shared by all shards in worker mode, else null
+  // (declared before shards_ so the shards — whose destructors wait out
+  // the victim writes they posted to it — are torn down while it is
+  // still alive).
   std::unique_ptr<IoDispatcher> io_;
   std::vector<std::unique_ptr<BufferPool>> shards_;
 };

@@ -12,11 +12,12 @@
 // thread and the manager's persistent runner threads, so both must be
 // thread-safe even under a pool used by one thread, unless the manager
 // returns 1. A pool used by several threads calls every operation
-// concurrently: flushes write with the pool latch released, the async I/O
-// dispatcher's workers read and write, and the shards of a
-// ShardedBufferPool share one manager. SimDiskManager and FileDiskManager
-// serialize every operation on one internal latch, so overlapping their
-// operations gains nothing: they return 1, and start no runner.
+// concurrently: misses read and flushes write with the pool latch
+// released, a worker-mode pool's write-behind writers write (they never
+// read), and the shards of a ShardedBufferPool share one manager.
+// SimDiskManager and FileDiskManager serialize every operation on one
+// internal latch, so overlapping their operations gains nothing: they
+// return 1, and start no runner.
 
 #ifndef LRUK_STORAGE_DISK_MANAGER_H_
 #define LRUK_STORAGE_DISK_MANAGER_H_

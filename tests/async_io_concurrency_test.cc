@@ -1,10 +1,10 @@
-// Threaded half of the async I/O dispatcher battery (the deterministic
-// half lives in async_io_test.cc). Runs under TSan/ASan in CI's sanitizer
-// matrix (test names match the 'AsyncIo' ctest regex).
+// Threaded half of the miss-path and write-behind battery (the
+// deterministic half lives in async_io_test.cc). Runs under TSan/ASan in
+// CI's sanitizer matrix (test names match its ctest regex).
 //
 // Coverage:
-//  * The default pool's clean miss — with default options (the inline
-//    dispatcher), a miss that takes a clean victim reads with the pool
+//  * The default pool's clean miss — with default options (an inline
+//    pool), a miss that takes a clean victim reads with the pool
 //    latch released: while its read is held in the device, another
 //    thread's hit and its miss of another page complete, and a second
 //    miss of the same page waits on the held read instead of reading it
@@ -22,15 +22,12 @@
 //    and FlushAll converges.
 //  * Same-page churn — a page-id range smaller than the thread count over
 //    a tiny pool forces constant coalesce/evict cycles without deadlock.
-//  * Anti-starvation property — under a sustained demand flood, every
-//    accepted Flush-lane item still executes within a bounded number of
-//    demand completions (the starvation budget at work).
 //  * Write-behind fault churn — threaded dirty-heavy traffic with
 //    probabilistic write faults over a write-behind pool: failed victim
 //    writes re-admit or park without losing images, frames, or counts,
 //    and a restart oracle finds every client's last acknowledged write on
 //    the disk itself. Fault-free, every foreground victim write is a
-//    counted Flush-lane refusal.
+//    counted refusal of a full write-behind queue.
 
 #include <atomic>
 #include <chrono>
@@ -562,71 +559,6 @@ TEST(AsyncIoConcurrencyTest, SamePageChurnOverTinyPoolCoalescesConstantly) {
 }
 
 // ---------------------------------------------------------------------------
-// Priority lanes: the anti-starvation property under a demand flood.
-
-TEST(IoPriorityConcurrencyTest, FlushWorkIsBoundedlyDelayedByDemandFlood) {
-  constexpr int kDemandThreads = 4;
-  constexpr int kDemandOpsPerThread = 500;
-  constexpr int kFlushItems = 50;
-  IoDispatcher io(/*workers=*/2);
-
-  std::atomic<uint64_t> demand_done{0};
-  std::atomic<uint64_t> flush_done{0};
-  std::atomic<uint64_t> max_delay{0};  // Demand completions while queued.
-
-  std::vector<std::thread> demand_threads;
-  demand_threads.reserve(kDemandThreads);
-  for (int t = 0; t < kDemandThreads; ++t) {
-    demand_threads.emplace_back([&] {
-      for (int i = 0; i < kDemandOpsPerThread; ++i) {
-        io.Run([&] { demand_done.fetch_add(1, std::memory_order_relaxed); });
-      }
-    });
-  }
-  // Interleave flush posts with the flood; retry rejected posts (the lane
-  // is bounded) so every item is eventually ACCEPTED — the property below
-  // covers accepted items only.
-  std::thread flusher([&] {
-    for (int i = 0; i < kFlushItems; ++i) {
-      for (;;) {
-        uint64_t at_post = demand_done.load(std::memory_order_relaxed);
-        bool posted = io.TryPost(
-            [&, at_post] {
-              uint64_t delay =
-                  demand_done.load(std::memory_order_relaxed) - at_post;
-              uint64_t seen = max_delay.load(std::memory_order_relaxed);
-              while (delay > seen &&
-                     !max_delay.compare_exchange_weak(seen, delay)) {
-              }
-              flush_done.fetch_add(1, std::memory_order_relaxed);
-            },
-            IoClass::kFlush);
-        if (posted) break;
-        std::this_thread::yield();
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
-  for (auto& t : demand_threads) t.join();
-  flusher.join();
-  io.Drain();
-
-  EXPECT_EQ(flush_done.load(), static_cast<uint64_t>(kFlushItems));
-  // Anti-starvation bound: an accepted flush item sits behind at most the
-  // items already in its lane (≤ kIoLaneDepth), each granted after at
-  // most kIoStarvationBudget demand dispatches, plus slack for the two
-  // workers' in-flight items and the racy read of the counter. The demand
-  // flood alone is 2000 completions — without the budget a flush item
-  // could wait out nearly all of them.
-  constexpr uint64_t kBound = (kIoLaneDepth + 1) * kIoStarvationBudget + 16;
-  EXPECT_LE(max_delay.load(), kBound);
-  IoDispatcherStats stats = io.stats();
-  EXPECT_GT(stats.starvation_grants, 0u);
-  EXPECT_EQ(stats.lane(IoClass::kFlush).executed,
-            static_cast<uint64_t>(kFlushItems));
-}
-
-// ---------------------------------------------------------------------------
 // Write-behind under threaded churn.
 
 // Worker mode, so dirty victims are written behind.
@@ -737,20 +669,18 @@ TEST(WriteBehindConcurrencyTest, FaultChurnKeepsWriteBehindInvariants) {
   }
 }
 
-// Parks every worker of a dispatcher inside a Flush-lane closure until
-// released, so the lane behind them can be filled deterministically.
+// Parks every writer of a dispatcher inside a closure until released, so
+// the queue behind them can be filled deterministically.
 class WorkerPark {
  public:
   void Park(IoDispatcher& io, int workers) {
     for (int i = 0; i < workers; ++i) {
-      ASSERT_TRUE(io.TryPost(
-          [this] {
-            std::unique_lock<std::mutex> guard(mutex_);
-            ++parked_;
-            cv_.notify_all();
-            cv_.wait(guard, [&] { return open_; });
-          },
-          IoClass::kFlush));
+      ASSERT_TRUE(io.TryPost([this] {
+        std::unique_lock<std::mutex> guard(mutex_);
+        ++parked_;
+        cv_.notify_all();
+        cv_.wait(guard, [&] { return open_; });
+      }));
     }
     std::unique_lock<std::mutex> guard(mutex_);
     cv_.wait(guard, [&] { return parked_ == workers; });
@@ -770,7 +700,7 @@ class WorkerPark {
 
 TEST(WriteBehindConcurrencyTest, ForegroundVictimWritesAreFlushLaneRefusals) {
   // Fault-free, the only way a dirty victim write lands on the miss path
-  // is a refused Flush-lane post: each refusal runs its write on the
+  // is a refused write-behind post: each refusal runs its write on the
   // evicting thread, and nothing else does. Those writes are durable too.
   SimDiskManager disk;
   BufferPool pool(16, &disk,
@@ -780,15 +710,14 @@ TEST(WriteBehindConcurrencyTest, ForegroundVictimWritesAreFlushLaneRefusals) {
   ASSERT_TRUE(pool.FlushAll().ok());
   const BufferPoolStats loaded = pool.stats();
 
-  // Refusals on demand: park both workers and fill the Flush lane with
-  // kIoLaneDepth closures, then admit new (dirty) pages. NewPage reads
-  // nothing, so it needs no worker; once the clean residents are gone,
-  // each admission evicts a dirty new page and its refused post writes it
-  // on this thread.
+  // Refusals on demand: park both writers and fill the queue with
+  // kIoLaneDepth closures, then admit new (dirty) pages. Once the clean
+  // residents are gone, each admission evicts a dirty new page and its
+  // refused post writes it on this thread.
   WorkerPark park;
   park.Park(*pool.io_dispatcher(), /*workers=*/2);
   for (size_t i = 0; i < kIoLaneDepth; ++i) {
-    ASSERT_TRUE(pool.io_dispatcher()->TryPost([] {}, IoClass::kFlush));
+    ASSERT_TRUE(pool.io_dispatcher()->TryPost([] {}));
   }
   std::vector<PageId> fresh;
   for (int i = 0; i < 32; ++i) {
@@ -805,8 +734,8 @@ TEST(WriteBehindConcurrencyTest, ForegroundVictimWritesAreFlushLaneRefusals) {
   EXPECT_EQ(parked.writebehind_writes, loaded.writebehind_writes);
   park.Open();
 
-  // Then churn with the lane serving: write-behind takes the victims, and
-  // any further refusal is still the only foreground write.
+  // Then churn with the writers serving: write-behind takes the victims,
+  // and any further refusal is still the only foreground write.
   std::vector<std::vector<uint64_t>> last;
   uint64_t attempts = WriteBehindChurn(pool, pages, &last);
 

@@ -1,16 +1,17 @@
-// The async I/O dispatcher (src/io/) and its buffer-pool integration,
-// deterministic half (the threaded half lives in
-// async_io_concurrency_test.cc).
+// The write-behind queue (src/io/) and the pools' miss path, deterministic
+// half (the threaded half lives in async_io_concurrency_test.cc).
 //
 // Coverage layers:
-//  * IoDispatcher units — inline mode runs synchronously in issue order;
-//    worker mode executes Run() to completion, bounds the queue, rejects
-//    TryPost when full, counts each lane's queued items and waits, and
-//    drains (Drain(), destruction) only once every accepted item ran.
-//  * Demand misses — an inline pool reads a clean miss on the calling
-//    thread; a worker pool reads every miss on a worker through the
-//    Demand lane and posts dirty victims on the Flush lane; a failed read
-//    on a worker gives its frame back.
+//  * IoDispatcher units — the queue bounds itself and refuses TryPost when
+//    full, counts its queued items and their waits, and drains (Drain(),
+//    destruction) only once every accepted item ran; TryPost returns
+//    without running its closure, one writer runs the queue in post
+//    order, and `writers` threads run items at once.
+//  * Demand misses — every miss reads on the calling thread: an inline
+//    pool (plain or sharded), which has no dispatcher, and a worker-mode
+//    pool, whose queue carries only the dirty victims' writes (a sharded
+//    pool's shards share one queue) and whose reads go on with its writer
+//    parked; a failed read in worker mode gives its frame back.
 //  * Scans (plain, worker and sharded pools) — a cold scan
 //    reads each page once and nothing ahead of it, and, as in the paper's
 //    Example 1.2, leaves an LRU-2 pool's hot set resident where LRU
@@ -27,10 +28,11 @@
 //  * Retry — a clean miss's read retries a transient failure with the
 //    pool latch released: hits keep completing while the retry is in the
 //    disk.
-//  * Quiesce/fence — a demand read is held in the disk by a gate disk
+//  * Quiesce/fence — demand reads are held in the disk by a gate disk
 //    manager: DeletePage waits out the read of the same page (no
 //    resurrection after the delete), FlushAll waits for it, and Quiesce
-//    waits for reads queued behind a parked worker.
+//    waits for reads in flight on several client threads and for a
+//    victim write queued behind a parked writer.
 
 #include <atomic>
 #include <chrono>
@@ -41,6 +43,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "bufferpool/buffer_pool.h"
@@ -71,51 +74,61 @@ using difftest::RunDiffScenario;
 using difftest::kDiffCapacity;
 using difftest::kDiffDbPages;
 
-// Forwarding disk manager that blocks reads of one chosen page until
-// released — pins a demand read mid-flight so fences can be exercised
-// deterministically — and records which thread issued each read.
+// Forwarding disk manager that blocks reads of chosen pages until
+// released — pins demand reads mid-flight so fences can be exercised
+// deterministically — and records which thread issued each operation.
 class GateDiskManager final : public DiskManager {
  public:
   explicit GateDiskManager(DiskManager* inner) : inner_(inner) {}
 
-  // Future reads of `p` block until Open().
+  // Future reads of `p` block until Open(); each Close adds a page.
   void Close(PageId p) {
     std::lock_guard<std::mutex> guard(mutex_);
-    gated_ = p;
-    open_ = false;
+    gated_.insert(p);
   }
   void Open() {
     std::lock_guard<std::mutex> guard(mutex_);
-    open_ = true;
+    gated_.clear();
     cv_.notify_all();
   }
-  // Blocks until a reader has reached the gate, or `timeout` passes:
-  // false if none did.
-  bool AwaitReaderFor(std::chrono::milliseconds timeout) {
+  // Blocks until `readers` reads wait at the gate at once, or `timeout`
+  // passes: false if they did not.
+  bool AwaitReadersFor(int readers, std::chrono::milliseconds timeout) {
     std::unique_lock<std::mutex> guard(mutex_);
-    return cv_.wait_for(guard, timeout, [&] { return waiting_ > 0; });
+    return cv_.wait_for(guard, timeout, [&] { return waiting_ >= readers; });
+  }
+  bool AwaitReaderFor(std::chrono::milliseconds timeout) {
+    return AwaitReadersFor(1, timeout);
   }
 
-  // The thread of every read so far, in issue order.
+  // The thread of every read (write) so far, in issue order.
   std::vector<std::thread::id> ReaderThreads() {
     std::lock_guard<std::mutex> guard(mutex_);
     return reader_threads_;
+  }
+  std::vector<std::thread::id> WriterThreads() {
+    std::lock_guard<std::mutex> guard(mutex_);
+    return writer_threads_;
   }
 
   Status ReadPage(PageId p, char* out) override {
     {
       std::unique_lock<std::mutex> guard(mutex_);
       reader_threads_.push_back(std::this_thread::get_id());
-      if (!open_ && p == gated_) {
+      if (gated_.contains(p)) {
         ++waiting_;
-        cv_.notify_all();  // Wake AwaitReaderFor.
-        cv_.wait(guard, [&] { return open_; });
+        cv_.notify_all();  // Wake AwaitReadersFor.
+        cv_.wait(guard, [&] { return !gated_.contains(p); });
         --waiting_;
       }
     }
     return inner_->ReadPage(p, out);
   }
   Status WritePage(PageId p, const char* data) override {
+    {
+      std::lock_guard<std::mutex> guard(mutex_);
+      writer_threads_.push_back(std::this_thread::get_id());
+    }
     return inner_->WritePage(p, data);
   }
   Result<PageId> AllocatePage() override { return inner_->AllocatePage(); }
@@ -132,10 +145,10 @@ class GateDiskManager final : public DiskManager {
   DiskManager* inner_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  PageId gated_ = kInvalidPageId;
-  bool open_ = true;
+  std::unordered_set<PageId> gated_;
   int waiting_ = 0;
   std::vector<std::thread::id> reader_threads_;
+  std::vector<std::thread::id> writer_threads_;
 };
 
 // How long a check waits for a held read to reach the gate, before it
@@ -145,41 +158,9 @@ constexpr std::chrono::milliseconds kHeldReadTimeout{10000};
 // ---------------------------------------------------------------------------
 // IoDispatcher units.
 
-TEST(AsyncIoDispatcherTest, InlineModeRunsSynchronouslyInOrder) {
-  IoDispatcher io;  // workers = 0.
-  EXPECT_TRUE(io.inline_mode());
-  std::vector<int> order;
-  io.Run([&] { order.push_back(1); });
-  EXPECT_TRUE(io.TryPost([&] { order.push_back(2); }));
-  io.Run([&] { order.push_back(3); });
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-
-  IoDispatcherStats stats = io.stats();
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.posted, 1u);
-  EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.executed_inline, 3u);
-  EXPECT_EQ(stats.executed_async, 0u);
-}
-
-TEST(AsyncIoDispatcherTest, WorkerModeRunReturnsAfterExecution) {
-  IoDispatcher io(/*workers=*/2);
-  EXPECT_FALSE(io.inline_mode());
-  std::atomic<int> ran{0};
-  std::thread::id caller = std::this_thread::get_id();
-  std::thread::id executor;
-  io.Run([&] {
-    executor = std::this_thread::get_id();
-    ran.fetch_add(1);
-  });
-  EXPECT_EQ(ran.load(), 1);  // Run() waited for completion.
-  EXPECT_NE(executor, caller);
-  EXPECT_EQ(io.stats().executed_async, 1u);
-}
-
 TEST(AsyncIoDispatcherTest, WorkerModeBoundsQueueAndRejectsTryPost) {
-  IoDispatcher io(/*workers=*/1);
-  // Park the single worker on a gate, then fill the lane.
+  IoDispatcher io(/*writers=*/1);
+  // Park the single writer on a gate, then fill the queue.
   std::mutex m;
   std::condition_variable cv;
   bool open = false;
@@ -189,16 +170,16 @@ TEST(AsyncIoDispatcherTest, WorkerModeBoundsQueueAndRejectsTryPost) {
     std::unique_lock<std::mutex> guard(m);
     cv.wait(guard, [&] { return open; });
   }));
-  // Wait until the worker has dequeued the parked item, so the posts
-  // below are what fills the lane.
+  // Wait until the writer has dequeued the parked item, so the posts
+  // below are what fills the queue.
   while (!parked.load()) std::this_thread::yield();
   std::atomic<int> done{0};
   for (size_t i = 0; i < kIoLaneDepth; ++i) {
     ASSERT_TRUE(io.TryPost([&] { done.fetch_add(1); }));
   }
-  // The lane now holds kIoLaneDepth items with the worker parked: full.
+  // The queue now holds kIoLaneDepth items with the writer parked: full.
   EXPECT_FALSE(io.TryPost([&] { done.fetch_add(1); }));
-  EXPECT_EQ(io.stats().rejected, 1u);
+  EXPECT_EQ(io.stats().lane(IoClass::kFlush).rejected, 1u);
   {
     std::lock_guard<std::mutex> guard(m);
     open = true;
@@ -212,7 +193,7 @@ TEST(AsyncIoDispatcherTest, WorkerModeBoundsQueueAndRejectsTryPost) {
 TEST(AsyncIoDispatcherTest, DestructorDrainsAcceptedWork) {
   std::atomic<int> ran{0};
   {
-    IoDispatcher io(/*workers=*/2);
+    IoDispatcher io(/*writers=*/2);
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(io.TryPost([&] { ran.fetch_add(1); }));
     }
@@ -220,20 +201,18 @@ TEST(AsyncIoDispatcherTest, DestructorDrainsAcceptedWork) {
   EXPECT_EQ(ran.load(), 10);
 }
 
-// Parks a dispatcher's single worker inside a closure until Open(), so
+// Parks a dispatcher's single writer inside a closure until Open(), so
 // what queues behind it can be staged deterministically.
 class ParkedWorker {
  public:
-  // Posts the parking closure on `cls` and waits until the worker runs it.
-  void Park(IoDispatcher& io, IoClass cls) {
-    ASSERT_TRUE(io.TryPost(
-        [this] {
-          std::unique_lock<std::mutex> guard(mutex_);
-          parked_ = true;
-          cv_.notify_all();
-          cv_.wait(guard, [&] { return open_; });
-        },
-        cls));
+  // Posts the parking closure and waits until the writer runs it.
+  void Park(IoDispatcher& io) {
+    ASSERT_TRUE(io.TryPost([this] {
+      std::unique_lock<std::mutex> guard(mutex_);
+      parked_ = true;
+      cv_.notify_all();
+      cv_.wait(guard, [&] { return open_; });
+    }));
     std::unique_lock<std::mutex> guard(mutex_);
     cv_.wait(guard, [&] { return parked_; });
   }
@@ -250,21 +229,17 @@ class ParkedWorker {
   bool open_ = false;
 };
 
-TEST(AsyncIoDispatcherTest, LaneDepthCountsQueuedItemsPerLane) {
-  IoDispatcher io(/*workers=*/1);
+TEST(AsyncIoDispatcherTest, QueueDepthCountsQueuedItems) {
+  IoDispatcher io(/*writers=*/1);
   ParkedWorker worker;
-  worker.Park(io, IoClass::kDemand);
-  EXPECT_EQ(io.LaneDepth(IoClass::kDemand), 0u);  // Running, not queued.
+  worker.Park(io);
+  EXPECT_EQ(io.QueueDepth(), 0u);  // Running, not queued.
 
   std::atomic<int> ran{0};
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(io.TryPost([&] { ran.fetch_add(1); }));  // Flush lane.
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(io.TryPost([&] { ran.fetch_add(1); }));
   }
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(io.TryPost([&] { ran.fetch_add(1); }, IoClass::kDemand));
-  }
-  EXPECT_EQ(io.LaneDepth(IoClass::kFlush), 3u);
-  EXPECT_EQ(io.LaneDepth(IoClass::kDemand), 2u);
+  EXPECT_EQ(io.QueueDepth(), 5u);
   // Hold the queued items for at least 5 ms of the clock the dispatcher
   // measures waits with.
   const auto queued = std::chrono::steady_clock::now();
@@ -276,24 +251,23 @@ TEST(AsyncIoDispatcherTest, LaneDepthCountsQueuedItemsPerLane) {
   io.Drain();
 
   EXPECT_EQ(ran.load(), 5);
-  EXPECT_EQ(io.LaneDepth(IoClass::kFlush), 0u);
-  EXPECT_EQ(io.LaneDepth(IoClass::kDemand), 0u);
-  IoDispatcherStats stats = io.stats();
-  EXPECT_EQ(stats.lane(IoClass::kFlush).queue_highwater, 3u);
-  EXPECT_EQ(stats.lane(IoClass::kDemand).queue_highwater, 2u);
-  EXPECT_EQ(stats.queue_highwater, 5u);  // Both lanes together.
-  for (IoClass cls : {IoClass::kDemand, IoClass::kFlush}) {
-    const IoLaneStats& lane = stats.lane(cls);
-    EXPECT_GE(lane.max_wait_micros, 5000.0) << IoClassName(cls);
-    EXPECT_GE(lane.wait_micros, lane.max_wait_micros) << IoClassName(cls);
-  }
-  EXPECT_GE(stats.lane(IoClass::kFlush).wait_micros, 3 * 5000.0);
+  EXPECT_EQ(io.QueueDepth(), 0u);
+  const IoDispatcherStats stats = io.stats();
+  const IoLaneStats& queue = stats.lane(IoClass::kFlush);
+  EXPECT_EQ(queue.accepted, 6u);  // The parking closure too.
+  EXPECT_EQ(queue.executed, 6u);
+  EXPECT_EQ(queue.queue_highwater, 5u);
+  EXPECT_GE(queue.max_wait_micros, 5000.0);
+  EXPECT_GE(queue.wait_micros, 5 * 5000.0);
+  // Nothing ever counts in the demand slot.
+  EXPECT_EQ(stats.lane(IoClass::kDemand).accepted, 0u);
+  EXPECT_EQ(stats.lane(IoClass::kDemand).wait_micros, 0.0);
 }
 
 TEST(AsyncIoDispatcherTest, DrainWaitsForQueuedAndRunningWork) {
-  IoDispatcher io(/*workers=*/1);
+  IoDispatcher io(/*writers=*/1);
   ParkedWorker worker;
-  worker.Park(io, IoClass::kFlush);
+  worker.Park(io);
   std::atomic<int> ran{0};
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(io.TryPost([&] { ran.fetch_add(1); }));
@@ -302,13 +276,75 @@ TEST(AsyncIoDispatcherTest, DrainWaitsForQueuedAndRunningWork) {
   auto drained = std::async(std::launch::async, [&] { io.Drain(); });
   EXPECT_EQ(drained.wait_for(std::chrono::milliseconds(20)),
             std::future_status::timeout)
-      << "Drain returned with the worker parked and four items queued";
+      << "Drain returned with the writer parked and four items queued";
   EXPECT_EQ(ran.load(), 0);
   worker.Open();
   drained.get();
   EXPECT_EQ(ran.load(), 4);
-  EXPECT_EQ(io.LaneDepth(IoClass::kFlush), 0u);
-  EXPECT_EQ(io.stats().executed_async, 5u);  // The parked closure too.
+  EXPECT_EQ(io.QueueDepth(), 0u);
+  // The parked closure too.
+  EXPECT_EQ(io.stats().lane(IoClass::kFlush).executed, 5u);
+}
+
+// A post hands its closure to a writer and returns at once: the poster
+// neither runs it nor waits for it.
+TEST(AsyncIoDispatcherTest, TryPostReturnsBeforeAWriterRunsIt) {
+  IoDispatcher io(/*writers=*/1);
+  ParkedWorker worker;
+  worker.Park(io);
+  std::atomic<bool> ran{false};
+  std::thread::id runner;
+  ASSERT_TRUE(io.TryPost([&] {
+    runner = std::this_thread::get_id();
+    ran.store(true);
+  }));
+  EXPECT_FALSE(ran.load());  // The only writer is parked.
+  worker.Open();
+  io.Drain();
+  EXPECT_TRUE(ran.load());
+  EXPECT_NE(runner, std::this_thread::get_id());
+}
+
+// One queue, first in, first out: no item overtakes another.
+TEST(AsyncIoDispatcherTest, OneWriterRunsTheQueueInPostOrder) {
+  IoDispatcher io(/*writers=*/1);
+  ParkedWorker worker;
+  worker.Park(io);
+  std::vector<int> order;  // Appended to by the one writer only.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(io.TryPost([&order, i] { order.push_back(i); }));
+  }
+  worker.Open();
+  io.Drain();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+// `writers` threads serve the queue at once: three closures that each
+// wait for the other two all run together, on three distinct threads.
+TEST(AsyncIoDispatcherTest, WritersServeTheQueueTogether) {
+  constexpr int kWriters = 3;
+  IoDispatcher io(kWriters);
+  std::mutex m;
+  std::condition_variable cv;
+  int entered = 0;
+  bool all_met = true;
+  std::unordered_set<std::thread::id> threads;
+  for (int i = 0; i < kWriters; ++i) {
+    ASSERT_TRUE(io.TryPost([&] {
+      std::unique_lock<std::mutex> guard(m);
+      threads.insert(std::this_thread::get_id());
+      ++entered;
+      cv.notify_all();
+      if (!cv.wait_for(guard, kHeldReadTimeout,
+                       [&] { return entered == kWriters; })) {
+        all_met = false;
+      }
+    }));
+  }
+  io.Drain();
+  EXPECT_TRUE(all_met) << "fewer than " << kWriters << " writers ran at once";
+  EXPECT_EQ(threads.size(), static_cast<size_t>(kWriters));
+  EXPECT_FALSE(threads.contains(std::this_thread::get_id()));
 }
 
 // ---------------------------------------------------------------------------
@@ -316,12 +352,12 @@ TEST(AsyncIoDispatcherTest, DrainWaitsForQueuedAndRunningWork) {
 // pool — byte-identical but for who wrote the dirty victims.
 
 TEST(AsyncIoDifferentialTest, SingleThreadedWorkerModeMatchesInlinePool) {
-  // A foreground Run() blocks until its read completes, so a
-  // single-threaded driver is sequential even with workers — the whole
-  // differential holds, not just the counters. Worker mode writes dirty
-  // victims behind, so the inline pool's victim writes are split between
-  // the Flush lane (writebehind_writes) and the evicting thread (a refused
-  // post, dirty_writebacks); every other field still matches.
+  // Every miss reads on the calling thread, so a single-threaded driver
+  // is sequential even with writers — the whole differential holds, not
+  // just the counters. Worker mode writes dirty victims behind, so the
+  // inline pool's victim writes are split between the write-behind queue
+  // (writebehind_writes) and the evicting thread (a refused post,
+  // dirty_writebacks); every other field still matches.
   auto expect_matches = [](DiffScenarioResult inline_pool,
                            DiffScenarioResult workers) {
     EXPECT_GT(workers.stats.writebehind_writes, 0u);
@@ -339,7 +375,7 @@ TEST(AsyncIoDifferentialTest, SingleThreadedWorkerModeMatchesInlinePool) {
 }
 
 // ---------------------------------------------------------------------------
-// Replay determinism: the inline dispatcher over a fault schedule.
+// Replay determinism: the inline pool over a fault schedule.
 
 TEST(AsyncIoDifferentialTest, FaultScheduleReplayIsDeterministicInline) {
   auto run = [](std::string* trace) {
@@ -393,7 +429,7 @@ TEST(AsyncIoDifferentialTest, FaultScheduleReplayIsDeterministicInline) {
 }
 
 // ---------------------------------------------------------------------------
-// Retry through the dispatcher.
+// Retry on the miss path.
 
 TEST(AsyncIoRetryTest, DemandReadRetriesWithTheLatchReleased) {
   SimDiskManager inner;
@@ -448,7 +484,7 @@ TEST(AsyncIoRetryTest, DemandReadRetriesWithTheLatchReleased) {
 }
 
 // ---------------------------------------------------------------------------
-// Demand misses: which thread reads, and on which lane.
+// Demand misses: which thread reads, and what the queue carries.
 
 std::unique_ptr<LruKPolicy> Lru2() {
   return std::make_unique<LruKPolicy>(LruKOptions{.k = 2});
@@ -481,34 +517,34 @@ TEST(AsyncIoMissTest, InlineMissReadsOnTheCallingThread) {
   SimDiskManager inner;
   GateDiskManager disk(&inner);
   BufferPool pool(4, &disk, Lru2());
+  EXPECT_EQ(pool.io_dispatcher(), nullptr);  // An inline pool has none.
   for (PageId p : AllocateRaw(disk, 3)) FixAndUnpin(pool, p);
 
   EXPECT_EQ(disk.ReaderThreads(),
             std::vector<std::thread::id>(3, std::this_thread::get_id()));
-  IoDispatcherStats io = pool.io_dispatcher()->stats();
-  EXPECT_EQ(io.executed_inline, 3u);
-  EXPECT_EQ(io.executed_async, 0u);
-  EXPECT_EQ(io.lane(IoClass::kDemand).accepted, 3u);
-  EXPECT_EQ(io.lane(IoClass::kFlush).accepted, 0u);
 }
 
-TEST(AsyncIoMissTest, WorkerMissReadsOnAWorkerThroughTheDemandLane) {
+TEST(AsyncIoMissTest, WorkerMissReadsOnTheCallingThread) {
   SimDiskManager inner;
   GateDiskManager disk(&inner);
-  BufferPool pool(4, &disk, Lru2(), BufferPoolOptions{.io_workers = 1});
-  for (PageId p : AllocateRaw(disk, 3)) FixAndUnpin(pool, p);
+  BufferPool pool(2, &disk, Lru2(), BufferPoolOptions{.io_workers = 1});
+  const std::vector<PageId> pages = AllocateRaw(disk, 3);
+  FixAndUnpin(pool, pages[0], /*dirty=*/true);
+  FixAndUnpin(pool, pages[1], /*dirty=*/true);
+  FixAndUnpin(pool, pages[2]);  // Evicts a dirty page: written behind.
+  pool.Quiesce();
 
-  const std::vector<std::thread::id> readers = disk.ReaderThreads();
-  ASSERT_EQ(readers.size(), 3u);
-  EXPECT_NE(readers[0], std::this_thread::get_id());
-  // One worker read all three.
-  EXPECT_EQ(readers, std::vector<std::thread::id>(3, readers[0]));
+  // Every read on this thread, the dirty victim's write on a writer.
+  EXPECT_EQ(disk.ReaderThreads(),
+            std::vector<std::thread::id>(3, std::this_thread::get_id()));
+  const std::vector<std::thread::id> writers = disk.WriterThreads();
+  ASSERT_EQ(writers.size(), 1u);
+  EXPECT_NE(writers[0], std::this_thread::get_id());
+  EXPECT_EQ(pool.stats().writebehind_writes, 1u);
   IoDispatcherStats io = pool.io_dispatcher()->stats();
-  EXPECT_EQ(io.executed_inline, 0u);
-  EXPECT_EQ(io.executed_async, 3u);
-  EXPECT_EQ(io.submitted, 3u);  // Each miss blocked in Run() for its read.
-  EXPECT_EQ(io.lane(IoClass::kDemand).accepted, 3u);
-  EXPECT_EQ(io.lane(IoClass::kFlush).accepted, 0u);
+  EXPECT_EQ(io.lane(IoClass::kDemand).accepted, 0u);
+  EXPECT_EQ(io.lane(IoClass::kFlush).accepted, 1u);  // The victim write.
+  EXPECT_EQ(io.lane(IoClass::kFlush).executed, 1u);
 }
 
 TEST(AsyncIoMissTest, WorkerModePostsDirtyVictimsOnTheFlushLane) {
@@ -525,10 +561,10 @@ TEST(AsyncIoMissTest, WorkerModePostsDirtyVictimsOnTheFlushLane) {
   EXPECT_EQ(stats.writebehind_writes, 1u);
   EXPECT_EQ(stats.dirty_writebacks, 0u);
   IoDispatcherStats io = pool.io_dispatcher()->stats();
-  EXPECT_EQ(io.lane(IoClass::kDemand).accepted, 3u);  // The three reads.
+  EXPECT_EQ(io.lane(IoClass::kDemand).accepted, 0u);  // Reads never queue.
   EXPECT_EQ(io.lane(IoClass::kFlush).accepted, 1u);   // The victim write.
   EXPECT_EQ(io.lane(IoClass::kFlush).executed, 1u);
-  EXPECT_EQ(io.posted, 1u);
+  EXPECT_EQ(io.lane(IoClass::kFlush).rejected, 0u);
   EXPECT_EQ(disk.stats().writes, 1u);
   const PageId victim = pool.IsResident(pages[0]) ? pages[1] : pages[0];
   EXPECT_FALSE(pool.IsResident(victim));
@@ -538,7 +574,7 @@ TEST(AsyncIoMissTest, WorkerModePostsDirtyVictimsOnTheFlushLane) {
   EXPECT_EQ(image[kPageSize - 1], FillOf(victim));
 }
 
-TEST(AsyncIoMissTest, FailedReadOnAWorkerGivesItsFrameBack) {
+TEST(AsyncIoMissTest, FailedReadInWorkerModeGivesItsFrameBack) {
   SimDiskManager inner;
   FaultInjectingDiskManager disk(&inner);
   BufferPool pool(4, &disk, Lru2(), BufferPoolOptions{.io_workers = 1});
@@ -560,6 +596,111 @@ TEST(AsyncIoMissTest, FailedReadOnAWorkerGivesItsFrameBack) {
   FixAndUnpin(pool, p);
   EXPECT_TRUE(pool.IsResident(p));
   EXPECT_EQ(pool.FreeFrameCount(), 3u);
+}
+
+// Reads never wait for a writer: with the pool's one writer parked, a
+// miss still reads on the calling thread while its dirty victim's write
+// waits in the queue, and once the queue is full the next dirty victim is
+// written on the evicting thread.
+TEST(AsyncIoMissTest, WorkerMissReadsWhileTheWriterIsParked) {
+  SimDiskManager inner;
+  GateDiskManager disk(&inner);
+  BufferPool pool(2, &disk, Lru2(), BufferPoolOptions{.io_workers = 1});
+  const std::vector<PageId> pages = AllocateRaw(disk, 4);
+  ParkedWorker writer;
+  writer.Park(*pool.io_dispatcher());
+
+  FixAndUnpin(pool, pages[0], /*dirty=*/true);
+  FixAndUnpin(pool, pages[1], /*dirty=*/true);
+  FixAndUnpin(pool, pages[2], /*dirty=*/true);  // Its victim's write queues.
+  EXPECT_EQ(pool.PendingVictimWriteCount(), 1u);
+  EXPECT_TRUE(disk.WriterThreads().empty());
+  for (size_t i = 1; i < kIoLaneDepth; ++i) {  // Fill the queue behind it.
+    ASSERT_TRUE(pool.io_dispatcher()->TryPost([] {}));
+  }
+  FixAndUnpin(pool, pages[3]);  // Its victim's post is refused.
+
+  EXPECT_EQ(disk.ReaderThreads(),
+            std::vector<std::thread::id>(4, std::this_thread::get_id()));
+  EXPECT_EQ(disk.WriterThreads(),
+            std::vector<std::thread::id>(1, std::this_thread::get_id()));
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.dirty_writebacks, 1u);
+  EXPECT_EQ(stats.writebehind_writes, 0u);
+  EXPECT_EQ(pool.PendingVictimWriteCount(), 1u);
+  EXPECT_EQ(pool.io_dispatcher()->stats().lane(IoClass::kFlush).rejected, 1u);
+
+  writer.Open();
+  pool.Quiesce();
+  EXPECT_EQ(pool.stats().writebehind_writes, 1u);
+  const std::vector<std::thread::id> writers = disk.WriterThreads();
+  ASSERT_EQ(writers.size(), 2u);
+  EXPECT_NE(writers[1], std::this_thread::get_id());
+}
+
+// A sharded inline pool has no dispatcher either, in the pool or in any
+// shard: every miss reads on the calling thread, and every dirty victim is
+// written back on the miss path.
+TEST(AsyncIoMissTest, InlineShardedPoolHasNoDispatcher) {
+  SimDiskManager inner;
+  GateDiskManager disk(&inner);
+  ShardedBufferPool pool(4, /*num_shards=*/4, &disk,
+                         [](size_t, size_t) { return Lru2(); });
+  EXPECT_EQ(pool.io_dispatcher(), nullptr);
+  for (size_t i = 0; i < pool.shard_count(); ++i) {
+    EXPECT_EQ(pool.shard(i).io_dispatcher(), nullptr) << "shard " << i;
+  }
+  const std::vector<PageId> pages = AllocateRaw(disk, 32);
+  for (PageId p : pages) FixAndUnpin(pool, p, /*dirty=*/true);
+
+  EXPECT_EQ(disk.ReaderThreads(),
+            std::vector<std::thread::id>(pages.size(),
+                                         std::this_thread::get_id()));
+  const BufferPoolStats stats = pool.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.dirty_writebacks, stats.evictions);
+  EXPECT_EQ(stats.writebehind_writes, 0u);
+  EXPECT_EQ(disk.WriterThreads().size(), stats.evictions);
+}
+
+// In worker mode the shards share the pool's one queue: its one writer
+// writes every shard's dirty victims, and every miss reads on the calling
+// thread.
+TEST(AsyncIoMissTest, ShardedWorkerPoolSharesOneWriteBehindQueue) {
+  SimDiskManager inner;
+  GateDiskManager disk(&inner);
+  ShardedBufferPool pool(4, /*num_shards=*/4, &disk,
+                         [](size_t, size_t) { return Lru2(); },
+                         BufferPoolOptions{.io_workers = 1});
+  IoDispatcher* io = pool.io_dispatcher();
+  ASSERT_NE(io, nullptr);
+  for (size_t i = 0; i < pool.shard_count(); ++i) {
+    EXPECT_EQ(pool.shard(i).io_dispatcher(), io) << "shard " << i;
+  }
+  const std::vector<PageId> pages = AllocateRaw(disk, 32);
+  for (PageId p : pages) FixAndUnpin(pool, p, /*dirty=*/true);
+  pool.Quiesce();
+
+  EXPECT_EQ(disk.ReaderThreads(),
+            std::vector<std::thread::id>(pages.size(),
+                                         std::this_thread::get_id()));
+  const BufferPoolStats stats = pool.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  // Fewer victims than the queue holds: none was refused.
+  EXPECT_EQ(stats.writebehind_writes, stats.evictions);
+  EXPECT_EQ(stats.dirty_writebacks, 0u);
+  EXPECT_EQ(io->stats().lane(IoClass::kFlush).accepted, stats.evictions);
+  size_t posting_shards = 0;
+  for (const BufferPoolStats& shard : pool.ShardStats()) {
+    posting_shards += shard.writebehind_writes > 0 ? 1 : 0;
+  }
+  EXPECT_GT(posting_shards, 1u);
+  const std::vector<std::thread::id> writers = disk.WriterThreads();
+  ASSERT_EQ(writers.size(), stats.evictions);
+  const std::unordered_set<std::thread::id> writer_threads(writers.begin(),
+                                                           writers.end());
+  EXPECT_EQ(writer_threads.size(), 1u);
+  EXPECT_FALSE(writer_threads.contains(std::this_thread::get_id()));
 }
 
 // ---------------------------------------------------------------------------
@@ -743,50 +884,70 @@ TEST(AsyncIoQuiesceTest, FlushAllQuiescesAnInFlightRead) {
   reader.join();
 }
 
-TEST(AsyncIoQuiesceTest, QuiesceDrainsQueuedReads) {
-  SimDiskManager inner;
-  GateDiskManager disk(&inner);
-  BufferPoolOptions options;
-  options.io_workers = 1;
-  BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                  options);
-  std::vector<PageId> raws;
-  for (int i = 0; i < 4; ++i) {
-    auto raw = disk.AllocatePage();
-    ASSERT_TRUE(raw.ok());
-    raws.push_back(*raw);
-  }
-  auto fetch = [&](PageId p) {
-    auto page = pool.FetchPage(p);
-    EXPECT_TRUE(page.ok());
-    if (page.ok()) {
-      EXPECT_TRUE(pool.UnpinPage(p, false).ok());
+// Four misses on four client threads, every read held in the device at
+// once (worker mode too: reads never wait for a writer thread), and
+// Quiesce waits for all of them.
+TEST(AsyncIoQuiesceTest, QuiesceDrainsReadsInFlightOnClientThreads) {
+  constexpr int kReaders = 4;
+  for (size_t workers : {size_t{0}, size_t{1}}) {
+    SCOPED_TRACE(workers == 0 ? "inline" : "worker mode");
+    SimDiskManager inner;
+    GateDiskManager disk(&inner);
+    BufferPool pool(8, &disk, Lru2(), BufferPoolOptions{.io_workers = workers});
+    const std::vector<PageId> raws = AllocateRaw(disk, kReaders);
+    for (PageId p : raws) disk.Close(p);
+    std::vector<std::thread> readers;
+    for (PageId p : raws) {
+      readers.emplace_back([&pool, p] { FixAndUnpin(pool, p); });
     }
-  };
-  disk.Close(raws[0]);  // Park the worker on the first read...
-  std::vector<std::thread> readers;
-  readers.emplace_back(fetch, raws[0]);
-  EXPECT_TRUE(disk.AwaitReaderFor(kHeldReadTimeout))
-      << "the miss never reached the device";
-  for (size_t i = 1; i < raws.size(); ++i) readers.emplace_back(fetch, raws[i]);
-  // ...and let the three other misses queue their reads behind it.
-  const auto deadline = std::chrono::steady_clock::now() + kHeldReadTimeout;
-  while (pool.PendingIoCount() < raws.size() &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(pool.PendingIoCount(), raws.size());
+    EXPECT_TRUE(disk.AwaitReadersFor(kReaders, kHeldReadTimeout))
+        << "the misses' reads never were in the device together";
+    EXPECT_EQ(pool.PendingIoCount(), raws.size());
 
-  std::thread opener([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    disk.Open();
-  });
-  pool.Quiesce();
-  EXPECT_EQ(pool.PendingIoCount(), 0u);
-  for (PageId p : raws) EXPECT_TRUE(pool.IsResident(p));
-  opener.join();
-  for (std::thread& reader : readers) reader.join();
-  EXPECT_EQ(pool.stats().misses, raws.size());
+    std::thread opener([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      disk.Open();
+    });
+    pool.Quiesce();
+    EXPECT_EQ(pool.PendingIoCount(), 0u);
+    for (PageId p : raws) EXPECT_TRUE(pool.IsResident(p));
+    opener.join();
+    for (std::thread& reader : readers) reader.join();
+    EXPECT_EQ(pool.stats().misses, raws.size());
+    // Each read ran on its own client thread.
+    const std::vector<std::thread::id> threads = disk.ReaderThreads();
+    EXPECT_EQ(std::unordered_set<std::thread::id>(threads.begin(),
+                                                  threads.end())
+                  .size(),
+              raws.size());
+  }
+}
+
+// Quiesce waits for victim writes too: one queued behind a parked writer
+// holds it until the writer has run it.
+TEST(AsyncIoQuiesceTest, QuiesceWaitsForAQueuedVictimWrite) {
+  SimDiskManager disk;
+  BufferPool pool(1, &disk, Lru2(), BufferPoolOptions{.io_workers = 1});
+  const std::vector<PageId> pages = AllocateRaw(disk, 2);
+  ParkedWorker writer;
+  writer.Park(*pool.io_dispatcher());
+  FixAndUnpin(pool, pages[0], /*dirty=*/true);
+  FixAndUnpin(pool, pages[1]);  // Evicts pages[0]: its write queues.
+  ASSERT_EQ(pool.PendingVictimWriteCount(), 1u);
+
+  auto quiesced = std::async(std::launch::async, [&] { pool.Quiesce(); });
+  EXPECT_EQ(quiesced.wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout)
+      << "Quiesce returned with a victim write queued behind a parked writer";
+  EXPECT_EQ(disk.stats().writes, 0u);
+  writer.Open();
+  quiesced.get();
+  EXPECT_EQ(pool.PendingVictimWriteCount(), 0u);
+  EXPECT_EQ(pool.stats().writebehind_writes, 1u);
+  char image[kPageSize];
+  ASSERT_TRUE(disk.ReadPage(pages[0], image).ok());
+  EXPECT_EQ(image[0], FillOf(pages[0]));
+  EXPECT_EQ(image[kPageSize - 1], FillOf(pages[0]));
 }
 
 }  // namespace

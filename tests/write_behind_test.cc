@@ -1,5 +1,5 @@
-// Write-behind eviction and I/O priority lanes (deterministic half; the
-// threaded property tests live in async_io_concurrency_test.cc).
+// Write-behind eviction (deterministic half; the threaded property tests
+// live in async_io_concurrency_test.cc).
 //
 // Coverage:
 //  * Write-behind — in worker mode a dirty victim's write-back leaves the
@@ -17,11 +17,7 @@
 //    are authoritative and are resolved by FetchPage (re-admit), FlushPage
 //    / FlushAll (persist), or DeletePage (discard). No frame is ever
 //    leaked, no image is ever dropped. A transient victim-write failure
-//    is retried on the Flush lane with the pool latch released.
-//  * IoPriority — per-lane accept/reject/execute accounting in inline and
-//    worker mode; strict demand preference; the anti-starvation budget
-//    (kIoStarvationBudget) grants queued background work after a bounded
-//    demand streak.
+//    is retried on a write-behind writer with the pool latch released.
 
 #include <atomic>
 #include <cctype>
@@ -40,7 +36,6 @@
 #include "core/policy_factory.h"
 #include "differential_harness.h"
 #include "gtest/gtest.h"
-#include "io/io_dispatcher.h"
 #include "storage/fault_injecting_disk_manager.h"
 #include "storage/sim_disk_manager.h"
 
@@ -151,7 +146,7 @@ TEST(WriteBehindTest, DirtyVictimWriteRunsOffTheMissPath) {
   ASSERT_TRUE(pool.UnpinPage(pa, true).ok());
 
   // The admission evicts dirty pa. With write-behind the write is handed
-  // to the Flush lane and NewPage returns immediately — with a
+  // to the write-behind queue and NewPage returns immediately — with a
   // synchronous write-back this call would hang on the gate forever.
   auto b = pool.NewPage();
   ASSERT_TRUE(b.ok());
@@ -326,7 +321,7 @@ TEST_P(WriteBehindDifferentialTest, VictimOrderMatchesInlinePool) {
   EXPECT_EQ(inline_pool.stats.evictions, behind.stats.evictions);
   EXPECT_EQ(inline_pool.stats.correlated_refs,
             behind.stats.correlated_refs);
-  // Each dirty victim is written exactly once, on the Flush lane or (lane
+  // Each dirty victim is written exactly once, by a writer or (queue
   // full) by the evicting thread.
   EXPECT_GT(behind.stats.writebehind_writes, 0u);
   EXPECT_EQ(behind.stats.dirty_writebacks + behind.stats.writebehind_writes,
@@ -542,146 +537,6 @@ TEST(WriteBehindTest, TransientVictimWriteFailureRetriesOffTheMissPath) {
   EXPECT_EQ(pool.PendingVictimWriteCount(), 0u);
   EXPECT_EQ(pool.ParkedVictimCount(), 0u);
   ExpectDiskImage(inner, pa, 'a');
-}
-
-// ---------------------------------------------------------------------------
-// IoPriority: lanes, preference, anti-starvation.
-
-TEST(IoPriorityTest, InlineModeCountsPerLaneAccounting) {
-  IoDispatcher io;  // Inline mode.
-  int ran = 0;
-  io.Run([&] { ++ran; });                   // Demand (Run's default).
-  EXPECT_TRUE(io.TryPost([&] { ++ran; }));  // Flush (TryPost's default).
-  EXPECT_EQ(ran, 2);
-
-  IoDispatcherStats stats = io.stats();
-  EXPECT_EQ(stats.executed_inline, 2u);
-  EXPECT_EQ(stats.starvation_grants, 0u);
-  for (IoClass cls : {IoClass::kDemand, IoClass::kFlush}) {
-    EXPECT_EQ(stats.lane(cls).accepted, 1u) << IoClassName(cls);
-    EXPECT_EQ(stats.lane(cls).executed, 1u) << IoClassName(cls);
-    EXPECT_EQ(stats.lane(cls).rejected, 0u) << IoClassName(cls);
-    EXPECT_DOUBLE_EQ(stats.lane(cls).wait_micros, 0.0) << IoClassName(cls);
-  }
-}
-
-// Holds the single worker inside a closure until released, so queue
-// contents (and therefore dispatch order) can be staged deterministically.
-class WorkerGate {
- public:
-  std::function<void()> Job() {
-    return [this] {
-      std::unique_lock<std::mutex> guard(mutex_);
-      entered_ = true;
-      cv_.notify_all();
-      cv_.wait(guard, [&] { return open_; });
-    };
-  }
-  void AwaitWorker() {
-    std::unique_lock<std::mutex> guard(mutex_);
-    cv_.wait(guard, [&] { return entered_; });
-  }
-  void Open() {
-    std::lock_guard<std::mutex> guard(mutex_);
-    open_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool entered_ = false;
-  bool open_ = false;
-};
-
-class OrderLog {
- public:
-  void Add(const char* tag) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    order_.emplace_back(tag);
-  }
-  std::vector<std::string> Get() {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return order_;
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<std::string> order_;
-};
-
-TEST(IoPriorityTest, TryPostRejectionIsPerLane) {
-  IoDispatcher io(/*workers=*/1);
-  WorkerGate gate;
-  ASSERT_TRUE(io.TryPost(gate.Job(), IoClass::kDemand));
-  gate.AwaitWorker();  // Worker busy; lanes empty.
-
-  for (size_t i = 0; i < kIoLaneDepth; ++i) {
-    ASSERT_TRUE(io.TryPost([] {}, IoClass::kFlush));
-  }
-  EXPECT_FALSE(io.TryPost([] {}, IoClass::kFlush));  // Flush lane full...
-  for (size_t i = 0; i < kIoLaneDepth; ++i) {
-    ASSERT_TRUE(io.TryPost([] {}, IoClass::kDemand));  // ...demand isn't.
-  }
-  EXPECT_FALSE(io.TryPost([] {}, IoClass::kDemand));
-
-  gate.Open();
-  io.Drain();
-  IoDispatcherStats stats = io.stats();
-  EXPECT_EQ(stats.lane(IoClass::kFlush).accepted, kIoLaneDepth);
-  EXPECT_EQ(stats.lane(IoClass::kFlush).rejected, 1u);
-  EXPECT_EQ(stats.lane(IoClass::kFlush).executed, kIoLaneDepth);
-  EXPECT_EQ(stats.lane(IoClass::kFlush).queue_highwater, kIoLaneDepth);
-  // The gate job and the posts behind it.
-  EXPECT_EQ(stats.lane(IoClass::kDemand).accepted, kIoLaneDepth + 1);
-  EXPECT_EQ(stats.lane(IoClass::kDemand).rejected, 1u);
-  EXPECT_EQ(stats.lane(IoClass::kDemand).executed, kIoLaneDepth + 1);
-  EXPECT_EQ(stats.rejected, 2u);  // Aggregate keeps its PR 5 meaning.
-}
-
-TEST(IoPriorityTest, DemandDispatchesBeforeQueuedBackgroundWork) {
-  IoDispatcher io(/*workers=*/1);
-  WorkerGate gate;
-  OrderLog log;
-  ASSERT_TRUE(io.TryPost(gate.Job(), IoClass::kDemand));
-  gate.AwaitWorker();
-
-  // Stage: flush queued first, demand arriving last.
-  ASSERT_TRUE(io.TryPost([&] { log.Add("F"); }, IoClass::kFlush));
-  std::thread demand([&] { io.Run([&] { log.Add("D"); }); });
-  while (io.LaneDepth(IoClass::kDemand) == 0) std::this_thread::yield();
-
-  gate.Open();
-  demand.join();
-  io.Drain();
-  // Demand jumps the queue.
-  EXPECT_EQ(log.Get(), (std::vector<std::string>{"D", "F"}));
-}
-
-TEST(IoPriorityTest, StarvationBudgetGrantsQueuedBackgroundWork) {
-  IoDispatcher io(/*workers=*/1);
-  WorkerGate gate;
-  OrderLog log;
-  ASSERT_TRUE(io.TryPost(gate.Job(), IoClass::kDemand));
-  gate.AwaitWorker();
-
-  // One flush item behind a flood one longer than the budget.
-  ASSERT_TRUE(io.TryPost([&] { log.Add("F"); }, IoClass::kFlush));
-  for (size_t i = 0; i < kIoStarvationBudget + 1; ++i) {
-    ASSERT_TRUE(io.TryPost([&] { log.Add("D"); }, IoClass::kDemand));
-  }
-  gate.Open();
-  io.Drain();
-
-  std::vector<std::string> order = log.Get();
-  ASSERT_EQ(order.size(), kIoStarvationBudget + 2);
-  size_t flush_at = 0;
-  while (flush_at < order.size() && order[flush_at] != "F") ++flush_at;
-  // The gate job was already one demand dispatch, so the flush item cannot
-  // sit behind more than kIoStarvationBudget of the queued demands — and
-  // it runs before the flood ends.
-  EXPECT_LE(flush_at, kIoStarvationBudget);
-  EXPECT_GE(io.stats().starvation_grants, 1u);
 }
 
 }  // namespace
