@@ -62,6 +62,16 @@
 // default kMaxIoInFlight: batches of 16) and declaring 1 (one victim per
 // allocation, written alone), and times each allocation and the run.
 //
+// Section 8 — scan runs (one thread, the default pool). The thread scans
+// a heap file of N pages, each a clean miss, through a pool of 64 frames
+// on a disk wrapper whose reads sleep 200 us. HeapFile::Scan fixes its
+// pages two at a time with FetchPages, which BufferPool reads as one
+// device batch; the cell runs twice, through the pool itself (pairs) and
+// through a wrapper that leaves FetchPages to PoolInterface's page-by-page
+// default, and times the scan. The pairs' second read runs on one of the
+// disk's RunBatch runner threads, so their time includes how soon a parked
+// runner wakes: ~30 us a pair on a 4-vCPU KVM guest.
+//
 // Every thread sleeps with 1 ns timer slack (main sets it before any
 // thread starts; threads inherit it), as bench/e2e's TimedDisk does: with
 // the default 50 us slack a nominal 200 us sleep lasts ~265 us.
@@ -85,6 +95,9 @@
 //  * allocation write-backs overlap — both allocation runs count the same
 //    evictions, dirty write-backs and device writes, and the concurrent
 //    run's total time is <= 0.25x the serial one's.
+//  * scan runs overlap — both scans count the same hits, misses and device
+//    reads, and the paired scan's wall time per page is <= 0.6x the
+//    page-by-page one's.
 //
 // Flags: --json <path> writes machine-readable results (BENCH_async_io
 // trajectory); --quick shrinks op counts for CI smoke runs.
@@ -107,8 +120,10 @@
 #include "bufferpool/buffer_pool.h"
 #include "bufferpool/pool_interface.h"
 #include "bufferpool/sharded_buffer_pool.h"
+#include "core/lru.h"
 #include "core/lru_k.h"
 #include "core/policy_factory.h"
+#include "heap/heap_file.h"
 #include "sim/table.h"
 #include "storage/sim_disk_manager.h"
 #include "util/random.h"
@@ -745,6 +760,90 @@ AllocationCell RunAllocationCell(size_t max_concurrent_io, uint64_t pages) {
 }
 
 // ---------------------------------------------------------------------
+// Section 8: scan runs.
+
+struct ScanRunCell {
+  std::string fix;  // "pairs" | "page by page"
+  uint64_t pages = 0;
+  size_t frames = 0;
+  BufferPoolStats stats;
+  uint64_t device_reads = 0;
+  double wall_ms = 0.0;
+  double us_per_page = 0.0;
+};
+
+// Forwards every call to `pool` but FetchPages, which it leaves to
+// PoolInterface's default: one FetchPage per page.
+class PageByPagePool final : public PoolInterface {
+ public:
+  explicit PageByPagePool(PoolInterface& pool) : pool_(pool) {}
+
+  Result<Page*> FetchPage(PageId p, AccessType type) override {
+    return pool_.FetchPage(p, type);
+  }
+  Result<Page*> NewPage() override { return pool_.NewPage(); }
+  Status UnpinPage(PageId p, bool dirty) override {
+    return pool_.UnpinPage(p, dirty);
+  }
+  Status FlushPage(PageId p) override { return pool_.FlushPage(p); }
+  Status FlushAll() override { return pool_.FlushAll(); }
+  Status DeletePage(PageId p) override { return pool_.DeletePage(p); }
+  size_t capacity() const override { return pool_.capacity(); }
+  size_t ResidentCount() const override { return pool_.ResidentCount(); }
+  bool IsResident(PageId p) const override { return pool_.IsResident(p); }
+  BufferPoolStats stats() const override { return pool_.stats(); }
+  void ResetStats() override { pool_.ResetStats(); }
+
+ private:
+  PoolInterface& pool_;
+};
+
+// Loads a heap file of `pages` pages (two 2,000-byte rows each) through a
+// default LRU pool of 64 frames on the 200 us sleeping disk, flushes it,
+// then times one full HeapFile::Scan. The pool holds the file's last 64
+// pages when the scan starts, and each is evicted before the scan reaches
+// it, so every page is a clean miss whichever way the scan fixes its
+// pages: both runs take the same misses and device reads.
+ScanRunCell RunScanRunCell(bool pairs, uint64_t pages) {
+  using Clock = std::chrono::steady_clock;
+  constexpr uint64_t kSleepMicros = 200;
+  ScanRunCell cell;
+  cell.fix = pairs ? "pairs" : "page by page";
+  cell.pages = pages;
+  cell.frames = 64;
+
+  SimDiskOptions disk_options;
+  disk_options.read_micros = 0.0;
+  disk_options.write_micros = 0.0;
+  SimDiskManager base(disk_options);
+  SleepingDiskManager disk(&base, kSleepMicros, kSleepMicros);
+  BufferPool pool(cell.frames, &disk, std::make_unique<LruPolicy>());
+  PageByPagePool page_by_page(pool);
+  HeapFile heap(pairs ? static_cast<PoolInterface*>(&pool) : &page_by_page);
+  const std::string row(2000, 'r');
+  for (uint64_t i = 0; i < 2 * pages; ++i) {
+    if (!heap.Insert(row).ok()) return cell;
+  }
+  if (!pool.FlushAll().ok()) return cell;
+  pool.ResetStats();
+  base.ResetStats();
+
+  uint64_t rows = 0;
+  const Clock::time_point start = Clock::now();
+  const Status scanned = heap.Scan([&](RecordId, std::string_view) {
+    ++rows;
+    return true;
+  });
+  cell.wall_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+  if (!scanned.ok() || rows != 2 * pages) return cell;
+  cell.stats = pool.stats();
+  cell.device_reads = base.stats().reads;
+  cell.us_per_page = cell.wall_ms * 1e3 / static_cast<double>(pages);
+  return cell;
+}
+
+// ---------------------------------------------------------------------
 
 void WriteJson(const char* path, const BenchProvenance& provenance,
                const std::vector<CoalesceCell>& coalesce_cells,
@@ -753,10 +852,11 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                const std::vector<DirtyMissCell>& dirty_cells,
                const HitDuringMissCell& hit_cell,
                const std::vector<AllocationCell>& alloc_cells,
+               const std::vector<ScanRunCell>& scan_cells,
                bool coalesce_ok, bool wb_foreground_ok, bool wb_p99_ok,
                bool accounting_ok, bool flush_ok, bool flush_unlatched_ok,
                bool dirty_miss_ok, bool hit_unstalled_ok,
-               bool alloc_overlap_ok) {
+               bool alloc_overlap_ok, bool scan_overlap_ok) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
@@ -868,6 +968,19 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
         static_cast<unsigned long long>(c.device_writes), c.alloc_p50_us,
         c.alloc_p99_us, c.total_ms, i + 1 < alloc_cells.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n  \"scan_run_cells\": [\n");
+  for (size_t i = 0; i < scan_cells.size(); ++i) {
+    const ScanRunCell& c = scan_cells[i];
+    std::fprintf(
+        f,
+        "    {\"fix\": \"%s\", \"pages\": %llu, \"frames\": %zu, %s, "
+        "\"device_reads\": %llu, \"wall_ms\": %.1f, "
+        "\"us_per_page\": %.1f}%s\n",
+        c.fix.c_str(), static_cast<unsigned long long>(c.pages), c.frames,
+        PoolCountersJson(c.stats).c_str(),
+        static_cast<unsigned long long>(c.device_reads), c.wall_ms,
+        c.us_per_page, i + 1 < scan_cells.size() ? "," : "");
+  }
   std::fprintf(f,
                "  ],\n  \"checks\": {\n"
                "    \"coalesced_nonzero\": %s,\n"
@@ -878,7 +991,8 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                "    \"fetch_during_flush_unstalled\": %s,\n"
                "    \"dirty_miss_overlaps\": %s,\n"
                "    \"hit_during_miss_unstalled\": %s,\n"
-               "    \"allocation_writes_overlap\": %s\n  }\n}\n",
+               "    \"allocation_writes_overlap\": %s,\n"
+               "    \"scan_runs_overlap\": %s\n  }\n}\n",
                coalesce_ok ? "true" : "false",
                wb_foreground_ok ? "true" : "false",
                wb_p99_ok ? "true" : "false",
@@ -886,7 +1000,8 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
                flush_unlatched_ok ? "true" : "false",
                dirty_miss_ok ? "true" : "false",
                hit_unstalled_ok ? "true" : "false",
-               alloc_overlap_ok ? "true" : "false");
+               alloc_overlap_ok ? "true" : "false",
+               scan_overlap_ok ? "true" : "false");
   std::fclose(f);
 }
 
@@ -921,6 +1036,7 @@ int main(int argc, char** argv) {
   const uint64_t dirty_ops = quick ? 800 : 4000;
   const uint64_t hit_fetches = quick ? 2000 : 4000;
   const uint64_t alloc_pages = quick ? 512 : 2048;
+  const uint64_t scan_pages = quick ? 256 : 1024;
   provenance.threads = 8;  // Maximum client threads across the sections.
 
   std::printf("Async I/O: 8-thread coalescing churn over a sleeping disk\n\n");
@@ -1108,6 +1224,43 @@ int main(int argc, char** argv) {
       alloc_counts_equal && alloc_concurrent.stats.dirty_writebacks > 0 &&
       alloc_concurrent.total_ms <= 0.25 * alloc_serial.total_ms;
 
+  std::printf("\nscan runs: one thread, default LRU pool of 64 frames, "
+              "200 us reads, HeapFile::Scan over %llu pages, every page a "
+              "clean miss\n",
+              static_cast<unsigned long long>(scan_pages));
+  const std::vector<ScanRunCell> scan_cells = {
+      RunScanRunCell(/*pairs=*/true, scan_pages),
+      RunScanRunCell(/*pairs=*/false, scan_pages)};
+  AsciiTable scan_table({"fix", "pages", "hits", "misses", "device reads",
+                         "wall (ms)", "us per page"});
+  for (const ScanRunCell& c : scan_cells) {
+    scan_table.AddRow({c.fix, AsciiTable::Integer(c.pages),
+                       AsciiTable::Integer(c.stats.hits),
+                       AsciiTable::Integer(c.stats.misses),
+                       AsciiTable::Integer(c.device_reads),
+                       AsciiTable::Fixed(c.wall_ms, 1),
+                       AsciiTable::Fixed(c.us_per_page, 1)});
+  }
+  scan_table.Print();
+  const ScanRunCell& scan_pairs = scan_cells[0];
+  const ScanRunCell& scan_single = scan_cells[1];
+  const bool scan_counts_equal =
+      scan_pairs.stats.hits == scan_single.stats.hits &&
+      scan_pairs.stats.misses == scan_single.stats.misses &&
+      scan_pairs.device_reads == scan_single.device_reads;
+  if (!scan_counts_equal) {
+    std::printf("scan runs differ in their counts:\n  pairs:        %s "
+                "device_reads=%llu\n  page by page: %s device_reads=%llu\n",
+                FormatCounters(scan_pairs.stats).c_str(),
+                static_cast<unsigned long long>(scan_pairs.device_reads),
+                FormatCounters(scan_single.stats).c_str(),
+                static_cast<unsigned long long>(scan_single.device_reads));
+  }
+  const bool scan_overlap_ok =
+      scan_counts_equal && scan_pairs.stats.misses == scan_pages &&
+      scan_pairs.us_per_page > 0.0 &&
+      scan_pairs.us_per_page <= 0.6 * scan_single.us_per_page;
+
   std::printf("\nshape: concurrent same-page misses coalesce "
               "(coalesced_reads > 0, physical reads <= misses): %s\n",
               coalesce_ok && bounded_ok ? "yes" : "NO");
@@ -1138,18 +1291,24 @@ int main(int argc, char** argv) {
               "allocation_writes_overlap: %s\n",
               alloc_concurrent.total_ms, alloc_serial.total_ms,
               alloc_overlap_ok ? "yes" : "NO");
+  std::printf("shape: a scan in pairs takes <= 0.6x the page-by-page time "
+              "per page (%.0f vs %.0f us, same counts), "
+              "scan_runs_overlap: %s\n",
+              scan_pairs.us_per_page, scan_single.us_per_page,
+              scan_overlap_ok ? "yes" : "NO");
 
   if (json_path != nullptr) {
     WriteJson(json_path, provenance, coalesce_cells, wb_cells, flush_cell,
-              dirty_cells, hit_cell, alloc_cells, coalesce_ok && bounded_ok,
-              wb_foreground_ok, wb_p99_ok, accounting_ok, flush_ok,
-              flush_unlatched_ok, dirty_miss_ok, hit_unstalled_ok,
-              alloc_overlap_ok);
+              dirty_cells, hit_cell, alloc_cells, scan_cells,
+              coalesce_ok && bounded_ok, wb_foreground_ok, wb_p99_ok,
+              accounting_ok, flush_ok, flush_unlatched_ok, dirty_miss_ok,
+              hit_unstalled_ok, alloc_overlap_ok, scan_overlap_ok);
     std::printf("wrote %s\n", json_path);
   }
   return coalesce_ok && bounded_ok && wb_foreground_ok && wb_p99_ok &&
                  accounting_ok && flush_ok && flush_unlatched_ok &&
-                 dirty_miss_ok && hit_unstalled_ok && alloc_overlap_ok
+                 dirty_miss_ok && hit_unstalled_ok && alloc_overlap_ok &&
+                 scan_overlap_ok
              ? 0
              : 1;
 }

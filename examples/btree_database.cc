@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(tree.RootPageId()),
               static_cast<unsigned long long>(tree.Size()),
               static_cast<unsigned long long>(*tree.CountPages()),
-              static_cast<unsigned long long>(*heap.CountPages()));
+              static_cast<unsigned long long>(heap.CountPages()));
 
   // Point lookups with a skewed pattern (the hot head gets most probes).
   RandomEngine rng(2026);

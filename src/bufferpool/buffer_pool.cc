@@ -408,9 +408,12 @@ Page* BufferPool::TryOptimisticHit(PageId p, AccessType type, bool refix) {
 
 void BufferPool::NoteFix(PageId p) const { last_fix = {fix_key_, p}; }
 
+bool BufferPool::IsRefix(PageId p) const {
+  return last_fix.pool == fix_key_ && last_fix.page == p;
+}
+
 Result<Page*> BufferPool::FetchPage(PageId p, AccessType type) {
-  const bool refix = last_fix.pool == fix_key_ && last_fix.page == p;
-  auto page = FixPage(p, type, refix);
+  auto page = FixPage(p, type, IsRefix(p));
   if (page.ok()) NoteFix(p);
   return page;
 }
@@ -420,24 +423,103 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix) {
   // A miss, or a hit whose probe met a concurrent mutation: the latched
   // path, authoritative for both.
   auto guard = Lock();
-  // Whether this fetch has already been counted (a coalesced waiter counts
-  // its miss when it starts waiting, then resolves through the hit branch
-  // or the primary path below without recounting; so does a miss that
-  // waits out a flush's pins and starts over).
-  bool counted = false;
-  // The primary miss path's frame, deferred victim writes and its read
-  // (which, in inline mode, a dirty victim's write-back may carry).
-  FrameId frame = 0;
+  FixSlot slot;
+  slot.page = p;
+  slot.refix = refix;
   std::vector<PageId> deferred;
-  DemandRead demand;
-  demand.page = p;
+  auto claim = ClaimLocked(guard, slot, type, &deferred, /*may_wait=*/true);
+  Status fixed = claim.status();
+  if (claim.ok() && *claim == Claim::kClaimed) {
+    PageIo read;
+    fixed = ReadAndInstallLocked(guard, std::span(&slot, 1), type, &deferred,
+                                 std::span(&read, 1));
+  }
+  if (!deferred.empty()) {
+    guard.unlock();
+    LaunchDeferredVictimWrites(deferred);
+  }
+  if (!fixed.ok()) return fixed;
+  return slot.fixed;
+}
+
+Status BufferPool::FetchPages(std::span<const PageId> pages,
+                              std::span<Page*> out, AccessType type) {
+  LRUK_ASSERT(out.size() == pages.size(), "one out entry per page");
+  std::vector<FixSlot> slots(pages.size());
+  bool all_fixed = true;
+  for (size_t i = 0; i < pages.size(); ++i) {
+    FixSlot& slot = slots[i];
+    slot.page = pages[i];
+    // The run's pages are fixed in page order: each one's previous fix is
+    // the page before it.
+    slot.refix = i == 0 ? IsRefix(slot.page) : pages[i - 1] == slot.page;
+    slot.fixed = TryOptimisticHit(slot.page, type, slot.refix);
+    all_fixed = all_fixed && slot.fixed != nullptr;
+  }
+  Status failed = Status::Ok();
+  if (!all_fixed) {
+    auto guard = Lock();
+    std::vector<PageId> deferred;
+    std::vector<PageIo> reads(pages.size());
+    // Rounds: each claims the pages left in page order until one would
+    // wait for other I/O while this round holds claimed reads or victim
+    // writes it has not issued, then issues and installs them. The next
+    // round starts at that page holding none, so its claim may wait.
+    size_t next = 0;
+    while (next < slots.size()) {
+      size_t i = next;
+      bool claimed = false;
+      Status claim_failed = Status::Ok();
+      for (; i < slots.size(); ++i) {
+        if (slots[i].fixed != nullptr) continue;
+        auto claim = ClaimLocked(guard, slots[i], type, &deferred,
+                                 /*may_wait=*/!claimed && deferred.empty());
+        if (!claim.ok()) {
+          claim_failed = claim.status();
+          break;
+        }
+        if (*claim == Claim::kBlocked) break;
+        claimed = claimed || *claim == Claim::kClaimed;
+      }
+      auto round = std::span(slots).subspan(next, i - next);
+      Status installed = Status::Ok();
+      if (claimed || !deferred.empty()) {
+        installed = ReadAndInstallLocked(guard, round, type, &deferred,
+                                         std::span(reads).first(round.size()));
+      }
+      // The first failure in page order: an install precedes the claim.
+      failed = !installed.ok() ? installed : claim_failed;
+      if (!failed.ok()) break;
+      next = i;
+    }
+    if (!failed.ok()) {
+      for (FixSlot& slot : slots) {
+        if (slot.fixed != nullptr) slot.fixed->pin_count_.fetch_sub(1);
+      }
+    }
+    if (!deferred.empty()) {
+      guard.unlock();
+      LaunchDeferredVictimWrites(deferred);
+    }
+  }
+  if (!failed.ok()) return failed;
+  for (size_t i = 0; i < slots.size(); ++i) out[i] = slots[i].fixed;
+  if (!pages.empty()) NoteFix(pages.back());
+  return Status::Ok();
+}
+
+Result<BufferPool::Claim> BufferPool::ClaimLocked(
+    std::unique_lock<std::mutex>& guard, FixSlot& slot, AccessType type,
+    std::vector<PageId>* deferred, bool may_wait) {
+  const PageId p = slot.page;
   for (;;) {
     FrameId f = 0;
     if (page_table_.Find(p, &f)) {
       Page& page = frames_[f];
-      if (!counted) ++stats_.hits;
+      if (!slot.counted) ++stats_.hits;
       // Only a hit collapses: a coalesced waiter (counted) was a miss.
-      const bool correlated = refix && !counted;
+      const bool correlated = slot.refix && !slot.counted;
+      slot.counted = true;
       if (correlated) ++stats_.correlated_refs;
       if (!correlated) {
         // Under the latch, after any latch-free hits still in the ring, as
@@ -449,7 +531,8 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix) {
       if (type == AccessType::kWrite) {
         page.dirty_.store(true, std::memory_order_release);
       }
-      return &page;
+      slot.fixed = &page;
+      return Claim::kPinned;
     }
     // The page's own write-behind victim write may still be in flight: a
     // disk read now could return the stale pre-eviction image. Wait it
@@ -457,6 +540,7 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix) {
     // takes a normal miss against the fresh on-disk image.
     auto vw = pending_victim_writes_.find(p);
     if (vw != pending_victim_writes_.end()) {
+      if (!may_wait) return Claim::kBlocked;
       std::shared_ptr<VictimWrite> entry = vw->second;
       entry->cv.wait(guard, [&] { return entry->done; });
       continue;
@@ -467,14 +551,17 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix) {
     // fetch as the reference it is.
     auto parked = parked_victims_.find(p);
     if (parked != parked_victims_.end()) {
-      if (!counted) ++stats_.misses;  // Not resident; no physical read.
-      counted = true;
+      if (!slot.counted) ++stats_.misses;  // Not resident; no physical read.
+      slot.counted = true;
       std::unique_ptr<char[]> image = std::move(parked->second);
       parked_victims_.erase(parked);
       DrainAccessBufferLocked();
-      auto readmit = AcquireFrame(&deferred);
+      auto readmit = AcquireFrame(deferred);
       if (!readmit.ok()) {  // Nothing deferred on failure.
         parked_victims_.emplace(p, std::move(image));  // Still parked.
+        if (!may_wait && FlushRefusalLocked(readmit.status())) {
+          return Claim::kBlocked;
+        }
         if (AwaitFlushLocked(guard, readmit.status())) continue;
         return readmit.status();
       }
@@ -487,94 +574,127 @@ Result<Page*> BufferPool::FixPage(PageId p, AccessType type, bool refix) {
       policy_->Restore(p);
       policy_->RecordAccess(p, type);
       ++stats_.writebehind_readmits;
-      guard.unlock();
-      LaunchDeferredVictimWrites(deferred);
-      return &page;
+      slot.fixed = &page;
+      return Claim::kPinned;
     }
     // The per-page request tracker: a read of p already in flight
     // (another thread's miss) absorbs this miss — wait for it instead of
     // issuing a second physical read.
     if (PendingIo* entry = FindPendingLocked(p)) {
-      if (!counted) {
+      if (!may_wait) return Claim::kBlocked;
+      if (!slot.counted) {
         ++stats_.misses;
         ++stats_.coalesced_reads;
-        counted = true;
+        slot.counted = true;
       }
       Status read = AwaitReadLocked(guard, entry);
-      if (!read.ok()) {
-        // The coalesced read failed: every waiter reports the same
-        // status the primary saw (the failure was counted once, by the
-        // primary).
-        return read;
-      }
+      // The coalesced read failed: every waiter reports the same status
+      // the primary saw (the failure was counted once, by the primary).
+      if (!read.ok()) return read;
       // Success: the page should be resident now (re-loop to the hit
       // branch). An admission already evicted again falls through to a
       // fresh primary miss instead.
       continue;
     }
 
-    if (!counted) ++stats_.misses;
-    counted = true;
+    if (!slot.counted) ++stats_.misses;
+    slot.counted = true;
     // Deferred references precede this fault in the reference string;
     // apply them before the policy sees the admission (and before any
     // eviction decision, which must act on a fully drained view).
     DrainAccessBufferLocked();
     policy_->PrepareAdmit(p);
+    // In inline mode a dirty victim's write-back carries the read.
+    DemandRead demand;
+    demand.page = p;
     auto acquired =
-        AcquireFrame(&deferred, io_ == nullptr ? &demand : nullptr);
-    if (acquired.ok()) {
-      frame = *acquired;
-      break;
+        AcquireFrame(deferred, io_ == nullptr ? &demand : nullptr);
+    if (!acquired.ok()) {
+      // Nothing deferred on failure. After waiting out a flush, start
+      // over: another thread may have admitted p meanwhile.
+      if (!may_wait && FlushRefusalLocked(acquired.status())) {
+        return Claim::kBlocked;
+      }
+      if (AwaitFlushLocked(guard, acquired.status())) continue;
+      return acquired.status();
     }
-    // Nothing deferred on failure. After waiting out a flush, start over:
-    // another thread may have admitted p meanwhile.
-    if (!AwaitFlushLocked(guard, acquired.status())) return acquired.status();
+    // The frame is reserved (neither free nor mapped), so nothing else can
+    // claim it; concurrent misses on p coalesce onto the tracked read until
+    // the install step completes it.
+    slot.claimed = true;
+    slot.frame = *acquired;
+    slot.entry = TrackReadLocked(p);
+    slot.read_done = demand.done;
+    if (demand.done) {
+      // Out of read_scratch_ before the next claim can pair a read there.
+      slot.read = std::move(demand.status);
+      if (slot.read.ok()) {
+        std::memcpy(frames_[slot.frame].Data(), read_scratch_.get(),
+                    kPageSize);
+      }
+    }
+    return Claim::kClaimed;
   }
+}
 
-  Page& page = frames_[frame];
-  Status read;
-  PendingIo* entry = nullptr;
-  if (demand.done) {
-    // A dirty victim's write-back carried the read, under the latch.
-    read = demand.status;
-    if (read.ok()) std::memcpy(page.Data(), read_scratch_.get(), kPageSize);
-  } else {
-    // Register in the tracker, release the latch, and read on this
-    // thread: concurrent misses on p coalesce onto this entry, and the
-    // rest of the pool stays serviceable during the I/O. The frame is
-    // reserved (neither free nor mapped), so nothing else can claim it.
-    // The deferred victim write (if any) is posted before the demand read
-    // is issued, so the write-back overlaps the read instead of preceding
-    // it — the point of write-behind.
-    entry = TrackReadLocked(p);
-    PageIo io[] = {{PageIo::Kind::kRead, p, page.Data(), Status::Ok()}};
+Status BufferPool::ReadAndInstallLocked(std::unique_lock<std::mutex>& guard,
+                                        std::span<FixSlot> slots,
+                                        AccessType type,
+                                        std::vector<PageId>* deferred,
+                                        std::span<PageIo> reads) {
+  size_t issued = 0;
+  for (const FixSlot& slot : slots) {
+    if (slot.claimed && !slot.read_done) {
+      reads[issued++] = {PageIo::Kind::kRead, slot.page,
+                         frames_[slot.frame].Data(), Status::Ok()};
+    }
+  }
+  if (issued > 0 || !deferred->empty()) {
+    // Read on this thread with the latch released, so the rest of the pool
+    // stays serviceable during the I/O. The deferred victim writes (if
+    // any) are posted before the reads are issued, so the write-backs
+    // overlap the reads instead of preceding them — the point of
+    // write-behind.
     guard.unlock();
-    LaunchDeferredVictimWrites(deferred);
-    DiskBatch(io);
+    LaunchDeferredVictimWrites(*deferred);
+    deferred->clear();
+    if (issued > 0) DiskBatch(reads.first(issued));
     guard.lock();
     CountLatchAcquire();
-    read = std::move(io[0].status);
   }
-  if (read.ok() && admitting_.contains(p)) {
-    read = Status::NotFound("page deleted and its id reallocated");
+  Status first_failure = Status::Ok();
+  size_t r = 0;
+  for (FixSlot& slot : slots) {
+    if (!slot.claimed) continue;
+    slot.claimed = false;
+    const PageId p = slot.page;
+    Status read = slot.read_done ? std::move(slot.read)
+                                 : std::move(reads[r++].status);
+    if (read.ok() && admitting_.contains(p)) {
+      read = Status::NotFound("page deleted and its id reallocated");
+    }
+    FinishPendingLocked(slot.entry, read);
+    slot.entry = nullptr;
+    if (!read.ok()) {
+      // The page was never admitted: the policy has no entry for p, the
+      // page table is untouched, and the frame (legitimately freed by a
+      // completed eviction, or taken from the free list) goes back unused.
+      free_frames_.push_back(slot.frame);
+      if (first_failure.ok()) first_failure = std::move(read);
+      continue;
+    }
+    Page& page = frames_[slot.frame];
+    page.id_ = p;
+    // fetch_add, not a store: a stale latch-free reader may be holding a
+    // transient speculative +1 on this frame (it will undo it after failing
+    // validation), and a blind store would erase that.
+    page.pin_count_.fetch_add(1);
+    page.dirty_.store(type == AccessType::kWrite, std::memory_order_relaxed);
+    page_table_.Insert(p, slot.frame);
+    policy_->Admit(p, type);
+    slot.fixed = &page;
   }
-  if (entry != nullptr) FinishPendingLocked(entry, read);
-  if (!read.ok()) {
-    // The page was never admitted: the policy has no entry for p, the
-    // page table is untouched, and the frame (legitimately freed by a
-    // completed eviction, or taken from the free list) goes back unused.
-    free_frames_.push_back(frame);
-    return read;
-  }
-  page.id_ = p;
-  // fetch_add, not a store: a stale latch-free reader may be holding a
-  // transient speculative +1 on this frame (it will undo it after failing
-  // validation), and a blind store would erase that.
-  page.pin_count_.fetch_add(1);
-  page.dirty_.store(type == AccessType::kWrite, std::memory_order_relaxed);
-  page_table_.Insert(p, frame);
-  policy_->Admit(p, type);
-  return &page;
+  return first_failure;
 }
 
 Result<Page*> BufferPool::NewPage() {
@@ -804,11 +924,13 @@ Status BufferPool::FlushFramesLocked(
   return first_error;
 }
 
+bool BufferPool::FlushRefusalLocked(const Status& failed) const {
+  return failed.code() == StatusCode::kResourceExhausted && !flushing_.empty();
+}
+
 bool BufferPool::AwaitFlushLocked(std::unique_lock<std::mutex>& guard,
                                   const Status& failed) {
-  if (failed.code() != StatusCode::kResourceExhausted || flushing_.empty()) {
-    return false;
-  }
+  if (!FlushRefusalLocked(failed)) return false;
   const uint64_t done = flushes_done_;
   flush_cv_.wait(guard, [&] { return flushes_done_ != done; });
   return true;

@@ -13,9 +13,9 @@
 // Thread safety: all pool MUTATIONS (and through them the policy) are
 // serialized by one internal latch — coarse-grained by design, since the
 // replacement *decision* is the subject of this library. Warm hits and
-// unpins take no latch (below); a clean miss's read and FlushPage/
-// FlushAll's writes run with the latch released: see the thread-safety
-// note in storage/disk_manager.h.
+// unpins take no latch (below); a clean miss's read (a FetchPages run's
+// reads, as one batch) and FlushPage/FlushAll's writes run with the latch
+// released: see the thread-safety note in storage/disk_manager.h.
 // Page *contents* are accessed outside the latch under the pin protocol: a
 // pinned page cannot be evicted, and Page pointers stay stable for the
 // pool's lifetime, so concurrent readers are safe; concurrent writers to
@@ -129,6 +129,26 @@ class BufferPool final : public PoolInterface {
 
   Result<Page*> FetchPage(PageId p,
                           AccessType type = AccessType::kRead) override;
+
+  // Fixes a run of distinct pages as consecutive FetchPage calls from one
+  // thread would (DESIGN.md §8 "Runs"), but reads the run's misses as one
+  // device batch. Each page is probed latch-free first; under one latch
+  // hold the run's other hits are pinned and each miss is claimed in page
+  // order (FetchPage's own claim step: coalescing, victim-write and flush
+  // waits, parked re-admits, PrepareAdmit and AcquireFrame with its
+  // dirty-victim pairing); the claimed reads go to the device as one
+  // DiskBatch with the latch released, and one more latch hold installs
+  // them. Single-threaded the policy sees every hit's RecordAccess, then
+  // each miss's PrepareAdmit and eviction in page order, then each miss's
+  // Admit in page order. A claim never waits for other I/O while the run
+  // holds claimed reads (or write-behind victim writes) it has not
+  // issued: it issues and installs them first, then waits, so two runs
+  // over the same pages in opposite orders cannot deadlock. On any failure every page the run pinned is unpinned
+  // (pages whose reads landed stay admitted) and the first failure in page
+  // order is returned; so with too few unpinned frames for the whole run
+  // it returns RESOURCE_EXHAUSTED and holds nothing.
+  Status FetchPages(std::span<const PageId> pages, std::span<Page*> out,
+                    AccessType type = AccessType::kRead) override;
 
   Result<Page*> NewPage() override;
 
@@ -313,12 +333,40 @@ class BufferPool final : public PoolInterface {
 
   // A miss's demand read, offered to AcquireFrame by an inline-mode pool
   // so that a dirty victim's write-back can carry it (see
-  // WriteBackVictim). `done` once it did; `status` is then the read's, and
-  // on success the page's image is in read_scratch_.
+  // WriteBackVictims). `done` once it did; `status` is then the read's,
+  // and on success the page's image is in read_scratch_.
   struct DemandRead {
     PageId page = kInvalidPageId;
     bool done = false;
     Status status;
+  };
+
+  // One page of a fix (FetchPage fixes one, FetchPages a run), from its
+  // claim step (ClaimLocked) to its install step (ReadAndInstallLocked).
+  struct FixSlot {
+    PageId page = kInvalidPageId;
+    // A correlated re-fix: a hit reaches no policy (a miss is admitted).
+    bool refix = false;
+    // Its hit or miss is counted (a coalesced waiter counts its miss when
+    // it starts waiting; a claim that waits and starts over counts once).
+    bool counted = false;
+    // The page, pinned, once fixed.
+    Page* fixed = nullptr;
+    // A claimed miss: the reserved frame (neither free nor mapped) and the
+    // page's tracked read, which ReadAndInstallLocked issues unless a dirty
+    // victim's write-back carried it (`read_done`, with its status in
+    // `read` and the image already in the frame).
+    bool claimed = false;
+    FrameId frame = 0;
+    PendingIo* entry = nullptr;
+    bool read_done = false;
+    Status read;
+  };
+  // What a claim step left its slot in.
+  enum class Claim {
+    kPinned,   // A hit, or a parked image re-admitted: `fixed` is set.
+    kClaimed,  // A miss holding its frame and its tracked read.
+    kBlocked,  // It must wait for other I/O, which the caller forbade.
   };
 
   // RunBatch under options_.io_max_attempts per entry, with the pool's
@@ -341,9 +389,11 @@ class BufferPool final : public PoolInterface {
       std::unique_lock<std::mutex>& guard,
       std::span<const std::pair<PageId, FrameId>> targets);
   // Whether `failed` is an AcquireFrame refusal that a flush's pins may
-  // cause (every frame pinned while a flush holds pins). If so, waits for
-  // a flush to finish and returns true: the caller starts over, since the
-  // latch was released. Caller holds `guard`.
+  // cause: every frame pinned while a flush holds pins.
+  bool FlushRefusalLocked(const Status& failed) const;
+  // If FlushRefusalLocked(failed), waits for a flush to finish and returns
+  // true: the caller starts over, since the latch was released. Caller
+  // holds `guard`.
   bool AwaitFlushLocked(std::unique_lock<std::mutex>& guard,
                         const Status& failed);
   // One victim AcquireFrame has taken: its bucket is locked and its pin
@@ -418,9 +468,34 @@ class BufferPool final : public PoolInterface {
   // Records `p` as the calling thread's latest fix on this pool (every
   // successful FetchPage, NewPage and AdmitNewPage calls it).
   void NoteFix(PageId p) const;
+  // Whether a fix of `p` by the calling thread is a correlated re-fix.
+  bool IsRefix(PageId p) const;
   // FetchPage body. `refix`: the fetch is a correlated re-fix, so a hit
   // does not reach the policy (a miss is admitted as usual).
   Result<Page*> FixPage(PageId p, AccessType type, bool refix);
+  // The claim step of `slot`'s page, under the latch: a hit is pinned; a
+  // parked image is re-admitted and pinned; a page whose victim write or
+  // read is in flight, or whose AcquireFrame meets a flush's pins, waits
+  // and starts over, unless `may_wait` is false: then it returns kBlocked
+  // before waiting or counting. Otherwise it is a miss: counted, drained,
+  // PrepareAdmit, AcquireFrame (dirty victims written behind onto
+  // `deferred` in worker mode, or with the read paired under the latch in
+  // inline mode, the image then copied out of read_scratch_ at once), and
+  // its read tracked, so concurrent misses of the page coalesce onto it.
+  // An error leaves nothing held by the slot.
+  Result<Claim> ClaimLocked(std::unique_lock<std::mutex>& guard,
+                            FixSlot& slot, AccessType type,
+                            std::vector<PageId>* deferred, bool may_wait);
+  // The read and install steps of every claimed slot in `slots`: posts
+  // `deferred` and reads the claimed pages not yet read as one DiskBatch,
+  // with the latch released (using `reads`, one entry per slot, as the
+  // batch), then, re-latched, in slot order completes each tracked read
+  // and admits and pins its page, or returns its frame to the free list
+  // if the read failed. Returns the first failure. Caller holds `guard`.
+  Status ReadAndInstallLocked(std::unique_lock<std::mutex>& guard,
+                              std::span<FixSlot> slots, AccessType type,
+                              std::vector<PageId>* deferred,
+                              std::span<PageIo> reads);
   // Applies every buffered access record to the policy, dropping records
   // whose page was evicted since (see AccessBuffer::Drain). Caller holds
   // the latch. Declared const because observation paths (stats) drain too;

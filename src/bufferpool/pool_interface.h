@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <string>
 
 #include "bufferpool/page.h"
@@ -194,6 +195,26 @@ class PoolInterface {
   // reaches the replacement policy (and kWrite marks the page dirty).
   virtual Result<Page*> FetchPage(PageId p,
                                   AccessType type = AccessType::kRead) = 0;
+
+  // Fixes a run of distinct pages: on success out[i] is pages[i], pinned
+  // (`out` has one entry per page), as after consecutive FetchPage calls.
+  // On failure no page of the run stays pinned, and the first failure in
+  // page order is returned. BufferPool reads the run's misses as one
+  // device batch; this default fixes the pages one FetchPage at a time.
+  virtual Status FetchPages(std::span<const PageId> pages,
+                            std::span<Page*> out,
+                            AccessType type = AccessType::kRead) {
+    LRUK_ASSERT(out.size() == pages.size(), "one out entry per page");
+    for (size_t i = 0; i < pages.size(); ++i) {
+      auto page = FetchPage(pages[i], type);
+      if (!page.ok()) {
+        while (i-- > 0) (void)UnpinPage(pages[i], /*dirty=*/false);
+        return page.status();
+      }
+      out[i] = *page;
+    }
+    return Status::Ok();
+  }
 
   // Allocates a new disk page, returns it pinned, zeroed, and dirty.
   virtual Result<Page*> NewPage() = 0;

@@ -31,7 +31,7 @@
 //    one shard separates its two fixes of p on another.
 //  * The DiskManager must be thread-safe: shards issue reads and
 //    write-backs concurrently. SimDiskManager and FileDiskManager are
-//    internally latched.
+//    (see storage/disk_manager.h).
 //  * DeletePage frees the disk id for reuse, so a thread that fetches a
 //    page id concurrently with (or after) another thread's delete may get
 //    NotFound, a freshly reallocated page whose contents it does not

@@ -1,11 +1,20 @@
 #include "heap/heap_file.h"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <span>
 #include <vector>
 
 namespace lruk {
 
 namespace {
+
+// Pages a scan fixes at a time. Two overlap a miss's read with the next
+// page's; longer runs read worse on scan_mix (EXPERIMENTS.md "Scans fix
+// pages in pairs"): they pin more of the pool in a burst, and leave no read
+// in flight while a paced scanner visits the run's pages.
+constexpr size_t kScanRun = 2;
 
 struct HeapPageHeader {
   uint32_t slot_count;  // Slots allocated, including tombstones.
@@ -68,10 +77,9 @@ void CompactPage(char* data) {
 
 }  // namespace
 
-HeapFile::HeapFile(PoolInterface* pool, PageId head)
-    : pool_(pool), head_(head), tail_(head) {
+HeapFile::HeapFile(PoolInterface* pool, PageId head) : pool_(pool) {
   LRUK_ASSERT(pool_ != nullptr, "HeapFile needs a buffer pool");
-  // Re-attach: walk the chain to find the tail and count live records.
+  // Re-attach: walk the chain to list its pages and count live records.
   PageId current = head;
   while (current != kInvalidPageId) {
     auto guard = PageGuard::Fetch(*pool_, current);
@@ -82,7 +90,7 @@ HeapFile::HeapFile(PoolInterface* pool, PageId head)
     for (uint32_t s = 0; s < header->slot_count; ++s) {
       if (slots[s].length > 0) ++size_;
     }
-    tail_ = current;
+    pages_.push_back(current);
     current = header->next_page;
   }
 }
@@ -99,14 +107,12 @@ Result<PageGuard> HeapFile::AppendPage() {
   header->free_start = kPageSize;
   header->next_page = kInvalidPageId;
 
-  if (head_ == kInvalidPageId) {
-    head_ = guard->id();
-  } else {
-    auto tail_guard = PageGuard::Fetch(*pool_, tail_);
+  if (!pages_.empty()) {
+    auto tail_guard = PageGuard::Fetch(*pool_, pages_.back());
     if (!tail_guard.ok()) return tail_guard.status();
     Header(tail_guard->MutableData())->next_page = guard->id();
   }
-  tail_ = guard->id();
+  pages_.push_back(guard->id());
   return guard;
 }
 
@@ -119,12 +125,12 @@ Result<RecordId> HeapFile::Insert(std::string_view record) {
   }
 
   PageGuard guard;
-  if (tail_ == kInvalidPageId) {
+  if (pages_.empty()) {
     auto fresh = AppendPage();
     if (!fresh.ok()) return fresh.status();
     guard = std::move(*fresh);
   } else {
-    auto tail_guard = PageGuard::Fetch(*pool_, tail_);
+    auto tail_guard = PageGuard::Fetch(*pool_, pages_.back());
     if (!tail_guard.ok()) return tail_guard.status();
     guard = std::move(*tail_guard);
   }
@@ -236,35 +242,43 @@ Status HeapFile::Delete(const RecordId& rid) {
 
 Status HeapFile::Scan(
     const std::function<bool(RecordId, std::string_view)>& visit) {
-  PageId current = head_;
-  while (current != kInvalidPageId) {
-    auto guard = PageGuard::Fetch(*pool_, current);
-    if (!guard.ok()) return guard.status();
-    const char* data = guard->Data();
-    const HeapPageHeader* header = Header(data);
-    const Slot* slots = SlotArray(data);
-    for (uint32_t s = 0; s < header->slot_count; ++s) {
-      if (slots[s].length == 0) continue;
-      std::string_view record(data + slots[s].offset, slots[s].length);
-      if (!visit(RecordId{current, static_cast<uint16_t>(s)}, record)) {
-        return Status::Ok();
-      }
+  for (size_t next = 0; next < pages_.size();) {
+    const auto run = std::span(pages_).subspan(
+        next, std::min(kScanRun, pages_.size() - next));
+    std::array<PageGuard, kScanRun> guards;
+    std::array<Page*, kScanRun> fixed{};
+    Status status = pool_->FetchPages(run, std::span(fixed).first(run.size()));
+    size_t fixed_count = run.size();
+    if (status.code() == StatusCode::kResourceExhausted && run.size() > 1) {
+      // The pool cannot spare a frame per page of the run: fix one alone.
+      auto page = pool_->FetchPage(run.front());
+      status = page.status();
+      if (page.ok()) fixed[0] = *page;
+      fixed_count = 1;
     }
-    current = header->next_page;
+    if (!status.ok()) return status;
+    for (size_t i = 0; i < fixed_count; ++i) {
+      guards[i] = PageGuard(pool_, fixed[i], /*dirty=*/false);
+    }
+    for (size_t i = 0; i < fixed_count; ++i) {
+      const char* data = guards[i].Data();
+      const HeapPageHeader* header = Header(data);
+      const Slot* slots = SlotArray(data);
+      for (uint32_t s = 0; s < header->slot_count; ++s) {
+        if (slots[s].length == 0) continue;
+        std::string_view record(data + slots[s].offset, slots[s].length);
+        // The page's own id: a visitor that inserts may grow pages_ and
+        // move `run`.
+        if (!visit(RecordId{guards[i].id(), static_cast<uint16_t>(s)},
+                   record)) {
+          return Status::Ok();
+        }
+      }
+      guards[i].Release();
+    }
+    next += fixed_count;
   }
   return Status::Ok();
-}
-
-Result<uint64_t> HeapFile::CountPages() {
-  uint64_t count = 0;
-  PageId current = head_;
-  while (current != kInvalidPageId) {
-    auto guard = PageGuard::Fetch(*pool_, current);
-    if (!guard.ok()) return guard.status();
-    ++count;
-    current = Header(guard->Data())->next_page;
-  }
-  return count;
 }
 
 }  // namespace lruk

@@ -11,9 +11,13 @@
 // when the page is compacted (Compact(), or automatically when an insert
 // needs the space).
 //
-// The heap chains pages through `next_page` and keeps an insertion cursor
-// at the tail page, so inserts are O(1) amortized; full scans follow the
-// chain.
+// The heap chains pages through `next_page` (the on-disk structure a
+// re-attach walks) and keeps the chain's page ids in memory too, in chain
+// order: inserts go to the tail page, so they are O(1) amortized, and a
+// full scan knows its next pages without reading them. A scan fixes its
+// pages two at a time (PoolInterface::FetchPages), so a pool that reads a
+// run's misses as one device batch (BufferPool) reads both pages in one
+// device round; both stay pinned until visited (DESIGN.md §8 "Runs").
 
 #ifndef LRUK_HEAP_HEAP_FILE_H_
 #define LRUK_HEAP_HEAP_FILE_H_
@@ -22,6 +26,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "bufferpool/pool_interface.h"
 #include "bufferpool/page_guard.h"
@@ -67,16 +72,20 @@ class HeapFile {
   Status Delete(const RecordId& rid);
 
   // Visits every live record in chain order; the visitor returns false to
-  // stop early.
+  // stop early. Fixes the pages in runs of two; a run the pool cannot
+  // spare the frames for (RESOURCE_EXHAUSTED) is fixed one page at a time.
+  // A page is unpinned once visited, and no pin outlives the call.
   Status Scan(
       const std::function<bool(RecordId, std::string_view)>& visit);
 
   // Number of live records.
   uint64_t Size() const { return size_; }
   // First page of the chain (persist this to re-attach).
-  PageId HeadPageId() const { return head_; }
+  PageId HeadPageId() const {
+    return pages_.empty() ? kInvalidPageId : pages_.front();
+  }
   // Pages in the chain.
-  Result<uint64_t> CountPages();
+  uint64_t CountPages() const { return pages_.size(); }
 
   // Capacity of an empty page (the largest insertable record).
   static size_t MaxRecordSize();
@@ -85,8 +94,8 @@ class HeapFile {
   Result<PageGuard> AppendPage();
 
   PoolInterface* pool_;
-  PageId head_;
-  PageId tail_;
+  // The chain's page ids in chain order; the tail page is the last.
+  std::vector<PageId> pages_;
   uint64_t size_ = 0;
 };
 

@@ -15,9 +15,10 @@
 // concurrently: misses read and flushes write with the pool latch
 // released, a worker-mode pool's write-behind writers write (they never
 // read), and the shards of a ShardedBufferPool share one manager.
-// SimDiskManager and FileDiskManager serialize every operation on one
-// internal latch, so overlapping their operations gains nothing: they
-// return 1, and start no runner.
+// FileDiskManager serializes every operation on one internal latch (one
+// file cursor); SimDiskManager runs operations on different pages in
+// parallel but charges its cost model per operation. Overlapping either
+// one's operations saves no time, so both return 1 and start no runner.
 
 #ifndef LRUK_STORAGE_DISK_MANAGER_H_
 #define LRUK_STORAGE_DISK_MANAGER_H_

@@ -13,6 +13,10 @@
 //    read is parked behind a gate produce exactly ONE physical read; every
 //    waiter gets the same pinned page, stats account one primary miss plus
 //    seven coalesced ones.
+//  * FetchPages runs — a FetchPage of a page a run is reading waits on the
+//    run's read; a run that finds another thread's read of its page in
+//    flight reads its own claims before it waits; runs over the same
+//    pages in opposite orders, beside single fetches, never deadlock.
 //  * Coalesced failure — the same setup with an injected read fault: every
 //    waiter observes the same error status, no frame is leaked, nothing is
 //    admitted, and the page is fetchable after Heal().
@@ -29,9 +33,13 @@
 //    the disk itself. Fault-free, every foreground victim write is a
 //    counted refusal of a full write-behind queue.
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -268,6 +276,191 @@ TEST(DefaultMissConcurrencyTest, SecondMissOfThePageWaitsOnTheHeldRead) {
   EXPECT_EQ(stats.coalesced_reads, 1u);
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(pool.PendingIoCount(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// FetchPages runs: a run's claimed reads are tracked like any miss's, and a
+// run issues its claims before it waits on another thread's read.
+
+TEST(FetchPagesConcurrencyTest, FetchPageOfARunsPageCoalescesOntoItsRead) {
+  SimDiskManager inner;
+  GateDiskManager gate(&inner);
+  CountingDiskManager disk(&gate);
+  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
+  FillWithCleanPages(pool);
+  auto a = inner.AllocatePage();
+  auto b = inner.AllocatePage();
+  ASSERT_TRUE(a.ok() && b.ok());
+  const PageId run[] = {*a, *b};
+
+  gate.Close(*a);
+  std::thread runner([&] {
+    std::array<Page*, 2> out{};
+    EXPECT_TRUE(pool.FetchPages(run, out).ok());
+    for (PageId p : run) EXPECT_TRUE(pool.UnpinPage(p, false).ok());
+  });
+  EXPECT_TRUE(gate.AwaitReaderFor(kHeldReadTimeout))
+      << "the run's read never reached the device";
+  std::thread fetcher([&] {
+    auto page = pool.FetchPage(*a);
+    EXPECT_TRUE(page.ok());
+    if (page.ok()) {
+      EXPECT_TRUE(pool.UnpinPage(*a, false).ok());
+    }
+  });
+  const auto deadline = std::chrono::steady_clock::now() + kHeldReadTimeout;
+  while (pool.StatsSnapshot().coalesced_reads == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(pool.StatsSnapshot().coalesced_reads, 1u)
+      << "the FetchPage did not wait on the run's read";
+  gate.Open();
+  runner.join();
+  fetcher.join();
+
+  EXPECT_EQ(disk.ReadsOf(*a), 1u);
+  EXPECT_EQ(disk.ReadsOf(*b), 1u);
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.coalesced_reads, 1u);
+  EXPECT_EQ(pool.PendingIoCount(), 0u);
+  EXPECT_EQ(pool.ResidentCount() + pool.FreeFrameCount(), pool.capacity());
+}
+
+TEST(FetchPagesConcurrencyTest, RunIssuesItsClaimsBeforeWaitingOnAnotherRead) {
+  SimDiskManager inner;
+  GateDiskManager gate(&inner);
+  CountingDiskManager disk(&gate);
+  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
+  FillWithCleanPages(pool);
+  auto a = inner.AllocatePage();
+  auto b = inner.AllocatePage();
+  ASSERT_TRUE(a.ok() && b.ok());
+
+  // Another thread's miss of b is held in the device.
+  gate.Close(*b);
+  std::thread fetcher([&] {
+    auto page = pool.FetchPage(*b);
+    EXPECT_TRUE(page.ok());
+    if (page.ok()) {
+      EXPECT_TRUE(pool.UnpinPage(*b, false).ok());
+    }
+  });
+  EXPECT_TRUE(gate.AwaitReaderFor(kHeldReadTimeout))
+      << "the miss never reached the device";
+  // The run claims a, finds b's read in flight, and reads a before it
+  // waits on b: a is admitted while b's read is still held.
+  std::thread runner([&] {
+    const PageId run[] = {*a, *b};
+    std::array<Page*, 2> out{};
+    EXPECT_TRUE(pool.FetchPages(run, out).ok());
+    for (PageId p : run) EXPECT_TRUE(pool.UnpinPage(p, false).ok());
+  });
+  const auto deadline = std::chrono::steady_clock::now() + kHeldReadTimeout;
+  while (!(pool.IsResident(*a) &&
+           pool.StatsSnapshot().coalesced_reads == 1) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(pool.IsResident(*a))
+      << "the run waited on b holding its unissued claim of a";
+  EXPECT_EQ(pool.StatsSnapshot().coalesced_reads, 1u);
+  gate.Open();
+  fetcher.join();
+  runner.join();
+
+  EXPECT_EQ(disk.ReadsOf(*a), 1u);
+  EXPECT_EQ(disk.ReadsOf(*b), 1u);
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.coalesced_reads, 1u);
+  EXPECT_EQ(pool.PendingIoCount(), 0u);
+  EXPECT_EQ(pool.ResidentCount() + pool.FreeFrameCount(), pool.capacity());
+}
+
+// Reads that take a few microseconds on a device that overlaps operations,
+// so runs and misses of one page meet in the tracker.
+class YieldingDiskManager final : public DiskManager {
+ public:
+  explicit YieldingDiskManager(DiskManager* inner) : inner_(inner) {}
+
+  Status ReadPage(PageId p, char* out) override {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+    return inner_->ReadPage(p, out);
+  }
+  Status WritePage(PageId p, const char* data) override {
+    return inner_->WritePage(p, data);
+  }
+  Result<PageId> AllocatePage() override { return inner_->AllocatePage(); }
+  Status DeallocatePage(PageId p) override {
+    return inner_->DeallocatePage(p);
+  }
+  uint64_t NumAllocatedPages() const override {
+    return inner_->NumAllocatedPages();
+  }
+  IoStats stats() const override { return inner_->stats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+
+ private:
+  DiskManager* inner_;
+};
+
+// Two threads fix runs [p, q] and [q, p] over the same few pages while a
+// third fetches them one at a time, through a pool that evicts: every
+// call completes (a deadlock aborts the binary at the deadline instead of
+// hanging it), and every fix is one hit or one miss.
+TEST(FetchPagesConcurrencyTest, OppositeRunsNeverDeadlock) {
+  constexpr int kRounds = 1500;
+  constexpr uint64_t kPages = 8;
+  SimDiskManager inner;
+  YieldingDiskManager disk(&inner);
+  BufferPool pool(6, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
+  const std::vector<PageId> pages = AllocateDb(pool, kPages);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  pool.ResetStats();
+
+  auto fix_runs = [&](uint64_t seed, bool reversed) {
+    RandomEngine rng(seed);
+    for (int i = 0; i < kRounds; ++i) {
+      const size_t first = rng.NextBounded(kPages - 1);
+      PageId run[] = {pages[first], pages[first + 1]};
+      if (reversed) std::swap(run[0], run[1]);
+      std::array<Page*, 2> out{};
+      Status fixed = pool.FetchPages(run, out);
+      if (!fixed.ok()) return fixed;
+      for (PageId p : run) LRUK_RETURN_IF_ERROR(pool.UnpinPage(p, false));
+    }
+    return Status::Ok();
+  };
+  auto forward = std::async(std::launch::async, fix_runs, 1, false);
+  auto backward = std::async(std::launch::async, fix_runs, 2, true);
+  auto single = std::async(std::launch::async, [&] {
+    RandomEngine rng(3);
+    for (int i = 0; i < kRounds; ++i) {
+      const PageId p = pages[rng.NextBounded(kPages)];
+      auto page = pool.FetchPage(p);
+      if (!page.ok()) return page.status();
+      LRUK_RETURN_IF_ERROR(pool.UnpinPage(p, false));
+    }
+    return Status::Ok();
+  });
+  const auto deadline = std::chrono::steady_clock::now() + kHeldReadTimeout;
+  for (auto* done : {&forward, &backward, &single}) {
+    if (done->wait_until(deadline) != std::future_status::ready) {
+      // Deadlocked threads can never be joined (a future's destructor
+      // would wait for them forever): end the binary with the failure.
+      std::fprintf(stderr, "a run or fetch never completed: deadlock\n");
+      std::abort();
+    }
+    EXPECT_TRUE(done->get().ok());
+  }
+
+  BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.hits + stats.misses, 5u * kRounds);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(pool.PendingIoCount(), 0u);
+  EXPECT_EQ(pool.ResidentCount() + pool.FreeFrameCount(), pool.capacity());
 }
 
 // ---------------------------------------------------------------------------

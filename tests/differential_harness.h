@@ -196,6 +196,55 @@ class PoolModel {
     }
     ++(Step(p, type) ? stats_.hits : stats_.misses);
   }
+  // A BufferPool::FetchPages run on a one-shard model, in the order the
+  // pool documents: every hit's RecordAccess (a re-fix of the page fixed
+  // just before reaches no policy), then each miss's PrepareAdmit and,
+  // when the frames are full (the resident pages plus the run's earlier
+  // misses), an eviction, in page order, then each miss's Admit in page
+  // order. The pool holds the run's hits pinned while it evicts, so a
+  // victim that is one of them is skipped and handed back with Restore
+  // once the miss's victim is found.
+  void FetchRun(std::span<const PageId> pages, AccessType type) {
+    ASSERT_EQ(shards_.size(), 1u) << "a run is BufferPool's";
+    Shard& shard = shards_[0];
+    ReplacementPolicy& policy = *shard.policy;
+    std::vector<PageId> hits;
+    std::vector<PageId> misses;
+    for (size_t i = 0; i < pages.size(); ++i) {
+      const PageId p = pages[i];
+      if (!policy.IsResident(p)) {
+        misses.push_back(p);
+        continue;
+      }
+      hits.push_back(p);
+      ++stats_.hits;
+      const PageId previous = i == 0 ? last_fix_ : pages[i - 1];
+      if (previous == p) {
+        ++stats_.correlated_refs;
+      } else {
+        policy.RecordAccess(p, type);
+      }
+    }
+    for (size_t claimed = 0; claimed < misses.size(); ++claimed) {
+      ++stats_.misses;
+      policy.PrepareAdmit(misses[claimed]);
+      if (policy.ResidentCount() + claimed < shard.capacity) continue;
+      std::vector<PageId> skipped;
+      std::optional<PageId> victim;
+      while ((victim = policy.Evict()).has_value() &&
+             std::find(hits.begin(), hits.end(), *victim) != hits.end()) {
+        skipped.push_back(*victim);
+      }
+      ASSERT_TRUE(victim.has_value()) << "no unpinned victim for a run";
+      for (auto it = skipped.rbegin(); it != skipped.rend(); ++it) {
+        policy.Restore(*it);
+      }
+      shard.evictions.push_back(*victim);
+      ++stats_.evictions;
+    }
+    for (PageId p : misses) policy.Admit(p, type);
+    if (!pages.empty()) last_fix_ = pages.back();
+  }
   void NewPage(PageId p) {
     last_fix_ = p;
     Step(p, AccessType::kWrite);
@@ -256,6 +305,13 @@ class ModelCheckedPool final : public PoolInterface {
     auto page = pool_.FetchPage(p, type);
     if (page.ok()) model_.Fetch(p, type);
     return page;
+  }
+  // Modeled as BufferPool's run (PoolModel::FetchRun).
+  Status FetchPages(std::span<const PageId> pages, std::span<Page*> out,
+                    AccessType type = AccessType::kRead) override {
+    Status fixed = pool_.FetchPages(pages, out, type);
+    if (fixed.ok()) model_.FetchRun(pages, type);
+    return fixed;
   }
   Result<Page*> NewPage() override {
     auto page = pool_.NewPage();

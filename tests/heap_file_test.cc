@@ -2,7 +2,9 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "bufferpool/buffer_pool.h"
 #include "core/lru.h"
@@ -51,9 +53,7 @@ TEST_F(HeapFileTest, ChainsAcrossPages) {
     ASSERT_TRUE(rid.ok());
     rids.push_back(*rid);
   }
-  auto pages = heap.CountPages();
-  ASSERT_TRUE(pages.ok());
-  EXPECT_EQ(*pages, 50u);  // Exactly two rows per page.
+  EXPECT_EQ(heap.CountPages(), 50u);  // Exactly two rows per page.
   for (int i = 0; i < 100; ++i) {
     auto got = heap.Get(rids[i]);
     ASSERT_TRUE(got.ok());
@@ -90,12 +90,12 @@ TEST_F(HeapFileTest, CompactionReclaimsDeletedSpace) {
     ASSERT_TRUE(rid.ok());
     rids.push_back(*rid);
   }
-  ASSERT_EQ(*heap.CountPages(), 1u);
+  ASSERT_EQ(heap.CountPages(), 1u);
   ASSERT_TRUE(heap.Delete(rids[0]).ok());
   ASSERT_TRUE(heap.Delete(rids[2]).ok());
   auto big = heap.Insert(std::string(1900, 'Z'));
   ASSERT_TRUE(big.ok());
-  EXPECT_EQ(*heap.CountPages(), 1u) << "compaction should have made room";
+  EXPECT_EQ(heap.CountPages(), 1u) << "compaction should have made room";
   EXPECT_EQ(heap.Get(*big)->size(), 1900u);
   EXPECT_EQ((*heap.Get(rids[1]))[0], '1');
   EXPECT_EQ((*heap.Get(rids[3]))[0], '3');
@@ -199,7 +199,7 @@ TEST_F(HeapFileTest, ReadsLeavePagesClean) {
                     return true;
                   }).ok());
   EXPECT_EQ(scanned, rids.size());
-  EXPECT_EQ(*heap.CountPages(), 40u);
+  EXPECT_EQ(heap.CountPages(), 40u);
   HeapFile reattached(&small_pool, heap.HeadPageId());
   EXPECT_EQ(reattached.Size(), rids.size());
 
@@ -265,6 +265,150 @@ TEST_F(HeapFileTest, RandomizedAgainstModel) {
                     return true;
                   }).ok());
   EXPECT_EQ(live, model.size());
+}
+
+// Forwards to a pool, recording the length of each FetchPages run and the
+// pins its caller holds.
+class RunRecordingPool final : public PoolInterface {
+ public:
+  explicit RunRecordingPool(PoolInterface& pool) : pool_(pool) {}
+
+  Result<Page*> FetchPage(PageId p, AccessType type) override {
+    auto page = pool_.FetchPage(p, type);
+    if (page.ok()) ++pins_;
+    return page;
+  }
+  Status FetchPages(std::span<const PageId> pages, std::span<Page*> out,
+                    AccessType type) override {
+    runs_.push_back(pages.size());
+    Status fixed = pool_.FetchPages(pages, out, type);
+    if (fixed.ok()) pins_ += static_cast<int64_t>(pages.size());
+    return fixed;
+  }
+  Result<Page*> NewPage() override {
+    auto page = pool_.NewPage();
+    if (page.ok()) ++pins_;
+    return page;
+  }
+  Status UnpinPage(PageId p, bool dirty) override {
+    Status unpinned = pool_.UnpinPage(p, dirty);
+    if (unpinned.ok()) --pins_;
+    return unpinned;
+  }
+  Status FlushPage(PageId p) override { return pool_.FlushPage(p); }
+  Status FlushAll() override { return pool_.FlushAll(); }
+  Status DeletePage(PageId p) override { return pool_.DeletePage(p); }
+  size_t capacity() const override { return pool_.capacity(); }
+  size_t ResidentCount() const override { return pool_.ResidentCount(); }
+  bool IsResident(PageId p) const override { return pool_.IsResident(p); }
+  BufferPoolStats stats() const override { return pool_.stats(); }
+  void ResetStats() override { pool_.ResetStats(); }
+
+  // Pins taken through this pool and not yet released.
+  int64_t pins() const { return pins_; }
+  const std::vector<size_t>& runs() const { return runs_; }
+  void ClearRuns() { runs_.clear(); }
+
+ private:
+  PoolInterface& pool_;
+  int64_t pins_ = 0;
+  std::vector<size_t> runs_;
+};
+
+// Fills `heap` with `pages` pages of two 2,000-byte rows, each row's bytes
+// its index; returns the rows' ids in insertion order.
+std::vector<RecordId> FillTwoRowsPerPage(HeapFile& heap, int pages) {
+  std::vector<RecordId> rids;
+  for (int i = 0; i < 2 * pages; ++i) {
+    auto rid = heap.Insert(std::string(2000, static_cast<char>(i)));
+    EXPECT_TRUE(rid.ok());
+    rids.push_back(*rid);
+  }
+  return rids;
+}
+
+TEST_F(HeapFileTest, PairedScanVisitsEveryRecordInChainOrder) {
+  SimDiskManager disk;
+  BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{}));
+  RunRecordingPool recording(pool);
+  HeapFile heap(&recording);
+  const std::vector<RecordId> rids = FillTwoRowsPerPage(heap, 7);
+  ASSERT_TRUE(recording.FlushAll().ok());
+  recording.ClearRuns();
+
+  std::vector<RecordId> seen;
+  ASSERT_TRUE(heap.Scan([&](RecordId rid, std::string_view row) {
+                    EXPECT_EQ(row[0], static_cast<char>(seen.size()));
+                    seen.push_back(rid);
+                    return true;
+                  }).ok());
+  EXPECT_EQ(seen, rids);
+  // Seven pages: three runs of two, then the last page alone.
+  EXPECT_EQ(recording.runs(), (std::vector<size_t>{2, 2, 2, 1}));
+  EXPECT_EQ(recording.pins(), 0);
+}
+
+TEST_F(HeapFileTest, ReattachRebuildsThePageList) {
+  HeapFile heap(&pool_);
+  const std::vector<RecordId> rids = FillTwoRowsPerPage(heap, 5);
+  HeapFile reattached(&pool_, heap.HeadPageId());
+  EXPECT_EQ(reattached.HeadPageId(), heap.HeadPageId());
+  EXPECT_EQ(reattached.CountPages(), 5u);
+  // The rebuilt list ends at the tail: a new page chains after it.
+  std::vector<RecordId> expected = rids;
+  for (int i = 0; i < 2; ++i) {
+    auto rid = reattached.Insert(std::string(2000, 'n'));
+    ASSERT_TRUE(rid.ok());
+    expected.push_back(*rid);
+  }
+  EXPECT_EQ(reattached.CountPages(), 6u);
+  std::vector<RecordId> seen;
+  ASSERT_TRUE(reattached.Scan([&](RecordId rid, std::string_view) {
+                    seen.push_back(rid);
+                    return true;
+                  }).ok());
+  EXPECT_EQ(seen, expected);
+}
+
+TEST_F(HeapFileTest, EarlyStopLeavesNoPins) {
+  RunRecordingPool recording(pool_);
+  HeapFile heap(&recording);
+  const std::vector<RecordId> rids = FillTwoRowsPerPage(heap, 4);
+  // Stop on the first row of each page of the first run, and on the
+  // second row of a page.
+  for (size_t stop_at : {size_t{0}, size_t{2}, size_t{3}}) {
+    size_t visited = 0;
+    ASSERT_TRUE(heap.Scan([&](RecordId rid, std::string_view) {
+                      EXPECT_EQ(rid, rids[visited]);
+                      return visited++ < stop_at;
+                    }).ok());
+    EXPECT_EQ(visited, stop_at + 1);
+    EXPECT_EQ(recording.pins(), 0) << "stopped at row " << stop_at;
+  }
+}
+
+TEST_F(HeapFileTest, ScanWithOneSpareFrameCompletes) {
+  SimDiskManager disk;
+  BufferPool pool(3, &disk, std::make_unique<LruKPolicy>(LruKOptions{}));
+  RunRecordingPool recording(pool);
+  HeapFile heap(&recording);
+  const std::vector<RecordId> rids = FillTwoRowsPerPage(heap, 5);
+  // Two frames stay pinned, so no run of two pages fits.
+  std::vector<PageId> held;
+  for (int i = 0; i < 2; ++i) {
+    auto page = recording.NewPage();
+    ASSERT_TRUE(page.ok());
+    held.push_back((*page)->id());
+  }
+  std::vector<RecordId> seen;
+  ASSERT_TRUE(heap.Scan([&](RecordId rid, std::string_view) {
+                    seen.push_back(rid);
+                    return true;
+                  }).ok());
+  EXPECT_EQ(seen, rids);
+  for (PageId p : held) ASSERT_TRUE(recording.UnpinPage(p, true).ok());
+  EXPECT_EQ(recording.pins(), 0);
+  EXPECT_EQ(pool.ResidentCount() + pool.FreeFrameCount(), pool.capacity());
 }
 
 TEST(RecordIdTest, PackUnpackRoundTrip) {

@@ -6,9 +6,9 @@
 // ForEachCounter that each of those generated pieces covers every counter.
 // Threaded, so the names match CI's sanitizer regex ('Concurren').
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <regex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -30,6 +30,41 @@ namespace lruk {
 namespace {
 
 using Counters = std::vector<std::pair<std::string, uint64_t>>;
+
+// The `"name": value` members of the bench writer's flat JSON form, in
+// order. A member that is not a [a-z_]+ name and an unsigned value is a
+// test failure.
+Counters ParseMembers(const std::string& json) {
+  Counters out;
+  size_t at = 0;
+  while ((at = json.find('"', at)) != std::string::npos) {
+    const size_t name_end = json.find('"', at + 1);
+    if (name_end == std::string::npos) {
+      ADD_FAILURE() << "unterminated name in " << json;
+      break;
+    }
+    std::string name = json.substr(at + 1, name_end - at - 1);
+    const bool name_ok =
+        !name.empty() && std::all_of(name.begin(), name.end(), [](char ch) {
+          return (ch >= 'a' && ch <= 'z') || ch == '_';
+        });
+    size_t digits = name_end + 1;
+    if (json.compare(digits, 2, ": ") == 0) digits += 2;
+    size_t digits_end = digits;
+    while (digits_end < json.size() && json[digits_end] >= '0' &&
+           json[digits_end] <= '9') {
+      ++digits_end;
+    }
+    if (!name_ok || digits == name_end + 1 || digits_end == digits) {
+      ADD_FAILURE() << "not a counter member at " << json.substr(at);
+      break;
+    }
+    out.emplace_back(std::move(name),
+                     std::stoull(json.substr(digits, digits_end - digits)));
+    at = digits_end;
+  }
+  return out;
+}
 
 Counters ListCounters(const BufferPoolStats& stats) {
   Counters out;
@@ -174,14 +209,7 @@ TEST_P(PoolCountersConcurrencyTest, MergeSnapshotResetAndJsonCoverTheList) {
 
   // The bench JSON writer emits every listed counter, by name, in list
   // order, with its value — so every key CI reads is among them.
-  const std::string json = PoolCountersJson(settled);
-  const std::regex member("\"([a-z_]+)\": ([0-9]+)");
-  Counters emitted;
-  for (std::sregex_iterator it(json.begin(), json.end(), member), end;
-       it != end; ++it) {
-    emitted.emplace_back((*it)[1].str(), std::stoull((*it)[2].str()));
-  }
-  EXPECT_EQ(emitted, ListCounters(settled));
+  EXPECT_EQ(ParseMembers(PoolCountersJson(settled)), ListCounters(settled));
 
   // ResetStats zeroes every counter.
   pool->ResetStats();
