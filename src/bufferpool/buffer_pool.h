@@ -143,10 +143,11 @@ class BufferPool final : public PoolInterface {
   // Admit in page order. A claim never waits for other I/O while the run
   // holds claimed reads (or write-behind victim writes) it has not
   // issued: it issues and installs them first, then waits, so two runs
-  // over the same pages in opposite orders cannot deadlock. On any failure every page the run pinned is unpinned
-  // (pages whose reads landed stay admitted) and the first failure in page
-  // order is returned; so with too few unpinned frames for the whole run
-  // it returns RESOURCE_EXHAUSTED and holds nothing.
+  // over the same pages in opposite orders cannot deadlock. On any
+  // failure every page the run pinned is unpinned (pages whose reads
+  // landed stay admitted) and the first failure in page order is
+  // returned; so with too few unpinned frames for the whole run it
+  // returns RESOURCE_EXHAUSTED and holds nothing.
   Status FetchPages(std::span<const PageId> pages, std::span<Page*> out,
                     AccessType type = AccessType::kRead) override;
 
@@ -248,10 +249,11 @@ class BufferPool final : public PoolInterface {
   // Shares its fix-register key with every shard (see fix_key_).
   friend class ShardedBufferPool;
 
-  // One tracked miss read of `page`, in flight until `done`. Waiters count themselves in `waiters` and sleep on `cv` with
-  // the pool latch; the issuer sets `status` and `done` and notifies. A
-  // done record with no waiters is reused for the next read (all
-  // latch-guarded), so a steady-state miss allocates nothing.
+  // One tracked miss read of `page`, in flight until `done`. Waiters
+  // count themselves in `waiters` and sleep on `cv` with the pool latch;
+  // the issuer sets `status` and `done` and notifies. A done record with
+  // no waiters is reused for the next read (all latch-guarded), so a
+  // steady-state miss allocates nothing.
   struct PendingIo {
     PageId page = kInvalidPageId;
     Status status;

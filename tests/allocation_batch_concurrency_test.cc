@@ -38,16 +38,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -61,125 +57,24 @@
 #include "differential_harness.h"
 #include "gtest/gtest.h"
 #include "heap/heap_file.h"
+#include "scripted_disk.h"
+#include "storage/fault_injecting_disk_manager.h"
 #include "storage/sim_disk_manager.h"
 
 namespace lruk {
 namespace {
 
-// A device over SimDiskManager that logs every operation and its thread,
-// counts the writes of each page, fails the writes of pages it is told
-// to, and holds writes of gated pages until they are opened (a held write
-// that waits 10 s is counted and let through, so a test fails instead of
-// hanging). It declares `max_concurrent_io`.
-class BatchDevice final : public DiskManager {
- public:
-  struct Op {
-    PageIo::Kind kind;
-    PageId page;
-    std::thread::id thread;
-  };
-
-  BatchDevice(DiskManager* inner, size_t max_concurrent_io)
-      : inner_(inner), max_concurrent_io_(max_concurrent_io) {}
-
-  void FailWrites(PageId p) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    failing_.insert(p);
-  }
-  void Heal() {
-    std::lock_guard<std::mutex> guard(mutex_);
-    failing_.clear();
-  }
-  void Close(PageId p) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    gated_.insert(p);
-  }
-  void OpenAll() {
-    std::lock_guard<std::mutex> guard(mutex_);
-    gated_.clear();
-    cv_.notify_all();
-  }
-  // Waits up to 10 s until `n` writes wait at the gate.
-  bool AwaitHeld(size_t n) {
-    std::unique_lock<std::mutex> guard(mutex_);
-    return cv_.wait_for(guard, std::chrono::seconds(10),
-                        [&] { return held_ >= n; });
-  }
-  std::vector<Op> TakeOps() {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return std::exchange(ops_, {});
-  }
-  uint64_t writes() const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return writes_;
-  }
-  uint64_t WritesOf(PageId p) const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    auto it = writes_of_.find(p);
-    return it == writes_of_.end() ? 0 : it->second;
-  }
-  uint64_t timeouts() const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return timeouts_;
-  }
-
-  size_t MaxConcurrentIo() const override { return max_concurrent_io_; }
-  Status ReadPage(PageId p, char* out) override {
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      ops_.push_back({PageIo::Kind::kRead, p, std::this_thread::get_id()});
-    }
-    return inner_->ReadPage(p, out);
-  }
-  Status WritePage(PageId p, const char* data) override {
-    {
-      std::unique_lock<std::mutex> guard(mutex_);
-      ops_.push_back({PageIo::Kind::kWrite, p, std::this_thread::get_id()});
-      if (gated_.contains(p)) {
-        ++held_;
-        cv_.notify_all();
-        if (!cv_.wait_for(guard, std::chrono::seconds(10),
-                          [&] { return !gated_.contains(p); })) {
-          ++timeouts_;
-        }
-        --held_;
-      }
-      if (failing_.contains(p)) return Status::IoError("injected write");
-    }
-    Status status = inner_->WritePage(p, data);
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++writes_;
-    ++writes_of_[p];
-    return status;
-  }
-  Result<PageId> AllocatePage() override { return inner_->AllocatePage(); }
-  Status DeallocatePage(PageId p) override {
-    return inner_->DeallocatePage(p);
-  }
-  uint64_t NumAllocatedPages() const override {
-    return inner_->NumAllocatedPages();
-  }
-
- private:
-  DiskManager* inner_;
-  size_t max_concurrent_io_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::unordered_set<PageId> failing_;
-  std::unordered_set<PageId> gated_;
-  size_t held_ = 0;
-  uint64_t timeouts_ = 0;
-  uint64_t writes_ = 0;
-  std::unordered_map<PageId, uint64_t> writes_of_;
-  std::vector<Op> ops_;
-};
+// The writes that have landed on `disk`.
+uint64_t Writes(const ScriptedDisk& disk) {
+  return disk.counts(PageIo::Kind::kWrite).landed;
+}
 
 // A pool wrapper that records how many device writes each NewPage made:
 // single-threaded, that is the size of the allocation's one RunBatch
 // batch (0 when it took a free frame or a clean victim).
 class BatchRecorder final : public PoolInterface {
  public:
-  BatchRecorder(BufferPool* pool, BatchDevice* disk)
+  BatchRecorder(BufferPool* pool, ScriptedDisk* disk)
       : pool_(pool), disk_(disk) {}
 
   const std::vector<uint64_t>& batches() const { return batches_; }
@@ -188,9 +83,9 @@ class BatchRecorder final : public PoolInterface {
     return pool_->FetchPage(p, type);
   }
   Result<Page*> NewPage() override {
-    const uint64_t before = disk_->writes();
+    const uint64_t before = Writes(*disk_);
     auto page = pool_->NewPage();
-    batches_.push_back(disk_->writes() - before);
+    batches_.push_back(Writes(*disk_) - before);
     return page;
   }
   Status UnpinPage(PageId p, bool dirty) override {
@@ -207,7 +102,7 @@ class BatchRecorder final : public PoolInterface {
 
  private:
   BufferPool* pool_;
-  BatchDevice* disk_;
+  ScriptedDisk* disk_;
   std::vector<uint64_t> batches_;
 };
 
@@ -247,9 +142,9 @@ std::vector<char> DiskImage(DiskManager& disk, PageId p) {
   return image;
 }
 
-std::vector<PageId> WritesIn(const std::vector<BatchDevice::Op>& ops) {
+std::vector<PageId> WritesIn(const std::vector<ScriptedDisk::Op>& ops) {
   std::vector<PageId> pages;
-  for (const BatchDevice::Op& op : ops) {
+  for (const ScriptedDisk::Op& op : ops) {
     if (op.kind == PageIo::Kind::kWrite) pages.push_back(op.page);
   }
   return pages;
@@ -274,7 +169,7 @@ LoadRun Load(size_t max_concurrent_io) {
   constexpr uint64_t kRecords = 6000;
   LoadRun run;
   SimDiskManager inner;
-  BatchDevice disk(&inner, max_concurrent_io);
+  ScriptedDisk disk(&inner, max_concurrent_io);
   {
     BufferPool pool(kFrames, &disk, Lru2());
     BatchRecorder recorder(&pool, &disk);
@@ -343,7 +238,7 @@ TEST(AllocationBatchConcurrencyTest, LoadWritesBackInBatchesOfTheDeviceWidth) {
 TEST(AllocationBatchConcurrencyTest, SerialDeviceWritesOneVictimPerAllocation) {
   constexpr size_t kFrames = 8;
   SimDiskManager inner;
-  BatchDevice disk(&inner, /*max_concurrent_io=*/1);
+  ScriptedDisk disk(&inner, /*max_concurrent_io=*/1);
   BufferPool pool(kFrames, &disk, Lru2());
   BatchRecorder recorder(&pool, &disk);
   std::vector<Page*> pages = NewFilledPages(recorder, 3 * kFrames);
@@ -354,7 +249,7 @@ TEST(AllocationBatchConcurrencyTest, SerialDeviceWritesOneVictimPerAllocation) {
   EXPECT_EQ(recorder.batches(), expected_batches);
   std::vector<PageId> expected_writes;
   for (PageId p = 0; p < 2 * kFrames; ++p) expected_writes.push_back(p);
-  const std::vector<BatchDevice::Op> ops = disk.TakeOps();
+  const std::vector<ScriptedDisk::Op> ops = disk.TakeOps();
   EXPECT_EQ(WritesIn(ops), expected_writes);
   EXPECT_EQ(ops.size(), expected_writes.size()) << "a read was issued";
   EXPECT_EQ(pool.FreeFrameCount(), 0u);
@@ -368,7 +263,7 @@ TEST(AllocationBatchConcurrencyTest, SerialDeviceWritesOneVictimPerAllocation) {
 TEST(AllocationBatchConcurrencyTest, ConcurrentDeviceWritesAPoolFullAtOnce) {
   constexpr size_t kFrames = 8;
   SimDiskManager inner;
-  BatchDevice disk(&inner, DiskManager::kMaxIoInFlight);
+  ScriptedDisk disk(&inner, DiskManager::kMaxIoInFlight);
   BufferPool pool(kFrames, &disk, Lru2());
   BatchRecorder recorder(&pool, &disk);
   std::vector<Page*> pages = NewFilledPages(recorder, 3 * kFrames);
@@ -408,16 +303,16 @@ TEST(AllocationBatchConcurrencyTest, ShardedPoolBatchesPerShard) {
   auto run = [&](size_t max_concurrent_io) {
     Run r;
     SimDiskManager inner;
-    BatchDevice disk(&inner, max_concurrent_io);
+    ScriptedDisk disk(&inner, max_concurrent_io);
     {
       ShardedBufferPool pool(kFrames, kShards, &disk, [](size_t, size_t) {
         return std::make_unique<LruKPolicy>(LruKOptions{.k = 2});
       });
       for (size_t i = 0; i < kPages; ++i) {
-        const uint64_t before = disk.writes();
+        const uint64_t before = Writes(disk);
         std::vector<Page*> page = NewFilledPages(pool, 1);
         EXPECT_EQ(page.size(), 1u);
-        r.batches.push_back(disk.writes() - before);
+        r.batches.push_back(Writes(disk) - before);
       }
       r.stats = pool.stats();
       EXPECT_TRUE(pool.FlushAll().ok());
@@ -470,10 +365,11 @@ struct VictimState {
 
 // Eight dirty pages in eight frames, each referenced twice (allocated,
 // then fetched), so LRU-2's victim order is the allocation order and each
-// page has a finite backward 2-distance.
+// page has a finite backward 2-distance. Writes fail where `faults` says.
 struct FullPool {
   SimDiskManager inner;
-  BatchDevice disk{&inner, DiskManager::kMaxIoInFlight};
+  FaultInjectingDiskManager faults{&inner};
+  ScriptedDisk disk{&faults, DiskManager::kMaxIoInFlight};
   LruKPolicy* lruk = nullptr;
   std::unique_ptr<BufferPool> pool;
   std::vector<Page*> pages;
@@ -509,7 +405,7 @@ TEST(AllocationBatchConcurrencyTest, FailedWriteRestoresExactlyThatVictim) {
   ASSERT_TRUE(distance_before.has_value());
   const BufferPoolStats stats_before = t.pool->stats();
 
-  t.disk.FailWrites(failing);
+  t.faults.AddRule(FaultRule::FailPage(FaultOp::kWrite, failing));
   auto page = t.pool->NewPage();
   ASSERT_TRUE(page.ok()) << page.status().ToString();
   const PageId fresh = (*page)->id();
@@ -553,7 +449,7 @@ TEST(AllocationBatchConcurrencyTest, FailedWriteRestoresExactlyThatVictim) {
   EXPECT_EQ(stats.write_failures, 1u);
 
   // After healing, the victim is written back by a later flush.
-  t.disk.Heal();
+  t.faults.Heal();
   ASSERT_TRUE(t.pool->FlushAll().ok());
   EXPECT_EQ(DiskImage(t.inner, failing), Filled(failing));
 }
@@ -563,7 +459,7 @@ TEST(AllocationBatchConcurrencyTest, EveryWriteFailingLeavesThePoolAsBefore) {
   std::vector<VictimState> before;
   for (Page* page : t.pages) {
     before.push_back(VictimState::Of(*t.lruk, page->id()));
-    t.disk.FailWrites(page->id());
+    t.faults.AddRule(FaultRule::FailPage(FaultOp::kWrite, page->id()));
   }
   const Timestamp time_before = t.lruk->CurrentTime();
   const size_t history_before = t.lruk->HistorySize();
@@ -594,7 +490,7 @@ TEST(AllocationBatchConcurrencyTest, EveryWriteFailingLeavesThePoolAsBefore) {
   EXPECT_EQ(stats.write_failures, FullPool::kFrames);
 
   // Healed, the same allocation goes through, writing the same batch.
-  t.disk.Heal();
+  t.faults.Heal();
   auto retry = t.pool->NewPage();
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
   EXPECT_EQ(WritesIn(t.disk.TakeOps()).size(), FullPool::kFrames);
@@ -607,7 +503,7 @@ TEST(AllocationBatchConcurrencyTest, BatchSkipsPinnedPages) {
   constexpr size_t kFrames = 8;
   const std::vector<size_t> pinned = {0, 2, 5};
   SimDiskManager inner;
-  BatchDevice disk(&inner, DiskManager::kMaxIoInFlight);
+  ScriptedDisk disk(&inner, DiskManager::kMaxIoInFlight);
   auto policy = Lru2();
   LruKPolicy* lruk = policy.get();
   BufferPool pool(kFrames, &disk, std::move(policy));
@@ -665,7 +561,7 @@ OrderRun RunOrder(const PolicyConfig& config, size_t max_concurrent_io,
   constexpr size_t kFrames = 32;
   OrderRun run;
   SimDiskManager inner;
-  BatchDevice disk(&inner, max_concurrent_io);
+  ScriptedDisk disk(&inner, max_concurrent_io);
   PolicyContext context;
   context.capacity = kFrames;
   auto made = MakePolicy(config, context);
@@ -753,7 +649,7 @@ TEST(AllocationBatchConcurrencyTest, BatchKeepsThePolicysSerialOrder) {
 // before the write.
 TEST(AllocationBatchConcurrencyTest, FetchOfAHeldVictimReadsTheWrittenImage) {
   FullPool t;
-  for (Page* page : t.pages) t.disk.Close(page->id());
+  for (Page* page : t.pages) t.disk.Hold(ScriptedDisk::Writes(page->id()));
   std::atomic<bool> allocated{false};
   std::thread allocator([&] {
     auto page = t.pool->NewPage();
@@ -763,7 +659,7 @@ TEST(AllocationBatchConcurrencyTest, FetchOfAHeldVictimReadsTheWrittenImage) {
     }
     allocated.store(true);
   });
-  ASSERT_TRUE(t.disk.AwaitHeld(FullPool::kFrames))
+  ASSERT_TRUE(t.disk.AwaitHeld(ScriptedDisk::Writes(), FullPool::kFrames))
       << "the batch's writes never reached the device together";
 
   std::atomic<int> fetched{0};
@@ -804,16 +700,17 @@ TEST(AllocationBatchConcurrencyTest, BatchRunsOnTheCallerWhileRunnersAreBusy) {
   constexpr size_t kWidth = DiskManager::kMaxIoInFlight;
   constexpr size_t kFrames = 4 * kWidth;
   SimDiskManager inner;
-  BatchDevice disk(&inner, kWidth);
+  ScriptedDisk disk(&inner, kWidth);
   BufferPool pool(kFrames, &disk, Lru2());
   std::vector<Page*> flushed = NewFilledPages(pool, kWidth);
-  for (Page* page : flushed) disk.Close(page->id());
+  for (Page* page : flushed) disk.Hold(ScriptedDisk::Writes(page->id()));
   std::atomic<bool> flush_done{false};
   std::thread flusher([&] {
     EXPECT_TRUE(pool.FlushAll().ok());
     flush_done.store(true);
   });
-  ASSERT_TRUE(disk.AwaitHeld(kWidth)) << "the flush never spread";
+  ASSERT_TRUE(disk.AwaitHeld(ScriptedDisk::Writes(), kWidth))
+      << "the flush never spread";
   (void)disk.TakeOps();
 
   // The flush's pages are the policy's first victims, but pinned.
@@ -827,11 +724,11 @@ TEST(AllocationBatchConcurrencyTest, BatchRunsOnTheCallerWhileRunnersAreBusy) {
   ASSERT_TRUE(pool.UnpinPage((*page)->id(), true).ok());
   EXPECT_FALSE(flush_done.load());
 
-  const std::vector<BatchDevice::Op> ops = disk.TakeOps();
+  const std::vector<ScriptedDisk::Op> ops = disk.TakeOps();
   std::vector<PageId> expected;
   for (size_t i = 0; i < kWidth; ++i) expected.push_back(rest[i]);
   EXPECT_EQ(WritesIn(ops), expected);
-  for (const BatchDevice::Op& op : ops) {
+  for (const ScriptedDisk::Op& op : ops) {
     EXPECT_EQ(op.thread, std::this_thread::get_id()) << "page " << op.page;
   }
   EXPECT_EQ(pool.FreeFrameCount(), kWidth - 1);

@@ -21,9 +21,10 @@
 //    waiter observes the same error status, no frame is leaked, nothing is
 //    admitted, and the page is fetchable after Heal().
 //  * Concurrency + fault churn — 8 threads of mixed traffic over both
-//    pools with probabilistic read/write faults: after Heal + quiesce, frame accounting balances to capacity, every
-//    fetch resolved to exactly one hit or miss, all pins were released,
-//    and FlushAll converges.
+//    pools with probabilistic read/write faults: after Heal + quiesce,
+//    frame accounting balances to capacity, every fetch resolved to
+//    exactly one hit or miss, all pins were released, and FlushAll
+//    converges.
 //  * Same-page churn — a page-id range smaller than the thread count over
 //    a tiny pool forces constant coalesce/evict cycles without deadlock.
 //  * Write-behind fault churn — threaded dirty-heavy traffic with
@@ -45,14 +46,15 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bufferpool/buffer_pool.h"
 #include "bufferpool/sharded_buffer_pool.h"
 #include "core/lru_k.h"
+#include "differential_harness.h"
 #include "gtest/gtest.h"
 #include "io/io_dispatcher.h"
+#include "scripted_disk.h"
 #include "storage/fault_injecting_disk_manager.h"
 #include "storage/sim_disk_manager.h"
 #include "util/random.h"
@@ -61,121 +63,7 @@
 namespace lruk {
 namespace {
 
-// Forwarding disk manager counting physical reads per page — the witness
-// for "one coalesced group, one physical read". Outermost wrapper, so it
-// sees exactly what the pool issued (including retry re-issues).
-class CountingDiskManager final : public DiskManager {
- public:
-  explicit CountingDiskManager(DiskManager* inner) : inner_(inner) {}
-
-  uint64_t ReadsOf(PageId p) const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    auto it = reads_.find(p);
-    return it == reads_.end() ? 0 : it->second;
-  }
-  uint64_t TotalReads() const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    uint64_t total = 0;
-    for (const auto& [p, n] : reads_) total += n;
-    return total;
-  }
-
-  Status ReadPage(PageId p, char* out) override {
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      ++reads_[p];
-    }
-    return inner_->ReadPage(p, out);
-  }
-  Status WritePage(PageId p, const char* data) override {
-    return inner_->WritePage(p, data);
-  }
-  Result<PageId> AllocatePage() override { return inner_->AllocatePage(); }
-  Status DeallocatePage(PageId p) override {
-    return inner_->DeallocatePage(p);
-  }
-  uint64_t NumAllocatedPages() const override {
-    return inner_->NumAllocatedPages();
-  }
-  IoStats stats() const override { return inner_->stats(); }
-  void ResetStats() override { inner_->ResetStats(); }
-
- private:
-  DiskManager* inner_;
-  mutable std::mutex mutex_;
-  std::unordered_map<PageId, uint64_t> reads_;
-};
-
-// Blocks reads of one chosen page until released (same shape as the gate
-// in async_io_test.cc; duplicated to keep the test binaries standalone).
-class GateDiskManager final : public DiskManager {
- public:
-  explicit GateDiskManager(DiskManager* inner) : inner_(inner) {}
-
-  void Close(PageId p) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    gated_ = p;
-    open_ = false;
-  }
-  void Open() {
-    std::lock_guard<std::mutex> guard(mutex_);
-    open_ = true;
-    cv_.notify_all();
-  }
-  void AwaitReader() {
-    std::unique_lock<std::mutex> guard(mutex_);
-    cv_.wait(guard, [&] { return waiting_ > 0; });
-  }
-  // AwaitReader with a deadline: false if no reader reached the gate.
-  bool AwaitReaderFor(std::chrono::milliseconds timeout) {
-    std::unique_lock<std::mutex> guard(mutex_);
-    return cv_.wait_for(guard, timeout, [&] { return waiting_ > 0; });
-  }
-
-  Status ReadPage(PageId p, char* out) override {
-    {
-      std::unique_lock<std::mutex> guard(mutex_);
-      if (!open_ && p == gated_) {
-        ++waiting_;
-        cv_.notify_all();
-        cv_.wait(guard, [&] { return open_; });
-        --waiting_;
-      }
-    }
-    return inner_->ReadPage(p, out);
-  }
-  Status WritePage(PageId p, const char* data) override {
-    return inner_->WritePage(p, data);
-  }
-  Result<PageId> AllocatePage() override { return inner_->AllocatePage(); }
-  Status DeallocatePage(PageId p) override {
-    return inner_->DeallocatePage(p);
-  }
-  uint64_t NumAllocatedPages() const override {
-    return inner_->NumAllocatedPages();
-  }
-  IoStats stats() const override { return inner_->stats(); }
-  void ResetStats() override { inner_->ResetStats(); }
-
- private:
-  DiskManager* inner_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  PageId gated_ = kInvalidPageId;
-  bool open_ = true;
-  int waiting_ = 0;
-};
-
-std::vector<PageId> AllocateDb(PoolInterface& pool, uint64_t n) {
-  std::vector<PageId> pages;
-  for (uint64_t i = 0; i < n; ++i) {
-    auto page = pool.NewPage();
-    EXPECT_TRUE(page.ok());
-    pages.push_back((*page)->id());
-    EXPECT_TRUE(pool.UnpinPage((*page)->id(), true).ok());
-  }
-  return pages;
-}
+using difftest::AllocateDb;
 
 constexpr int kThreads = 8;
 
@@ -196,14 +84,14 @@ std::vector<PageId> FillWithCleanPages(BufferPool& pool) {
 
 TEST(DefaultMissConcurrencyTest, HitAndOtherMissCompleteWhileACleanMissReads) {
   SimDiskManager inner;
-  GateDiskManager gate(&inner);
+  ScriptedDisk gate(&inner);
   BufferPool pool(4, &gate, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   const PageId resident = FillWithCleanPages(pool).back();
   auto held = inner.AllocatePage();
   auto other = inner.AllocatePage();
   ASSERT_TRUE(held.ok() && other.ok());
 
-  gate.Close(*held);
+  gate.Hold(ScriptedDisk::Reads(*held));
   std::thread reader([&] {
     auto page = pool.FetchPage(*held);
     EXPECT_TRUE(page.ok());
@@ -211,7 +99,7 @@ TEST(DefaultMissConcurrencyTest, HitAndOtherMissCompleteWhileACleanMissReads) {
       EXPECT_TRUE(pool.UnpinPage(*held, false).ok());
     }
   });
-  EXPECT_TRUE(gate.AwaitReaderFor(kHeldReadTimeout))
+  EXPECT_TRUE(gate.AwaitHeld(ScriptedDisk::Reads()))
       << "the miss never reached the device";
   auto others = std::async(std::launch::async, [&] {
     auto hit = pool.FetchPage(resident);
@@ -221,7 +109,7 @@ TEST(DefaultMissConcurrencyTest, HitAndOtherMissCompleteWhileACleanMissReads) {
   });
   EXPECT_EQ(others.wait_for(kHeldReadTimeout), std::future_status::ready)
       << "a hit or another page's miss waited for the held read";
-  gate.Open();
+  gate.OpenAll();
   reader.join();
   EXPECT_TRUE(others.get());
 
@@ -236,8 +124,7 @@ TEST(DefaultMissConcurrencyTest, HitAndOtherMissCompleteWhileACleanMissReads) {
 
 TEST(DefaultMissConcurrencyTest, SecondMissOfThePageWaitsOnTheHeldRead) {
   SimDiskManager inner;
-  GateDiskManager gate(&inner);
-  CountingDiskManager disk(&gate);
+  ScriptedDisk disk(&inner);
   BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   FillWithCleanPages(pool);
   auto held = inner.AllocatePage();
@@ -245,7 +132,7 @@ TEST(DefaultMissConcurrencyTest, SecondMissOfThePageWaitsOnTheHeldRead) {
   std::vector<char> stamp(kPageSize, 'h');
   ASSERT_TRUE(inner.WritePage(*held, stamp.data()).ok());
 
-  gate.Close(*held);
+  disk.Hold(ScriptedDisk::Reads(*held));
   auto fetch = [&] {
     auto page = pool.FetchPage(*held);
     EXPECT_TRUE(page.ok());
@@ -255,7 +142,7 @@ TEST(DefaultMissConcurrencyTest, SecondMissOfThePageWaitsOnTheHeldRead) {
     EXPECT_TRUE(pool.UnpinPage(*held, false).ok());
   };
   std::thread first(fetch);
-  EXPECT_TRUE(gate.AwaitReaderFor(kHeldReadTimeout))
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Reads()))
       << "the miss never reached the device";
   std::thread second(fetch);
   // The second miss finds the held read in the tracker and waits on it.
@@ -266,7 +153,7 @@ TEST(DefaultMissConcurrencyTest, SecondMissOfThePageWaitsOnTheHeldRead) {
   }
   EXPECT_EQ(pool.StatsSnapshot().coalesced_reads, 1u)
       << "the second miss did not wait on the held read";
-  gate.Open();
+  disk.OpenAll();
   first.join();
   second.join();
 
@@ -284,8 +171,7 @@ TEST(DefaultMissConcurrencyTest, SecondMissOfThePageWaitsOnTheHeldRead) {
 
 TEST(FetchPagesConcurrencyTest, FetchPageOfARunsPageCoalescesOntoItsRead) {
   SimDiskManager inner;
-  GateDiskManager gate(&inner);
-  CountingDiskManager disk(&gate);
+  ScriptedDisk disk(&inner);
   BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   FillWithCleanPages(pool);
   auto a = inner.AllocatePage();
@@ -293,13 +179,13 @@ TEST(FetchPagesConcurrencyTest, FetchPageOfARunsPageCoalescesOntoItsRead) {
   ASSERT_TRUE(a.ok() && b.ok());
   const PageId run[] = {*a, *b};
 
-  gate.Close(*a);
+  disk.Hold(ScriptedDisk::Reads(*a));
   std::thread runner([&] {
     std::array<Page*, 2> out{};
     EXPECT_TRUE(pool.FetchPages(run, out).ok());
     for (PageId p : run) EXPECT_TRUE(pool.UnpinPage(p, false).ok());
   });
-  EXPECT_TRUE(gate.AwaitReaderFor(kHeldReadTimeout))
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Reads()))
       << "the run's read never reached the device";
   std::thread fetcher([&] {
     auto page = pool.FetchPage(*a);
@@ -315,7 +201,7 @@ TEST(FetchPagesConcurrencyTest, FetchPageOfARunsPageCoalescesOntoItsRead) {
   }
   EXPECT_EQ(pool.StatsSnapshot().coalesced_reads, 1u)
       << "the FetchPage did not wait on the run's read";
-  gate.Open();
+  disk.OpenAll();
   runner.join();
   fetcher.join();
 
@@ -330,8 +216,7 @@ TEST(FetchPagesConcurrencyTest, FetchPageOfARunsPageCoalescesOntoItsRead) {
 
 TEST(FetchPagesConcurrencyTest, RunIssuesItsClaimsBeforeWaitingOnAnotherRead) {
   SimDiskManager inner;
-  GateDiskManager gate(&inner);
-  CountingDiskManager disk(&gate);
+  ScriptedDisk disk(&inner);
   BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   FillWithCleanPages(pool);
   auto a = inner.AllocatePage();
@@ -339,7 +224,7 @@ TEST(FetchPagesConcurrencyTest, RunIssuesItsClaimsBeforeWaitingOnAnotherRead) {
   ASSERT_TRUE(a.ok() && b.ok());
 
   // Another thread's miss of b is held in the device.
-  gate.Close(*b);
+  disk.Hold(ScriptedDisk::Reads(*b));
   std::thread fetcher([&] {
     auto page = pool.FetchPage(*b);
     EXPECT_TRUE(page.ok());
@@ -347,7 +232,7 @@ TEST(FetchPagesConcurrencyTest, RunIssuesItsClaimsBeforeWaitingOnAnotherRead) {
       EXPECT_TRUE(pool.UnpinPage(*b, false).ok());
     }
   });
-  EXPECT_TRUE(gate.AwaitReaderFor(kHeldReadTimeout))
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Reads()))
       << "the miss never reached the device";
   // The run claims a, finds b's read in flight, and reads a before it
   // waits on b: a is admitted while b's read is still held.
@@ -366,7 +251,7 @@ TEST(FetchPagesConcurrencyTest, RunIssuesItsClaimsBeforeWaitingOnAnotherRead) {
   EXPECT_TRUE(pool.IsResident(*a))
       << "the run waited on b holding its unissued claim of a";
   EXPECT_EQ(pool.StatsSnapshot().coalesced_reads, 1u);
-  gate.Open();
+  disk.OpenAll();
   fetcher.join();
   runner.join();
 
@@ -379,33 +264,6 @@ TEST(FetchPagesConcurrencyTest, RunIssuesItsClaimsBeforeWaitingOnAnotherRead) {
   EXPECT_EQ(pool.ResidentCount() + pool.FreeFrameCount(), pool.capacity());
 }
 
-// Reads that take a few microseconds on a device that overlaps operations,
-// so runs and misses of one page meet in the tracker.
-class YieldingDiskManager final : public DiskManager {
- public:
-  explicit YieldingDiskManager(DiskManager* inner) : inner_(inner) {}
-
-  Status ReadPage(PageId p, char* out) override {
-    std::this_thread::sleep_for(std::chrono::microseconds(20));
-    return inner_->ReadPage(p, out);
-  }
-  Status WritePage(PageId p, const char* data) override {
-    return inner_->WritePage(p, data);
-  }
-  Result<PageId> AllocatePage() override { return inner_->AllocatePage(); }
-  Status DeallocatePage(PageId p) override {
-    return inner_->DeallocatePage(p);
-  }
-  uint64_t NumAllocatedPages() const override {
-    return inner_->NumAllocatedPages();
-  }
-  IoStats stats() const override { return inner_->stats(); }
-  void ResetStats() override { inner_->ResetStats(); }
-
- private:
-  DiskManager* inner_;
-};
-
 // Two threads fix runs [p, q] and [q, p] over the same few pages while a
 // third fetches them one at a time, through a pool that evicts: every
 // call completes (a deadlock aborts the binary at the deadline instead of
@@ -414,7 +272,10 @@ TEST(FetchPagesConcurrencyTest, OppositeRunsNeverDeadlock) {
   constexpr int kRounds = 1500;
   constexpr uint64_t kPages = 8;
   SimDiskManager inner;
-  YieldingDiskManager disk(&inner);
+  // Reads that take a few microseconds on a device that overlaps
+  // operations, so runs and misses of one page meet in the tracker.
+  ScriptedDisk disk(&inner);
+  disk.Delay(ScriptedDisk::Reads(), std::chrono::microseconds(20));
   BufferPool pool(6, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   const std::vector<PageId> pages = AllocateDb(pool, kPages);
   ASSERT_TRUE(pool.FlushAll().ok());
@@ -468,8 +329,7 @@ TEST(FetchPagesConcurrencyTest, OppositeRunsNeverDeadlock) {
 
 TEST(AsyncIoCoalescingTest, ConcurrentMissesOnSamePageShareOneRead) {
   SimDiskManager inner;
-  GateDiskManager gate(&inner);
-  CountingDiskManager disk(&gate);
+  ScriptedDisk disk(&inner);
   BufferPoolOptions options;
   options.io_workers = 2;
   BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
@@ -479,9 +339,9 @@ TEST(AsyncIoCoalescingTest, ConcurrentMissesOnSamePageShareOneRead) {
   ASSERT_TRUE(target.ok());
   PageId p = *target;
 
-  // Park the primary's read behind the gate; once it is parked, the pool
+  // Park the primary's read in the device; once it is parked, the pool
   // latch is free and the other 7 threads enqueue as coalesced waiters.
-  gate.Close(p);
+  disk.Hold(ScriptedDisk::Reads(p));
   std::atomic<int> entered{0};
   std::vector<std::thread> threads;
   std::atomic<int> ok_count{0};
@@ -496,12 +356,13 @@ TEST(AsyncIoCoalescingTest, ConcurrentMissesOnSamePageShareOneRead) {
       EXPECT_TRUE(pool.UnpinPage(p, false).ok());
     });
   }
-  gate.AwaitReader();  // The primary is mid-read.
+  // The primary is mid-read.
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Reads()));
   // Give the remaining threads time to reach the waiter branch: they need
   // only the pool latch, which the primary released before reading.
   while (entered.load() < kThreads) std::this_thread::yield();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  gate.Open();
+  disk.OpenAll();
   for (auto& t : threads) t.join();
 
   EXPECT_EQ(ok_count.load(), kThreads);
@@ -518,8 +379,7 @@ TEST(AsyncIoCoalescingTest, ConcurrentMissesOnSamePageShareOneRead) {
 TEST(AsyncIoCoalescingTest, EveryWaiterSeesTheSameFailureAndNoFrameLeaks) {
   SimDiskManager inner;
   FaultInjectingDiskManager faulty(&inner, /*seed=*/5);
-  GateDiskManager gate(&faulty);
-  CountingDiskManager disk(&gate);
+  ScriptedDisk disk(&faulty);
   BufferPoolOptions options;
   options.io_workers = 2;
   BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
@@ -530,7 +390,7 @@ TEST(AsyncIoCoalescingTest, EveryWaiterSeesTheSameFailureAndNoFrameLeaks) {
   PageId p = *target;
   faulty.AddRule(FaultRule::FailPage(FaultOp::kRead, p));  // Permanent.
 
-  gate.Close(p);
+  disk.Hold(ScriptedDisk::Reads(p));
   std::atomic<int> entered{0};
   std::vector<Status> statuses(kThreads);
   std::vector<std::thread> threads;
@@ -543,10 +403,10 @@ TEST(AsyncIoCoalescingTest, EveryWaiterSeesTheSameFailureAndNoFrameLeaks) {
       statuses[t] = page.status();
     });
   }
-  gate.AwaitReader();
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Reads()));
   while (entered.load() < kThreads) std::this_thread::yield();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  gate.Open();
+  disk.OpenAll();
   for (auto& t : threads) t.join();
 
   // Every thread failed with the same status code. (A straggler that
@@ -703,7 +563,7 @@ TEST(AsyncIoConcurrencyTest, FaultChurnKeepsShardedPoolInvariants) {
 
 TEST(AsyncIoConcurrencyTest, SamePageChurnOverTinyPoolCoalescesConstantly) {
   SimDiskManager inner;
-  CountingDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   BufferPoolOptions options;
   options.io_workers = 2;
   BufferPool pool(2, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
@@ -745,9 +605,9 @@ TEST(AsyncIoConcurrencyTest, SamePageChurnOverTinyPoolCoalescesConstantly) {
   // or bounced off a full pool (a fetch can both coalesce and then retry
   // as a primary, hence >= rather than ==). The exact one-read-per-group
   // semantics are proven by the gated coalescing tests above.
-  EXPECT_LE(disk.TotalReads(), stats.misses);
-  EXPECT_GE(disk.TotalReads() + stats.coalesced_reads + exhausted.load(),
-            stats.misses);
+  const uint64_t reads = disk.counts(PageIo::Kind::kRead).landed;
+  EXPECT_LE(reads, stats.misses);
+  EXPECT_GE(reads + stats.coalesced_reads + exhausted.load(), stats.misses);
   EXPECT_TRUE(pool.FlushAll().ok());
 }
 

@@ -28,11 +28,11 @@
 //  * Retry — a clean miss's read retries a transient failure with the
 //    pool latch released: hits keep completing while the retry is in the
 //    disk.
-//  * Quiesce/fence — demand reads are held in the disk by a gate disk
-//    manager: DeletePage waits out the read of the same page (no
-//    resurrection after the delete), FlushAll waits for it, and Quiesce
-//    waits for reads in flight on several client threads and for a
-//    victim write queued behind a parked writer.
+//  * Quiesce/fence — demand reads are held in a ScriptedDisk
+//    (scripted_disk.h): DeletePage waits out the read of the same page
+//    (no resurrection after the delete), FlushAll waits for it, and
+//    Quiesce waits for reads in flight on several client threads and for
+//    a victim write queued behind a parked writer.
 
 #include <atomic>
 #include <chrono>
@@ -53,6 +53,7 @@
 #include "differential_harness.h"
 #include "gtest/gtest.h"
 #include "io/io_dispatcher.h"
+#include "scripted_disk.h"
 #include "storage/fault_injecting_disk_manager.h"
 #include "storage/sim_disk_manager.h"
 #include "util/random.h"
@@ -74,86 +75,27 @@ using difftest::RunDiffScenario;
 using difftest::kDiffCapacity;
 using difftest::kDiffDbPages;
 
-// Forwarding disk manager that blocks reads of chosen pages until
-// released — pins demand reads mid-flight so fences can be exercised
-// deterministically — and records which thread issued each operation.
-class GateDiskManager final : public DiskManager {
- public:
-  explicit GateDiskManager(DiskManager* inner) : inner_(inner) {}
+// The threads that ran the `kind` operations in `ops`, in arrival order.
+std::vector<std::thread::id> ThreadsOf(const std::vector<ScriptedDisk::Op>& ops,
+                                       PageIo::Kind kind) {
+  std::vector<std::thread::id> threads;
+  for (const ScriptedDisk::Op& op : ops) {
+    if (op.kind == kind) threads.push_back(op.thread);
+  }
+  return threads;
+}
 
-  // Future reads of `p` block until Open(); each Close adds a page.
-  void Close(PageId p) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    gated_.insert(p);
-  }
-  void Open() {
-    std::lock_guard<std::mutex> guard(mutex_);
-    gated_.clear();
-    cv_.notify_all();
-  }
-  // Blocks until `readers` reads wait at the gate at once, or `timeout`
-  // passes: false if they did not.
-  bool AwaitReadersFor(int readers, std::chrono::milliseconds timeout) {
-    std::unique_lock<std::mutex> guard(mutex_);
-    return cv_.wait_for(guard, timeout, [&] { return waiting_ >= readers; });
-  }
-  bool AwaitReaderFor(std::chrono::milliseconds timeout) {
-    return AwaitReadersFor(1, timeout);
-  }
+std::vector<std::thread::id> ReaderThreads(const ScriptedDisk& disk) {
+  return ThreadsOf(disk.ops(), PageIo::Kind::kRead);
+}
 
-  // The thread of every read (write) so far, in issue order.
-  std::vector<std::thread::id> ReaderThreads() {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return reader_threads_;
-  }
-  std::vector<std::thread::id> WriterThreads() {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return writer_threads_;
-  }
+std::vector<std::thread::id> WriterThreads(const ScriptedDisk& disk) {
+  return ThreadsOf(disk.ops(), PageIo::Kind::kWrite);
+}
 
-  Status ReadPage(PageId p, char* out) override {
-    {
-      std::unique_lock<std::mutex> guard(mutex_);
-      reader_threads_.push_back(std::this_thread::get_id());
-      if (gated_.contains(p)) {
-        ++waiting_;
-        cv_.notify_all();  // Wake AwaitReadersFor.
-        cv_.wait(guard, [&] { return !gated_.contains(p); });
-        --waiting_;
-      }
-    }
-    return inner_->ReadPage(p, out);
-  }
-  Status WritePage(PageId p, const char* data) override {
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      writer_threads_.push_back(std::this_thread::get_id());
-    }
-    return inner_->WritePage(p, data);
-  }
-  Result<PageId> AllocatePage() override { return inner_->AllocatePage(); }
-  Status DeallocatePage(PageId p) override {
-    return inner_->DeallocatePage(p);
-  }
-  uint64_t NumAllocatedPages() const override {
-    return inner_->NumAllocatedPages();
-  }
-  IoStats stats() const override { return inner_->stats(); }
-  void ResetStats() override { inner_->ResetStats(); }
-
- private:
-  DiskManager* inner_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::unordered_set<PageId> gated_;
-  int waiting_ = 0;
-  std::vector<std::thread::id> reader_threads_;
-  std::vector<std::thread::id> writer_threads_;
-};
-
-// How long a check waits for a held read to reach the gate, before it
+// How long a check waits for the dispatcher's writers to meet, before it
 // fails instead of hanging.
-constexpr std::chrono::milliseconds kHeldReadTimeout{10000};
+constexpr std::chrono::milliseconds kMeetTimeout{10000};
 
 // ---------------------------------------------------------------------------
 // IoDispatcher units.
@@ -335,7 +277,7 @@ TEST(AsyncIoDispatcherTest, WritersServeTheQueueTogether) {
       threads.insert(std::this_thread::get_id());
       ++entered;
       cv.notify_all();
-      if (!cv.wait_for(guard, kHeldReadTimeout,
+      if (!cv.wait_for(guard, kMeetTimeout,
                        [&] { return entered == kWriters; })) {
         all_met = false;
       }
@@ -433,7 +375,7 @@ TEST(AsyncIoDifferentialTest, FaultScheduleReplayIsDeterministicInline) {
 
 TEST(AsyncIoRetryTest, DemandReadRetriesWithTheLatchReleased) {
   SimDiskManager inner;
-  GateDiskManager gate(&inner);
+  ScriptedDisk gate(&inner);
   FaultInjectingDiskManager disk(&gate, /*seed=*/29);
   BufferPoolOptions options;
   options.io_max_attempts = 2;  // Immediate re-issue.
@@ -453,7 +395,7 @@ TEST(AsyncIoRetryTest, DemandReadRetriesWithTheLatchReleased) {
 
   // The first read of the target fails; the retry parks at the gate.
   disk.AddRule(FaultRule::FailNth(FaultOp::kRead, 1));
-  gate.Close(target);
+  gate.Hold(ScriptedDisk::Reads(target));
   std::thread fetcher([&] {
     auto page = pool.FetchPage(target, AccessType::kRead);
     ASSERT_TRUE(page.ok());
@@ -461,7 +403,7 @@ TEST(AsyncIoRetryTest, DemandReadRetriesWithTheLatchReleased) {
     EXPECT_EQ((*page)->Data()[kPageSize - 1], 'x');
     EXPECT_TRUE(pool.UnpinPage(target, false).ok());
   });
-  EXPECT_TRUE(gate.AwaitReaderFor(kHeldReadTimeout))
+  EXPECT_TRUE(gate.AwaitHeld(ScriptedDisk::Reads()))
       << "the retry never reached the device";
 
   // The retry holds no latch: a hit on another thread completes meanwhile.
@@ -472,7 +414,7 @@ TEST(AsyncIoRetryTest, DemandReadRetriesWithTheLatchReleased) {
   EXPECT_EQ(hit.wait_for(std::chrono::seconds(10)),
             std::future_status::ready)
       << "a hit waited for the retrying demand read";
-  gate.Open();
+  gate.OpenAll();
   fetcher.join();
   EXPECT_TRUE(hit.get());
 
@@ -515,18 +457,18 @@ void FixAndUnpin(PoolInterface& pool, PageId p, bool dirty = false) {
 
 TEST(AsyncIoMissTest, InlineMissReadsOnTheCallingThread) {
   SimDiskManager inner;
-  GateDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   BufferPool pool(4, &disk, Lru2());
   EXPECT_EQ(pool.io_dispatcher(), nullptr);  // An inline pool has none.
   for (PageId p : AllocateRaw(disk, 3)) FixAndUnpin(pool, p);
 
-  EXPECT_EQ(disk.ReaderThreads(),
+  EXPECT_EQ(ReaderThreads(disk),
             std::vector<std::thread::id>(3, std::this_thread::get_id()));
 }
 
 TEST(AsyncIoMissTest, WorkerMissReadsOnTheCallingThread) {
   SimDiskManager inner;
-  GateDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   BufferPool pool(2, &disk, Lru2(), BufferPoolOptions{.io_workers = 1});
   const std::vector<PageId> pages = AllocateRaw(disk, 3);
   FixAndUnpin(pool, pages[0], /*dirty=*/true);
@@ -535,9 +477,9 @@ TEST(AsyncIoMissTest, WorkerMissReadsOnTheCallingThread) {
   pool.Quiesce();
 
   // Every read on this thread, the dirty victim's write on a writer.
-  EXPECT_EQ(disk.ReaderThreads(),
+  EXPECT_EQ(ReaderThreads(disk),
             std::vector<std::thread::id>(3, std::this_thread::get_id()));
-  const std::vector<std::thread::id> writers = disk.WriterThreads();
+  const std::vector<std::thread::id> writers = WriterThreads(disk);
   ASSERT_EQ(writers.size(), 1u);
   EXPECT_NE(writers[0], std::this_thread::get_id());
   EXPECT_EQ(pool.stats().writebehind_writes, 1u);
@@ -604,7 +546,7 @@ TEST(AsyncIoMissTest, FailedReadInWorkerModeGivesItsFrameBack) {
 // written on the evicting thread.
 TEST(AsyncIoMissTest, WorkerMissReadsWhileTheWriterIsParked) {
   SimDiskManager inner;
-  GateDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   BufferPool pool(2, &disk, Lru2(), BufferPoolOptions{.io_workers = 1});
   const std::vector<PageId> pages = AllocateRaw(disk, 4);
   ParkedWorker writer;
@@ -614,15 +556,15 @@ TEST(AsyncIoMissTest, WorkerMissReadsWhileTheWriterIsParked) {
   FixAndUnpin(pool, pages[1], /*dirty=*/true);
   FixAndUnpin(pool, pages[2], /*dirty=*/true);  // Its victim's write queues.
   EXPECT_EQ(pool.PendingVictimWriteCount(), 1u);
-  EXPECT_TRUE(disk.WriterThreads().empty());
+  EXPECT_TRUE(WriterThreads(disk).empty());
   for (size_t i = 1; i < kIoLaneDepth; ++i) {  // Fill the queue behind it.
     ASSERT_TRUE(pool.io_dispatcher()->TryPost([] {}));
   }
   FixAndUnpin(pool, pages[3]);  // Its victim's post is refused.
 
-  EXPECT_EQ(disk.ReaderThreads(),
+  EXPECT_EQ(ReaderThreads(disk),
             std::vector<std::thread::id>(4, std::this_thread::get_id()));
-  EXPECT_EQ(disk.WriterThreads(),
+  EXPECT_EQ(WriterThreads(disk),
             std::vector<std::thread::id>(1, std::this_thread::get_id()));
   BufferPoolStats stats = pool.stats();
   EXPECT_EQ(stats.dirty_writebacks, 1u);
@@ -633,7 +575,7 @@ TEST(AsyncIoMissTest, WorkerMissReadsWhileTheWriterIsParked) {
   writer.Open();
   pool.Quiesce();
   EXPECT_EQ(pool.stats().writebehind_writes, 1u);
-  const std::vector<std::thread::id> writers = disk.WriterThreads();
+  const std::vector<std::thread::id> writers = WriterThreads(disk);
   ASSERT_EQ(writers.size(), 2u);
   EXPECT_NE(writers[1], std::this_thread::get_id());
 }
@@ -643,7 +585,7 @@ TEST(AsyncIoMissTest, WorkerMissReadsWhileTheWriterIsParked) {
 // written back on the miss path.
 TEST(AsyncIoMissTest, InlineShardedPoolHasNoDispatcher) {
   SimDiskManager inner;
-  GateDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   ShardedBufferPool pool(4, /*num_shards=*/4, &disk,
                          [](size_t, size_t) { return Lru2(); });
   EXPECT_EQ(pool.io_dispatcher(), nullptr);
@@ -653,14 +595,14 @@ TEST(AsyncIoMissTest, InlineShardedPoolHasNoDispatcher) {
   const std::vector<PageId> pages = AllocateRaw(disk, 32);
   for (PageId p : pages) FixAndUnpin(pool, p, /*dirty=*/true);
 
-  EXPECT_EQ(disk.ReaderThreads(),
+  EXPECT_EQ(ReaderThreads(disk),
             std::vector<std::thread::id>(pages.size(),
                                          std::this_thread::get_id()));
   const BufferPoolStats stats = pool.stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_EQ(stats.dirty_writebacks, stats.evictions);
   EXPECT_EQ(stats.writebehind_writes, 0u);
-  EXPECT_EQ(disk.WriterThreads().size(), stats.evictions);
+  EXPECT_EQ(WriterThreads(disk).size(), stats.evictions);
 }
 
 // In worker mode the shards share the pool's one queue: its one writer
@@ -668,7 +610,7 @@ TEST(AsyncIoMissTest, InlineShardedPoolHasNoDispatcher) {
 // thread.
 TEST(AsyncIoMissTest, ShardedWorkerPoolSharesOneWriteBehindQueue) {
   SimDiskManager inner;
-  GateDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   ShardedBufferPool pool(4, /*num_shards=*/4, &disk,
                          [](size_t, size_t) { return Lru2(); },
                          BufferPoolOptions{.io_workers = 1});
@@ -681,7 +623,7 @@ TEST(AsyncIoMissTest, ShardedWorkerPoolSharesOneWriteBehindQueue) {
   for (PageId p : pages) FixAndUnpin(pool, p, /*dirty=*/true);
   pool.Quiesce();
 
-  EXPECT_EQ(disk.ReaderThreads(),
+  EXPECT_EQ(ReaderThreads(disk),
             std::vector<std::thread::id>(pages.size(),
                                          std::this_thread::get_id()));
   const BufferPoolStats stats = pool.stats();
@@ -695,7 +637,7 @@ TEST(AsyncIoMissTest, ShardedWorkerPoolSharesOneWriteBehindQueue) {
     posting_shards += shard.writebehind_writes > 0 ? 1 : 0;
   }
   EXPECT_GT(posting_shards, 1u);
-  const std::vector<std::thread::id> writers = disk.WriterThreads();
+  const std::vector<std::thread::id> writers = WriterThreads(disk);
   ASSERT_EQ(writers.size(), stats.evictions);
   const std::unordered_set<std::thread::id> writer_threads(writers.begin(),
                                                            writers.end());
@@ -810,13 +752,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(AsyncIoQuiesceTest, DeletePageFencesAnInFlightRead) {
   SimDiskManager inner;
-  GateDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   auto target = disk.AllocatePage();
   ASSERT_TRUE(target.ok());
   const PageId p = *target;
 
-  disk.Close(p);
+  disk.Hold(ScriptedDisk::Reads(p));
   std::promise<void> delete_returned;
   std::thread reader([&] {
     auto page = pool.FetchPage(p);
@@ -827,7 +769,7 @@ TEST(AsyncIoQuiesceTest, DeletePageFencesAnInFlightRead) {
       EXPECT_TRUE(pool.UnpinPage(p, false).ok());
     }
   });
-  EXPECT_TRUE(disk.AwaitReaderFor(kHeldReadTimeout))
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Reads()))
       << "the miss never reached the device";
   EXPECT_EQ(pool.PendingIoCount(), 1u);
 
@@ -837,7 +779,7 @@ TEST(AsyncIoQuiesceTest, DeletePageFencesAnInFlightRead) {
   EXPECT_EQ(deleter.wait_for(std::chrono::milliseconds(20)),
             std::future_status::timeout)
       << "the delete did not wait for the in-flight read";
-  disk.Open();
+  disk.OpenAll();
   // The delete saw the read's admission (p resident, the reader's pin on
   // it), not a non-resident page it could deallocate under the read.
   EXPECT_EQ(deleter.get().code(), StatusCode::kInvalidArgument);
@@ -855,14 +797,14 @@ TEST(AsyncIoQuiesceTest, DeletePageFencesAnInFlightRead) {
 
 TEST(AsyncIoQuiesceTest, FlushAllQuiescesAnInFlightRead) {
   SimDiskManager inner;
-  GateDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   AllocateDb(pool, 2);
   ASSERT_TRUE(pool.FlushAll().ok());
 
   auto raw = disk.AllocatePage();
   ASSERT_TRUE(raw.ok());
-  disk.Close(*raw);
+  disk.Hold(ScriptedDisk::Reads(*raw));
   std::thread reader([&] {
     auto page = pool.FetchPage(*raw);
     EXPECT_TRUE(page.ok());
@@ -870,12 +812,12 @@ TEST(AsyncIoQuiesceTest, FlushAllQuiescesAnInFlightRead) {
       EXPECT_TRUE(pool.UnpinPage(*raw, false).ok());
     }
   });
-  EXPECT_TRUE(disk.AwaitReaderFor(kHeldReadTimeout))
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Reads()))
       << "the miss never reached the device";
 
   std::thread opener([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    disk.Open();
+    disk.OpenAll();
   });
   ASSERT_TRUE(pool.FlushAll().ok());  // Blocks until the read settles.
   EXPECT_EQ(pool.PendingIoCount(), 0u);
@@ -892,21 +834,21 @@ TEST(AsyncIoQuiesceTest, QuiesceDrainsReadsInFlightOnClientThreads) {
   for (size_t workers : {size_t{0}, size_t{1}}) {
     SCOPED_TRACE(workers == 0 ? "inline" : "worker mode");
     SimDiskManager inner;
-    GateDiskManager disk(&inner);
+    ScriptedDisk disk(&inner);
     BufferPool pool(8, &disk, Lru2(), BufferPoolOptions{.io_workers = workers});
     const std::vector<PageId> raws = AllocateRaw(disk, kReaders);
-    for (PageId p : raws) disk.Close(p);
+    for (PageId p : raws) disk.Hold(ScriptedDisk::Reads(p));
     std::vector<std::thread> readers;
     for (PageId p : raws) {
       readers.emplace_back([&pool, p] { FixAndUnpin(pool, p); });
     }
-    EXPECT_TRUE(disk.AwaitReadersFor(kReaders, kHeldReadTimeout))
+    EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Reads(), kReaders))
         << "the misses' reads never were in the device together";
     EXPECT_EQ(pool.PendingIoCount(), raws.size());
 
     std::thread opener([&] {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      disk.Open();
+      disk.OpenAll();
     });
     pool.Quiesce();
     EXPECT_EQ(pool.PendingIoCount(), 0u);
@@ -915,7 +857,7 @@ TEST(AsyncIoQuiesceTest, QuiesceDrainsReadsInFlightOnClientThreads) {
     for (std::thread& reader : readers) reader.join();
     EXPECT_EQ(pool.stats().misses, raws.size());
     // Each read ran on its own client thread.
-    const std::vector<std::thread::id> threads = disk.ReaderThreads();
+    const std::vector<std::thread::id> threads = ReaderThreads(disk);
     EXPECT_EQ(std::unordered_set<std::thread::id>(threads.begin(),
                                                   threads.end())
                   .size(),

@@ -5,7 +5,8 @@
 // scaffolding: the stats comparators, the AllocateDb warm-up, a
 // victim-recording policy wrapper, and the mixed deterministic workload
 // with its RunScenario driver. This header is the single home for all of
-// it; adaptive_policy_test.cc builds its fixed-expert differential on the
+// it, and for the page stamps the fault and flush suites write;
+// adaptive_policy_test.cc builds its fixed-expert differential on the
 // same pieces (DiffScenarioConfig::make_policy swaps the policy under
 // record). Every scenario also feeds its op sequence to PoolModel, a
 // naive model of the pool that is the pools' independent reference.
@@ -81,6 +82,7 @@ inline void ExpectIoStatsEq(const IoStats& a, const IoStats& b) {
   EXPECT_DOUBLE_EQ(a.simulated_micros, b.simulated_micros);
 }
 
+// Allocates `n` pages through a pool (NewPage + unpin-dirty).
 inline std::vector<PageId> AllocateDb(PoolInterface& pool, uint64_t n) {
   std::vector<PageId> pages;
   for (uint64_t i = 0; i < n; ++i) {
@@ -90,6 +92,24 @@ inline std::vector<PageId> AllocateDb(PoolInterface& pool, uint64_t n) {
     EXPECT_TRUE(pool.UnpinPage((*page)->id(), true).ok());
   }
   return pages;
+}
+
+// A stamp at the front of a page image: the page id and a value the
+// writer counts up, so a reader can tell which write an image holds.
+struct PageStamp {
+  PageId page = kInvalidPageId;
+  uint64_t value = 0;
+};
+
+inline void WriteStamp(char* data, PageId p, uint64_t value) {
+  PageStamp stamp{p, value};
+  std::memcpy(data, &stamp, sizeof(stamp));
+}
+
+inline PageStamp ReadStamp(const char* data) {
+  PageStamp stamp;
+  std::memcpy(&stamp, data, sizeof(stamp));
+  return stamp;
 }
 
 // Forwarding wrapper recording the surviving eviction sequence around ANY

@@ -26,23 +26,23 @@
 //
 // Every suite name carries "Concurren", so the sanitizer CI matrix runs it.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <future>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <span>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "bufferpool/buffer_pool.h"
 #include "core/lru_k.h"
 #include "gtest/gtest.h"
+#include "scripted_disk.h"
+#include "storage/fault_injecting_disk_manager.h"
 #include "storage/sim_disk_manager.h"
 #include "util/random.h"
 
@@ -52,67 +52,25 @@ namespace {
 // ---------------------------------------------------------------------------
 // RunBatch.
 
-// Counts concurrent ReadPage/WritePage calls, each held ~1 ms, and fails
-// writes of one chosen page. Reads fill the page with its id's low byte.
-class InFlightDiskManager final : public DiskManager {
- public:
-  explicit InFlightDiskManager(PageId failing) : failing_(failing) {}
+// Allocates pages [0, n) on `disk`, each filled with its id's low byte.
+void AllocateIdFilledPages(DiskManager& disk, PageId n) {
+  for (PageId p = 0; p < n; ++p) {
+    auto page = disk.AllocatePage();
+    ASSERT_TRUE(page.ok());
+    ASSERT_EQ(*page, p);
+    std::vector<char> image(kPageSize, static_cast<char>(p));
+    ASSERT_TRUE(disk.WritePage(p, image.data()).ok());
+  }
+}
 
-  size_t max_in_flight() const { return max_in_flight_.load(); }
-  // Whether a read and a write were ever in flight at the same moment.
-  bool mixed() const { return mixed_.load(); }
-  uint64_t WritesOf(PageId p) const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    auto it = writes_.find(p);
-    return it == writes_.end() ? 0 : it->second;
-  }
+using KindAndPage = std::pair<PageIo::Kind, PageId>;
 
-  Status ReadPage(PageId p, char* out) override {
-    Enter(reads_in_flight_, writes_in_flight_);
-    std::memset(out, static_cast<char>(p), kPageSize);
-    Leave(reads_in_flight_);
-    return Status::Ok();
-  }
-  Status WritePage(PageId p, const char*) override {
-    Enter(writes_in_flight_, reads_in_flight_);
-    {
-      std::lock_guard<std::mutex> guard(mutex_);
-      ++writes_[p];
-    }
-    Leave(writes_in_flight_);
-    if (p == failing_) return Status::IoError("injected");
-    return Status::Ok();
-  }
-  Result<PageId> AllocatePage() override {
-    return Status::Internal("batch-only test device");
-  }
-  Status DeallocatePage(PageId) override { return Status::Ok(); }
-  uint64_t NumAllocatedPages() const override { return 0; }
-
- private:
-  void Enter(std::atomic<size_t>& mine, const std::atomic<size_t>& other) {
-    mine.fetch_add(1);
-    size_t now = in_flight_.fetch_add(1) + 1;
-    size_t seen = max_in_flight_.load();
-    while (now > seen && !max_in_flight_.compare_exchange_weak(seen, now)) {
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    if (other.load() > 0) mixed_.store(true);
-  }
-  void Leave(std::atomic<size_t>& mine) {
-    in_flight_.fetch_sub(1);
-    mine.fetch_sub(1);
-  }
-
-  PageId failing_;
-  std::atomic<size_t> in_flight_{0};
-  std::atomic<size_t> reads_in_flight_{0};
-  std::atomic<size_t> writes_in_flight_{0};
-  std::atomic<size_t> max_in_flight_{0};
-  std::atomic<bool> mixed_{false};
-  mutable std::mutex mutex_;
-  std::unordered_map<PageId, uint64_t> writes_;
-};
+std::vector<KindAndPage> KindsAndPages(
+    const std::vector<ScriptedDisk::Op>& ops) {
+  std::vector<KindAndPage> out;
+  for (const ScriptedDisk::Op& op : ops) out.emplace_back(op.kind, op.page);
+  return out;
+}
 
 PageIo Write(PageId p, char* data, Status status = Status::Ok()) {
   return {PageIo::Kind::kWrite, p, data, std::move(status)};
@@ -122,10 +80,17 @@ PageIo Read(PageId p, char* data) {
   return {PageIo::Kind::kRead, p, data, Status::Internal("not read")};
 }
 
+// Every operation is held ~1 ms in the device, so a batch's operations
+// overlap wherever RunBatch lets them; writes of one page fail.
 TEST(RunBatchConcurrencyTest, BaseKeepsAtMost16WritesInFlight) {
   constexpr PageId kPages = 100;
   constexpr PageId kFailing = 37;
-  InFlightDiskManager disk(kFailing);
+  SimDiskManager inner;
+  AllocateIdFilledPages(inner, kPages);
+  FaultInjectingDiskManager faults(&inner);
+  faults.AddRule(FaultRule::FailPage(FaultOp::kWrite, kFailing));
+  ScriptedDisk disk(&faults);
+  disk.Delay(ScriptedDisk::Any(), std::chrono::milliseconds(1));
   std::vector<char> image(kPageSize, 'x');
   std::vector<PageIo> writes;
   for (PageId p = 0; p < kPages; ++p) {
@@ -133,68 +98,69 @@ TEST(RunBatchConcurrencyTest, BaseKeepsAtMost16WritesInFlight) {
   }
   disk.RunBatch(writes);
 
-  EXPECT_LE(disk.max_in_flight(), DiskManager::kMaxIoInFlight);
-  EXPECT_GT(disk.max_in_flight(), 1u) << "the batch never overlapped";
+  const uint64_t peak = disk.counts(PageIo::Kind::kWrite).peak;
+  EXPECT_LE(peak, DiskManager::kMaxIoInFlight);
+  EXPECT_GT(peak, 1u) << "the batch never overlapped";
+  std::vector<uint64_t> issued(kPages);
+  for (const ScriptedDisk::Op& op : disk.ops()) ++issued[op.page];
   for (PageId p = 0; p < kPages; ++p) {
-    EXPECT_EQ(disk.WritesOf(p), 1u) << "page " << p;
+    EXPECT_EQ(issued[p], 1u) << "page " << p;
     if (p == kFailing) {
       EXPECT_EQ(writes[p].status.code(), StatusCode::kIoError);
+      EXPECT_EQ(disk.WritesOf(p), 0u);
     } else {
       EXPECT_TRUE(writes[p].status.ok()) << "page " << p;
+      EXPECT_EQ(disk.WritesOf(p), 1u) << "page " << p;
     }
   }
 }
 
 TEST(RunBatchConcurrencyTest, BatchOfOneRunsOnTheCallersThread) {
-  struct ThreadRecorder final : public DiskManager {
-    std::thread::id writer;
-    Status ReadPage(PageId, char*) override { return Status::Ok(); }
-    Status WritePage(PageId, const char*) override {
-      writer = std::this_thread::get_id();
-      return Status::Ok();
-    }
-    Result<PageId> AllocatePage() override { return PageId{0}; }
-    Status DeallocatePage(PageId) override { return Status::Ok(); }
-    uint64_t NumAllocatedPages() const override { return 0; }
-  } disk;
+  SimDiskManager inner;
+  AllocateIdFilledPages(inner, 4);
+  ScriptedDisk disk(&inner);
   std::vector<char> image(kPageSize, 'x');
   PageIo write = Write(3, image.data(), Status::Internal("not written"));
   disk.RunBatch(std::span<PageIo>(&write, 1));
   EXPECT_TRUE(write.status.ok());
-  EXPECT_EQ(disk.writer, std::this_thread::get_id());
+  const std::vector<ScriptedDisk::Op> ops = disk.ops();
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0].thread, std::this_thread::get_id());
 }
 
 TEST(RunBatchConcurrencyTest, OneWriteAtATimeRunsInBatchOrderOnTheCaller) {
-  struct OrderRecorder final : public DiskManager {
-    std::vector<PageId> order;
-    std::vector<std::thread::id> writers;
-    size_t MaxConcurrentIo() const override { return 1; }
-    Status ReadPage(PageId, char*) override { return Status::Ok(); }
-    Status WritePage(PageId p, const char*) override {
-      order.push_back(p);
-      writers.push_back(std::this_thread::get_id());
-      return Status::Ok();
-    }
-    Result<PageId> AllocatePage() override { return PageId{0}; }
-    Status DeallocatePage(PageId) override { return Status::Ok(); }
-    uint64_t NumAllocatedPages() const override { return 0; }
-  } disk;
+  SimDiskManager inner;
+  AllocateIdFilledPages(inner, 31);
+  ScriptedDisk disk(&inner, /*max_concurrent_io=*/1);
   std::vector<char> image(kPageSize, 'x');
   std::vector<PageIo> writes;
   const std::vector<PageId> batch = {9, 4, 7, 1, 30, 2};
   for (PageId p : batch) writes.push_back(Write(p, image.data()));
   disk.RunBatch(writes);
-  EXPECT_EQ(disk.order, batch);
-  for (std::thread::id writer : disk.writers) {
-    EXPECT_EQ(writer, std::this_thread::get_id());
+  std::vector<PageId> order;
+  for (const ScriptedDisk::Op& op : disk.ops()) {
+    order.push_back(op.page);
+    EXPECT_EQ(op.thread, std::this_thread::get_id());
   }
+  EXPECT_EQ(order, batch);
 }
 
 // Reads and writes share the one bound and overlap each other, and each
 // read lands in its own buffer.
 TEST(RunBatchConcurrencyTest, MixedReadsAndWritesOverlapUnderOneBound) {
   constexpr PageId kPages = 64;
-  InFlightDiskManager disk(/*failing=*/kInvalidPageId);
+  SimDiskManager inner;
+  AllocateIdFilledPages(inner, kPages);
+  ScriptedDisk disk(&inner);
+  disk.Delay(ScriptedDisk::Any(), std::chrono::milliseconds(1));
+  // The most operations in flight at once, of both kinds, and whether a
+  // read and a write were ever in flight at once.
+  uint64_t peak = 0;
+  bool mixed = false;
+  disk.OnArrival([&](const auto&, const auto& reads, const auto& writes) {
+    peak = std::max(peak, reads.in_flight + writes.in_flight);
+    mixed = mixed || (reads.in_flight > 0 && writes.in_flight > 0);
+  });
   std::vector<char> image(kPageSize, 'x');
   std::vector<std::vector<char>> buffers(kPages, std::vector<char>(kPageSize));
   std::vector<PageIo> batch;
@@ -204,9 +170,9 @@ TEST(RunBatchConcurrencyTest, MixedReadsAndWritesOverlapUnderOneBound) {
   }
   disk.RunBatch(batch);
 
-  EXPECT_LE(disk.max_in_flight(), DiskManager::kMaxIoInFlight);
-  EXPECT_GT(disk.max_in_flight(), 1u) << "the batch never overlapped";
-  EXPECT_TRUE(disk.mixed()) << "no read ever overlapped a write";
+  EXPECT_LE(peak, DiskManager::kMaxIoInFlight);
+  EXPECT_GT(peak, 1u) << "the batch never overlapped";
+  EXPECT_TRUE(mixed) << "no read ever overlapped a write";
   for (PageId p = 0; p < kPages; ++p) {
     ASSERT_TRUE(batch[p].status.ok()) << "page " << p;
     if (p % 2 == 1) {
@@ -221,40 +187,29 @@ TEST(RunBatchConcurrencyTest, MixedReadsAndWritesOverlapUnderOneBound) {
 // A manager that declares 1 runs the batch in order and issues no read
 // after a failed write; the writes after it still run.
 TEST(RunBatchConcurrencyTest, SerialBatchReadsNothingAfterAFailedWrite) {
-  struct Recorder final : public DiskManager {
-    std::vector<std::pair<PageIo::Kind, PageId>> ops;
-    size_t MaxConcurrentIo() const override { return 1; }
-    Status ReadPage(PageId p, char*) override {
-      ops.emplace_back(PageIo::Kind::kRead, p);
-      return Status::Ok();
-    }
-    Status WritePage(PageId p, const char*) override {
-      ops.emplace_back(PageIo::Kind::kWrite, p);
-      return p == 2 ? Status::IoError("injected") : Status::Ok();
-    }
-    Result<PageId> AllocatePage() override { return PageId{0}; }
-    Status DeallocatePage(PageId) override { return Status::Ok(); }
-    uint64_t NumAllocatedPages() const override { return 0; }
-  } disk;
+  SimDiskManager inner;
+  AllocateIdFilledPages(inner, 5);
+  FaultInjectingDiskManager faults(&inner);
+  faults.AddRule(FaultRule::FailPage(FaultOp::kWrite, 2));
+  ScriptedDisk disk(&faults, /*max_concurrent_io=*/1);
   std::vector<char> buffer(kPageSize);
   std::vector<PageIo> batch = {Read(1, buffer.data()),
                                Write(2, buffer.data()),
                                Read(3, buffer.data()),
                                Write(4, buffer.data())};
   disk.RunBatch(batch);
-  const std::vector<std::pair<PageIo::Kind, PageId>> expected = {
-      {PageIo::Kind::kRead, 1},
-      {PageIo::Kind::kWrite, 2},
-      {PageIo::Kind::kWrite, 4}};
-  EXPECT_EQ(disk.ops, expected);
+  const std::vector<KindAndPage> expected = {{PageIo::Kind::kRead, 1},
+                                             {PageIo::Kind::kWrite, 2},
+                                             {PageIo::Kind::kWrite, 4}};
+  EXPECT_EQ(KindsAndPages(disk.ops()), expected);
   EXPECT_TRUE(batch[0].status.ok());
   EXPECT_EQ(batch[1].status.code(), StatusCode::kIoError);
   EXPECT_EQ(batch[2].status.code(), StatusCode::kAborted);
   EXPECT_TRUE(batch[3].status.ok());
 }
 
-// The threads other than a test's own that have run a BarrierDisk
-// operation: each is counted on its first one (a thread_local, since a
+// The threads other than a test's own that have run an operation on a
+// barrier device: each is counted on its first one (a thread_local, since a
 // joined thread's id may be reused) and leaves `live` when it exits.
 std::atomic<int> census_started{0};
 std::atomic<int> census_live{0};
@@ -271,80 +226,42 @@ void EnterCensus() {
   (void)entry;
 }
 
-// A device without storage whose operations on pages below kFreePages
-// wait for each other: each waits until `group` of them, counted in
-// arrival order, have arrived (so a batch of `group` such entries must run
-// all at once, on as many threads), or until Release. A wait that lasts
-// 10 s is counted and ends the waiting, so the test fails instead of
-// hanging. Operations on other pages never wait. It records the thread of
-// each page's last operation, and enters the census from every thread but
-// the one that made it.
-class BarrierDisk final : public DiskManager {
- public:
-  static constexpr PageId kFreePages = 1000;
+// Operations on pages below kFreePages meet in groups; the others never
+// wait. A barrier device's inner device holds pages [0, kFreePages + 2).
+constexpr PageId kFreePages = 64;
 
-  explicit BarrierDisk(size_t group) : group_(group) {}
+// Starts counting groups afresh, of `group` operations each: each
+// operation on a page below kFreePages waits until `group` of them,
+// counted in arrival order, have arrived, so a batch of `group` such
+// entries must run all at once, on as many threads.
+void MeetInGroupsOf(ScriptedDisk& disk, size_t group) {
+  disk.OpenAll();
+  disk.HoldUntil(ScriptedDisk::Pages(0, kFreePages - 1),
+                 ScriptedDisk::InGroupsOf(group));
+}
 
-  // Starts counting groups afresh, of `group` operations each.
-  void SetGroup(size_t group) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    group_ = group;
-    arrived_ = 0;
-  }
-  void Release() {
-    std::lock_guard<std::mutex> guard(mutex_);
-    released_ = true;
-    cv_.notify_all();
-  }
-  // Waits up to 10 s for `n` operations to have arrived since SetGroup.
-  bool AwaitArrivals(uint64_t n) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    return cv_.wait_for(lock, std::chrono::seconds(10),
-                        [&] { return arrived_ >= n; });
-  }
-  uint64_t timeouts() const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return timeouts_;
-  }
-  std::thread::id ThreadOf(PageId p) const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return threads_.at(p);
-  }
+// A barrier device: one over `inner` whose operations meet in groups of
+// `group`, and that enters the census from every thread but the caller's.
+std::unique_ptr<ScriptedDisk> NewBarrierDisk(DiskManager* inner,
+                                             size_t group) {
+  auto disk = std::make_unique<ScriptedDisk>(inner);
+  disk->OnArrival([owner = std::this_thread::get_id()](
+                      const ScriptedDisk::Op& op, const auto&, const auto&) {
+    if (op.thread != owner) EnterCensus();
+  });
+  MeetInGroupsOf(*disk, group);
+  return disk;
+}
 
-  Status ReadPage(PageId p, char*) override { return Meet(p); }
-  Status WritePage(PageId p, const char*) override { return Meet(p); }
-  Result<PageId> AllocatePage() override {
-    return Status::Internal("batch-only test device");
-  }
-  Status DeallocatePage(PageId) override { return Status::Ok(); }
-  uint64_t NumAllocatedPages() const override { return 0; }
-
- private:
-  Status Meet(PageId p) {
-    if (std::this_thread::get_id() != owner_) EnterCensus();
-    std::unique_lock<std::mutex> lock(mutex_);
-    threads_[p] = std::this_thread::get_id();
-    if (p >= kFreePages) return Status::Ok();
-    const uint64_t quorum = (arrived_++ / group_ + 1) * group_;
-    cv_.notify_all();
-    if (!cv_.wait_for(lock, std::chrono::seconds(10),
-                      [&] { return released_ || arrived_ >= quorum; })) {
-      ++timeouts_;
-      released_ = true;
-      cv_.notify_all();
-    }
-    return Status::Ok();
-  }
-
-  const std::thread::id owner_ = std::this_thread::get_id();
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  size_t group_;
-  uint64_t arrived_ = 0;
-  bool released_ = false;
-  uint64_t timeouts_ = 0;
-  std::unordered_map<PageId, std::thread::id> threads_;
-};
+// The thread of the last operation on `p`.
+std::thread::id ThreadOf(const ScriptedDisk& disk, PageId p) {
+  const std::vector<ScriptedDisk::Op> ops = disk.ops();
+  auto last = std::find_if(ops.rbegin(), ops.rend(),
+                           [p](const ScriptedDisk::Op& op) {
+                             return op.page == p;
+                           });
+  return last == ops.rend() ? std::thread::id() : last->thread;
+}
 
 // Batch entries of pages [first, first + n), writes and reads alternating.
 std::vector<PageIo> Entries(PageId first, size_t n, char* buffer) {
@@ -365,52 +282,57 @@ bool AllOk(const std::vector<PageIo>& batch) {
 // A thousand two-entry batches whose entries must run at once: every one
 // gets a runner, and the same few runners serve them all.
 TEST(RunBatchConcurrencyTest, RunnersPersistAcrossBatches) {
-  BarrierDisk disk(/*group=*/2);
+  SimDiskManager inner;
+  AllocateIdFilledPages(inner, kFreePages + 2);
+  std::unique_ptr<ScriptedDisk> disk = NewBarrierDisk(&inner, /*group=*/2);
   std::vector<char> buffer(kPageSize);
   const int started_before = census_started.load();
   for (int i = 0; i < 1000; ++i) {
     std::vector<PageIo> pair = Entries(0, 2, buffer.data());
-    disk.RunBatch(pair);
+    disk->RunBatch(pair);
     ASSERT_TRUE(AllOk(pair)) << "batch " << i;
   }
-  EXPECT_EQ(disk.timeouts(), 0u) << "a pair's entries did not run at once";
+  EXPECT_EQ(disk->timeouts(), 0u) << "a pair's entries did not run at once";
   const int runners = census_started.load() - started_before;
   EXPECT_GE(runners, 1);
-  EXPECT_LE(runners, static_cast<int>(disk.MaxConcurrentIo()) - 1);
+  EXPECT_LE(runners, static_cast<int>(disk->MaxConcurrentIo()) - 1);
 }
 
 // Every runner holds an entry of one batch that cannot finish yet; another
 // thread's batch still finishes, on that thread alone and in batch order.
 TEST(RunBatchConcurrencyTest, CallerCompletesWhileEveryRunnerIsBusy) {
   const size_t width = DiskManager::kMaxIoInFlight;
-  BarrierDisk disk(/*group=*/width + 1);  // A quorum never reached.
+  SimDiskManager inner;
+  AllocateIdFilledPages(inner, kFreePages + 2);
+  // A quorum never reached.
+  std::unique_ptr<ScriptedDisk> disk = NewBarrierDisk(&inner, width + 1);
   std::vector<char> buffer(kPageSize);
   std::vector<PageIo> held = Entries(0, width, buffer.data());
-  std::thread holder([&] { disk.RunBatch(held); });
-  ASSERT_TRUE(disk.AwaitArrivals(width)) << "the held batch never spread";
+  std::thread holder([&] { disk->RunBatch(held); });
+  ASSERT_TRUE(disk->AwaitHeld(ScriptedDisk::Any(), width))
+      << "the held batch never spread";
 
-  std::vector<PageIo> pair =
-      Entries(BarrierDisk::kFreePages, 2, buffer.data());
+  std::vector<PageIo> pair = Entries(kFreePages, 2, buffer.data());
   std::thread::id caller;
   std::promise<void> finished;
   std::future<void> done = finished.get_future();
   std::thread other([&] {
     caller = std::this_thread::get_id();
-    disk.RunBatch(pair);
+    disk->RunBatch(pair);
     finished.set_value();
   });
   const bool in_time =
       done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
-  disk.Release();
+  disk->OpenAll();
   other.join();
   holder.join();
 
   EXPECT_TRUE(in_time) << "a batch waited for another batch's runners";
   EXPECT_TRUE(AllOk(pair));
   EXPECT_TRUE(AllOk(held));
-  EXPECT_EQ(disk.ThreadOf(BarrierDisk::kFreePages), caller);
-  EXPECT_EQ(disk.ThreadOf(BarrierDisk::kFreePages + 1), caller);
-  EXPECT_EQ(disk.timeouts(), 0u);
+  EXPECT_EQ(ThreadOf(*disk, kFreePages), caller);
+  EXPECT_EQ(ThreadOf(*disk, kFreePages + 1), caller);
+  EXPECT_EQ(disk->timeouts(), 0u);
 }
 
 // A manager's runners are gone once its destructor returns: each round
@@ -418,13 +340,15 @@ TEST(RunBatchConcurrencyTest, CallerCompletesWhileEveryRunnerIsBusy) {
 // them, and destroys the manager.
 TEST(RunBatchConcurrencyTest, DestroyedManagerJoinsItsRunners) {
   const size_t width = DiskManager::kMaxIoInFlight;
+  SimDiskManager inner;
+  AllocateIdFilledPages(inner, kFreePages + 2);
   std::vector<char> buffer(kPageSize);
   for (int round = 0; round < 100; ++round) {
     const int started_before = census_started.load();
-    auto disk = std::make_unique<BarrierDisk>(/*group=*/width);
+    std::unique_ptr<ScriptedDisk> disk = NewBarrierDisk(&inner, width);
     std::vector<PageIo> wide = Entries(0, width, buffer.data());
     disk->RunBatch(wide);
-    disk->SetGroup(2);
+    MeetInGroupsOf(*disk, 2);
     for (int i = 0; i < 3; ++i) {
       std::vector<PageIo> pair = Entries(0, 2, buffer.data());
       disk->RunBatch(pair);
@@ -443,152 +367,23 @@ TEST(RunBatchConcurrencyTest, DestroyedManagerJoinsItsRunners) {
 // ---------------------------------------------------------------------------
 // The dirty miss.
 
-// A device over SimDiskManager that logs every operation and the thread
-// that ran it, fails the ones it is told to, and, while HoldWrites is on,
-// holds the k-th write since until the k-th read since has started: for a
-// run of paired dirty misses, each write-back until its own miss's read is
-// in flight. HoldReads holds reads for writes the same way. An operation
-// that waits 10 s instead is counted and ends the holding, so the test
-// fails instead of hanging. It declares `max_concurrent_io`.
-class PairDevice final : public DiskManager {
- public:
-  using Op = std::pair<PageIo::Kind, PageId>;
-
-  PairDevice(DiskManager* inner, size_t max_concurrent_io)
-      : inner_(inner), max_concurrent_io_(max_concurrent_io) {}
-
-  void HoldWrites(bool on) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    hold_writes_ = on;
-    held_writes_ = 0;
-    reads_started_ = 0;
-  }
-  void HoldReads(bool on) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    hold_reads_ = on;
-    held_reads_ = 0;
-    writes_started_ = 0;
-  }
-  // Writes of `p` fail with kIoError: the next `times` of them, or all.
-  void FailWrites(PageId p, int times = -1) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    failing_writes_[p] = times;
-  }
-  void FailReads(PageId p) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    failing_reads_.insert(p);
-  }
-  void Heal() {
-    std::lock_guard<std::mutex> guard(mutex_);
-    failing_writes_.clear();
-    failing_reads_.clear();
-  }
-  std::vector<Op> TakeOps() {
-    std::lock_guard<std::mutex> guard(mutex_);
-    op_threads_.clear();
-    return std::exchange(ops_, {});
-  }
-  // The thread of each operation TakeOps would return.
-  std::vector<std::thread::id> OpThreads() const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return op_threads_;
-  }
-  // Held writes that a read released, and held writes that timed out.
-  uint64_t overlapped_writes() const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return overlapped_writes_;
-  }
-  uint64_t timed_out_writes() const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return timed_out_writes_;
-  }
-  uint64_t timed_out_reads() const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return timed_out_reads_;
-  }
-
-  size_t MaxConcurrentIo() const override { return max_concurrent_io_; }
-  Status ReadPage(PageId p, char* out) override {
-    {
-      std::unique_lock<std::mutex> guard(mutex_);
-      Log(PageIo::Kind::kRead, p);
-      ++reads_started_;
-      cv_.notify_all();
-      if (hold_reads_) {
-        const uint64_t k = ++held_reads_;
-        if (!cv_.wait_for(guard, std::chrono::seconds(10),
-                          [&] { return writes_started_ >= k; })) {
-          ++timed_out_reads_;
-          hold_reads_ = false;
-        }
-      }
-      if (failing_reads_.contains(p)) {
-        return Status::IoError("injected read failure");
-      }
-    }
-    return inner_->ReadPage(p, out);
-  }
-  Status WritePage(PageId p, const char* data) override {
-    {
-      std::unique_lock<std::mutex> guard(mutex_);
-      Log(PageIo::Kind::kWrite, p);
-      ++writes_started_;
-      cv_.notify_all();
-      if (hold_writes_) {
-        const uint64_t k = ++held_writes_;
-        if (cv_.wait_for(guard, std::chrono::seconds(10),
-                         [&] { return reads_started_ >= k; })) {
-          ++overlapped_writes_;
-        } else {
-          ++timed_out_writes_;
-          hold_writes_ = false;
-        }
-      }
-      auto failing = failing_writes_.find(p);
-      if (failing != failing_writes_.end() && failing->second != 0) {
-        if (failing->second > 0) --failing->second;
-        return Status::IoError("injected write failure");
-      }
-    }
-    return inner_->WritePage(p, data);
-  }
-  Result<PageId> AllocatePage() override { return inner_->AllocatePage(); }
-  Status DeallocatePage(PageId p) override {
-    return inner_->DeallocatePage(p);
-  }
-  uint64_t NumAllocatedPages() const override {
-    return inner_->NumAllocatedPages();
-  }
-  IoStats stats() const override { return inner_->stats(); }
-  void ResetStats() override { inner_->ResetStats(); }
-
- private:
-  void Log(PageIo::Kind kind, PageId p) {
-    ops_.emplace_back(kind, p);
-    op_threads_.push_back(std::this_thread::get_id());
-  }
-
-  DiskManager* inner_;
-  size_t max_concurrent_io_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  bool hold_writes_ = false;
-  uint64_t held_writes_ = 0;
-  uint64_t reads_started_ = 0;
-  uint64_t overlapped_writes_ = 0;
-  uint64_t timed_out_writes_ = 0;
-  bool hold_reads_ = false;
-  uint64_t held_reads_ = 0;
-  uint64_t writes_started_ = 0;
-  uint64_t timed_out_reads_ = 0;
-  std::unordered_map<PageId, int> failing_writes_;
-  std::unordered_set<PageId> failing_reads_;
-  std::vector<Op> ops_;
-  std::vector<std::thread::id> op_threads_;
-};
+// The cases below run a ScriptedDisk, which logs every operation and the
+// thread that ran it; those that fail operations stack a
+// FaultInjectingDiskManager under it. On a device that overlaps, a hold
+// of writes until AfterKth(kRead) holds the k-th write from then on until
+// the k-th read from then on has started: for a run of paired dirty
+// misses, each write-back until its own miss's read is in flight. Holding
+// reads until AfterKth(kWrite) holds reads for writes the same way.
 
 std::unique_ptr<LruKPolicy> Lru2() {
   return std::make_unique<LruKPolicy>(LruKOptions{.k = 2});
+}
+
+// Fails the next `times` writes of `p`.
+FaultRule FailWritesOf(PageId p, uint64_t times) {
+  FaultRule rule = FaultRule::FailPage(FaultOp::kWrite, p);
+  rule.max_fires = times;
+  return rule;
 }
 
 // Allocates `n` pages on `disk` directly, so the pool has written nothing.
@@ -667,7 +462,7 @@ TEST(DirtyMissConcurrencyTest, WriteBackAndReadOverlapWithSerialResults) {
   auto run = [&](size_t max_concurrent_io) {
     Run r;
     SimDiskManager inner;
-    PairDevice disk(&inner, max_concurrent_io);
+    ScriptedDisk disk(&inner, max_concurrent_io);
     std::vector<PageId> pages = AllocatePages(disk, kPages);
     {
       BufferPool pool(kFrames, &disk, Lru2());
@@ -675,18 +470,24 @@ TEST(DirtyMissConcurrencyTest, WriteBackAndReadOverlapWithSerialResults) {
       // miss evicts a dirty victim: the device sees only pairs, each a
       // write-back and then (or alongside) its miss's read.
       for (size_t i = 0; i < kFrames; ++i) Dirty(pool, pages[i], 'z');
-      disk.HoldWrites(max_concurrent_io > 1);
+      std::optional<ScriptedDisk::ScriptId> hold;
+      if (max_concurrent_io > 1) {
+        hold = disk.HoldUntil(ScriptedDisk::Writes(),
+                              ScriptedDisk::AfterKth(PageIo::Kind::kRead));
+      }
       RandomEngine rng(42);
       for (int i = 0; i < 300; ++i) {
         Dirty(pool, pages[rng.NextBounded(kPages)],
               static_cast<char>('a' + i % 26));
       }
-      disk.HoldWrites(false);
+      if (hold.has_value()) {
+        r.overlapped = disk.matched(*hold);
+        disk.Open(*hold);
+      }
       r.stats = pool.stats();
       EXPECT_TRUE(pool.FlushAll().ok());
     }
-    r.overlapped = disk.overlapped_writes();
-    r.timed_out = disk.timed_out_writes();
+    r.timed_out = disk.timeouts();
     for (PageId p : pages) {
       std::vector<char> image(kPageSize);
       EXPECT_TRUE(inner.ReadPage(p, image.data()).ok());
@@ -715,27 +516,27 @@ TEST(DirtyMissConcurrencyTest, WriteBackAndReadOverlapWithSerialResults) {
 TEST(DirtyMissConcurrencyTest, DemandReadRunsOnTheFetchingThread) {
   constexpr size_t kFrames = 4;
   SimDiskManager inner;
-  PairDevice disk(&inner, DiskManager::kMaxIoInFlight);
+  ScriptedDisk disk(&inner);
   std::vector<PageId> pages = AllocatePages(disk, 12);
   BufferPool pool(kFrames, &disk, Lru2());
   for (size_t i = 0; i < kFrames; ++i) Dirty(pool, pages[i], 'z');
   (void)disk.TakeOps();
-  disk.HoldReads(true);  // Every miss from here on evicts a dirty page.
+  // Every miss from here on evicts a dirty page.
+  const ScriptedDisk::ScriptId hold = disk.HoldUntil(
+      ScriptedDisk::Reads(), ScriptedDisk::AfterKth(PageIo::Kind::kWrite));
   for (size_t i = kFrames; i < pages.size(); ++i) Dirty(pool, pages[i], 'y');
-  disk.HoldReads(false);
-  const std::vector<std::thread::id> threads = disk.OpThreads();
-  const std::vector<PairDevice::Op> ops = disk.TakeOps();
-  ASSERT_EQ(ops.size(), threads.size());
+  disk.Open(hold);
+  const std::vector<ScriptedDisk::Op> ops = disk.TakeOps();
 
-  EXPECT_EQ(disk.timed_out_reads(), 0u) << "a read ran without its write";
+  EXPECT_EQ(disk.timeouts(), 0u) << "a read ran without its write";
   EXPECT_EQ(pool.stats().dirty_writebacks, pages.size() - kFrames);
   size_t reads = 0;
   for (size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i].first == PageIo::Kind::kRead) {
+    if (ops[i].kind == PageIo::Kind::kRead) {
       ++reads;
-      EXPECT_EQ(threads[i], std::this_thread::get_id()) << "read " << i;
+      EXPECT_EQ(ops[i].thread, std::this_thread::get_id()) << "read " << i;
     } else {
-      EXPECT_NE(threads[i], std::this_thread::get_id()) << "write " << i;
+      EXPECT_NE(ops[i].thread, std::this_thread::get_id()) << "write " << i;
     }
   }
   EXPECT_EQ(reads, pages.size() - kFrames);
@@ -774,28 +575,29 @@ VictimSetUp SetUpVictim(BufferPool& pool, DiskManager& disk) {
 // no read at all.
 TEST(DirtyMissConcurrencyTest, SerialDeviceSeesWriteBackThenRead) {
   SimDiskManager inner;
-  PairDevice disk(&inner, 1);
+  FaultInjectingDiskManager faults(&inner);
+  ScriptedDisk disk(&faults, 1);
   BufferPool pool(kSetUpFrames, &disk, Lru2(),
                   BufferPoolOptions{.io_max_attempts = 3});
   VictimSetUp t = SetUpVictim(pool, disk);
   (void)disk.TakeOps();
-  using Ops = std::vector<PairDevice::Op>;
+  using Ops = std::vector<KindAndPage>;
   constexpr PageIo::Kind kR = PageIo::Kind::kRead;
   constexpr PageIo::Kind kW = PageIo::Kind::kWrite;
 
-  // Permanent failure: three attempts at the write, no read.
-  disk.FailWrites(t.a);
+  // Every attempt fails: three attempts at the write, no read.
+  faults.AddRule(FailWritesOf(t.a, 3));
   auto failed = pool.FetchPage(t.b);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
-  EXPECT_EQ(disk.TakeOps(), (Ops{{kW, t.a}, {kW, t.a}, {kW, t.a}}));
+  EXPECT_EQ(KindsAndPages(disk.TakeOps()),
+            (Ops{{kW, t.a}, {kW, t.a}, {kW, t.a}}));
 
   // Two transient failures: the retries, the landed write, then the read.
-  disk.Heal();
-  disk.FailWrites(t.a, 2);
+  faults.AddRule(FailWritesOf(t.a, 2));
   ASSERT_TRUE(pool.FetchPage(t.b).ok());
   ASSERT_TRUE(pool.UnpinPage(t.b, false).ok());
-  EXPECT_EQ(disk.TakeOps(),
+  EXPECT_EQ(KindsAndPages(disk.TakeOps()),
             (Ops{{kW, t.a}, {kW, t.a}, {kW, t.a}, {kR, t.b}}));
 
   const BufferPoolStats stats = pool.stats();
@@ -812,7 +614,8 @@ TEST(DirtyMissConcurrencyTest, SerialDeviceSeesWriteBackThenRead) {
 // are exactly as before the eviction.
 TEST(DirtyMissConcurrencyTest, FailedWriteBackRollsBackExactly) {
   SimDiskManager inner;
-  PairDevice disk(&inner, DiskManager::kMaxIoInFlight);
+  FaultInjectingDiskManager faults(&inner);
+  ScriptedDisk disk(&faults);
   auto policy = Lru2();
   LruKPolicy* lruk = policy.get();
   BufferPool pool(kSetUpFrames, &disk, std::move(policy));
@@ -822,14 +625,16 @@ TEST(DirtyMissConcurrencyTest, FailedWriteBackRollsBackExactly) {
   const BufferPoolStats stats_before = pool.stats();
   const uint64_t reads_before = disk.stats().reads;
 
-  disk.HoldWrites(true);
-  disk.FailWrites(t.a);
+  const ScriptedDisk::ScriptId hold = disk.HoldUntil(
+      ScriptedDisk::Writes(), ScriptedDisk::AfterKth(PageIo::Kind::kRead));
+  faults.AddRule(FaultRule::FailPage(FaultOp::kWrite, t.a));
   auto fetched = pool.FetchPage(t.b);
-  disk.HoldWrites(false);
+  const uint64_t overlapped = disk.matched(hold);
+  disk.Open(hold);
   ASSERT_FALSE(fetched.ok());
   EXPECT_EQ(fetched.status().code(), StatusCode::kIoError);
-  EXPECT_EQ(disk.overlapped_writes(), 1u);
-  EXPECT_EQ(disk.timed_out_writes(), 0u);
+  EXPECT_EQ(overlapped, 1u);
+  EXPECT_EQ(disk.timeouts(), 0u);
 
   // The policy is as it was before Evict; the discarded read reached the
   // device, where it counts like any other read.
@@ -846,7 +651,7 @@ TEST(DirtyMissConcurrencyTest, FailedWriteBackRollsBackExactly) {
 
   // The victim's frame still holds its image, dirty: after healing, the
   // same fetch writes it back byte for byte and then evicts it.
-  disk.Heal();
+  faults.Heal();
   ASSERT_TRUE(pool.FetchPage(t.b).ok());
   ASSERT_TRUE(pool.UnpinPage(t.b, false).ok());
   EXPECT_FALSE(pool.IsResident(t.a));
@@ -863,14 +668,15 @@ TEST(DirtyMissConcurrencyTest, FailedWriteBackRollsBackExactly) {
 // the fetch reports the read's error.
 TEST(DirtyMissConcurrencyTest, FailedReadAfterLandedWriteBackFreesTheFrame) {
   SimDiskManager inner;
-  PairDevice disk(&inner, DiskManager::kMaxIoInFlight);
+  FaultInjectingDiskManager faults(&inner);
+  ScriptedDisk disk(&faults);
   auto policy = Lru2();
   LruKPolicy* lruk = policy.get();
   BufferPool pool(kSetUpFrames, &disk, std::move(policy));
   VictimSetUp t = SetUpVictim(pool, disk);
   const BufferPoolStats stats_before = pool.stats();
 
-  disk.FailReads(t.b);
+  faults.AddRule(FaultRule::FailPage(FaultOp::kRead, t.b));
   auto fetched = pool.FetchPage(t.b);
   ASSERT_FALSE(fetched.ok());
   EXPECT_EQ(fetched.status().code(), StatusCode::kIoError);
@@ -890,7 +696,7 @@ TEST(DirtyMissConcurrencyTest, FailedReadAfterLandedWriteBackFreesTheFrame) {
   EXPECT_EQ(stats.write_failures, 0u);
 
   // The free frame serves the next fetch of b without an eviction.
-  disk.Heal();
+  faults.Heal();
   ASSERT_TRUE(pool.FetchPage(t.b).ok());
   ASSERT_TRUE(pool.UnpinPage(t.b, false).ok());
   EXPECT_EQ(pool.stats().evictions, stats_before.evictions + 1);

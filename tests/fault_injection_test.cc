@@ -49,20 +49,16 @@ namespace {
 // ---------------------------------------------------------------------------
 // Helpers.
 
-void ExpectIoStatsEq(const IoStats& a, const IoStats& b) {
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.allocations, b.allocations);
-  EXPECT_EQ(a.deallocations, b.deallocations);
-  EXPECT_EQ(a.read_failures, b.read_failures);
-  EXPECT_EQ(a.write_failures, b.write_failures);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_DOUBLE_EQ(a.simulated_micros, b.simulated_micros);
-}
-
-// Both sides run one seeded, single-threaded op sequence, so every pool
-// counter must match; a mismatch is nondeterminism.
+// The shared scaffolding (differential_harness.h). Both sides of the
+// differential test run one seeded, single-threaded op sequence, so every
+// pool counter must match; a mismatch is nondeterminism.
+using difftest::AllocateDb;
 using difftest::ExpectCountersEq;
+using difftest::ExpectIoStatsEq;
+using difftest::PageStamp;
+using difftest::ReadStamp;
+using difftest::RecordingPolicy;
+using difftest::WriteStamp;
 
 std::string TraceToString(const std::vector<FaultEvent>& trace) {
   std::string out;
@@ -83,85 +79,6 @@ std::vector<PageId> AllocateRaw(DiskManager& disk, uint64_t n) {
   }
   return pages;
 }
-
-// Allocates `n` pages through a pool (NewPage + unpin-dirty).
-std::vector<PageId> AllocateDb(PoolInterface& pool, uint64_t n) {
-  std::vector<PageId> pages;
-  for (uint64_t i = 0; i < n; ++i) {
-    auto page = pool.NewPage();
-    EXPECT_TRUE(page.ok());
-    pages.push_back((*page)->id());
-    EXPECT_TRUE(pool.UnpinPage((*page)->id(), true).ok());
-  }
-  return pages;
-}
-
-// Stamp written into a page image by the sweep workload: the page id plus
-// a monotonically increasing write counter.
-struct PageStamp {
-  PageId page = kInvalidPageId;
-  uint64_t value = 0;
-};
-
-void WriteStamp(char* data, PageId p, uint64_t value) {
-  PageStamp stamp{p, value};
-  std::memcpy(data, &stamp, sizeof(stamp));
-}
-
-PageStamp ReadStamp(const char* data) {
-  PageStamp stamp;
-  std::memcpy(&stamp, data, sizeof(stamp));
-  return stamp;
-}
-
-// Forwarding LRU-K wrapper that records the eviction sequence, so the
-// differential test can compare victim choice — not just counters.
-class RecordingLruK final : public ReplacementPolicy {
- public:
-  explicit RecordingLruK(LruKOptions options) : inner_(options) {}
-
-  void SetReferencingProcess(uint32_t process) override {
-    inner_.SetReferencingProcess(process);
-  }
-  void PrepareAdmit(PageId p) override { inner_.PrepareAdmit(p); }
-  void RecordAccess(PageId p, AccessType type) override {
-    inner_.RecordAccess(p, type);
-  }
-  void RecordAccessBatch(const AccessRecord* records, size_t n) override {
-    inner_.RecordAccessBatch(records, n);
-  }
-  void Admit(PageId p, AccessType type) override { inner_.Admit(p, type); }
-  std::optional<PageId> Evict() override {
-    auto victim = inner_.Evict();
-    if (victim.has_value()) evictions_.push_back(*victim);
-    return victim;
-  }
-  void Restore(PageId p) override {
-    // The recorded eviction did not happen after all.
-    ASSERT_FALSE(evictions_.empty());
-    ASSERT_EQ(evictions_.back(), p);
-    evictions_.pop_back();
-    inner_.Restore(p);
-  }
-  void Remove(PageId p) override { inner_.Remove(p); }
-  void SetEvictable(PageId p, bool evictable) override {
-    inner_.SetEvictable(p, evictable);
-  }
-  size_t ResidentCount() const override { return inner_.ResidentCount(); }
-  size_t EvictableCount() const override { return inner_.EvictableCount(); }
-  bool IsResident(PageId p) const override { return inner_.IsResident(p); }
-  void ForEachResident(
-      const std::function<void(PageId)>& visit) const override {
-    inner_.ForEachResident(visit);
-  }
-  std::string_view Name() const override { return inner_.Name(); }
-
-  const std::vector<PageId>& evictions() const { return evictions_; }
-
- private:
-  LruKPolicy inner_;
-  std::vector<PageId> evictions_;
-};
 
 // ---------------------------------------------------------------------------
 // Injector unit tests.
@@ -334,15 +251,19 @@ TEST(FaultInjectorDifferentialTest, EmptyScheduleIsByteIdenticalToBareDisk) {
   constexpr uint64_t kDbPages = 96;
   constexpr size_t kCapacity = 24;
 
+  auto recording_lru2 = [] {
+    return std::make_unique<RecordingPolicy>(
+        std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
+  };
   SimDiskManager bare;
-  auto bare_policy = std::make_unique<RecordingLruK>(LruKOptions{.k = 2});
-  RecordingLruK* bare_recorder = bare_policy.get();
+  auto bare_policy = recording_lru2();
+  RecordingPolicy* bare_recorder = bare_policy.get();
   BufferPool bare_pool(kCapacity, &bare, std::move(bare_policy));
 
   SimDiskManager inner;
   FaultInjectingDiskManager wrapped(&inner, /*seed=*/7);
-  auto wrapped_policy = std::make_unique<RecordingLruK>(LruKOptions{.k = 2});
-  RecordingLruK* wrapped_recorder = wrapped_policy.get();
+  auto wrapped_policy = recording_lru2();
+  RecordingPolicy* wrapped_recorder = wrapped_policy.get();
   BufferPool wrapped_pool(kCapacity, &wrapped, std::move(wrapped_policy));
 
   std::vector<PageId> bare_pages = AllocateDb(bare_pool, kDbPages);

@@ -1,7 +1,7 @@
 // PoolInterface::FetchPages: BufferPool's run (its misses read as one
 // device batch, on FetchPage's own claim and install steps) and the
-// interface's page-by-page default. Threaded cases live in
-// fetch_pages_concurrency_test.cc.
+// interface's page-by-page default. Threaded cases
+// (FetchPagesConcurrencyTest) live in async_io_concurrency_test.cc.
 //
 // Coverage:
 //  * Two misses on a device that overlaps operations are read in one
@@ -23,10 +23,8 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -37,6 +35,7 @@
 #include "core/policy_factory.h"
 #include "differential_harness.h"
 #include "gtest/gtest.h"
+#include "scripted_disk.h"
 #include "storage/fault_injecting_disk_manager.h"
 #include "storage/sim_disk_manager.h"
 #include "util/random.h"
@@ -70,59 +69,14 @@ void ExpectNoFrameLeaked(const BufferPool& pool) {
   EXPECT_EQ(pool.PendingIoCount(), 0u);
 }
 
-// A device that overlaps operations (the default MaxConcurrentIo) and
-// holds every read until `rendezvous` reads have been in flight at once,
-// or a deadline passes: a batch whose reads all reach it together passes
-// at once, while reads issued one after another each wait out the
-// deadline.
-class RendezvousDisk final : public DiskManager {
- public:
-  RendezvousDisk(DiskManager* inner, int rendezvous)
-      : inner_(inner), rendezvous_(rendezvous) {}
-
-  int peak_reads_in_flight() const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return peak_;
-  }
-
-  Status ReadPage(PageId p, char* out) override {
-    {
-      std::unique_lock<std::mutex> guard(mutex_);
-      peak_ = std::max(peak_, ++in_flight_);
-      cv_.notify_all();
-      cv_.wait_for(guard, std::chrono::seconds(2),
-                   [&] { return peak_ >= rendezvous_; });
-    }
-    Status status = inner_->ReadPage(p, out);
-    std::lock_guard<std::mutex> guard(mutex_);
-    --in_flight_;
-    return status;
-  }
-  Status WritePage(PageId p, const char* data) override {
-    return inner_->WritePage(p, data);
-  }
-  Result<PageId> AllocatePage() override { return inner_->AllocatePage(); }
-  Status DeallocatePage(PageId p) override {
-    return inner_->DeallocatePage(p);
-  }
-  uint64_t NumAllocatedPages() const override {
-    return inner_->NumAllocatedPages();
-  }
-  IoStats stats() const override { return inner_->stats(); }
-  void ResetStats() override { inner_->ResetStats(); }
-
- private:
-  DiskManager* inner_;
-  const int rendezvous_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  int in_flight_ = 0;
-  int peak_ = 0;
-};
-
+// On a device that overlaps operations (the default MaxConcurrentIo),
+// every read is held until two reads are in the device at once: a batch
+// whose reads reach it together passes at once, while reads issued one
+// after another each wait out the deadline.
 TEST(FetchPagesTest, TwoMissesTakeOneDeviceRound) {
   SimDiskManager inner;
-  RendezvousDisk disk(&inner, /*rendezvous=*/2);
+  ScriptedDisk disk(&inner);
+  disk.HoldUntil(ScriptedDisk::Reads(), ScriptedDisk::InGroupsOf(2));
   BufferPool pool(8, &disk, Lru2());
   const std::vector<PageId> pages = PagesOnDisk(inner, 2, 'a');
   inner.ResetStats();
@@ -131,7 +85,8 @@ TEST(FetchPagesTest, TwoMissesTakeOneDeviceRound) {
   const auto start = std::chrono::steady_clock::now();
   ASSERT_TRUE(pool.FetchPages(pages, out).ok());
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(disk.peak_reads_in_flight(), 2) << "the reads ran one by one";
+  EXPECT_EQ(disk.counts(PageIo::Kind::kRead).peak, 2u)
+      << "the reads ran one by one";
   EXPECT_LT(elapsed, std::chrono::seconds(2));
   EXPECT_EQ(out[0]->id(), pages[0]);
   EXPECT_EQ(out[1]->id(), pages[1]);

@@ -23,22 +23,19 @@
 //
 // Every suite name carries "Concurren", so the sanitizer CI matrix runs it.
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bufferpool/buffer_pool.h"
 #include "core/lru_k.h"
+#include "differential_harness.h"
 #include "gtest/gtest.h"
+#include "scripted_disk.h"
 #include "storage/fault_injecting_disk_manager.h"
 #include "storage/sim_disk_manager.h"
 #include "util/random.h"
@@ -46,89 +43,9 @@
 namespace lruk {
 namespace {
 
-// Holds writes of chosen pages at a gate until released. The image is
-// copied on arrival, as a device that has taken the data would, so a
-// modification made while the write is held does not reach this write.
-class FlushGateDiskManager final : public DiskManager {
- public:
-  explicit FlushGateDiskManager(DiskManager* inner) : inner_(inner) {}
-
-  // Future writes of `p` wait at the gate until Open(p).
-  void Close(PageId p) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    gated_.insert(p);
-  }
-  void Open(PageId p) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    gated_.erase(p);
-    cv_.notify_all();
-  }
-  // Blocks until a write of `p` waits at the gate.
-  void AwaitWriter(PageId p) {
-    std::unique_lock<std::mutex> guard(mutex_);
-    cv_.wait(guard, [&] { return waiting_.contains(p); });
-  }
-  // Writes of `p` that have passed the gate and reached the inner disk.
-  uint64_t WritesOf(PageId p) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    auto it = written_.find(p);
-    return it == written_.end() ? 0 : it->second;
-  }
-
-  Status ReadPage(PageId p, char* out) override {
-    return inner_->ReadPage(p, out);
-  }
-  Status WritePage(PageId p, const char* data) override {
-    auto image = std::make_unique<char[]>(kPageSize);
-    std::memcpy(image.get(), data, kPageSize);
-    {
-      std::unique_lock<std::mutex> guard(mutex_);
-      if (gated_.contains(p)) {
-        ++waiting_[p];
-        cv_.notify_all();  // Wake AwaitWriter.
-        cv_.wait(guard, [&] { return !gated_.contains(p); });
-        if (--waiting_[p] == 0) waiting_.erase(p);
-      }
-    }
-    Status status = inner_->WritePage(p, image.get());
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++written_[p];
-    return status;
-  }
-  Result<PageId> AllocatePage() override { return inner_->AllocatePage(); }
-  Status DeallocatePage(PageId p) override {
-    return inner_->DeallocatePage(p);
-  }
-  uint64_t NumAllocatedPages() const override {
-    return inner_->NumAllocatedPages();
-  }
-  IoStats stats() const override { return inner_->stats(); }
-  void ResetStats() override { inner_->ResetStats(); }
-
- private:
-  DiskManager* inner_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::unordered_set<PageId> gated_;
-  std::unordered_map<PageId, int> waiting_;
-  std::unordered_map<PageId, uint64_t> written_;
-};
-
-struct PageStamp {
-  PageId page;
-  uint64_t value;
-};
-
-void WriteStamp(char* data, PageId p, uint64_t value) {
-  PageStamp stamp{p, value};
-  std::memcpy(data, &stamp, sizeof(stamp));
-}
-
-PageStamp ReadStamp(const char* data) {
-  PageStamp stamp;
-  std::memcpy(&stamp, data, sizeof(stamp));
-  return stamp;
-}
+using difftest::PageStamp;
+using difftest::ReadStamp;
+using difftest::WriteStamp;
 
 uint64_t DiskStamp(DiskManager& disk, PageId p) {
   auto image = std::make_unique<char[]>(kPageSize);
@@ -182,14 +99,15 @@ void GiveItTime() {
 
 TEST(FlushConcurrencyTest, ModificationDuringTheWriteLeavesThePageDirty) {
   SimDiskManager inner;
-  FlushGateDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   BufferPool pool(4, &disk, Lru2(4));
   PageId a = NewStampedPages(pool, 1)[0];
 
-  disk.Close(a);
+  disk.Hold(ScriptedDisk::Writes(a));
   Status flushed;
   std::thread flusher([&] { flushed = pool.FlushPage(a); });
-  disk.AwaitWriter(a);  // The write of stamp 1 is in flight, held.
+  // The write of stamp 1 is in flight, held.
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Writes(a)));
 
   // Modify and unpin dirty while the flush write is held. The page is
   // resident and pinned by the flush, so this is a hit.
@@ -198,7 +116,7 @@ TEST(FlushConcurrencyTest, ModificationDuringTheWriteLeavesThePageDirty) {
   WriteStamp((*page)->Data(), a, 2);
   ASSERT_TRUE(pool.UnpinPage(a, true).ok());
 
-  disk.Open(a);
+  disk.OpenAll();
   flusher.join();
   ASSERT_TRUE(flushed.ok()) << flushed.ToString();
   EXPECT_EQ(DiskStamp(inner, a), 1u);  // The flush wrote the older image.
@@ -212,14 +130,14 @@ TEST(FlushConcurrencyTest, ModificationDuringTheWriteLeavesThePageDirty) {
 
 TEST(FlushConcurrencyTest, HitOnAnotherPageCompletesDuringTheWrite) {
   SimDiskManager inner;
-  FlushGateDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   BufferPool pool(4, &disk, Lru2(4));
   std::vector<PageId> pages = NewStampedPages(pool, 2);
   ASSERT_TRUE(pool.FlushPage(pages[1]).ok());  // pages[1] is clean.
 
-  disk.Close(pages[0]);
+  disk.Hold(ScriptedDisk::Writes(pages[0]));
   std::thread flusher([&] { EXPECT_TRUE(pool.FlushAll().ok()); });
-  disk.AwaitWriter(pages[0]);
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Writes(pages[0])));
 
   // With the write held, a flush under the latch would block this hit.
   auto hit = pool.FetchPage(pages[1]);
@@ -227,22 +145,22 @@ TEST(FlushConcurrencyTest, HitOnAnotherPageCompletesDuringTheWrite) {
   EXPECT_EQ(ReadStamp((*hit)->Data()).value, 1u);
   ASSERT_TRUE(pool.UnpinPage(pages[1], false).ok());
 
-  disk.Open(pages[0]);
+  disk.OpenAll();
   flusher.join();
   EXPECT_EQ(DiskStamp(inner, pages[0]), 1u);
 }
 
 TEST(FlushConcurrencyTest, MissThatFindsACleanFrameCompletesDuringTheWrite) {
   SimDiskManager inner;
-  FlushGateDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   BufferPool pool(2, &disk, Lru2(2));
   std::vector<PageId> pages = ThreePagesEvictingTheFirst(pool);
   ASSERT_FALSE(pool.IsResident(pages[0]));
   ASSERT_TRUE(pool.FlushPage(pages[2]).ok());  // pages[2] is clean.
 
-  disk.Close(pages[1]);
+  disk.Hold(ScriptedDisk::Writes(pages[1]));
   std::thread flusher([&] { EXPECT_TRUE(pool.FlushPage(pages[1]).ok()); });
-  disk.AwaitWriter(pages[1]);
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Writes(pages[1])));
 
   // The miss on pages[0] evicts clean pages[2], the only unpinned frame.
   auto miss = pool.FetchPage(pages[0]);
@@ -252,23 +170,23 @@ TEST(FlushConcurrencyTest, MissThatFindsACleanFrameCompletesDuringTheWrite) {
   EXPECT_TRUE(pool.IsResident(pages[1]));  // Flush-pinned, not a victim.
   ASSERT_TRUE(pool.UnpinPage(pages[0], false).ok());
 
-  disk.Open(pages[1]);
+  disk.OpenAll();
   flusher.join();
   EXPECT_EQ(DiskStamp(inner, pages[1]), 1u);
 }
 
 TEST(FlushConcurrencyTest, MissWhenEveryFrameIsFlushPinnedWaitsForTheFlush) {
   SimDiskManager inner;
-  FlushGateDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   BufferPool pool(2, &disk, Lru2(2));
   std::vector<PageId> pages = ThreePagesEvictingTheFirst(pool);
   ASSERT_FALSE(pool.IsResident(pages[0]));
 
   // Both resident pages are dirty: FlushAll pins both frames, and the
   // batch (so every pin) lasts until the held write of pages[1] finishes.
-  disk.Close(pages[1]);
+  disk.Hold(ScriptedDisk::Writes(pages[1]));
   std::thread flusher([&] { EXPECT_TRUE(pool.FlushAll().ok()); });
-  disk.AwaitWriter(pages[1]);
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Writes(pages[1])));
 
   std::atomic<bool> done{false};
   Result<Page*> miss = Status::Internal("not run");
@@ -280,7 +198,7 @@ TEST(FlushConcurrencyTest, MissWhenEveryFrameIsFlushPinnedWaitsForTheFlush) {
   // Not ResourceExhausted: the only pins are the flush's, so it waits.
   EXPECT_FALSE(done.load());
 
-  disk.Open(pages[1]);
+  disk.OpenAll();
   flusher.join();
   fetcher.join();
   ASSERT_TRUE(miss.ok()) << miss.status().ToString();
@@ -292,13 +210,13 @@ TEST(FlushConcurrencyTest, MissWhenEveryFrameIsFlushPinnedWaitsForTheFlush) {
 
 TEST(FlushConcurrencyTest, DeleteOfThePageUnderFlushWaitsForTheFlush) {
   SimDiskManager inner;
-  FlushGateDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   BufferPool pool(4, &disk, Lru2(4));
   PageId a = NewStampedPages(pool, 1)[0];
 
-  disk.Close(a);
+  disk.Hold(ScriptedDisk::Writes(a));
   std::thread flusher([&] { EXPECT_TRUE(pool.FlushPage(a).ok()); });
-  disk.AwaitWriter(a);
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Writes(a)));
 
   std::atomic<bool> done{false};
   Status deleted = Status::Internal("not run");
@@ -310,7 +228,7 @@ TEST(FlushConcurrencyTest, DeleteOfThePageUnderFlushWaitsForTheFlush) {
   // Not "delete of pinned page": the only pin is the flush's.
   EXPECT_FALSE(done.load());
 
-  disk.Open(a);
+  disk.OpenAll();
   flusher.join();
   deleter.join();
   EXPECT_TRUE(deleted.ok()) << deleted.ToString();
@@ -323,7 +241,7 @@ TEST(FlushConcurrencyTest, DeleteOfThePageUnderFlushWaitsForTheFlush) {
 // victim write has landed.
 TEST(FlushConcurrencyTest, FlushAllWaitsForAVictimWritePostedWhileItWaits) {
   SimDiskManager inner;
-  FlushGateDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   // Worker mode writes victims behind; two workers, so the held victim
   // write must not block the read.
   BufferPool pool(3, &disk, Lru2(3), BufferPoolOptions{.io_workers = 2});
@@ -340,10 +258,10 @@ TEST(FlushConcurrencyTest, FlushAllWaitsForAVictimWritePostedWhileItWaits) {
     ASSERT_TRUE(pool.UnpinPage(p, false).ok());
   }
 
-  disk.Close(a);
-  disk.Close(b);
+  const ScriptedDisk::ScriptId gate_a = disk.Hold(ScriptedDisk::Writes(a));
+  const ScriptedDisk::ScriptId gate_b = disk.Hold(ScriptedDisk::Writes(b));
   std::thread page_flusher([&] { EXPECT_TRUE(pool.FlushPage(a).ok()); });
-  disk.AwaitWriter(a);
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Writes(a)));
   std::atomic<bool> done{false};
   Status flushed_all = Status::Internal("not run");
   std::thread all_flusher([&] {
@@ -357,16 +275,16 @@ TEST(FlushConcurrencyTest, FlushAllWaitsForAVictimWritePostedWhileItWaits) {
   ASSERT_TRUE(miss.ok()) << miss.status().ToString();
   ASSERT_TRUE(pool.UnpinPage(d, false).ok());
   EXPECT_FALSE(pool.IsResident(b));
-  disk.AwaitWriter(b);
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Writes(b)));
 
-  disk.Open(a);
+  disk.Open(gate_a);
   page_flusher.join();
   GiveItTime();
   // b was dirty when FlushAll was called, and its write has not landed.
   EXPECT_FALSE(done.load());
   EXPECT_EQ(disk.WritesOf(b), 0u);
 
-  disk.Open(b);
+  disk.Open(gate_b);
   all_flusher.join();
   EXPECT_TRUE(flushed_all.ok()) << flushed_all.ToString();
   EXPECT_EQ(disk.WritesOf(b), 1u);

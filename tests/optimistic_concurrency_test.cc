@@ -31,6 +31,7 @@
 #include "bufferpool/buffer_pool.h"
 #include "bufferpool/sharded_buffer_pool.h"
 #include "core/lru_k.h"
+#include "differential_harness.h"
 #include "gtest/gtest.h"
 #include "storage/sim_disk_manager.h"
 #include "util/random.h"
@@ -41,16 +42,7 @@ namespace {
 
 constexpr int kThreads = 8;
 
-std::vector<PageId> AllocateDb(PoolInterface& pool, uint64_t n) {
-  std::vector<PageId> pages;
-  for (uint64_t i = 0; i < n; ++i) {
-    auto page = pool.NewPage();
-    EXPECT_TRUE(page.ok());
-    pages.push_back((*page)->id());
-    EXPECT_TRUE(pool.UnpinPage((*page)->id(), true).ok());
-  }
-  return pages;
-}
+using difftest::AllocateDb;
 
 // ---------------------------------------------------------------------------
 // Hot-page hammer: maximal contention on one pin count.

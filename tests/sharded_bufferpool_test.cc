@@ -18,6 +18,7 @@
 #include "bufferpool/sharded_buffer_pool.h"
 #include "core/lru_k.h"
 #include "core/policy_factory.h"
+#include "differential_harness.h"
 #include "gtest/gtest.h"
 #include "storage/sim_disk_manager.h"
 #include "util/random.h"
@@ -56,16 +57,7 @@ void DriveTrace(Pool& pool, const std::vector<PageId>& pages, uint64_t seed) {
   }
 }
 
-std::vector<PageId> AllocateDb(PoolInterface& pool, uint64_t n) {
-  std::vector<PageId> pages;
-  for (uint64_t i = 0; i < n; ++i) {
-    auto page = pool.NewPage();
-    EXPECT_TRUE(page.ok());
-    pages.push_back((*page)->id());
-    EXPECT_TRUE(pool.UnpinPage((*page)->id(), true).ok());
-  }
-  return pages;
-}
+using difftest::AllocateDb;
 
 TEST(ShardedDifferentialTest, OneShardMatchesBufferPoolExactly) {
   SimDiskManager flat_disk;

@@ -22,11 +22,9 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +34,7 @@
 #include "core/policy_factory.h"
 #include "differential_harness.h"
 #include "gtest/gtest.h"
+#include "scripted_disk.h"
 #include "storage/fault_injecting_disk_manager.h"
 #include "storage/sim_disk_manager.h"
 
@@ -46,63 +45,6 @@ using difftest::DiffScenarioResult;
 using difftest::ExpectMatchesModel;
 using difftest::RecordingPolicy;
 using difftest::RunDiffScenario;
-
-// Blocks writes of one chosen page until released (the write-side twin of
-// the read gate in async_io_test.cc) — parks a write-behind victim write
-// mid-flight so the off-miss-path claim can be asserted deterministically.
-class WriteGateDiskManager final : public DiskManager {
- public:
-  explicit WriteGateDiskManager(DiskManager* inner) : inner_(inner) {}
-
-  void Close(PageId p) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    gated_ = p;
-    open_ = false;
-  }
-  void Open() {
-    std::lock_guard<std::mutex> guard(mutex_);
-    open_ = true;
-    cv_.notify_all();
-  }
-  // Blocks until a writer has reached the gate.
-  void AwaitWriter() {
-    std::unique_lock<std::mutex> guard(mutex_);
-    cv_.wait(guard, [&] { return waiting_ > 0; });
-  }
-
-  Status ReadPage(PageId p, char* out) override {
-    return inner_->ReadPage(p, out);
-  }
-  Status WritePage(PageId p, const char* data) override {
-    {
-      std::unique_lock<std::mutex> guard(mutex_);
-      if (!open_ && p == gated_) {
-        ++waiting_;
-        cv_.notify_all();  // Wake AwaitWriter.
-        cv_.wait(guard, [&] { return open_; });
-        --waiting_;
-      }
-    }
-    return inner_->WritePage(p, data);
-  }
-  Result<PageId> AllocatePage() override { return inner_->AllocatePage(); }
-  Status DeallocatePage(PageId p) override {
-    return inner_->DeallocatePage(p);
-  }
-  uint64_t NumAllocatedPages() const override {
-    return inner_->NumAllocatedPages();
-  }
-  IoStats stats() const override { return inner_->stats(); }
-  void ResetStats() override { inner_->ResetStats(); }
-
- private:
-  DiskManager* inner_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  PageId gated_ = kInvalidPageId;
-  bool open_ = true;
-  int waiting_ = 0;
-};
 
 void StampPage(Page* page, char fill) {
   std::memset(page->Data(), fill, kPageSize);
@@ -135,14 +77,14 @@ std::unique_ptr<LruKPolicy> Lru2(size_t capacity) {
 
 TEST(WriteBehindTest, DirtyVictimWriteRunsOffTheMissPath) {
   SimDiskManager inner;
-  WriteGateDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   BufferPool pool(1, &disk, Lru2(1), WriteBehindOptions(/*workers=*/1));
 
   auto a = pool.NewPage();
   ASSERT_TRUE(a.ok());
   PageId pa = (*a)->id();
   StampPage(*a, 'a');
-  disk.Close(pa);  // Park pa's eventual victim write.
+  disk.Hold(ScriptedDisk::Writes(pa));  // Park pa's eventual victim write.
   ASSERT_TRUE(pool.UnpinPage(pa, true).ok());
 
   // The admission evicts dirty pa. With write-behind the write is handed
@@ -151,7 +93,8 @@ TEST(WriteBehindTest, DirtyVictimWriteRunsOffTheMissPath) {
   auto b = pool.NewPage();
   ASSERT_TRUE(b.ok());
   PageId pb = (*b)->id();
-  disk.AwaitWriter();  // The victim write is in flight, parked.
+  // The victim write is in flight, parked.
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Writes()));
   EXPECT_EQ(pool.PendingVictimWriteCount(), 1u);
   EXPECT_FALSE(pool.IsResident(pa));
   BufferPoolStats mid = pool.stats();
@@ -159,7 +102,7 @@ TEST(WriteBehindTest, DirtyVictimWriteRunsOffTheMissPath) {
   EXPECT_EQ(mid.writebehind_writes, 0u);  // Not finished yet either.
   EXPECT_EQ(mid.evictions, 1u);  // The eviction itself is counted.
 
-  disk.Open();
+  disk.OpenAll();
   pool.Quiesce();
   BufferPoolStats stats = pool.stats();
   EXPECT_EQ(stats.dirty_writebacks, 0u);
@@ -171,7 +114,7 @@ TEST(WriteBehindTest, DirtyVictimWriteRunsOffTheMissPath) {
 
 TEST(WriteBehindTest, FetchOfInFlightVictimWaitsForTheWrite) {
   SimDiskManager inner;
-  WriteGateDiskManager disk(&inner);
+  ScriptedDisk disk(&inner);
   BufferPool pool(2, &disk, Lru2(2), WriteBehindOptions(/*workers=*/2));
 
   auto a = pool.NewPage();
@@ -185,10 +128,10 @@ TEST(WriteBehindTest, FetchOfInFlightVictimWaitsForTheWrite) {
   ASSERT_TRUE(pool.UnpinPage(pb, false).ok());
 
   // pa is the LRU victim (oldest single reference). Park its write.
-  disk.Close(pa);
+  disk.Hold(ScriptedDisk::Writes(pa));
   auto c = pool.NewPage();
   ASSERT_TRUE(c.ok());
-  disk.AwaitWriter();
+  EXPECT_TRUE(disk.AwaitHeld(ScriptedDisk::Writes()));
   ASSERT_EQ(pool.PendingVictimWriteCount(), 1u);
 
   // A re-fetch of pa must wait the in-flight write out (the only current
@@ -204,7 +147,7 @@ TEST(WriteBehindTest, FetchOfInFlightVictimWaitsForTheWrite) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(fetched.load());  // Still parked behind the gate.
-  disk.Open();
+  disk.OpenAll();
   fetcher.join();
   EXPECT_TRUE(fetched.load());
   pool.Quiesce();
@@ -494,7 +437,7 @@ TEST(WriteBehindTest, FlushPersistsAndDeleteDiscardsParkedImages) {
 
 TEST(WriteBehindTest, TransientVictimWriteFailureRetriesOffTheMissPath) {
   SimDiskManager inner;
-  WriteGateDiskManager gate(&inner);
+  ScriptedDisk gate(&inner);
   FaultInjectingDiskManager disk(&gate, /*seed=*/5);
   BufferPoolOptions options = WriteBehindOptions(/*workers=*/1);
   options.io_max_attempts = 2;  // Immediate re-issue.
@@ -509,11 +452,11 @@ TEST(WriteBehindTest, TransientVictimWriteFailureRetriesOffTheMissPath) {
   // The admission evicts dirty pa. The first attempt at its victim write
   // fails; the retry parks at the gate — while NewPage has returned.
   disk.AddRule(FaultRule::FailNth(FaultOp::kWrite, 1));
-  gate.Close(pa);
+  gate.Hold(ScriptedDisk::Writes(pa));
   auto b = pool.NewPage();
   ASSERT_TRUE(b.ok());
   PageId pb = (*b)->id();
-  gate.AwaitWriter();
+  EXPECT_TRUE(gate.AwaitHeld(ScriptedDisk::Writes()));
 
   // The retry holds no latch: a hit on another thread completes meanwhile.
   auto hit = std::async(std::launch::async, [&] {
@@ -523,7 +466,7 @@ TEST(WriteBehindTest, TransientVictimWriteFailureRetriesOffTheMissPath) {
   EXPECT_EQ(hit.wait_for(std::chrono::seconds(10)),
             std::future_status::ready)
       << "a hit waited for the retrying victim write";
-  gate.Open();
+  gate.OpenAll();
   EXPECT_TRUE(hit.get());
   ASSERT_TRUE(pool.UnpinPage(pb, false).ok());
   pool.Quiesce();
